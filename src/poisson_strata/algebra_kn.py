@@ -237,6 +237,28 @@ class _Multiplier:
         return out
 
     def mono_times_gen(self, mono: tuple[int, ...], p: int) -> dict[tuple[int, ...], Fraction]:
+        """Normal form of mono * (generator p).
+
+        Moving p left past the rightmost letter r > p nests one product per
+        letter crossed.  The nesting is kept on an explicit stack of
+        suspended `_cross` frames, so a long word cannot exhaust the
+        interpreter's recursion limit.
+        """
+        frames: list = []
+        value = self._start(mono, p, frames)
+        while frames:
+            try:
+                request = frames[-1].send(value)
+            except StopIteration as done:
+                frames.pop()
+                value = done.value
+            else:
+                value = self._start(*request, frames)
+        return value
+
+    def _start(self, mono: tuple[int, ...], p: int, frames: list):
+        """The product when no letter of mono lies right of p; otherwise one
+        rewrite step, whose frame is pushed onto `frames` (returns None)."""
         rightmost = -1
         for k in range(len(mono) - 1, -1, -1):
             if mono[k]:
@@ -251,17 +273,17 @@ class _Multiplier:
             raise StepBudgetExceeded(f"exceeded {self.max_steps} rewrite steps")
         head = list(mono)
         head[rightmost] -= 1
-        head_t = tuple(head)
+        frames.append(self._cross(tuple(head), rightmost, p))
+        return None
+
+    def _cross(self, head: tuple[int, ...], r: int, p: int):
+        """Frame for (head * letter r) * letter p with r > p: yields each
+        (monomial, generator) product it needs and is sent its normal form."""
         acc: dict[tuple[int, ...], Fraction] = {}
-        for coeff, first, second in self._swap_terms(rightmost, p):
-            part = self.mono_times_gen(head_t, first)
-            part = self.dict_times_gen(part, second)
-            for m, c in part.items():
-                s = acc.get(m, Fraction(0)) + coeff * c
-                if s == 0:
-                    acc.pop(m, None)
-                else:
-                    acc[m] = s
+        for coeff, first, second in self._swap_terms(r, p):
+            part = yield head, first
+            for mono, c in part.items():
+                _add_scaled(acc, (yield mono, second), coeff * c)
         return acc
 
     def dict_times_gen(
@@ -269,13 +291,20 @@ class _Multiplier:
     ) -> dict[tuple[int, ...], Fraction]:
         acc: dict[tuple[int, ...], Fraction] = {}
         for mono, coeff in terms.items():
-            for m, c in self.mono_times_gen(mono, p).items():
-                s = acc.get(m, Fraction(0)) + coeff * c
-                if s == 0:
-                    acc.pop(m, None)
-                else:
-                    acc[m] = s
+            _add_scaled(acc, self.mono_times_gen(mono, p), coeff)
         return acc
+
+
+def _add_scaled(
+    acc: dict[tuple[int, ...], Fraction], terms: dict[tuple[int, ...], Fraction], coeff: Fraction
+) -> None:
+    """acc += coeff * terms, dropping cancelled monomials."""
+    for m, c in terms.items():
+        s = acc.get(m, Fraction(0)) + coeff * c
+        if s == 0:
+            acc.pop(m, None)
+        else:
+            acc[m] = s
 
 
 def nc_multiply(

@@ -272,10 +272,11 @@ def suite_associativity(config: Config, trials: int = 1000) -> dict:
 
 def suite_psi(config: Config) -> dict:
     params = _require_poisson(config)
+    source = build_an(params)
     results = []
     ok = True
     for t_set in adm.enumerate_admissible(params.n):
-        report = verify_poisson_stratum_map(params, t_set)
+        report = verify_poisson_stratum_map(params, t_set, source)
         ok = ok and report["ok"]
         results.append({"members": list(t_set.member_names()), "ok": report["ok"]})
     return {"suite": "psi", "ok": ok, "details": {"strata": results}}

@@ -47,6 +47,7 @@ from .exact_poly import (
     LaurentPoly,
     VarSpec,
     factor_rational,
+    format_poly,
     group_analysis,
 )
 from .poisson_core import PoissonStructure
@@ -171,15 +172,26 @@ def apply_poisson_map(gmap: GeneratorMap, f: LaurentPoly) -> LaurentPoly:
     return acc
 
 
-def verify_poisson_stratum_map(params: PoissonParams, t_set: AdmissibleSet) -> dict:
+def verify_poisson_stratum_map(
+    params: PoissonParams,
+    t_set: AdmissibleSet,
+    source: Optional[PoissonStructure] = None,
+) -> dict:
     """Generator-level verification that the stratum map is Poisson.
 
     Checks, exactly: the image of every generator bracket equals the target
     bracket of the images; every tail element maps to (q_i - p_i) Y_i X_i;
     members of T map to zero; and the surviving y's map onto the inverted
-    target generators.
+    target generators.  Each failure names what failed and its first
+    residual, formatted.
+
+    `source` is `build_an(params)`, for callers that verify many strata of
+    one algebra and build it once; it is built here when omitted.
     """
-    source = build_an(params)
+    if source is None:
+        source = build_an(params)
+    elif source.varspec != an_varspec(params.n):
+        raise ValueError("source structure is not over the generators of A_n")
     gmap = poisson_stratum_map(params, t_set)
     target = gmap.target
     names = kn_names(params.n)
@@ -189,7 +201,9 @@ def verify_poisson_stratum_map(params: PoissonParams, t_set: AdmissibleSet) -> d
             lhs = apply_poisson_map(gmap, source.entry(a, b))
             rhs = target.bracket(gmap.images[names[a]], gmap.images[names[b]])
             if lhs != rhs:
-                failures.append(f"bracket pair ({names[a]}, {names[b]})")
+                failures.append(
+                    f"bracket pair ({names[a]}, {names[b]}): residual {format_poly(lhs - rhs)}"
+                )
     for i in range(1, params.n + 1):
         img = apply_poisson_map(gmap, omega(params, i))
         yx = (f"Y{i}" in target.varspec.names) and (f"X{i}" in target.varspec.names)
@@ -201,14 +215,15 @@ def verify_poisson_stratum_map(params: PoissonParams, t_set: AdmissibleSet) -> d
             else LaurentPoly.zero(target.varspec)
         )
         if img != expected:
-            failures.append(f"tail element {i} image")
+            failures.append(f"tail element {i} image: residual {format_poly(img - expected)}")
     for name in t_set.member_names():
         if name.startswith("Omega"):
             poly = omega(params, int(name[5:]))
         else:
             poly = LaurentPoly.variable(an_varspec(params.n), name)
-        if not apply_poisson_map(gmap, poly).is_zero():
-            failures.append(f"member {name} does not map to zero")
+        img = apply_poisson_map(gmap, poly)
+        if not img.is_zero():
+            failures.append(f"member {name} does not map to zero: residual {format_poly(img)}")
     units = {
         gmap.images[f"y{i}"]
         for i in range(1, params.n + 1)
@@ -482,9 +497,10 @@ def stratification_report(
         weights = default_weights(params)
     character = group_character(params, weights)
     pparams = character.induced
+    source = build_an(pparams)
     strata = []
     for t_set in enumerate_admissible(params.n):
-        psi = verify_poisson_stratum_map(pparams, t_set)
+        psi = verify_poisson_stratum_map(pparams, t_set, source)
         ups = verify_quantum_stratum_map(params, t_set)
         strata.append(
             {

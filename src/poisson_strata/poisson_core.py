@@ -5,7 +5,9 @@ bracket of arbitrary elements is the unique biderivation extending the table,
 
     {f, g} = sum_{i<j} table(i,j) * (df/dg_i dg/dg_j - df/dg_j dg/dg_i),
 
-evaluated in a single pass rather than by recursive Leibniz descent.
+evaluated in one pass over the table rather than by recursive Leibniz
+descent.  Each argument's gradient is computed once per bracket (one partial
+derivative per generator), and a product with a zero partial is skipped.
 Antisymmetry and the Leibniz rule hold by construction; the Jacobi identity
 on generator triples is what `jacobi_check` verifies, and it propagates to
 all elements because the jacobiator of a biderivation bracket is a
@@ -73,16 +75,14 @@ class PoissonStructure:
     def bracket(self, f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
         if f.varspec != self.varspec or g.varspec != self.varspec:
             raise VarSpecMismatch("bracket arguments over the wrong variables")
+        df = [f.derivative_index(i) for i in range(len(self.varspec))]
+        dg = [g.derivative_index(i) for i in range(len(self.varspec))]
         acc = LaurentPoly.zero(self.varspec)
         for (i, j), t in self.table.items():
-            dfi = f.derivative_index(i)
-            dgj = g.derivative_index(j)
-            part = dfi * dgj
-            dfj = f.derivative_index(j)
-            dgi = g.derivative_index(i)
-            part = part - dfj * dgi
-            if not part.is_zero():
-                acc = acc + t * part
+            if not (df[i].is_zero() or dg[j].is_zero()):
+                acc = acc + t * (df[i] * dg[j])
+            if not (df[j].is_zero() or dg[i].is_zero()):
+                acc = acc - t * (df[j] * dg[i])
         return acc
 
     def bracket_names(self, a: str, b: str) -> LaurentPoly:

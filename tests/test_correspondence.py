@@ -1,10 +1,13 @@
 """Tests for the stratum maps, the parameter-group character, and the report."""
 
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from poisson_strata import cli, correspondence
 from poisson_strata.admissible import AdmissibleSet, derived_sets, enumerate_admissible
+from poisson_strata.algebra_an import build_an
 from poisson_strata.algebra_kn import QuantumParams
 from poisson_strata.correspondence import (
     GroupContainsMinusOne,
@@ -20,11 +23,14 @@ from poisson_strata.correspondence import (
     verify_quantum_stratum_map,
 )
 from poisson_strata.exact_poly import LaurentPoly
+from poisson_strata.poisson_core import PoissonStructure
 from poisson_strata.samples import (
     quantum_sample,
     quantum_sample_image,
     sample_weights,
 )
+
+CONFIG_PAIRED = str(Path(__file__).resolve().parent.parent / "configs" / "paired_n2.json")
 
 
 def empty_set(n):
@@ -101,6 +107,37 @@ def test_verify_poisson_spot_checks_n3():
     params = quantum_sample_image(3)
     for t_set in (empty_set(3), full_set(3)):
         assert verify_poisson_stratum_map(params, t_set)["ok"]
+
+
+def test_poisson_failure_names_pair_and_residual():
+    params = quantum_sample_image()
+    source = build_an(params)
+    vs = source.varspec
+    table = dict(source.table)
+    table[(0, 1)] = table[(0, 1)] + LaurentPoly.monomial(vs, {"y1": 1, "x1": 1})  # {y1, x1}
+    corrupted = PoissonStructure(vs, table)
+    report = verify_poisson_stratum_map(params, empty_set(2), corrupted)
+    assert not report["ok"]
+    assert report["failures"] == ["bracket pair (y1, x1): residual Y1*X1"]
+    assert verify_poisson_stratum_map(params, empty_set(2), source)["ok"]
+    with pytest.raises(ValueError):
+        verify_poisson_stratum_map(params, empty_set(2), build_an(quantum_sample_image(1)))
+
+
+def test_reports_build_the_source_algebra_once(monkeypatch):
+    builds = []
+
+    def counting_build_an(params):
+        builds.append(params)
+        return build_an(params)
+
+    monkeypatch.setattr(correspondence, "build_an", counting_build_an)
+    monkeypatch.setattr(cli, "build_an", counting_build_an)
+    report = stratification_report(quantum_sample(2), sample_weights())
+    assert len(report["strata"]) == 14 and len(builds) == 1
+    builds.clear()
+    suite = cli.suite_psi(cli.load_config(CONFIG_PAIRED))
+    assert suite["ok"] and len(suite["details"]["strata"]) == 14 and len(builds) == 1
 
 
 def test_poisson_tail_images():

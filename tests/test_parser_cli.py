@@ -136,6 +136,13 @@ def test_cli_nf(capsys):
     assert json.loads(capsys.readouterr().out) == {"result": "4*y1*x1"}
 
 
+def test_cli_nf_deep_word(capsys):
+    # x2 crosses y1 once per letter, each crossing a factor q1 * gamma12 = 4 * 2
+    status = main(["--config", CONFIG_QUANTUM, "nf", "x2^1500 y1"])
+    assert status == 0
+    assert json.loads(capsys.readouterr().out) == {"result": f"{8 ** 1500}*y1*x2^1500"}
+
+
 def test_cli_admissible(capsys):
     assert main(["--config", CONFIG_POISSON, "admissible", "--count"]) == 0
     assert json.loads(capsys.readouterr().out) == {"n": 2, "count": 14}
