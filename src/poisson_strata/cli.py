@@ -51,6 +51,7 @@ from .exact_poly import (
     DEFAULT_STEP_BUDGET,
     LaurentPoly,
     ReductionBudgetExceeded,
+    factor_integer,
     format_poly,
     reduce_poly,
 )
@@ -76,6 +77,16 @@ def _rational(value) -> Fraction:
     raise ConfigError(f"rationals must be strings or integers, got {value!r}")
 
 
+def _list(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise ConfigError(f"{what} must be a JSON list, got {value!r}")
+    return value
+
+
+def _is_prime(k: int) -> bool:
+    return k >= 2 and factor_integer(k) == {k: 1}
+
+
 @dataclass
 class Config:
     mode: str
@@ -91,14 +102,21 @@ def load_config(path: str) -> Config:
             raw = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from None
+    if not isinstance(raw, dict):
+        raise ConfigError("config must be a JSON object")
     mode = raw.get("mode")
     if mode not in ("poisson", "quantum", "paired"):
         raise ConfigError("mode must be one of poisson, quantum, paired")
     try:
-        n = int(raw["n"])
-        gamma = [[_rational(v) for v in row] for row in raw["gamma"]]
-        p = [_rational(v) for v in raw["p"]]
-        q = [_rational(v) for v in raw["q"]]
+        n = raw["n"]
+        if isinstance(n, bool) or not isinstance(n, int):
+            raise ConfigError(f"n must be an integer, got {n!r}")
+        gamma = [
+            [_rational(v) for v in _list(row, "gamma row")]
+            for row in _list(raw["gamma"], "gamma")
+        ]
+        p = [_rational(v) for v in _list(raw["p"], "p")]
+        q = [_rational(v) for v in _list(raw["q"], "q")]
     except KeyError as exc:
         raise ConfigError(f"config is missing {exc.args[0]!r}") from None
     poisson = quantum = None
@@ -111,15 +129,20 @@ def load_config(path: str) -> Config:
         raise ConfigError(str(exc)) from None
     weights = None
     if raw.get("phi_weights") is not None:
+        if not isinstance(raw["phi_weights"], dict):
+            raise ConfigError(f"phi_weights must be a JSON object, got {raw['phi_weights']!r}")
         weights = {}
         for key, value in raw["phi_weights"].items():
-            if not str(key).isdigit():
+            if not (key.isascii() and key.isdigit() and _is_prime(int(key))):
                 raise ConfigError(f"weight keys must be primes, got {key!r}")
             weights[int(key)] = _rational(value)
     literal = None
     if raw.get("admissible") is not None:
+        names = _list(raw["admissible"], "admissible")
+        if not all(isinstance(name, str) for name in names):
+            raise ConfigError(f"admissible members must be strings, got {names!r}")
         try:
-            literal = adm.AdmissibleSet.from_names(n, raw["admissible"])
+            literal = adm.AdmissibleSet.from_names(n, names)
         except ValueError as exc:
             raise ConfigError(f"bad admissible literal: {exc}") from None
     if mode == "paired":

@@ -38,6 +38,7 @@ from .algebra_kn import (
     QuantumParams,
     QuantumTorus,
     defining_relations,
+    format_torus,
     kn_names,
     omega_q,
     torus_names,
@@ -333,6 +334,7 @@ def verify_quantum_stratum_map(params: QuantumParams, t_set: AdmissibleSet) -> d
     """Substitute the images into every defining relation; all must vanish.
 
     Also checks the tail-element images and that members of T map to zero.
+    Each failure names what failed and its residual, formatted.
     """
     gmap = quantum_stratum_map(params, t_set)
     torus: QuantumTorus = gmap.target
@@ -345,21 +347,22 @@ def verify_quantum_stratum_map(params: QuantumParams, t_set: AdmissibleSet) -> d
                 part = part * gmap.images[name]
             acc = acc + part
         if not acc.is_zero():
-            failures.append(f"relation {label}")
+            failures.append(f"relation {label}: residual {format_torus(acc)}")
     for i in range(1, params.n + 1):
         img = apply_quantum_map(gmap, omega_q(params, i))
         expected = torus.monomial(
             {f"Y{i}": 1, f"X{i}": 1}, params.q[i - 1] - params.p[i - 1]
         ) if (f"Y{i}" not in torus.kill and f"X{i}" not in torus.kill) else torus.zero()
         if img != expected:
-            failures.append(f"tail element {i} image")
+            failures.append(f"tail element {i} image: residual {format_torus(img - expected)}")
     for name in t_set.member_names():
         if name.startswith("Omega"):
             element = omega_q(params, int(name[5:]))
         else:
             element = NCElement.generator(params.n, name)
-        if not apply_quantum_map(gmap, element).is_zero():
-            failures.append(f"member {name} does not map to zero")
+        img = apply_quantum_map(gmap, element)
+        if not img.is_zero():
+            failures.append(f"member {name} does not map to zero: residual {format_torus(img)}")
     units = {
         frozenset(gmap.images[f"y{i}"].terms.items())
         for i in range(1, params.n + 1)

@@ -12,8 +12,9 @@ parameter-group checks.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import add, sub
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 Scalar = Union[Fraction, int]
@@ -233,14 +234,15 @@ class LaurentPoly:
         if n < 0:
             inv = self.monomial_inverse()
             return inv ** (-n)
-        result = LaurentPoly.one(self.varspec)
+        result = None
         base = self
         while n:
             if n & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             n >>= 1
-        return result
+            if n:
+                base = base * base
+        return LaurentPoly.one(self.varspec) if result is None else result
 
     def monomial_inverse(self) -> LaurentPoly:
         """Inverse of a single-term polynomial; all its variables must be invertible."""
@@ -365,19 +367,34 @@ class ReductionRule:
 class ReductionSystem:
     """A confluent commutative rewriting system lead-monomial -> polynomial.
 
-    Well-formedness (checked): lead monomials are pairwise distinct and every
-    replacement is strictly smaller than its lead in the term order.
-    Confluence itself is the supplier's responsibility.
+    Well-formedness (checked): every lead is a monomial of the ring, lead
+    monomials are pairwise distinct and every replacement is strictly smaller
+    than its lead in the term order.  Confluence itself is the supplier's
+    responsibility.
+
+    Construction also derives, per rule, what `reduce_poly` reads at every
+    step: `lead_divisors` holds the (index, exponent) pairs of the lead on
+    non-invertible variables with a positive exponent, so a ring monomial m
+    is divisible by the lead iff m[i] >= e for each pair (the test of
+    `monomial_divides`); `replacement_shifts` holds the replacement's terms
+    as (m - lead, c), in the replacement's term order.
     """
 
     varspec: VarSpec
     rules: tuple[ReductionRule, ...]
+    lead_divisors: tuple[tuple[tuple[int, int], ...], ...] = field(
+        init=False, repr=False, compare=False
+    )
+    replacement_shifts: tuple[tuple[tuple[tuple[int, ...], Fraction], ...], ...] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         leads = [r.lead for r in self.rules]
         if len(set(leads)) != len(leads):
             raise ValueError("duplicate rule lead monomials")
         for r in self.rules:
+            LaurentPoly(self.varspec, {r.lead: 1})  # raises unless a ring monomial
             if r.replacement.varspec != self.varspec:
                 raise VarSpecMismatch("rule replacement over wrong variables")
             if not r.replacement.is_zero():
@@ -385,6 +402,20 @@ class ReductionSystem:
                     raise ValueError(
                         f"replacement of rule {r.lead} does not decrease the term order"
                     )
+        divisors = tuple(
+            tuple(
+                (i, e)
+                for i, e in enumerate(r.lead)
+                if e > 0 and not self.varspec.is_invertible(i)
+            )
+            for r in self.rules
+        )
+        shifts = tuple(
+            tuple((tuple(map(sub, m, r.lead)), c) for m, c in r.replacement.terms.items())
+            for r in self.rules
+        )
+        object.__setattr__(self, "lead_divisors", divisors)
+        object.__setattr__(self, "replacement_shifts", shifts)
 
 
 def reduce_poly(
@@ -395,23 +426,38 @@ def reduce_poly(
 ) -> LaurentPoly:
     """Rewrite f to its normal form under the system.
 
-    The result has no term divisible by any rule lead.  With `rng` the choice
-    of (term, rule) at each step is randomized, which is how the confluence
-    suite exercises uniqueness of normal forms; otherwise the largest
-    reducible term and the first matching rule are used.
+    The result has no term divisible by any rule lead.  Each step lists the
+    candidates (term, rule) with the rule's lead dividing the term, terms in
+    their current order and rules in system order.  With `rng` one candidate
+    is drawn uniformly (one `randrange` per step), which is how the
+    confluence suite exercises uniqueness of normal forms; otherwise the
+    largest reducible term and the first matching rule are used.
+
+    A step rewrites one mutable term map in place: it pops the chosen term
+    c*m and, for each term d*u of the replacement, adds c*d at m - lead + u,
+    deleting entries that sum to zero.  That is the insertion and deletion
+    order of f - c*m + c*(m/lead)*replacement in `LaurentPoly` arithmetic, so
+    the normal form, its term order and the rng state match that rebuild
+    exactly.  One `LaurentPoly` is built at the end; when no rule applies,
+    f itself is returned.
     """
     if f.varspec != system.varspec:
         raise VarSpecMismatch("polynomial and reduction system disagree on variables")
-    current = f
+    divisors = system.lead_divisors
+    shifts = system.replacement_shifts
+    terms = dict(f.terms)
     steps = 0
     while True:
         candidates = []
-        for mono in current.terms:
-            for k, rule in enumerate(system.rules):
-                if monomial_divides(rule.lead, mono, system.varspec):
+        for mono in terms:
+            for k, need in enumerate(divisors):
+                for i, e in need:
+                    if mono[i] < e:
+                        break
+                else:
                     candidates.append((mono, k))
         if not candidates:
-            return current
+            return LaurentPoly(system.varspec, terms) if steps else f
         if rng is None:
             mono, k = max(candidates, key=lambda c: (monomial_key(c[0]), -c[1]))
         else:
@@ -421,14 +467,14 @@ def reduce_poly(
             raise ReductionBudgetExceeded(
                 f"no normal form within {max_steps} rewrite steps; rule system is ill-formed"
             )
-        rule = system.rules[k]
-        coeff = current.terms[mono]
-        cofactor = LaurentPoly(
-            system.varspec, {tuple(a - b for a, b in zip(mono, rule.lead)): coeff}
-        )
-        current = current - cofactor * LaurentPoly(
-            system.varspec, {rule.lead: 1}
-        ) + cofactor * rule.replacement
+        coeff = terms.pop(mono)
+        for shift, c in shifts[k]:
+            target = tuple(map(add, mono, shift))
+            s = terms.get(target, 0) + coeff * c
+            if s:
+                terms[target] = s
+            else:
+                terms.pop(target, None)
 
 
 # -- prime-factored view of rationals and the parameter-group lattice ----

@@ -205,6 +205,22 @@ def test_verify_quantum_all_strata_small_n():
             assert report["ok"], (t_set.member_names(), report["failures"])
 
 
+def test_quantum_failure_names_relation_and_residual(monkeypatch):
+    params = quantum_sample()
+    relations = correspondence.defining_relations(params)
+    label, ((one, word), (coeff, swapped)) = relations[1]
+    assert label == "y1y2" and coeff == -2  # y1 y2 = 2 y2 y1
+    corrupted = list(relations)
+    corrupted[1] = (label, ((one, word), (coeff - 1, swapped)))
+    monkeypatch.setattr(correspondence, "defining_relations", lambda _: corrupted)
+    report = verify_quantum_stratum_map(params, empty_set(2))
+    assert not report["ok"]
+    # Y2 Y1 = (1/2) Y1 Y2 in the torus, so the residual is (1 - 3/2) Y1 Y2
+    assert report["failures"] == ["relation y1y2: residual -1/2*Y1*Y2"]
+    monkeypatch.setattr(correspondence, "defining_relations", lambda _: relations)
+    assert verify_quantum_stratum_map(params, empty_set(2))["ok"]
+
+
 def test_character_transports_the_sample():
     character = group_character(quantum_sample(), sample_weights())
     assert character.image_p == (1, 3)

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import pytest
 
+from poisson_strata.admissible import enumerate_admissible
+from poisson_strata.algebra_an import quotient_system, random_params
 from poisson_strata.exact_poly import (
     LaurentPoly,
     ReductionBudgetExceeded,
@@ -16,6 +18,7 @@ from poisson_strata.exact_poly import (
     factor_rational,
     format_poly,
     group_analysis,
+    monomial_divides,
     monomial_key,
     reduce_poly,
     unfactor_rational,
@@ -63,6 +66,31 @@ def test_ring_axioms_random():
         assert (f + g) + h == f + (g + h)
         assert f * g == g * f
         assert f * (g + h) == f * g + f * h
+
+
+def test_power_multiplies_only_for_remaining_bits(monkeypatch):
+    f = LaurentPoly(VS2, {(1, 0, 0, 0): Fraction(2), (0, 1, 1, 0): Fraction(-1, 3)})
+    one = LaurentPoly.one(VS2)
+    expected = {0: one, 1: f, 2: f * f, 5: f * f * f * f * f}
+    calls = []
+    plain_mul = LaurentPoly.__mul__
+
+    def counting_mul(self, other):
+        calls.append(1)
+        return plain_mul(self, other)
+
+    monkeypatch.setattr(LaurentPoly, "__mul__", counting_mul)
+    for n, muls in ((0, 0), (1, 0), (2, 1), (5, 3)):
+        calls.clear()
+        assert f ** n == expected[n]
+        assert len(calls) == muls, n
+
+
+def test_laurent_negative_power():
+    g = LaurentPoly.monomial(VS_L, {"y1": 2}, Fraction(3))
+    assert g ** -1 == LaurentPoly.monomial(VS_L, {"y1": -2}, Fraction(1, 3))
+    assert g ** -3 == LaurentPoly.monomial(VS_L, {"y1": -6}, Fraction(1, 27))
+    assert g ** -2 * g ** 2 == LaurentPoly.one(VS_L)
 
 
 def test_canonical_form_drops_zeros():
@@ -137,6 +165,116 @@ def test_reduce_budget_guard():
         reduce_poly(f, system, max_steps=1)
 
 
+def rebuild_reduce_poly(f, system, max_steps=10**6, rng=None):
+    """Reference reduction: rebuild the polynomial with LaurentPoly arithmetic
+    at every step, testing divisibility with `monomial_divides`."""
+    current = f
+    steps = 0
+    while True:
+        candidates = []
+        for mono in current.terms:
+            for k, rule in enumerate(system.rules):
+                if monomial_divides(rule.lead, mono, system.varspec):
+                    candidates.append((mono, k))
+        if not candidates:
+            return current
+        if rng is None:
+            mono, k = max(candidates, key=lambda c: (monomial_key(c[0]), -c[1]))
+        else:
+            mono, k = candidates[rng.randrange(len(candidates))]
+        steps += 1
+        if steps > max_steps:
+            raise ReductionBudgetExceeded(
+                f"no normal form within {max_steps} rewrite steps; rule system is ill-formed"
+            )
+        rule = system.rules[k]
+        coeff = current.terms[mono]
+        cofactor = LaurentPoly(
+            system.varspec, {tuple(a - b for a, b in zip(mono, rule.lead)): coeff}
+        )
+        current = current - cofactor * LaurentPoly(
+            system.varspec, {rule.lead: 1}
+        ) + cofactor * rule.replacement
+
+
+def laurent_poly(vs, rng, max_terms=4, max_degree=5):
+    """Random polynomial whose invertible variables also take negative exponents."""
+    terms = {}
+    for _ in range(rng.randint(1, max_terms)):
+        mono = [0] * len(vs)
+        for _ in range(rng.randint(0, max_degree)):
+            i = rng.randrange(len(vs))
+            mono[i] += rng.choice((-1, 1)) if vs.is_invertible(i) else 1
+        terms[tuple(mono)] = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+    return LaurentPoly(vs, terms)
+
+
+VS_INV = VarSpec(("y1", "x1", "y2", "x2"), frozenset({"y1", "y2"}))
+LAURENT_SYSTEM = ReductionSystem(
+    VS_INV,
+    (
+        # the lead's y1 is a unit, so only x2^2 decides divisibility
+        ReductionRule(
+            (1, 0, 0, 2),
+            LaurentPoly(VS_INV, {(0, 1, 0, 0): Fraction(1), (0, 0, -1, 0): Fraction(-1)}),
+        ),
+        ReductionRule((0, 1, 0, 0), LaurentPoly(VS_INV, {(2, 0, -1, 0): Fraction(-2)})),
+    ),
+)
+
+
+def assert_same_reduction(f, system, seed):
+    expected = rebuild_reduce_poly(f, system)
+    got = reduce_poly(f, system)
+    assert got == expected and list(got.terms) == list(expected.terms)
+    ref_rng, rng = random.Random(seed), random.Random(seed)
+    for _ in range(2):
+        expected = rebuild_reduce_poly(f, system, rng=ref_rng)
+        got = reduce_poly(f, system, rng=rng)
+        assert got == expected and list(got.terms) == list(expected.terms)
+        assert rng.getstate() == ref_rng.getstate()
+
+
+def test_reduce_matches_rebuild_reference():
+    # The in-place rewrite must walk exactly the rebuild's paths: same normal
+    # form, same term insertion order, same rng draws, for every quotient
+    # system up to n = 3 and for a system over invertible variables.
+    rng = random.Random(21)
+    systems = []
+    for n in (1, 2, 3):
+        for params in (random_params(n, rng), random_params(n, rng)):
+            systems.extend(quotient_system(params, t) for t in enumerate_admissible(n))
+    assert len(systems) == 2 * (4 + 14 + 48)
+    for system in systems:
+        for _ in range(8):
+            f = random_poly(system.varspec, rng, max_degree=rng.choice((3, 6)))
+            assert_same_reduction(f, system, rng.randrange(10**6))
+    for _ in range(200):
+        f = laurent_poly(VS_INV, rng)
+        assert_same_reduction(f, LAURENT_SYSTEM, rng.randrange(10**6))
+
+
+def test_reduce_budget_matches_rebuild_reference():
+    rng = random.Random(22)
+    exhausted = 0
+    for _ in range(100):
+        f = laurent_poly(VS_INV, rng)
+        seed = rng.randrange(10**6)
+        for reducer_rng in (None, seed):
+            outcomes = []
+            for reducer in (rebuild_reduce_poly, reduce_poly):
+                draw = None if reducer_rng is None else random.Random(reducer_rng)
+                try:
+                    result = reducer(f, LAURENT_SYSTEM, max_steps=1, rng=draw)
+                    outcome = ("ok", result, list(result.terms))
+                except ReductionBudgetExceeded as exc:
+                    outcome = ("budget", str(exc))
+                outcomes.append((outcome, draw and draw.getstate()))
+            assert outcomes[0] == outcomes[1]
+            exhausted += outcomes[1][0][0] == "budget"
+    assert exhausted > 20
+
+
 def test_rule_validation():
     with pytest.raises(ValueError):
         # replacement does not decrease the order
@@ -152,6 +290,15 @@ def test_rule_validation():
                 ReductionRule((1, 0, 0, 0), LaurentPoly.zero(VS2)),
             ),
         )
+
+
+def test_rule_lead_must_be_ring_monomial():
+    for lead in ((0, 1, 1), (0, -1, 0, 0)):
+        with pytest.raises(ValueError):
+            ReductionSystem(VS2, (ReductionRule(lead, LaurentPoly.zero(VS2)),))
+    # a negative exponent on a unit is a valid lead
+    system = ReductionSystem(VS_L, (ReductionRule((-1, 1), LaurentPoly.zero(VS_L)),))
+    assert reduce_poly(LaurentPoly.monomial(VS_L, {"y1": 3, "x1": 2}), system).is_zero()
 
 
 def test_divide_exact_roundtrip():

@@ -2,6 +2,7 @@
 
 import json
 import random
+from pathlib import Path
 from fractions import Fraction
 
 import pytest
@@ -223,3 +224,50 @@ def test_cli_step_budget_env(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("POISSON_STRATA_STEP_BUDGET", "nope")
     assert main(["--config", CONFIG_QUANTUM, "nf", "x1"]) == 2
     capsys.readouterr()
+
+
+def _run_config(tmp_path, capsys, raw, command=("admissible", "--count")):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(raw))
+    status = main(["--config", str(path), *command])
+    return status, json.loads(capsys.readouterr().out)
+
+
+POISSON_RAW = {
+    "mode": "poisson", "n": 2,
+    "gamma": [["0", "1"], ["-1", "0"]], "p": ["2", "3"], "q": ["5", "7"],
+}
+
+
+def test_config_rejects_non_integer_n(tmp_path, capsys):
+    for n in (2.7, True, "2"):
+        status, payload = _run_config(tmp_path, capsys, {**POISSON_RAW, "n": n})
+        assert status == 2
+        assert payload["error"] == "ConfigError" and "n must be an integer" in payload["message"]
+
+
+def test_config_rejects_non_list_gamma(tmp_path, capsys):
+    for gamma in (5, [5, 5], [["0", "1"], "-1 0"]):
+        status, payload = _run_config(tmp_path, capsys, {**POISSON_RAW, "gamma": gamma})
+        assert status == 2
+        assert payload["error"] == "ConfigError" and "must be a JSON list" in payload["message"]
+
+
+def test_config_rejects_top_level_list(tmp_path, capsys):
+    status, payload = _run_config(tmp_path, capsys, [POISSON_RAW])
+    assert status == 2
+    assert payload == {"error": "ConfigError", "message": "config must be a JSON object"}
+
+
+def test_config_rejects_non_prime_weight_keys(tmp_path, capsys):
+    paired = json.loads(Path(CONFIG_PAIRED).read_text())
+    status, payload = _run_config(
+        tmp_path, capsys, {**paired, "phi_weights": {"4": "1", "2": "1"}}, ("map-report",)
+    )
+    assert status == 2
+    assert payload == {"error": "ConfigError", "message": "weight keys must be primes, got '4'"}
+    for key in ("0", "1", "9"):
+        status, payload = _run_config(tmp_path, capsys, {**paired, "phi_weights": {key: "1"}})
+        assert status == 2 and payload["error"] == "ConfigError"
+    status, payload = _run_config(tmp_path, capsys, {**paired, "phi_weights": {"2": "1", "3": "1"}})
+    assert status == 0 and payload == {"n": 2, "count": 14}
