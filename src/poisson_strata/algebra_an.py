@@ -46,8 +46,13 @@ def _fraction_matrix(rows: Sequence[Sequence[Scalar]]) -> tuple[tuple[Fraction, 
 
 
 @dataclass(frozen=True)
-class PoissonParams:
-    """n, the skew-symmetric coupling matrix, and the two weight vectors."""
+class PairParams:
+    """n, the coupling matrix gamma and the two vectors p, q.
+
+    Both algebras are built from this data, gamma skew-symmetric additively
+    on the Poisson side and multiplicatively on the quantized side; each
+    subclass checks its side's conditions in `_check_values`.
+    """
 
     n: int
     gamma: tuple[tuple[Fraction, ...], ...]
@@ -55,7 +60,7 @@ class PoissonParams:
     q: tuple[Fraction, ...]
 
     @classmethod
-    def make(cls, n: int, gamma, p, q) -> PoissonParams:
+    def make(cls, n: int, gamma, p, q):
         return cls(n, _fraction_matrix(gamma), _fraction_vector(p), _fraction_vector(q))
 
     def __post_init__(self):
@@ -66,6 +71,15 @@ class PoissonParams:
             raise ValueError("gamma must be an n x n matrix")
         if len(self.p) != n or len(self.q) != n:
             raise ValueError("p and q must have length n")
+        self._check_values()
+
+
+@dataclass(frozen=True)
+class PoissonParams(PairParams):
+    """n, the skew-symmetric coupling matrix, and the two weight vectors."""
+
+    def _check_values(self):
+        n = self.n
         for i in range(n):
             for j in range(n):
                 if self.gamma[i][j] != -self.gamma[j][i]:
@@ -84,56 +98,105 @@ class PoissonParams:
         )
 
 
+def generator_names(n: int, y: str = "y", x: str = "x") -> tuple[str, ...]:
+    """y1, x1, ..., yn, xn: the generator order of every algebra here."""
+    return tuple(f"{v}{i}" for i in range(1, n + 1) for v in (y, x))
+
+
 def an_varspec(n: int) -> VarSpec:
-    names = []
-    for i in range(1, n + 1):
-        names.append(f"y{i}")
-        names.append(f"x{i}")
-    return VarSpec(tuple(names))
+    return VarSpec(generator_names(n))
 
 
-def omega(params: PoissonParams, i: int, varspec: VarSpec | None = None) -> LaurentPoly:
-    """The central-tail element: sum over k <= i of (q_k - p_k) y_k x_k.
+Atom = tuple[Fraction, int]
 
-    Index 0 gives the zero polynomial, so index-uniform callers need no
-    special case.
+
+def pair_word(params: PairParams, a: int, b: int) -> tuple[Atom, ...]:
+    """The coefficient of the ordered generator pair (a, b) as a word.
+
+    Generators are indexed y1, x1, ..., yn, xn from 0.  The word is a tuple
+    of (atom, exponent) pairs over the parameters gamma_ij, p_j and q_i,
+    where i <= j are the pair indices of the two generators.  For a < b:
+
+        (y_i, x_i)  q_i^-1
+        (y_i, y_j)  gamma_ij
+        (y_i, x_j)  gamma_ij^-1 q_i^-1
+        (x_i, y_j)  gamma_ij^-1 p_j
+        (x_i, x_j)  gamma_ij q_i p_j^-1
+
+    (b, a) gives the inverse word and (a, a) the empty one.  Evaluated
+    additively (`log_coefficient`) the word is the log-canonical
+    coefficient of the Poisson algebra; evaluated multiplicatively
+    (`algebra_kn.commutation_scalar`) it is the commutation scalar of the
+    quantized algebra.  The additive character of the parameter group turns
+    the second into the first.  `params` is either side's parameters.
+    """
+    if a > b:
+        return tuple((atom, -e) for atom, e in pair_word(params, b, a))
+    if a == b:
+        return ()
+    i, j = a // 2, b // 2
+    gamma, p_j, q_i = params.gamma[i][j], params.p[j], params.q[i]
+    if i == j:
+        return ((q_i, -1),)
+    if a % 2 == 0:
+        return ((gamma, 1),) if b % 2 == 0 else ((gamma, -1), (q_i, -1))
+    return ((gamma, -1), (p_j, 1)) if b % 2 == 0 else ((gamma, 1), (q_i, 1), (p_j, -1))
+
+
+def log_coefficient(params: PoissonParams, a: int, b: int) -> Fraction:
+    """The log-canonical coefficient R(a, b): the pair word evaluated additively."""
+    return sum((e * atom for atom, e in pair_word(params, a, b)), Fraction(0))
+
+
+def tail_coefficient(params: PairParams, k: int) -> Fraction:
+    """q_k - p_k: the coefficient of y_k x_k in every tail element of index
+    at least k, on either side."""
+    return params.q[k - 1] - params.p[k - 1]
+
+
+def tail_element(params: PairParams, i: int, cls, owner):
+    """The tail element O_i = sum over k <= i of (q_k - p_k) y_k x_k, as a
+    `cls` term map over `owner`; the same combination on either side.
+
+    Index 0 gives zero, so index-uniform callers need no special case.
     """
     if not 0 <= i <= params.n:
         raise IndexError(f"index {i} out of range 0..{params.n}")
-    vs = varspec if varspec is not None else an_varspec(params.n)
-    acc = LaurentPoly.zero(vs)
+    acc = cls.zero(owner)
     for k in range(1, i + 1):
-        acc = acc + LaurentPoly.monomial(
-            vs, {f"y{k}": 1, f"x{k}": 1}, params.q[k - 1] - params.p[k - 1]
-        )
+        acc = acc + cls.monomial(owner, {f"y{k}": 1, f"x{k}": 1}, tail_coefficient(params, k))
     return acc
 
 
+def named_element(params: PairParams, name: str, cls, owner):
+    """A generator or a tail element "Omega<k>", by name, as a `cls` term map
+    over `owner`."""
+    if name.startswith("Omega"):
+        return tail_element(params, int(name[5:]), cls, owner)
+    return cls.generator(owner, name)
+
+
+def omega(params: PoissonParams, i: int, varspec: VarSpec | None = None) -> LaurentPoly:
+    """The central-tail element O_i of the Poisson algebra (`tail_element`)."""
+    return tail_element(params, i, LaurentPoly, varspec if varspec is not None else an_varspec(params.n))
+
+
 def build_an(params: PoissonParams) -> PoissonStructure:
-    """The validated Poisson structure with the defining bracket table."""
-    n = params.n
-    vs = an_varspec(n)
-    gamma, p, q = params.gamma, params.p, params.q
+    """The validated Poisson structure with the defining bracket table.
 
-    def mono(coeff: Fraction, *names: str) -> LaurentPoly:
-        return LaurentPoly.monomial(vs, {name: 1 for name in names}, coeff)
-
+    {g_a, g_b} = R(a, b) g_a g_b, less the tail element O_{i-1} on the pair
+    (y_i, x_i).
+    """
+    vs = an_varspec(params.n)
+    names = vs.names
     table: dict[tuple[int, int], LaurentPoly] = {}
-
-    def put(a: int, b: int, value: LaurentPoly):
-        if not value.is_zero():
-            table[(a, b)] = value
-
-    for i in range(1, n + 1):
-        yi, xi = 2 * i - 2, 2 * i - 1
-        put(yi, xi, mono(-q[i - 1], f"y{i}", f"x{i}") - omega(params, i - 1, vs))
-        for j in range(i + 1, n + 1):
-            yj, xj = 2 * j - 2, 2 * j - 1
-            gij = gamma[i - 1][j - 1]
-            put(yi, yj, mono(gij, f"y{i}", f"y{j}"))
-            put(yi, xj, mono(-(q[i - 1] + gij), f"y{i}", f"x{j}"))
-            put(xi, yj, mono(p[j - 1] - gij, f"y{j}", f"x{i}"))
-            put(xi, xj, mono(q[i - 1] - p[j - 1] + gij, f"x{i}", f"x{j}"))
+    for a in range(len(names)):
+        for b in range(a + 1, len(names)):
+            entry = LaurentPoly.monomial(vs, {names[a]: 1, names[b]: 1}, log_coefficient(params, a, b))
+            if a % 2 == 0 and b == a + 1:
+                entry = entry - omega(params, a // 2, vs)
+            if not entry.is_zero():
+                table[(a, b)] = entry
     return PoissonStructure(vs, table).validate()
 
 
@@ -200,28 +263,25 @@ class IteratedPresentation:
 
 
 def iterated_presentation(params: PoissonParams) -> IteratedPresentation:
-    n = params.n
-    gamma, p, q = params.gamma, params.p, params.q
+    """Level j adjoins y_j, x_j with alpha = R(-, y_j), beta = R(-, x_j) on the
+    lower generators, c = R(y_j, x_j), u = -O_{j-1} and d = p_j."""
     structure = PoissonStructure(VarSpec(()), {})
     specs = []
     structures = [structure]
-    for j in range(1, n + 1):
+    for j in range(1, params.n + 1):
         vs = structure.varspec
-        alpha_w: dict[str, Fraction] = {}
-        beta_w: dict[str, Fraction] = {}
-        for i in range(1, j):
-            gij = gamma[i - 1][j - 1]
-            alpha_w[f"y{i}"] = gij
-            alpha_w[f"x{i}"] = p[j - 1] - gij
-            beta_w[f"y{i}"] = -(q[i - 1] + gij)
-            beta_w[f"x{i}"] = q[i - 1] - p[j - 1] + gij
+        yj, xj = 2 * j - 2, 2 * j - 1
         spec = DoubleExtensionSpec(
             base=structure,
-            alpha=PoissonDerivation.scaling(vs, alpha_w),
-            beta=PoissonDerivation.scaling(vs, beta_w),
-            c=-q[j - 1],
+            alpha=PoissonDerivation.scaling(
+                vs, {name: log_coefficient(params, a, yj) for a, name in enumerate(vs.names)}
+            ),
+            beta=PoissonDerivation.scaling(
+                vs, {name: log_coefficient(params, a, xj) for a, name in enumerate(vs.names)}
+            ),
+            c=log_coefficient(params, yj, xj),
             u=-omega(params, j - 1, vs),
-            d=p[j - 1],
+            d=params.p[j - 1],
             y_name=f"y{j}",
             x_name=f"x{j}",
         )
@@ -307,15 +367,11 @@ def level_eigen_elements(params: PoissonParams) -> tuple[KElement, KElement]:
     n = params.n
     if n < 1:
         raise ValueError("needs at least one pair")
-    gamma, p, q = params.gamma, params.p, params.q
-    f_vec: list[Fraction] = []
-    g_vec: list[Fraction] = []
-    for i in range(1, n):
-        gin = gamma[i - 1][n - 1]
-        f_vec += [gin, p[n - 1] - gin]
-        g_vec += [-q[i - 1] - gin, q[i - 1] - p[n - 1] + gin]
-    f_vec += [Fraction(1), p[n - 1] - 1]
-    g_vec += [-q[n - 1], q[n - 1] - p[n - 1]]
+    yn, xn = 2 * n - 2, 2 * n - 1
+    lower = range(2 * n - 2)
+    f_vec = [log_coefficient(params, a, yn) for a in lower] + [Fraction(1), params.p[n - 1] - 1]
+    g_vec = [log_coefficient(params, a, xn) for a in lower]
+    g_vec += [log_coefficient(params, yn, xn), tail_coefficient(params, n)]
     return tuple(f_vec), tuple(g_vec)
 
 
@@ -342,7 +398,7 @@ def verify_level_eigen_elements(params: PoissonParams) -> dict:
     xn = LaurentPoly.variable(vs, f"x{n}")
     if f_der.apply(yn) != yn:
         failures.append("first vector does not fix y_n")
-    if g_der.apply(yn) != yn.scale(-params.q[n - 1]):
+    if g_der.apply(yn) != yn.scale(spec.c):
         failures.append("second vector disagrees with the extension on y_n")
     if g_der.apply(xn) != xn.scale(params.q[n - 1] - params.p[n - 1]):
         failures.append("second vector does not scale x_n by q_n - p_n")
@@ -355,26 +411,8 @@ def log_canonical_matrix(params: PoissonParams) -> tuple[tuple[Fraction, ...], .
     Entrywise it is the bracket table with the lower-pair tails dropped, so
     it defines the log-canonical Poisson algebra the stratum maps land in.
     """
-    n = params.n
-    gamma, p, q = params.gamma, params.p, params.q
-    size = 2 * n
-    m = [[Fraction(0)] * size for _ in range(size)]
-
-    def put(a: int, b: int, value: Fraction):
-        m[a][b] = value
-        m[b][a] = -value
-
-    for i in range(1, n + 1):
-        yi, xi = 2 * i - 2, 2 * i - 1
-        put(yi, xi, -q[i - 1])
-        for j in range(i + 1, n + 1):
-            yj, xj = 2 * j - 2, 2 * j - 1
-            gij = gamma[i - 1][j - 1]
-            put(yi, yj, gij)
-            put(yi, xj, -(q[i - 1] + gij))
-            put(xi, yj, p[j - 1] - gij)
-            put(xi, xj, q[i - 1] - p[j - 1] + gij)
-    return tuple(tuple(row) for row in m)
+    size = 2 * params.n
+    return tuple(tuple(log_coefficient(params, a, b) for b in range(size)) for a in range(size))
 
 
 def quotient_system(params: PoissonParams, t_set: AdmissibleSet) -> ReductionSystem:
@@ -406,7 +444,7 @@ def quotient_system(params: PoissonParams, t_set: AdmissibleSet) -> ReductionSys
             lead = [0] * width
             lead[vs.index(f"y{i}")] = 1
             lead[vs.index(f"x{i}")] = 1
-            rhs = omega(params, i - 1, vs).scale(-1 / (params.q[i - 1] - params.p[i - 1]))
+            rhs = omega(params, i - 1, vs).scale(-1 / tail_coefficient(params, i))
             rhs = reduce_poly(rhs, ReductionSystem(vs, tuple(rules)))
             rules.append(ReductionRule(tuple(lead), rhs))
     return ReductionSystem(vs, tuple(rules))

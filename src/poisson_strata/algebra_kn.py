@@ -17,41 +17,24 @@ the commutation matrix.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Mapping, Sequence
 
-from .exact_poly import DEFAULT_STEP_BUDGET, Scalar
+from .algebra_an import PairParams, generator_names, pair_word, tail_coefficient, tail_element
+from .exact_poly import DEFAULT_STEP_BUDGET, Scalar, TermMap, accumulate, format_terms
 
 Relation = tuple[str, tuple[tuple[Fraction, tuple[str, ...]], ...]]
 
 
 @dataclass(frozen=True)
-class QuantumParams:
+class QuantumParams(PairParams):
     """n, the multiplicative coupling matrix, and the two scalar vectors."""
 
-    n: int
-    gamma: tuple[tuple[Fraction, ...], ...]
-    p: tuple[Fraction, ...]
-    q: tuple[Fraction, ...]
-
-    @classmethod
-    def make(cls, n: int, gamma, p, q) -> QuantumParams:
-        return cls(
-            n,
-            tuple(tuple(Fraction(v) for v in row) for row in gamma),
-            tuple(Fraction(v) for v in p),
-            tuple(Fraction(v) for v in q),
-        )
-
-    def __post_init__(self):
+    def _check_values(self):
         n = self.n
-        if n < 0:
-            raise ValueError("n must be nonnegative")
-        if len(self.gamma) != n or any(len(row) != n for row in self.gamma):
-            raise ValueError("gamma must be an n x n matrix")
-        if len(self.p) != n or len(self.q) != n:
-            raise ValueError("p and q must have length n")
         for i in range(n):
             if self.gamma[i][i] != 1:
                 raise ValueError("gamma must have unit diagonal")
@@ -71,126 +54,31 @@ class QuantumParams:
 
 
 def kn_names(n: int) -> tuple[str, ...]:
-    out = []
-    for i in range(1, n + 1):
-        out.append(f"y{i}")
-        out.append(f"x{i}")
-    return tuple(out)
+    return generator_names(n)
 
 
 def torus_names(n: int) -> tuple[str, ...]:
-    out = []
-    for i in range(1, n + 1):
-        out.append(f"Y{i}")
-        out.append(f"X{i}")
-    return tuple(out)
+    return generator_names(n, "Y", "X")
 
 
-class NCElement:
+class NCElement(TermMap):
     """A linear combination of standard monomials, exponent vectors in Z>=0^2n."""
 
-    __slots__ = ("n", "terms")
+    __slots__ = ()
+    n = TermMap.owner  # the owner slot under its name here
+    __pow__ = None  # products need the parameters; see nc_multiply
 
-    def __init__(self, n: int, terms: Mapping[tuple[int, ...], Scalar]):
-        clean: dict[tuple[int, ...], Fraction] = {}
-        for mono, coeff in terms.items():
-            coeff = coeff if isinstance(coeff, Fraction) else Fraction(coeff)
-            if coeff == 0:
-                continue
-            if len(mono) != 2 * n or any(e < 0 for e in mono):
-                raise ValueError(f"bad standard-monomial exponents {mono}")
-            key = tuple(mono)
-            clean[key] = clean.get(key, Fraction(0)) + coeff
-            if clean[key] == 0:
-                del clean[key]
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "terms", clean)
+    _names = staticmethod(kn_names)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("NCElement is immutable")
-
-    @classmethod
-    def zero(cls, n: int) -> NCElement:
-        return cls(n, {})
-
-    @classmethod
-    def one(cls, n: int) -> NCElement:
-        return cls(n, {(0,) * (2 * n): Fraction(1)})
-
-    @classmethod
-    def monomial(cls, n: int, exps: Mapping[str, int], coeff: Scalar = 1) -> NCElement:
-        names = kn_names(n)
-        vec = [0] * (2 * n)
-        for name, e in exps.items():
-            vec[names.index(name)] = e
-        return cls(n, {tuple(vec): coeff})
-
-    @classmethod
-    def generator(cls, n: int, name: str) -> NCElement:
-        return cls.monomial(n, {name: 1})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, NCElement):
-            return NotImplemented
-        return self.n == other.n and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.n, frozenset(self.terms.items())))
-
-    def __add__(self, other: NCElement) -> NCElement:
-        acc = dict(self.terms)
-        for m, c in other.terms.items():
-            s = acc.get(m, Fraction(0)) + c
-            if s == 0:
-                acc.pop(m, None)
-            else:
-                acc[m] = s
-        return NCElement(self.n, acc)
-
-    def __neg__(self) -> NCElement:
-        return NCElement(self.n, {m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other: NCElement) -> NCElement:
-        return self + (-other)
-
-    def scale(self, c: Scalar) -> NCElement:
-        c = Fraction(c)
-        return NCElement(self.n, {m: c * v for m, v in self.terms.items()})
-
-    def total_degree(self) -> int:
-        if not self.terms:
-            return 0
-        return max(sum(m) for m in self.terms)
-
-    def __repr__(self) -> str:
-        return f"NCElement({format_nc(self)!r})"
+    @staticmethod
+    def _admit(n: int, mono: tuple[int, ...]) -> bool:
+        if len(mono) != 2 * n or any(e < 0 for e in mono):
+            raise ValueError(f"bad standard-monomial exponents {mono}")
+        return True
 
 
 def format_nc(f: NCElement) -> str:
-    if f.is_zero():
-        return "0"
-    names = kn_names(f.n)
-    parts = []
-    for mono, coeff in sorted(f.terms.items(), key=lambda kv: (sum(kv[0]), kv[0][::-1]), reverse=True):
-        factors = [
-            name if e == 1 else f"{name}^{e}" for name, e in zip(names, mono) if e != 0
-        ]
-        if not factors:
-            text = str(coeff)
-        elif coeff == 1:
-            text = "*".join(factors)
-        elif coeff == -1:
-            text = "-" + "*".join(factors)
-        else:
-            text = str(coeff) + "*" + "*".join(factors)
-        parts.append(text)
-    out = parts[0]
-    for piece in parts[1:]:
-        out += " - " + piece[1:] if piece.startswith("-") else " + " + piece
-    return out
+    return format_terms(f.terms, kn_names(f.n))
 
 
 class StepBudgetExceeded(RuntimeError):
@@ -212,27 +100,10 @@ class _Multiplier:
         cached = self._swaps.get((r, p))
         if cached is not None:
             return cached
-        params = self.params
-        ri, rx = r // 2 + 1, r % 2 == 1
-        pi, px = p // 2 + 1, p % 2 == 1
-        gamma = params.gamma
-        out: list[tuple[Fraction, int, int]]
-        if rx and not px and ri == pi:
-            # x_i y_i = q_i y_i x_i + tail in the lower pairs
-            out = [(params.q[ri - 1], p, r)]
-            for k in range(1, ri):
-                out.append((params.q[k - 1] - params.p[k - 1], 2 * k - 2, 2 * k - 1))
-        elif not rx and not px:
-            out = [(gamma[ri - 1][pi - 1], p, r)]
-        elif not rx and px:
-            # y_I x_J, I > J
-            out = [(gamma[pi - 1][ri - 1] / params.p[ri - 1], p, r)]
-        elif rx and not px:
-            # x_I y_J, I > J
-            out = [(params.q[pi - 1] * gamma[pi - 1][ri - 1], p, r)]
-        else:
-            # x_I x_J, I > J
-            out = [(params.p[ri - 1] / (params.q[pi - 1] * gamma[pi - 1][ri - 1]), p, r)]
+        out = [(commutation_scalar(self.params, r, p), p, r)]
+        if r % 2 and r == p + 1:
+            # x_i y_i picks up the tail O_{i-1} in the lower pairs
+            out += [(tail_coefficient(self.params, k), 2 * k - 2, 2 * k - 1) for k in range(1, r // 2 + 1)]
         self._swaps[(r, p)] = out
         return out
 
@@ -283,7 +154,7 @@ class _Multiplier:
         for coeff, first, second in self._swap_terms(r, p):
             part = yield head, first
             for mono, c in part.items():
-                _add_scaled(acc, (yield mono, second), coeff * c)
+                accumulate(acc, (yield mono, second), coeff * c)
         return acc
 
     def dict_times_gen(
@@ -291,20 +162,8 @@ class _Multiplier:
     ) -> dict[tuple[int, ...], Fraction]:
         acc: dict[tuple[int, ...], Fraction] = {}
         for mono, coeff in terms.items():
-            _add_scaled(acc, self.mono_times_gen(mono, p), coeff)
+            accumulate(acc, self.mono_times_gen(mono, p), coeff)
         return acc
-
-
-def _add_scaled(
-    acc: dict[tuple[int, ...], Fraction], terms: dict[tuple[int, ...], Fraction], coeff: Fraction
-) -> None:
-    """acc += coeff * terms, dropping cancelled monomials."""
-    for m, c in terms.items():
-        s = acc.get(m, Fraction(0)) + coeff * c
-        if s == 0:
-            acc.pop(m, None)
-        else:
-            acc[m] = s
 
 
 def nc_multiply(
@@ -323,13 +182,8 @@ def nc_multiply(
         for pos, e in enumerate(mono_g):
             for _ in range(e):
                 part = mult.dict_times_gen(part, pos)
-        for m, c in part.items():
-            s = acc.get(m, Fraction(0)) + c
-            if s == 0:
-                acc.pop(m, None)
-            else:
-                acc[m] = s
-    return NCElement(params.n, acc)
+        accumulate(acc, part)
+    return NCElement._trusted(params.n, acc)
 
 
 def nc_product(params: QuantumParams, factors: Sequence[NCElement]) -> NCElement:
@@ -340,15 +194,8 @@ def nc_product(params: QuantumParams, factors: Sequence[NCElement]) -> NCElement
 
 
 def omega_q(params: QuantumParams, i: int) -> NCElement:
-    """The tail element; a combination of the pair monomials, already normal."""
-    if not 0 <= i <= params.n:
-        raise IndexError(f"index {i} out of range 0..{params.n}")
-    acc = NCElement.zero(params.n)
-    for k in range(1, i + 1):
-        acc = acc + NCElement.monomial(
-            params.n, {f"y{k}": 1, f"x{k}": 1}, params.q[k - 1] - params.p[k - 1]
-        )
-    return acc
+    """The tail element (`tail_element`); its pair monomials are already normal."""
+    return tail_element(params, i, NCElement, params.n)
 
 
 def normality_check(params: QuantumParams, i: int) -> dict:
@@ -377,6 +224,12 @@ def normality_check(params: QuantumParams, i: int) -> dict:
     return {"ok": not failures, "scalars": scalars, "failures": failures}
 
 
+def commutation_scalar(params: QuantumParams, a: int, b: int) -> Fraction:
+    """S(a, b) in G_a G_b = S(a, b) G_b G_a: the pair word evaluated
+    multiplicatively (see `algebra_an.pair_word`)."""
+    return math.prod((atom**e for atom, e in pair_word(params, a, b)), start=Fraction(1))
+
+
 def commutation_matrix(params: QuantumParams) -> tuple[tuple[Fraction, ...], ...]:
     """The attached multiplicative skew-symmetric 2n x 2n matrix.
 
@@ -384,26 +237,8 @@ def commutation_matrix(params: QuantumParams) -> tuple[tuple[Fraction, ...], ...
     generators; it is the multiplicative form of the log-canonical matrix on
     the Poisson side.
     """
-    n = params.n
-    gamma, p, q = params.gamma, params.p, params.q
-    size = 2 * n
-    m = [[Fraction(1)] * size for _ in range(size)]
-
-    def put(a: int, b: int, value: Fraction):
-        m[a][b] = value
-        m[b][a] = 1 / value
-
-    for i in range(1, n + 1):
-        yi, xi = 2 * i - 2, 2 * i - 1
-        put(yi, xi, 1 / q[i - 1])
-        for j in range(i + 1, n + 1):
-            yj, xj = 2 * j - 2, 2 * j - 1
-            gij = gamma[i - 1][j - 1]
-            put(yi, yj, gij)
-            put(yi, xj, 1 / (q[i - 1] * gij))
-            put(xi, yj, p[j - 1] / gij)
-            put(xi, xj, q[i - 1] * gij / p[j - 1])
-    return tuple(tuple(row) for row in m)
+    size = 2 * params.n
+    return tuple(tuple(commutation_scalar(params, a, b) for b in range(size)) for a in range(size))
 
 
 def defining_relations(params: QuantumParams) -> list[Relation]:
@@ -413,25 +248,22 @@ def defining_relations(params: QuantumParams) -> list[Relation]:
     relation's combination rewrites to zero in the algebra, and substituting
     generator images into them is how homomorphisms are verified.
     """
-    n = params.n
-    gamma, p, q = params.gamma, params.p, params.q
-    rels: list[Relation] = []
+    names = kn_names(params.n)
     one = Fraction(1)
-    for i in range(1, n + 1):
-        yi, xi = f"y{i}", f"x{i}"
-        tail = [(-(q[k - 1] - p[k - 1]), (f"y{k}", f"x{k}")) for k in range(1, i)]
-        rels.append(
-            (f"x{i}y{i}", ((one, (xi, yi)), (-q[i - 1], (yi, xi)), *tail))
-        )
-        for j in range(i + 1, n + 1):
-            yj, xj = f"y{j}", f"x{j}"
-            gij = gamma[i - 1][j - 1]
-            rels.append((f"y{i}y{j}", ((one, (yi, yj)), (-gij, (yj, yi)))))
-            rels.append((f"x{i}y{j}", ((one, (xi, yj)), (-p[j - 1] / gij, (yj, xi)))))
-            rels.append((f"y{i}x{j}", ((one, (yi, xj)), (-1 / (q[i - 1] * gij), (xj, yi)))))
-            rels.append(
-                (f"x{i}x{j}", ((one, (xi, xj)), (-q[i - 1] * gij / p[j - 1], (xj, xi))))
-            )
+
+    def relation(a: int, b: int, tail=()) -> Relation:
+        # g_a g_b - S(a, b) g_b g_a - tail
+        swapped = (-commutation_scalar(params, a, b), (names[b], names[a]))
+        return (names[a] + names[b], ((one, (names[a], names[b])), swapped, *tail))
+
+    rels: list[Relation] = []
+    for i in range(1, params.n + 1):
+        yi, xi = 2 * i - 2, 2 * i - 1
+        tail = [(-tail_coefficient(params, k), (f"y{k}", f"x{k}")) for k in range(1, i)]
+        rels.append(relation(xi, yi, tail))
+        for j in range(i + 1, params.n + 1):
+            yj, xj = 2 * j - 2, 2 * j - 1
+            rels += [relation(a, b) for a, b in ((yi, yj), (xi, yj), (yi, xj), (xi, xj))]
     return rels
 
 
@@ -474,23 +306,14 @@ class QuantumTorus:
     def __hash__(self):
         return hash((self.params, self.kill, self.invert))
 
-    def element(self, terms: Mapping[tuple[int, ...], Scalar]) -> QTorusElement:
-        return QTorusElement(self, terms)
-
-    def zero(self) -> QTorusElement:
-        return self.element({})
-
     def one(self) -> QTorusElement:
-        return self.element({(0,) * (2 * self.params.n): Fraction(1)})
+        return QTorusElement.one(self)
 
     def monomial(self, exps: Mapping[str, int], coeff: Scalar = 1) -> QTorusElement:
-        vec = [0] * (2 * self.params.n)
-        for name, e in exps.items():
-            vec[self.names.index(name)] = e
-        return self.element({tuple(vec): coeff})
+        return QTorusElement.monomial(self, exps, coeff)
 
     def generator(self, name: str) -> QTorusElement:
-        return self.monomial({name: 1})
+        return QTorusElement.generator(self, name)
 
     def twist(self, u: tuple[int, ...], v: tuple[int, ...]) -> Fraction:
         """Scalar in X^u X^v = twist * X^(u+v); a bicharacter in each slot."""
@@ -506,118 +329,44 @@ class QuantumTorus:
         return out
 
 
-class QTorusElement:
-    __slots__ = ("torus", "terms")
+class QTorusElement(TermMap):
+    __slots__ = ()
+    torus = TermMap.owner  # the owner slot under its name here
 
-    def __init__(self, torus: QuantumTorus, terms: Mapping[tuple[int, ...], Scalar]):
-        clean: dict[tuple[int, ...], Fraction] = {}
-        width = 2 * torus.params.n
-        for mono, coeff in terms.items():
-            coeff = coeff if isinstance(coeff, Fraction) else Fraction(coeff)
-            if coeff == 0:
-                continue
-            if len(mono) != width:
-                raise ValueError(f"bad exponent vector {mono}")
-            if any(mono[i] for i in torus._kill_idx):
-                continue  # killed generator: the monomial is zero
-            for i, e in enumerate(mono):
-                if e < 0 and i not in torus._invert_idx:
-                    raise ValueError(
-                        f"negative exponent on non-inverted generator {torus.names[i]!r}"
-                    )
-            key = tuple(mono)
-            clean[key] = clean.get(key, Fraction(0)) + coeff
-            if clean[key] == 0:
-                del clean[key]
-        object.__setattr__(self, "torus", torus)
-        object.__setattr__(self, "terms", clean)
+    @staticmethod
+    def _names(torus: QuantumTorus) -> tuple[str, ...]:
+        return torus.names
 
-    def __setattr__(self, name, value):
-        raise AttributeError("QTorusElement is immutable")
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, QTorusElement):
-            return NotImplemented
-        return self.torus == other.torus and self.terms == other.terms
-
-    def __add__(self, other: QTorusElement) -> QTorusElement:
-        acc = dict(self.terms)
-        for m, c in other.terms.items():
-            s = acc.get(m, Fraction(0)) + c
-            if s == 0:
-                acc.pop(m, None)
-            else:
-                acc[m] = s
-        return QTorusElement(self.torus, acc)
-
-    def __neg__(self) -> QTorusElement:
-        return QTorusElement(self.torus, {m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other: QTorusElement) -> QTorusElement:
-        return self + (-other)
-
-    def scale(self, c: Scalar) -> QTorusElement:
-        return QTorusElement(self.torus, {m: Fraction(c) * v for m, v in self.terms.items()})
+    @staticmethod
+    def _admit(torus: QuantumTorus, mono: tuple[int, ...]) -> bool:
+        if len(mono) != 2 * torus.params.n:
+            raise ValueError(f"bad exponent vector {mono}")
+        if any(mono[i] for i in torus._kill_idx):
+            return False  # killed generator: the monomial is zero
+        for i, e in enumerate(mono):
+            if e < 0 and i not in torus._invert_idx:
+                raise ValueError(
+                    f"negative exponent on non-inverted generator {torus.names[i]!r}"
+                )
+        return True
 
     def __mul__(self, other: QTorusElement) -> QTorusElement:
-        if self.torus != other.torus:
-            raise ValueError("operands from different torus algebras")
+        self._check_owner(other)
+        twist = self.torus.twist
         acc: dict[tuple[int, ...], Fraction] = {}
         for mu, cu in self.terms.items():
-            for mv, cv in other.terms.items():
-                mono = tuple(a + b for a, b in zip(mu, mv))
-                s = acc.get(mono, Fraction(0)) + cu * cv * self.torus.twist(mu, mv)
-                if s == 0:
-                    acc.pop(mono, None)
-                else:
-                    acc[mono] = s
-        return QTorusElement(self.torus, acc)
+            row = {tuple(map(add, mu, mv)): cv * twist(mu, mv) for mv, cv in other.terms.items()}
+            accumulate(acc, row, cu)
+        return QTorusElement._trusted(self.torus, acc)
 
-    def __pow__(self, e: int) -> QTorusElement:
-        if e < 0:
-            if len(self.terms) != 1:
-                raise ValueError("only monomials are invertible")
-            [(mono, coeff)] = self.terms.items()
-            inv_mono = tuple(-v for v in mono)
-            # X^-m = twist(m, -m)^-1 / coeff * X^(-m) so that X^m X^-m = 1
-            scalar = 1 / (coeff * self.torus.twist(mono, inv_mono))
-            base = QTorusElement(self.torus, {inv_mono: scalar})
-            return base ** (-e)
-        out = self.torus.one()
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
-
-    def __repr__(self) -> str:
-        return f"QTorusElement({format_torus(self)!r})"
+    def _inverse(self) -> QTorusElement:
+        if len(self.terms) != 1:
+            raise ValueError("only monomials are invertible")
+        [(mono, coeff)] = self.terms.items()
+        inv_mono = tuple(-v for v in mono)
+        # X^-m = twist(m, -m)^-1 / coeff * X^(-m) so that X^m X^-m = 1
+        return QTorusElement(self.torus, {inv_mono: 1 / (coeff * self.torus.twist(mono, inv_mono))})
 
 
 def format_torus(f: QTorusElement) -> str:
-    if f.is_zero():
-        return "0"
-    names = f.torus.names
-    parts = []
-    for mono, coeff in sorted(f.terms.items(), key=lambda kv: (sum(kv[0]), kv[0][::-1]), reverse=True):
-        factors = [
-            name if e == 1 else f"{name}^{e}" for name, e in zip(names, mono) if e != 0
-        ]
-        if not factors:
-            text = str(coeff)
-        elif coeff == 1:
-            text = "*".join(factors)
-        elif coeff == -1:
-            text = "-" + "*".join(factors)
-        else:
-            text = str(coeff) + "*" + "*".join(factors)
-        parts.append(text)
-    out = parts[0]
-    for piece in parts[1:]:
-        out += " - " + piece[1:] if piece.startswith("-") else " + " + piece
-    return out
+    return format_terms(f.terms, f.torus.names)

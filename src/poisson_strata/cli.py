@@ -27,7 +27,7 @@ from .algebra_an import (
     k_basis,
     k_derivation,
     log_canonical_matrix,
-    omega,
+    named_element,
     quotient_system,
     verify_omega_identities,
 )
@@ -51,8 +51,8 @@ from .exact_poly import (
     DEFAULT_STEP_BUDGET,
     LaurentPoly,
     ReductionBudgetExceeded,
-    factor_integer,
     format_poly,
+    is_prime,
     reduce_poly,
 )
 from .parser import EvalError, ParseError, eval_poisson, eval_quantum, parse_expr
@@ -81,10 +81,6 @@ def _list(value, what: str) -> list:
     if not isinstance(value, list):
         raise ConfigError(f"{what} must be a JSON list, got {value!r}")
     return value
-
-
-def _is_prime(k: int) -> bool:
-    return k >= 2 and factor_integer(k) == {k: 1}
 
 
 @dataclass
@@ -133,7 +129,11 @@ def load_config(path: str) -> Config:
             raise ConfigError(f"phi_weights must be a JSON object, got {raw['phi_weights']!r}")
         weights = {}
         for key, value in raw["phi_weights"].items():
-            if not (key.isascii() and key.isdigit() and _is_prime(int(key))):
+            try:
+                prime = key.isascii() and key.isdigit() and is_prime(int(key))
+            except ValueError as exc:
+                raise ConfigError(f"weight key {key!r}: {exc}") from None
+            if not prime:
                 raise ConfigError(f"weight keys must be primes, got {key!r}")
             weights[int(key)] = _rational(value)
     literal = None
@@ -255,13 +255,8 @@ def suite_k_stability(config: Config) -> dict:
     failures = []
     for t_set in adm.enumerate_admissible(params.n):
         system = quotient_system(params, t_set)
-        members = []
         for name in t_set.member_names():
-            if name.startswith("Omega"):
-                members.append((name, omega(params, int(name[5:]), vs)))
-            else:
-                members.append((name, LaurentPoly.variable(vs, name)))
-        for name, poly in members:
+            poly = named_element(params, name, LaurentPoly, vs)
             for g_name in vs.names:
                 image = structure.bracket(poly, structure.generator(g_name))
                 if not reduce_poly(image, system, budget).is_zero():
@@ -293,27 +288,23 @@ def suite_associativity(config: Config, trials: int = 1000) -> dict:
     return {"suite": "associativity", "ok": True, "details": {"triples": trials}}
 
 
+def _strata_suite(name: str, n: int, verify) -> dict:
+    results = [
+        {"members": list(t_set.member_names()), "ok": verify(t_set)["ok"]}
+        for t_set in adm.enumerate_admissible(n)
+    ]
+    return {"suite": name, "ok": all(r["ok"] for r in results), "details": {"strata": results}}
+
+
 def suite_psi(config: Config) -> dict:
     params = _require_poisson(config)
     source = build_an(params)
-    results = []
-    ok = True
-    for t_set in adm.enumerate_admissible(params.n):
-        report = verify_poisson_stratum_map(params, t_set, source)
-        ok = ok and report["ok"]
-        results.append({"members": list(t_set.member_names()), "ok": report["ok"]})
-    return {"suite": "psi", "ok": ok, "details": {"strata": results}}
+    return _strata_suite("psi", params.n, lambda t: verify_poisson_stratum_map(params, t, source))
 
 
 def suite_upsilon(config: Config) -> dict:
     params = _require_quantum(config)
-    results = []
-    ok = True
-    for t_set in adm.enumerate_admissible(params.n):
-        report = verify_quantum_stratum_map(params, t_set)
-        ok = ok and report["ok"]
-        results.append({"members": list(t_set.member_names()), "ok": report["ok"]})
-    return {"suite": "upsilon", "ok": ok, "details": {"strata": results}}
+    return _strata_suite("upsilon", params.n, lambda t: verify_quantum_stratum_map(params, t))
 
 
 SUITES = {
@@ -397,14 +388,23 @@ def cmd_matrices(config: Config, args) -> dict:
     return out
 
 
-def cmd_verify(config: Config, args) -> tuple[dict, int]:
-    report = run_suite(config, args.suite)
-    return report, 0 if report["ok"] else 1
+def cmd_verify(config: Config, args) -> dict:
+    return run_suite(config, args.suite)
 
 
 def cmd_map_report(config: Config, args) -> dict:
     params = _require_quantum(config)
     return stratification_report(params, config.weights)
+
+
+COMMANDS = {
+    "bracket": cmd_bracket,
+    "nf": cmd_nf,
+    "admissible": cmd_admissible,
+    "matrices": cmd_matrices,
+    "verify": cmd_verify,
+    "map-report": cmd_map_report,
+}
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
@@ -450,24 +450,12 @@ def _emit(payload, pretty: bool):
 
 
 def main(argv=None) -> int:
+    """Run one command; exit 0, 1 for a report whose "ok" is false, 2 on error."""
     parser = build_arg_parser()
     args = parser.parse_args(argv)
     try:
         config = load_config(args.config)
-        if args.command == "bracket":
-            payload, status = cmd_bracket(config, args), 0
-        elif args.command == "nf":
-            payload, status = cmd_nf(config, args), 0
-        elif args.command == "admissible":
-            payload, status = cmd_admissible(config, args), 0
-        elif args.command == "matrices":
-            payload, status = cmd_matrices(config, args), 0
-        elif args.command == "verify":
-            payload, status = cmd_verify(config, args)
-        elif args.command == "map-report":
-            payload, status = cmd_map_report(config, args), 0
-        else:  # pragma: no cover
-            raise ConfigError(f"unknown command {args.command!r}")
+        payload = COMMANDS[args.command](config, args)
     except GroupContainsMinusOne as exc:
         _emit({"error": "GroupContainsMinusOne", "message": str(exc)}, args.pretty)
         return 2
@@ -483,7 +471,7 @@ def main(argv=None) -> int:
         _emit({"error": type(exc).__name__, "message": str(exc)}, args.pretty)
         return 2
     _emit(payload, args.pretty)
-    return status
+    return 1 if isinstance(payload, dict) and payload.get("ok") is False else 0
 
 
 if __name__ == "__main__":

@@ -27,11 +27,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from fractions import Fraction
-from typing import Mapping, Optional, Union
+from typing import Mapping, Optional, Sequence
 
 from .admissible import AdmissibleSet, derived_sets, enumerate_admissible, gk_dimension, length
-from .algebra_an import PoissonParams, an_varspec, build_an, log_canonical_matrix, omega
+from .algebra_an import (
+    PairParams,
+    PoissonParams,
+    an_varspec,
+    build_an,
+    log_coefficient,
+    named_element,
+    tail_coefficient,
+)
 from .algebra_kn import (
     NCElement,
     QTorusElement,
@@ -40,21 +49,19 @@ from .algebra_kn import (
     defining_relations,
     format_torus,
     kn_names,
-    omega_q,
     torus_names,
 )
 from .exact_poly import (
     GroupAnalysis,
     LaurentPoly,
+    Scalar,
+    TermMap,
     VarSpec,
     factor_rational,
     format_poly,
     group_analysis,
 )
 from .poisson_core import PoissonStructure
-
-AnyParams = Union[PoissonParams, QuantumParams]
-
 
 class MapCase(Enum):
     Y_GEN = "y"
@@ -78,9 +85,9 @@ def dispatch_case(t_set: AdmissibleSet, name: str) -> MapCase:
     return MapCase.X_FULL
 
 
-def hat_coefficient(params: AnyParams, i: int) -> Fraction:
+def hat_coefficient(params: PairParams, i: int) -> Fraction:
     """(q_i - p_i)^-1 (q_{i-1} - p_{i-1}) for i >= 2."""
-    return (params.q[i - 2] - params.p[i - 2]) / (params.q[i - 1] - params.p[i - 1])
+    return tail_coefficient(params, i - 1) / tail_coefficient(params, i)
 
 
 @dataclass(frozen=True)
@@ -111,13 +118,10 @@ def poisson_stratum_target(params: PoissonParams, t_set: AdmissibleSet) -> Poiss
         f"Y{i}" for i in range(1, n + 1) if not t_set.y_in[i - 1]
     )
     vs = VarSpec(surviving, invert)
-    rmat = log_canonical_matrix(params)
     table = {}
     for a in range(len(surviving)):
         for b in range(a + 1, len(surviving)):
-            fa = full.index(surviving[a])
-            fb = full.index(surviving[b])
-            coeff = rmat[fa][fb]
+            coeff = log_coefficient(params, full.index(surviving[a]), full.index(surviving[b]))
             if coeff != 0:
                 table[(a, b)] = LaurentPoly.monomial(
                     vs, {surviving[a]: 1, surviving[b]: 1}, coeff
@@ -125,52 +129,85 @@ def poisson_stratum_target(params: PoissonParams, t_set: AdmissibleSet) -> Poiss
     return PoissonStructure(vs, table)
 
 
-def _poisson_image(
-    params: PoissonParams, t_set: AdmissibleSet, vs: VarSpec, name: str
-) -> LaurentPoly:
-    case = dispatch_case(t_set, name)
-    i = int(name[1:])
+def _stratum_map(params: PairParams, t_set: AdmissibleSet, target, generator) -> GeneratorMap:
+    """The generator map into `target`, whose generators `generator(name)`
+    gives; both sides take their images from this one dispatch."""
+    names = kn_names(params.n)
+    cases = {name: dispatch_case(t_set, name) for name in names}
+    images = {}
+    for name, case in cases.items():
+        i = int(name[1:])
+        if case is MapCase.Y_GEN:
+            images[name] = generator(f"Y{i}")
+        elif case in (MapCase.X_FIRST, MapCase.X_PLAIN):
+            images[name] = generator(f"X{i}")
+        else:
+            tail = generator(f"Y{i}") ** (-1) * generator(f"Y{i - 1}") * generator(f"X{i - 1}")
+            tail = tail.scale(-hat_coefficient(params, i))
+            images[name] = tail if case is MapCase.X_TAIL else generator(f"X{i}") + tail
+    return GeneratorMap(t_set, cases, images, target)
 
-    def mono(coeff, exps):
-        if any(nm not in vs.names for nm in exps):
-            return LaurentPoly.zero(vs)  # touches a killed generator
-        return LaurentPoly.monomial(vs, exps, coeff)
 
-    if case is MapCase.Y_GEN:
-        return mono(1, {f"Y{i}": 1})
-    if case in (MapCase.X_FIRST, MapCase.X_PLAIN):
-        return mono(1, {f"X{i}": 1})
-    w = hat_coefficient(params, i)
-    tail = mono(-w, {f"Y{i}": -1, f"Y{i - 1}": 1, f"X{i - 1}": 1})
-    if case is MapCase.X_TAIL:
-        return tail
-    return mono(1, {f"X{i}": 1}) + tail
+def _target_monomial(vs: VarSpec, exps: Mapping[str, int], coeff: Scalar = 1) -> LaurentPoly:
+    """A monomial of the Poisson target; zero when it touches a killed generator."""
+    if any(nm not in vs.names for nm in exps):
+        return LaurentPoly.zero(vs)
+    return LaurentPoly.monomial(vs, exps, coeff)
 
 
 def poisson_stratum_map(params: PoissonParams, t_set: AdmissibleSet) -> GeneratorMap:
     if t_set.n != params.n:
         raise ValueError("admissible set and parameters disagree on n")
     target = poisson_stratum_target(params, t_set)
-    names = kn_names(params.n)
-    cases = {name: dispatch_case(t_set, name) for name in names}
-    images = {
-        name: _poisson_image(params, t_set, target.varspec, name) for name in names
-    }
-    return GeneratorMap(t_set, cases, images, target)
+    return _stratum_map(params, t_set, target, lambda nm: _target_monomial(target.varspec, {nm: 1}))
+
+
+def _substitute(images: Mapping[str, TermMap], combination, one: TermMap) -> TermMap:
+    """The sum of c * images[w_1] * ... * images[w_k] over the (c, word)
+    pairs of `combination`, each product taken left to right from c * one."""
+    acc = one.scale(0)
+    for coeff, word in combination:
+        part = one.scale(coeff)
+        for name in word:
+            part = part * images[name]
+        acc = acc + part
+    return acc
+
+
+def _words(f: TermMap, names: Sequence[str]) -> list[tuple[Fraction, list[str]]]:
+    """The terms of f as (coefficient, word) pairs, each standard monomial
+    spelled letter by letter."""
+    return [(c, [nm for nm, e in zip(names, mono) for _ in range(e)]) for mono, c in f.terms.items()]
+
+
+def _stratum_report(params, gmap: GeneratorMap, failures, source, target_monomial, apply, fmt) -> dict:
+    """A stratum map's report: `failures` plus the checks both sides share.
+
+    Each tail element must map to (q_i - p_i) Y_i X_i, each member of T to
+    zero, and the surviving y's onto the inverted target generators.
+    `source` is the (class, owner) of source elements; `target_monomial(exps,
+    coeff)` gives a target monomial, zero when it touches a killed generator.
+    """
+    t_set = gmap.t_set
+    for i in range(1, params.n + 1):
+        img = apply(gmap, named_element(params, f"Omega{i}", *source))
+        expected = target_monomial({f"Y{i}": 1, f"X{i}": 1}, tail_coefficient(params, i))
+        if img != expected:
+            failures.append(f"tail element {i} image: residual {fmt(img - expected)}")
+    for name in t_set.member_names():
+        img = apply(gmap, named_element(params, name, *source))
+        if not img.is_zero():
+            failures.append(f"member {name} does not map to zero: residual {fmt(img)}")
+    surviving = [i for i in range(1, params.n + 1) if not t_set.y_in[i - 1]]
+    units = {gmap.images[f"y{i}"] for i in surviving}
+    if units != {target_monomial({f"Y{i}": 1}, 1) for i in surviving}:
+        failures.append("surviving y images do not generate the inverted set")
+    return {"ok": not failures, "failures": failures, "members": list(t_set.member_names())}
 
 
 def apply_poisson_map(gmap: GeneratorMap, f: LaurentPoly) -> LaurentPoly:
     """Push a source polynomial through the generator images."""
-    target_vs = gmap.target.varspec
-    source_names = f.varspec.names
-    acc = LaurentPoly.zero(target_vs)
-    for mono, coeff in f.terms.items():
-        part = LaurentPoly.constant(target_vs, coeff)
-        for pos, e in enumerate(mono):
-            if e:
-                part = part * gmap.images[source_names[pos]] ** e
-        acc = acc + part
-    return acc
+    return _substitute(gmap.images, _words(f, f.varspec.names), LaurentPoly.one(gmap.target.varspec))
 
 
 def verify_poisson_stratum_map(
@@ -205,39 +242,10 @@ def verify_poisson_stratum_map(
                 failures.append(
                     f"bracket pair ({names[a]}, {names[b]}): residual {format_poly(lhs - rhs)}"
                 )
-    for i in range(1, params.n + 1):
-        img = apply_poisson_map(gmap, omega(params, i))
-        yx = (f"Y{i}" in target.varspec.names) and (f"X{i}" in target.varspec.names)
-        expected = (
-            LaurentPoly.monomial(
-                target.varspec, {f"Y{i}": 1, f"X{i}": 1}, params.q[i - 1] - params.p[i - 1]
-            )
-            if yx
-            else LaurentPoly.zero(target.varspec)
-        )
-        if img != expected:
-            failures.append(f"tail element {i} image: residual {format_poly(img - expected)}")
-    for name in t_set.member_names():
-        if name.startswith("Omega"):
-            poly = omega(params, int(name[5:]))
-        else:
-            poly = LaurentPoly.variable(an_varspec(params.n), name)
-        img = apply_poisson_map(gmap, poly)
-        if not img.is_zero():
-            failures.append(f"member {name} does not map to zero: residual {format_poly(img)}")
-    units = {
-        gmap.images[f"y{i}"]
-        for i in range(1, params.n + 1)
-        if not t_set.y_in[i - 1]
-    }
-    expected_units = {
-        LaurentPoly.variable(target.varspec, f"Y{i}")
-        for i in range(1, params.n + 1)
-        if not t_set.y_in[i - 1]
-    }
-    if units != expected_units:
-        failures.append("surviving y images do not generate the inverted set")
-    return {"ok": not failures, "failures": failures, "members": list(t_set.member_names())}
+    monomial = partial(_target_monomial, target.varspec)
+    return _stratum_report(
+        params, gmap, failures, (LaurentPoly, source.varspec), monomial, apply_poisson_map, format_poly
+    )
 
 
 def nested_congruence_check(
@@ -287,47 +295,15 @@ def quantum_stratum_target(params: QuantumParams, t_set: AdmissibleSet) -> Quant
     return QuantumTorus(params, kill=eta, invert=invert)
 
 
-def _quantum_image(
-    params: QuantumParams, t_set: AdmissibleSet, torus: QuantumTorus, name: str
-) -> QTorusElement:
-    case = dispatch_case(t_set, name)
-    i = int(name[1:])
-    if case is MapCase.Y_GEN:
-        return torus.generator(f"Y{i}")
-    if case in (MapCase.X_FIRST, MapCase.X_PLAIN):
-        return torus.generator(f"X{i}")
-    w = hat_coefficient(params, i)
-    tail = (
-        torus.generator(f"Y{i}") ** (-1)
-        * torus.generator(f"Y{i - 1}")
-        * torus.generator(f"X{i - 1}")
-    ).scale(-w)
-    if case is MapCase.X_TAIL:
-        return tail
-    return torus.generator(f"X{i}") + tail
-
-
 def quantum_stratum_map(params: QuantumParams, t_set: AdmissibleSet) -> GeneratorMap:
     if t_set.n != params.n:
         raise ValueError("admissible set and parameters disagree on n")
     torus = quantum_stratum_target(params, t_set)
-    names = kn_names(params.n)
-    cases = {name: dispatch_case(t_set, name) for name in names}
-    images = {name: _quantum_image(params, t_set, torus, name) for name in names}
-    return GeneratorMap(t_set, cases, images, torus)
+    return _stratum_map(params, t_set, torus, torus.generator)
 
 
 def apply_quantum_map(gmap: GeneratorMap, f: NCElement) -> QTorusElement:
-    torus: QuantumTorus = gmap.target
-    names = kn_names(torus.params.n)
-    acc = torus.zero()
-    for mono, coeff in f.terms.items():
-        part = torus.one().scale(coeff)
-        for pos, e in enumerate(mono):
-            for _ in range(e):
-                part = part * gmap.images[names[pos]]
-        acc = acc + part
-    return acc
+    return _substitute(gmap.images, _words(f, kn_names(f.n)), gmap.target.one())
 
 
 def verify_quantum_stratum_map(params: QuantumParams, t_set: AdmissibleSet) -> dict:
@@ -340,42 +316,12 @@ def verify_quantum_stratum_map(params: QuantumParams, t_set: AdmissibleSet) -> d
     torus: QuantumTorus = gmap.target
     failures = []
     for label, combo in defining_relations(params):
-        acc = torus.zero()
-        for coeff, word in combo:
-            part = torus.one().scale(coeff)
-            for name in word:
-                part = part * gmap.images[name]
-            acc = acc + part
+        acc = _substitute(gmap.images, combo, torus.one())
         if not acc.is_zero():
             failures.append(f"relation {label}: residual {format_torus(acc)}")
-    for i in range(1, params.n + 1):
-        img = apply_quantum_map(gmap, omega_q(params, i))
-        expected = torus.monomial(
-            {f"Y{i}": 1, f"X{i}": 1}, params.q[i - 1] - params.p[i - 1]
-        ) if (f"Y{i}" not in torus.kill and f"X{i}" not in torus.kill) else torus.zero()
-        if img != expected:
-            failures.append(f"tail element {i} image: residual {format_torus(img - expected)}")
-    for name in t_set.member_names():
-        if name.startswith("Omega"):
-            element = omega_q(params, int(name[5:]))
-        else:
-            element = NCElement.generator(params.n, name)
-        img = apply_quantum_map(gmap, element)
-        if not img.is_zero():
-            failures.append(f"member {name} does not map to zero: residual {format_torus(img)}")
-    units = {
-        frozenset(gmap.images[f"y{i}"].terms.items())
-        for i in range(1, params.n + 1)
-        if not t_set.y_in[i - 1]
-    }
-    expected_units = {
-        frozenset(torus.generator(f"Y{i}").terms.items())
-        for i in range(1, params.n + 1)
-        if not t_set.y_in[i - 1]
-    }
-    if units != expected_units:
-        failures.append("surviving y images do not generate the inverted set")
-    return {"ok": not failures, "failures": failures, "members": list(t_set.member_names())}
+    return _stratum_report(
+        params, gmap, failures, (NCElement, params.n), torus.monomial, apply_quantum_map, format_torus
+    )
 
 
 # -- the additive character of the parameter group ---------------------------

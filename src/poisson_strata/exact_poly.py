@@ -3,7 +3,10 @@
 Coefficients are `fractions.Fraction` throughout, so every computation in the
 package is exact.  A polynomial is a sparse map from exponent vectors to
 nonzero coefficients; negative exponents are allowed only on variables that
-the owning `VarSpec` declares invertible.  The module also provides rule-based
+the owning `VarSpec` declares invertible.  The sparse term-map arithmetic,
+its canonical formatter and its validation rules (`TermMap`, `accumulate`,
+`format_terms`) are written here once and shared with the quantized
+algebra's elements.  The module also provides rule-based
 commutative reduction (for quotients by confluent rule systems) and the
 integer-lattice analysis of multiplicative subgroups of Q* used by the
 parameter-group checks.
@@ -23,7 +26,8 @@ DEFAULT_STEP_BUDGET = 10**6
 
 
 class VarSpecMismatch(ValueError):
-    """Raised when two values live over different variable specifications."""
+    """Raised when two values live over different owners: variable
+    specifications, arities or tori."""
 
 
 class ReductionBudgetExceeded(RuntimeError):
@@ -88,7 +92,172 @@ def _as_fraction(c: Scalar) -> Fraction:
     return c if isinstance(c, Fraction) else Fraction(c)
 
 
-class LaurentPoly:
+def accumulate(
+    acc: dict[tuple[int, ...], Fraction],
+    terms: Mapping[tuple[int, ...], Fraction],
+    coeff: Optional[Fraction] = None,
+) -> dict[tuple[int, ...], Fraction]:
+    """acc += coeff * terms in place (coeff None meaning 1); returns acc.
+
+    A monomial new to acc is appended and an entry that sums to zero is
+    deleted, so acc stays canonical when coeff and the values of terms are
+    nonzero, as they are in every canonical term map.
+    """
+    for mono, c in terms.items():
+        if coeff is not None:
+            c = coeff * c
+        s = acc.get(mono)
+        if s is None:
+            acc[mono] = c
+        else:
+            s += c
+            if s:
+                acc[mono] = s
+            else:
+                del acc[mono]
+    return acc
+
+
+def format_terms(terms: Mapping[tuple[int, ...], Fraction], names: Sequence[str]) -> str:
+    """Canonical text of a term map in descending term order; stable across runs."""
+    out = ""
+    for mono, coeff in sorted(terms.items(), key=lambda kv: monomial_key(kv[0]), reverse=True):
+        factors = "*".join(name if e == 1 else f"{name}^{e}" for name, e in zip(names, mono) if e)
+        if not factors:
+            text = str(coeff)
+        elif coeff == 1:
+            text = factors
+        elif coeff == -1:
+            text = "-" + factors
+        else:
+            text = str(coeff) + "*" + factors
+        if not out:
+            out = text
+        elif text.startswith("-"):
+            out += " - " + text[1:]
+        else:
+            out += " + " + text
+    return out or "0"
+
+
+class TermMap:
+    """A sparse map from exponent vectors to nonzero rationals, over an owner.
+
+    The owner fixes which exponent vectors are monomials: the variables of a
+    `LaurentPoly`, the arity of an `NCElement`, the torus of a
+    `QTorusElement`.  Each subclass names its owner (an alias of the `owner`
+    slot) and supplies `_names(owner)`, the generator names in exponent
+    order, and `_admit(owner, mono)`, which raises on an exponent vector the
+    owner does not allow and returns False for a monomial that is zero
+    there.  Two values are equal iff their owners and term maps are.
+
+    The constructor validates outside data.  Arithmetic that is closed over
+    the ring builds its result with `_trusted`, which takes a canonical map
+    (tuple keys, nonzero `Fraction` values, admitted monomials) as it is.
+    Values are immutable after construction; binary operations require the
+    same owner and raise `VarSpecMismatch` otherwise.
+    """
+
+    __slots__ = ("owner", "terms")
+
+    def __init__(self, owner, terms: Mapping[tuple[int, ...], Scalar]):
+        clean: dict[tuple[int, ...], Fraction] = {}
+        for mono, coeff in terms.items():
+            coeff = _as_fraction(coeff)
+            if coeff and self._admit(owner, mono):
+                clean[tuple(mono)] = coeff
+        object.__setattr__(self, "owner", owner)
+        object.__setattr__(self, "terms", clean)
+
+    @classmethod
+    def _trusted(cls, owner, terms: dict[tuple[int, ...], Fraction]):
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "owner", owner)
+        object.__setattr__(obj, "terms", terms)
+        return obj
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    @classmethod
+    def zero(cls, owner):
+        return cls._trusted(owner, {})
+
+    @classmethod
+    def one(cls, owner):
+        return cls.monomial(owner, {})
+
+    @classmethod
+    def monomial(cls, owner, exps: Mapping[str, int], coeff: Scalar = 1):
+        names = cls._names(owner)
+        vec = [0] * len(names)
+        for name, e in exps.items():
+            vec[names.index(name)] = e
+        return cls(owner, {tuple(vec): coeff})
+
+    @classmethod
+    def generator(cls, owner, name: str):
+        return cls.monomial(owner, {name: 1})
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({format_terms(self.terms, self._names(self.owner))!r})"
+
+    def _check_owner(self, other: TermMap) -> None:
+        if self.owner is not other.owner and self.owner != other.owner:
+            raise VarSpecMismatch(
+                f"{type(self).__name__} operands over different owners: "
+                f"{self.owner!r} vs {other.owner!r}"
+            )
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def total_degree(self) -> int:
+        """Largest signed exponent sum over the terms (0 for zero)."""
+        if not self.terms:
+            return 0
+        return max(sum(m) for m in self.terms)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.owner is other.owner or self.owner == other.owner) and self.terms == other.terms
+
+    def __hash__(self):
+        return hash((self.owner, frozenset(self.terms.items())))
+
+    def __add__(self, other):
+        self._check_owner(other)
+        return self._trusted(self.owner, accumulate(dict(self.terms), other.terms))
+
+    def __neg__(self):
+        return self._trusted(self.owner, {m: -c for m, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scale(self, c: Scalar):
+        c = _as_fraction(c)
+        return self._trusted(self.owner, {m: c * v for m, v in self.terms.items()} if c else {})
+
+    def __pow__(self, e: int):
+        """Binary powering that multiplies only while exponent bits remain,
+        so x ** 1 makes no product; a negative e first takes the subclass's
+        `_inverse()`."""
+        if e < 0:
+            return self._inverse() ** -e
+        result = None
+        base = self
+        while e:
+            if e & 1:
+                result = base if result is None else result * base
+            e >>= 1
+            if e:
+                base = base * base
+        return self.one(self.owner) if result is None else result
+
+
+class LaurentPoly(TermMap):
     """A sparse Laurent polynomial in canonical form.
 
     Canonical form means: no zero coefficients are stored, and two
@@ -96,64 +265,33 @@ class LaurentPoly:
     immutable after construction; all operations return fresh objects.
     """
 
-    __slots__ = ("varspec", "terms")
+    __slots__ = ()
+    varspec = TermMap.owner  # the owner slot under its name here
 
-    def __init__(self, varspec: VarSpec, terms: Mapping[tuple[int, ...], Scalar]):
-        clean: dict[tuple[int, ...], Fraction] = {}
-        width = len(varspec)
-        for mono, coeff in terms.items():
-            coeff = _as_fraction(coeff)
-            if coeff == 0:
-                continue
-            if len(mono) != width:
-                raise ValueError(f"exponent vector {mono} has wrong arity for {varspec.names}")
-            for i, e in enumerate(mono):
-                if e < 0 and not varspec.is_invertible(i):
-                    raise ValueError(
-                        f"negative exponent on non-invertible variable {varspec.names[i]!r}"
-                    )
-            clean[tuple(mono)] = clean.get(tuple(mono), Fraction(0)) + coeff
-            if clean[tuple(mono)] == 0:
-                del clean[tuple(mono)]
-        object.__setattr__(self, "varspec", varspec)
-        object.__setattr__(self, "terms", clean)
+    @staticmethod
+    def _names(varspec: VarSpec) -> tuple[str, ...]:
+        return varspec.names
 
-    def __setattr__(self, name, value):
-        raise AttributeError("LaurentPoly is immutable")
-
-    # -- constructors -------------------------------------------------
-
-    @classmethod
-    def zero(cls, varspec: VarSpec) -> LaurentPoly:
-        return cls(varspec, {})
+    @staticmethod
+    def _admit(varspec: VarSpec, mono: tuple[int, ...]) -> bool:
+        if len(mono) != len(varspec):
+            raise ValueError(f"exponent vector {mono} has wrong arity for {varspec.names}")
+        for i, e in enumerate(mono):
+            if e < 0 and not varspec.is_invertible(i):
+                raise ValueError(
+                    f"negative exponent on non-invertible variable {varspec.names[i]!r}"
+                )
+        return True
 
     @classmethod
     def constant(cls, varspec: VarSpec, c: Scalar) -> LaurentPoly:
-        return cls(varspec, {(0,) * len(varspec): _as_fraction(c)})
-
-    @classmethod
-    def one(cls, varspec: VarSpec) -> LaurentPoly:
-        return cls.constant(varspec, 1)
+        return cls.monomial(varspec, {}, c)
 
     @classmethod
     def variable(cls, varspec: VarSpec, name: str) -> LaurentPoly:
-        return cls.monomial(varspec, {name: 1})
+        return cls.generator(varspec, name)
 
-    @classmethod
-    def monomial(cls, varspec: VarSpec, exps: Mapping[str, int], coeff: Scalar = 1) -> LaurentPoly:
-        vec = [0] * len(varspec)
-        for name, e in exps.items():
-            vec[varspec.index(name)] = e
-        return cls(varspec, {tuple(vec): _as_fraction(coeff)})
-
-    # -- predicates and views -----------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def sorted_terms(self) -> list[tuple[tuple[int, ...], Fraction]]:
-        """Terms in descending term order; the canonical iteration order."""
-        return sorted(self.terms.items(), key=lambda kv: monomial_key(kv[0]), reverse=True)
+    # -- views ----------------------------------------------------------
 
     def leading_monomial(self) -> tuple[int, ...]:
         if not self.terms:
@@ -172,77 +310,14 @@ class LaurentPoly:
             raise ValueError("polynomial is not constant")
         return coeff
 
-    def total_degree(self) -> int:
-        """Largest signed exponent sum over the terms (0 for the zero poly)."""
-        if not self.terms:
-            return 0
-        return max(sum(m) for m in self.terms)
-
-    # -- arithmetic ----------------------------------------------------
-
-    def _check_same(self, other: LaurentPoly):
-        if self.varspec != other.varspec:
-            raise VarSpecMismatch(
-                f"operands over different variables: {self.varspec.names} vs {other.varspec.names}"
-            )
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        return self.varspec == other.varspec and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.varspec, frozenset(self.terms.items())))
-
-    def __add__(self, other: LaurentPoly) -> LaurentPoly:
-        self._check_same(other)
-        acc = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            s = acc.get(mono, Fraction(0)) + coeff
-            if s == 0:
-                acc.pop(mono, None)
-            else:
-                acc[mono] = s
-        return LaurentPoly(self.varspec, acc)
-
-    def __neg__(self) -> LaurentPoly:
-        return LaurentPoly(self.varspec, {m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other: LaurentPoly) -> LaurentPoly:
-        return self + (-other)
+    # -- what only polynomials do ---------------------------------------
 
     def __mul__(self, other: LaurentPoly) -> LaurentPoly:
-        self._check_same(other)
+        self._check_owner(other)
         acc: dict[tuple[int, ...], Fraction] = {}
         for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                mono = tuple(a + b for a, b in zip(m1, m2))
-                s = acc.get(mono, Fraction(0)) + c1 * c2
-                if s == 0:
-                    acc.pop(mono, None)
-                else:
-                    acc[mono] = s
-        return LaurentPoly(self.varspec, acc)
-
-    def scale(self, c: Scalar) -> LaurentPoly:
-        c = _as_fraction(c)
-        if c == 0:
-            return LaurentPoly.zero(self.varspec)
-        return LaurentPoly(self.varspec, {m: c * v for m, v in self.terms.items()})
-
-    def __pow__(self, n: int) -> LaurentPoly:
-        if n < 0:
-            inv = self.monomial_inverse()
-            return inv ** (-n)
-        result = None
-        base = self
-        while n:
-            if n & 1:
-                result = base if result is None else result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return LaurentPoly.one(self.varspec) if result is None else result
+            accumulate(acc, {tuple(map(add, m1, m2)): c2 for m2, c2 in other.terms.items()}, c1)
+        return LaurentPoly._trusted(self.varspec, acc)
 
     def monomial_inverse(self) -> LaurentPoly:
         """Inverse of a single-term polynomial; all its variables must be invertible."""
@@ -251,21 +326,21 @@ class LaurentPoly:
         [(mono, coeff)] = self.terms.items()
         return LaurentPoly(self.varspec, {tuple(-e for e in mono): 1 / coeff})
 
+    _inverse = monomial_inverse
+
     def derivative(self, name: str) -> LaurentPoly:
-        """Partial derivative; the power rule covers negative exponents."""
+        """Partial derivative; the power rule covers negative exponents.
+
+        Lowering one exponent keeps distinct monomials distinct, so no two
+        terms meet.
+        """
         i = self.varspec.index(name)
-        acc: dict[tuple[int, ...], Fraction] = {}
+        out: dict[tuple[int, ...], Fraction] = {}
         for mono, coeff in self.terms.items():
             e = mono[i]
-            if e == 0:
-                continue
-            lowered = mono[:i] + (e - 1,) + mono[i + 1:]
-            s = acc.get(lowered, Fraction(0)) + coeff * e
-            if s == 0:
-                acc.pop(lowered, None)
-            else:
-                acc[lowered] = s
-        return LaurentPoly(self.varspec, acc)
+            if e:
+                out[mono[:i] + (e - 1,) + mono[i + 1:]] = coeff * e
+        return LaurentPoly._trusted(self.varspec, out)
 
     def derivative_index(self, i: int) -> LaurentPoly:
         return self.derivative(self.varspec.names[i])
@@ -279,7 +354,7 @@ class LaurentPoly:
         positions = []
         for i, name in enumerate(self.varspec.names):
             positions.append(target.names.index(name) if name in target.names else None)
-        acc: dict[tuple[int, ...], Fraction] = {}
+        out: dict[tuple[int, ...], Fraction] = {}
         for mono, coeff in self.terms.items():
             vec = [0] * len(target)
             for i, e in enumerate(mono):
@@ -290,37 +365,13 @@ class LaurentPoly:
                         f"variable {self.varspec.names[i]!r} does not exist in target"
                     )
                 vec[positions[i]] = e
-            acc[tuple(vec)] = acc.get(tuple(vec), Fraction(0)) + coeff
-        return LaurentPoly(target, acc)
-
-    def __repr__(self) -> str:
-        return f"LaurentPoly({format_poly(self)!r})"
+            out[tuple(vec)] = coeff
+        return LaurentPoly(target, out)
 
 
 def format_poly(f: LaurentPoly) -> str:
     """Canonical text form; stable across runs."""
-    if f.is_zero():
-        return "0"
-    parts = []
-    for mono, coeff in f.sorted_terms():
-        factors = []
-        for name, e in zip(f.varspec.names, mono):
-            if e == 0:
-                continue
-            factors.append(name if e == 1 else f"{name}^{e}")
-        if not factors:
-            text = str(coeff)
-        elif coeff == 1:
-            text = "*".join(factors)
-        elif coeff == -1:
-            text = "-" + "*".join(factors)
-        else:
-            text = str(coeff) + "*" + "*".join(factors)
-        parts.append(text)
-    out = parts[0]
-    for p in parts[1:]:
-        out += " - " + p[1:] if p.startswith("-") else " + " + p
-    return out
+    return format_terms(f.terms, f.varspec.names)
 
 
 def monomial_divides(divisor: tuple[int, ...], mono: tuple[int, ...], varspec: VarSpec) -> bool:
@@ -339,7 +390,7 @@ def divide_exact(f: LaurentPoly, z: LaurentPoly) -> Optional[LaurentPoly]:
     """
     if z.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
-    f._check_same(z)
+    f._check_owner(z)
     lead_m = z.leading_monomial()
     lead_c = z.terms[lead_m]
     quot = LaurentPoly.zero(f.varspec)
@@ -457,7 +508,7 @@ def reduce_poly(
                 else:
                     candidates.append((mono, k))
         if not candidates:
-            return LaurentPoly(system.varspec, terms) if steps else f
+            return LaurentPoly._trusted(system.varspec, terms) if steps else f
         if rng is None:
             mono, k = max(candidates, key=lambda c: (monomial_key(c[0]), -c[1]))
         else:
@@ -494,6 +545,41 @@ def factor_integer(n: int) -> dict[int, int]:
     if n > 1:
         out[n] = out.get(n, 0) + 1
     return out
+
+
+PRIME_TEST_BOUND = 3317044064679887385961981
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin with the prime bases 2..41.
+
+    These bases decide primality exactly for every n below
+    PRIME_TEST_BOUND (about 3.3e24); larger n raise ValueError instead of
+    getting an answer that could be wrong.
+    """
+    if n >= PRIME_TEST_BOUND:
+        raise ValueError(f"{n} is not below {PRIME_TEST_BOUND}, the bound of the exact primality test")
+    if n < 2:
+        return False
+    for a in _PRIME_BASES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _PRIME_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def factor_rational(x: Scalar) -> tuple[int, dict[int, int]]:

@@ -10,15 +10,20 @@ Grammar (whitespace-insensitive, juxtaposition means product):
     VAR     := (y | x | Y | X | Omega) digits
 
 Bracket pairs {f, g} are only meaningful when evaluating against a Poisson
-structure.  Syntax errors carry the offending offset.
+structure.  Syntax errors carry the offending offset.  Parentheses and
+brackets nest at most MAX_NESTING deep, which keeps parsing and evaluation
+well inside the interpreter's default recursion limit; sums, products and
+power towers of any length parse into left-nested chains, which the
+evaluators and `ast_to_text` walk in a loop.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import Callable, Optional, Union
 
 from .algebra_an import PoissonParams, omega
 from .algebra_kn import NCElement, QuantumParams, kn_names, nc_multiply, omega_q
@@ -78,6 +83,8 @@ class Bracket:
 
 Expr = Union[Num, Var, Add, Sub, Mul, Pow, Bracket]
 
+MAX_NESTING = 100
+
 _VAR_RE = re.compile(r"(Omega|y|x|Y|X)([0-9]+)$")
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<number>[0-9]+(?:/[0-9]+)?)|(?P<ident>[A-Za-z]+[0-9]*)|(?P<op>[-+*^(){},]))"
@@ -106,6 +113,7 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.k = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.k]
@@ -178,16 +186,20 @@ class _Parser:
             if not _VAR_RE.match(text):
                 raise ParseError(f"not a variable name: {text!r}", pos)
             return Var(text)
-        if kind == "op" and text == "(":
-            inner = self.expr()
-            self.expect_op(")")
-            return inner
-        if kind == "op" and text == "{":
-            left = self.expr()
-            self.expect_op(",")
-            right = self.expr()
-            self.expect_op("}")
-            return Bracket(left, right)
+        if kind == "op" and text in "({":
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                raise ParseError(f"parentheses and brackets nest deeper than {MAX_NESTING}", pos)
+            if text == "(":
+                node = self.expr()
+                self.expect_op(")")
+            else:
+                left = self.expr()
+                self.expect_op(",")
+                node = Bracket(left, self.expr())
+                self.expect_op("}")
+            self.depth -= 1
+            return node
         raise ParseError(f"unexpected {text or 'end of input'!r}", pos)
 
 
@@ -195,88 +207,117 @@ def parse_expr(text: str) -> Expr:
     return _Parser(text).parse()
 
 
+def _left_chain(node: Expr) -> tuple[Expr, list[Expr]]:
+    """The innermost left operand of a left-nested Add/Sub/Mul/Pow chain and
+    the chain's nodes from the inside out."""
+    chain = []
+    while isinstance(node, (Add, Sub, Mul, Pow)):
+        chain.append(node)
+        node = node.base if isinstance(node, Pow) else node.left
+    chain.reverse()
+    return node, chain
+
+
+_SYMBOLS = {Add: "+", Sub: "-", Mul: "*"}
+
+
 def ast_to_text(ast: Expr) -> str:
-    """Fully parenthesized canonical text; parsing it back gives the same tree."""
-    if isinstance(ast, Num):
-        return str(ast.value)
-    if isinstance(ast, Var):
-        return ast.name
-    if isinstance(ast, Add):
-        return f"({ast_to_text(ast.left)} + {ast_to_text(ast.right)})"
-    if isinstance(ast, Sub):
-        return f"({ast_to_text(ast.left)} - {ast_to_text(ast.right)})"
-    if isinstance(ast, Mul):
-        return f"({ast_to_text(ast.left)} * {ast_to_text(ast.right)})"
-    if isinstance(ast, Pow):
-        return f"({ast_to_text(ast.base)}^{ast.exponent})"
-    if isinstance(ast, Bracket):
-        return f"{{{ast_to_text(ast.left)}, {ast_to_text(ast.right)}}}"
-    raise TypeError(f"not an expression node: {ast!r}")
+    """Fully parenthesized canonical text; parsing it back gives the same tree
+    while the parentheses nest at most MAX_NESTING deep."""
+    leaf, chain = _left_chain(ast)
+    if isinstance(leaf, Num):
+        text = str(leaf.value)
+    elif isinstance(leaf, Var):
+        text = leaf.name
+    elif isinstance(leaf, Bracket):
+        text = f"{{{ast_to_text(leaf.left)}, {ast_to_text(leaf.right)}}}"
+    else:
+        raise TypeError(f"not an expression node: {leaf!r}")
+    for node in chain:
+        if isinstance(node, Pow):
+            text = f"({text}^{node.exponent})"
+        else:
+            text = f"({text} {_SYMBOLS[type(node)]} {ast_to_text(node.right)})"
+    return text
+
+
+def _evaluate(ast: Expr, leaf: Callable, mul: Callable, power: Callable):
+    """Evaluate bottom-up, left operands before right ones.
+
+    Each left-nested chain is walked in a loop and recursion enters only
+    right operands and bracket arguments, so its depth is bounded by the
+    parser's nesting bound.  `leaf(node, ev)` evaluates a number, variable
+    or bracket.
+    """
+
+    def ev(node: Expr):
+        inner, chain = _left_chain(node)
+        value = leaf(inner, ev)
+        for op in chain:
+            if isinstance(op, Pow):
+                value = power(value, op.exponent)
+            elif isinstance(op, Add):
+                value = value + ev(op.right)
+            elif isinstance(op, Sub):
+                value = value - ev(op.right)
+            else:
+                value = mul(value, ev(op.right))
+        return value
+
+    return ev(ast)
+
+
+def _tail_index(node: Expr, n: int, names) -> Optional[int]:
+    """k when the variable node is the tail element Omega_k, None when it is
+    one of the generator names."""
+    if not isinstance(node, Var):
+        raise TypeError(f"not an expression node: {node!r}")
+    match = _VAR_RE.match(node.name)
+    if match.group(1) == "Omega":
+        k = int(match.group(2))
+        if k > n:
+            raise EvalError(f"no tail element of index {k} for n={n}")
+        return k
+    if node.name not in names:
+        raise EvalError(f"unknown variable {node.name!r}")
+    return None
 
 
 def eval_poisson(ast: Expr, structure: PoissonStructure, params: PoissonParams) -> LaurentPoly:
     vs = structure.varspec
 
-    def ev(node: Expr) -> LaurentPoly:
-        if isinstance(node, Num):
-            return LaurentPoly.constant(vs, node.value)
-        if isinstance(node, Var):
-            match = _VAR_RE.match(node.name)
-            if match.group(1) == "Omega":
-                k = int(match.group(2))
-                if k > params.n:
-                    raise EvalError(f"no tail element of index {k} for n={params.n}")
-                return omega(params, k, vs)
-            if node.name not in vs.names:
-                raise EvalError(f"unknown variable {node.name!r}")
-            return LaurentPoly.variable(vs, node.name)
-        if isinstance(node, Add):
-            return ev(node.left) + ev(node.right)
-        if isinstance(node, Sub):
-            return ev(node.left) - ev(node.right)
-        if isinstance(node, Mul):
-            return ev(node.left) * ev(node.right)
-        if isinstance(node, Pow):
-            return ev(node.base) ** node.exponent
+    def leaf(node: Expr, ev) -> LaurentPoly:
         if isinstance(node, Bracket):
             return structure.bracket(ev(node.left), ev(node.right))
-        raise TypeError(f"not an expression node: {node!r}")
+        if isinstance(node, Num):
+            return LaurentPoly.constant(vs, node.value)
+        k = _tail_index(node, params.n, vs.names)
+        return LaurentPoly.variable(vs, node.name) if k is None else omega(params, k, vs)
 
-    return ev(ast)
+    return _evaluate(ast, leaf, operator.mul, operator.pow)
 
 
 def eval_quantum(ast: Expr, params: QuantumParams, max_steps: int = 10**6) -> NCElement:
-    names = set(kn_names(params.n))
+    n = params.n
+    names = kn_names(n)
 
-    def ev(node: Expr) -> NCElement:
-        if isinstance(node, Num):
-            return NCElement.one(params.n).scale(node.value)
-        if isinstance(node, Var):
-            match = _VAR_RE.match(node.name)
-            if match.group(1) == "Omega":
-                k = int(match.group(2))
-                if k > params.n:
-                    raise EvalError(f"no tail element of index {k} for n={params.n}")
-                return omega_q(params, k)
-            if node.name not in names:
-                raise EvalError(f"unknown variable {node.name!r}")
-            return NCElement.generator(params.n, node.name)
-        if isinstance(node, Add):
-            return ev(node.left) + ev(node.right)
-        if isinstance(node, Sub):
-            return ev(node.left) - ev(node.right)
-        if isinstance(node, Mul):
-            return nc_multiply(params, ev(node.left), ev(node.right), max_steps)
-        if isinstance(node, Pow):
-            if node.exponent < 0:
-                raise EvalError("negative powers are not defined in the quantized algebra")
-            out = NCElement.one(params.n)
-            base = ev(node.base)
-            for _ in range(node.exponent):
-                out = nc_multiply(params, out, base, max_steps)
-            return out
+    def leaf(node: Expr, ev) -> NCElement:
         if isinstance(node, Bracket):
             raise EvalError("bracket pairs are only valid in poisson mode")
-        raise TypeError(f"not an expression node: {node!r}")
+        if isinstance(node, Num):
+            return NCElement.one(n).scale(node.value)
+        k = _tail_index(node, n, names)
+        return NCElement.generator(n, node.name) if k is None else omega_q(params, k)
 
-    return ev(ast)
+    def mul(f: NCElement, g: NCElement) -> NCElement:
+        return nc_multiply(params, f, g, max_steps)
+
+    def power(base: NCElement, e: int) -> NCElement:
+        if e < 0:
+            raise EvalError("negative powers are not defined in the quantized algebra")
+        out = NCElement.one(n)
+        for _ in range(e):
+            out = mul(out, base)
+        return out
+
+    return _evaluate(ast, leaf, mul, power)

@@ -167,19 +167,27 @@ class PoissonDerivation:
         return PoissonDerivation(self.varspec, {k: -v for k, v in self.images.items()})
 
 
+def _derivation_residual(
+    structure: PoissonStructure, deriv: PoissonDerivation, a: str, b: str
+) -> LaurentPoly:
+    """D{a, b} - {D a, b} - {a, D b} on the generator pair (a, b)."""
+    ga = structure.generator(a)
+    gb = structure.generator(b)
+    return (
+        deriv.apply(structure.bracket(ga, gb))
+        - structure.bracket(deriv.images[a], gb)
+        - structure.bracket(ga, deriv.images[b])
+    )
+
+
 def derivation_check(structure: PoissonStructure, deriv: PoissonDerivation) -> bool:
     """True iff D{g_i,g_j} = {D g_i, g_j} + {g_i, D g_j} on all generator pairs."""
     names = structure.varspec.names
-    gens = {name: structure.generator(name) for name in names}
-    for i, a in enumerate(names):
-        for b in names[i + 1:]:
-            lhs = deriv.apply(structure.entry(names.index(a), names.index(b)))
-            rhs = structure.bracket(deriv.images[a], gens[b]) + structure.bracket(
-                gens[a], deriv.images[b]
-            )
-            if lhs != rhs:
-                return False
-    return True
+    return all(
+        _derivation_residual(structure, deriv, a, b).is_zero()
+        for i, a in enumerate(names)
+        for b in names[i + 1:]
+    )
 
 
 def _compat_residual(
@@ -194,15 +202,8 @@ def _compat_residual(
     The condition ties delta to alpha:
     delta{a,b} - {delta a, b} - {a, delta b} = delta(a) alpha(b) - alpha(a) delta(b).
     """
-    ga = structure.generator(a)
-    gb = structure.generator(b)
-    lhs = (
-        delta.apply(structure.bracket(ga, gb))
-        - structure.bracket(delta.images[a], gb)
-        - structure.bracket(ga, delta.images[b])
-    )
     rhs = delta.images[a] * alpha.images[b] - alpha.images[a] * delta.images[b]
-    return lhs - rhs
+    return _derivation_residual(structure, delta, a, b) - rhs
 
 
 def ore_extend(
@@ -225,12 +226,7 @@ def ore_extend(
     names = structure.varspec.names
     for i, a in enumerate(names):
         for b in names[i + 1:]:
-            ga, gb = structure.generator(a), structure.generator(b)
-            res_a = (
-                alpha.apply(structure.bracket(ga, gb))
-                - structure.bracket(alpha.images[a], gb)
-                - structure.bracket(ga, alpha.images[b])
-            )
+            res_a = _derivation_residual(structure, alpha, a, b)
             if not res_a.is_zero():
                 raise CompatibilityError(
                     f"alpha is not a Poisson derivation: residual on ({a}, {b})",

@@ -7,6 +7,7 @@ import pytest
 
 from poisson_strata.algebra_kn import (
     NCElement,
+    QTorusElement,
     QuantumParams,
     QuantumTorus,
     StepBudgetExceeded,
@@ -206,3 +207,68 @@ def test_torus_kill_invert_overlap_rejected():
         QuantumTorus(params, kill=["Y1"], invert=["Y1"])
     with pytest.raises(KeyError):
         QuantumTorus(params, kill=["Z9"])
+
+
+def test_owner_mismatch_raises_for_tori_and_arities():
+    from poisson_strata.exact_poly import VarSpecMismatch
+
+    params = quantum_sample()
+    plain, inverted = QuantumTorus(params), QuantumTorus(params, invert=["Y1"])
+    a, b = plain.generator("Y1"), inverted.generator("X2")
+    for op in (lambda: a + b, lambda: a - b, lambda: a * b):
+        with pytest.raises(VarSpecMismatch):
+            op()
+    # an equal torus built apart is the same owner
+    assert a + QuantumTorus(params).generator("X2") == plain.monomial({"Y1": 1}) + plain.generator("X2")
+    with pytest.raises(VarSpecMismatch):
+        gen(2, "y1") + gen(3, "y1")
+    with pytest.raises(VarSpecMismatch):
+        gen(2, "y1") - gen(1, "y1")
+
+
+def test_constructors_reject_bad_arity_and_negative_exponents():
+    params = quantum_sample()
+    torus = QuantumTorus(params, invert=["Y2"])
+    with pytest.raises(ValueError):
+        NCElement(2, {(1, 0, 0): 1})
+    with pytest.raises(ValueError):
+        NCElement(2, {(0, -1, 0, 0): 1})
+    with pytest.raises(ValueError):
+        torus.monomial({"Y1": -1})
+    with pytest.raises(ValueError):
+        QTorusElement(torus, {(1, 0, 0): 1})
+    with pytest.raises(ValueError):
+        torus.generator("X1") ** -1
+    assert QTorusElement(QuantumTorus(params, kill=["X1"]), {(0, 1, 0, 0): 5}).is_zero()
+
+
+def test_torus_power_multiplies_only_for_remaining_bits(monkeypatch):
+    params = quantum_sample()
+    torus = QuantumTorus(params, invert=["Y1", "Y2"])
+    g = torus.monomial({"Y1": 1, "X2": 1}, 3) + torus.generator("Y2")
+    m = torus.monomial({"Y1": 2, "Y2": 1}, Fraction(3, 7))
+    expected = {0: torus.one(), 1: g, 2: g * g, 5: g * g * g * g * g}
+    inverse = m ** -1
+    inverse_squared = inverse * inverse
+    calls = []
+    plain_mul = QTorusElement.__mul__
+
+    def counting_mul(self, other):
+        calls.append(1)
+        return plain_mul(self, other)
+
+    monkeypatch.setattr(QTorusElement, "__mul__", counting_mul)
+    for e, muls in ((0, 0), (1, 0), (2, 1), (5, 3)):
+        calls.clear()
+        assert g ** e == expected[e]
+        assert len(calls) == muls, e
+    calls.clear()
+    assert m ** -1 == inverse
+    assert calls == []
+    assert m ** -2 == inverse_squared
+    assert len(calls) == 1
+
+
+def test_nc_element_has_no_parameter_free_power():
+    with pytest.raises(TypeError):
+        gen(2, "y1") ** 2

@@ -1,0 +1,119 @@
+"""Exact stdout of representative CLI commands, pinned byte for byte.
+
+Small outputs are kept as literals; the stratum report and the `verify all`
+report are pinned by their SHA-256 digest.  Any change to the coefficient
+tables, the arithmetic or the formatters that alters a printed byte fails
+here.
+"""
+
+import contextlib
+import hashlib
+import io
+from pathlib import Path
+
+import pytest
+
+from poisson_strata.cli import main
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+
+LITERAL = [
+    (
+        "poisson_n2.json",
+        ["matrices"],
+        '{"r": [["0", "-5", "1", "-6"], ["5", "0", "2", "3"], ["-1", "-2", "0", "-7"], '
+        '["6", "-3", "7", "0"]]}\n',
+    ),
+    (
+        "quantum_n2.json",
+        ["matrices"],
+        '{"s": [["1", "1/4", "2", "1/8"], ["4", "1", "4", "1"], ["1/2", "1/4", "1", "1/32"], '
+        '["8", "1", "32", "1"]]}\n',
+    ),
+    (
+        "paired_n2.json",
+        ["matrices"],
+        '{"r": [["0", "-2", "1", "-3"], ["2", "0", "2", "0"], ["-1", "-2", "0", "-5"], '
+        '["3", "0", "5", "0"]], "s": [["1", "1/4", "2", "1/8"], ["4", "1", "4", "1"], '
+        '["1/2", "1/4", "1", "1/32"], ["8", "1", "32", "1"]]}\n',
+    ),
+    ("poisson_n2.json", ["bracket", "{x2, y2}", "1"], '{"result": "0"}\n'),
+    ("poisson_n2.json", ["bracket", "x2", "y2"], '{"result": "7*y2*x2 + 3*y1*x1"}\n'),
+    (
+        "poisson_n2.json",
+        ["bracket", "y1^2 x1 - (1/3) Omega1", "y1"],
+        '{"result": "5*y1^3*x1 - 5*y1^2*x1"}\n',
+    ),
+    (
+        "poisson_n2.json",
+        ["bracket", "Omega2", "x2 - 3 y1"],
+        '{"result": "-28*y2*x2^2 - 60*y1*y2*x2 - 21*y1*x1*x2 - 45*y1^2*x1"}\n',
+    ),
+    (
+        "poisson_n2.json",
+        ["bracket", "(y1 + x2)^3", "x1 y2 - 5/7"],
+        '{"result": "12*x1*y2*x2^3 + 12*y1*x1*y2*x2^2 + 9*y1*x1^2*x2^2 - 12*y1^2*x1*y2*x2 '
+        '+ 18*y1^2*x1^2*x2 - 12*y1^3*x1*y2 + 9*y1^3*x1^2"}\n',
+    ),
+    (
+        "paired_n2.json",
+        ["bracket", "x1 x2", "y1 y2 - Omega1"],
+        '{"result": "12*y1*x1*y2*x2 - 5*y1*x1^2*x2 + y1^2*x1^2"}\n',
+    ),
+    ("quantum_n2.json", ["nf", "x2 y2"], '{"result": "32*y2*x2 + 2*y1*x1"}\n'),
+    (
+        "quantum_n2.json",
+        ["nf", "x2 y1 x1 y2 - Omega2"],
+        '{"result": "256*y1*x1*y2*x2 + 64*y1^2*x1^2 - 24*y2*x2 - 2*y1*x1"}\n',
+    ),
+    (
+        "quantum_n2.json",
+        ["nf", "(x1 + y1)^3 - 2 Omega1"],
+        '{"result": "x1^3 + 21*y1*x1^2 + 21*y1^2*x1 + y1^3 - 4*y1*x1"}\n',
+    ),
+    (
+        "paired_n2.json",
+        ["nf", "x2^3 y2^2 - (1/4) y1 x2"],
+        '{"result": "1073741824*y2^2*x2^3 + 13762560*y1*x1*y2*x2^2 + 860160*y1^2*x1^2*x2 '
+        '- 1/4*y1*x2"}\n',
+    ),
+    (
+        "quantum_n2.json",
+        ["nf", "Omega2 x1 - x1 Omega2"],
+        '{"result": "-18*x1*y2*x2 - 6*y1*x1^2"}\n',
+    ),
+]
+
+DIGEST = [
+    (
+        "paired_n2.json",
+        ["map-report"],
+        2060,
+        "8eb08fe805ae50b8c3e5509ea2a1802a3bed217ad804bf2a3f28c57fd3f5459f",
+    ),
+    (
+        "paired_n2.json",
+        ["verify", "all"],
+        2397,
+        "ba90ce01d20c24cc7f3c74fcee56593f53254507e2e457c273f5c0c01e4ee219",
+    ),
+]
+
+
+def run_cli(config: str, command: list[str]) -> tuple[int, str]:
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        status = main(["--config", str(CONFIG_DIR / config), *command])
+    return status, buf.getvalue()
+
+
+@pytest.mark.parametrize("config,command,expected", LITERAL)
+def test_stdout_literal(config, command, expected):
+    assert run_cli(config, command) == (0, expected)
+
+
+@pytest.mark.parametrize("config,command,size,digest", DIGEST)
+def test_stdout_digest(config, command, size, digest):
+    status, out = run_cli(config, command)
+    assert status == 0
+    assert (len(out), hashlib.sha256(out.encode()).hexdigest()) == (size, digest)

@@ -360,3 +360,44 @@ def test_format_poly_stable():
     f = LaurentPoly(VS2, {(1, 1, 0, 0): Fraction(3), (0, 0, 1, 1): Fraction(-1, 2)})
     assert format_poly(f) == "-1/2*y2*x2 + 3*y1*x1"
     assert format_poly(LaurentPoly.zero(VS2)) == "0"
+
+
+def test_arithmetic_builds_results_without_revalidation(monkeypatch):
+    # Sums, products, negation, scaling and derivatives are closed over the
+    # ring and build their results directly; only outside data is validated.
+    rng = random.Random(21)
+    pairs = [(random_poly(VS2, rng), random_poly(VS2, rng)) for _ in range(30)]
+    admitted = []
+    plain_admit = LaurentPoly._admit
+    monkeypatch.setattr(
+        LaurentPoly, "_admit", staticmethod(lambda vs, mono: admitted.append(mono) or plain_admit(vs, mono))
+    )
+    results = [
+        value
+        for f, g in pairs
+        for value in (f + g, f - g, -f, f * g, f.scale(Fraction(-2, 3)), f.derivative("x1"))
+    ]
+    assert admitted == []
+    for value in results:
+        assert all(isinstance(c, Fraction) and c != 0 for c in value.terms.values())
+        assert value == LaurentPoly(VS2, dict(value.terms))
+
+
+def test_public_constructor_still_validates():
+    with pytest.raises(ValueError):
+        LaurentPoly(VS2, {(1, 0, 0): Fraction(1)})
+    with pytest.raises(ValueError):
+        LaurentPoly.monomial(VS_L, {"x1": -1})
+    with pytest.raises(ValueError):
+        LaurentPoly.monomial(VS2, {"y1": 1}).monomial_inverse()
+    with pytest.raises(ValueError):
+        LaurentPoly.variable(VS_L, "x1").map_to(VarSpec(("x1", "y1"))) ** -1
+
+
+def test_owner_checked_by_every_binary_operation():
+    other = VarSpec(("y1", "x1", "y2", "x2"), frozenset({"y1"}))
+    f, g = LaurentPoly.one(VS2), LaurentPoly.one(other)
+    for op in (lambda: f + g, lambda: f - g, lambda: f * g):
+        with pytest.raises(VarSpecMismatch):
+            op()
+    assert f != g

@@ -271,3 +271,54 @@ def test_config_rejects_non_prime_weight_keys(tmp_path, capsys):
         assert status == 2 and payload["error"] == "ConfigError"
     status, payload = _run_config(tmp_path, capsys, {**paired, "phi_weights": {"2": "1", "3": "1"}})
     assert status == 0 and payload == {"n": 2, "count": 14}
+
+
+def test_cli_long_sum_evaluates(capsys):
+    status = main(["--config", CONFIG_POISSON, "bracket", "+".join(["y1"] * 1500), "x1"])
+    assert status == 0
+    assert json.loads(capsys.readouterr().out) == {"result": "-7500*y1*x1"}
+
+
+def test_cli_long_product_evaluates(capsys):
+    status = main(["--config", CONFIG_QUANTUM, "nf", "*".join(["y1"] * 1500)])
+    assert status == 0
+    assert json.loads(capsys.readouterr().out) == {"result": "y1^1500"}
+
+
+def test_cli_power_tower_evaluates(capsys):
+    status = main(["--config", CONFIG_POISSON, "bracket", "y1^2" + "^1" * 1500, "x1"])
+    assert status == 0
+    assert json.loads(capsys.readouterr().out) == {"result": "-10*y1^2*x1"}
+
+
+def test_cli_deep_nesting_is_a_parse_error(capsys):
+    status = main(["--config", CONFIG_POISSON, "bracket", "(" * 3000 + "y1" + ")" * 3000, "x1"])
+    assert status == 2
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["error"] == "ParseError" and "nest deeper than" in payload["message"]
+
+
+def test_long_chains_print_and_parse_back():
+    ast = parse_expr("-".join(["x2"] * 1500))
+    text = ast_to_text(ast)
+    assert text.startswith("(" * 1499 + "x2 - x2)")
+    assert parse_expr(ast_to_text(parse_expr("y1 y2^3 + (x1 - 2)^2"))) == parse_expr("y1 y2^3 + (x1 - 2)^2")
+
+
+def test_config_accepts_large_prime_key_quickly(tmp_path, capsys):
+    import time
+
+    paired = json.loads(Path(CONFIG_PAIRED).read_text())
+    start = time.perf_counter()
+    status, payload = _run_config(
+        tmp_path, capsys, {**paired, "phi_weights": {"2": "1", "100000000000031": "1"}}
+    )
+    assert time.perf_counter() - start < 0.5
+    assert status == 0 and payload == {"n": 2, "count": 14}
+
+
+def test_config_rejects_prime_key_past_the_exact_bound(tmp_path, capsys):
+    paired = json.loads(Path(CONFIG_PAIRED).read_text())
+    status, payload = _run_config(tmp_path, capsys, {**paired, "phi_weights": {str(10**25): "1"}})
+    assert status == 2
+    assert payload["error"] == "ConfigError" and "bound of the exact primality test" in payload["message"]
