@@ -126,7 +126,7 @@ def pair_word(params: PairParams, a: int, b: int) -> tuple[Atom, ...]:
     (b, a) gives the inverse word and (a, a) the empty one.  Evaluated
     additively (`log_coefficient`) the word is the log-canonical
     coefficient of the Poisson algebra; evaluated multiplicatively
-    (`algebra_kn.commutation_scalar`) it is the commutation scalar of the
+    (`algebra_kn.commutation_matrix`) it is the commutation scalar of the
     quantized algebra.  The additive character of the parameter group turns
     the second into the first.  `params` is either side's parameters.
     """

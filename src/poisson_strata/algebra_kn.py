@@ -7,18 +7,18 @@ ratios p_i/q_i avoid 1 and -1; the only non-monomial relation is
     x_i y_i = q_i y_i x_i + sum_{k<i} (q_k - p_k) y_k x_k.
 
 Elements are kept in normal form: linear combinations of ordered standard
-monomials y1^a1 x1^b1 ... yn^an xn^bn.  Multiplication moves the letters of
-the right factor to their slots one at a time; every crossing either picks
-up a scalar or, for x_i across y_i, the additive tail in strictly smaller
-variables, so rewriting terminates.  The attached quantum torus (the target
-of the stratum maps) lives here too, with its bicharacter twist taken from
-the commutation matrix.
+monomials y1^a1 x1^b1 ... yn^an xn^bn.  Multiplication moves each letter of
+the right factor past the whole block to its right in one step: the block
+picks up a scalar from the commutation matrix, and x_i^b crossing y_i adds
+a closed-form tail whose products involve only lower pairs.  The attached
+quantum torus (the target of the stratum maps) lives here too, with its
+bicharacter twist taken from the same matrix.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import add
 from typing import Iterable, Mapping, Sequence
@@ -32,6 +32,13 @@ Relation = tuple[str, tuple[tuple[Fraction, tuple[str, ...]], ...]]
 @dataclass(frozen=True)
 class QuantumParams(PairParams):
     """n, the multiplicative coupling matrix, and the two scalar vectors."""
+
+    # the commutation matrix, derived once; the PBW product and every torus read it
+    smatrix: tuple[tuple[Fraction, ...], ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        super().__post_init__()
+        object.__setattr__(self, "smatrix", commutation_matrix(self))
 
     def _check_values(self):
         n = self.n
@@ -86,76 +93,48 @@ class StepBudgetExceeded(RuntimeError):
 
 
 class _Multiplier:
-    """Carries the parameters, the swap-rewrite cache, and the step counter."""
+    """Carries the parameters and the step counter of one product."""
 
     def __init__(self, params: QuantumParams, max_steps: int):
         self.params = params
         self.max_steps = max_steps
         self.steps = 0
-        self._swaps: dict[tuple[int, int], list[tuple[Fraction, int, int]]] = {}
-
-    def _swap_terms(self, r: int, p: int) -> list[tuple[Fraction, int, int]]:
-        """Normal form of (letter at r) * (letter at p) for r > p, as
-        (coefficient, first position, second position) triples."""
-        cached = self._swaps.get((r, p))
-        if cached is not None:
-            return cached
-        out = [(commutation_scalar(self.params, r, p), p, r)]
-        if r % 2 and r == p + 1:
-            # x_i y_i picks up the tail O_{i-1} in the lower pairs
-            out += [(tail_coefficient(self.params, k), 2 * k - 2, 2 * k - 1) for k in range(1, r // 2 + 1)]
-        self._swaps[(r, p)] = out
-        return out
 
     def mono_times_gen(self, mono: tuple[int, ...], p: int) -> dict[tuple[int, ...], Fraction]:
-        """Normal form of mono * (generator p).
+        """Normal form of mono * (generator p): one step crosses the whole
+        block of letters right of p.
 
-        Moving p left past the rightmost letter r > p nests one product per
-        letter crossed.  The nesting is kept on an explicit stack of
-        suspended `_cross` frames, so a long word cannot exhaust the
-        interpreter's recursion limit.
+        Each g_r^e with r > p crosses as the scalar S(r, p)^e.  As x_i
+        Omega_{i-1} = p_i Omega_{i-1} x_i, the block x_i^b crossing y_i is
+        x_i^b y_i = q_i^b y_i x_i^b + [b] Omega_{i-1} x_i^(b-1) with
+        [b] = (q_i^b - p_i^b) / (q_i - p_i).  The tail's products A y_k x_k
+        (A: mono at positions up to p) involve only pairs below i, so the
+        recursion is at most n deep.
         """
-        frames: list = []
-        value = self._start(mono, p, frames)
-        while frames:
-            try:
-                request = frames[-1].send(value)
-            except StopIteration as done:
-                frames.pop()
-                value = done.value
-            else:
-                value = self._start(*request, frames)
-        return value
-
-    def _start(self, mono: tuple[int, ...], p: int, frames: list):
-        """The product when no letter of mono lies right of p; otherwise one
-        rewrite step, whose frame is pushed onto `frames` (returns None)."""
-        rightmost = -1
-        for k in range(len(mono) - 1, -1, -1):
-            if mono[k]:
-                rightmost = k
-                break
-        if rightmost <= p:
-            out = list(mono)
-            out[p] += 1
-            return {tuple(out): Fraction(1)}
+        lead = list(mono)
+        lead[p] += 1
+        if not any(mono[p + 1 :]):
+            return {tuple(lead): Fraction(1)}
         self.steps += 1
         if self.steps > self.max_steps:
             raise StepBudgetExceeded(f"exceeded {self.max_steps} rewrite steps")
-        head = list(mono)
-        head[rightmost] -= 1
-        frames.append(self._cross(tuple(head), rightmost, p))
-        return None
-
-    def _cross(self, head: tuple[int, ...], r: int, p: int):
-        """Frame for (head * letter r) * letter p with r > p: yields each
-        (monomial, generator) product it needs and is sent its normal form."""
-        acc: dict[tuple[int, ...], Fraction] = {}
-        for coeff, first, second in self._swap_terms(r, p):
-            part = yield head, first
-            for mono, c in part.items():
-                accumulate(acc, (yield mono, second), coeff * c)
-        return acc
+        smatrix = self.params.smatrix
+        scalar = math.prod(
+            (smatrix[r][p] ** mono[r] for r in range(p + 1, len(mono)) if mono[r]), start=Fraction(1)
+        )
+        out = {tuple(lead): scalar}
+        b = 0 if p % 2 else mono[p + 1]
+        if b:
+            i = p // 2 + 1
+            qi, pi = self.params.q[i - 1], self.params.p[i - 1]
+            scalar *= (qi**b - pi**b) / ((qi - pi) * qi**b)  # the lead's without q_i^b, times [b]
+            head = mono[: p + 1] + (0,) * (len(mono) - p - 1)
+            rest = (0,) * (p + 1) + (b - 1,) + mono[p + 2 :]
+            for k in range(1, i):
+                part = self.dict_times_gen(self.mono_times_gen(head, 2 * k - 2), 2 * k - 1)
+                shifted = {tuple(map(add, m, rest)): c for m, c in part.items()}
+                accumulate(out, shifted, scalar * tail_coefficient(self.params, k))
+        return out
 
     def dict_times_gen(
         self, terms: dict[tuple[int, ...], Fraction], p: int
@@ -224,21 +203,19 @@ def normality_check(params: QuantumParams, i: int) -> dict:
     return {"ok": not failures, "scalars": scalars, "failures": failures}
 
 
-def commutation_scalar(params: QuantumParams, a: int, b: int) -> Fraction:
-    """S(a, b) in G_a G_b = S(a, b) G_b G_a: the pair word evaluated
-    multiplicatively (see `algebra_an.pair_word`)."""
-    return math.prod((atom**e for atom, e in pair_word(params, a, b)), start=Fraction(1))
-
-
 def commutation_matrix(params: QuantumParams) -> tuple[tuple[Fraction, ...], ...]:
     """The attached multiplicative skew-symmetric 2n x 2n matrix.
 
-    Entry (u, v) is the scalar in G_u G_v = s_uv G_v G_u for the torus
-    generators; it is the multiplicative form of the log-canonical matrix on
-    the Poisson side.
+    Entry (u, v) is the scalar S(u, v) in G_u G_v = S(u, v) G_v G_u: the
+    pair word evaluated multiplicatively (see `algebra_an.pair_word`).  It
+    is the multiplicative form of the log-canonical matrix on the Poisson
+    side.  `QuantumParams.smatrix` holds it for each parameter set.
     """
-    size = 2 * params.n
-    return tuple(tuple(commutation_scalar(params, a, b) for b in range(size)) for a in range(size))
+    size, one = 2 * params.n, Fraction(1)
+    return tuple(
+        tuple(math.prod((s**e for s, e in pair_word(params, a, b)), start=one) for b in range(size))
+        for a in range(size)
+    )
 
 
 def defining_relations(params: QuantumParams) -> list[Relation]:
@@ -253,7 +230,7 @@ def defining_relations(params: QuantumParams) -> list[Relation]:
 
     def relation(a: int, b: int, tail=()) -> Relation:
         # g_a g_b - S(a, b) g_b g_a - tail
-        swapped = (-commutation_scalar(params, a, b), (names[b], names[a]))
+        swapped = (-params.smatrix[a][b], (names[b], names[a]))
         return (names[a] + names[b], ((one, (names[a], names[b])), swapped, *tail))
 
     rels: list[Relation] = []
@@ -290,7 +267,6 @@ class QuantumTorus:
         overlap = self.kill & self.invert
         if overlap:
             raise ValueError(f"cannot invert killed generators {sorted(overlap)}")
-        self.smatrix = commutation_matrix(params)
         self._kill_idx = {self.names.index(name) for name in self.kill}
         self._invert_idx = {self.names.index(name) for name in self.invert}
 
@@ -317,6 +293,7 @@ class QuantumTorus:
 
     def twist(self, u: tuple[int, ...], v: tuple[int, ...]) -> Fraction:
         """Scalar in X^u X^v = twist * X^(u+v); a bicharacter in each slot."""
+        smatrix = self.params.smatrix
         out = Fraction(1)
         for a in range(len(u)):
             ua = u[a]
@@ -325,7 +302,7 @@ class QuantumTorus:
             for b in range(a):
                 vb = v[b]
                 if vb:
-                    out *= self.smatrix[a][b] ** (ua * vb)
+                    out *= smatrix[a][b] ** (ua * vb)
         return out
 
 

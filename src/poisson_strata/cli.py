@@ -4,7 +4,10 @@ Configs are JSON with every rational written as a string "a/b" (plain
 integers are accepted; floats are rejected to keep the arithmetic exact).
 All commands print JSON to stdout; verification failures exit nonzero with a
 machine-readable error object.  The environment variable
-POISSON_STRATA_STEP_BUDGET caps the rewrite step budget.
+POISSON_STRATA_STEP_BUDGET caps the rewrite steps of each product and each
+normal form: one step is one generator crossing the block of letters to its
+right in a quantized product, or one rule application in a quotient normal
+form.
 """
 
 from __future__ import annotations

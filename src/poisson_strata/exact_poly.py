@@ -531,17 +531,29 @@ def reduce_poly(
 # -- prime-factored view of rationals and the parameter-group lattice ----
 
 
+TRIAL_DIVISION_BOUND = 10**6
+
+
 def factor_integer(n: int) -> dict[int, int]:
-    """Prime factorization by trial division; n must be positive."""
+    """Prime factorization of a positive n.
+
+    Trial division runs through the divisors below TRIAL_DIVISION_BOUND; a
+    cofactor left above its square must be certified prime by `is_prime`,
+    otherwise ValueError names it rather than searching on for its factors.
+    """
     if n <= 0:
         raise ValueError("factor_integer expects a positive integer")
     out: dict[int, int] = {}
     d = 2
-    while d * d <= n:
+    while d * d <= n and d < TRIAL_DIVISION_BOUND:
         while n % d == 0:
             out[d] = out.get(d, 0) + 1
             n //= d
         d += 1 if d == 2 else 2
+    if d * d <= n and (n >= PRIME_TEST_BOUND or not is_prime(n)):
+        raise ValueError(
+            f"cannot factor {n}: no prime factor below {TRIAL_DIVISION_BOUND} and not a certified prime"
+        )
     if n > 1:
         out[n] = out.get(n, 0) + 1
     return out

@@ -27,7 +27,7 @@ from typing import Callable, Optional, Union
 
 from .algebra_an import PoissonParams, omega
 from .algebra_kn import NCElement, QuantumParams, kn_names, nc_multiply, omega_q
-from .exact_poly import LaurentPoly
+from .exact_poly import DEFAULT_STEP_BUDGET, LaurentPoly
 from .poisson_core import PoissonStructure
 
 
@@ -297,7 +297,7 @@ def eval_poisson(ast: Expr, structure: PoissonStructure, params: PoissonParams) 
     return _evaluate(ast, leaf, operator.mul, operator.pow)
 
 
-def eval_quantum(ast: Expr, params: QuantumParams, max_steps: int = 10**6) -> NCElement:
+def eval_quantum(ast: Expr, params: QuantumParams, max_steps: int = DEFAULT_STEP_BUDGET) -> NCElement:
     n = params.n
     names = kn_names(n)
 
@@ -315,8 +315,10 @@ def eval_quantum(ast: Expr, params: QuantumParams, max_steps: int = 10**6) -> NC
     def power(base: NCElement, e: int) -> NCElement:
         if e < 0:
             raise EvalError("negative powers are not defined in the quantized algebra")
-        out = NCElement.one(n)
-        for _ in range(e):
+        if e == 0:
+            return NCElement.one(n)
+        out = base
+        for _ in range(e - 1):
             out = mul(out, base)
         return out
 

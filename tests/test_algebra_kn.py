@@ -272,3 +272,80 @@ def test_torus_power_multiplies_only_for_remaining_bits(monkeypatch):
 def test_nc_element_has_no_parameter_free_power():
     with pytest.raises(TypeError):
         gen(2, "y1") ** 2
+
+
+# -- an independent oracle: letter-by-letter rewriting of words ---------------
+
+
+def _rewrite_words(params, word):
+    """Normal form of a word (a tuple of generator positions) as a map from
+    exponent vectors to coefficients, found by rewriting the first descent
+    of each word with the matching defining relation, one pair at a time."""
+    names = kn_names(params.n)
+    index = {name: k for k, name in enumerate(names)}
+    rules = {}  # descent pair -> its replacement, solved from the relation
+    for _, combo in defining_relations(params):
+        terms = [(c, tuple(index[w] for w in ws)) for c, ws in combo]
+        [(lead_c, lead)] = [(c, ws) for c, ws in terms if ws[0] > ws[1]]
+        rules[lead] = [(-c / lead_c, ws) for c, ws in terms if ws != lead]
+    pending = {tuple(word): Fraction(1)}
+    normal = {}
+    while pending:
+        w, c = pending.popitem()
+        descent = next((k for k in range(len(w) - 1) if w[k] > w[k + 1]), None)
+        if descent is None:
+            mono = tuple(w.count(k) for k in range(len(names)))
+            normal[mono] = normal.get(mono, 0) + c
+            continue
+        for coeff, pair in rules[w[descent : descent + 2]]:
+            new = w[:descent] + pair + w[descent + 2 :]
+            pending[new] = pending.get(new, 0) + c * coeff
+    return {m: c for m, c in normal.items() if c}
+
+
+def _word(mono):
+    return tuple(k for k, e in enumerate(mono) for _ in range(e))
+
+
+def _random_params(rng, n):
+    """Parameters with non-power-of-two rational entries, p_i/q_i != +-1."""
+
+    def scalar():
+        return Fraction(rng.choice([-1, 1]) * rng.randint(2, 9), rng.randint(1, 7))
+
+    gamma = [[Fraction(1)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            gamma[i][j] = scalar()
+            gamma[j][i] = 1 / gamma[i][j]
+    p, q = [], []
+    for _ in range(n):
+        pi, qi = scalar(), scalar()
+        while pi / qi in (1, -1):
+            qi = scalar()
+        p.append(pi)
+        q.append(qi)
+    return QuantumParams.make(n, gamma, p, q)
+
+
+def test_block_crossing_matches_word_rewriting_oracle():
+    rng = random.Random(21)
+    for n in (1, 2, 3):
+        for _ in range(4):
+            params = _random_params(rng, n)
+            for _ in range(6):
+                left, right = (
+                    tuple(rng.randint(0, 6) if rng.random() < 0.5 else 0 for _ in range(2 * n))
+                    for _ in range(2)
+                )
+                product = nc_multiply(params, NCElement(n, {left: 1}), NCElement(n, {right: 1}))
+                assert product.terms == _rewrite_words(params, _word(left) + _word(right)), (left, right)
+
+
+def test_block_crossing_is_one_step():
+    # x2^200 y2 crosses one block: one budgeted step, with the tail's
+    # products in the lower pair free of steps
+    params = _random_params(random.Random(22), 2)
+    x2_power = NCElement.monomial(2, {"x2": 200})
+    product = nc_multiply(params, x2_power, gen(2, "y2"), max_steps=1)
+    assert product.terms == _rewrite_words(params, (3,) * 200 + (2,))

@@ -314,3 +314,22 @@ def test_report_eta_matches_derived_sets():
     for t_set in enumerate_admissible(2):
         record = by_members[t_set.member_names()]
         assert tuple(record["eta"]) == derived_sets(t_set).eta
+
+
+def test_report_derives_the_commutation_matrix_once(monkeypatch):
+    # the matrix belongs to the parameters: building them derives it, and
+    # neither the 48 stratum tori nor the PBW products build it again
+    from poisson_strata import algebra_kn
+
+    calls = []
+    plain = algebra_kn.commutation_matrix
+
+    def counting(params):
+        calls.append(params)
+        return plain(params)
+
+    monkeypatch.setattr(algebra_kn, "commutation_matrix", counting)
+    report = stratification_report(quantum_sample(3), sample_weights())
+    assert len(report["strata"]) == 48
+    assert all(s["upsilon_ok"] for s in report["strata"])
+    assert len(calls) == 1

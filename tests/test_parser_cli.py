@@ -144,6 +144,37 @@ def test_cli_nf_deep_word(capsys):
     assert json.loads(capsys.readouterr().out) == {"result": f"{8 ** 1500}*y1*x2^1500"}
 
 
+def test_cli_step_budget_counts_block_crossings(capsys, monkeypatch):
+    # y1 crosses the block x2^1500 in one step; building x2^1500 takes none
+    monkeypatch.setenv("POISSON_STRATA_STEP_BUDGET", "1")
+    status = main(["--config", CONFIG_QUANTUM, "nf", "x2^1500 y1"])
+    assert status == 0
+    assert json.loads(capsys.readouterr().out) == {"result": f"{8 ** 1500}*y1*x2^1500"}
+
+
+def test_quantum_power_multiplies_from_the_base(monkeypatch):
+    import poisson_strata.parser as parser_module
+    from poisson_strata.algebra_kn import format_nc
+
+    params = quantum_sample()
+    expected = {
+        e: format_nc(eval_quantum(parse_expr(text), params))
+        for e, text in ((0, "1"), (1, "x1 + y2"), (4, "(x1 + y2)(x1 + y2)(x1 + y2)(x1 + y2)"))
+    }
+    calls = []
+    plain = parser_module.nc_multiply
+
+    def counting(*args):
+        calls.append(1)
+        return plain(*args)
+
+    monkeypatch.setattr(parser_module, "nc_multiply", counting)
+    for e, products in ((0, 0), (1, 0), (4, 3)):
+        calls.clear()
+        assert format_nc(eval_quantum(parse_expr(f"(x1 + y2)^{e}"), params)) == expected[e]
+        assert len(calls) == products, e
+
+
 def test_cli_admissible(capsys):
     assert main(["--config", CONFIG_POISSON, "admissible", "--count"]) == 0
     assert json.loads(capsys.readouterr().out) == {"n": 2, "count": 14}
@@ -322,3 +353,36 @@ def test_config_rejects_prime_key_past_the_exact_bound(tmp_path, capsys):
     status, payload = _run_config(tmp_path, capsys, {**paired, "phi_weights": {str(10**25): "1"}})
     assert status == 2
     assert payload["error"] == "ConfigError" and "bound of the exact primality test" in payload["message"]
+
+
+_BIG_PRIME = "1000000000000000003"
+
+
+def _quantum_with_q1(q1, **extra):
+    raw = json.loads(Path(CONFIG_QUANTUM).read_text())
+    return {**raw, "q": [q1, raw["q"][1]], **extra}
+
+
+def test_map_report_with_a_large_prime_parameter(tmp_path, capsys):
+    raw = _quantum_with_q1(_BIG_PRIME, mode="paired", phi_weights={"2": "1", _BIG_PRIME: "5"})
+    status, payload = _run_config(tmp_path, capsys, raw, ("map-report",))
+    assert status == 0
+    assert payload["phi"]["q"] == ["5", "5"] and payload["grade"] == "quotient"
+    assert len(payload["strata"]) == 14
+    assert all(s["psi_ok"] and s["upsilon_ok"] for s in payload["strata"])
+
+
+def test_map_report_default_weights_with_a_large_prime(tmp_path, capsys):
+    status, payload = _run_config(tmp_path, capsys, _quantum_with_q1(_BIG_PRIME), ("map-report",))
+    assert status == 2
+    assert payload == {
+        "error": "ValueError",
+        "message": "parameters involve several primes; supply explicit character weights",
+    }
+
+
+def test_map_report_names_an_unfactorable_parameter(tmp_path, capsys):
+    product = (10**9 + 7) * (10**9 + 9)
+    status, payload = _run_config(tmp_path, capsys, _quantum_with_q1(str(product)), ("map-report",))
+    assert status == 2
+    assert payload["error"] == "ValueError" and payload["message"].startswith(f"cannot factor {product}")
