@@ -43,8 +43,6 @@ from .algebra_kn import (
     nc_multiply,
 )
 from .correspondence import (
-    GroupContainsMinusOne,
-    default_weights,
     group_character,
     stratification_report,
     verify_poisson_stratum_map,
@@ -61,6 +59,7 @@ from .exact_poly import (
 from .parser import EvalError, ParseError, eval_poisson, eval_quantum, parse_expr
 
 ENV_STEP_BUDGET = "POISSON_STRATA_STEP_BUDGET"
+RANDOM_TRIALS = 1000  # random inputs per stratum (confluence) and triples (associativity)
 
 
 class ConfigError(ValueError):
@@ -101,6 +100,8 @@ def load_config(path: str) -> Config:
             raw = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from None
+        except RecursionError:
+            raise ConfigError("config nests too deeply to be read") from None
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
     mode = raw.get("mode")
@@ -149,10 +150,7 @@ def load_config(path: str) -> Config:
         except ValueError as exc:
             raise ConfigError(f"bad admissible literal: {exc}") from None
     if mode == "paired":
-        character_params = quantum
-        if weights is None:
-            weights = default_weights(character_params)
-        poisson = group_character(character_params, weights).induced
+        poisson = group_character(quantum, weights).induced
     return Config(mode, poisson, quantum, weights, literal)
 
 
@@ -188,11 +186,12 @@ def _require_quantum(config: Config) -> QuantumParams:
     return config.quantum
 
 
-def _random_poly(vs, rng: random.Random, max_degree=3, max_terms=3) -> LaurentPoly:
+def _random_poly(vs, rng: random.Random) -> LaurentPoly:
+    """At most three terms, each of degree at most three."""
     terms = {}
-    for _ in range(rng.randint(1, max_terms)):
+    for _ in range(rng.randint(1, 3)):
         mono = [0] * len(vs)
-        for _ in range(rng.randint(0, max_degree)):
+        for _ in range(rng.randint(0, 3)):
             mono[rng.randrange(len(vs))] += 1
         terms[tuple(mono)] = Fraction(rng.randint(-4, 4))
     return LaurentPoly(vs, terms)
@@ -226,7 +225,7 @@ def suite_omega_identities(config: Config) -> dict:
     return {"suite": "lemma2.3", "ok": report["ok"], "details": report}
 
 
-def suite_confluence(config: Config, trials: int = 1000) -> dict:
+def suite_confluence(config: Config) -> dict:
     params = _require_poisson(config)
     vs = an_varspec(params.n)
     budget = _step_budget()
@@ -234,7 +233,7 @@ def suite_confluence(config: Config, trials: int = 1000) -> dict:
     checked = 0
     for t_set in adm.enumerate_admissible(params.n):
         system = quotient_system(params, t_set)
-        for _ in range(trials):
+        for _ in range(RANDOM_TRIALS):
             f = _random_poly(vs, rng)
             base = reduce_poly(f, system, budget)
             for _ in range(2):
@@ -270,7 +269,7 @@ def suite_k_stability(config: Config) -> dict:
     return {"suite": "kstable", "ok": not failures, "details": {"failures": failures}}
 
 
-def suite_associativity(config: Config, trials: int = 1000) -> dict:
+def suite_associativity(config: Config) -> dict:
     params = _require_quantum(config)
     rng = random.Random(13)
     budget = _step_budget()
@@ -282,13 +281,13 @@ def suite_associativity(config: Config, trials: int = 1000) -> dict:
             mono[rng.randrange(width)] += 1
         return NCElement(params.n, {tuple(mono): Fraction(rng.randint(1, 4))})
 
-    for _ in range(trials):
+    for _ in range(RANDOM_TRIALS):
         f, g, h = random_monomial(), random_monomial(), random_monomial()
         left = nc_multiply(params, nc_multiply(params, f, g, budget), h, budget)
         right = nc_multiply(params, f, nc_multiply(params, g, h, budget), budget)
         if left != right:
             return {"suite": "associativity", "ok": False, "details": {"triple": repr((f, g, h))}}
-    return {"suite": "associativity", "ok": True, "details": {"triples": trials}}
+    return {"suite": "associativity", "ok": True, "details": {"triples": RANDOM_TRIALS}}
 
 
 def _strata_suite(name: str, n: int, verify) -> dict:
@@ -459,9 +458,6 @@ def main(argv=None) -> int:
     try:
         config = load_config(args.config)
         payload = COMMANDS[args.command](config, args)
-    except GroupContainsMinusOne as exc:
-        _emit({"error": "GroupContainsMinusOne", "message": str(exc)}, args.pretty)
-        return 2
     except (
         ConfigError,
         ParseError,

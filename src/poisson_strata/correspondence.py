@@ -351,13 +351,12 @@ class AdditiveCharacter:
 
     def apply(self, value: Fraction) -> Fraction:
         """Weighted prime-exponent sum; turns products into sums."""
-        return _character_value(dict(self.weights), value)
+        return _character_value(dict(self.weights), factor_rational(value)[1])
 
 
-def _character_value(weights: dict[int, Fraction], value: Fraction) -> Fraction:
+def _character_value(weights: Mapping[int, Fraction], exps: Mapping[int, int]) -> Fraction:
     # The character factors through the prime-exponent lattice; the sign is
     # invisible to it (hence never injective on a group containing -1).
-    _, exps = factor_rational(value)
     missing = set(exps) - set(weights)
     if missing:
         raise ValueError(f"no weight supplied for primes {sorted(missing)}")
@@ -372,44 +371,64 @@ def parameter_group_generators(params: QuantumParams) -> list[Fraction]:
     return gens
 
 
+def _single_prime_weights(analysis: GroupAnalysis) -> dict[int, Fraction]:
+    if len(analysis.primes) != 1:
+        raise ValueError(
+            "parameters involve several primes; supply explicit character weights"
+        )
+    return {analysis.primes[0]: Fraction(1)}
+
+
 def group_character(
-    params: QuantumParams, weights: Mapping[int, Fraction]
+    params: QuantumParams, weights: Optional[Mapping[int, Fraction]] = None
 ) -> AdditiveCharacter:
     """Build the additive character from per-prime weights.
 
     The character sends a positive rational to the weighted sum of its prime
-    exponents.  It can be injective on the parameter group only when the
+    exponents.  The parameter group is factored once, by `group_analysis` of
+    its generators p, q and the upper triangle of gamma; every image is a
+    linear reading of that analysis's exponent rows.  The lower triangle of
+    gamma is the negated upper one and the diagonal is zero, since gamma is
+    multiplicatively skew-symmetric with unit diagonal.  Without `weights`,
+    the single occurring prime gets weight 1 (`default_weights`).
+
+    The character can be injective on the parameter group only when the
     exponent lattice has rank at most one (finitely generated subgroups of
     the rationals are cyclic); rank-one injectivity additionally needs a
-    nonzero image.  A parameter group containing -1 is rejected.
+    nonzero image of a nonzero row.  A parameter group containing -1 is
+    rejected.
     """
-    gens = parameter_group_generators(params)
-    analysis = group_analysis(gens)
+    analysis = group_analysis(parameter_group_generators(params))
+    if weights is None:
+        weights = _single_prime_weights(analysis)
     if analysis.contains_minus_one:
         raise GroupContainsMinusOne(analysis)
     weights = {int(p): Fraction(w) for p, w in weights.items()}
 
-    def char(value: Fraction) -> Fraction:
-        return _character_value(weights, value)
+    def image(k: int) -> Fraction:
+        row = analysis.exponents[k]
+        return _character_value(weights, {p: e for p, e in zip(analysis.primes, row) if e})
 
-    if analysis.lattice_rank > 1:
-        injective = False
-    elif analysis.lattice_rank == 0:
-        injective = True
-    else:
-        row = next(r for r in analysis.exponents if any(r))
-        injective = sum(weights.get(p, Fraction(0)) * e for p, e in zip(analysis.primes, row)) != 0
-    image_p = tuple(char(v) for v in params.p)
-    image_q = tuple(char(v) for v in params.q)
-    for i in range(params.n):
+    n = params.n
+    image_p = tuple(image(k) for k in range(n))
+    image_q = tuple(image(n + k) for k in range(n))
+    for i in range(n):
         if image_p[i] == image_q[i]:
             raise ValueError(
                 f"character collapses p_{i + 1} and q_{i + 1}; not usable"
             )
-    image_gamma = tuple(
-        tuple(char(params.gamma[i][j]) for j in range(params.n)) for i in range(params.n)
-    )
-    induced = PoissonParams(params.n, image_gamma, image_p, image_q)
+    gamma = [[Fraction(0)] * n for _ in range(n)]
+    upper = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    for k, (i, j) in enumerate(upper, start=2 * n):
+        gamma[i][j] = image(k)
+        gamma[j][i] = -gamma[i][j]
+    image_gamma = tuple(map(tuple, gamma))
+    if analysis.lattice_rank == 1:
+        first = next(k for k, row in enumerate(analysis.exponents) if any(row))
+        injective = image(first) != 0
+    else:
+        injective = analysis.lattice_rank == 0
+    induced = PoissonParams(n, image_gamma, image_p, image_q)
     return AdditiveCharacter(
         weights=tuple(sorted(weights.items())),
         image_gamma=image_gamma,
@@ -424,12 +443,7 @@ def group_character(
 
 def default_weights(params: QuantumParams) -> dict[int, Fraction]:
     """Weight 1 on the single occurring prime; anything richer needs the user."""
-    analysis = group_analysis(parameter_group_generators(params))
-    if len(analysis.primes) != 1:
-        raise ValueError(
-            "parameters involve several primes; supply explicit character weights"
-        )
-    return {analysis.primes[0]: Fraction(1)}
+    return _single_prime_weights(group_analysis(parameter_group_generators(params)))
 
 
 def stratification_report(
@@ -442,8 +456,6 @@ def stratification_report(
     two verification verdicts; the grade is homeomorphism-level exactly when
     the character is injective on the parameter group.
     """
-    if weights is None:
-        weights = default_weights(params)
     character = group_character(params, weights)
     pparams = character.induced
     source = build_an(pparams)

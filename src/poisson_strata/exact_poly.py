@@ -64,9 +64,9 @@ class VarSpec:
     def is_invertible(self, i: int) -> bool:
         return self.names[i] in self.invertible
 
-    def extended(self, name: str, invertible: bool = False) -> VarSpec:
-        inv = self.invertible | {name} if invertible else self.invertible
-        return VarSpec(self.names + (name,), inv)
+    def extended(self, name: str) -> VarSpec:
+        """These variables and one more, not invertible, appended last."""
+        return VarSpec(self.names + (name,), self.invertible)
 
     def with_inverted(self, names: Iterable[str]) -> VarSpec:
         names = frozenset(names)
@@ -297,18 +297,6 @@ class LaurentPoly(TermMap):
         if not self.terms:
             raise ValueError("zero polynomial has no leading monomial")
         return max(self.terms, key=monomial_key)
-
-    def leading_coefficient(self) -> Fraction:
-        return self.terms[self.leading_monomial()]
-
-    def constant_value(self) -> Fraction:
-        """The value of a constant polynomial."""
-        if not self.terms:
-            return Fraction(0)
-        [(mono, coeff)] = self.terms.items()
-        if any(mono):
-            raise ValueError("polynomial is not constant")
-        return coeff
 
     # -- what only polynomials do ---------------------------------------
 

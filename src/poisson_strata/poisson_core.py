@@ -85,9 +85,6 @@ class PoissonStructure:
                 acc = acc - t * (df[j] * dg[i])
         return acc
 
-    def bracket_names(self, a: str, b: str) -> LaurentPoly:
-        return self.entry(self.varspec.index(a), self.varspec.index(b))
-
     def jacobiator(self, f: LaurentPoly, g: LaurentPoly, h: LaurentPoly) -> LaurentPoly:
         return (
             self.bracket(self.bracket(f, g), h)
@@ -211,7 +208,6 @@ def ore_extend(
     name: str,
     alpha: PoissonDerivation,
     delta: Optional[PoissonDerivation] = None,
-    invertible: bool = False,
 ) -> PoissonStructure:
     """Adjoin a variable x with {a, x} = alpha(a) x + delta(a).
 
@@ -240,7 +236,7 @@ def ore_extend(
                     pair=(a, b),
                     residual=res_d,
                 )
-    new_vs = structure.varspec.extended(name, invertible)
+    new_vs = structure.varspec.extended(name)
     table: dict[tuple[int, int], LaurentPoly] = {
         key: entry.map_to(new_vs) for key, entry in structure.table.items()
     }

@@ -333,3 +333,88 @@ def test_report_derives_the_commutation_matrix_once(monkeypatch):
     assert len(report["strata"]) == 48
     assert all(s["upsilon_ok"] for s in report["strata"])
     assert len(calls) == 1
+
+
+@pytest.fixture
+def factor_calls(monkeypatch):
+    """Every factor_rational call, whichever module makes it."""
+    from poisson_strata import exact_poly
+
+    calls = []
+    plain = exact_poly.factor_rational
+
+    def counting(x):
+        calls.append(x)
+        return plain(x)
+
+    monkeypatch.setattr(exact_poly, "factor_rational", counting)
+    monkeypatch.setattr(correspondence, "factor_rational", counting)
+    return calls
+
+
+def test_report_factors_each_generator_once(factor_calls):
+    # p, q and the upper triangle of gamma: 3 + 3 + 3 generators at n = 3
+    report = stratification_report(quantum_sample(3), sample_weights())
+    assert len(report["strata"]) == 48
+    assert len(factor_calls) == 9
+
+
+@pytest.mark.parametrize("config, calls", [("paired_n2.json", 10), ("quantum_n2.json", 5)])
+def test_map_report_factors_each_generator_once_per_character(factor_calls, capsys, config, calls):
+    # a paired config builds the character in load_config and in the report
+    path = Path(CONFIG_PAIRED).parent / config
+    assert cli.main(["--config", str(path), "map-report"]) == 0
+    capsys.readouterr()
+    assert len(factor_calls) == calls
+
+
+def test_character_images_match_apply_on_rank_two():
+    # primes 2, 3 and 5 on a rank-2 lattice generated by 6 and 10
+    params = QuantumParams.make(
+        3,
+        [[1, 6, 10], [Fraction(1, 6), 1, Fraction(3, 5)], [Fraction(1, 10), Fraction(5, 3), 1]],
+        [6, 10, 36],
+        [10, 60, Fraction(1, 6)],
+    )
+    character = group_character(params, {2: Fraction(1, 3), 3: Fraction(-2), 5: Fraction(5, 7)})
+    assert character.group.lattice_rank == 2
+    assert character.injective_on_group is False
+    for i in range(3):
+        assert character.image_p[i] == character.apply(params.p[i])
+        assert character.image_q[i] == character.apply(params.q[i])
+        for j in range(3):
+            assert character.image_gamma[i][j] == character.apply(params.gamma[i][j])
+
+
+def test_several_primes_precede_minus_one_under_default_weights():
+    params = QuantumParams.make(2, [[1, -2], [Fraction(-1, 2), 1]], [2, 4], [8, 3])
+    with pytest.raises(ValueError) as err:
+        stratification_report(params)
+    assert type(err.value) is ValueError
+    assert str(err.value) == "parameters involve several primes; supply explicit character weights"
+
+
+@pytest.mark.parametrize(
+    "gamma12, p, q, weights, primes",
+    [
+        (11, [2, 3], [5, 7], {2: 1}, [3]),  # p_2 before any q
+        (11, [2, 3], [35, 7], {2: 1, 3: 1}, [5, 7]),  # q_1 before gamma
+        (143, [2, 3], [5, 7], {2: 1, 3: 2, 5: 3, 7: 5}, [11, 13]),
+    ],
+)
+def test_missing_weight_names_the_first_failing_parameter(gamma12, p, q, weights, primes):
+    params = QuantumParams.make(2, [[1, gamma12], [Fraction(1, gamma12), 1]], p, q)
+    with pytest.raises(ValueError) as err:
+        group_character(params, weights)
+    assert str(err.value) == f"no weight supplied for primes {primes}"
+
+
+def test_collapse_check_runs_after_p_and_q_and_before_gamma():
+    # p_1 and q_1 collapse; a missing weight on gamma comes later ...
+    params = QuantumParams.make(2, [[1, 11], [Fraction(1, 11), 1]], [2, 3], [3, 4])
+    with pytest.raises(ValueError, match="^character collapses p_1 and q_1; not usable$"):
+        group_character(params, {2: 1, 3: 1})
+    # ... and a missing weight on q_2 comes first
+    params = QuantumParams.make(2, [[1, 1], [1, 1]], [2, 3], [3, 5])
+    with pytest.raises(ValueError, match=r"^no weight supplied for primes \[5\]$"):
+        group_character(params, {2: 1, 3: 1})

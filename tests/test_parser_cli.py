@@ -386,3 +386,22 @@ def test_map_report_names_an_unfactorable_parameter(tmp_path, capsys):
     status, payload = _run_config(tmp_path, capsys, _quantum_with_q1(str(product)), ("map-report",))
     assert status == 2
     assert payload["error"] == "ValueError" and payload["message"].startswith(f"cannot factor {product}")
+
+
+def test_cli_minus_one_error_bytes(tmp_path, capsys):
+    raw = json.loads(Path(CONFIG_PAIRED).read_text())
+    raw.update(gamma=[["1", "-2"], ["-1/2", "1"]], phi_weights={"2": "1"})
+    path = tmp_path / "minus.json"
+    path.write_text(json.dumps(raw))
+    assert main(["--config", str(path), "map-report"]) == 2
+    assert capsys.readouterr().out == (
+        '{"error": "GroupContainsMinusOne", "message": "the parameter group contains -1"}\n'
+    )
+
+
+def test_config_nested_past_the_recursion_limit(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text('{"mode": "paired", "n": ' + "[" * 1000 + "]" * 1000 + "}")
+    assert main(["--config", str(path), "admissible", "--count"]) == 2
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["error"] == "ConfigError" and "nests too deeply" in payload["message"]
