@@ -18,9 +18,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import Sequence
 
-from .admissible import AdmissibleSet
+from .admissible import AdmissibleSet, derived_sets
 from .exact_poly import (
     LaurentPoly,
     ReductionRule,
@@ -181,22 +182,34 @@ def omega(params: PoissonParams, i: int, varspec: VarSpec | None = None) -> Laur
     return tail_element(params, i, LaurentPoly, varspec if varspec is not None else an_varspec(params.n))
 
 
+def log_canonical_table(params: PairParams, vs: VarSpec) -> dict[tuple[int, int], LaurentPoly]:
+    """The bracket table {g_a, g_b} = R(a, b) g_a g_b, a < b, over `vs`.
+
+    `vs` names the generators of either ring in the order y1, x1, ..., yn,
+    xn (the algebra's or the torus's).  An entry is left out when R(a, b)
+    is zero or touches a killed generator, whose monomials are zero.
+    """
+    names = vs.names
+    live = [a for a in range(len(names)) if a not in vs.killed_indices]
+    table: dict[tuple[int, int], LaurentPoly] = {}
+    for a, b in combinations(live, 2):
+        coeff = log_coefficient(params, a, b)
+        if coeff:
+            table[(a, b)] = LaurentPoly.monomial(vs, {names[a]: 1, names[b]: 1}, coeff)
+    return table
+
+
 def build_an(params: PoissonParams) -> PoissonStructure:
     """The validated Poisson structure with the defining bracket table.
 
-    {g_a, g_b} = R(a, b) g_a g_b, less the tail element O_{i-1} on the pair
-    (y_i, x_i).
+    {g_a, g_b} = R(a, b) g_a g_b (`log_canonical_table`), less the tail
+    element O_{i-1} on the pair (y_i, x_i).
     """
     vs = an_varspec(params.n)
-    names = vs.names
-    table: dict[tuple[int, int], LaurentPoly] = {}
-    for a in range(len(names)):
-        for b in range(a + 1, len(names)):
-            entry = LaurentPoly.monomial(vs, {names[a]: 1, names[b]: 1}, log_coefficient(params, a, b))
-            if a % 2 == 0 and b == a + 1:
-                entry = entry - omega(params, a // 2, vs)
-            if not entry.is_zero():
-                table[(a, b)] = entry
+    table = log_canonical_table(params, vs)
+    for i in range(2, params.n + 1):  # O_{i-1} is nonzero, as p_k != q_k
+        pair = (2 * i - 2, 2 * i - 1)
+        table[pair] = table.get(pair, LaurentPoly.zero(vs)) - omega(params, i - 1, vs)
     return PoissonStructure(vs, table).validate()
 
 
@@ -418,35 +431,27 @@ def log_canonical_matrix(params: PoissonParams) -> tuple[tuple[Fraction, ...], .
 def quotient_system(params: PoissonParams, t_set: AdmissibleSet) -> ReductionSystem:
     """The confluent rewriting system presenting the quotient by an admissible set.
 
-    Killed generators rewrite to zero; a tail element in the set with both of
-    its generators surviving solves to a pair rule y_i x_i -> expansion of
-    the lower tail, whose right side is itself reduced against the rules of
-    the lower indices so every replacement is in normal form.
+    The rule leads are the avoidance monomials of `derived_sets`, in their
+    order.  A single-letter lead is a killed generator and rewrites to zero;
+    the lead y_i x_i of a tail element in the set with both of its
+    generators surviving solves to a pair rule y_i x_i -> expansion of the
+    lower tail, whose right side is itself reduced against the rules before
+    it so every replacement is in normal form.
     """
     if t_set.n != params.n:
         raise ValueError("admissible set and parameters disagree on n")
     vs = an_varspec(params.n)
-    width = len(vs)
-    rules: list[ReductionRule] = []
     zero = LaurentPoly.zero(vs)
-
-    def unit_vec(name: str) -> tuple[int, ...]:
-        vec = [0] * width
-        vec[vs.index(name)] = 1
-        return tuple(vec)
-
-    for i in range(1, params.n + 1):
-        if t_set.y_in[i - 1]:
-            rules.append(ReductionRule(unit_vec(f"y{i}"), zero))
-        if t_set.x_in[i - 1]:
-            rules.append(ReductionRule(unit_vec(f"x{i}"), zero))
-        if t_set.omega_in[i - 1] and not t_set.y_in[i - 1] and not t_set.x_in[i - 1]:
-            lead = [0] * width
-            lead[vs.index(f"y{i}")] = 1
-            lead[vs.index(f"x{i}")] = 1
-            rhs = omega(params, i - 1, vs).scale(-1 / tail_coefficient(params, i))
-            rhs = reduce_poly(rhs, ReductionSystem(vs, tuple(rules)))
-            rules.append(ReductionRule(tuple(lead), rhs))
+    rules: list[ReductionRule] = []
+    for lead_names in derived_sets(t_set).avoid_monomials:
+        lead = tuple(int(name in lead_names) for name in vs.names)
+        if len(lead_names) == 1:
+            rules.append(ReductionRule(lead, zero))
+            continue
+        i = int(lead_names[0][1:])
+        rhs = omega(params, i - 1, vs).scale(-1 / tail_coefficient(params, i))
+        rhs = reduce_poly(rhs, ReductionSystem(vs, tuple(rules)))
+        rules.append(ReductionRule(lead, rhs))
     return ReductionSystem(vs, tuple(rules))
 
 

@@ -24,7 +24,7 @@ from operator import add
 from typing import Iterable, Mapping, Sequence
 
 from .algebra_an import PairParams, generator_names, pair_word, tail_coefficient, tail_element
-from .exact_poly import DEFAULT_STEP_BUDGET, Scalar, TermMap, accumulate, format_terms
+from .exact_poly import DEFAULT_STEP_BUDGET, Scalar, TermMap, VarSpec, accumulate, format_terms
 
 Relation = tuple[str, tuple[tuple[Fraction, tuple[str, ...]], ...]]
 
@@ -251,36 +251,23 @@ class QuantumTorus:
     """Arithmetic in the attached quantized coordinate ring, modulo killed
     generators and localized at inverted ones.
 
-    Monomials touching a killed generator are zero; exponents may be
-    negative exactly on the inverted generators.  Products of monomials pick
+    The ring is `varspec`, the torus generators Y1, X1, ..., Yn, Xn with
+    the killed and inverted ones flagged, as on a Poisson-side target; its
+    elements are admitted by the Laurent rule.  Products of monomials pick
     up the bicharacter twist of the commutation matrix.
     """
 
     def __init__(self, params: QuantumParams, kill: Iterable[str] = (), invert: Iterable[str] = ()):
         self.params = params
-        self.names = torus_names(params.n)
-        self.kill = frozenset(kill)
-        self.invert = frozenset(invert)
-        unknown = (self.kill | self.invert) - set(self.names)
-        if unknown:
-            raise KeyError(f"unknown torus generators {sorted(unknown)}")
-        overlap = self.kill & self.invert
-        if overlap:
-            raise ValueError(f"cannot invert killed generators {sorted(overlap)}")
-        self._kill_idx = {self.names.index(name) for name in self.kill}
-        self._invert_idx = {self.names.index(name) for name in self.invert}
+        self.varspec = VarSpec(torus_names(params.n), frozenset(invert), frozenset(kill))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, QuantumTorus):
             return NotImplemented
-        return (
-            self.params == other.params
-            and self.kill == other.kill
-            and self.invert == other.invert
-        )
+        return self.params == other.params and self.varspec == other.varspec
 
     def __hash__(self):
-        return hash((self.params, self.kill, self.invert))
+        return hash((self.params, self.varspec))
 
     def one(self) -> QTorusElement:
         return QTorusElement.one(self)
@@ -312,20 +299,11 @@ class QTorusElement(TermMap):
 
     @staticmethod
     def _names(torus: QuantumTorus) -> tuple[str, ...]:
-        return torus.names
+        return torus.varspec.names
 
     @staticmethod
     def _admit(torus: QuantumTorus, mono: tuple[int, ...]) -> bool:
-        if len(mono) != 2 * torus.params.n:
-            raise ValueError(f"bad exponent vector {mono}")
-        if any(mono[i] for i in torus._kill_idx):
-            return False  # killed generator: the monomial is zero
-        for i, e in enumerate(mono):
-            if e < 0 and i not in torus._invert_idx:
-                raise ValueError(
-                    f"negative exponent on non-inverted generator {torus.names[i]!r}"
-                )
-        return True
+        return torus.varspec.admit(mono)
 
     def __mul__(self, other: QTorusElement) -> QTorusElement:
         self._check_owner(other)
@@ -346,4 +324,4 @@ class QTorusElement(TermMap):
 
 
 def format_torus(f: QTorusElement) -> str:
-    return format_terms(f.terms, f.torus.names)
+    return format_terms(f.terms, f.torus.varspec.names)

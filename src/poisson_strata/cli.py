@@ -91,7 +91,6 @@ class Config:
     poisson: Optional[PoissonParams]
     quantum: Optional[QuantumParams]
     weights: Optional[dict[int, Fraction]]
-    admissible_literal: Optional[adm.AdmissibleSet]
 
 
 def load_config(path: str) -> Config:
@@ -140,18 +139,17 @@ def load_config(path: str) -> Config:
             if not prime:
                 raise ConfigError(f"weight keys must be primes, got {key!r}")
             weights[int(key)] = _rational(value)
-    literal = None
-    if raw.get("admissible") is not None:
+    if raw.get("admissible") is not None:  # validated only; no command reads it
         names = _list(raw["admissible"], "admissible")
         if not all(isinstance(name, str) for name in names):
             raise ConfigError(f"admissible members must be strings, got {names!r}")
         try:
-            literal = adm.AdmissibleSet.from_names(n, names)
+            adm.AdmissibleSet.from_names(n, names)
         except ValueError as exc:
             raise ConfigError(f"bad admissible literal: {exc}") from None
     if mode == "paired":
         poisson = group_character(quantum, weights).induced
-    return Config(mode, poisson, quantum, weights, literal)
+    return Config(mode, poisson, quantum, weights)
 
 
 def _step_budget() -> int:

@@ -3,7 +3,9 @@
 For an admissible set T, both sides map the quotient-localization of the
 source algebra into the attached log-canonical algebra (Poisson side) or
 quantum torus (quantized side), with the target's generators named by eta(T)
-killed and the surviving Y's inverted.  The generator images are identical
+killed and the surviving Y's inverted.  That ring is described once, by
+`stratum_varspec(T)`: both targets are built on it, and the report's unit
+check reads its inverted generators.  The generator images are identical
 in shape on both sides and are chosen by a single five-way dispatch:
 
     y_i          -> Y_i                                    (all i)
@@ -27,7 +29,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import partial
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
@@ -37,7 +38,7 @@ from .algebra_an import (
     PoissonParams,
     an_varspec,
     build_an,
-    log_coefficient,
+    log_canonical_table,
     named_element,
     tail_coefficient,
 )
@@ -54,7 +55,6 @@ from .algebra_kn import (
 from .exact_poly import (
     GroupAnalysis,
     LaurentPoly,
-    Scalar,
     TermMap,
     VarSpec,
     factor_rational,
@@ -103,30 +103,24 @@ class GeneratorMap:
 # -- Poisson side ------------------------------------------------------------
 
 
-def poisson_stratum_target(params: PoissonParams, t_set: AdmissibleSet) -> PoissonStructure:
-    """The log-canonical algebra on the surviving target generators.
+def stratum_varspec(t_set: AdmissibleSet) -> VarSpec:
+    """The target ring of both stratum maps of T: the torus generators Y1,
+    X1, ..., Yn, Xn with eta(T) killed and the Y's of the surviving y's
+    inverted.  The Poisson target and the quantum torus are built on it."""
+    sets = derived_sets(t_set)
+    invert = frozenset("Y" + name[1:] for name in sets.y_survivors)
+    return VarSpec(torus_names(t_set.n), invert, frozenset(sets.eta))
 
-    Killed generators are removed from the ring rather than quotiented, so
-    target arithmetic stays in an honest Laurent ring; surviving Y's with
-    their y outside T are invertible.
+
+def poisson_stratum_target(params: PoissonParams, t_set: AdmissibleSet) -> PoissonStructure:
+    """The log-canonical algebra on `stratum_varspec(t_set)`.
+
+    Its table is `log_canonical_table` over that ring, so an entry touching
+    a killed generator is zero and left out, and the bracket never
+    differentiates a killed generator.
     """
-    n = params.n
-    eta = set(derived_sets(t_set).eta)
-    full = torus_names(n)
-    surviving = tuple(nm for nm in full if nm not in eta)
-    invert = frozenset(
-        f"Y{i}" for i in range(1, n + 1) if not t_set.y_in[i - 1]
-    )
-    vs = VarSpec(surviving, invert)
-    table = {}
-    for a in range(len(surviving)):
-        for b in range(a + 1, len(surviving)):
-            coeff = log_coefficient(params, full.index(surviving[a]), full.index(surviving[b]))
-            if coeff != 0:
-                table[(a, b)] = LaurentPoly.monomial(
-                    vs, {surviving[a]: 1, surviving[b]: 1}, coeff
-                )
-    return PoissonStructure(vs, table)
+    vs = stratum_varspec(t_set)
+    return PoissonStructure(vs, log_canonical_table(params, vs))
 
 
 def _stratum_map(params: PairParams, t_set: AdmissibleSet, target, generator) -> GeneratorMap:
@@ -148,18 +142,11 @@ def _stratum_map(params: PairParams, t_set: AdmissibleSet, target, generator) ->
     return GeneratorMap(t_set, cases, images, target)
 
 
-def _target_monomial(vs: VarSpec, exps: Mapping[str, int], coeff: Scalar = 1) -> LaurentPoly:
-    """A monomial of the Poisson target; zero when it touches a killed generator."""
-    if any(nm not in vs.names for nm in exps):
-        return LaurentPoly.zero(vs)
-    return LaurentPoly.monomial(vs, exps, coeff)
-
-
 def poisson_stratum_map(params: PoissonParams, t_set: AdmissibleSet) -> GeneratorMap:
     if t_set.n != params.n:
         raise ValueError("admissible set and parameters disagree on n")
     target = poisson_stratum_target(params, t_set)
-    return _stratum_map(params, t_set, target, lambda nm: _target_monomial(target.varspec, {nm: 1}))
+    return _stratum_map(params, t_set, target, target.generator)
 
 
 def _substitute(images: Mapping[str, TermMap], combination, one: TermMap) -> TermMap:
@@ -180,27 +167,28 @@ def _words(f: TermMap, names: Sequence[str]) -> list[tuple[Fraction, list[str]]]
     return [(c, [nm for nm, e in zip(names, mono) for _ in range(e)]) for mono, c in f.terms.items()]
 
 
-def _stratum_report(params, gmap: GeneratorMap, failures, source, target_monomial, apply, fmt) -> dict:
+def _stratum_report(params, gmap: GeneratorMap, failures, source, target, apply, fmt) -> dict:
     """A stratum map's report: `failures` plus the checks both sides share.
 
     Each tail element must map to (q_i - p_i) Y_i X_i, each member of T to
     zero, and the surviving y's onto the inverted target generators.
-    `source` is the (class, owner) of source elements; `target_monomial(exps,
-    coeff)` gives a target monomial, zero when it touches a killed generator.
+    `source` and `target` are the (class, owner) of source and target
+    elements; the inverted generators are read off the target's `varspec`.
     """
     t_set = gmap.t_set
+    cls, owner = target
     for i in range(1, params.n + 1):
         img = apply(gmap, named_element(params, f"Omega{i}", *source))
-        expected = target_monomial({f"Y{i}": 1, f"X{i}": 1}, tail_coefficient(params, i))
+        expected = cls.monomial(owner, {f"Y{i}": 1, f"X{i}": 1}, tail_coefficient(params, i))
         if img != expected:
             failures.append(f"tail element {i} image: residual {fmt(img - expected)}")
     for name in t_set.member_names():
         img = apply(gmap, named_element(params, name, *source))
         if not img.is_zero():
             failures.append(f"member {name} does not map to zero: residual {fmt(img)}")
-    surviving = [i for i in range(1, params.n + 1) if not t_set.y_in[i - 1]]
-    units = {gmap.images[f"y{i}"] for i in surviving}
-    if units != {target_monomial({f"Y{i}": 1}, 1) for i in surviving}:
+    inverted = gmap.target.varspec.invertible
+    units = {gmap.images["y" + name[1:]] for name in inverted}
+    if units != {cls.generator(owner, name) for name in inverted}:
         failures.append("surviving y images do not generate the inverted set")
     return {"ok": not failures, "failures": failures, "members": list(t_set.member_names())}
 
@@ -242,9 +230,9 @@ def verify_poisson_stratum_map(
                 failures.append(
                     f"bracket pair ({names[a]}, {names[b]}): residual {format_poly(lhs - rhs)}"
                 )
-    monomial = partial(_target_monomial, target.varspec)
     return _stratum_report(
-        params, gmap, failures, (LaurentPoly, source.varspec), monomial, apply_poisson_map, format_poly
+        params, gmap, failures, (LaurentPoly, source.varspec), (LaurentPoly, target.varspec),
+        apply_poisson_map, format_poly,
     )
 
 
@@ -290,9 +278,9 @@ def nested_congruence_check(
 
 
 def quantum_stratum_target(params: QuantumParams, t_set: AdmissibleSet) -> QuantumTorus:
-    eta = derived_sets(t_set).eta
-    invert = tuple(f"Y{i}" for i in range(1, params.n + 1) if not t_set.y_in[i - 1])
-    return QuantumTorus(params, kill=eta, invert=invert)
+    """The quantum torus on `stratum_varspec(t_set)`."""
+    vs = stratum_varspec(t_set)
+    return QuantumTorus(params, kill=vs.killed, invert=vs.invertible)
 
 
 def quantum_stratum_map(params: QuantumParams, t_set: AdmissibleSet) -> GeneratorMap:
@@ -320,7 +308,8 @@ def verify_quantum_stratum_map(params: QuantumParams, t_set: AdmissibleSet) -> d
         if not acc.is_zero():
             failures.append(f"relation {label}: residual {format_torus(acc)}")
     return _stratum_report(
-        params, gmap, failures, (NCElement, params.n), torus.monomial, apply_quantum_map, format_torus
+        params, gmap, failures, (NCElement, params.n), (QTorusElement, torus),
+        apply_quantum_map, format_torus,
     )
 
 
@@ -372,11 +361,13 @@ def parameter_group_generators(params: QuantumParams) -> list[Fraction]:
 
 
 def _single_prime_weights(analysis: GroupAnalysis) -> dict[int, Fraction]:
-    if len(analysis.primes) != 1:
+    """Weight 1 on the occurring prime; none when no prime occurs, as the
+    group is then trivial."""
+    if len(analysis.primes) > 1:
         raise ValueError(
             "parameters involve several primes; supply explicit character weights"
         )
-    return {analysis.primes[0]: Fraction(1)}
+    return {p: Fraction(1) for p in analysis.primes}
 
 
 def group_character(
@@ -442,7 +433,8 @@ def group_character(
 
 
 def default_weights(params: QuantumParams) -> dict[int, Fraction]:
-    """Weight 1 on the single occurring prime; anything richer needs the user."""
+    """Weight 1 on the single occurring prime (none for the trivial group);
+    anything richer needs the user."""
     return _single_prime_weights(group_analysis(parameter_group_generators(params)))
 
 

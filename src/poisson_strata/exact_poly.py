@@ -36,21 +36,34 @@ class ReductionBudgetExceeded(RuntimeError):
 
 @dataclass(frozen=True)
 class VarSpec:
-    """An ordered list of variable names with per-variable Laurent flags.
+    """An ordered list of variable names with per-variable flags.
 
     The order is fixed for the life of an algebra; monomials are exponent
-    vectors indexed by this order.
+    vectors indexed by this order.  An invertible variable may carry a
+    negative exponent.  A killed variable is set to zero: a monomial with a
+    nonzero exponent on it is zero, so no element of the ring contains it.
+    A variable cannot be both.  Construction derives the index sets that
+    admission reads for every monomial.
     """
 
     names: tuple[str, ...]
     invertible: frozenset[str] = frozenset()
+    killed: frozenset[str] = frozenset()
+    invertible_indices: frozenset[int] = field(init=False, repr=False, compare=False)
+    killed_indices: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(set(self.names)) != len(self.names):
             raise ValueError(f"duplicate variable names in {self.names}")
-        unknown = self.invertible - set(self.names)
+        unknown = (self.invertible | self.killed) - set(self.names)
         if unknown:
-            raise ValueError(f"invertible flags for unknown variables {sorted(unknown)}")
+            raise KeyError(f"flags for unknown variables {sorted(unknown)}")
+        overlap = self.invertible & self.killed
+        if overlap:
+            raise ValueError(f"cannot invert killed variables {sorted(overlap)}")
+        index = self.names.index
+        object.__setattr__(self, "invertible_indices", frozenset(map(index, self.invertible)))
+        object.__setattr__(self, "killed_indices", tuple(sorted(map(index, self.killed))))
 
     def __len__(self) -> int:
         return len(self.names)
@@ -61,19 +74,28 @@ class VarSpec:
         except ValueError:
             raise KeyError(f"unknown variable {name!r}") from None
 
+    def admit(self, mono: tuple[int, ...]) -> bool:
+        """False when the exponent vector is a zero monomial (it touches a
+        killed variable); raises unless it is a monomial of the ring."""
+        if len(mono) != len(self.names):
+            raise ValueError(f"exponent vector {mono} has wrong arity for {self.names}")
+        for i in self.killed_indices:
+            if mono[i]:
+                return False
+        for i, e in enumerate(mono):
+            if e < 0 and i not in self.invertible_indices:
+                raise ValueError(f"negative exponent on non-invertible variable {self.names[i]!r}")
+        return True
+
     def is_invertible(self, i: int) -> bool:
-        return self.names[i] in self.invertible
+        return i in self.invertible_indices
 
     def extended(self, name: str) -> VarSpec:
-        """These variables and one more, not invertible, appended last."""
-        return VarSpec(self.names + (name,), self.invertible)
+        """These variables and one more, not flagged, appended last."""
+        return VarSpec(self.names + (name,), self.invertible, self.killed)
 
     def with_inverted(self, names: Iterable[str]) -> VarSpec:
-        names = frozenset(names)
-        unknown = names - set(self.names)
-        if unknown:
-            raise KeyError(f"cannot invert unknown variables {sorted(unknown)}")
-        return VarSpec(self.names, self.invertible | names)
+        return VarSpec(self.names, self.invertible | frozenset(names), self.killed)
 
 
 def monomial_key(m: tuple[int, ...]):
@@ -272,16 +294,7 @@ class LaurentPoly(TermMap):
     def _names(varspec: VarSpec) -> tuple[str, ...]:
         return varspec.names
 
-    @staticmethod
-    def _admit(varspec: VarSpec, mono: tuple[int, ...]) -> bool:
-        if len(mono) != len(varspec):
-            raise ValueError(f"exponent vector {mono} has wrong arity for {varspec.names}")
-        for i, e in enumerate(mono):
-            if e < 0 and not varspec.is_invertible(i):
-                raise ValueError(
-                    f"negative exponent on non-invertible variable {varspec.names[i]!r}"
-                )
-        return True
+    _admit = staticmethod(VarSpec.admit)
 
     @classmethod
     def constant(cls, varspec: VarSpec, c: Scalar) -> LaurentPoly:

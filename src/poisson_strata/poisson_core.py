@@ -7,7 +7,8 @@ bracket of arbitrary elements is the unique biderivation extending the table,
 
 evaluated in one pass over the table rather than by recursive Leibniz
 descent.  Each argument's gradient is computed once per bracket (one partial
-derivative per generator), and a product with a zero partial is skipped.
+derivative per generator that is not killed), and a product with a zero
+partial is skipped.
 Antisymmetry and the Leibniz rule hold by construction; the Jacobi identity
 on generator triples is what `jacobi_check` verifies, and it propagates to
 all elements because the jacobiator of a biderivation bracket is a
@@ -72,11 +73,19 @@ class PoissonStructure:
     def generator(self, name: str) -> LaurentPoly:
         return LaurentPoly.variable(self.varspec, name)
 
+    def _gradient(self, f: LaurentPoly) -> list[LaurentPoly]:
+        """The partials of f by each generator.  A killed generator's is zero,
+        since no monomial of the ring contains it, and is not computed."""
+        vs = self.varspec
+        return [
+            LaurentPoly.zero(vs) if i in vs.killed_indices else f.derivative_index(i)
+            for i in range(len(vs))
+        ]
+
     def bracket(self, f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
         if f.varspec != self.varspec or g.varspec != self.varspec:
             raise VarSpecMismatch("bracket arguments over the wrong variables")
-        df = [f.derivative_index(i) for i in range(len(self.varspec))]
-        dg = [g.derivative_index(i) for i in range(len(self.varspec))]
+        df, dg = self._gradient(f), self._gradient(g)
         acc = LaurentPoly.zero(self.varspec)
         for (i, j), t in self.table.items():
             if not (df[i].is_zero() or dg[j].is_zero()):

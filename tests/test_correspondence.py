@@ -70,7 +70,7 @@ def test_poisson_image_own_tail_in_set():
     params = quantum_sample_image()
     gmap = poisson_stratum_map(params, AdmissibleSet.from_names(2, ["Omega2"]))
     vs = gmap.target.varspec
-    assert "X2" not in vs.names  # killed
+    assert "X2" in vs.killed
     assert gmap.images["x2"] == LaurentPoly.monomial(
         vs, {"Y2": -1, "Y1": 1, "X1": 1}, Fraction(-1, 2)
     )
@@ -122,6 +122,56 @@ def test_poisson_failure_names_pair_and_residual():
     assert verify_poisson_stratum_map(params, empty_set(2), source)["ok"]
     with pytest.raises(ValueError):
         verify_poisson_stratum_map(params, empty_set(2), build_an(quantum_sample_image(1)))
+
+
+KILLS_Y1 = AdmissibleSet.from_names(2, ["y1", "Omega1"])  # eta = (Y1,)
+
+
+def test_poisson_failure_on_a_stratum_that_kills_generators():
+    params = quantum_sample_image()
+    source = build_an(params)
+    vs = source.varspec
+    table = dict(source.table)
+    # {y2, x2} += y1*x2 + 3*x1*x2; the first term dies with Y1
+    table[(2, 3)] = table[(2, 3)] + LaurentPoly(vs, {(1, 0, 0, 1): 1, (0, 1, 0, 1): 3})
+    report = verify_poisson_stratum_map(params, KILLS_Y1, PoissonStructure(vs, table))
+    assert report["failures"] == ["bracket pair (y2, x2): residual 3*X1*X2"]
+    assert verify_poisson_stratum_map(params, KILLS_Y1, source)["ok"]
+
+
+def test_quantum_failure_on_a_stratum_that_kills_generators(monkeypatch):
+    params = quantum_sample()
+    plain = correspondence.defining_relations
+
+    def corrupted(params):
+        out = []
+        for label, combo in plain(params):
+            if label == "x2y2":  # y1*x2 dies with Y1
+                combo = combo + ((Fraction(1), ("y1", "x2")), (Fraction(2), ("x1", "x2")))
+            out.append((label, combo))
+        return out
+
+    assert verify_quantum_stratum_map(params, KILLS_Y1)["ok"]
+    monkeypatch.setattr(correspondence, "defining_relations", corrupted)
+    report = verify_quantum_stratum_map(params, KILLS_Y1)
+    assert report["failures"] == ["relation x2y2: residual 2*X1*X2"]
+
+
+def test_target_bracket_skips_killed_generators(monkeypatch):
+    target = correspondence.poisson_stratum_target(quantum_sample_image(), KILLS_Y1)
+    assert target.varspec.killed == {"Y1"} and target.varspec.invertible == {"Y2"}
+    assert all(0 not in key for key in target.table)
+    calls = []
+    plain = LaurentPoly.derivative
+
+    def counting(self, name):
+        calls.append(name)
+        return plain(self, name)
+
+    monkeypatch.setattr(LaurentPoly, "derivative", counting)
+    x1, y2 = target.generator("X1"), target.generator("Y2")
+    assert target.bracket(x1, y2) == LaurentPoly.monomial(target.varspec, {"X1": 1, "Y2": 1}, 2)
+    assert "Y1" not in calls and len(calls) == 6
 
 
 def test_reports_build_the_source_algebra_once(monkeypatch):

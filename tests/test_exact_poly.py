@@ -105,6 +105,29 @@ def test_negative_exponent_rejected_without_flag():
         LaurentPoly(VS2, {(-1, 0, 0, 0): Fraction(1)})
 
 
+def test_killed_variable_makes_its_monomials_zero():
+    vs = VarSpec(("y1", "x1", "y2"), frozenset({"y2"}), frozenset({"x1"}))
+    assert vs.killed_indices == (1,) and vs.invertible_indices == {2}
+    assert LaurentPoly.variable(vs, "x1").is_zero()
+    assert LaurentPoly.monomial(vs, {"y1": 2, "x1": 1, "y2": -1}, 7).is_zero()
+    f = LaurentPoly(vs, {(1, 1, 0): 3, (1, 0, -1): 2})
+    assert f == LaurentPoly.monomial(vs, {"y1": 1, "y2": -1}, 2)
+    assert (f * f).derivative("x1").is_zero()
+    assert vs.extended("t").killed == {"x1"} and vs.with_inverted(["y1"]).killed == {"x1"}
+    # flags are part of the ring: the same names without the kill are another owner
+    with pytest.raises(VarSpecMismatch):
+        f + LaurentPoly.one(VarSpec(vs.names, vs.invertible))
+
+
+def test_varspec_rejects_bad_kill_flags():
+    with pytest.raises(ValueError):
+        VarSpec(("y1", "x1"), frozenset({"y1"}), frozenset({"y1"}))
+    with pytest.raises(KeyError):
+        VarSpec(("y1", "x1"), killed=frozenset({"z"}))
+    with pytest.raises(KeyError):
+        VarSpec(("y1", "x1"), frozenset({"z"}))
+
+
 def test_varspec_mismatch_raises():
     other = VarSpec(("a", "b"))
     with pytest.raises(VarSpecMismatch):

@@ -388,6 +388,30 @@ def test_map_report_names_an_unfactorable_parameter(tmp_path, capsys):
     assert payload["error"] == "ValueError" and payload["message"].startswith(f"cannot factor {product}")
 
 
+def test_trivial_parameter_group_needs_no_weights(tmp_path, capsys):
+    raw = {"mode": "paired", "n": 0, "gamma": [], "p": [], "q": []}
+    status, payload = _run_config(tmp_path, capsys, raw, ("map-report",))
+    assert status == 0
+    assert payload["grade"] == "homeomorphism" and payload["phi"]["weights"] == {}
+    assert payload["strata"] == [
+        {"members": [], "eta": [], "length": 0, "gk_dim": 0, "psi_ok": True, "upsilon_ok": True}
+    ]
+    status, payload = _run_config(tmp_path, capsys, raw, ("matrices",))
+    assert status == 0 and payload == {"r": [], "s": []}
+    status, payload = _run_config(tmp_path, capsys, raw, ("verify", "psi"))
+    assert status == 0 and payload["ok"]
+    assert payload["details"]["strata"] == [{"members": [], "ok": True}]
+
+
+def test_config_admissible_literal_is_validated(tmp_path, capsys):
+    status, _ = _run_config(tmp_path, capsys, {**POISSON_RAW, "admissible": ["y1", "Omega1"]})
+    assert status == 0
+    for literal, text in ((["y1"], "bad admissible literal"), ("y1", "must be a JSON list"), ([1], "strings")):
+        status, payload = _run_config(tmp_path, capsys, {**POISSON_RAW, "admissible": literal})
+        assert status == 2
+        assert payload["error"] == "ConfigError" and text in payload["message"]
+
+
 def test_cli_minus_one_error_bytes(tmp_path, capsys):
     raw = json.loads(Path(CONFIG_PAIRED).read_text())
     raw.update(gamma=[["1", "-2"], ["-1/2", "1"]], phi_weights={"2": "1"})
