@@ -4,15 +4,18 @@ Configs are JSON with every rational written as a string "a/b" (plain
 integers are accepted; floats are rejected to keep the arithmetic exact).
 All commands print JSON to stdout; verification failures exit nonzero with a
 machine-readable error object.  The environment variable
-POISSON_STRATA_STEP_BUDGET caps the rewrite steps of each product and each
-normal form: one step is one generator crossing the block of letters to its
-right in a quantized product, or one rule application in a quotient normal
-form.
+POISSON_STRATA_STEP_BUDGET caps the steps of each product, each normal form
+and each Poisson expression: one step is one generator crossing the block of
+letters to its right in a quantized product, one rule application in a
+quotient normal form, or one term pair of a product or bracket while a
+`bracket` argument is evaluated (the final bracket of the two arguments has
+a budget of its own).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -56,7 +59,14 @@ from .exact_poly import (
     is_prime,
     reduce_poly,
 )
-from .parser import EvalError, ParseError, eval_poisson, eval_quantum, parse_expr
+from .parser import (
+    EvalError,
+    ParseError,
+    charge_term_pairs,
+    eval_poisson,
+    eval_quantum,
+    parse_expr,
+)
 
 ENV_STEP_BUDGET = "POISSON_STRATA_STEP_BUDGET"
 RANDOM_TRIALS = 1000  # random inputs per stratum (confluence) and triples (associativity)
@@ -344,8 +354,10 @@ def run_suite(config: Config, name: str) -> dict:
 def cmd_bracket(config: Config, args) -> dict:
     params = _require_poisson(config)
     structure = build_an(params)
-    left = eval_poisson(parse_expr(args.left), structure, params)
-    right = eval_poisson(parse_expr(args.right), structure, params)
+    budget = _step_budget()
+    left = eval_poisson(parse_expr(args.left), structure, params, budget)
+    right = eval_poisson(parse_expr(args.right), structure, params, budget)
+    charge_term_pairs(0, left, right, budget)
     return {"result": format_poly(structure.bracket(left, right))}
 
 
@@ -407,7 +419,10 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def build_arg_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared by every
+    later one; parsing does not change it."""
     parser = argparse.ArgumentParser(
         prog="poisson-strata",
         description="Exact verification toolkit for the multiparameter Poisson/quantum algebras",

@@ -116,8 +116,7 @@ def poisson_stratum_target(params: PoissonParams, t_set: AdmissibleSet) -> Poiss
     """The log-canonical algebra on `stratum_varspec(t_set)`.
 
     Its table is `log_canonical_table` over that ring, so an entry touching
-    a killed generator is zero and left out, and the bracket never
-    differentiates a killed generator.
+    a killed generator is zero and left out.
     """
     vs = stratum_varspec(t_set)
     return PoissonStructure(vs, log_canonical_table(params, vs))

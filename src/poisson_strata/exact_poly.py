@@ -17,7 +17,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import add, sub
+from math import lcm
+from operator import add, mul, sub
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 Scalar = Union[Fraction, int]
@@ -115,11 +116,12 @@ def _as_fraction(c: Scalar) -> Fraction:
 
 
 def accumulate(
-    acc: dict[tuple[int, ...], Fraction],
-    terms: Mapping[tuple[int, ...], Fraction],
-    coeff: Optional[Fraction] = None,
-) -> dict[tuple[int, ...], Fraction]:
+    acc: dict[tuple[int, ...], Scalar],
+    terms: Mapping[tuple[int, ...], Scalar],
+    coeff: Optional[Scalar] = None,
+) -> dict[tuple[int, ...], Scalar]:
     """acc += coeff * terms in place (coeff None meaning 1); returns acc.
+    The values are rationals, or integer numerators over one denominator.
 
     A monomial new to acc is appended and an entry that sums to zero is
     deleted, so acc stays canonical when coeff and the values of terms are
@@ -138,6 +140,27 @@ def accumulate(
             else:
                 del acc[mono]
     return acc
+
+
+def integer_terms(
+    terms: Mapping[tuple[int, ...], Fraction],
+) -> tuple[dict[tuple[int, ...], int], int]:
+    """(numerators, d): the term map as integer numerators over d, the least
+    common denominator of its coefficients (1 for no terms).
+
+    Products and brackets sum integers over d and divide once per result
+    term (`over_denominator`), which is exact and much cheaper than
+    rational arithmetic on every term pair.
+    """
+    d = lcm(*[c.denominator for c in terms.values()])
+    return {mono: c.numerator * (d // c.denominator) for mono, c in terms.items()}, d
+
+
+def over_denominator(
+    numerators: Mapping[tuple[int, ...], int], d: int
+) -> dict[tuple[int, ...], Fraction]:
+    """The canonical term map of integer numerators (all nonzero) over d."""
+    return {mono: Fraction(c, d) for mono, c in numerators.items()}
 
 
 def format_terms(terms: Mapping[tuple[int, ...], Fraction], names: Sequence[str]) -> str:
@@ -263,19 +286,23 @@ class TermMap:
         return self._trusted(self.owner, {m: c * v for m, v in self.terms.items()} if c else {})
 
     def __pow__(self, e: int):
+        return self.power(e)
+
+    def power(self, e: int, mul=mul):
         """Binary powering that multiplies only while exponent bits remain,
         so x ** 1 makes no product; a negative e first takes the subclass's
-        `_inverse()`."""
+        `_inverse()`.  Every product is `mul(a, b)`, so a caller can charge
+        it against a budget."""
         if e < 0:
-            return self._inverse() ** -e
+            return self._inverse().power(-e, mul)
         result = None
         base = self
         while e:
             if e & 1:
-                result = base if result is None else result * base
+                result = base if result is None else mul(result, base)
             e >>= 1
             if e:
-                base = base * base
+                base = mul(base, base)
         return self.one(self.owner) if result is None else result
 
 
@@ -314,11 +341,24 @@ class LaurentPoly(TermMap):
     # -- what only polynomials do ---------------------------------------
 
     def __mul__(self, other: LaurentPoly) -> LaurentPoly:
+        """Term pairs are summed as integer numerators (`integer_terms`) and
+        divided once per result term; a factor of at most one term only
+        shifts and scales the other."""
         self._check_owner(other)
-        acc: dict[tuple[int, ...], Fraction] = {}
-        for m1, c1 in self.terms.items():
-            accumulate(acc, {tuple(map(add, m1, m2)): c2 for m2, c2 in other.terms.items()}, c1)
-        return LaurentPoly._trusted(self.varspec, acc)
+        short, long = (self, other) if len(self.terms) <= len(other.terms) else (other, self)
+        if len(short.terms) <= 1:  # zero or a monomial: no two products meet
+            terms = {
+                tuple(map(add, m1, m2)): c1 * c2
+                for m1, c1 in short.terms.items()
+                for m2, c2 in long.terms.items()
+            }
+            return LaurentPoly._trusted(self.varspec, terms)
+        f_ints, f_den = integer_terms(self.terms)
+        g_ints, g_den = integer_terms(other.terms)
+        acc: dict[tuple[int, ...], int] = {}
+        for m1, a in f_ints.items():
+            accumulate(acc, {tuple(map(add, m1, m2)): b for m2, b in g_ints.items()}, a)
+        return LaurentPoly._trusted(self.varspec, over_denominator(acc, f_den * g_den))
 
     def monomial_inverse(self) -> LaurentPoly:
         """Inverse of a single-term polynomial; all its variables must be invertible."""
@@ -493,7 +533,7 @@ def reduce_poly(
     exactly.  One `LaurentPoly` is built at the end; when no rule applies,
     f itself is returned.
     """
-    if f.varspec != system.varspec:
+    if f.varspec is not system.varspec and f.varspec != system.varspec:
         raise VarSpecMismatch("polynomial and reduction system disagree on variables")
     divisors = system.lead_divisors
     shifts = system.replacement_shifts

@@ -19,14 +19,20 @@ evaluators and `ast_to_text` walk in a loop.
 
 from __future__ import annotations
 
-import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Union
 
 from .algebra_an import PoissonParams, omega
-from .algebra_kn import NCElement, QuantumParams, kn_names, nc_multiply, omega_q
+from .algebra_kn import (
+    NCElement,
+    QuantumParams,
+    StepBudgetExceeded,
+    kn_names,
+    nc_multiply,
+    omega_q,
+)
 from .exact_poly import DEFAULT_STEP_BUDGET, LaurentPoly
 from .poisson_core import PoissonStructure
 
@@ -283,18 +289,50 @@ def _tail_index(node: Expr, n: int, names) -> Optional[int]:
     return None
 
 
-def eval_poisson(ast: Expr, structure: PoissonStructure, params: PoissonParams) -> LaurentPoly:
+def charge_term_pairs(spent: int, f: LaurentPoly, g: LaurentPoly, max_steps: int) -> int:
+    """`spent` plus the |f|·|g| term pairs of one product or bracket of f and
+    g; raises StepBudgetExceeded, before the work is done, once the sum
+    passes max_steps."""
+    spent += len(f.terms) * len(g.terms)
+    if spent > max_steps:
+        raise StepBudgetExceeded(f"exceeded {max_steps} term pairs")
+    return spent
+
+
+def eval_poisson(
+    ast: Expr,
+    structure: PoissonStructure,
+    params: PoissonParams,
+    max_steps: int = DEFAULT_STEP_BUDGET,
+) -> LaurentPoly:
+    """Evaluate in the Poisson algebra.  Every product, every product of a
+    power and every bracket is charged its term pairs, one step each,
+    against one budget of max_steps for the whole expression."""
     vs = structure.varspec
+    spent = 0
+
+    def charge(f: LaurentPoly, g: LaurentPoly) -> None:
+        nonlocal spent
+        spent = charge_term_pairs(spent, f, g, max_steps)
+
+    def mul(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
+        charge(f, g)
+        return f * g
 
     def leaf(node: Expr, ev) -> LaurentPoly:
         if isinstance(node, Bracket):
-            return structure.bracket(ev(node.left), ev(node.right))
+            f, g = ev(node.left), ev(node.right)
+            charge(f, g)
+            return structure.bracket(f, g)
         if isinstance(node, Num):
             return LaurentPoly.constant(vs, node.value)
         k = _tail_index(node, params.n, vs.names)
         return LaurentPoly.variable(vs, node.name) if k is None else omega(params, k, vs)
 
-    return _evaluate(ast, leaf, operator.mul, operator.pow)
+    def power(base: LaurentPoly, e: int) -> LaurentPoly:
+        return base.power(e, mul)
+
+    return _evaluate(ast, leaf, mul, power)
 
 
 def eval_quantum(ast: Expr, params: QuantumParams, max_steps: int = DEFAULT_STEP_BUDGET) -> NCElement:

@@ -3,12 +3,21 @@
 A Poisson structure is stored as the bracket table on generator pairs; the
 bracket of arbitrary elements is the unique biderivation extending the table,
 
-    {f, g} = sum_{i<j} table(i,j) * (df/dg_i dg/dg_j - df/dg_j dg/dg_i),
+    {f, g} = sum_{i<j} table(i,j) * (df/dg_i dg/dg_j - df/dg_j dg/dg_i).
 
-evaluated in one pass over the table rather than by recursive Leibniz
-descent.  Each argument's gradient is computed once per bracket (one partial
-derivative per generator that is not killed), and a product with a zero
-partial is skipped.
+The structure evaluates it term pair by term pair, in closed form.  On
+construction each entry (i, j) splits into its g_i g_j coefficient, which
+goes into a skew integer matrix R over one common denominator D, and the
+rest of its terms.  Then for monomials X^u, X^v
+
+    {X^u, X^v} = (u.R.v / D) X^(u+v)
+                 + sum over rest entries (i, j) of (u_i v_j - u_j v_i)
+                   X^(u+v-e_i-e_j) * (rest of entry (i, j)),
+
+which is the formula above applied to one term of each argument.  A
+log-canonical table has no rest; the algebra A_n's rest is its tails.
+Killed generators need no special case, as no monomial of the ring carries
+them, and negative exponents need none either.
 Antisymmetry and the Leibniz rule hold by construction; the Jacobi identity
 on generator triples is what `jacobi_check` verifies, and it propagates to
 all elements because the jacobiator of a biderivation bracket is a
@@ -22,8 +31,10 @@ division.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
+from operator import add, mul, sub
 from typing import Mapping, Optional
 
 from .exact_poly import (
@@ -32,6 +43,8 @@ from .exact_poly import (
     VarSpec,
     VarSpecMismatch,
     divide_exact,
+    integer_terms,
+    over_denominator,
 )
 
 
@@ -48,19 +61,47 @@ class CompatibilityError(ValueError):
 class PoissonStructure:
     """Generators plus the upper-triangular bracket table {g_i, g_j}, i < j.
 
+    Construction splits the table once for the bracket kernel, with every
+    coefficient written as an integer over `denominator`, the least common
+    denominator of the whole table: `log_matrix` is the skew matrix of the
+    g_i g_j coefficients, and `rest` holds each entry's other terms as
+    (i, j, ((m - e_i - e_j, coefficient), ...)).
     Construction does not run the Jacobi test; call `validate()` (the named
     constructors in `algebra_an` do) before trusting the structure.
     """
 
     varspec: VarSpec
     table: Mapping[tuple[int, int], LaurentPoly]
+    denominator: int = field(init=False, repr=False, compare=False)
+    log_matrix: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    rest: tuple[tuple[int, int, tuple[tuple[tuple[int, ...], int], ...]], ...] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
+        size = len(self.varspec)
         for (i, j), entry in self.table.items():
-            if not (0 <= i < j < len(self.varspec)):
+            if not (0 <= i < j < size):
                 raise ValueError(f"table key {(i, j)} is not an upper-triangular pair")
             if entry.varspec != self.varspec:
                 raise VarSpecMismatch(f"table entry {(i, j)} lives over the wrong variables")
+        denominator = lcm(*(c.denominator for t in self.table.values() for c in t.terms.values()))
+        matrix = [[0] * size for _ in range(size)]
+        rest = []
+        for (i, j), entry in self.table.items():
+            pair = tuple(int(k in (i, j)) for k in range(size))
+            shifted = []
+            for mono, c in entry.terms.items():
+                c = c.numerator * (denominator // c.denominator)
+                if mono == pair:
+                    matrix[i][j], matrix[j][i] = c, -c
+                else:
+                    shifted.append((tuple(map(sub, mono, pair)), c))
+            if shifted:
+                rest.append((i, j, tuple(shifted)))
+        object.__setattr__(self, "denominator", denominator)
+        object.__setattr__(self, "log_matrix", tuple(map(tuple, matrix)))
+        object.__setattr__(self, "rest", tuple(rest))
 
     def entry(self, i: int, j: int) -> LaurentPoly:
         """{g_i, g_j} for any pair, using antisymmetry below the diagonal."""
@@ -73,26 +114,43 @@ class PoissonStructure:
     def generator(self, name: str) -> LaurentPoly:
         return LaurentPoly.variable(self.varspec, name)
 
-    def _gradient(self, f: LaurentPoly) -> list[LaurentPoly]:
-        """The partials of f by each generator.  A killed generator's is zero,
-        since no monomial of the ring contains it, and is not computed."""
-        vs = self.varspec
-        return [
-            LaurentPoly.zero(vs) if i in vs.killed_indices else f.derivative_index(i)
-            for i in range(len(vs))
-        ]
-
     def bracket(self, f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
-        if f.varspec != self.varspec or g.varspec != self.varspec:
+        """{f, g} by the closed form of the module docstring, one term pair
+        at a time, summed as integer numerators into one term map."""
+        vs = self.varspec
+        if (f.varspec is not vs and f.varspec != vs) or (g.varspec is not vs and g.varspec != vs):
             raise VarSpecMismatch("bracket arguments over the wrong variables")
-        df, dg = self._gradient(f), self._gradient(g)
-        acc = LaurentPoly.zero(self.varspec)
-        for (i, j), t in self.table.items():
-            if not (df[i].is_zero() or dg[j].is_zero()):
-                acc = acc + t * (df[i] * dg[j])
-            if not (df[j].is_zero() or dg[i].is_zero()):
-                acc = acc - t * (df[j] * dg[i])
-        return acc
+        f_ints, f_den = integer_terms(f.terms)
+        g_ints, g_den = integer_terms(g.terms)
+        matrix, rest = self.log_matrix, self.rest
+        acc: dict[tuple[int, ...], int] = {}
+
+        def put(mono, c):
+            s = acc.get(mono)
+            if s is None:
+                acc[mono] = c
+            else:
+                s += c
+                if s:
+                    acc[mono] = s
+                else:
+                    del acc[mono]
+
+        g_items = g_ints.items()
+        for u, a in f_ints.items():
+            u_r = [-a * sum(map(mul, row, u)) for row in matrix]  # a (u.R), as R is skew
+            for v, b in g_items:
+                w = tuple(map(add, u, v))
+                s = sum(map(mul, u_r, v))
+                if s:
+                    put(w, s * b)
+                for i, j, shifted in rest:
+                    k = u[i] * v[j] - u[j] * v[i]
+                    if k:
+                        k *= a * b
+                        for shift, t in shifted:
+                            put(tuple(map(add, w, shift)), k * t)
+        return LaurentPoly._trusted(vs, over_denominator(acc, f_den * g_den * self.denominator))
 
     def jacobiator(self, f: LaurentPoly, g: LaurentPoly, h: LaurentPoly) -> LaurentPoly:
         return (
@@ -102,13 +160,21 @@ class PoissonStructure:
         )
 
     def jacobi_check(self) -> bool:
-        """Jacobi identity on all generator triples; sufficient for the ring."""
+        """Jacobi identity on all generator triples; sufficient for the ring.
+
+        The inner bracket of a generator pair is its table entry."""
         n = len(self.varspec)
         gens = [self.generator(name) for name in self.varspec.names]
+        entry, bracket = self.entry, self.bracket
         for i in range(n):
             for j in range(i + 1, n):
                 for k in range(j + 1, n):
-                    if not self.jacobiator(gens[i], gens[j], gens[k]).is_zero():
+                    jacobiator = (
+                        bracket(entry(i, j), gens[k])
+                        + bracket(entry(j, k), gens[i])
+                        + bracket(entry(k, i), gens[j])
+                    )
+                    if not jacobiator.is_zero():
                         return False
         return True
 
@@ -333,7 +399,7 @@ def double_extension_normal_element(spec: DoubleExtensionSpec, result: PoissonSt
 def localize(structure: PoissonStructure, invert) -> PoissonStructure:
     """Allow negative exponents on the named variables; the table is unchanged.
 
-    The biderivation formula already evaluates the localized bracket
+    The bracket kernel already evaluates the localized bracket
     correctly on negative exponents; the quotient-rule identity it satisfies
     is property-tested rather than assumed.
     """

@@ -171,7 +171,7 @@ def test_target_bracket_skips_killed_generators(monkeypatch):
     monkeypatch.setattr(LaurentPoly, "derivative", counting)
     x1, y2 = target.generator("X1"), target.generator("Y2")
     assert target.bracket(x1, y2) == LaurentPoly.monomial(target.varspec, {"X1": 1, "Y2": 1}, 2)
-    assert "Y1" not in calls and len(calls) == 6
+    assert calls == []
 
 
 def test_reports_build_the_source_algebra_once(monkeypatch):

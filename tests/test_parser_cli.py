@@ -2,6 +2,7 @@
 
 import json
 import random
+import time
 from pathlib import Path
 from fractions import Fraction
 
@@ -255,6 +256,35 @@ def test_cli_step_budget_env(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("POISSON_STRATA_STEP_BUDGET", "nope")
     assert main(["--config", CONFIG_QUANTUM, "nf", "x1"]) == 2
     capsys.readouterr()
+
+
+def test_cli_bracket_power_stops_at_the_step_budget(capsys):
+    # squaring (y1+x1+y2+x2)^16 (969 terms) would pass 10^6 term pairs
+    start = time.perf_counter()
+    status = main(["--config", CONFIG_POISSON, "bracket", "(y1+x1+y2+x2)^60", "x2"])
+    assert status == 2 and time.perf_counter() - start < 2
+    assert json.loads(capsys.readouterr().out) == {
+        "error": "StepBudgetExceeded",
+        "message": "exceeded 1000000 term pairs",
+    }
+
+
+@pytest.mark.parametrize(
+    "budget, left, right, status",
+    [
+        ("1", "x1", "y1", 0),  # one term pair
+        ("1", "y1 + x1", "x2", 2),
+        ("1", "y1 x2", "x2", 0),  # one pair in the product, one in the bracket
+        ("1", "y1 x2 x1", "x2", 2),  # two products charge one budget
+        ("4", "y1 + x1", "y2 + x2", 0),
+        ("3", "y1 + x1", "y2 + x2", 2),  # the bracket of the two sides is charged too
+    ],
+)
+def test_cli_step_budget_counts_poisson_term_pairs(capsys, monkeypatch, budget, left, right, status):
+    monkeypatch.setenv("POISSON_STRATA_STEP_BUDGET", budget)
+    assert main(["--config", CONFIG_POISSON, "bracket", left, right]) == status
+    payload = json.loads(capsys.readouterr().out)
+    assert ("error" in payload) == (status == 2)
 
 
 def _run_config(tmp_path, capsys, raw, command=("admissible", "--count")):

@@ -5,7 +5,15 @@ from fractions import Fraction
 
 import pytest
 
-from poisson_strata.algebra_an import build_an, iterated_presentation, omega
+from poisson_strata.admissible import enumerate_admissible
+from poisson_strata.algebra_an import (
+    PoissonParams,
+    build_an,
+    iterated_presentation,
+    log_canonical_matrix,
+    omega,
+)
+from poisson_strata.correspondence import poisson_stratum_target
 from poisson_strata.exact_poly import LaurentPoly, VarSpec, format_poly
 from poisson_strata.poisson_core import (
     CompatibilityError,
@@ -19,7 +27,7 @@ from poisson_strata.poisson_core import (
     localize,
     ore_extend,
 )
-from poisson_strata.samples import poisson_sample
+from poisson_strata.samples import poisson_sample, quantum_sample_image
 
 
 def random_poly(vs, rng, max_terms=3, max_degree=4, laurent=False):
@@ -114,9 +122,110 @@ def test_bracket_oracle_on_localization():
         assert structure.bracket(f, g) == bracket_oracle(structure, f, g)
 
 
-def test_bracket_properties_random():
-    from poisson_strata.samples import quantum_sample_image
+def gradient_oracle(structure, f, g):
+    """The biderivation formula from partial derivatives, entry by entry:
+    the sum over i < j of table(i, j) (d_i f d_j g - d_j f d_i g)."""
+    size = len(structure.varspec)
+    df = [f.derivative_index(i) for i in range(size)]
+    dg = [g.derivative_index(i) for i in range(size)]
+    acc = LaurentPoly.zero(structure.varspec)
+    for (i, j), t in structure.table.items():
+        acc = acc + t * (df[i] * dg[j] - df[j] * dg[i])
+    return acc
 
+
+def oracle_agrees(structure, rng, trials=25):
+    vs = structure.varspec
+    for _ in range(trials):
+        f = random_poly(vs, rng, laurent=True)
+        g = random_poly(vs, rng, laurent=True)
+        if structure.bracket(f, g) != gradient_oracle(structure, f, g):
+            return False
+    return True
+
+
+# Fractional parameters, so R and the tails have mixed denominators.
+FRACTIONAL = PoissonParams.make(
+    3,
+    [[0, Fraction(1, 2), -3], [Fraction(-1, 2), 0, Fraction(2, 3)], [3, Fraction(-2, 3), 0]],
+    [Fraction(1, 3), 2, Fraction(-5, 4)],
+    [Fraction(7, 5), Fraction(1, 2), 3],
+)
+
+
+def inverting_all(structure):
+    return localize(structure, structure.varspec.names)
+
+
+def test_bracket_kernel_matches_gradient_oracle_on_an():
+    rng = random.Random(21)
+    for n in (1, 2, 3):
+        assert oracle_agrees(inverting_all(build_an(FRACTIONAL.truncated(n))), rng)
+
+
+def test_bracket_kernel_matches_gradient_oracle_on_stratum_targets():
+    rng = random.Random(22)
+    targets = [poisson_stratum_target(quantum_sample_image(), t) for t in enumerate_admissible(2)]
+    assert any(t.varspec.killed for t in targets) and any(t.varspec.invertible for t in targets)
+    for target in targets:
+        assert oracle_agrees(target, rng, trials=10)
+
+
+def test_bracket_kernel_matches_gradient_oracle_on_iterated_levels():
+    rng = random.Random(23)
+    levels = iterated_presentation(FRACTIONAL).structures[1:]
+    assert any(len(entry.terms) > 1 for level in levels for entry in level.table.values())
+    for level in levels:
+        assert oracle_agrees(inverting_all(level), rng)
+
+
+def test_bracket_kernel_matches_gradient_oracle_on_mixed_denominators():
+    vs = VarSpec(("a", "b", "c"), frozenset({"a", "c"}))
+    table = {
+        (0, 1): LaurentPoly(vs, {(1, 1, 0): Fraction(1, 2), (0, 0, 2): Fraction(-2, 3)}),
+        (0, 2): LaurentPoly(vs, {(1, 0, 1): Fraction(3, 5), (0, 0, 0): Fraction(1, 7)}),
+        (1, 2): LaurentPoly(vs, {(-1, 2, 0): Fraction(5, 4)}),
+    }
+    structure = PoissonStructure(vs, table)
+    assert structure.denominator == 420 and len(structure.rest) == 3
+    assert oracle_agrees(structure, random.Random(24), trials=60)
+
+
+def test_an_splits_into_log_matrix_and_tails():
+    params = FRACTIONAL
+    structure = build_an(params)
+    assert structure.log_matrix == tuple(
+        tuple(structure.denominator * c for c in row) for row in log_canonical_matrix(params)
+    )
+    assert [(i, j) for i, j, _ in structure.rest] == [(2, 3), (4, 5)]
+    for i, j, shifted in structure.rest:
+        pair = [int(k in (i, j)) for k in range(len(structure.varspec))]
+        tail = {
+            tuple(e + p for e, p in zip(shift, pair)): Fraction(t, structure.denominator)
+            for shift, t in shifted
+        }
+        assert LaurentPoly(structure.varspec, tail) == -omega(params, j // 2, structure.varspec)
+
+
+def mutated(structure, **derived):
+    clone = PoissonStructure(structure.varspec, structure.table)
+    for name, value in derived.items():
+        object.__setattr__(clone, name, value)
+    return clone
+
+
+def test_gradient_oracle_catches_kernel_mutations():
+    structure = inverting_all(build_an(FRACTIONAL))
+    (i, j, ((shift, t), *others)), *rest = structure.rest
+    flipped_tail = mutated(structure, rest=((i, j, ((shift, -t), *others)), *rest))
+    wrong_denominator = mutated(structure, denominator=structure.denominator * 2)
+    rng = random.Random(25)
+    assert oracle_agrees(structure, rng)
+    assert not oracle_agrees(flipped_tail, rng)
+    assert not oracle_agrees(wrong_denominator, rng)
+
+
+def test_bracket_properties_random():
     rng = random.Random(6)
     trials = {1: 200, 2: 400, 3: 400}
     for n, count in trials.items():
