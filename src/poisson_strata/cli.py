@@ -7,9 +7,9 @@ machine-readable error object.  The environment variable
 POISSON_STRATA_STEP_BUDGET caps the steps of each product, each normal form
 and each Poisson expression: one step is one generator crossing the block of
 letters to its right in a quantized product, one rule application in a
-quotient normal form, or one term pair of a product or bracket while a
-`bracket` argument is evaluated (the final bracket of the two arguments has
-a budget of its own).
+quotient normal form, or one term pair of a product or bracket in the
+evaluation of `bracket`, whose whole expression {left, right} has one
+budget.
 """
 
 from __future__ import annotations
@@ -59,14 +59,7 @@ from .exact_poly import (
     is_prime,
     reduce_poly,
 )
-from .parser import (
-    EvalError,
-    ParseError,
-    charge_term_pairs,
-    eval_poisson,
-    eval_quantum,
-    parse_expr,
-)
+from .parser import Bracket, EvalError, ParseError, eval_poisson, eval_quantum, parse_expr
 
 ENV_STEP_BUDGET = "POISSON_STRATA_STEP_BUDGET"
 RANDOM_TRIALS = 1000  # random inputs per stratum (confluence) and triples (associativity)
@@ -355,10 +348,8 @@ def cmd_bracket(config: Config, args) -> dict:
     params = _require_poisson(config)
     structure = build_an(params)
     budget = _step_budget()
-    left = eval_poisson(parse_expr(args.left), structure, params, budget)
-    right = eval_poisson(parse_expr(args.right), structure, params, budget)
-    charge_term_pairs(0, left, right, budget)
-    return {"result": format_poly(structure.bracket(left, right))}
+    ast = Bracket(parse_expr(args.left), parse_expr(args.right))
+    return {"result": format_poly(eval_poisson(ast, structure, params, budget))}
 
 
 def cmd_nf(config: Config, args) -> dict:

@@ -142,18 +142,26 @@ def accumulate(
     return acc
 
 
+def numerators_over(
+    terms: Mapping[tuple[int, ...], Fraction], d: int
+) -> dict[tuple[int, ...], int]:
+    """The integer numerators of a term map's coefficients over d, a common
+    multiple of their denominators."""
+    return {mono: c.numerator * (d // c.denominator) for mono, c in terms.items()}
+
+
 def integer_terms(
     terms: Mapping[tuple[int, ...], Fraction],
 ) -> tuple[dict[tuple[int, ...], int], int]:
-    """(numerators, d): the term map as integer numerators over d, the least
-    common denominator of its coefficients (1 for no terms).
+    """(numerators, d): the term map over d, the least common denominator of
+    its coefficients (1 for no terms).
 
-    Products and brackets sum integers over d and divide once per result
-    term (`over_denominator`), which is exact and much cheaper than
-    rational arithmetic on every term pair.
+    The bracket kernel sums integers over d and divides once per result term
+    (`over_denominator`), which is exact and much cheaper than rational
+    arithmetic on every term pair.
     """
     d = lcm(*[c.denominator for c in terms.values()])
-    return {mono: c.numerator * (d // c.denominator) for mono, c in terms.items()}, d
+    return numerators_over(terms, d), d
 
 
 def over_denominator(
@@ -341,24 +349,11 @@ class LaurentPoly(TermMap):
     # -- what only polynomials do ---------------------------------------
 
     def __mul__(self, other: LaurentPoly) -> LaurentPoly:
-        """Term pairs are summed as integer numerators (`integer_terms`) and
-        divided once per result term; a factor of at most one term only
-        shifts and scales the other."""
         self._check_owner(other)
-        short, long = (self, other) if len(self.terms) <= len(other.terms) else (other, self)
-        if len(short.terms) <= 1:  # zero or a monomial: no two products meet
-            terms = {
-                tuple(map(add, m1, m2)): c1 * c2
-                for m1, c1 in short.terms.items()
-                for m2, c2 in long.terms.items()
-            }
-            return LaurentPoly._trusted(self.varspec, terms)
-        f_ints, f_den = integer_terms(self.terms)
-        g_ints, g_den = integer_terms(other.terms)
-        acc: dict[tuple[int, ...], int] = {}
-        for m1, a in f_ints.items():
-            accumulate(acc, {tuple(map(add, m1, m2)): b for m2, b in g_ints.items()}, a)
-        return LaurentPoly._trusted(self.varspec, over_denominator(acc, f_den * g_den))
+        acc: dict[tuple[int, ...], Fraction] = {}
+        for m1, c1 in self.terms.items():
+            accumulate(acc, {tuple(map(add, m1, m2)): c2 for m2, c2 in other.terms.items()}, c1)
+        return LaurentPoly._trusted(self.varspec, acc)
 
     def monomial_inverse(self) -> LaurentPoly:
         """Inverse of a single-term polynomial; all its variables must be invertible."""

@@ -289,16 +289,6 @@ def _tail_index(node: Expr, n: int, names) -> Optional[int]:
     return None
 
 
-def charge_term_pairs(spent: int, f: LaurentPoly, g: LaurentPoly, max_steps: int) -> int:
-    """`spent` plus the |f|·|g| term pairs of one product or bracket of f and
-    g; raises StepBudgetExceeded, before the work is done, once the sum
-    passes max_steps."""
-    spent += len(f.terms) * len(g.terms)
-    if spent > max_steps:
-        raise StepBudgetExceeded(f"exceeded {max_steps} term pairs")
-    return spent
-
-
 def eval_poisson(
     ast: Expr,
     structure: PoissonStructure,
@@ -306,14 +296,17 @@ def eval_poisson(
     max_steps: int = DEFAULT_STEP_BUDGET,
 ) -> LaurentPoly:
     """Evaluate in the Poisson algebra.  Every product, every product of a
-    power and every bracket is charged its term pairs, one step each,
-    against one budget of max_steps for the whole expression."""
+    power and every bracket of f and g is charged its |f|·|g| term pairs,
+    one step each, against one budget of max_steps for the whole expression;
+    StepBudgetExceeded is raised before the work that would pass it."""
     vs = structure.varspec
     spent = 0
 
     def charge(f: LaurentPoly, g: LaurentPoly) -> None:
         nonlocal spent
-        spent = charge_term_pairs(spent, f, g, max_steps)
+        spent += len(f.terms) * len(g.terms)
+        if spent > max_steps:
+            raise StepBudgetExceeded(f"exceeded {max_steps} term pairs")
 
     def mul(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
         charge(f, g)

@@ -42,8 +42,10 @@ from .exact_poly import (
     Scalar,
     VarSpec,
     VarSpecMismatch,
+    accumulate,
     divide_exact,
     integer_terms,
+    numerators_over,
     over_denominator,
 )
 
@@ -91,8 +93,7 @@ class PoissonStructure:
         for (i, j), entry in self.table.items():
             pair = tuple(int(k in (i, j)) for k in range(size))
             shifted = []
-            for mono, c in entry.terms.items():
-                c = c.numerator * (denominator // c.denominator)
+            for mono, c in numerators_over(entry.terms, denominator).items():
                 if mono == pair:
                     matrix[i][j], matrix[j][i] = c, -c
                 else:
@@ -123,33 +124,21 @@ class PoissonStructure:
         f_ints, f_den = integer_terms(f.terms)
         g_ints, g_den = integer_terms(g.terms)
         matrix, rest = self.log_matrix, self.rest
-        acc: dict[tuple[int, ...], int] = {}
-
-        def put(mono, c):
-            s = acc.get(mono)
-            if s is None:
-                acc[mono] = c
-            else:
-                s += c
-                if s:
-                    acc[mono] = s
-                else:
-                    del acc[mono]
-
         g_items = g_ints.items()
+        acc: dict[tuple[int, ...], int] = {}
         for u, a in f_ints.items():
-            u_r = [-a * sum(map(mul, row, u)) for row in matrix]  # a (u.R), as R is skew
-            for v, b in g_items:
-                w = tuple(map(add, u, v))
-                s = sum(map(mul, u_r, v))
-                if s:
-                    put(w, s * b)
-                for i, j, shifted in rest:
-                    k = u[i] * v[j] - u[j] * v[i]
-                    if k:
-                        k *= a * b
-                        for shift, t in shifted:
-                            put(tuple(map(add, w, shift)), k * t)
+            u_r = [-sum(map(mul, row, u)) for row in matrix]  # u.R, as R is skew
+            accumulate(
+                acc,
+                {tuple(map(add, u, v)): s * b for v, b in g_items if (s := sum(map(mul, u_r, v)))},
+                a,
+            )
+            for i, j, shifted in rest:
+                pairs = [(v, k * b) for v, b in g_items if (k := u[i] * v[j] - u[j] * v[i])]
+                if pairs:
+                    for shift, t in shifted:
+                        u_shift = tuple(map(add, u, shift))
+                        accumulate(acc, {tuple(map(add, u_shift, v)): kb for v, kb in pairs}, a * t)
         return LaurentPoly._trusted(vs, over_denominator(acc, f_den * g_den * self.denominator))
 
     def jacobiator(self, f: LaurentPoly, g: LaurentPoly, h: LaurentPoly) -> LaurentPoly:

@@ -2,7 +2,6 @@
 
 import json
 import random
-import time
 from pathlib import Path
 from fractions import Fraction
 
@@ -10,7 +9,7 @@ import pytest
 
 from poisson_strata.algebra_an import build_an
 from poisson_strata.cli import load_config, main
-from poisson_strata.exact_poly import format_poly
+from poisson_strata.exact_poly import LaurentPoly, format_poly
 from poisson_strata.parser import (
     Add,
     Bracket,
@@ -258,15 +257,25 @@ def test_cli_step_budget_env(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
 
 
-def test_cli_bracket_power_stops_at_the_step_budget(capsys):
-    # squaring (y1+x1+y2+x2)^16 (969 terms) would pass 10^6 term pairs
-    start = time.perf_counter()
+def test_cli_bracket_power_stops_at_the_step_budget(capsys, monkeypatch):
+    # squaring (y1+x1+y2+x2)^16 (969 terms) would pass 10^6 term pairs: the
+    # command stops before that product, and every product it did compute
+    # fits in the budget
+    pairs = []
+    product = LaurentPoly.__mul__
+
+    def counting(f, g):
+        pairs.append(len(f.terms) * len(g.terms))
+        return product(f, g)
+
+    monkeypatch.setattr(LaurentPoly, "__mul__", counting)
     status = main(["--config", CONFIG_POISSON, "bracket", "(y1+x1+y2+x2)^60", "x2"])
-    assert status == 2 and time.perf_counter() - start < 2
+    assert status == 2
     assert json.loads(capsys.readouterr().out) == {
         "error": "StepBudgetExceeded",
         "message": "exceeded 1000000 term pairs",
     }
+    assert sum(pairs) <= 10**6 and 969**2 not in pairs
 
 
 @pytest.mark.parametrize(
@@ -274,10 +283,12 @@ def test_cli_bracket_power_stops_at_the_step_budget(capsys):
     [
         ("1", "x1", "y1", 0),  # one term pair
         ("1", "y1 + x1", "x2", 2),
-        ("1", "y1 x2", "x2", 0),  # one pair in the product, one in the bracket
-        ("1", "y1 x2 x1", "x2", 2),  # two products charge one budget
+        ("2", "y1 x2", "x2", 0),  # one pair in the product, one in the bracket
+        ("1", "y1 x2", "x2", 2),
+        ("3", "y1", "x1 x2 y2", 0),
+        ("2", "y1", "x1 x2 y2", 2),  # both sides and the bracket charge one budget
         ("4", "y1 + x1", "y2 + x2", 0),
-        ("3", "y1 + x1", "y2 + x2", 2),  # the bracket of the two sides is charged too
+        ("3", "y1 + x1", "y2 + x2", 2),
     ],
 )
 def test_cli_step_budget_counts_poisson_term_pairs(capsys, monkeypatch, budget, left, right, status):
