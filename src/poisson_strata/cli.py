@@ -46,6 +46,7 @@ from .algebra_kn import (
     nc_multiply,
 )
 from .correspondence import (
+    AdditiveCharacter,
     group_character,
     stratification_report,
     verify_poisson_stratum_map,
@@ -94,6 +95,12 @@ class Config:
     poisson: Optional[PoissonParams]
     quantum: Optional[QuantumParams]
     weights: Optional[dict[int, Fraction]]
+
+    @functools.cached_property
+    def character(self) -> AdditiveCharacter:
+        """The additive character of the quantum parameters under `weights`,
+        built on first use and then shared by every reader in the run."""
+        return group_character(_require_quantum(self), self.weights)
 
 
 def load_config(path: str) -> Config:
@@ -150,9 +157,10 @@ def load_config(path: str) -> Config:
             adm.AdmissibleSet.from_names(n, names)
         except ValueError as exc:
             raise ConfigError(f"bad admissible literal: {exc}") from None
+    config = Config(mode, poisson, quantum, weights)
     if mode == "paired":
-        poisson = group_character(quantum, weights).induced
-    return Config(mode, poisson, quantum, weights)
+        config.poisson = config.character.induced
+    return config
 
 
 def _step_budget() -> int:
@@ -396,8 +404,7 @@ def cmd_verify(config: Config, args) -> dict:
 
 
 def cmd_map_report(config: Config, args) -> dict:
-    params = _require_quantum(config)
-    return stratification_report(params, config.weights)
+    return stratification_report(config.character)
 
 
 COMMANDS = {

@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Optional
 
 from .admissible import AdmissibleSet, derived_sets, enumerate_admissible, gk_dimension, length
 from .algebra_an import (
@@ -44,7 +44,6 @@ from .algebra_an import (
 )
 from .algebra_kn import (
     NCElement,
-    QTorusElement,
     QuantumParams,
     QuantumTorus,
     defining_relations,
@@ -59,6 +58,7 @@ from .exact_poly import (
     VarSpec,
     factor_rational,
     format_poly,
+    format_terms,
     group_analysis,
 )
 from .poisson_core import PoissonStructure
@@ -92,12 +92,14 @@ def hat_coefficient(params: PairParams, i: int) -> Fraction:
 
 @dataclass(frozen=True)
 class GeneratorMap:
-    """Images of the source generators inside a stratum target."""
+    """Images of the source generators inside a stratum target, and the unit
+    element of the target ring, whose class and owner every image shares."""
 
     t_set: AdmissibleSet
     cases: Mapping[str, MapCase]
-    images: Mapping[str, object]
+    images: Mapping[str, TermMap]
     target: object  # PoissonStructure or QuantumTorus
+    one: TermMap  # LaurentPoly or QTorusElement
 
 
 # -- Poisson side ------------------------------------------------------------
@@ -122,9 +124,14 @@ def poisson_stratum_target(params: PoissonParams, t_set: AdmissibleSet) -> Poiss
     return PoissonStructure(vs, log_canonical_table(params, vs))
 
 
-def _stratum_map(params: PairParams, t_set: AdmissibleSet, target, generator) -> GeneratorMap:
-    """The generator map into `target`, whose generators `generator(name)`
-    gives; both sides take their images from this one dispatch."""
+def _stratum_map(params: PairParams, t_set: AdmissibleSet, target, one: TermMap) -> GeneratorMap:
+    """The generator map into `target`, whose unit element is `one`; both
+    sides take their images from this one dispatch."""
+    cls, owner = type(one), one.owner
+
+    def generator(name: str) -> TermMap:
+        return cls.generator(owner, name)
+
     names = kn_names(params.n)
     cases = {name: dispatch_case(t_set, name) for name in names}
     images = {}
@@ -138,14 +145,14 @@ def _stratum_map(params: PairParams, t_set: AdmissibleSet, target, generator) ->
             tail = generator(f"Y{i}") ** (-1) * generator(f"Y{i - 1}") * generator(f"X{i - 1}")
             tail = tail.scale(-hat_coefficient(params, i))
             images[name] = tail if case is MapCase.X_TAIL else generator(f"X{i}") + tail
-    return GeneratorMap(t_set, cases, images, target)
+    return GeneratorMap(t_set, cases, images, target, one)
 
 
 def poisson_stratum_map(params: PoissonParams, t_set: AdmissibleSet) -> GeneratorMap:
     if t_set.n != params.n:
         raise ValueError("admissible set and parameters disagree on n")
     target = poisson_stratum_target(params, t_set)
-    return _stratum_map(params, t_set, target, target.generator)
+    return _stratum_map(params, t_set, target, LaurentPoly.one(target.varspec))
 
 
 def _substitute(images: Mapping[str, TermMap], combination, one: TermMap) -> TermMap:
@@ -160,41 +167,44 @@ def _substitute(images: Mapping[str, TermMap], combination, one: TermMap) -> Ter
     return acc
 
 
-def _words(f: TermMap, names: Sequence[str]) -> list[tuple[Fraction, list[str]]]:
-    """The terms of f as (coefficient, word) pairs, each standard monomial
-    spelled letter by letter."""
-    return [(c, [nm for nm, e in zip(names, mono) for _ in range(e)]) for mono, c in f.terms.items()]
+def apply_map(gmap: GeneratorMap, f: TermMap) -> TermMap:
+    """Push a source element, a polynomial or a normal form, through the
+    generator images: each standard monomial is spelled letter by letter."""
+    names = type(f)._names(f.owner)
+    words = [(c, [nm for nm, e in zip(names, m) for _ in range(e)]) for m, c in f.terms.items()]
+    return _substitute(gmap.images, words, gmap.one)
 
 
-def _stratum_report(params, gmap: GeneratorMap, failures, source, target, apply, fmt) -> dict:
+def _stratum_report(params, gmap: GeneratorMap, failures, source_one: TermMap) -> dict:
     """A stratum map's report: `failures` plus the checks both sides share.
 
     Each tail element must map to (q_i - p_i) Y_i X_i, each member of T to
     zero, and the surviving y's onto the inverted target generators.
-    `source` and `target` are the (class, owner) of source and target
-    elements; the inverted generators are read off the target's `varspec`.
+    Source elements are built over the owner of `source_one`, the source
+    unit, and target elements over that of `gmap.one`; the inverted
+    generators are read off the target's `varspec`.
     """
     t_set = gmap.t_set
-    cls, owner = target
+    source = type(source_one), source_one.owner
+    cls, owner = type(gmap.one), gmap.one.owner
+
+    def text(f: TermMap) -> str:
+        return format_terms(f.terms, cls._names(owner))
+
     for i in range(1, params.n + 1):
-        img = apply(gmap, named_element(params, f"Omega{i}", *source))
+        img = apply_map(gmap, named_element(params, f"Omega{i}", *source))
         expected = cls.monomial(owner, {f"Y{i}": 1, f"X{i}": 1}, tail_coefficient(params, i))
         if img != expected:
-            failures.append(f"tail element {i} image: residual {fmt(img - expected)}")
+            failures.append(f"tail element {i} image: residual {text(img - expected)}")
     for name in t_set.member_names():
-        img = apply(gmap, named_element(params, name, *source))
+        img = apply_map(gmap, named_element(params, name, *source))
         if not img.is_zero():
-            failures.append(f"member {name} does not map to zero: residual {fmt(img)}")
+            failures.append(f"member {name} does not map to zero: residual {text(img)}")
     inverted = gmap.target.varspec.invertible
     units = {gmap.images["y" + name[1:]] for name in inverted}
     if units != {cls.generator(owner, name) for name in inverted}:
         failures.append("surviving y images do not generate the inverted set")
     return {"ok": not failures, "failures": failures, "members": list(t_set.member_names())}
-
-
-def apply_poisson_map(gmap: GeneratorMap, f: LaurentPoly) -> LaurentPoly:
-    """Push a source polynomial through the generator images."""
-    return _substitute(gmap.images, _words(f, f.varspec.names), LaurentPoly.one(gmap.target.varspec))
 
 
 def verify_poisson_stratum_map(
@@ -223,16 +233,13 @@ def verify_poisson_stratum_map(
     failures = []
     for a in range(len(names)):
         for b in range(a + 1, len(names)):
-            lhs = apply_poisson_map(gmap, source.entry(a, b))
+            lhs = apply_map(gmap, source.entry(a, b))
             rhs = target.bracket(gmap.images[names[a]], gmap.images[names[b]])
             if lhs != rhs:
                 failures.append(
                     f"bracket pair ({names[a]}, {names[b]}): residual {format_poly(lhs - rhs)}"
                 )
-    return _stratum_report(
-        params, gmap, failures, (LaurentPoly, source.varspec), (LaurentPoly, target.varspec),
-        apply_poisson_map, format_poly,
-    )
+    return _stratum_report(params, gmap, failures, LaurentPoly.one(source.varspec))
 
 
 def nested_congruence_check(
@@ -286,11 +293,7 @@ def quantum_stratum_map(params: QuantumParams, t_set: AdmissibleSet) -> Generato
     if t_set.n != params.n:
         raise ValueError("admissible set and parameters disagree on n")
     torus = quantum_stratum_target(params, t_set)
-    return _stratum_map(params, t_set, torus, torus.generator)
-
-
-def apply_quantum_map(gmap: GeneratorMap, f: NCElement) -> QTorusElement:
-    return _substitute(gmap.images, _words(f, kn_names(f.n)), gmap.target.one())
+    return _stratum_map(params, t_set, torus, torus.one())
 
 
 def verify_quantum_stratum_map(params: QuantumParams, t_set: AdmissibleSet) -> dict:
@@ -300,16 +303,12 @@ def verify_quantum_stratum_map(params: QuantumParams, t_set: AdmissibleSet) -> d
     Each failure names what failed and its residual, formatted.
     """
     gmap = quantum_stratum_map(params, t_set)
-    torus: QuantumTorus = gmap.target
     failures = []
     for label, combo in defining_relations(params):
-        acc = _substitute(gmap.images, combo, torus.one())
+        acc = _substitute(gmap.images, combo, gmap.one)
         if not acc.is_zero():
             failures.append(f"relation {label}: residual {format_torus(acc)}")
-    return _stratum_report(
-        params, gmap, failures, (NCElement, params.n), (QTorusElement, torus),
-        apply_quantum_map, format_torus,
-    )
+    return _stratum_report(params, gmap, failures, NCElement.one(params.n))
 
 
 # -- the additive character of the parameter group ---------------------------
@@ -326,12 +325,11 @@ class GroupContainsMinusOne(ValueError):
 
 @dataclass(frozen=True)
 class AdditiveCharacter:
-    """An additive character of the parameter group and the parameters it induces."""
+    """An additive character of the parameter group of `params` and the
+    Poisson parameters it induces, the images of gamma, p and q."""
 
     weights: tuple[tuple[int, Fraction], ...]
-    image_gamma: tuple[tuple[Fraction, ...], ...]
-    image_p: tuple[Fraction, ...]
-    image_q: tuple[Fraction, ...]
+    params: QuantumParams
     injective_on_group: bool
     minus_one_in_group: bool
     group: GroupAnalysis
@@ -380,7 +378,8 @@ def group_character(
     linear reading of that analysis's exponent rows.  The lower triangle of
     gamma is the negated upper one and the diagonal is zero, since gamma is
     multiplicatively skew-symmetric with unit diagonal.  Without `weights`,
-    the single occurring prime gets weight 1 (`default_weights`).
+    the single occurring prime gets weight 1; parameters involving several
+    primes then raise ValueError.
 
     The character can be injective on the parameter group only when the
     exponent lattice has rank at most one (finitely generated subgroups of
@@ -412,43 +411,31 @@ def group_character(
     for k, (i, j) in enumerate(upper, start=2 * n):
         gamma[i][j] = image(k)
         gamma[j][i] = -gamma[i][j]
-    image_gamma = tuple(map(tuple, gamma))
     if analysis.lattice_rank == 1:
         first = next(k for k, row in enumerate(analysis.exponents) if any(row))
         injective = image(first) != 0
     else:
         injective = analysis.lattice_rank == 0
-    induced = PoissonParams(n, image_gamma, image_p, image_q)
     return AdditiveCharacter(
         weights=tuple(sorted(weights.items())),
-        image_gamma=image_gamma,
-        image_p=image_p,
-        image_q=image_q,
+        params=params,
         injective_on_group=injective,
         minus_one_in_group=False,
         group=analysis,
-        induced=induced,
+        induced=PoissonParams(n, tuple(map(tuple, gamma)), image_p, image_q),
     )
 
 
-def default_weights(params: QuantumParams) -> dict[int, Fraction]:
-    """Weight 1 on the single occurring prime (none for the trivial group);
-    anything richer needs the user."""
-    return _single_prime_weights(group_analysis(parameter_group_generators(params)))
-
-
-def stratification_report(
-    params: QuantumParams, weights: Optional[Mapping[int, Fraction]] = None
-) -> dict:
-    """Pair every stratum's two verifications under the induced parameters.
+def stratification_report(character: AdditiveCharacter) -> dict:
+    """Pair every stratum's two verifications: the quantum side under the
+    character's parameters, the Poisson side under the ones it induces.
 
     The report is a data artifact: per admissible set it records the member
     names, the killed target generators, length and growth degree, and the
     two verification verdicts; the grade is homeomorphism-level exactly when
     the character is injective on the parameter group.
     """
-    character = group_character(params, weights)
-    pparams = character.induced
+    params, pparams = character.params, character.induced
     source = build_an(pparams)
     strata = []
     for t_set in enumerate_admissible(params.n):
@@ -473,9 +460,9 @@ def stratification_report(
         },
         "phi": {
             "weights": {str(p): str(w) for p, w in character.weights},
-            "gamma": [[str(v) for v in row] for row in character.image_gamma],
-            "p": [str(v) for v in character.image_p],
-            "q": [str(v) for v in character.image_q],
+            "gamma": [[str(v) for v in row] for row in pparams.gamma],
+            "p": [str(v) for v in pparams.p],
+            "q": [str(v) for v in pparams.q],
             "injective_on_group": character.injective_on_group,
             "minus_one_in_group": character.minus_one_in_group,
         },

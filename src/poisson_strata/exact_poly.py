@@ -378,9 +378,6 @@ class LaurentPoly(TermMap):
                 out[mono[:i] + (e - 1,) + mono[i + 1:]] = coeff * e
         return LaurentPoly._trusted(self.varspec, out)
 
-    def derivative_index(self, i: int) -> LaurentPoly:
-        return self.derivative(self.varspec.names[i])
-
     def map_to(self, target: VarSpec) -> LaurentPoly:
         """Reinterpret over `target`, matching variables by name.
 

@@ -215,11 +215,11 @@ class PoissonDerivation:
 
     def apply(self, f: LaurentPoly) -> LaurentPoly:
         acc = LaurentPoly.zero(self.varspec)
-        for i, name in enumerate(self.varspec.names):
+        for name in self.varspec.names:
             img = self.images[name]
             if img.is_zero():
                 continue
-            d = f.derivative_index(i)
+            d = f.derivative(name)
             if not d.is_zero():
                 acc = acc + d * img
         return acc

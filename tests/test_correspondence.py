@@ -1,5 +1,6 @@
 """Tests for the stratum maps, the parameter-group character, and the report."""
 
+import json
 from fractions import Fraction
 from pathlib import Path
 
@@ -12,7 +13,6 @@ from poisson_strata.algebra_kn import QuantumParams
 from poisson_strata.correspondence import (
     GroupContainsMinusOne,
     MapCase,
-    default_weights,
     dispatch_case,
     group_character,
     nested_congruence_check,
@@ -183,7 +183,7 @@ def test_reports_build_the_source_algebra_once(monkeypatch):
 
     monkeypatch.setattr(correspondence, "build_an", counting_build_an)
     monkeypatch.setattr(cli, "build_an", counting_build_an)
-    report = stratification_report(quantum_sample(2), sample_weights())
+    report = stratification_report(group_character(quantum_sample(2), sample_weights()))
     assert len(report["strata"]) == 14 and len(builds) == 1
     builds.clear()
     suite = cli.suite_psi(cli.load_config(CONFIG_PAIRED))
@@ -192,12 +192,12 @@ def test_reports_build_the_source_algebra_once(monkeypatch):
 
 def test_poisson_tail_images():
     from poisson_strata.algebra_an import omega
-    from poisson_strata.correspondence import apply_poisson_map
+    from poisson_strata.correspondence import apply_map
 
     params = quantum_sample_image()
     gmap = poisson_stratum_map(params, empty_set(2))
     vs = gmap.target.varspec
-    image = apply_poisson_map(gmap, omega(params, 2))
+    image = apply_map(gmap, omega(params, 2))
     assert image == LaurentPoly.monomial(vs, {"Y2": 1, "X2": 1}, 2)  # (q2 - p2) Y2 X2
 
 
@@ -273,9 +273,9 @@ def test_quantum_failure_names_relation_and_residual(monkeypatch):
 
 def test_character_transports_the_sample():
     character = group_character(quantum_sample(), sample_weights())
-    assert character.image_p == (1, 3)
-    assert character.image_q == (2, 5)
-    assert character.image_gamma[0][1] == 1
+    assert character.induced.p == (1, 3)
+    assert character.induced.q == (2, 5)
+    assert character.induced.gamma[0][1] == 1
     assert character.injective_on_group is True
     assert character.minus_one_in_group is False
     assert character.induced == quantum_sample_image()
@@ -339,14 +339,14 @@ def test_character_rejects_collapsing_weights():
 
 
 def test_default_weights():
-    assert default_weights(quantum_sample()) == {2: Fraction(1)}
+    assert group_character(quantum_sample()).weights == ((2, Fraction(1)),)
     mixed = QuantumParams.make(1, [[1]], [2], [3])
     with pytest.raises(ValueError):
-        default_weights(mixed)
+        group_character(mixed)
 
 
 def test_stratification_report():
-    report = stratification_report(quantum_sample(), sample_weights())
+    report = stratification_report(group_character(quantum_sample(), sample_weights()))
     assert report["n"] == 2
     assert report["grade"] == "homeomorphism"
     assert len(report["strata"]) == 14
@@ -354,12 +354,12 @@ def test_stratification_report():
     for stratum in report["strata"]:
         assert stratum["gk_dim"] == 4 - stratum["length"]
 
-    small = stratification_report(quantum_sample(1))
+    small = stratification_report(group_character(quantum_sample(1)))
     assert len(small["strata"]) == 4
 
 
 def test_report_eta_matches_derived_sets():
-    report = stratification_report(quantum_sample(), sample_weights())
+    report = stratification_report(group_character(quantum_sample(), sample_weights()))
     by_members = {tuple(s["members"]): s for s in report["strata"]}
     for t_set in enumerate_admissible(2):
         record = by_members[t_set.member_names()]
@@ -379,7 +379,7 @@ def test_report_derives_the_commutation_matrix_once(monkeypatch):
         return plain(params)
 
     monkeypatch.setattr(algebra_kn, "commutation_matrix", counting)
-    report = stratification_report(quantum_sample(3), sample_weights())
+    report = stratification_report(group_character(quantum_sample(3), sample_weights()))
     assert len(report["strata"]) == 48
     assert all(s["upsilon_ok"] for s in report["strata"])
     assert len(calls) == 1
@@ -404,18 +404,32 @@ def factor_calls(monkeypatch):
 
 def test_report_factors_each_generator_once(factor_calls):
     # p, q and the upper triangle of gamma: 3 + 3 + 3 generators at n = 3
-    report = stratification_report(quantum_sample(3), sample_weights())
+    report = stratification_report(group_character(quantum_sample(3), sample_weights()))
     assert len(report["strata"]) == 48
     assert len(factor_calls) == 9
 
 
-@pytest.mark.parametrize("config, calls", [("paired_n2.json", 10), ("quantum_n2.json", 5)])
+@pytest.mark.parametrize("config, calls", [("paired_n2.json", 5), ("quantum_n2.json", 5)])
 def test_map_report_factors_each_generator_once_per_character(factor_calls, capsys, config, calls):
-    # a paired config builds the character in load_config and in the report
+    # a paired config builds the character in load_config and the report reuses it
     path = Path(CONFIG_PAIRED).parent / config
     assert cli.main(["--config", str(path), "map-report"]) == 0
     capsys.readouterr()
     assert len(factor_calls) == calls
+
+
+def test_paired_map_report_builds_the_character_once(monkeypatch, capsys):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return group_character(*args)
+
+    monkeypatch.setattr(cli, "group_character", counting)
+    monkeypatch.setattr(correspondence, "group_character", counting)
+    assert cli.main(["--config", CONFIG_PAIRED, "map-report"]) == 0
+    assert json.loads(capsys.readouterr().out)["grade"] == "homeomorphism"
+    assert len(calls) == 1
 
 
 def test_character_images_match_apply_on_rank_two():
@@ -430,16 +444,16 @@ def test_character_images_match_apply_on_rank_two():
     assert character.group.lattice_rank == 2
     assert character.injective_on_group is False
     for i in range(3):
-        assert character.image_p[i] == character.apply(params.p[i])
-        assert character.image_q[i] == character.apply(params.q[i])
+        assert character.induced.p[i] == character.apply(params.p[i])
+        assert character.induced.q[i] == character.apply(params.q[i])
         for j in range(3):
-            assert character.image_gamma[i][j] == character.apply(params.gamma[i][j])
+            assert character.induced.gamma[i][j] == character.apply(params.gamma[i][j])
 
 
 def test_several_primes_precede_minus_one_under_default_weights():
     params = QuantumParams.make(2, [[1, -2], [Fraction(-1, 2), 1]], [2, 4], [8, 3])
     with pytest.raises(ValueError) as err:
-        stratification_report(params)
+        stratification_report(group_character(params))
     assert type(err.value) is ValueError
     assert str(err.value) == "parameters involve several primes; supply explicit character weights"
 

@@ -126,8 +126,8 @@ def gradient_oracle(structure, f, g):
     """The biderivation formula from partial derivatives, entry by entry:
     the sum over i < j of table(i, j) (d_i f d_j g - d_j f d_i g)."""
     size = len(structure.varspec)
-    df = [f.derivative_index(i) for i in range(size)]
-    dg = [g.derivative_index(i) for i in range(size)]
+    df = [f.derivative(structure.varspec.names[i]) for i in range(size)]
+    dg = [g.derivative(structure.varspec.names[i]) for i in range(size)]
     acc = LaurentPoly.zero(structure.varspec)
     for (i, j), t in structure.table.items():
         acc = acc + t * (df[i] * dg[j] - df[j] * dg[i])
