@@ -15,6 +15,7 @@ systems presenting the quotients by admissible-set ideals.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -104,7 +105,10 @@ def generator_names(n: int, y: str = "y", x: str = "x") -> tuple[str, ...]:
     return tuple(f"{v}{i}" for i in range(1, n + 1) for v in (y, x))
 
 
+@functools.cache
 def an_varspec(n: int) -> VarSpec:
+    """The variables of A_n; one shared (frozen) object per n, so values
+    over it meet their owner test by identity."""
     return VarSpec(generator_names(n))
 
 

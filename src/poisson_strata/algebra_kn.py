@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import add
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .algebra_an import PairParams, generator_names, pair_word, tail_coefficient, tail_element
 from .exact_poly import DEFAULT_STEP_BUDGET, Scalar, TermMap, VarSpec, accumulate, format_terms
@@ -92,8 +92,9 @@ class StepBudgetExceeded(RuntimeError):
     """Rewriting exceeded its step budget; indicates an implementation bug."""
 
 
-class _Multiplier:
-    """Carries the parameters and the step counter of one product."""
+class Multiplier:
+    """Carries the parameters and the step counter of one product, or of
+    every product that shares its budget."""
 
     def __init__(self, params: QuantumParams, max_steps: int):
         self.params = params
@@ -150,11 +151,15 @@ def nc_multiply(
     f: NCElement,
     g: NCElement,
     max_steps: int = DEFAULT_STEP_BUDGET,
+    shared: Optional[Multiplier] = None,
 ) -> NCElement:
-    """The product f g rewritten to PBW normal form."""
+    """The product f g rewritten to PBW normal form.  Its block crossings
+    count against max_steps, or, when `shared` is given, against the budget
+    of that `Multiplier` (built over these params), which the caller's other
+    products charge too."""
     if f.n != params.n or g.n != params.n:
         raise ValueError("operands do not match the parameter arity")
-    mult = _Multiplier(params, max_steps)
+    mult = Multiplier(params, max_steps) if shared is None else shared
     acc: dict[tuple[int, ...], Fraction] = {}
     for mono_g, coeff_g in g.terms.items():
         part = {m: c * coeff_g for m, c in f.terms.items()}

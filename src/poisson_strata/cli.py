@@ -1,15 +1,17 @@
 """Command-line entry point: config ingestion, dispatch, report emission.
 
 Configs are JSON with every rational written as a string "a/b" (plain
-integers are accepted; floats are rejected to keep the arithmetic exact).
+integers are accepted; floats and exponent notation such as "1e400" are
+rejected to keep the arithmetic exact and its cost bounded).
 All commands print JSON to stdout; verification failures exit nonzero with a
 machine-readable error object.  The environment variable
-POISSON_STRATA_STEP_BUDGET caps the steps of each product, each normal form
-and each Poisson expression: one step is one generator crossing the block of
-letters to its right in a quantized product, one rule application in a
-quotient normal form, or one term pair of a product or bracket in the
-evaluation of `bracket`, whose whole expression {left, right} has one
-budget.
+POISSON_STRATA_STEP_BUDGET caps the steps of each expression and each normal
+form: one step is one generator crossing the block of letters to its right in
+a quantized product, one rule application in a quotient normal form, or one
+term pair of a product or bracket in the evaluation of `bracket`.  The whole
+expression of an `nf` command, powers included, has one budget, as has the
+whole expression {left, right} of a `bracket` command; the products of the
+associativity suite have one budget each.
 """
 
 from __future__ import annotations
@@ -76,6 +78,10 @@ def _rational(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        if "e" in value or "E" in value:
+            # Fraction builds 10**exponent exactly: "1e10000000" alone runs for
+            # seconds, and each further digit of the exponent takes ten times longer.
+            raise ConfigError(f"bad rational literal {value!r}: exponent notation is not accepted")
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:

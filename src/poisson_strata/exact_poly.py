@@ -156,8 +156,9 @@ def integer_terms(
     """(numerators, d): the term map over d, the least common denominator of
     its coefficients (1 for no terms).
 
-    The bracket kernel sums integers over d and divides once per result term
-    (`over_denominator`), which is exact and much cheaper than rational
+    Both term-pair kernels, `PoissonStructure.bracket` and
+    `LaurentPoly.__mul__`, sum integers over d and divide once per result
+    term (`over_denominator`), which is exact and much cheaper than rational
     arithmetic on every term pair.
     """
     d = lcm(*[c.denominator for c in terms.values()])
@@ -349,11 +350,26 @@ class LaurentPoly(TermMap):
     # -- what only polynomials do ---------------------------------------
 
     def __mul__(self, other: LaurentPoly) -> LaurentPoly:
+        """The product, term pair by term pair in the order of f's terms,
+        then g's.  Two operands of two or more terms are summed as integer
+        numerators over the product of their denominators, as the bracket
+        kernel sums; that sum is zero exactly when the rational one is, so
+        the result's terms keep the same order.  A product with an operand
+        of at most one term is a shift and a scale, cheaper in rationals."""
         self._check_owner(other)
-        acc: dict[tuple[int, ...], Fraction] = {}
-        for m1, c1 in self.terms.items():
-            accumulate(acc, {tuple(map(add, m1, m2)): c2 for m2, c2 in other.terms.items()}, c1)
-        return LaurentPoly._trusted(self.varspec, acc)
+        f, g = self.terms, other.terms
+        if len(f) <= 1 or len(g) <= 1:
+            acc: dict[tuple[int, ...], Fraction] = {}
+            for m1, c1 in f.items():
+                accumulate(acc, {tuple(map(add, m1, m2)): c2 for m2, c2 in g.items()}, c1)
+            return LaurentPoly._trusted(self.varspec, acc)
+        f_ints, f_den = integer_terms(f)
+        g_ints, g_den = integer_terms(g)
+        g_items = g_ints.items()
+        ints: dict[tuple[int, ...], int] = {}
+        for u, a in f_ints.items():
+            accumulate(ints, {tuple(map(add, u, v)): b for v, b in g_items}, a)
+        return LaurentPoly._trusted(self.varspec, over_denominator(ints, f_den * g_den))
 
     def monomial_inverse(self) -> LaurentPoly:
         """Inverse of a single-term polynomial; all its variables must be invertible."""

@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Callable, Union
 
 from .algebra_an import PairParams, PoissonParams, named_element
-from .algebra_kn import NCElement, QuantumParams, StepBudgetExceeded, nc_multiply
+from .algebra_kn import Multiplier, NCElement, QuantumParams, StepBudgetExceeded, nc_multiply
 from .exact_poly import DEFAULT_STEP_BUDGET, LaurentPoly
 from .poisson_core import PoissonStructure
 
@@ -326,7 +326,11 @@ def eval_poisson(
 
 
 def eval_quantum(ast: Expr, params: QuantumParams, max_steps: int = DEFAULT_STEP_BUDGET) -> NCElement:
+    """Evaluate in the quantized algebra.  The block crossings of every
+    product, powers included, are charged against one budget of max_steps
+    for the whole expression."""
     n = params.n
+    shared = Multiplier(params, max_steps)
 
     def leaf(node: Expr, ev) -> NCElement:
         if isinstance(node, Bracket):
@@ -334,7 +338,7 @@ def eval_quantum(ast: Expr, params: QuantumParams, max_steps: int = DEFAULT_STEP
         return _leaf(node, params, NCElement, n)
 
     def mul(f: NCElement, g: NCElement) -> NCElement:
-        return nc_multiply(params, f, g, max_steps)
+        return nc_multiply(params, f, g, max_steps, shared)
 
     def power(base: NCElement, e: int) -> NCElement:
         if e < 0:
@@ -346,7 +350,7 @@ def eval_quantum(ast: Expr, params: QuantumParams, max_steps: int = DEFAULT_STEP
         # beats squaring long normal forms.  Measured on a 2-core Xeon with
         # configs/quantum_n2.json, `nf "(y1+x1+y2+x2)^20"` takes 1.7 s this
         # way and 27 s by binary powering; at ^30 this loop finishes in 8 s
-        # and binary powering exceeds the step budget of one product.
+        # and binary powering exceeds the default step budget.
         out = base
         for _ in range(e - 1):
             out = mul(out, base)

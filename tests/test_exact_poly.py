@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from poisson_strata.admissible import enumerate_admissible
+from poisson_strata import exact_poly
 from poisson_strata.algebra_an import quotient_system, random_params
 from poisson_strata.exact_poly import (
     LaurentPoly,
@@ -66,6 +67,69 @@ def test_ring_axioms_random():
         assert (f + g) + h == f + (g + h)
         assert f * g == g * f
         assert f * (g + h) == f * g + f * h
+
+
+VS_MIXED = VarSpec(("y1", "x1", "y2", "x2"), frozenset({"y1", "x2"}))
+
+
+def product_reference(f, g):
+    """The product as one Fraction product and one Fraction sum per term
+    pair, f's terms outside and g's inside; a new monomial is appended and
+    a sum of zero deleted."""
+    acc = {}
+    for m1, c1 in f.terms.items():
+        for m2, c2 in g.terms.items():
+            mono = tuple(a + b for a, b in zip(m1, m2))
+            if mono not in acc:
+                acc[mono] = c1 * c2
+            elif acc[mono] + c1 * c2:
+                acc[mono] += c1 * c2
+            else:
+                del acc[mono]
+    return acc
+
+
+def product_operands(rng):
+    """Pairs of Laurent polynomials over VS_MIXED: 0, 1, 2 or many terms,
+    mixed denominators, negative exponents on y1 and x2, small exponents
+    so that term pairs meet and cancel, and (a + b)(a - b) pairs."""
+    def poly(size):
+        terms = {}
+        for _ in range(size):
+            mono = tuple(
+                rng.randint(-2, 2) if VS_MIXED.is_invertible(i) else rng.randint(0, 2)
+                for i in range(4)
+            )
+            terms[mono] = Fraction(rng.choice([-5, -3, -1, 1, 2, 4]), rng.choice([1, 2, 3, 4, 6, 9]))
+        return LaurentPoly(VS_MIXED, terms)
+
+    pairs = []
+    for _ in range(300):
+        pairs.append((poly(rng.choice([0, 1, 2, 3, 7, 12])), poly(rng.choice([0, 1, 2, 3, 7, 12]))))
+        a, b = poly(1), poly(1)
+        pairs.append((a + b, a - b))
+    return pairs
+
+
+def test_product_matches_fraction_reference():
+    pairs = product_operands(random.Random(31))
+    cancelled = 0
+    for f, g in pairs:
+        product, expected = f * g, product_reference(f, g)
+        assert product.terms == expected
+        assert list(product.terms) == list(expected)
+        assert all(type(c) is Fraction for c in product.terms.values())
+        cancelled += len({tuple(a + b for a, b in zip(u, v)) for u in f.terms for v in g.terms}) > len(expected)
+    assert cancelled > 100
+
+
+def test_product_reference_sees_a_wrong_denominator(monkeypatch):
+    plain = exact_poly.over_denominator
+    monkeypatch.setattr(exact_poly, "over_denominator", lambda ints, d: plain(ints, 2 * d))
+    pairs = product_operands(random.Random(31))
+    assert any(product_reference(f, g) != (f * g).terms for f, g in pairs)
+    a, b = LaurentPoly.variable(VS_MIXED, "y1"), LaurentPoly.monomial(VS_MIXED, {"x2": -1}, Fraction(1, 3))
+    assert ((a + b) * (a - b)).terms != product_reference(a + b, a - b)
 
 
 def test_power_multiplies_only_for_remaining_bits(monkeypatch):

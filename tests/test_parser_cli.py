@@ -470,3 +470,46 @@ def test_config_nested_past_the_recursion_limit(tmp_path, capsys):
     assert main(["--config", str(path), "admissible", "--count"]) == 2
     payload = json.loads(capsys.readouterr().out)
     assert payload["error"] == "ConfigError" and "nests too deeply" in payload["message"]
+
+
+def test_cli_nf_power_charges_one_budget(capsys, monkeypatch):
+    # Each product of (y1+x1+y2+x2)^8 makes at most 448 crossings and all
+    # seven make 1134, so only one budget for the whole expression stops it.
+    monkeypatch.setenv("POISSON_STRATA_STEP_BUDGET", "500")
+    assert main(["--config", CONFIG_QUANTUM, "nf", "(y1+x1+y2+x2)^8"]) == 2
+    assert json.loads(capsys.readouterr().out) == {
+        "error": "StepBudgetExceeded",
+        "message": "exceeded 500 rewrite steps",
+    }
+    monkeypatch.setenv("POISSON_STRATA_STEP_BUDGET", "1134")
+    assert main(["--config", CONFIG_QUANTUM, "nf", "(y1+x1+y2+x2)^8"]) == 0
+    capsys.readouterr()
+
+
+def test_config_rejects_exponent_notation(tmp_path, capsys):
+    for literal in ("1e400", "2E3", "1/1e5"):
+        status, payload = _run_config(tmp_path, capsys, {**POISSON_RAW, "p": [literal, "3"]})
+        assert status == 2
+        assert payload["error"] == "ConfigError" and repr(literal) in payload["message"]
+    status, payload = _run_config(tmp_path, capsys, {**POISSON_RAW, "p": ["4/2", "3"]})
+    assert status == 0
+
+
+def test_confluence_suite_shares_one_varspec(capsys, monkeypatch):
+    # The random inputs and every quotient system live over one VarSpec
+    # object, so reduce_poly's owner test passes by identity; field-by-field
+    # comparison once took 144,156 calls here.
+    from poisson_strata.exact_poly import VarSpec
+
+    calls = []
+    plain = VarSpec.__eq__
+
+    def counting(self, other):
+        calls.append(1)
+        return plain(self, other)
+
+    monkeypatch.setattr(VarSpec, "__eq__", counting)
+    config = str(Path(__file__).resolve().parent.parent / "perfbench" / "configs" / "paired_n3.json")
+    assert main(["--config", config, "verify", "confluence"]) == 0
+    assert json.loads(capsys.readouterr().out)["details"] == {"reductions": 48000}
+    assert len(calls) == 156
