@@ -282,25 +282,41 @@ class StratumLabel:
 
 
 def stratum_poset(n: int) -> tuple[list[StratumLabel], list[tuple[int, int]]]:
-    """Nodes in canonical order plus the covering edges of strict containment."""
+    """Nodes in canonical order plus the covering edges of strict containment,
+    ordered by (smaller, larger) node index.
+
+    Each stratum's strict up-set is a bitmask, the AND of the masks of the
+    strata containing each of its members, over bit positions sorted by
+    size.  Its covers are its up-set minus the union of the up-sets of that
+    up-set's members.  It suffices to take the union over the covers
+    themselves: the lowest bit left is a minimal member, hence a cover, and
+    its up-set is removed before the next pick.
+    """
     sets = enumerate_admissible(n)
     labels = [
         StratumLabel(t, derived_sets(t).eta, length(t), gk_dimension(t)) for t in sets
     ]
     members = [t.members() for t in sets]
-    edges = []
-    for a in range(len(sets)):
-        for b in range(len(sets)):
-            if a == b or not members[a] < members[b]:
-                continue
-            if any(
-                members[a] < members[c] < members[b]
-                for c in range(len(sets))
-                if c not in (a, b)
-            ):
-                continue
-            edges.append((a, b))
-    return labels, edges
+    order = sorted(range(len(sets)), key=lambda k: len(members[k]))  # bit -> node
+    containing: dict[str, int] = {}
+    for bit, k in enumerate(order):
+        for name in members[k]:
+            containing[name] = containing.get(name, 0) | 1 << bit
+    every = (1 << len(sets)) - 1
+    up = []
+    for bit, k in enumerate(order):
+        mask = every & ~(1 << bit)
+        for name in members[k]:
+            mask &= containing[name]
+        up.append(mask)
+    covers: list[list[int]] = [[] for _ in sets]
+    for bit, k in enumerate(order):
+        rest = up[bit]
+        while rest:
+            c = (rest & -rest).bit_length() - 1
+            covers[k].append(order[c])
+            rest &= ~up[c] & ~(1 << c)
+    return labels, [(a, b) for a in range(len(sets)) for b in sorted(covers[a])]
 
 
 def poset_json(n: int) -> dict:

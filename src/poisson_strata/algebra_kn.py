@@ -89,7 +89,13 @@ def format_nc(f: NCElement) -> str:
 
 
 class StepBudgetExceeded(RuntimeError):
-    """Rewriting exceeded its step budget; indicates an implementation bug."""
+    """A computation went past its step budget.
+
+    This is the documented outcome of any `nf` or `bracket` expression, or
+    associativity-suite product, that takes more than
+    `POISSON_STRATA_STEP_BUDGET` steps (block crossings in `eval_quantum`,
+    term pairs in `eval_poisson`); the command line reports it as a JSON
+    error object and exits 2."""
 
 
 class Multiplier:

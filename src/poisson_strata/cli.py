@@ -201,15 +201,39 @@ def _require_quantum(config: Config) -> QuantumParams:
     return config.quantum
 
 
+# The suites draw with `rng.choice` over these ranges and tuples: one
+# `_randbelow(len)` call per draw, the same call `randint(a, b)` and
+# `randrange(len)` make, so the inputs are those of the plain spelling.
+_TERM_COUNTS = range(1, 4)
+_TERM_DEGREES = range(0, 4)
+_TERM_COEFFS = tuple(map(Fraction, range(-4, 5)))
+_WORD_LENGTHS = range(0, 5)
+_WORD_COEFFS = tuple(map(Fraction, range(1, 5)))
+
+
 def _random_poly(vs, rng: random.Random) -> LaurentPoly:
-    """At most three terms, each of degree at most three."""
+    """At most three terms, each of degree at most three, over a ring with
+    no killed variables; a monomial drawn twice keeps its last coefficient."""
+    choice = rng.choice
+    width = len(vs)
+    variables = range(width)
     terms = {}
-    for _ in range(rng.randint(1, 3)):
-        mono = [0] * len(vs)
-        for _ in range(rng.randint(0, 3)):
-            mono[rng.randrange(len(vs))] += 1
-        terms[tuple(mono)] = Fraction(rng.randint(-4, 4))
-    return LaurentPoly(vs, terms)
+    for _ in range(choice(_TERM_COUNTS)):
+        mono = [0] * width
+        for _ in range(choice(_TERM_DEGREES)):
+            mono[choice(variables)] += 1
+        terms[tuple(mono)] = choice(_TERM_COEFFS)
+    return LaurentPoly._trusted(vs, {mono: c for mono, c in terms.items() if c})
+
+
+def _random_monomial(n: int, rng: random.Random) -> NCElement:
+    """One standard monomial of degree at most four, coefficient 1 to 4."""
+    choice = rng.choice
+    letters = range(2 * n)
+    mono = [0] * len(letters)
+    for _ in range(choice(_WORD_LENGTHS)):
+        mono[choice(letters)] += 1
+    return NCElement._trusted(n, {tuple(mono): choice(_WORD_COEFFS)})
 
 
 def suite_jacobi(config: Config) -> dict:
@@ -288,16 +312,8 @@ def suite_associativity(config: Config) -> dict:
     params = _require_quantum(config)
     rng = random.Random(13)
     budget = _step_budget()
-    width = 2 * params.n
-
-    def random_monomial() -> NCElement:
-        mono = [0] * width
-        for _ in range(rng.randint(0, 4)):
-            mono[rng.randrange(width)] += 1
-        return NCElement(params.n, {tuple(mono): Fraction(rng.randint(1, 4))})
-
     for _ in range(RANDOM_TRIALS):
-        f, g, h = random_monomial(), random_monomial(), random_monomial()
+        f, g, h = (_random_monomial(params.n, rng) for _ in range(3))
         left = nc_multiply(params, nc_multiply(params, f, g, budget), h, budget)
         right = nc_multiply(params, f, nc_multiply(params, g, h, budget), budget)
         if left != right:

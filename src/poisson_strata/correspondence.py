@@ -60,6 +60,7 @@ from .exact_poly import (
     format_poly,
     format_terms,
     group_analysis,
+    same_owner,
 )
 from .poisson_core import PoissonStructure
 
@@ -225,7 +226,7 @@ def verify_poisson_stratum_map(
     """
     if source is None:
         source = build_an(params)
-    elif source.varspec != an_varspec(params.n):
+    elif not same_owner(source.varspec, an_varspec(params.n)):
         raise ValueError("source structure is not over the generators of A_n")
     gmap = poisson_stratum_map(params, t_set)
     target = gmap.target

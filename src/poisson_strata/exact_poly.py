@@ -111,6 +111,12 @@ def monomial_key(m: tuple[int, ...]):
     return (sum(m), tuple(reversed(m)))
 
 
+def same_owner(a, b) -> bool:
+    """The owner test of every binary operation: identity first, so values
+    over one shared owner never compare its fields."""
+    return a is b or a == b
+
+
 def _as_fraction(c: Scalar) -> Fraction:
     return c if isinstance(c, Fraction) else Fraction(c)
 
@@ -257,7 +263,7 @@ class TermMap:
         return f"{type(self).__name__}({format_terms(self.terms, self._names(self.owner))!r})"
 
     def _check_owner(self, other: TermMap) -> None:
-        if self.owner is not other.owner and self.owner != other.owner:
+        if not same_owner(self.owner, other.owner):
             raise VarSpecMismatch(
                 f"{type(self).__name__} operands over different owners: "
                 f"{self.owner!r} vs {other.owner!r}"
@@ -275,7 +281,7 @@ class TermMap:
     def __eq__(self, other) -> bool:
         if type(other) is not type(self):
             return NotImplemented
-        return (self.owner is other.owner or self.owner == other.owner) and self.terms == other.terms
+        return same_owner(self.owner, other.owner) and self.terms == other.terms
 
     def __hash__(self):
         return hash((self.owner, frozenset(self.terms.items())))
@@ -463,6 +469,31 @@ class ReductionRule:
     replacement: LaurentPoly
 
 
+class RuleIndex(dict):
+    """Monomial -> indices of the rules whose lead divides it, in system
+    order; a monomial's entry is computed on its first lookup and kept.
+
+    `lead_divisors` holds, per rule, the (index, exponent) pairs of the lead
+    on non-invertible variables with a positive exponent: a ring monomial m
+    is divisible by the lead iff m[i] >= e for each pair, the test of
+    `monomial_divides`.
+    """
+
+    __slots__ = ("lead_divisors",)
+
+    def __init__(self, lead_divisors: tuple[tuple[tuple[int, int], ...], ...]):
+        super().__init__()
+        self.lead_divisors = lead_divisors
+
+    def __missing__(self, mono: tuple[int, ...]) -> tuple[int, ...]:
+        ks = self[mono] = tuple(
+            k
+            for k, need in enumerate(self.lead_divisors)
+            if all(mono[i] >= e for i, e in need)
+        )
+        return ks
+
+
 @dataclass(frozen=True)
 class ReductionSystem:
     """A confluent commutative rewriting system lead-monomial -> polynomial.
@@ -472,22 +503,19 @@ class ReductionSystem:
     than its lead in the term order.  Confluence itself is the supplier's
     responsibility.
 
-    Construction also derives, per rule, what `reduce_poly` reads at every
-    step: `lead_divisors` holds the (index, exponent) pairs of the lead on
-    non-invertible variables with a positive exponent, so a ring monomial m
-    is divisible by the lead iff m[i] >= e for each pair (the test of
-    `monomial_divides`); `replacement_shifts` holds the replacement's terms
-    as (m - lead, c), in the replacement's term order.
+    Construction also derives what `reduce_poly` reads at every step:
+    `matches`, the system's own `RuleIndex`, filled as reductions meet
+    monomials, and `replacement_shifts`, per rule the replacement's terms as
+    (m - lead, c) in the replacement's term order.  Neither takes part in
+    equality, hashing or repr.
     """
 
     varspec: VarSpec
     rules: tuple[ReductionRule, ...]
-    lead_divisors: tuple[tuple[tuple[int, int], ...], ...] = field(
-        init=False, repr=False, compare=False
-    )
     replacement_shifts: tuple[tuple[tuple[tuple[int, ...], Fraction], ...], ...] = field(
         init=False, repr=False, compare=False
     )
+    matches: RuleIndex = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         leads = [r.lead for r in self.rules]
@@ -495,7 +523,7 @@ class ReductionSystem:
             raise ValueError("duplicate rule lead monomials")
         for r in self.rules:
             LaurentPoly(self.varspec, {r.lead: 1})  # raises unless a ring monomial
-            if r.replacement.varspec != self.varspec:
+            if not same_owner(r.replacement.varspec, self.varspec):
                 raise VarSpecMismatch("rule replacement over wrong variables")
             if not r.replacement.is_zero():
                 if monomial_key(r.replacement.leading_monomial()) >= monomial_key(r.lead):
@@ -514,8 +542,8 @@ class ReductionSystem:
             tuple((tuple(map(sub, m, r.lead)), c) for m, c in r.replacement.terms.items())
             for r in self.rules
         )
-        object.__setattr__(self, "lead_divisors", divisors)
         object.__setattr__(self, "replacement_shifts", shifts)
+        object.__setattr__(self, "matches", RuleIndex(divisors))
 
 
 def reduce_poly(
@@ -526,12 +554,13 @@ def reduce_poly(
 ) -> LaurentPoly:
     """Rewrite f to its normal form under the system.
 
-    The result has no term divisible by any rule lead.  Each step lists the
-    candidates (term, rule) with the rule's lead dividing the term, terms in
-    their current order and rules in system order.  With `rng` one candidate
-    is drawn uniformly (one `randrange` per step), which is how the
-    confluence suite exercises uniqueness of normal forms; otherwise the
-    largest reducible term and the first matching rule are used.
+    The result has no term divisible by any rule lead.  The rules that
+    apply to a term are one lookup in the system's `matches` index.  Without
+    `rng` each step rewrites the largest reducible term by its first
+    matching rule.  With `rng` each step lists the candidates (term, rule),
+    terms in their current order and rules in system order, and draws one
+    uniformly (one `choice` per step), which is how the confluence suite
+    exercises uniqueness of normal forms.
 
     A step rewrites one mutable term map in place: it pops the chosen term
     c*m and, for each term d*u of the replacement, adds c*d at m - lead + u,
@@ -541,32 +570,31 @@ def reduce_poly(
     exactly.  One `LaurentPoly` is built at the end; when no rule applies,
     f itself is returned.
     """
-    if f.varspec is not system.varspec and f.varspec != system.varspec:
+    if not same_owner(f.varspec, system.varspec):
         raise VarSpecMismatch("polynomial and reduction system disagree on variables")
-    divisors = system.lead_divisors
+    matches = system.matches
     shifts = system.replacement_shifts
-    terms = dict(f.terms)
+    terms = f.terms
     steps = 0
     while True:
-        candidates = []
-        for mono in terms:
-            for k, need in enumerate(divisors):
-                for i, e in need:
-                    if mono[i] < e:
-                        break
-                else:
-                    candidates.append((mono, k))
-        if not candidates:
-            return LaurentPoly._trusted(system.varspec, terms) if steps else f
         if rng is None:
-            mono, k = max(candidates, key=lambda c: (monomial_key(c[0]), -c[1]))
+            reducible = [mono for mono in terms if matches[mono]]
+            if not reducible:
+                break
+            mono = reducible[0] if len(reducible) == 1 else max(reducible, key=monomial_key)
+            k = matches[mono][0]
         else:
-            mono, k = candidates[rng.randrange(len(candidates))]
+            candidates = [(mono, k) for mono in terms for k in matches[mono]]
+            if not candidates:
+                break
+            mono, k = rng.choice(candidates)
         steps += 1
         if steps > max_steps:
             raise ReductionBudgetExceeded(
                 f"no normal form within {max_steps} rewrite steps; rule system is ill-formed"
             )
+        if steps == 1:
+            terms = dict(terms)  # f itself stays as it is
         coeff = terms.pop(mono)
         for shift, c in shifts[k]:
             target = tuple(map(add, mono, shift))
@@ -575,6 +603,7 @@ def reduce_poly(
                 terms[target] = s
             else:
                 terms.pop(target, None)
+    return LaurentPoly._trusted(system.varspec, terms) if steps else f
 
 
 # -- prime-factored view of rationals and the parameter-group lattice ----

@@ -47,6 +47,7 @@ from .exact_poly import (
     integer_terms,
     numerators_over,
     over_denominator,
+    same_owner,
 )
 
 
@@ -85,7 +86,7 @@ class PoissonStructure:
         for (i, j), entry in self.table.items():
             if not (0 <= i < j < size):
                 raise ValueError(f"table key {(i, j)} is not an upper-triangular pair")
-            if entry.varspec != self.varspec:
+            if not same_owner(entry.varspec, self.varspec):
                 raise VarSpecMismatch(f"table entry {(i, j)} lives over the wrong variables")
         denominator = lcm(*(c.denominator for t in self.table.values() for c in t.terms.values()))
         matrix = [[0] * size for _ in range(size)]
@@ -119,7 +120,7 @@ class PoissonStructure:
         """{f, g} by the closed form of the module docstring, one term pair
         at a time, summed as integer numerators into one term map."""
         vs = self.varspec
-        if (f.varspec is not vs and f.varspec != vs) or (g.varspec is not vs and g.varspec != vs):
+        if not (same_owner(f.varspec, vs) and same_owner(g.varspec, vs)):
             raise VarSpecMismatch("bracket arguments over the wrong variables")
         f_ints, f_den = integer_terms(f.terms)
         g_ints, g_den = integer_terms(g.terms)
@@ -196,7 +197,7 @@ class PoissonDerivation:
         if missing:
             raise ValueError(f"derivation lacks images for {sorted(missing)}")
         for name, img in self.images.items():
-            if img.varspec != self.varspec:
+            if not same_owner(img.varspec, self.varspec):
                 raise VarSpecMismatch(f"image of {name!r} over the wrong variables")
 
     @classmethod
@@ -279,11 +280,12 @@ def ore_extend(
     the compatibility condition, both checked on generator pairs (which is
     sufficient).  Failures report the offending pair and its residual.
     """
+    vs = structure.varspec
     if delta is None:
-        delta = PoissonDerivation.zero(structure.varspec)
-    if alpha.varspec != structure.varspec or delta.varspec != structure.varspec:
+        delta = PoissonDerivation.zero(vs)
+    if not (same_owner(alpha.varspec, vs) and same_owner(delta.varspec, vs)):
         raise VarSpecMismatch("derivations over the wrong variables")
-    names = structure.varspec.names
+    names = vs.names
     for i, a in enumerate(names):
         for b in names[i + 1:]:
             res_a = _derivation_residual(structure, alpha, a, b)
@@ -300,7 +302,7 @@ def ore_extend(
                     pair=(a, b),
                     residual=res_d,
                 )
-    new_vs = structure.varspec.extended(name)
+    new_vs = vs.extended(name)
     table: dict[tuple[int, int], LaurentPoly] = {
         key: entry.map_to(new_vs) for key, entry in structure.table.items()
     }

@@ -169,6 +169,22 @@ def test_poset_unique_minimum():
         assert minima == [frozenset()]
 
 
+def test_poset_covers_match_triple_loop():
+    # The bitmask covers are exactly the pairs a < b with nothing strictly
+    # between, in (a, b) order.
+    for n in (1, 2, 3, 4):
+        labels, edges = stratum_poset(n)
+        members = [label.t_set.members() for label in labels]
+        expected = [
+            (a, b)
+            for a in range(len(members))
+            for b in range(len(members))
+            if members[a] < members[b]
+            and not any(members[a] < c < members[b] for c in members)
+        ]
+        assert edges == expected
+
+
 def test_poset_outputs():
     payload = poset_json(2)
     assert payload["n"] == 2 and len(payload["nodes"]) == 14

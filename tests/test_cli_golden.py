@@ -9,6 +9,7 @@ here.
 import contextlib
 import hashlib
 import io
+import json
 from pathlib import Path
 
 import pytest
@@ -117,3 +118,25 @@ def test_stdout_digest(config, command, size, digest):
     status, out = run_cli(config, command)
     assert status == 0
     assert (len(out), hashlib.sha256(out.encode()).hexdigest()) == (size, digest)
+
+
+def test_poset_json_digest(tmp_path):
+    # `admissible --poset` at n = 4 (164 strata, their covering edges in
+    # (smaller, larger) order), pinned as the triple-loop search printed it.
+    config = tmp_path / "poisson_n4.json"
+    config.write_text(json.dumps({
+        "mode": "poisson",
+        "n": 4,
+        "gamma": [[str(i - j) for j in range(4)] for i in range(4)],
+        "p": ["2", "3", "4", "5"],
+        "q": ["5", "7", "9", "11"],
+    }))
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        status = main(["--config", str(config), "admissible", "--poset"])
+    out = buf.getvalue()
+    assert status == 0
+    assert (len(out), hashlib.sha256(out.encode()).hexdigest()) == (
+        28326,
+        "93b27c0cfe465b41779dc00c88020c4fb68bbce87125d1ca4f3858bb5ddef29e",
+    )

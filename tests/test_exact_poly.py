@@ -341,6 +341,54 @@ def test_reduce_matches_rebuild_reference():
         assert_same_reduction(f, LAURENT_SYSTEM, rng.randrange(10**6))
 
 
+def monomials_up_to(width, degree):
+    """Every exponent vector of `width` nonnegative entries summing to at most `degree`."""
+    if width == 0:
+        return [()]
+    return [
+        (e,) + rest
+        for e in range(degree + 1)
+        for rest in monomials_up_to(width - 1, degree - e)
+    ]
+
+
+def test_rule_index_matches_monomial_divides():
+    # For every quotient system up to n = 3 and every monomial of degree at
+    # most 4, the index lists exactly the rules whose lead divides the
+    # monomial, in system order; filling it changes neither equality, hash
+    # nor repr.
+    rng = random.Random(23)
+    for n in (1, 2, 3):
+        params = random_params(n, rng)
+        monos = monomials_up_to(2 * n, 4)
+        for t_set in enumerate_admissible(n):
+            system = quotient_system(params, t_set)
+            fresh = quotient_system(params, t_set)
+            for mono in monos:
+                expected = tuple(
+                    k
+                    for k, rule in enumerate(system.rules)
+                    if monomial_divides(rule.lead, mono, system.varspec)
+                )
+                assert system.matches[mono] == expected
+            assert len(system.matches) == len(monos) and not fresh.matches
+            assert system == fresh and hash(system) == hash(fresh)
+            assert repr(system) == repr(fresh)
+
+
+def test_rule_index_over_invertible_variables():
+    # A unit's exponent never blocks a match, whatever its sign.
+    for mono in monomials_up_to(4, 3):
+        for signs in ((1, 1, 1, 1), (-1, 1, -1, 1)):
+            m = tuple(e * s for e, s in zip(mono, signs))
+            expected = tuple(
+                k
+                for k, rule in enumerate(LAURENT_SYSTEM.rules)
+                if monomial_divides(rule.lead, m, VS_INV)
+            )
+            assert LAURENT_SYSTEM.matches[m] == expected
+
+
 def test_reduce_budget_matches_rebuild_reference():
     rng = random.Random(22)
     exhausted = 0

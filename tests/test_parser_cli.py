@@ -7,7 +7,9 @@ from fractions import Fraction
 
 import pytest
 
-from poisson_strata.algebra_an import build_an
+from poisson_strata import cli
+from poisson_strata.algebra_an import an_varspec, build_an
+from poisson_strata.algebra_kn import NCElement
 from poisson_strata.cli import load_config, main
 from poisson_strata.exact_poly import LaurentPoly, format_poly
 from poisson_strata.parser import (
@@ -497,8 +499,8 @@ def test_config_rejects_exponent_notation(tmp_path, capsys):
 
 def test_confluence_suite_shares_one_varspec(capsys, monkeypatch):
     # The random inputs and every quotient system live over one VarSpec
-    # object, so reduce_poly's owner test passes by identity; field-by-field
-    # comparison once took 144,156 calls here.
+    # object, and every owner test (`same_owner`) tries identity first, so
+    # no VarSpec is compared field by field; that once took 144,156 calls.
     from poisson_strata.exact_poly import VarSpec
 
     calls = []
@@ -512,4 +514,46 @@ def test_confluence_suite_shares_one_varspec(capsys, monkeypatch):
     config = str(Path(__file__).resolve().parent.parent / "perfbench" / "configs" / "paired_n3.json")
     assert main(["--config", config, "verify", "confluence"]) == 0
     assert json.loads(capsys.readouterr().out)["details"] == {"reductions": 48000}
-    assert len(calls) == 156
+    assert len(calls) == 0
+
+
+def randint_poly(vs, rng):
+    """The confluence and jacobi inputs as first written with randint and
+    randrange, kept as the reference for `cli._random_poly`."""
+    terms = {}
+    for _ in range(rng.randint(1, 3)):
+        mono = [0] * len(vs)
+        for _ in range(rng.randint(0, 3)):
+            mono[rng.randrange(len(vs))] += 1
+        terms[tuple(mono)] = Fraction(rng.randint(-4, 4))
+    return LaurentPoly(vs, terms)
+
+
+def randint_monomial(n, rng):
+    """The associativity inputs as first written, the reference for
+    `cli._random_monomial`."""
+    width = 2 * n
+    mono = [0] * width
+    for _ in range(rng.randint(0, 4)):
+        mono[rng.randrange(width)] += 1
+    return NCElement(n, {tuple(mono): Fraction(rng.randint(1, 4))})
+
+
+@pytest.mark.parametrize(
+    "seed,count,owner,reference,generator",
+    [
+        (11, 48 * cli.RANDOM_TRIALS, an_varspec(3), randint_poly, cli._random_poly),  # confluence
+        (7, 50 * 3, an_varspec(3), randint_poly, cli._random_poly),  # jacobi
+        (13, 3 * cli.RANDOM_TRIALS, 3, randint_monomial, cli._random_monomial),  # associativity
+    ],
+)
+def test_suite_generators_draw_the_plain_inputs(seed, count, owner, reference, generator):
+    # Over a suite's full draw count at n = 3, the `choice` generators give
+    # the same values, term for term in the same order, and leave the rng
+    # in the same state as the randint/randrange spelling.
+    ref_rng, rng = random.Random(seed), random.Random(seed)
+    for _ in range(count):
+        expected = reference(owner, ref_rng)
+        got = generator(owner, rng)
+        assert got == expected and list(got.terms.items()) == list(expected.terms.items())
+    assert rng.getstate() == ref_rng.getstate()
