@@ -21,10 +21,10 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import add
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional
 
 from .algebra_an import PairParams, generator_names, pair_word, tail_coefficient, tail_element
-from .exact_poly import DEFAULT_STEP_BUDGET, Scalar, TermMap, VarSpec, accumulate, format_terms
+from .exact_poly import Scalar, StepBudget, TermMap, VarSpec, accumulate, format_terms
 
 Relation = tuple[str, tuple[tuple[Fraction, tuple[str, ...]], ...]]
 
@@ -88,24 +88,13 @@ def format_nc(f: NCElement) -> str:
     return format_terms(f.terms, kn_names(f.n))
 
 
-class StepBudgetExceeded(RuntimeError):
-    """A computation went past its step budget.
+class _Multiplier:
+    """Carries the parameters of a product and the budget its block
+    crossings charge."""
 
-    This is the documented outcome of any `nf` or `bracket` expression, or
-    associativity-suite product, that takes more than
-    `POISSON_STRATA_STEP_BUDGET` steps (block crossings in `eval_quantum`,
-    term pairs in `eval_poisson`); the command line reports it as a JSON
-    error object and exits 2."""
-
-
-class Multiplier:
-    """Carries the parameters and the step counter of one product, or of
-    every product that shares its budget."""
-
-    def __init__(self, params: QuantumParams, max_steps: int):
+    def __init__(self, params: QuantumParams, budget: StepBudget):
         self.params = params
-        self.max_steps = max_steps
-        self.steps = 0
+        self.budget = budget
 
     def mono_times_gen(self, mono: tuple[int, ...], p: int) -> dict[tuple[int, ...], Fraction]:
         """Normal form of mono * (generator p): one step crosses the whole
@@ -122,9 +111,7 @@ class Multiplier:
         lead[p] += 1
         if not any(mono[p + 1 :]):
             return {tuple(lead): Fraction(1)}
-        self.steps += 1
-        if self.steps > self.max_steps:
-            raise StepBudgetExceeded(f"exceeded {self.max_steps} rewrite steps")
+        self.budget.charge()
         smatrix = self.params.smatrix
         scalar = math.prod(
             (smatrix[r][p] ** mono[r] for r in range(p + 1, len(mono)) if mono[r]), start=Fraction(1)
@@ -153,19 +140,14 @@ class Multiplier:
 
 
 def nc_multiply(
-    params: QuantumParams,
-    f: NCElement,
-    g: NCElement,
-    max_steps: int = DEFAULT_STEP_BUDGET,
-    shared: Optional[Multiplier] = None,
+    params: QuantumParams, f: NCElement, g: NCElement, budget: Optional[StepBudget] = None
 ) -> NCElement:
-    """The product f g rewritten to PBW normal form.  Its block crossings
-    count against max_steps, or, when `shared` is given, against the budget
-    of that `Multiplier` (built over these params), which the caller's other
-    products charge too."""
+    """The product f g rewritten to PBW normal form.  Each block crossing
+    charges one step to `budget`, which the caller's other products may
+    charge too; without one, the product has a default budget of its own."""
     if f.n != params.n or g.n != params.n:
         raise ValueError("operands do not match the parameter arity")
-    mult = Multiplier(params, max_steps) if shared is None else shared
+    mult = _Multiplier(params, StepBudget() if budget is None else budget)
     acc: dict[tuple[int, ...], Fraction] = {}
     for mono_g, coeff_g in g.terms.items():
         part = {m: c * coeff_g for m, c in f.terms.items()}
@@ -174,13 +156,6 @@ def nc_multiply(
                 part = mult.dict_times_gen(part, pos)
         accumulate(acc, part)
     return NCElement._trusted(params.n, acc)
-
-
-def nc_product(params: QuantumParams, factors: Sequence[NCElement]) -> NCElement:
-    out = NCElement.one(params.n)
-    for f in factors:
-        out = nc_multiply(params, out, f)
-    return out
 
 
 def omega_q(params: QuantumParams, i: int) -> NCElement:

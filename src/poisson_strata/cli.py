@@ -3,15 +3,17 @@
 Configs are JSON with every rational written as a string "a/b" (plain
 integers are accepted; floats and exponent notation such as "1e400" are
 rejected to keep the arithmetic exact and its cost bounded).
-All commands print JSON to stdout; verification failures exit nonzero with a
-machine-readable error object.  The environment variable
-POISSON_STRATA_STEP_BUDGET caps the steps of each expression and each normal
-form: one step is one generator crossing the block of letters to its right in
-a quantized product, one rule application in a quotient normal form, or one
-term pair of a product or bracket in the evaluation of `bracket`.  The whole
-expression of an `nf` command, powers included, has one budget, as has the
-whole expression {left, right} of a `bracket` command; the products of the
-associativity suite have one budget each.
+All commands print JSON to stdout.  A failed verification exits 1 with its
+report; any error, a bad command line included, exits 2 with a
+machine-readable {"error", "message"} object.  POISSON_STRATA_STEP_BUDGET
+caps the steps of each `exact_poly.StepBudget`: one step is one generator
+crossing the block of letters to its right in a quantized product, one rule
+application in a quotient normal form, or one term pair of a product or
+bracket in the evaluation of `bracket`.  The whole expression of an `nf`
+command, powers included, has one budget, as has the whole expression
+{left, right} of a `bracket` command; each associativity-suite product and
+each normal form of `verify confluence` and `verify kstable` has its own.
+Past its budget a command ends in a StepBudgetExceeded error.
 """
 
 from __future__ import annotations
@@ -39,14 +41,7 @@ from .algebra_an import (
     quotient_system,
     verify_omega_identities,
 )
-from .algebra_kn import (
-    NCElement,
-    QuantumParams,
-    StepBudgetExceeded,
-    commutation_matrix,
-    format_nc,
-    nc_multiply,
-)
+from .algebra_kn import NCElement, QuantumParams, commutation_matrix, format_nc, nc_multiply
 from .correspondence import (
     AdditiveCharacter,
     group_character,
@@ -57,12 +52,13 @@ from .correspondence import (
 from .exact_poly import (
     DEFAULT_STEP_BUDGET,
     LaurentPoly,
-    ReductionBudgetExceeded,
+    StepBudget,
+    StepBudgetExceeded,
     format_poly,
     is_prime,
     reduce_poly,
 )
-from .parser import Bracket, EvalError, ParseError, eval_poisson, eval_quantum, parse_expr
+from .parser import Bracket, eval_poisson, eval_quantum, parse_expr
 
 ENV_STEP_BUDGET = "POISSON_STRATA_STEP_BUDGET"
 RANDOM_TRIALS = 1000  # random inputs per stratum (confluence) and triples (associativity)
@@ -70,6 +66,19 @@ RANDOM_TRIALS = 1000  # random inputs per stratum (confluence) and triples (asso
 
 class ConfigError(ValueError):
     pass
+
+
+class UsageError(ValueError):
+    """A command line the argument parser rejects."""
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """Raises UsageError instead of printing usage to stderr, so a bad
+    command line ends in the JSON error object like every other error; the
+    subcommand parsers are of this class too."""
+
+    def error(self, message: str):
+        raise UsageError(f"{self.prog}: {message}")
 
 
 def _rational(value) -> Fraction:
@@ -311,11 +320,15 @@ def suite_k_stability(config: Config) -> dict:
 def suite_associativity(config: Config) -> dict:
     params = _require_quantum(config)
     rng = random.Random(13)
-    budget = _step_budget()
+    limit = _step_budget()
+
+    def mul(a: NCElement, b: NCElement) -> NCElement:
+        return nc_multiply(params, a, b, StepBudget(limit))
+
     for _ in range(RANDOM_TRIALS):
         f, g, h = (_random_monomial(params.n, rng) for _ in range(3))
-        left = nc_multiply(params, nc_multiply(params, f, g, budget), h, budget)
-        right = nc_multiply(params, f, nc_multiply(params, g, h, budget), budget)
+        left = mul(mul(f, g), h)
+        right = mul(f, mul(g, h))
         if left != right:
             return {"suite": "associativity", "ok": False, "details": {"triple": repr((f, g, h))}}
     return {"suite": "associativity", "ok": True, "details": {"triples": RANDOM_TRIALS}}
@@ -443,12 +456,12 @@ COMMANDS = {
 def build_arg_parser() -> argparse.ArgumentParser:
     """The command-line parser, built on the first call and shared by every
     later one; parsing does not change it."""
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="poisson-strata",
         description="Exact verification toolkit for the multiparameter Poisson/quantum algebras",
     )
     parser.add_argument("--config", required=True, help="path to the JSON config")
-    common = argparse.ArgumentParser(add_help=False)
+    common = _ArgumentParser(add_help=False)
     common.add_argument("--pretty", action="store_true", help="indent the JSON output")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -486,21 +499,13 @@ def _emit(payload, pretty: bool):
 
 def main(argv=None) -> int:
     """Run one command; exit 0, 1 for a report whose "ok" is false, 2 on error."""
-    parser = build_arg_parser()
-    args = parser.parse_args(argv)
+    args = None
     try:
+        args = build_arg_parser().parse_args(argv)
         config = load_config(args.config)
         payload = COMMANDS[args.command](config, args)
-    except (
-        ConfigError,
-        ParseError,
-        EvalError,
-        OSError,
-        ValueError,
-        ReductionBudgetExceeded,
-        StepBudgetExceeded,
-    ) as exc:
-        _emit({"error": type(exc).__name__, "message": str(exc)}, args.pretty)
+    except (OSError, ValueError, StepBudgetExceeded) as exc:  # usage, config, parse, eval errors too
+        _emit({"error": type(exc).__name__, "message": str(exc)}, args is not None and args.pretty)
         return 2
     _emit(payload, args.pretty)
     return 1 if isinstance(payload, dict) and payload.get("ok") is False else 0

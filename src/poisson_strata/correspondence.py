@@ -97,7 +97,6 @@ class GeneratorMap:
     element of the target ring, whose class and owner every image shares."""
 
     t_set: AdmissibleSet
-    cases: Mapping[str, MapCase]
     images: Mapping[str, TermMap]
     target: object  # PoissonStructure or QuantumTorus
     one: TermMap  # LaurentPoly or QTorusElement
@@ -125,28 +124,30 @@ def poisson_stratum_target(params: PoissonParams, t_set: AdmissibleSet) -> Poiss
     return PoissonStructure(vs, log_canonical_table(params, vs))
 
 
+def tail_image(params: PairParams, i: int, cls, owner) -> TermMap:
+    """-w_i Y_i^-1 Y_{i-1} X_{i-1}, the tail part of the image of x_i, as a
+    `cls` term map over `owner`: the product taken left to right, which is
+    the plain Laurent monomial on the Poisson side and picks up the twist on
+    the torus."""
+    y, y_prev, x_prev = (cls.generator(owner, g) for g in (f"Y{i}", f"Y{i - 1}", f"X{i - 1}"))
+    return (y ** (-1) * y_prev * x_prev).scale(-hat_coefficient(params, i))
+
+
 def _stratum_map(params: PairParams, t_set: AdmissibleSet, target, one: TermMap) -> GeneratorMap:
     """The generator map into `target`, whose unit element is `one`; both
     sides take their images from this one dispatch."""
     cls, owner = type(one), one.owner
-
-    def generator(name: str) -> TermMap:
-        return cls.generator(owner, name)
-
-    names = kn_names(params.n)
-    cases = {name: dispatch_case(t_set, name) for name in names}
     images = {}
-    for name, case in cases.items():
-        i = int(name[1:])
+    for name in kn_names(params.n):
+        case, i = dispatch_case(t_set, name), int(name[1:])
         if case is MapCase.Y_GEN:
-            images[name] = generator(f"Y{i}")
+            images[name] = cls.generator(owner, f"Y{i}")
         elif case in (MapCase.X_FIRST, MapCase.X_PLAIN):
-            images[name] = generator(f"X{i}")
+            images[name] = cls.generator(owner, f"X{i}")
         else:
-            tail = generator(f"Y{i}") ** (-1) * generator(f"Y{i - 1}") * generator(f"X{i - 1}")
-            tail = tail.scale(-hat_coefficient(params, i))
-            images[name] = tail if case is MapCase.X_TAIL else generator(f"X{i}") + tail
-    return GeneratorMap(t_set, cases, images, target, one)
+            tail = tail_image(params, i, cls, owner)
+            images[name] = tail if case is MapCase.X_TAIL else cls.generator(owner, f"X{i}") + tail
+    return GeneratorMap(t_set, images, target, one)
 
 
 def poisson_stratum_map(params: PoissonParams, t_set: AdmissibleSet) -> GeneratorMap:
@@ -263,12 +264,10 @@ def nested_congruence_check(
         kind, i = name[0], int(name[1:])
         if kind == "y":
             return LaurentPoly.monomial(vs, {f"Y{i}": 1})
+        x = LaurentPoly.monomial(vs, {f"X{i}": 1})
         if i == 1 or t_set.y_in[i - 1]:
-            return LaurentPoly.monomial(vs, {f"X{i}": 1})
-        w = hat_coefficient(params, i)
-        return LaurentPoly.monomial(vs, {f"X{i}": 1}) + LaurentPoly.monomial(
-            vs, {f"Y{i}": -1, f"Y{i - 1}": 1, f"X{i - 1}": 1}, -w
-        )
+            return x
+        return x + tail_image(params, i, LaurentPoly, vs)
 
     eta_idx = [vs.index(nm) for nm in derived_sets(t_large).eta]
     failures = []
@@ -333,7 +332,6 @@ class AdditiveCharacter:
     params: QuantumParams
     injective_on_group: bool
     minus_one_in_group: bool
-    group: GroupAnalysis
     induced: PoissonParams
 
     def apply(self, value: Fraction) -> Fraction:
@@ -422,7 +420,6 @@ def group_character(
         params=params,
         injective_on_group=injective,
         minus_one_in_group=False,
-        group=analysis,
         induced=PoissonParams(n, tuple(map(tuple, gamma)), image_p, image_q),
     )
 

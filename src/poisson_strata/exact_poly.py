@@ -6,10 +6,10 @@ nonzero coefficients; negative exponents are allowed only on variables that
 the owning `VarSpec` declares invertible.  The sparse term-map arithmetic,
 its canonical formatter and its validation rules (`TermMap`, `accumulate`,
 `format_terms`) are written here once and shared with the quantized
-algebra's elements.  The module also provides rule-based
-commutative reduction (for quotients by confluent rule systems) and the
-integer-lattice analysis of multiplicative subgroups of Q* used by the
-parameter-group checks.
+algebra's elements.  The module also holds the one step budget of every
+bounded computation (`StepBudget`), rule-based commutative reduction (for
+quotients by confluent rule systems) and the integer-lattice analysis of
+multiplicative subgroups of Q* used by the parameter-group checks.
 """
 
 from __future__ import annotations
@@ -31,8 +31,36 @@ class VarSpecMismatch(ValueError):
     specifications, arities or tori."""
 
 
-class ReductionBudgetExceeded(RuntimeError):
-    """Raised when rule rewriting exceeds its step budget."""
+class StepBudgetExceeded(RuntimeError):
+    """A computation went past its step budget.
+
+    This is the documented outcome of any `nf` or `bracket` expression,
+    quotient normal form or associativity-suite product that takes more
+    than `POISSON_STRATA_STEP_BUDGET` steps; the command line reports it as
+    a JSON error object and exits 2."""
+
+    def __init__(self, limit: int, unit: str):
+        super().__init__(f"exceeded {limit} {unit}")
+
+
+class StepBudget:
+    """An allowance of `limit` steps, counted in `unit`, that every
+    computation handed it charges: the block crossings of PBW products or
+    the term pairs of Poisson products and brackets, of one expression or
+    one product.  `reduce_poly` keeps its own counter to the same rule."""
+
+    __slots__ = ("limit", "unit", "spent")
+
+    def __init__(self, limit: int = DEFAULT_STEP_BUDGET, unit: str = "rewrite steps"):
+        self.limit = limit
+        self.unit = unit
+        self.spent = 0
+
+    def charge(self, k: int = 1) -> None:
+        """Count k more steps; raises StepBudgetExceeded once they pass the limit."""
+        self.spent += k
+        if self.spent > self.limit:
+            raise StepBudgetExceeded(self.limit, self.unit)
 
 
 @dataclass(frozen=True)
@@ -272,12 +300,6 @@ class TermMap:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def total_degree(self) -> int:
-        """Largest signed exponent sum over the terms (0 for zero)."""
-        if not self.terms:
-            return 0
-        return max(sum(m) for m in self.terms)
-
     def __eq__(self, other) -> bool:
         if type(other) is not type(self):
             return NotImplemented
@@ -337,10 +359,6 @@ class LaurentPoly(TermMap):
         return varspec.names
 
     _admit = staticmethod(VarSpec.admit)
-
-    @classmethod
-    def constant(cls, varspec: VarSpec, c: Scalar) -> LaurentPoly:
-        return cls.monomial(varspec, {}, c)
 
     @classmethod
     def variable(cls, varspec: VarSpec, name: str) -> LaurentPoly:
@@ -560,7 +578,10 @@ def reduce_poly(
     matching rule.  With `rng` each step lists the candidates (term, rule),
     terms in their current order and rules in system order, and draws one
     uniformly (one `choice` per step), which is how the confluence suite
-    exercises uniqueness of normal forms.
+    exercises uniqueness of normal forms.  Each normal form has its own
+    budget of max_steps rule applications, kept in a local counter rather
+    than a `StepBudget` (one object per call would cost time on this path);
+    past it, StepBudgetExceeded is raised.
 
     A step rewrites one mutable term map in place: it pops the chosen term
     c*m and, for each term d*u of the replacement, adds c*d at m - lead + u,
@@ -590,9 +611,7 @@ def reduce_poly(
             mono, k = rng.choice(candidates)
         steps += 1
         if steps > max_steps:
-            raise ReductionBudgetExceeded(
-                f"no normal form within {max_steps} rewrite steps; rule system is ill-formed"
-            )
+            raise StepBudgetExceeded(max_steps, "rewrite steps")
         if steps == 1:
             terms = dict(terms)  # f itself stays as it is
         coeff = terms.pop(mono)
@@ -684,13 +703,6 @@ def factor_rational(x: Scalar) -> tuple[int, dict[int, int]]:
     return sign, {p: e for p, e in sorted(exps.items()) if e != 0}
 
 
-def unfactor_rational(sign: int, exps: Mapping[int, int]) -> Fraction:
-    value = Fraction(sign)
-    for p, e in exps.items():
-        value *= Fraction(p) ** e
-    return value
-
-
 def _integer_row_kernel(matrix: list[list[int]]) -> list[list[int]]:
     """Z-basis of {c : c * matrix = 0}, via integer row elimination on [M | I]."""
     rows = len(matrix)
@@ -723,7 +735,6 @@ class GroupAnalysis:
     contains_minus_one: bool
     primes: tuple[int, ...]
     exponents: tuple[tuple[int, ...], ...]  # one row per generator
-    signs: tuple[int, ...]
 
 
 def group_analysis(generators: Sequence[Scalar]) -> GroupAnalysis:
@@ -749,5 +760,4 @@ def group_analysis(generators: Sequence[Scalar]) -> GroupAnalysis:
         contains_minus_one=minus_one,
         primes=tuple(primes),
         exponents=tuple(tuple(r) for r in rows),
-        signs=tuple(signs),
     )

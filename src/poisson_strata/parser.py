@@ -25,8 +25,8 @@ from fractions import Fraction
 from typing import Callable, Union
 
 from .algebra_an import PairParams, PoissonParams, named_element
-from .algebra_kn import Multiplier, NCElement, QuantumParams, StepBudgetExceeded, nc_multiply
-from .exact_poly import DEFAULT_STEP_BUDGET, LaurentPoly
+from .algebra_kn import NCElement, QuantumParams, nc_multiply
+from .exact_poly import DEFAULT_STEP_BUDGET, LaurentPoly, StepBudget
 from .poisson_core import PoissonStructure
 
 
@@ -300,22 +300,16 @@ def eval_poisson(
     one step each, against one budget of max_steps for the whole expression;
     StepBudgetExceeded is raised before the work that would pass it."""
     vs = structure.varspec
-    spent = 0
-
-    def charge(f: LaurentPoly, g: LaurentPoly) -> None:
-        nonlocal spent
-        spent += len(f.terms) * len(g.terms)
-        if spent > max_steps:
-            raise StepBudgetExceeded(f"exceeded {max_steps} term pairs")
+    charge = StepBudget(max_steps, "term pairs").charge
 
     def mul(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
-        charge(f, g)
+        charge(len(f.terms) * len(g.terms))
         return f * g
 
     def leaf(node: Expr, ev) -> LaurentPoly:
         if isinstance(node, Bracket):
             f, g = ev(node.left), ev(node.right)
-            charge(f, g)
+            charge(len(f.terms) * len(g.terms))
             return structure.bracket(f, g)
         return _leaf(node, params, LaurentPoly, vs)
 
@@ -330,7 +324,7 @@ def eval_quantum(ast: Expr, params: QuantumParams, max_steps: int = DEFAULT_STEP
     product, powers included, are charged against one budget of max_steps
     for the whole expression."""
     n = params.n
-    shared = Multiplier(params, max_steps)
+    budget = StepBudget(max_steps)
 
     def leaf(node: Expr, ev) -> NCElement:
         if isinstance(node, Bracket):
@@ -338,7 +332,7 @@ def eval_quantum(ast: Expr, params: QuantumParams, max_steps: int = DEFAULT_STEP
         return _leaf(node, params, NCElement, n)
 
     def mul(f: NCElement, g: NCElement) -> NCElement:
-        return nc_multiply(params, f, g, max_steps, shared)
+        return nc_multiply(params, f, g, budget)
 
     def power(base: NCElement, e: int) -> NCElement:
         if e < 0:

@@ -173,13 +173,6 @@ class PoissonStructure:
             raise ValueError("bracket table violates the Jacobi identity")
         return self
 
-    def hamiltonian(self, a: LaurentPoly) -> PoissonDerivation:
-        """The derivation {a, -}."""
-        return PoissonDerivation(
-            self.varspec,
-            {name: self.bracket(a, self.generator(name)) for name in self.varspec.names},
-        )
-
 
 @dataclass(frozen=True)
 class PoissonDerivation:

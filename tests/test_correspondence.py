@@ -1,5 +1,6 @@
 """Tests for the stratum maps, the parameter-group character, and the report."""
 
+import dataclasses
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -16,13 +17,14 @@ from poisson_strata.correspondence import (
     dispatch_case,
     group_character,
     nested_congruence_check,
+    parameter_group_generators,
     poisson_stratum_map,
     quantum_stratum_map,
     stratification_report,
     verify_poisson_stratum_map,
     verify_quantum_stratum_map,
 )
-from poisson_strata.exact_poly import LaurentPoly
+from poisson_strata.exact_poly import LaurentPoly, group_analysis
 from poisson_strata.poisson_core import PoissonStructure
 from poisson_strata.samples import (
     quantum_sample,
@@ -92,7 +94,10 @@ def test_both_maps_use_the_same_cases():
     for t_set in enumerate_admissible(2):
         pmap = poisson_stratum_map(pparams, t_set)
         qmap = quantum_stratum_map(qparams, t_set)
-        assert pmap.cases == qmap.cases
+        # the same image shapes: each image has the same monomials on both sides
+        assert {g: set(img.terms) for g, img in pmap.images.items()} == {
+            g: set(img.terms) for g, img in qmap.images.items()
+        }
 
 
 def test_verify_poisson_all_strata_small_n():
@@ -271,6 +276,49 @@ def test_quantum_failure_names_relation_and_residual(monkeypatch):
     assert verify_quantum_stratum_map(params, empty_set(2))["ok"]
 
 
+def test_doubled_hat_coefficient_fails_the_strata_that_read_it(monkeypatch):
+    # x2's tail image is read by the two strata with neither Omega1 nor y2 in T;
+    # doubling w_2 breaks the tail element, and Omega2 as a member, on both sides
+    character = cli.load_config(CONFIG_PAIRED).character
+    hat = correspondence.hat_coefficient
+    monkeypatch.setattr(correspondence, "hat_coefficient", lambda params, i: 2 * hat(params, i))
+    failed = {}
+    for t_set in enumerate_admissible(2):
+        psi = verify_poisson_stratum_map(character.induced, t_set)
+        ups = verify_quantum_stratum_map(character.params, t_set)
+        assert psi["ok"] == ups["ok"]
+        if not psi["ok"]:
+            failed[t_set.member_names()] = (psi["failures"], ups["failures"])
+    assert failed == {
+        (): (
+            ["bracket pair (y2, x2): residual Y1*X1", "tail element 2 image: residual -Y1*X1"],
+            ["relation x2y2: residual 2*Y1*X1", "tail element 2 image: residual -2*Y1*X1"],
+        ),
+        ("Omega2",): (
+            [
+                "bracket pair (y2, x2): residual Y1*X1",
+                "tail element 2 image: residual -Y1*X1",
+                "member Omega2 does not map to zero: residual -Y1*X1",
+            ],
+            [
+                "relation x2y2: residual 2*Y1*X1",
+                "tail element 2 image: residual -2*Y1*X1",
+                "member Omega2 does not map to zero: residual -2*Y1*X1",
+            ],
+        ),
+    }
+
+
+def test_swapped_unit_images_fail_the_unit_check():
+    params = quantum_sample_image()
+    gmap = poisson_stratum_map(params, empty_set(2))
+    swapped = dataclasses.replace(gmap, images={**gmap.images, "y1": gmap.images["y2"]})
+    source_one = LaurentPoly.one(build_an(params).varspec)
+    report = correspondence._stratum_report(params, swapped, [], source_one)
+    assert "surviving y images do not generate the inverted set" in report["failures"]
+    assert correspondence._stratum_report(params, gmap, [], source_one)["ok"]
+
+
 def test_character_transports_the_sample():
     character = group_character(quantum_sample(), sample_weights())
     assert character.induced.p == (1, 3)
@@ -315,7 +363,7 @@ def test_character_mixed_primes_not_injective():
     params = QuantumParams.make(2, [[1, 1], [1, 1]], [2, 5], [3, 7])
     weights = {2: Fraction(1), 3: Fraction(2), 5: Fraction(3), 7: Fraction(5)}
     character = group_character(params, weights)
-    assert character.group.lattice_rank == 4
+    assert group_analysis(parameter_group_generators(params)).lattice_rank == 4
     assert character.injective_on_group is False
 
 
@@ -441,7 +489,7 @@ def test_character_images_match_apply_on_rank_two():
         [10, 60, Fraction(1, 6)],
     )
     character = group_character(params, {2: Fraction(1, 3), 3: Fraction(-2), 5: Fraction(5, 7)})
-    assert character.group.lattice_rank == 2
+    assert group_analysis(parameter_group_generators(params)).lattice_rank == 2
     assert character.injective_on_group is False
     for i in range(3):
         assert character.induced.p[i] == character.apply(params.p[i])

@@ -65,6 +65,18 @@ def test_parse_rejects_unknown_names():
         eval_poisson(parse_expr("y3"), build_an(params), params)
 
 
+def test_parse_error_names_an_unexpected_character():
+    with pytest.raises(ParseError) as err:
+        parse_expr("x1 $")
+    assert err.value.position == 3 and "'$'" in str(err.value)
+
+
+def test_tail_index_past_n_is_an_eval_error():
+    params = poisson_sample()
+    with pytest.raises(EvalError, match="no tail element of index 3 for n=2"):
+        eval_poisson(parse_expr("Omega3"), build_an(params), params)
+
+
 def test_juxtaposition_and_explicit_star_agree():
     assert parse_expr("2 y1 x1") == parse_expr("2 * y1 * x1")
 
@@ -131,6 +143,31 @@ def test_cli_bracket(capsys):
     status = main(["--config", CONFIG_POISSON, "bracket", "x2", "y2"])
     assert status == 0
     assert json.loads(capsys.readouterr().out) == {"result": "7*y2*x2 + 3*y1*x1"}
+
+
+def test_cli_bracket_leading_minus(capsys):
+    # a leading '-' negates the first term; after '--' argparse takes the
+    # expression as a positional argument
+    assert main(["--config", CONFIG_POISSON, "bracket", "--", "- x1 + y1", "y1"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"result": "-5*y1*x1"}
+    assert main(["--config", CONFIG_POISSON, "bracket", "--", "-x1", "y1"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"result": "-5*y1*x1"}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--config", CONFIG_POISSON, "bracket", "-x1", "y1"],  # -x1 read as an option
+        ["--config", CONFIG_POISSON, "bogus"],
+        ["bracket", "x1", "y1"],
+    ],
+)
+def test_cli_usage_errors_end_in_json(capsys, argv):
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    payload = json.loads(out)
+    assert payload["error"] == "UsageError" and payload["message"].startswith("poisson-strata")
+    assert err == ""
 
 
 def test_cli_nf(capsys):
@@ -257,6 +294,16 @@ def test_cli_step_budget_env(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("POISSON_STRATA_STEP_BUDGET", "nope")
     assert main(["--config", CONFIG_QUANTUM, "nf", "x1"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("suite", ["confluence", "kstable"])
+def test_cli_quotient_normal_forms_share_the_step_budget_error(capsys, monkeypatch, suite):
+    monkeypatch.setenv("POISSON_STRATA_STEP_BUDGET", "1")
+    assert main(["--config", CONFIG_PAIRED, "verify", suite]) == 2
+    assert json.loads(capsys.readouterr().out) == {
+        "error": "StepBudgetExceeded",
+        "message": "exceeded 1 rewrite steps",
+    }
 
 
 def test_cli_bracket_power_stops_at_the_step_budget(capsys, monkeypatch):

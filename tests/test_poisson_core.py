@@ -274,7 +274,7 @@ def test_ore_extend_rejects_incompatible_pair():
     with pytest.raises(CompatibilityError) as err:
         ore_extend(base, "z", PoissonDerivation.zero(vs), delta)
     assert err.value.pair == ("y", "x")
-    assert err.value.residual == LaurentPoly.constant(vs, -1)
+    assert err.value.residual == LaurentPoly.monomial(vs, {}, -1)
 
 
 def test_monomial_bracket_formula_in_extension():
@@ -469,7 +469,8 @@ def test_derivation_checks():
     vs = structure.varspec
     scaling = PoissonDerivation.scaling(vs, {"y1": 1, "x1": 1, "y2": 1, "x2": 1})
     assert derivation_check(structure, scaling) is True
-    hamiltonian = structure.hamiltonian(structure.generator("y1"))
+    y1 = structure.generator("y1")
+    hamiltonian = PoissonDerivation(vs, {g: structure.bracket(y1, structure.generator(g)) for g in vs.names})
     assert derivation_check(structure, hamiltonian) is True
     bad = PoissonDerivation(
         vs,
