@@ -8,11 +8,14 @@ report; any error, a bad command line included, exits 2 with a
 machine-readable {"error", "message"} object.  POISSON_STRATA_STEP_BUDGET
 caps the steps of each `exact_poly.StepBudget`: one step is one generator
 crossing the block of letters to its right in a quantized product, one rule
-application in a quotient normal form, or one term pair of a product or
-bracket in the evaluation of `bracket`.  The whole expression of an `nf`
-command, powers included, has one budget, as has the whole expression
-{left, right} of a `bracket` command; each associativity-suite product and
-each normal form of `verify confluence` and `verify kstable` has its own.
+application in a quotient normal form, one term pair of a product or
+bracket in the evaluation of `bracket`, or one admissible set that
+`admissible --list` or `--poset` is to build, all charged from the count
+before the first is built (`admissible --count` builds none and charges
+nothing).  The whole expression of an `nf` command, powers included, has
+one budget, as has the whole expression {left, right} of a `bracket`
+command; each associativity-suite product and each normal form of `verify
+confluence` and `verify kstable` has its own.
 Past its budget a command ends in a StepBudgetExceeded error.
 """
 
@@ -23,6 +26,7 @@ import functools
 import json
 import os
 import random
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -54,6 +58,7 @@ from .exact_poly import (
     LaurentPoly,
     StepBudget,
     StepBudgetExceeded,
+    draw_below,
     format_poly,
     is_prime,
     reduce_poly,
@@ -79,6 +84,15 @@ class _ArgumentParser(argparse.ArgumentParser):
 
     def error(self, message: str):
         raise UsageError(f"{self.prog}: {message}")
+
+    def option_strings(self) -> set[str]:
+        """Every option string of this parser and of its subcommands."""
+        known = set(self._option_string_actions)
+        for action in self._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                for sub in action.choices.values():
+                    known |= sub.option_strings()
+        return known
 
 
 def _rational(value) -> Fraction:
@@ -210,9 +224,9 @@ def _require_quantum(config: Config) -> QuantumParams:
     return config.quantum
 
 
-# The suites draw with `rng.choice` over these ranges and tuples: one
-# `_randbelow(len)` call per draw, the same call `randint(a, b)` and
-# `randrange(len)` make, so the inputs are those of the plain spelling.
+# The suites draw uniformly from these ranges and tuples with `draw_below`,
+# the loop `rng.choice`, `randint(a, b)` and `randrange(len)` run for each
+# draw, so the inputs and the final rng state are those of the plain spelling.
 _TERM_COUNTS = range(1, 4)
 _TERM_DEGREES = range(0, 4)
 _TERM_COEFFS = tuple(map(Fraction, range(-4, 5)))
@@ -223,26 +237,25 @@ _WORD_COEFFS = tuple(map(Fraction, range(1, 5)))
 def _random_poly(vs, rng: random.Random) -> LaurentPoly:
     """At most three terms, each of degree at most three, over a ring with
     no killed variables; a monomial drawn twice keeps its last coefficient."""
-    choice = rng.choice
+    bits = rng.getrandbits
     width = len(vs)
-    variables = range(width)
     terms = {}
-    for _ in range(choice(_TERM_COUNTS)):
+    for _ in range(_TERM_COUNTS[draw_below(bits, len(_TERM_COUNTS))]):
         mono = [0] * width
-        for _ in range(choice(_TERM_DEGREES)):
-            mono[choice(variables)] += 1
-        terms[tuple(mono)] = choice(_TERM_COEFFS)
+        for _ in range(_TERM_DEGREES[draw_below(bits, len(_TERM_DEGREES))]):
+            mono[draw_below(bits, width)] += 1
+        terms[tuple(mono)] = _TERM_COEFFS[draw_below(bits, len(_TERM_COEFFS))]
     return LaurentPoly._trusted(vs, {mono: c for mono, c in terms.items() if c})
 
 
 def _random_monomial(n: int, rng: random.Random) -> NCElement:
     """One standard monomial of degree at most four, coefficient 1 to 4."""
-    choice = rng.choice
-    letters = range(2 * n)
-    mono = [0] * len(letters)
-    for _ in range(choice(_WORD_LENGTHS)):
-        mono[choice(letters)] += 1
-    return NCElement._trusted(n, {tuple(mono): choice(_WORD_COEFFS)})
+    bits = rng.getrandbits
+    width = 2 * n
+    mono = [0] * width
+    for _ in range(_WORD_LENGTHS[draw_below(bits, len(_WORD_LENGTHS))]):
+        mono[draw_below(bits, width)] += 1
+    return NCElement._trusted(n, {tuple(mono): _WORD_COEFFS[draw_below(bits, len(_WORD_COEFFS))]})
 
 
 def suite_jacobi(config: Config) -> dict:
@@ -284,7 +297,9 @@ def suite_confluence(config: Config) -> dict:
         for _ in range(RANDOM_TRIALS):
             f = _random_poly(vs, rng)
             base = reduce_poly(f, system, budget)
-            for _ in range(2):
+            # f itself means no rule applies: the random reductions would
+            # find no candidate, draw nothing and return f too.
+            for _ in range(0 if base is f else 2):
                 other = reduce_poly(f, system, budget, rng=rng)
                 if other != base:
                     return {
@@ -297,22 +312,33 @@ def suite_confluence(config: Config) -> dict:
 
 
 def suite_k_stability(config: Config) -> dict:
+    """Each member of each stratum ideal must reduce to zero after a bracket
+    with any generator or the action of any weight vector.  A member's
+    images do not depend on the stratum, so each is built once per run and
+    reduced against every stratum's system."""
     params = _require_poisson(config)
     structure = build_an(params)
     vs = structure.varspec
     budget = _step_budget()
-    basis = k_basis(params.n)
+    generators = [structure.generator(g_name) for g_name in vs.names]
+    derivations = [k_derivation(params, h) for h in k_basis(params.n)]
+    images: dict[str, tuple[list[LaurentPoly], list[LaurentPoly]]] = {}
     failures = []
     for t_set in adm.enumerate_admissible(params.n):
         system = quotient_system(params, t_set)
         for name in t_set.member_names():
-            poly = named_element(params, name, LaurentPoly, vs)
-            for g_name in vs.names:
-                image = structure.bracket(poly, structure.generator(g_name))
+            if name not in images:
+                poly = named_element(params, name, LaurentPoly, vs)
+                images[name] = (
+                    [structure.bracket(poly, g) for g in generators],
+                    [d.apply(poly) for d in derivations],
+                )
+            brackets, weighted = images[name]
+            for g_name, image in zip(vs.names, brackets):
                 if not reduce_poly(image, system, budget).is_zero():
                     failures.append(f"{t_set.member_names()}: bracket({name}, {g_name})")
-            for h in basis:
-                if not reduce_poly(k_derivation(params, h).apply(poly), system, budget).is_zero():
+            for image in weighted:
+                if not reduce_poly(image, system, budget).is_zero():
                     failures.append(f"{t_set.member_names()}: weight action on {name}")
     return {"suite": "kstable", "ok": not failures, "details": {"failures": failures}}
 
@@ -403,18 +429,19 @@ def cmd_nf(config: Config, args) -> dict:
 
 def cmd_admissible(config: Config, args) -> dict | str:
     n = config.poisson.n if config.poisson is not None else config.quantum.n
+    count = adm.count_admissible(n)
+    if not (args.list or args.poset):
+        return {"n": n, "count": count}
+    StepBudget(_step_budget(), "admissible sets").charge(count)
     if args.poset:
         if args.dot:
             return adm.poset_dot(n)
         return adm.poset_json(n)
-    sets = adm.enumerate_admissible(n)
-    if args.list:
-        return {
-            "n": n,
-            "count": len(sets),
-            "sets": [list(t.member_names()) for t in sets],
-        }
-    return {"n": n, "count": len(sets)}
+    return {
+        "n": n,
+        "count": count,
+        "sets": [list(t.member_names()) for t in adm.enumerate_admissible(n)],
+    }
 
 
 def cmd_matrices(config: Config, args) -> dict:
@@ -490,6 +517,44 @@ def build_arg_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")  # what argparse reads as a positional
+
+
+def _stray_option(parser: _ArgumentParser, argv: list[str]) -> Optional[str]:
+    """The first token before any "--" that argparse takes for an option
+    although no option of the command line names it, such as the expression
+    -x1; None when there is none."""
+    known = parser.option_strings()
+    for token in argv:
+        if token == "--":
+            return None
+        if (
+            token.startswith("-")
+            and len(token) > 1
+            and " " not in token
+            and not _NEGATIVE_NUMBER.match(token)
+            and not any(option.startswith(token.split("=", 1)[0]) for option in known)
+        ):
+            return token
+    return None
+
+
+def _parse_args(argv: Optional[list[str]]) -> argparse.Namespace:
+    """Parse the command line.  argparse takes an expression that starts with
+    "-" for an option and then reports its positional as missing; the error
+    names the expression instead and points to "--"."""
+    parser = build_arg_parser()
+    try:
+        return parser.parse_args(argv)
+    except UsageError as exc:
+        stray = _stray_option(parser, sys.argv[1:] if argv is None else argv)
+        if stray is None or "the following arguments are required" not in str(exc):
+            raise
+        raise UsageError(
+            f"{exc} ({stray!r} was read as an option; put -- before expressions that start with '-')"
+        ) from None
+
+
 def _emit(payload, pretty: bool):
     if isinstance(payload, str):
         print(payload)
@@ -501,7 +566,7 @@ def main(argv=None) -> int:
     """Run one command; exit 0, 1 for a report whose "ok" is false, 2 on error."""
     args = None
     try:
-        args = build_arg_parser().parse_args(argv)
+        args = _parse_args(argv)
         config = load_config(args.config)
         payload = COMMANDS[args.command](config, args)
     except (OSError, ValueError, StepBudgetExceeded) as exc:  # usage, config, parse, eval errors too

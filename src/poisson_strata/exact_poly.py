@@ -35,8 +35,8 @@ class StepBudgetExceeded(RuntimeError):
     """A computation went past its step budget.
 
     This is the documented outcome of any `nf` or `bracket` expression,
-    quotient normal form or associativity-suite product that takes more
-    than `POISSON_STRATA_STEP_BUDGET` steps; the command line reports it as
+    quotient normal form, associativity-suite product or admissible-set
+    listing that takes more than `POISSON_STRATA_STEP_BUDGET` steps; the command line reports it as
     a JSON error object and exits 2."""
 
     def __init__(self, limit: int, unit: str):
@@ -45,9 +45,9 @@ class StepBudgetExceeded(RuntimeError):
 
 class StepBudget:
     """An allowance of `limit` steps, counted in `unit`, that every
-    computation handed it charges: the block crossings of PBW products or
+    computation handed it charges: the block crossings of PBW products,
     the term pairs of Poisson products and brackets, of one expression or
-    one product.  `reduce_poly` keeps its own counter to the same rule."""
+    one product, or the admissible sets of one listing.  `reduce_poly` keeps its own counter to the same rule."""
 
     __slots__ = ("limit", "unit", "spent")
 
@@ -147,6 +147,27 @@ def same_owner(a, b) -> bool:
 
 def _as_fraction(c: Scalar) -> Fraction:
     return c if isinstance(c, Fraction) else Fraction(c)
+
+
+def draw_below(bits, n: int) -> int:
+    """A uniform draw from range(n), where `bits` is a generator's
+    `getrandbits`.
+
+    This is the loop of `random.Random._randbelow` on CPython 3.10 to 3.13:
+    k = n.bit_length() fresh bits, drawn again while they reach n.  So
+    `seq[draw_below(rng.getrandbits, len(seq))]` makes exactly the draws of
+    `rng.choice(seq)`, and leaves the same state, in one call instead of
+    two.  n = 0 raises IndexError, as `choice` of an empty sequence does;
+    the test sits in the redraw loop, which every such call enters, so the
+    first draw costs no comparison for it.
+    """
+    k = n.bit_length()
+    r = bits(k)
+    while r >= n:
+        if n < 1:
+            raise IndexError("Cannot choose from an empty sequence")
+        r = bits(k)
+    return r
 
 
 def accumulate(
@@ -254,14 +275,14 @@ class TermMap:
             coeff = _as_fraction(coeff)
             if coeff and self._admit(owner, mono):
                 clean[tuple(mono)] = coeff
-        object.__setattr__(self, "owner", owner)
-        object.__setattr__(self, "terms", clean)
+        _set_owner(self, owner)
+        _set_terms(self, clean)
 
     @classmethod
     def _trusted(cls, owner, terms: dict[tuple[int, ...], Fraction]):
         obj = object.__new__(cls)
-        object.__setattr__(obj, "owner", owner)
-        object.__setattr__(obj, "terms", terms)
+        _set_owner(obj, owner)
+        _set_terms(obj, terms)
         return obj
 
     def __setattr__(self, name, value):
@@ -341,6 +362,13 @@ class TermMap:
             if e:
                 base = mul(base, base)
         return self.one(self.owner) if result is None else result
+
+
+# The slot descriptors' setters, bound once: the only writes past the
+# immutability of `__setattr__`, and cheaper than a by-name
+# `object.__setattr__` on every value arithmetic builds.
+_set_owner = TermMap.owner.__set__
+_set_terms = TermMap.terms.__set__
 
 
 class LaurentPoly(TermMap):
@@ -577,8 +605,8 @@ def reduce_poly(
     `rng` each step rewrites the largest reducible term by its first
     matching rule.  With `rng` each step lists the candidates (term, rule),
     terms in their current order and rules in system order, and draws one
-    uniformly (one `choice` per step), which is how the confluence suite
-    exercises uniqueness of normal forms.  Each normal form has its own
+    uniformly as `rng.choice` would (`draw_below`), which is how the
+    confluence suite exercises uniqueness of normal forms.  Each normal form has its own
     budget of max_steps rule applications, kept in a local counter rather
     than a `StepBudget` (one object per call would cost time on this path);
     past it, StepBudgetExceeded is raised.
@@ -596,9 +624,10 @@ def reduce_poly(
     matches = system.matches
     shifts = system.replacement_shifts
     terms = f.terms
+    bits = None if rng is None else rng.getrandbits
     steps = 0
     while True:
-        if rng is None:
+        if bits is None:
             reducible = [mono for mono in terms if matches[mono]]
             if not reducible:
                 break
@@ -608,7 +637,7 @@ def reduce_poly(
             candidates = [(mono, k) for mono in terms for k in matches[mono]]
             if not candidates:
                 break
-            mono, k = rng.choice(candidates)
+            mono, k = candidates[draw_below(bits, len(candidates))]
         steps += 1
         if steps > max_steps:
             raise StepBudgetExceeded(max_steps, "rewrite steps")

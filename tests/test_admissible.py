@@ -7,6 +7,7 @@ import pytest
 from poisson_strata.admissible import (
     AdmissibleSet,
     brute_force_admissible,
+    count_admissible,
     derived_sets,
     enumerate_admissible,
     eta_injectivity,
@@ -17,6 +18,14 @@ from poisson_strata.admissible import (
     poset_json,
     stratum_poset,
 )
+
+
+def test_count_follows_the_level_recurrence():
+    # a_i = a_{i-1} + b_{i-1}, b_i = a_{i-1} + 3 b_{i-1} counts the sets
+    # without building them; n = 12 would build 3,028,544 of them.
+    for n in range(8):
+        assert count_admissible(n) == len(enumerate_admissible(n))
+    assert [count_admissible(n) for n in (9, 12)] == [76096, 3028544]
 
 
 def test_counts_match_brute_force():

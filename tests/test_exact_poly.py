@@ -18,6 +18,7 @@ from poisson_strata.exact_poly import (
     VarSpec,
     VarSpecMismatch,
     divide_exact,
+    draw_below,
     factor_rational,
     format_poly,
     group_analysis,
@@ -259,6 +260,19 @@ def test_step_budget_counts_every_charge_against_one_limit():
     budget.charge()
     with pytest.raises(StepBudgetExceeded, match="^exceeded 3 term pairs$"):
         budget.charge()
+
+
+def test_draw_below_makes_the_draws_of_choice():
+    # Lengths at, just below and just above powers of two, where the
+    # rejection loop redraws most often.
+    ref_rng, rng = random.Random(5), random.Random(5)
+    for n in list(range(1, 40)) + [63, 64, 65, 1000]:
+        seq = range(n)
+        for _ in range(50):
+            assert seq[draw_below(rng.getrandbits, n)] == ref_rng.choice(seq)
+    assert rng.getstate() == ref_rng.getstate()
+    with pytest.raises(IndexError):  # never an endless redraw
+        draw_below(rng.getrandbits, 0)
 
 
 def rebuild_reduce_poly(f, system, max_steps=10**6, rng=None):

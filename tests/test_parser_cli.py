@@ -170,6 +170,23 @@ def test_cli_usage_errors_end_in_json(capsys, argv):
     assert err == ""
 
 
+@pytest.mark.parametrize(
+    "config,command",
+    [(CONFIG_POISSON, ["bracket", "-x1", "y1"]), (CONFIG_QUANTUM, ["nf", "-x1"])],
+)
+def test_cli_usage_error_names_an_expression_read_as_an_option(capsys, config, command):
+    # argparse takes -x1 for an unknown option and reports the positional
+    # after it as missing; the message names -x1 and the way around it
+    assert main(["--config", config, *command]) == 2
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["error"] == "UsageError"
+    assert payload["message"].startswith("poisson-strata " + command[0])
+    assert "'-x1' was read as an option; put -- before expressions" in payload["message"]
+    # a missing positional with no such token keeps argparse's message
+    assert main(["--config", config, command[0]]) == 2
+    assert "read as an option" not in json.loads(capsys.readouterr().out)["message"]
+
+
 def test_cli_nf(capsys):
     status = main(["--config", CONFIG_QUANTUM, "nf", "x1 y1"])
     assert status == 0
@@ -222,6 +239,21 @@ def test_cli_admissible(capsys):
     assert len(listing["sets"]) == 14 and [] in listing["sets"]
     assert main(["--config", CONFIG_POISSON, "admissible", "--poset", "--dot"]) == 0
     assert capsys.readouterr().out.startswith("digraph")
+
+
+def test_cli_admissible_count_builds_no_sets(tmp_path, capsys, monkeypatch):
+    # --count uses the level recurrence, so n = 12 (3,028,544 sets) answers
+    # at once; --list and --poset charge one step per set before building.
+    raw = {"mode": "poisson", "n": 12, "gamma": [["0"] * 12] * 12, "p": ["1"] * 12, "q": ["2"] * 12}
+    assert _run_config(tmp_path, capsys, raw) == (0, {"n": 12, "count": 3028544})
+    for flag in ("--list", "--poset"):
+        status, payload = _run_config(tmp_path, capsys, raw, ("admissible", flag))
+        assert status == 2
+        assert payload == {"error": "StepBudgetExceeded", "message": "exceeded 1000000 admissible sets"}
+    for budget, status in (("13", 2), ("14", 0)):
+        monkeypatch.setenv("POISSON_STRATA_STEP_BUDGET", budget)
+        for flag in ("--list", "--poset"):
+            assert _run_config(tmp_path, capsys, POISSON_RAW, ("admissible", flag))[0] == status
 
 
 def test_cli_matrices(capsys):
@@ -604,3 +636,113 @@ def test_suite_generators_draw_the_plain_inputs(seed, count, owner, reference, g
         got = generator(owner, rng)
         assert got == expected and list(got.terms.items()) == list(expected.terms.items())
     assert rng.getstate() == ref_rng.getstate()
+
+
+PAIRED_N3 = str(Path(__file__).resolve().parent.parent / "perfbench" / "configs" / "paired_n3.json")
+
+
+def test_kstable_reports_the_per_stratum_failures(capsys, monkeypatch):
+    # Drop each system's first pair rule y_i x_i -> ...: the ideal is then
+    # no longer stable.  The suite builds each member's images once; a loop
+    # that rebuilds them for every stratum must find the same failures in
+    # the same order.
+    from poisson_strata.admissible import enumerate_admissible
+    from poisson_strata.algebra_an import k_basis, k_derivation, named_element
+    from poisson_strata.exact_poly import ReductionSystem, reduce_poly
+
+    plain = cli.quotient_system
+
+    def without_a_pair_rule(params, t_set):
+        system = plain(params, t_set)
+        pairs = [k for k, rule in enumerate(system.rules) if sum(rule.lead) == 2]
+        rules = system.rules[: pairs[0]] + system.rules[pairs[0] + 1:] if pairs else system.rules
+        return ReductionSystem(system.varspec, rules)
+
+    monkeypatch.setattr(cli, "quotient_system", without_a_pair_rule)
+    assert main(["--config", PAIRED_N3, "verify", "kstable"]) == 1
+    failures = json.loads(capsys.readouterr().out)["details"]["failures"]
+
+    params = load_config(PAIRED_N3).poisson
+    structure = build_an(params)
+    vs = structure.varspec
+    expected = []
+    for t_set in enumerate_admissible(params.n):
+        system = without_a_pair_rule(params, t_set)
+        for name in t_set.member_names():
+            poly = named_element(params, name, LaurentPoly, vs)
+            for g_name in vs.names:
+                image = structure.bracket(poly, structure.generator(g_name))
+                if not reduce_poly(image, system).is_zero():
+                    expected.append(f"{t_set.member_names()}: bracket({name}, {g_name})")
+            for h in k_basis(params.n):
+                if not reduce_poly(k_derivation(params, h).apply(poly), system).is_zero():
+                    expected.append(f"{t_set.member_names()}: weight action on {name}")
+    assert expected and failures == expected
+
+
+def choice_reduce(f, system, rng):
+    """A random reduction written with `rng.choice` and LaurentPoly
+    arithmetic: candidates are (term, rule), terms in their current order
+    and rules in system order."""
+    from poisson_strata.exact_poly import monomial_divides
+
+    while True:
+        candidates = [
+            (mono, k)
+            for mono in f.terms
+            for k, rule in enumerate(system.rules)
+            if monomial_divides(rule.lead, mono, system.varspec)
+        ]
+        if not candidates:
+            return f
+        mono, k = rng.choice(candidates)
+        rule = system.rules[k]
+        cofactor = LaurentPoly(
+            system.varspec, {tuple(a - b for a, b in zip(mono, rule.lead)): f.terms[mono]}
+        )
+        f = f - cofactor * LaurentPoly(system.varspec, {rule.lead: 1}) + cofactor * rule.replacement
+
+
+def test_confluence_names_the_input_of_the_choice_reference(capsys, monkeypatch):
+    # One stratum gets the rules x1 -> y1 and y1 x1 -> 0, which do not have
+    # unique normal forms (y1 x1 reduces to y1^2 and to 0).  The suite skips
+    # the random reductions of inputs no rule applies to; a loop that runs
+    # both with `rng.choice` for every input must stop at the same input.
+    from poisson_strata.admissible import enumerate_admissible
+    from poisson_strata.exact_poly import ReductionRule, ReductionSystem, reduce_poly
+
+    vs = an_varspec(3)
+    y1, x1 = LaurentPoly.variable(vs, "y1"), LaurentPoly.variable(vs, "x1")
+    broken = ReductionSystem(
+        vs,
+        (
+            ReductionRule((0, 1, 0, 0, 0, 0), y1),
+            ReductionRule((1, 1, 0, 0, 0, 0), LaurentPoly.zero(vs)),
+        ),
+    )
+    strata = enumerate_admissible(3)
+    plain = cli.quotient_system
+
+    def quotient(params, t_set):
+        return broken if t_set == strata[20] else plain(params, t_set)
+
+    monkeypatch.setattr(cli, "quotient_system", quotient)
+    assert main(["--config", PAIRED_N3, "verify", "confluence"]) == 1
+    report = json.loads(capsys.readouterr().out)
+
+    params = load_config(PAIRED_N3).poisson
+    rng = random.Random(11)
+
+    def first_failure():
+        for t_set in strata:
+            system = quotient(params, t_set)
+            for _ in range(cli.RANDOM_TRIALS):
+                f = randint_poly(vs, rng)
+                base = reduce_poly(f, system)
+                for _ in range(2):
+                    if choice_reduce(f, system, rng) != base:
+                        return list(t_set.member_names()), format_poly(f)
+
+    members, text = first_failure()
+    assert members == list(strata[20].member_names())
+    assert report == {"suite": "confluence", "ok": False, "details": {"set": members, "input": text}}
