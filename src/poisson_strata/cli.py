@@ -236,24 +236,29 @@ _WORD_COEFFS = tuple(map(Fraction, range(1, 5)))
 
 def _random_poly(vs, rng: random.Random) -> LaurentPoly:
     """At most three terms, each of degree at most three, over a ring with
-    no killed variables; a monomial drawn twice keeps its last coefficient."""
+    no killed variables; a monomial drawn twice keeps its last coefficient.
+    A ring without variables has the one monomial 1, and no variable is
+    drawn for it."""
     bits = rng.getrandbits
     width = len(vs)
     terms = {}
     for _ in range(_TERM_COUNTS[draw_below(bits, len(_TERM_COUNTS))]):
         mono = [0] * width
-        for _ in range(_TERM_DEGREES[draw_below(bits, len(_TERM_DEGREES))]):
+        degree = _TERM_DEGREES[draw_below(bits, len(_TERM_DEGREES))]
+        for _ in range(degree if width else 0):
             mono[draw_below(bits, width)] += 1
         terms[tuple(mono)] = _TERM_COEFFS[draw_below(bits, len(_TERM_COEFFS))]
     return LaurentPoly._trusted(vs, {mono: c for mono, c in terms.items() if c})
 
 
 def _random_monomial(n: int, rng: random.Random) -> NCElement:
-    """One standard monomial of degree at most four, coefficient 1 to 4."""
+    """One standard monomial of degree at most four, coefficient 1 to 4; at
+    n = 0 it is 1, and no generator is drawn."""
     bits = rng.getrandbits
     width = 2 * n
     mono = [0] * width
-    for _ in range(_WORD_LENGTHS[draw_below(bits, len(_WORD_LENGTHS))]):
+    degree = _WORD_LENGTHS[draw_below(bits, len(_WORD_LENGTHS))]
+    for _ in range(degree if width else 0):
         mono[draw_below(bits, width)] += 1
     return NCElement._trusted(n, {tuple(mono): _WORD_COEFFS[draw_below(bits, len(_WORD_COEFFS))]})
 
@@ -361,10 +366,15 @@ def suite_associativity(config: Config) -> dict:
 
 
 def _strata_suite(name: str, n: int, verify) -> dict:
-    results = [
-        {"members": list(t_set.member_names()), "ok": verify(t_set)["ok"]}
-        for t_set in adm.enumerate_admissible(n)
-    ]
+    """One entry per stratum: its members, its verdict and, when it failed,
+    the residuals of what failed."""
+    results = []
+    for t_set in adm.enumerate_admissible(n):
+        report = verify(t_set)
+        entry = {"members": list(t_set.member_names()), "ok": report["ok"]}
+        if not report["ok"]:
+            entry["failures"] = report["failures"]
+        results.append(entry)
     return {"suite": name, "ok": all(r["ok"] for r in results), "details": {"strata": results}}
 
 

@@ -5,19 +5,23 @@ source algebra into the attached log-canonical algebra (Poisson side) or
 quantum torus (quantized side), with the target's generators named by eta(T)
 killed and the surviving Y's inverted.  That ring is described once, by
 `stratum_varspec(T)`: both targets are built on it, and the report's unit
-check reads its inverted generators.  The generator images are identical
-in shape on both sides and are chosen by a single five-way dispatch:
+check reads its inverted generators.  Both sides give every source
+generator the formula of the underlying ring map, read in that ring, where a
+killed generator is zero; so the images take five shapes:
 
     y_i          -> Y_i                                    (all i)
     x_1          -> X_1
     x_i, i >= 2  -> X_i - w_i Y_i^-1 Y_{i-1} X_{i-1}       (no adjacent tails in T)
                  -> X_i                                    (previous tail in T)
-                 -> -w_i Y_i^-1 Y_{i-1} X_{i-1}            (own tail in T)
+                 -> -w_i Y_i^-1 Y_{i-1} X_{i-1}            (own tail alone in T)
 
-with w_i = (q_i - p_i)^-1 (q_{i-1} - p_{i-1}).  Verification is at generator
-level: the Poisson map must intertwine all generator brackets, the quantum
-map must annihilate every defining relation, and both must send the tail
-elements to (q_i - p_i) Y_i X_i and the members of T to zero.
+with w_i = (q_i - p_i)^-1 (q_{i-1} - p_{i-1}): Omega_{i-1} in T kills Y_{i-1}
+or X_{i-1}, and Omega_i alone kills X_i.  Y_i is inverted unless y_i is in
+T, which by admissibility puts Omega_{i-1} in T; so `tail_image` forms
+Y_{i-1} X_{i-1} first and never inverts a killed Y_i.  Verification is at
+generator level: the Poisson map must intertwine all generator brackets, the
+quantum map must annihilate every defining relation, and both must send the
+tail elements to (q_i - p_i) Y_i X_i and the members of T to zero.
 
 The additive character of the multiplicative parameter group (prime
 exponents paired against user weights) transports quantum parameters to
@@ -28,7 +32,6 @@ and grades the whole correspondence by the character's injectivity.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from typing import Mapping, Optional
 
@@ -64,27 +67,6 @@ from .exact_poly import (
 )
 from .poisson_core import PoissonStructure
 
-class MapCase(Enum):
-    Y_GEN = "y"
-    X_FIRST = "x1"
-    X_FULL = "full"
-    X_PLAIN = "plain"
-    X_TAIL = "tail"
-
-
-def dispatch_case(t_set: AdmissibleSet, name: str) -> MapCase:
-    """The image shape for one source generator; shared by both sides."""
-    kind, i = name[0], int(name[1:])
-    if kind == "y":
-        return MapCase.Y_GEN
-    if i == 1:
-        return MapCase.X_FIRST
-    if t_set.omega_in[i - 2]:
-        return MapCase.X_PLAIN
-    if t_set.omega_in[i - 1]:
-        return MapCase.X_TAIL
-    return MapCase.X_FULL
-
 
 def hat_coefficient(params: PairParams, i: int) -> Fraction:
     """(q_i - p_i)^-1 (q_{i-1} - p_{i-1}) for i >= 2."""
@@ -102,9 +84,6 @@ class GeneratorMap:
     one: TermMap  # LaurentPoly or QTorusElement
 
 
-# -- Poisson side ------------------------------------------------------------
-
-
 def stratum_varspec(t_set: AdmissibleSet) -> VarSpec:
     """The target ring of both stratum maps of T: the torus generators Y1,
     X1, ..., Yn, Xn with eta(T) killed and the Y's of the surviving y's
@@ -114,47 +93,43 @@ def stratum_varspec(t_set: AdmissibleSet) -> VarSpec:
     return VarSpec(torus_names(t_set.n), invert, frozenset(sets.eta))
 
 
-def poisson_stratum_target(params: PoissonParams, t_set: AdmissibleSet) -> PoissonStructure:
-    """The log-canonical algebra on `stratum_varspec(t_set)`.
-
-    Its table is `log_canonical_table` over that ring, so an entry touching
-    a killed generator is zero and left out.
-    """
-    vs = stratum_varspec(t_set)
-    return PoissonStructure(vs, log_canonical_table(params, vs))
-
-
 def tail_image(params: PairParams, i: int, cls, owner) -> TermMap:
     """-w_i Y_i^-1 Y_{i-1} X_{i-1}, the tail part of the image of x_i, as a
     `cls` term map over `owner`: the product taken left to right, which is
     the plain Laurent monomial on the Poisson side and picks up the twist on
-    the torus."""
-    y, y_prev, x_prev = (cls.generator(owner, g) for g in (f"Y{i}", f"Y{i - 1}", f"X{i - 1}"))
-    return (y ** (-1) * y_prev * x_prev).scale(-hat_coefficient(params, i))
+    the torus.  Y_{i-1} X_{i-1} is formed first and returned when it is
+    zero, the one case in which `owner` may have killed Y_i."""
+    prev = cls.generator(owner, f"Y{i - 1}") * cls.generator(owner, f"X{i - 1}")
+    if prev.is_zero():
+        return prev
+    return (cls.generator(owner, f"Y{i}") ** (-1) * prev).scale(-hat_coefficient(params, i))
 
 
-def _stratum_map(params: PairParams, t_set: AdmissibleSet, target, one: TermMap) -> GeneratorMap:
-    """The generator map into `target`, whose unit element is `one`; both
-    sides take their images from this one dispatch."""
+def _stratum_map(params: PairParams, t_set: AdmissibleSet, build) -> GeneratorMap:
+    """The generator map of T: `build` makes the target on
+    `stratum_varspec(t_set)` and returns it with its unit element, and every
+    source generator gets the one formula of the module docstring there."""
+    if t_set.n != params.n:
+        raise ValueError("admissible set and parameters disagree on n")
+    target, one = build(stratum_varspec(t_set))
     cls, owner = type(one), one.owner
-    images = {}
-    for name in kn_names(params.n):
-        case, i = dispatch_case(t_set, name), int(name[1:])
-        if case is MapCase.Y_GEN:
-            images[name] = cls.generator(owner, f"Y{i}")
-        elif case in (MapCase.X_FIRST, MapCase.X_PLAIN):
-            images[name] = cls.generator(owner, f"X{i}")
-        else:
-            tail = tail_image(params, i, cls, owner)
-            images[name] = tail if case is MapCase.X_TAIL else cls.generator(owner, f"X{i}") + tail
+    images = {name: cls.generator(owner, name.upper()) for name in kn_names(params.n)}
+    for i in range(2, params.n + 1):
+        images[f"x{i}"] = images[f"x{i}"] + tail_image(params, i, cls, owner)
     return GeneratorMap(t_set, images, target, one)
 
 
+# -- Poisson side ------------------------------------------------------------
+
+
 def poisson_stratum_map(params: PoissonParams, t_set: AdmissibleSet) -> GeneratorMap:
-    if t_set.n != params.n:
-        raise ValueError("admissible set and parameters disagree on n")
-    target = poisson_stratum_target(params, t_set)
-    return _stratum_map(params, t_set, target, LaurentPoly.one(target.varspec))
+    """The map into the log-canonical algebra on the stratum ring, whose table
+    `log_canonical_table` leaves out every entry on a killed generator."""
+
+    def build(vs: VarSpec):
+        return PoissonStructure(vs, log_canonical_table(params, vs)), LaurentPoly.one(vs)
+
+    return _stratum_map(params, t_set, build)
 
 
 def _substitute(images: Mapping[str, TermMap], combination, one: TermMap) -> TermMap:
@@ -283,17 +258,14 @@ def nested_congruence_check(
 # -- quantized side -----------------------------------------------------------
 
 
-def quantum_stratum_target(params: QuantumParams, t_set: AdmissibleSet) -> QuantumTorus:
-    """The quantum torus on `stratum_varspec(t_set)`."""
-    vs = stratum_varspec(t_set)
-    return QuantumTorus(params, kill=vs.killed, invert=vs.invertible)
-
-
 def quantum_stratum_map(params: QuantumParams, t_set: AdmissibleSet) -> GeneratorMap:
-    if t_set.n != params.n:
-        raise ValueError("admissible set and parameters disagree on n")
-    torus = quantum_stratum_target(params, t_set)
-    return _stratum_map(params, t_set, torus, torus.one())
+    """The map into the quantum torus on the stratum ring."""
+
+    def build(vs: VarSpec):
+        torus = QuantumTorus(params, kill=vs.killed, invert=vs.invertible)
+        return torus, torus.one()
+
+    return _stratum_map(params, t_set, build)
 
 
 def verify_quantum_stratum_map(params: QuantumParams, t_set: AdmissibleSet) -> dict:
@@ -430,8 +402,9 @@ def stratification_report(character: AdditiveCharacter) -> dict:
 
     The report is a data artifact: per admissible set it records the member
     names, the killed target generators, length and growth degree, and the
-    two verification verdicts; the grade is homeomorphism-level exactly when
-    the character is injective on the parameter group.
+    two verification verdicts, with the failures of a side that failed; the
+    grade is homeomorphism-level exactly when the character is injective on
+    the parameter group.
     """
     params, pparams = character.params, character.induced
     source = build_an(pparams)
@@ -439,16 +412,18 @@ def stratification_report(character: AdditiveCharacter) -> dict:
     for t_set in enumerate_admissible(params.n):
         psi = verify_poisson_stratum_map(pparams, t_set, source)
         ups = verify_quantum_stratum_map(params, t_set)
-        strata.append(
-            {
-                "members": list(t_set.member_names()),
-                "eta": list(derived_sets(t_set).eta),
-                "length": length(t_set),
-                "gk_dim": gk_dimension(t_set),
-                "psi_ok": psi["ok"],
-                "upsilon_ok": ups["ok"],
-            }
-        )
+        entry = {
+            "members": list(t_set.member_names()),
+            "eta": list(derived_sets(t_set).eta),
+            "length": length(t_set),
+            "gk_dim": gk_dimension(t_set),
+            "psi_ok": psi["ok"],
+            "upsilon_ok": ups["ok"],
+        }
+        for side, report in (("psi", psi), ("upsilon", ups)):
+            if not report["ok"]:
+                entry[f"{side}_failures"] = report["failures"]
+        strata.append(entry)
     return {
         "n": params.n,
         "params": {

@@ -1,9 +1,9 @@
 """Exact stdout of representative CLI commands, pinned byte for byte.
 
-Small outputs are kept as literals; the stratum report and the `verify all`
-report are pinned by their SHA-256 digest.  Any change to the coefficient
-tables, the arithmetic or the formatters that alters a printed byte fails
-here.
+Small outputs are kept as literals; the stratum reports at n = 2, 3 and 4
+and the `verify all` report are pinned by their SHA-256 digest.  Any change
+to the coefficient tables, the arithmetic, the stratum maps or the
+formatters that alters a printed byte fails here.
 """
 
 import contextlib
@@ -85,6 +85,29 @@ LITERAL = [
     ),
 ]
 
+# The parameters of perfbench/configs/paired_n3.json and paired_n4.json.
+PAIRED_N3 = {
+    "mode": "paired",
+    "n": 3,
+    "gamma": [["1", "2", "4"], ["1/2", "1", "2"], ["1/4", "1/2", "1"]],
+    "p": ["2", "8", "2"],
+    "q": ["4", "32", "16"],
+    "phi_weights": {"2": "1"},
+}
+PAIRED_N4 = {
+    "mode": "paired",
+    "n": 4,
+    "gamma": [
+        ["1", "2", "4", "8"],
+        ["1/2", "1", "2", "4"],
+        ["1/4", "1/2", "1", "2"],
+        ["1/8", "1/4", "1/2", "1"],
+    ],
+    "p": ["2", "8", "2", "8"],
+    "q": ["4", "32", "16", "64"],
+    "phi_weights": {"2": "1"},
+}
+
 DIGEST = [
     (
         "paired_n2.json",
@@ -97,6 +120,18 @@ DIGEST = [
         ["verify", "all"],
         2397,
         "ba90ce01d20c24cc7f3c74fcee56593f53254507e2e457c273f5c0c01e4ee219",
+    ),
+    (
+        PAIRED_N3,
+        ["map-report"],
+        7439,
+        "91fd7961dce9239be8fd79e9b25313411edd956971a47bd07c065162f11cec0b",
+    ),
+    (
+        PAIRED_N4,
+        ["map-report"],
+        28079,
+        "149f377aa8520ec964b26c015f1cb1faf89762bde37512e6de1014c220e715e4",
     ),
 ]
 
@@ -114,7 +149,11 @@ def test_stdout_literal(config, command, expected):
 
 
 @pytest.mark.parametrize("config,command,size,digest", DIGEST)
-def test_stdout_digest(config, command, size, digest):
+def test_stdout_digest(tmp_path, config, command, size, digest):
+    if isinstance(config, dict):  # parameters written out here, not a file of configs/
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        config = path
     status, out = run_cli(config, command)
     assert status == 0
     assert (len(out), hashlib.sha256(out.encode()).hexdigest()) == (size, digest)

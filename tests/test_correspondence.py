@@ -9,12 +9,10 @@ import pytest
 
 from poisson_strata import cli, correspondence
 from poisson_strata.admissible import AdmissibleSet, derived_sets, enumerate_admissible
-from poisson_strata.algebra_an import build_an
+from poisson_strata.algebra_an import build_an, tail_coefficient
 from poisson_strata.algebra_kn import QuantumParams
 from poisson_strata.correspondence import (
     GroupContainsMinusOne,
-    MapCase,
-    dispatch_case,
     group_character,
     nested_congruence_check,
     parameter_group_generators,
@@ -78,14 +76,52 @@ def test_poisson_image_own_tail_in_set():
     )
 
 
-def test_dispatch_cases():
-    t_set = AdmissibleSet.from_names(2, ["Omega2"])
-    assert dispatch_case(t_set, "y2") is MapCase.Y_GEN
-    assert dispatch_case(t_set, "x1") is MapCase.X_FIRST
-    assert dispatch_case(t_set, "x2") is MapCase.X_TAIL
-    t2 = AdmissibleSet.from_names(2, ["y1", "Omega1"])
-    assert dispatch_case(t2, "x2") is MapCase.X_PLAIN
-    assert dispatch_case(empty_set(2), "x2") is MapCase.X_FULL
+def five_way_image(params, t_set, name, one):
+    """The image of a source generator picked by case, the stratum quotient
+    worked out by hand, over the ring of `one`: the reference for the one
+    formula the maps read in the stratum ring."""
+    cls, owner = type(one), one.owner
+    kind, i = name[0], int(name[1:])
+    if kind == "y":
+        return cls.generator(owner, f"Y{i}")
+    x = cls.generator(owner, f"X{i}")
+    if i == 1 or t_set.omega_in[i - 2]:  # x_1, or the previous tail in T
+        return x
+    w = tail_coefficient(params, i - 1) / tail_coefficient(params, i)
+    ordered = (
+        cls.generator(owner, f"Y{i}") ** (-1)
+        * cls.generator(owner, f"Y{i - 1}")
+        * cls.generator(owner, f"X{i - 1}")
+    )
+    tail = ordered.scale(-w)
+    return tail if t_set.omega_in[i - 1] else x + tail  # own tail in T, or neither
+
+
+def test_images_match_the_five_way_reference():
+    # The one formula, read in the stratum ring, gives each case's image on
+    # both sides, for every admissible set up to n = 3; a set with y_i in T,
+    # i >= 2, kills a Y_i whose tail image the map must not invert.
+    for n in (1, 2, 3):
+        for params, stratum_map in (
+            (quantum_sample_image(n), poisson_stratum_map),
+            (quantum_sample(n), quantum_stratum_map),
+        ):
+            for t_set in enumerate_admissible(n):
+                gmap = stratum_map(params, t_set)
+                assert list(gmap.images) == [f"{g}{i}" for i in range(1, n + 1) for g in "yx"]
+                assert gmap.images == {
+                    name: five_way_image(params, t_set, name, gmap.one) for name in gmap.images
+                }
+
+
+def test_stratum_maps_reject_a_set_of_another_n():
+    for params, stratum_map in (
+        (quantum_sample_image(2), poisson_stratum_map),
+        (quantum_sample(2), quantum_stratum_map),
+    ):
+        for t_set in (empty_set(1), full_set(3)):
+            with pytest.raises(ValueError, match="^admissible set and parameters disagree on n$"):
+                stratum_map(params, t_set)
 
 
 def test_both_maps_use_the_same_cases():
@@ -163,7 +199,7 @@ def test_quantum_failure_on_a_stratum_that_kills_generators(monkeypatch):
 
 
 def test_target_bracket_skips_killed_generators(monkeypatch):
-    target = correspondence.poisson_stratum_target(quantum_sample_image(), KILLS_Y1)
+    target = poisson_stratum_map(quantum_sample_image(), KILLS_Y1).target
     assert target.varspec.killed == {"Y1"} and target.varspec.invertible == {"Y2"}
     assert all(0 not in key for key in target.table)
     calls = []
@@ -276,12 +312,37 @@ def test_quantum_failure_names_relation_and_residual(monkeypatch):
     assert verify_quantum_stratum_map(params, empty_set(2))["ok"]
 
 
-def test_doubled_hat_coefficient_fails_the_strata_that_read_it(monkeypatch):
+# (psi failures, upsilon failures) per failing stratum when w_2 is doubled
+DOUBLED_HAT_FAILURES = {
+    (): (
+        ["bracket pair (y2, x2): residual Y1*X1", "tail element 2 image: residual -Y1*X1"],
+        ["relation x2y2: residual 2*Y1*X1", "tail element 2 image: residual -2*Y1*X1"],
+    ),
+    ("Omega2",): (
+        [
+            "bracket pair (y2, x2): residual Y1*X1",
+            "tail element 2 image: residual -Y1*X1",
+            "member Omega2 does not map to zero: residual -Y1*X1",
+        ],
+        [
+            "relation x2y2: residual 2*Y1*X1",
+            "tail element 2 image: residual -2*Y1*X1",
+            "member Omega2 does not map to zero: residual -2*Y1*X1",
+        ],
+    ),
+}
+
+
+@pytest.fixture
+def doubled_hat(monkeypatch):
+    hat = correspondence.hat_coefficient
+    monkeypatch.setattr(correspondence, "hat_coefficient", lambda params, i: 2 * hat(params, i))
+
+
+def test_doubled_hat_coefficient_fails_the_strata_that_read_it(doubled_hat):
     # x2's tail image is read by the two strata with neither Omega1 nor y2 in T;
     # doubling w_2 breaks the tail element, and Omega2 as a member, on both sides
     character = cli.load_config(CONFIG_PAIRED).character
-    hat = correspondence.hat_coefficient
-    monkeypatch.setattr(correspondence, "hat_coefficient", lambda params, i: 2 * hat(params, i))
     failed = {}
     for t_set in enumerate_admissible(2):
         psi = verify_poisson_stratum_map(character.induced, t_set)
@@ -289,24 +350,33 @@ def test_doubled_hat_coefficient_fails_the_strata_that_read_it(monkeypatch):
         assert psi["ok"] == ups["ok"]
         if not psi["ok"]:
             failed[t_set.member_names()] = (psi["failures"], ups["failures"])
-    assert failed == {
-        (): (
-            ["bracket pair (y2, x2): residual Y1*X1", "tail element 2 image: residual -Y1*X1"],
-            ["relation x2y2: residual 2*Y1*X1", "tail element 2 image: residual -2*Y1*X1"],
-        ),
-        ("Omega2",): (
-            [
-                "bracket pair (y2, x2): residual Y1*X1",
-                "tail element 2 image: residual -Y1*X1",
-                "member Omega2 does not map to zero: residual -Y1*X1",
-            ],
-            [
-                "relation x2y2: residual 2*Y1*X1",
-                "tail element 2 image: residual -2*Y1*X1",
-                "member Omega2 does not map to zero: residual -2*Y1*X1",
-            ],
-        ),
-    }
+    assert failed == DOUBLED_HAT_FAILURES
+
+
+def test_failing_strata_show_their_residuals_on_the_command_line(doubled_hat, capsys):
+    # a failed side adds its failures to the stratum's entry; a passing
+    # entry keeps the keys it always had
+    for suite, side in (("psi", 0), ("upsilon", 1)):
+        assert cli.main(["--config", CONFIG_PAIRED, "verify", suite]) == 1
+        strata = json.loads(capsys.readouterr().out)["details"]["strata"]
+        assert len(strata) == 14
+        for entry in strata:
+            expected = DOUBLED_HAT_FAILURES.get(tuple(entry["members"]))
+            if expected is None:
+                assert entry == {"members": entry["members"], "ok": True}
+            else:
+                assert entry == {"members": entry["members"], "ok": False, "failures": expected[side]}
+    assert cli.main(["--config", CONFIG_PAIRED, "map-report"]) == 0
+    for entry in json.loads(capsys.readouterr().out)["strata"]:
+        expected = DOUBLED_HAT_FAILURES.get(tuple(entry["members"]))
+        sides = ("psi_failures", "upsilon_failures")
+        failure_keys = {key: entry.pop(key) for key in sides if key in entry}
+        assert list(entry) == ["members", "eta", "length", "gk_dim", "psi_ok", "upsilon_ok"]
+        if expected is None:
+            assert entry["psi_ok"] and entry["upsilon_ok"] and failure_keys == {}
+        else:
+            assert not entry["psi_ok"] and not entry["upsilon_ok"]
+            assert failure_keys == {"psi_failures": expected[0], "upsilon_failures": expected[1]}
 
 
 def test_swapped_unit_images_fail_the_unit_check():

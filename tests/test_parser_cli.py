@@ -525,6 +525,34 @@ def test_trivial_parameter_group_needs_no_weights(tmp_path, capsys):
     assert payload["details"]["strata"] == [{"members": [], "ok": True}]
 
 
+POISSON_SUITES = ("jacobi", "lemma2.3", "confluence", "kstable", "psi")
+QUANTUM_SUITES = ("associativity", "upsilon")
+
+
+@pytest.mark.parametrize(
+    "mode,suites",
+    [
+        ("poisson", POISSON_SUITES),
+        ("quantum", QUANTUM_SUITES),
+        ("paired", POISSON_SUITES + QUANTUM_SUITES),
+    ],
+)
+def test_every_suite_runs_at_n0(tmp_path, capsys, mode, suites):
+    # The ring of A_0 has no variables: the random inputs are constants,
+    # drawn without a variable index.  A suite the mode cannot run ends in
+    # the ConfigError object.
+    raw = {"mode": mode, "n": 0, "gamma": [], "p": [], "q": []}
+    for suite in cli.SUITES:
+        status, payload = _run_config(tmp_path, capsys, raw, ("verify", suite))
+        if suite in suites:
+            assert (status, payload["suite"], payload["ok"]) == (0, suite, True)
+        else:
+            assert (status, payload["error"]) == (2, "ConfigError")
+    status, payload = _run_config(tmp_path, capsys, raw, ("verify", "all"))
+    assert status == 0 and payload["ok"] is True
+    assert {entry["suite"] for entry in payload["summary"] if entry["ok"]} == set(suites)
+
+
 def test_config_admissible_literal_is_validated(tmp_path, capsys):
     status, _ = _run_config(tmp_path, capsys, {**POISSON_RAW, "admissible": ["y1", "Omega1"]})
     assert status == 0

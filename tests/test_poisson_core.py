@@ -13,7 +13,7 @@ from poisson_strata.algebra_an import (
     log_canonical_matrix,
     omega,
 )
-from poisson_strata.correspondence import poisson_stratum_target
+from poisson_strata.correspondence import poisson_stratum_map
 from poisson_strata.exact_poly import LaurentPoly, VarSpec, format_poly
 from poisson_strata.poisson_core import (
     CompatibilityError,
@@ -165,7 +165,7 @@ def test_bracket_kernel_matches_gradient_oracle_on_an():
 
 def test_bracket_kernel_matches_gradient_oracle_on_stratum_targets():
     rng = random.Random(22)
-    targets = [poisson_stratum_target(quantum_sample_image(), t) for t in enumerate_admissible(2)]
+    targets = [poisson_stratum_map(quantum_sample_image(), t).target for t in enumerate_admissible(2)]
     assert any(t.varspec.killed for t in targets) and any(t.varspec.invertible for t in targets)
     for target in targets:
         assert oracle_agrees(target, rng, trials=10)
