@@ -4,12 +4,10 @@ relating the two sides."""
 
 from .admissible import (
     AdmissibleSet,
-    brute_force_admissible,
     derived_sets,
     enumerate_admissible,
     eta_injectivity,
     gk_dimension,
-    growth_check,
     length,
     stratum_poset,
 )
@@ -18,7 +16,6 @@ from .algebra_an import (
     build_an,
     consistency_check,
     iterated_presentation,
-    k_action,
     k_basis,
     level_eigen_elements,
     log_canonical_matrix,
@@ -50,7 +47,6 @@ from .exact_poly import (
     LaurentPoly,
     ReductionSystem,
     VarSpec,
-    divide_exact,
     format_poly,
     group_analysis,
     reduce_poly,
@@ -61,8 +57,6 @@ from .poisson_core import (
     PoissonStructure,
     derivation_check,
     double_extend,
-    is_poisson_normal,
-    localize,
     ore_extend,
 )
 

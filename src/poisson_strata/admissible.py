@@ -6,15 +6,14 @@ when both the i-th and (i-1)-th tail elements do (the i = 1 case reads
 against Omega_1 alone).  These sets index the strata of the Poisson prime
 spectrum; this module enumerates them, computes their derived data (the
 divisibility-avoidance monomials of the quotient basis, the length, the
-surviving normal elements, the killed target generators), estimates quotient
-growth by exact monomial counting, counts the sets without building them,
-and lays the sets out as a poset.
+surviving normal elements, the killed target generators eta(T)), checks that
+eta is injective, counts the sets without building them, and lays the sets
+out as a poset.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from typing import Iterable
 
 
@@ -129,19 +128,6 @@ def count_admissible(n: int) -> int:
     return a + b
 
 
-def brute_force_admissible(n: int) -> list[AdmissibleSet]:
-    """Filter of all 2^(3n) membership triples; the enumeration cross-check."""
-    out = []
-    bools = [False, True]
-    for y in product(bools, repeat=n):
-        for x in product(bools, repeat=n):
-            for o in product(bools, repeat=n):
-                if _satisfies_conditions(y, x, o):
-                    out.append(AdmissibleSet(n, y, x, o))
-    out.sort(key=AdmissibleSet.sort_key)
-    return out
-
-
 @dataclass(frozen=True)
 class DerivedSets:
     """The combinatorial companions of one admissible set.
@@ -217,71 +203,6 @@ def length(t_set: AdmissibleSet) -> int:
 def gk_dimension(t_set: AdmissibleSet) -> int:
     """Growth degree of the quotient: 2n minus the length."""
     return 2 * t_set.n - length(t_set)
-
-
-def _count_series(t_set: AdmissibleSet, max_degree: int) -> list[int]:
-    """Cumulative counts of basis monomials of degree <= d, d = 0..max_degree.
-
-    Basis monomials avoid divisibility by the avoidance monomials: killed
-    variables do not occur, and a constrained pair never has both exponents
-    positive.  Counting multiplies the per-variable generating series.
-    """
-    sets = derived_sets(t_set)
-    killed = {m[0] for m in sets.avoid_monomials if len(m) == 1}
-    pairs = sum(1 for m in sets.avoid_monomials if len(m) == 2)
-    free = 2 * t_set.n - len(killed) - 2 * pairs
-
-    def mul_series(a: list[int], b: list[int]) -> list[int]:
-        out = [0] * (max_degree + 1)
-        for i, ai in enumerate(a):
-            if ai == 0:
-                continue
-            for j, bj in enumerate(b):
-                if i + j > max_degree:
-                    break
-                out[i + j] += ai * bj
-        return out
-
-    geometric = [1] * (max_degree + 1)
-    pair_series = [1] + [2] * max_degree
-    series = [1] + [0] * max_degree
-    for _ in range(free):
-        series = mul_series(series, geometric)
-    for _ in range(pairs):
-        series = mul_series(series, pair_series)
-    series = mul_series(series, geometric)  # cumulative sum
-    return series
-
-
-def growth_check(t_set: AdmissibleSet, max_degree: int = 12) -> dict:
-    """Assert the monomial count is a polynomial of degree 2n - length.
-
-    Exact finite differences of the cumulative counts; the transient of the
-    counting series ends at the number of constrained pairs, so differences
-    are taken on the tail from there.
-    """
-    counts = _count_series(t_set, max_degree)
-    sets = derived_sets(t_set)
-    pairs = sum(1 for m in sets.avoid_monomials if len(m) == 2)
-    tail = counts[pairs:]
-    expected = gk_dimension(t_set)
-    seq = list(tail)
-    degree = None
-    for k in range(len(seq)):
-        if all(v == 0 for v in seq):
-            degree = k - 1
-            break
-        if len(set(seq)) == 1:
-            degree = k
-            break
-        seq = [b - a for a, b in zip(seq, seq[1:])]
-    ok = degree == expected
-    return {
-        "ok": ok,
-        "expected_degree": expected,
-        "measured_degree": degree,
-        "counts": counts,
-    }
 
 
 def eta_injectivity(n: int) -> bool:

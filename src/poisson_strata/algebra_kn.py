@@ -21,10 +21,10 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import add
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Optional
 
 from .algebra_an import PairParams, generator_names, pair_word, tail_coefficient, tail_element
-from .exact_poly import Scalar, StepBudget, TermMap, VarSpec, accumulate, format_terms
+from .exact_poly import StepBudget, TermMap, VarSpec, accumulate, format_terms
 
 Relation = tuple[str, tuple[tuple[Fraction, tuple[str, ...]], ...]]
 
@@ -254,15 +254,6 @@ class QuantumTorus:
 
     def __hash__(self):
         return hash((self.params, self.varspec))
-
-    def one(self) -> QTorusElement:
-        return QTorusElement.one(self)
-
-    def monomial(self, exps: Mapping[str, int], coeff: Scalar = 1) -> QTorusElement:
-        return QTorusElement.monomial(self, exps, coeff)
-
-    def generator(self, name: str) -> QTorusElement:
-        return QTorusElement.generator(self, name)
 
     def twist(self, u: tuple[int, ...], v: tuple[int, ...]) -> Fraction:
         """Scalar in X^u X^v = twist * X^(u+v); a bicharacter in each slot."""

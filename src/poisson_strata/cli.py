@@ -3,10 +3,11 @@
 Configs are JSON with every rational written as a string "a/b" (plain
 integers are accepted; floats and exponent notation such as "1e400" are
 rejected to keep the arithmetic exact and its cost bounded).
-All commands print JSON to stdout.  A failed verification exits 1 with its
-report; any error, a bad command line included, exits 2 with a
-machine-readable {"error", "message"} object.  POISSON_STRATA_STEP_BUDGET
-caps the steps of each `exact_poly.StepBudget`: one step is one generator
+All commands print JSON to stdout.  A failed verification, a failed
+stratum of `map-report` included, exits 1 with its report; any error, a bad
+command line included, exits 2 with a machine-readable {"error", "message"}
+object.  POISSON_STRATA_STEP_BUDGET caps the steps of each
+`exact_poly.StepBudget`: one step is one generator
 crossing the block of letters to its right in a quantized product, one rule
 application in a quotient normal form, one term pair of a product or
 bracket in the evaluation of `bracket`, or one admissible set that
@@ -43,12 +44,21 @@ from .algebra_an import (
     log_canonical_matrix,
     named_element,
     quotient_system,
+    verify_level_eigen_elements,
     verify_omega_identities,
 )
-from .algebra_kn import NCElement, QuantumParams, commutation_matrix, format_nc, nc_multiply
+from .algebra_kn import (
+    NCElement,
+    QuantumParams,
+    commutation_matrix,
+    format_nc,
+    nc_multiply,
+    normality_check,
+)
 from .correspondence import (
     AdditiveCharacter,
     group_character,
+    nested_congruence_check,
     stratification_report,
     verify_poisson_stratum_map,
     verify_quantum_stratum_map,
@@ -64,6 +74,7 @@ from .exact_poly import (
     reduce_poly,
 )
 from .parser import Bracket, eval_poisson, eval_quantum, parse_expr
+from .poisson_core import derivation_check
 
 ENV_STEP_BUDGET = "POISSON_STRATA_STEP_BUDGET"
 RANDOM_TRIALS = 1000  # random inputs per stratum (confluence) and triples (associativity)
@@ -389,6 +400,70 @@ def suite_upsilon(config: Config) -> dict:
     return _strata_suite("upsilon", params.n, lambda t: verify_quantum_stratum_map(params, t))
 
 
+def _omega_scalar(params: QuantumParams, i: int, name: str) -> Fraction:
+    """The scalar S in Omega_i g = S g Omega_i for the generator g named:
+    q_j on y_j for j <= i, p_j on y_j for j > i, and their inverses on x_j."""
+    j = int(name[1:])
+    scalar = params.q[j - 1] if j <= i else params.p[j - 1]
+    return scalar if name[0] == "y" else 1 / scalar
+
+
+def suite_normality(config: Config) -> dict:
+    """Each tail element Omega_i of the quantized algebra is normal, with
+    the scalars of `_omega_scalar`."""
+    params = _require_quantum(config)
+    failures = []
+    for i in range(1, params.n + 1):
+        report = normality_check(params, i)
+        failures += [f"Omega{i} {name}: no scalar" for name in report["failures"]]
+        for name, scalar in report["scalars"].items():
+            expected = _omega_scalar(params, i, name)
+            if scalar != expected:
+                failures.append(f"Omega{i} {name}: scalar {scalar}, expected {expected}")
+    details = {"tails": params.n, "failures": failures}
+    return {"suite": "normality", "ok": not failures, "details": details}
+
+
+def suite_weights(config: Config) -> dict:
+    """Each basis weight vector acts by a Poisson derivation, and the two
+    level eigen-vectors act as the top extension's derivations."""
+    params = _require_poisson(config)
+    structure = build_an(params)
+    basis = k_basis(params.n)
+    failures = [
+        f"weight vector ({', '.join(map(str, h))}) is not a Poisson derivation"
+        for h in basis
+        if not derivation_check(structure, k_derivation(params, h))
+    ]
+    failures += verify_level_eigen_elements(params)["failures"]
+    details = {"basis": len(basis), "failures": failures}
+    return {"suite": "weights", "ok": not failures, "details": details}
+
+
+def suite_eta(config: Config) -> dict:
+    """eta is injective, and for every nested pair T inside T' the raw maps
+    of T and T' agree modulo eta(T')."""
+    params = _require_poisson(config)
+    sets = adm.enumerate_admissible(params.n)
+    members = [t.members() for t in sets]
+    failures = []
+    pairs = 0
+    for small, small_members in zip(sets, members):
+        for large, large_members in zip(sets, members):
+            if small_members <= large_members:
+                pairs += 1
+                report = nested_congruence_check(params, small, large)
+                if not report["ok"]:
+                    names = list(small.member_names()), list(large.member_names())
+                    failures.append(f"{names[0]} in {names[1]}: {report['failures']}")
+    injective = adm.eta_injectivity(params.n)
+    return {
+        "suite": "eta",
+        "ok": injective and not failures,
+        "details": {"injective": injective, "nested_pairs": pairs, "failures": failures},
+    }
+
+
 SUITES = {
     "jacobi": suite_jacobi,
     "lemma2.3": suite_omega_identities,
@@ -397,6 +472,9 @@ SUITES = {
     "associativity": suite_associativity,
     "psi": suite_psi,
     "upsilon": suite_upsilon,
+    "normality": suite_normality,
+    "weights": suite_weights,
+    "eta": suite_eta,
 }
 
 
@@ -572,8 +650,18 @@ def _emit(payload, pretty: bool):
         print(json.dumps(payload, indent=2 if pretty else None))
 
 
+def _failed(payload) -> bool:
+    """Whether a command's report records a failed verification: its "ok"
+    is false, or one of its strata has a false "psi_ok" or "upsilon_ok"."""
+    if not isinstance(payload, dict):
+        return False
+    strata = payload.get("strata", ())
+    verdicts = [payload.get("ok")] + [s[side] for s in strata for side in ("psi_ok", "upsilon_ok")]
+    return any(v is False for v in verdicts)
+
+
 def main(argv=None) -> int:
-    """Run one command; exit 0, 1 for a report whose "ok" is false, 2 on error."""
+    """Run one command; exit 0, 1 for a report that `_failed`, 2 on error."""
     args = None
     try:
         args = _parse_args(argv)
@@ -583,7 +671,7 @@ def main(argv=None) -> int:
         _emit({"error": type(exc).__name__, "message": str(exc)}, args is not None and args.pretty)
         return 2
     _emit(payload, args.pretty)
-    return 1 if isinstance(payload, dict) and payload.get("ok") is False else 0
+    return 1 if _failed(payload) else 0
 
 
 if __name__ == "__main__":

@@ -47,6 +47,7 @@ from .algebra_an import (
 )
 from .algebra_kn import (
     NCElement,
+    QTorusElement,
     QuantumParams,
     QuantumTorus,
     defining_relations,
@@ -263,7 +264,7 @@ def quantum_stratum_map(params: QuantumParams, t_set: AdmissibleSet) -> Generato
 
     def build(vs: VarSpec):
         torus = QuantumTorus(params, kill=vs.killed, invert=vs.invertible)
-        return torus, torus.one()
+        return torus, QTorusElement.one(torus)
 
     return _stratum_map(params, t_set, build)
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 from operator import add, mul, sub
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Mapping, Optional, Sequence, Union
 
 Scalar = Union[Fraction, int]
 
@@ -122,9 +122,6 @@ class VarSpec:
     def extended(self, name: str) -> VarSpec:
         """These variables and one more, not flagged, appended last."""
         return VarSpec(self.names + (name,), self.invertible, self.killed)
-
-    def with_inverted(self, names: Iterable[str]) -> VarSpec:
-        return VarSpec(self.names, self.invertible | frozenset(names), self.killed)
 
 
 def monomial_key(m: tuple[int, ...]):
@@ -475,40 +472,6 @@ def format_poly(f: LaurentPoly) -> str:
     return format_terms(f.terms, f.varspec.names)
 
 
-def monomial_divides(divisor: tuple[int, ...], mono: tuple[int, ...], varspec: VarSpec) -> bool:
-    """True when mono/divisor is a valid monomial of the ring."""
-    for i, (d, m) in enumerate(zip(divisor, mono)):
-        if m - d < 0 and not varspec.is_invertible(i):
-            return False
-    return True
-
-
-def divide_exact(f: LaurentPoly, z: LaurentPoly) -> Optional[LaurentPoly]:
-    """Exact quotient f/z, or None when z does not divide f.
-
-    Greedy leading-term division; correct for exact division because the
-    ring is a domain and the term order is multiplicative.
-    """
-    if z.is_zero():
-        raise ZeroDivisionError("division by the zero polynomial")
-    f._check_owner(z)
-    lead_m = z.leading_monomial()
-    lead_c = z.terms[lead_m]
-    quot = LaurentPoly.zero(f.varspec)
-    rem = f
-    while not rem.is_zero():
-        m = rem.leading_monomial()
-        if not monomial_divides(lead_m, m, f.varspec):
-            return None
-        t = LaurentPoly(
-            f.varspec,
-            {tuple(a - b for a, b in zip(m, lead_m)): rem.terms[m] / lead_c},
-        )
-        quot = quot + t
-        rem = rem - t * z
-    return quot
-
-
 @dataclass(frozen=True)
 class ReductionRule:
     lead: tuple[int, ...]
@@ -521,8 +484,8 @@ class RuleIndex(dict):
 
     `lead_divisors` holds, per rule, the (index, exponent) pairs of the lead
     on non-invertible variables with a positive exponent: a ring monomial m
-    is divisible by the lead iff m[i] >= e for each pair, the test of
-    `monomial_divides`.
+    is divisible by the lead, m / lead being a monomial of the ring, iff
+    m[i] >= e for each pair.
     """
 
     __slots__ = ("lead_divisors",)

@@ -14,7 +14,7 @@ structure.  Syntax errors carry the offending offset.  Parentheses and
 brackets nest at most MAX_NESTING deep, which keeps parsing and evaluation
 well inside the interpreter's default recursion limit; sums, products and
 power towers of any length parse into left-nested chains, which the
-evaluators and `ast_to_text` walk in a loop.
+evaluators walk in a loop.
 """
 
 from __future__ import annotations
@@ -215,29 +215,6 @@ def _left_chain(node: Expr) -> tuple[Expr, list[Expr]]:
         node = node.base if isinstance(node, Pow) else node.left
     chain.reverse()
     return node, chain
-
-
-_SYMBOLS = {Add: "+", Sub: "-", Mul: "*"}
-
-
-def ast_to_text(ast: Expr) -> str:
-    """Fully parenthesized canonical text; parsing it back gives the same tree
-    while the parentheses nest at most MAX_NESTING deep."""
-    leaf, chain = _left_chain(ast)
-    if isinstance(leaf, Num):
-        text = str(leaf.value)
-    elif isinstance(leaf, Var):
-        text = leaf.name
-    elif isinstance(leaf, Bracket):
-        text = f"{{{ast_to_text(leaf.left)}, {ast_to_text(leaf.right)}}}"
-    else:
-        raise TypeError(f"not an expression node: {leaf!r}")
-    for node in chain:
-        if isinstance(node, Pow):
-            text = f"({text}^{node.exponent})"
-        else:
-            text = f"({text} {_SYMBOLS[type(node)]} {ast_to_text(node.right)})"
-    return text
 
 
 def _evaluate(ast: Expr, leaf: Callable, mul: Callable, power: Callable):

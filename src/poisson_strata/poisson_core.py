@@ -23,10 +23,10 @@ on generator triples is what `jacobi_check` verifies, and it propagates to
 all elements because the jacobiator of a biderivation bracket is a
 triderivation.
 
-The module also provides the two extension constructors for polynomial rings
-(a single Poisson-Ore step, and the two-variable double extension built from
-two such steps), localization, and Poisson-normality detection by exact
-division.
+The module also provides the test that a derivation is a Poisson derivation
+and the two extension constructors for polynomial rings (a single
+Poisson-Ore step, and the two-variable double extension built from two such
+steps).
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ from .exact_poly import (
     VarSpec,
     VarSpecMismatch,
     accumulate,
-    divide_exact,
     integer_terms,
     numerators_over,
     over_denominator,
@@ -369,43 +368,3 @@ def double_extend(spec: DoubleExtensionSpec) -> PoissonStructure:
     delta_images[spec.y_name] = spec.u.map_to(vs_y)
     delta = PoissonDerivation(vs_y, delta_images)
     return ore_extend(step_y, spec.x_name, beta_prime, delta)
-
-
-def double_extension_normal_element(spec: DoubleExtensionSpec, result: PoissonStructure) -> LaurentPoly:
-    """The element (c+d) y x + u inside the extension; requires d."""
-    if spec.d is None:
-        raise ValueError("the extension data does not carry the eigenvalue d")
-    vs = result.varspec
-    yx = LaurentPoly.monomial(vs, {spec.y_name: 1, spec.x_name: 1}, spec.c + spec.d)
-    return yx + spec.u.map_to(vs)
-
-
-def localize(structure: PoissonStructure, invert) -> PoissonStructure:
-    """Allow negative exponents on the named variables; the table is unchanged.
-
-    The bracket kernel already evaluates the localized bracket
-    correctly on negative exponents; the quotient-rule identity it satisfies
-    is property-tested rather than assumed.
-    """
-    new_vs = structure.varspec.with_inverted(invert)
-    table = {key: entry.map_to(new_vs) for key, entry in structure.table.items()}
-    return PoissonStructure(new_vs, table)
-
-
-def is_poisson_normal(
-    structure: PoissonStructure, z: LaurentPoly
-) -> Optional[dict[str, LaurentPoly]]:
-    """Eigen-map g -> gamma(g) with {g, z} = gamma(g) z, or None.
-
-    Detection is by exact polynomial division of {g, z} by z for every
-    generator g; z must be nonzero.
-    """
-    if z.is_zero():
-        raise ValueError("z must be nonzero")
-    out = {}
-    for name in structure.varspec.names:
-        quotient = divide_exact(structure.bracket(structure.generator(name), z), z)
-        if quotient is None:
-            return None
-        out[name] = quotient
-    return out

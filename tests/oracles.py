@@ -1,0 +1,262 @@
+"""Fixtures and independent oracles that only the tests read.
+
+The sample parameter sets, random parameters, and slow or roundabout
+re-derivations of what the package computes: the brute-force admissible
+filter, monomial counting of quotient growth, Poisson-normality detection by
+exact division, and the canonical text of a parsed expression.
+"""
+
+from __future__ import annotations
+
+import random
+from fractions import Fraction
+from itertools import product
+from typing import Optional
+
+from poisson_strata.admissible import AdmissibleSet, derived_sets, gk_dimension
+from poisson_strata.algebra_an import PoissonParams
+from poisson_strata.algebra_kn import QuantumParams
+from poisson_strata.correspondence import group_character
+from poisson_strata.exact_poly import LaurentPoly, VarSpec
+from poisson_strata.parser import Add, Bracket, Expr, Mul, Num, Pow, Sub, Var, _left_chain
+from poisson_strata.poisson_core import DoubleExtensionSpec, PoissonStructure
+
+# -- sample and random parameters ----------------------------------------------
+#
+# The quantum family keeps every scalar a power of two, so the parameter group
+# has rank one and the weight-1 character on the prime 2 transports it to the
+# Poisson family exactly.
+
+
+def poisson_sample() -> PoissonParams:
+    """A small generic Poisson instance (not a character image)."""
+    return PoissonParams.make(2, [[0, 1], [-1, 0]], [2, 3], [5, 7])
+
+
+_QUANTUM_P = {1: (2,), 2: (2, 8), 3: (2, 8, 2)}
+_QUANTUM_Q = {1: (4,), 2: (4, 32), 3: (4, 32, 16)}
+_QUANTUM_GAMMA = {
+    1: [[1]],
+    2: [[1, 2], [Fraction(1, 2), 1]],
+    3: [[1, 2, 4], [Fraction(1, 2), 1, 2], [Fraction(1, 4), Fraction(1, 2), 1]],
+}
+
+
+def quantum_sample(n: int = 2) -> QuantumParams:
+    if n not in _QUANTUM_P:
+        raise ValueError("sample family is defined for n in {1, 2, 3}")
+    return QuantumParams.make(n, _QUANTUM_GAMMA[n], _QUANTUM_P[n], _QUANTUM_Q[n])
+
+
+def sample_weights() -> dict[int, Fraction]:
+    return {2: Fraction(1)}
+
+
+def quantum_sample_image(n: int = 2) -> PoissonParams:
+    """The Poisson parameters induced from the quantum sample by the
+    weight-1 character on the prime 2 (exponents of 2, read off directly)."""
+    return group_character(quantum_sample(n), sample_weights()).induced
+
+
+def random_params(n: int, rng: random.Random) -> PoissonParams:
+    """Small-integer parameters with the required skew symmetry and p_i != q_i."""
+    gamma = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            g = Fraction(rng.randint(-2, 2))
+            gamma[i][j] = g
+            gamma[j][i] = -g
+    p = []
+    q = []
+    for _ in range(n):
+        pi = rng.randint(-3, 3)
+        qi = rng.randint(-3, 3)
+        while qi == pi:
+            qi = rng.randint(-3, 3)
+        p.append(Fraction(pi))
+        q.append(Fraction(qi))
+    return PoissonParams(n, tuple(tuple(row) for row in gamma), tuple(p), tuple(q))
+
+
+def truncated(params: PoissonParams, m: int) -> PoissonParams:
+    """The parameters of the subalgebra on the first m pairs."""
+    return PoissonParams(m, tuple(row[:m] for row in params.gamma[:m]), params.p[:m], params.q[:m])
+
+
+# -- admissible sets and growth -------------------------------------------------
+
+
+def brute_force_admissible(n: int) -> list[AdmissibleSet]:
+    """Filter of all 2^(3n) membership triples; the enumeration cross-check."""
+    out = []
+    bools = [False, True]
+    for y in product(bools, repeat=n):
+        for x in product(bools, repeat=n):
+            for o in product(bools, repeat=n):
+                try:
+                    out.append(AdmissibleSet(n, y, x, o))
+                except ValueError:
+                    pass
+    out.sort(key=AdmissibleSet.sort_key)
+    return out
+
+
+def count_series(t_set: AdmissibleSet, max_degree: int) -> list[int]:
+    """Cumulative counts of basis monomials of degree <= d, d = 0..max_degree.
+
+    Basis monomials avoid divisibility by the avoidance monomials: killed
+    variables do not occur, and a constrained pair never has both exponents
+    positive.  Counting multiplies the per-variable generating series.
+    """
+    sets = derived_sets(t_set)
+    killed = {m[0] for m in sets.avoid_monomials if len(m) == 1}
+    pairs = sum(1 for m in sets.avoid_monomials if len(m) == 2)
+    free = 2 * t_set.n - len(killed) - 2 * pairs
+
+    def mul_series(a: list[int], b: list[int]) -> list[int]:
+        out = [0] * (max_degree + 1)
+        for i, ai in enumerate(a):
+            if ai == 0:
+                continue
+            for j, bj in enumerate(b):
+                if i + j > max_degree:
+                    break
+                out[i + j] += ai * bj
+        return out
+
+    geometric = [1] * (max_degree + 1)
+    pair_series = [1] + [2] * max_degree
+    series = [1] + [0] * max_degree
+    for _ in range(free):
+        series = mul_series(series, geometric)
+    for _ in range(pairs):
+        series = mul_series(series, pair_series)
+    series = mul_series(series, geometric)  # cumulative sum
+    return series
+
+
+def growth_check(t_set: AdmissibleSet, max_degree: int = 12) -> dict:
+    """Assert the monomial count is a polynomial of degree 2n - length.
+
+    Exact finite differences of the cumulative counts; the transient of the
+    counting series ends at the number of constrained pairs, so differences
+    are taken on the tail from there.
+    """
+    counts = count_series(t_set, max_degree)
+    sets = derived_sets(t_set)
+    pairs = sum(1 for m in sets.avoid_monomials if len(m) == 2)
+    tail = counts[pairs:]
+    expected = gk_dimension(t_set)
+    seq = list(tail)
+    degree = None
+    for k in range(len(seq)):
+        if all(v == 0 for v in seq):
+            degree = k - 1
+            break
+        if len(set(seq)) == 1:
+            degree = k
+            break
+        seq = [b - a for a, b in zip(seq, seq[1:])]
+    return {
+        "ok": degree == expected,
+        "expected_degree": expected,
+        "measured_degree": degree,
+        "counts": counts,
+    }
+
+
+# -- Poisson normality by exact division ---------------------------------------
+
+
+def localized(structure: PoissonStructure, invert) -> PoissonStructure:
+    """The same table over the same variables with `invert` made invertible;
+    the bracket kernel evaluates the localized bracket on negative exponents."""
+    vs = structure.varspec
+    new_vs = VarSpec(vs.names, vs.invertible | frozenset(invert), vs.killed)
+    table = {key: entry.map_to(new_vs) for key, entry in structure.table.items()}
+    return PoissonStructure(new_vs, table)
+
+
+def monomial_divides(divisor: tuple[int, ...], mono: tuple[int, ...], varspec: VarSpec) -> bool:
+    """True when mono/divisor is a valid monomial of the ring."""
+    for i, (d, m) in enumerate(zip(divisor, mono)):
+        if m - d < 0 and not varspec.is_invertible(i):
+            return False
+    return True
+
+
+def divide_exact(f: LaurentPoly, z: LaurentPoly) -> Optional[LaurentPoly]:
+    """Exact quotient f/z, or None when z does not divide f.
+
+    Greedy leading-term division; correct for exact division because the
+    ring is a domain and the term order is multiplicative.
+    """
+    if z.is_zero():
+        raise ZeroDivisionError("division by the zero polynomial")
+    f._check_owner(z)
+    lead_m = z.leading_monomial()
+    lead_c = z.terms[lead_m]
+    quot = LaurentPoly.zero(f.varspec)
+    rem = f
+    while not rem.is_zero():
+        m = rem.leading_monomial()
+        if not monomial_divides(lead_m, m, f.varspec):
+            return None
+        t = LaurentPoly(
+            f.varspec,
+            {tuple(a - b for a, b in zip(m, lead_m)): rem.terms[m] / lead_c},
+        )
+        quot = quot + t
+        rem = rem - t * z
+    return quot
+
+
+def is_poisson_normal(structure: PoissonStructure, z: LaurentPoly) -> Optional[dict[str, LaurentPoly]]:
+    """Eigen-map g -> gamma(g) with {g, z} = gamma(g) z, or None.
+
+    Detection is by exact polynomial division of {g, z} by z for every
+    generator g; z must be nonzero.
+    """
+    if z.is_zero():
+        raise ValueError("z must be nonzero")
+    out = {}
+    for name in structure.varspec.names:
+        quotient = divide_exact(structure.bracket(structure.generator(name), z), z)
+        if quotient is None:
+            return None
+        out[name] = quotient
+    return out
+
+
+def double_extension_normal_element(spec: DoubleExtensionSpec, result: PoissonStructure) -> LaurentPoly:
+    """The element (c+d) y x + u inside the extension; requires d."""
+    if spec.d is None:
+        raise ValueError("the extension data does not carry the eigenvalue d")
+    vs = result.varspec
+    yx = LaurentPoly.monomial(vs, {spec.y_name: 1, spec.x_name: 1}, spec.c + spec.d)
+    return yx + spec.u.map_to(vs)
+
+
+# -- expressions ---------------------------------------------------------------
+
+_SYMBOLS = {Add: "+", Sub: "-", Mul: "*"}
+
+
+def ast_to_text(ast: Expr) -> str:
+    """Fully parenthesized canonical text; parsing it back gives the same tree
+    while the parentheses nest at most MAX_NESTING deep."""
+    leaf, chain = _left_chain(ast)
+    if isinstance(leaf, Num):
+        text = str(leaf.value)
+    elif isinstance(leaf, Var):
+        text = leaf.name
+    elif isinstance(leaf, Bracket):
+        text = f"{{{ast_to_text(leaf.left)}, {ast_to_text(leaf.right)}}}"
+    else:
+        raise TypeError(f"not an expression node: {leaf!r}")
+    for node in chain:
+        if isinstance(node, Pow):
+            text = f"({text}^{node.exponent})"
+        else:
+            text = f"({text} {_SYMBOLS[type(node)]} {ast_to_text(node.right)})"
+    return text

@@ -8,13 +8,22 @@ import random
 from contextlib import contextmanager
 from fractions import Fraction
 
+from oracles import (
+    brute_force_admissible,
+    double_extension_normal_element,
+    growth_check,
+    is_poisson_normal,
+    poisson_sample,
+    quantum_sample,
+    quantum_sample_image,
+    random_params,
+    sample_weights,
+)
 from poisson_strata.admissible import (
     AdmissibleSet,
-    brute_force_admissible,
     enumerate_admissible,
     eta_injectivity,
     gk_dimension,
-    growth_check,
 )
 from poisson_strata.algebra_an import (
     an_varspec,
@@ -24,7 +33,6 @@ from poisson_strata.algebra_an import (
     k_derivation,
     omega,
     quotient_system,
-    random_params,
     verify_omega_identities,
 )
 from poisson_strata.algebra_kn import (
@@ -51,14 +59,6 @@ from poisson_strata.poisson_core import (
     PoissonDerivation,
     PoissonStructure,
     double_extend,
-    double_extension_normal_element,
-    is_poisson_normal,
-)
-from poisson_strata.samples import (
-    poisson_sample,
-    quantum_sample,
-    quantum_sample_image,
-    sample_weights,
 )
 
 RESULT_LINES = []

@@ -4,15 +4,14 @@ from itertools import product
 
 import pytest
 
+from oracles import brute_force_admissible, growth_check
 from poisson_strata.admissible import (
     AdmissibleSet,
-    brute_force_admissible,
     count_admissible,
     derived_sets,
     enumerate_admissible,
     eta_injectivity,
     gk_dimension,
-    growth_check,
     length,
     poset_dot,
     poset_json,

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import poisson_sample, quantum_sample_image, random_params, truncated
+from poisson_strata import algebra_an
 from poisson_strata.admissible import AdmissibleSet, enumerate_admissible
 from poisson_strata.algebra_an import (
     PoissonParams,
@@ -12,7 +14,6 @@ from poisson_strata.algebra_an import (
     build_an,
     consistency_check,
     iterated_presentation,
-    k_action,
     k_basis,
     k_contains,
     k_derivation,
@@ -20,12 +21,11 @@ from poisson_strata.algebra_an import (
     log_canonical_matrix,
     omega,
     quotient_system,
-    random_params,
     verify_level_eigen_elements,
     verify_omega_identities,
 )
 from poisson_strata.exact_poly import LaurentPoly, format_poly, reduce_poly
-from poisson_strata.samples import poisson_sample, quantum_sample_image
+from poisson_strata.poisson_core import PoissonStructure
 
 
 def test_params_validation():
@@ -112,15 +112,52 @@ def test_consistency_check_families():
         assert consistency_check(random_params(n, rng))["ok"]
 
 
+def per_level_consistency(params):
+    """The rebuild against `build_an` of every truncation, level by level,
+    each level's pairs in (a, b) order: the first mismatch it meets."""
+    presentation = iterated_presentation(params)
+    for j in range(1, params.n + 1):
+        direct = algebra_an.build_an(truncated(params, j))
+        names = direct.varspec.names
+        for a in range(len(names)):
+            for b in range(a + 1, len(names)):
+                if direct.entry(a, b) != presentation.structures[j].entry(a, b):
+                    return {"ok": False, "level": j, "entry": (names[a], names[b])}
+    return {"ok": True, "levels": params.n}
+
+
+def test_consistency_check_names_the_lowest_level_mismatch(monkeypatch):
+    # (x1, y2) is a level-2 entry; (y1, x3) comes first in (a, b) order but
+    # only appears at level 3, so the one top-level comparison must name the
+    # level-2 entry, as the level-by-level comparison does
+    real = algebra_an.build_an
+
+    def corrupted(params):
+        structure = real(params)
+        vs, names = structure.varspec, structure.varspec.names
+        table = dict(structure.table)
+        for a, b in ((1, 2), (0, 5)):
+            if b < len(names):
+                table[(a, b)] = structure.entry(a, b) + LaurentPoly.monomial(vs, {names[a]: 1, names[b]: 1})
+        return PoissonStructure(vs, table)
+
+    params = quantum_sample_image(3)
+    assert consistency_check(params) == per_level_consistency(params) == {"ok": True, "levels": 3}
+    monkeypatch.setattr(algebra_an, "build_an", corrupted)
+    expected = {"ok": False, "level": 2, "entry": ("x1", "y2")}
+    for params in (quantum_sample_image(3), random_params(3, random.Random(12))):
+        assert consistency_check(params) == per_level_consistency(params) == expected
+
+
 def test_k_membership_and_action():
     params = poisson_sample()
     vs = an_varspec(2)
     f = LaurentPoly.monomial(vs, {"y1": 1, "x2": 1})
-    assert k_action(params, (1, 1, 1, 1), f) == f.scale(2)
-    assert k_action(params, (1, 2, 0, 3), LaurentPoly.variable(vs, "y2")).is_zero()
+    assert k_derivation(params, (1, 1, 1, 1)).apply(f) == f.scale(2)
+    assert k_derivation(params, (1, 2, 0, 3)).apply(LaurentPoly.variable(vs, "y2")).is_zero()
     assert k_contains(2, (1, 2, 0, 3)) is True
     with pytest.raises(ValueError):
-        k_action(params, (1, 0, 1, 1), f)
+        k_derivation(params, (1, 0, 1, 1))
 
 
 def test_k_elements_are_poisson_derivations():
@@ -136,7 +173,7 @@ def test_level_eigen_elements_values():
     f_vec, g_vec = level_eigen_elements(poisson_sample())
     assert f_vec == (1, 2, 1, 2)
     assert g_vec == (-6, 3, -7, 4)
-    params1 = poisson_sample().truncated(1)
+    params1 = truncated(poisson_sample(), 1)
     f1, g1 = level_eigen_elements(params1)
     assert f1 == (1, params1.p[0] - 1)
     assert g1 == (-params1.q[0], params1.q[0] - params1.p[0])

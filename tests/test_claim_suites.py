@@ -1,0 +1,116 @@
+"""The paper-claim suites `normality`, `weights` and `eta`.
+
+Each passes on the paired sample config, and each reports "ok": false and
+exits 1 under a mutation of what it checks.  Their runs at n = 0 are in
+`test_parser_cli.test_every_suite_runs_at_n0`.
+"""
+
+import dataclasses
+import json
+from pathlib import Path
+
+import pytest
+
+from poisson_strata import admissible, algebra_an, algebra_kn, cli, correspondence
+
+CONFIG_PAIRED = str(Path(__file__).resolve().parent.parent / "configs" / "paired_n2.json")
+
+
+def run_suite(suite, capsys):
+    status = cli.main(["--config", CONFIG_PAIRED, "verify", suite])
+    return status, json.loads(capsys.readouterr().out)
+
+
+@pytest.mark.parametrize("suite", ["normality", "weights", "eta"])
+def test_claim_suites_pass(suite, capsys):
+    status, report = run_suite(suite, capsys)
+    assert (status, report["suite"], report["ok"], report["details"]["failures"]) == (0, suite, True, [])
+
+
+def test_normality_fails_against_swapped_scalars(monkeypatch, capsys):
+    def swapped(params, i, name):
+        j = int(name[1:])
+        scalar = params.p[j - 1] if j <= i else params.q[j - 1]
+        return scalar if name[0] == "y" else 1 / scalar
+
+    monkeypatch.setattr(cli, "_omega_scalar", swapped)
+    status, report = run_suite("normality", capsys)
+    assert (status, report["ok"]) == (1, False)
+    # p = (2, 8) and q = (4, 32): y1 passes Omega1 with q1, not p1
+    assert "Omega1 y1: scalar 4, expected 2" in report["details"]["failures"]
+    assert len(report["details"]["failures"]) == 8  # every generator, both tails
+
+
+def test_normality_fails_for_a_tail_that_is_not_normal(monkeypatch, capsys):
+    # doubling the lower term of Omega2 leaves a combination that y2 and x2
+    # do not pass by a scalar
+    real = algebra_kn.tail_element
+
+    def doubled_lower_term(params, i, cls, owner):
+        return real(params, i, cls, owner) + real(params, min(i, 1), cls, owner)
+
+    monkeypatch.setattr(algebra_kn, "tail_element", doubled_lower_term)
+    status, report = run_suite("normality", capsys)
+    assert (status, report["ok"]) == (1, False)
+    assert "Omega2 y2: no scalar" in report["details"]["failures"]
+
+
+@pytest.mark.parametrize(
+    "shift,failures",
+    [
+        # moving weight from x_n to y_n keeps the pair sums, not the action
+        (
+            (1, -1),
+            [
+                "second vector disagrees with the extension on y_n",
+                "second vector does not scale x_n by q_n - p_n",
+            ],
+        ),
+        ((0, 1), ["second vector not in the weight group"]),
+    ],
+)
+def test_weights_fails_for_a_wrong_level_vector(shift, failures, monkeypatch, capsys):
+    real = algebra_an.level_eigen_elements
+
+    def wrong(params):
+        f_vec, g_vec = real(params)
+        return f_vec, g_vec[:-2] + (g_vec[-2] + shift[0], g_vec[-1] + shift[1])
+
+    monkeypatch.setattr(algebra_an, "level_eigen_elements", wrong)
+    status, report = run_suite("weights", capsys)
+    assert (status, report["ok"], report["details"]["failures"]) == (1, False, failures)
+
+
+def test_eta_fails_for_a_raw_tail_without_its_lower_x(monkeypatch, capsys):
+    # The tail -w_i Y_i^-1 Y_{i-1} X_{i-1} lies in the ideal of eta(T') for
+    # every T' that kills y_i, through Y_{i-1} or X_{i-1}.  Without X_{i-1}
+    # it fails on each pair with y2 in T' only and x1 but not y1 in T'.
+    def short_tail(params, i, cls, owner):
+        lower = cls.generator(owner, f"Y{i}") ** (-1) * cls.generator(owner, f"Y{i - 1}")
+        return lower.scale(-correspondence.hat_coefficient(params, i))
+
+    monkeypatch.setattr(correspondence, "tail_image", short_tail)
+    status, report = run_suite("eta", capsys)
+    assert (status, report["ok"], report["details"]["injective"]) == (1, False, True)
+    assert report["details"]["failures"] == [
+        "[] in ['x1', 'Omega1', 'y2', 'Omega2']: ['x2']",
+        "[] in ['x1', 'Omega1', 'y2', 'x2', 'Omega2']: ['x2']",
+        "['Omega2'] in ['x1', 'Omega1', 'y2', 'Omega2']: ['x2']",
+        "['Omega2'] in ['x1', 'Omega1', 'y2', 'x2', 'Omega2']: ['x2']",
+        "['x1', 'Omega1'] in ['x1', 'Omega1', 'y2', 'Omega2']: ['x2']",
+        "['x1', 'Omega1'] in ['x1', 'Omega1', 'y2', 'x2', 'Omega2']: ['x2']",
+        "['x1', 'Omega1', 'x2', 'Omega2'] in ['x1', 'Omega1', 'y2', 'x2', 'Omega2']: ['x2']",
+    ]
+
+
+def test_eta_fails_for_an_assignment_that_is_not_injective(monkeypatch, capsys):
+    # sending each killed X to its Y merges {y1, Omega1} and {x1, Omega1}
+    real = admissible.derived_sets
+
+    def x_to_y(t_set):
+        sets = real(t_set)
+        return dataclasses.replace(sets, eta=tuple(name.replace("X", "Y") for name in sets.eta))
+
+    monkeypatch.setattr(admissible, "derived_sets", x_to_y)
+    status, report = run_suite("eta", capsys)
+    assert (status, report["ok"], report["details"]["injective"]) == (1, False, False)

@@ -118,8 +118,8 @@ DIGEST = [
     (
         "paired_n2.json",
         ["verify", "all"],
-        2397,
-        "ba90ce01d20c24cc7f3c74fcee56593f53254507e2e457c273f5c0c01e4ee219",
+        2747,
+        "feb59ba0cf41b34f7756bfa4897e04fd6678213f24788b407ee0cc5b95c1bcf9",
     ),
     (
         PAIRED_N3,

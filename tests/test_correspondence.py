@@ -7,10 +7,11 @@ from pathlib import Path
 
 import pytest
 
+from oracles import quantum_sample, quantum_sample_image, sample_weights
 from poisson_strata import cli, correspondence
 from poisson_strata.admissible import AdmissibleSet, derived_sets, enumerate_admissible
 from poisson_strata.algebra_an import build_an, tail_coefficient
-from poisson_strata.algebra_kn import QuantumParams
+from poisson_strata.algebra_kn import QTorusElement, QuantumParams
 from poisson_strata.correspondence import (
     GroupContainsMinusOne,
     group_character,
@@ -24,11 +25,6 @@ from poisson_strata.correspondence import (
 )
 from poisson_strata.exact_poly import LaurentPoly, group_analysis
 from poisson_strata.poisson_core import PoissonStructure
-from poisson_strata.samples import (
-    quantum_sample,
-    quantum_sample_image,
-    sample_weights,
-)
 
 CONFIG_PAIRED = str(Path(__file__).resolve().parent.parent / "configs" / "paired_n2.json")
 
@@ -270,15 +266,12 @@ def test_quantum_images_empty_set():
     # Y2^-1 Y1 X1; normal-ordering it crosses Y1 and X1 past Y2^-1, which
     # contributes gamma12 * p2/gamma12 = 8, so the standard-monomial
     # coefficient is -8/12 = -2/3.
-    expected = torus.generator("X2") + torus.monomial(
-        {"Y2": -1, "Y1": 1, "X1": 1}, Fraction(-2, 3)
-    )
+    gen = lambda name: QTorusElement.generator(torus, name)
+    expected = gen("X2") + QTorusElement.monomial(torus, {"Y2": -1, "Y1": 1, "X1": 1}, Fraction(-2, 3))
     assert gmap.images["x2"] == expected
-    ordered = (
-        torus.generator("Y2") ** (-1) * torus.generator("Y1") * torus.generator("X1")
-    )
-    assert gmap.images["x2"] == torus.generator("X2") + ordered.scale(Fraction(-1, 12))
-    assert gmap.images["y1"] == torus.generator("Y1")
+    ordered = gen("Y2") ** (-1) * gen("Y1") * gen("X1")
+    assert gmap.images["x2"] == gen("X2") + ordered.scale(Fraction(-1, 12))
+    assert gmap.images["y1"] == gen("Y1")
 
 
 def test_quantum_full_set_collapses():
@@ -366,7 +359,7 @@ def test_failing_strata_show_their_residuals_on_the_command_line(doubled_hat, ca
                 assert entry == {"members": entry["members"], "ok": True}
             else:
                 assert entry == {"members": entry["members"], "ok": False, "failures": expected[side]}
-    assert cli.main(["--config", CONFIG_PAIRED, "map-report"]) == 0
+    assert cli.main(["--config", CONFIG_PAIRED, "map-report"]) == 1
     for entry in json.loads(capsys.readouterr().out)["strata"]:
         expected = DOUBLED_HAT_FAILURES.get(tuple(entry["members"]))
         sides = ("psi_failures", "upsilon_failures")
@@ -377,6 +370,16 @@ def test_failing_strata_show_their_residuals_on_the_command_line(doubled_hat, ca
         else:
             assert not entry["psi_ok"] and not entry["upsilon_ok"]
             assert failure_keys == {"psi_failures": expected[0], "upsilon_failures": expected[1]}
+
+
+def test_map_report_exits_1_on_a_failed_stratum_with_its_report_unchanged(doubled_hat, capsys):
+    # the exit status reads the strata's verdicts; the report gets no key of
+    # its own for them
+    character = cli.load_config(CONFIG_PAIRED).character
+    assert cli.main(["--config", CONFIG_PAIRED, "map-report"]) == 1
+    out = capsys.readouterr().out
+    assert out == json.dumps(stratification_report(character)) + "\n"
+    assert "ok" not in json.loads(out)
 
 
 def test_swapped_unit_images_fail_the_unit_check():

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import ast_to_text, monomial_divides, poisson_sample, quantum_sample
 from poisson_strata import cli
 from poisson_strata.algebra_an import an_varspec, build_an
 from poisson_strata.algebra_kn import NCElement
@@ -22,12 +23,10 @@ from poisson_strata.parser import (
     Pow,
     Sub,
     Var,
-    ast_to_text,
     eval_poisson,
     eval_quantum,
     parse_expr,
 )
-from poisson_strata.samples import poisson_sample, quantum_sample
 
 _CONFIG_DIR = __import__("pathlib").Path(__file__).resolve().parent.parent / "configs"
 CONFIG_POISSON = str(_CONFIG_DIR / "poisson_n2.json")
@@ -290,6 +289,9 @@ def test_cli_verify_all_green(capsys):
         "associativity": True,
         "psi": True,
         "upsilon": True,
+        "normality": True,
+        "weights": True,
+        "eta": True,
     }
 
 
@@ -525,8 +527,8 @@ def test_trivial_parameter_group_needs_no_weights(tmp_path, capsys):
     assert payload["details"]["strata"] == [{"members": [], "ok": True}]
 
 
-POISSON_SUITES = ("jacobi", "lemma2.3", "confluence", "kstable", "psi")
-QUANTUM_SUITES = ("associativity", "upsilon")
+POISSON_SUITES = ("jacobi", "lemma2.3", "confluence", "kstable", "psi", "weights", "eta")
+QUANTUM_SUITES = ("associativity", "upsilon", "normality")
 
 
 @pytest.mark.parametrize(
@@ -712,8 +714,6 @@ def choice_reduce(f, system, rng):
     """A random reduction written with `rng.choice` and LaurentPoly
     arithmetic: candidates are (term, rule), terms in their current order
     and rules in system order."""
-    from poisson_strata.exact_poly import monomial_divides
-
     while True:
         candidates = [
             (mono, k)

@@ -5,6 +5,14 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import (
+    double_extension_normal_element,
+    is_poisson_normal,
+    localized,
+    poisson_sample,
+    quantum_sample_image,
+    truncated,
+)
 from poisson_strata.admissible import enumerate_admissible
 from poisson_strata.algebra_an import (
     PoissonParams,
@@ -22,12 +30,8 @@ from poisson_strata.poisson_core import (
     PoissonStructure,
     derivation_check,
     double_extend,
-    double_extension_normal_element,
-    is_poisson_normal,
-    localize,
     ore_extend,
 )
-from poisson_strata.samples import poisson_sample, quantum_sample_image
 
 
 def random_poly(vs, rng, max_terms=3, max_degree=4, laurent=False):
@@ -114,7 +118,7 @@ def test_bracket_matches_recursive_oracle():
 
 
 def test_bracket_oracle_on_localization():
-    structure = localize(build_an(poisson_sample()), ["y1", "y2"])
+    structure = localized(build_an(poisson_sample()), ["y1", "y2"])
     rng = random.Random(5)
     for _ in range(40):
         f = random_poly(structure.varspec, rng, laurent=True)
@@ -154,13 +158,13 @@ FRACTIONAL = PoissonParams.make(
 
 
 def inverting_all(structure):
-    return localize(structure, structure.varspec.names)
+    return localized(structure, structure.varspec.names)
 
 
 def test_bracket_kernel_matches_gradient_oracle_on_an():
     rng = random.Random(21)
     for n in (1, 2, 3):
-        assert oracle_agrees(inverting_all(build_an(FRACTIONAL.truncated(n))), rng)
+        assert oracle_agrees(inverting_all(build_an(truncated(FRACTIONAL, n))), rng)
 
 
 def test_bracket_kernel_matches_gradient_oracle_on_stratum_targets():
@@ -258,7 +262,7 @@ def test_ore_extend_single_variable():
 
 
 def test_ore_extend_trivial():
-    structure = build_an(poisson_sample().truncated(1))
+    structure = build_an(truncated(poisson_sample(), 1))
     ext = ore_extend(structure, "t", PoissonDerivation.zero(structure.varspec))
     t = ext.generator("t")
     for name in ("y1", "x1"):
@@ -425,7 +429,7 @@ def test_swap_presentation_orders():
 
 
 def test_localization_quotient_rule():
-    structure = localize(build_an(poisson_sample()), ["y1", "y2"])
+    structure = localized(build_an(poisson_sample()), ["y1", "y2"])
     vs = structure.varspec
     rng = random.Random(8)
     for _ in range(60):
@@ -445,7 +449,7 @@ def test_localization_quotient_rule():
 
 
 def test_localized_single_inverse_bracket():
-    level1 = localize(build_an(poisson_sample().truncated(1)), ["y1"])
+    level1 = localized(build_an(truncated(poisson_sample(), 1)), ["y1"])
     y1_inv = LaurentPoly.monomial(level1.varspec, {"y1": -1})
     x1 = level1.generator("x1")
     assert level1.bracket(y1_inv, x1) == LaurentPoly.monomial(level1.varspec, {"y1": -1, "x1": 1}, 5)
@@ -453,14 +457,14 @@ def test_localized_single_inverse_bracket():
 
 def test_localize_nothing_is_identity():
     structure = build_an(poisson_sample())
-    same = localize(structure, [])
+    same = localized(structure, [])
     assert same.varspec == structure.varspec and same.table == structure.table
 
 
 def test_localize_keeps_jacobi():
-    assert localize(build_an(poisson_sample()), ["y1", "y2"]).jacobi_check() is True
+    assert localized(build_an(poisson_sample()), ["y1", "y2"]).jacobi_check() is True
     with pytest.raises(KeyError):
-        localize(build_an(poisson_sample()), ["zz"])
+        localized(build_an(poisson_sample()), ["zz"])
 
 
 def test_derivation_checks():
