@@ -14,7 +14,7 @@ out as a poset.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 
 @dataclass(frozen=True)
@@ -205,9 +205,8 @@ def gk_dimension(t_set: AdmissibleSet) -> int:
     return 2 * t_set.n - length(t_set)
 
 
-def eta_injectivity(n: int) -> bool:
-    """Distinct admissible sets have distinct killed-target sets."""
-    sets = enumerate_admissible(n)
+def eta_injectivity(sets: Sequence[AdmissibleSet]) -> bool:
+    """The sets of `enumerate_admissible(n)` have distinct killed-target sets."""
     images = {frozenset(derived_sets(t).eta) for t in sets}
     return len(images) == len(sets)
 

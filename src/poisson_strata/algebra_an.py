@@ -149,6 +149,13 @@ def tail_coefficient(params: PairParams, k: int) -> Fraction:
     return params.q[k - 1] - params.p[k - 1]
 
 
+def tail_rate(params: PairParams, j: int, i: int) -> Fraction:
+    """The rate of generator pair j against the tail element O_i: q_j when
+    j <= i, else p_j.  On the Poisson side {y_j, O_i} = -rate y_j O_i and
+    {x_j, O_i} = rate x_j O_i; on the quantized side O_i y_j = rate y_j O_i."""
+    return params.q[j - 1] if j <= i else params.p[j - 1]
+
+
 def tail_element(params: PairParams, i: int, cls, owner):
     """The tail element O_i = sum over k <= i of (q_k - p_k) y_k x_k, as a
     `cls` term map over `owner`; the same combination on either side.
@@ -207,15 +214,15 @@ def build_an(params: PoissonParams) -> PoissonStructure:
     return PoissonStructure(vs, table).validate()
 
 
-def verify_omega_identities(params: PoissonParams) -> dict:
-    """Check the scaling brackets of the tail elements and their recursions.
+def verify_omega_identities(params: PoissonParams, structure: PoissonStructure) -> dict:
+    """Check the scaling brackets of the tail elements and their recursions
+    in `structure`, which is `build_an(params)`.
 
-    Verifies, symbolically: {y_i, O_j} = -q_i y_i O_j and {x_i, O_j} =
-    q_i x_i O_j for i <= j, the same with p_i for i > j, {O_i, O_j} = 0, and
+    Verifies, symbolically: {y_i, O_j} = -r y_i O_j and {x_i, O_j} =
+    r x_i O_j with r = `tail_rate(params, i, j)`, {O_i, O_j} = 0, and
     the two solvings of the defining relation
     O_{i-1} = {x_i, y_i} - q_i y_i x_i and O_i = {x_i, y_i} - p_i y_i x_i.
     """
-    structure = build_an(params)
     vs = structure.varspec
     n = params.n
     omegas = [omega(params, i, vs) for i in range(n + 1)]
@@ -232,7 +239,7 @@ def verify_omega_identities(params: PoissonParams) -> dict:
         yi = structure.generator(f"y{i}")
         xi = structure.generator(f"x{i}")
         for j in range(0, n + 1):
-            rate = params.q[i - 1] if i <= j else params.p[i - 1]
+            rate = tail_rate(params, i, j)
             expect(
                 structure.bracket(yi, omegas[j]) == (yi * omegas[j]).scale(-rate),
                 f"{{y{i}, O{j}}}",
@@ -298,8 +305,9 @@ def iterated_presentation(params: PoissonParams) -> IteratedPresentation:
     return IteratedPresentation(params, tuple(specs), tuple(structures))
 
 
-def consistency_check(params: PoissonParams) -> dict:
-    """Compare the level-by-level rebuild against the direct table, entry-exact.
+def consistency_check(params: PoissonParams, direct: PoissonStructure) -> dict:
+    """Compare the level-by-level rebuild against the direct table of
+    `direct`, which is `build_an(params)`, entry-exact.
 
     Each level's rebuilt table is carried unchanged into the top level, and
     the level-j algebra's table is the direct one on the first 2j
@@ -307,7 +315,6 @@ def consistency_check(params: PoissonParams) -> dict:
     scanned by the level that adjoins their later generator, so a mismatch
     is named at the lowest level it appears in.
     """
-    direct = build_an(params)
     rebuilt = iterated_presentation(params).structures[-1]
     names = direct.varspec.names
     for level in range(params.n):

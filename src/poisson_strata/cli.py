@@ -6,7 +6,8 @@ rejected to keep the arithmetic exact and its cost bounded).
 All commands print JSON to stdout.  A failed verification, a failed
 stratum of `map-report` included, exits 1 with its report; any error, a bad
 command line included, exits 2 with a machine-readable {"error", "message"}
-object.  POISSON_STRATA_STEP_BUDGET caps the steps of each
+object.  POISSON_STRATA_STEP_BUDGET, read once when the config is loaded
+(`Config.step_limit`), caps the steps of each
 `exact_poly.StepBudget`: one step is one generator
 crossing the block of letters to its right in a quantized product, one rule
 application in a quotient normal form, one term pair of a product or
@@ -17,7 +18,8 @@ nothing).  The whole expression of an `nf` command, powers included, has
 one budget, as has the whole expression {left, right} of a `bracket`
 command; each associativity-suite product and each normal form of `verify
 confluence` and `verify kstable` has its own.
-Past its budget a command ends in a StepBudgetExceeded error.
+Past its budget a command ends in a StepBudgetExceeded error; a budget that
+is not a positive integer ends every command in a ConfigError.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ from .algebra_an import (
     log_canonical_matrix,
     named_element,
     quotient_system,
+    tail_rate,
     verify_level_eigen_elements,
     verify_omega_identities,
 )
@@ -74,7 +77,7 @@ from .exact_poly import (
     reduce_poly,
 )
 from .parser import Bracket, eval_poisson, eval_quantum, parse_expr
-from .poisson_core import derivation_check
+from .poisson_core import PoissonStructure, derivation_check
 
 ENV_STEP_BUDGET = "POISSON_STRATA_STEP_BUDGET"
 RANDOM_TRIALS = 1000  # random inputs per stratum (confluence) and triples (associativity)
@@ -131,16 +134,33 @@ def _list(value, what: str) -> list:
 
 @dataclass
 class Config:
+    """The run object: the parameters and step limit `load_config` validated,
+    and what every command derives from them, built on first use and shared."""
+
     mode: str
     poisson: Optional[PoissonParams]
     quantum: Optional[QuantumParams]
     weights: Optional[dict[int, Fraction]]
+    step_limit: int  # the limit of every StepBudget of the run
+
+    @property
+    def n(self) -> int:
+        return (self.poisson or self.quantum).n
 
     @functools.cached_property
     def character(self) -> AdditiveCharacter:
-        """The additive character of the quantum parameters under `weights`,
-        built on first use and then shared by every reader in the run."""
+        """The additive character of the quantum parameters under `weights`."""
         return group_character(_require_quantum(self), self.weights)
+
+    @functools.cached_property
+    def an(self) -> PoissonStructure:
+        """A_n of the Poisson parameters, its Jacobi identity validated."""
+        return build_an(_require_poisson(self))
+
+    @functools.cached_property
+    def strata(self) -> list[adm.AdmissibleSet]:
+        """The admissible sets of n, in canonical order."""
+        return adm.enumerate_admissible(self.n)
 
 
 def load_config(path: str) -> Config:
@@ -197,23 +217,17 @@ def load_config(path: str) -> Config:
             adm.AdmissibleSet.from_names(n, names)
         except ValueError as exc:
             raise ConfigError(f"bad admissible literal: {exc}") from None
-    config = Config(mode, poisson, quantum, weights)
+    limit = os.environ.get(ENV_STEP_BUDGET)
+    try:
+        step_limit = DEFAULT_STEP_BUDGET if limit is None else int(limit)
+    except ValueError:
+        raise ConfigError(f"{ENV_STEP_BUDGET} must be an integer, got {limit!r}") from None
+    if step_limit <= 0:
+        raise ConfigError(f"{ENV_STEP_BUDGET} must be positive")
+    config = Config(mode, poisson, quantum, weights, step_limit)
     if mode == "paired":
         config.poisson = config.character.induced
     return config
-
-
-def _step_budget() -> int:
-    raw = os.environ.get(ENV_STEP_BUDGET)
-    if raw is None:
-        return DEFAULT_STEP_BUDGET
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ConfigError(f"{ENV_STEP_BUDGET} must be an integer, got {raw!r}")
-    if value <= 0:
-        raise ConfigError(f"{ENV_STEP_BUDGET} must be positive")
-    return value
 
 
 def _matrix_strings(matrix) -> list[list[str]]:
@@ -276,11 +290,10 @@ def _random_monomial(n: int, rng: random.Random) -> NCElement:
 
 def suite_jacobi(config: Config) -> dict:
     params = _require_poisson(config)
-    structure = build_an(params)
+    structure = config.an
     vs = structure.varspec
     rng = random.Random(7)
-    ok = structure.jacobi_check()
-    details = {"generator_triples": ok}
+    details = {"generator_triples": True}  # `config.an` is built only once they pass
     random_ok = True
     for _ in range(50):
         f, g, h = (_random_poly(vs, rng) for _ in range(3))
@@ -291,24 +304,24 @@ def suite_jacobi(config: Config) -> dict:
         if not structure.jacobiator(f, g, h).is_zero():
             random_ok = False
     details["random_antisymmetry_leibniz_jacobi"] = random_ok
-    report = consistency_check(params)
+    report = consistency_check(params, structure)
     details["iterated_rebuild"] = report["ok"]
-    return {"suite": "jacobi", "ok": ok and random_ok and report["ok"], "details": details}
+    return {"suite": "jacobi", "ok": random_ok and report["ok"], "details": details}
 
 
 def suite_omega_identities(config: Config) -> dict:
     params = _require_poisson(config)
-    report = verify_omega_identities(params)
+    report = verify_omega_identities(params, config.an)
     return {"suite": "lemma2.3", "ok": report["ok"], "details": report}
 
 
 def suite_confluence(config: Config) -> dict:
     params = _require_poisson(config)
     vs = an_varspec(params.n)
-    budget = _step_budget()
+    budget = config.step_limit
     rng = random.Random(11)
     checked = 0
-    for t_set in adm.enumerate_admissible(params.n):
+    for t_set in config.strata:
         system = quotient_system(params, t_set)
         for _ in range(RANDOM_TRIALS):
             f = _random_poly(vs, rng)
@@ -333,14 +346,14 @@ def suite_k_stability(config: Config) -> dict:
     images do not depend on the stratum, so each is built once per run and
     reduced against every stratum's system."""
     params = _require_poisson(config)
-    structure = build_an(params)
+    structure = config.an
     vs = structure.varspec
-    budget = _step_budget()
+    budget = config.step_limit
     generators = [structure.generator(g_name) for g_name in vs.names]
     derivations = [k_derivation(params, h) for h in k_basis(params.n)]
     images: dict[str, tuple[list[LaurentPoly], list[LaurentPoly]]] = {}
     failures = []
-    for t_set in adm.enumerate_admissible(params.n):
+    for t_set in config.strata:
         system = quotient_system(params, t_set)
         for name in t_set.member_names():
             if name not in images:
@@ -362,10 +375,9 @@ def suite_k_stability(config: Config) -> dict:
 def suite_associativity(config: Config) -> dict:
     params = _require_quantum(config)
     rng = random.Random(13)
-    limit = _step_budget()
 
     def mul(a: NCElement, b: NCElement) -> NCElement:
-        return nc_multiply(params, a, b, StepBudget(limit))
+        return nc_multiply(params, a, b, StepBudget(config.step_limit))
 
     for _ in range(RANDOM_TRIALS):
         f, g, h = (_random_monomial(params.n, rng) for _ in range(3))
@@ -376,11 +388,11 @@ def suite_associativity(config: Config) -> dict:
     return {"suite": "associativity", "ok": True, "details": {"triples": RANDOM_TRIALS}}
 
 
-def _strata_suite(name: str, n: int, verify) -> dict:
-    """One entry per stratum: its members, its verdict and, when it failed,
-    the residuals of what failed."""
+def _strata_suite(name: str, config: Config, verify) -> dict:
+    """One entry per stratum of the run: its members, its verdict and, when
+    it failed, the residuals of what failed."""
     results = []
-    for t_set in adm.enumerate_admissible(n):
+    for t_set in config.strata:
         report = verify(t_set)
         entry = {"members": list(t_set.member_names()), "ok": report["ok"]}
         if not report["ok"]:
@@ -391,20 +403,19 @@ def _strata_suite(name: str, n: int, verify) -> dict:
 
 def suite_psi(config: Config) -> dict:
     params = _require_poisson(config)
-    source = build_an(params)
-    return _strata_suite("psi", params.n, lambda t: verify_poisson_stratum_map(params, t, source))
+    source = config.an
+    return _strata_suite("psi", config, lambda t: verify_poisson_stratum_map(params, t, source))
 
 
 def suite_upsilon(config: Config) -> dict:
     params = _require_quantum(config)
-    return _strata_suite("upsilon", params.n, lambda t: verify_quantum_stratum_map(params, t))
+    return _strata_suite("upsilon", config, lambda t: verify_quantum_stratum_map(params, t))
 
 
 def _omega_scalar(params: QuantumParams, i: int, name: str) -> Fraction:
     """The scalar S in Omega_i g = S g Omega_i for the generator g named:
-    q_j on y_j for j <= i, p_j on y_j for j > i, and their inverses on x_j."""
-    j = int(name[1:])
-    scalar = params.q[j - 1] if j <= i else params.p[j - 1]
+    the tail rate on y_j and its inverse on x_j."""
+    scalar = tail_rate(params, int(name[1:]), i)
     return scalar if name[0] == "y" else 1 / scalar
 
 
@@ -428,7 +439,7 @@ def suite_weights(config: Config) -> dict:
     """Each basis weight vector acts by a Poisson derivation, and the two
     level eigen-vectors act as the top extension's derivations."""
     params = _require_poisson(config)
-    structure = build_an(params)
+    structure = config.an
     basis = k_basis(params.n)
     failures = [
         f"weight vector ({', '.join(map(str, h))}) is not a Poisson derivation"
@@ -443,25 +454,11 @@ def suite_weights(config: Config) -> dict:
 def suite_eta(config: Config) -> dict:
     """eta is injective, and for every nested pair T inside T' the raw maps
     of T and T' agree modulo eta(T')."""
-    params = _require_poisson(config)
-    sets = adm.enumerate_admissible(params.n)
-    members = [t.members() for t in sets]
-    failures = []
-    pairs = 0
-    for small, small_members in zip(sets, members):
-        for large, large_members in zip(sets, members):
-            if small_members <= large_members:
-                pairs += 1
-                report = nested_congruence_check(params, small, large)
-                if not report["ok"]:
-                    names = list(small.member_names()), list(large.member_names())
-                    failures.append(f"{names[0]} in {names[1]}: {report['failures']}")
-    injective = adm.eta_injectivity(params.n)
-    return {
-        "suite": "eta",
-        "ok": injective and not failures,
-        "details": {"injective": injective, "nested_pairs": pairs, "failures": failures},
-    }
+    report = nested_congruence_check(_require_poisson(config), config.strata)
+    injective = adm.eta_injectivity(config.strata)
+    failures = report["failures"]
+    details = {"injective": injective, "nested_pairs": report["nested_pairs"], "failures": failures}
+    return {"suite": "eta", "ok": injective and not failures, "details": details}
 
 
 SUITES = {
@@ -503,24 +500,22 @@ def run_suite(config: Config, name: str) -> dict:
 
 def cmd_bracket(config: Config, args) -> dict:
     params = _require_poisson(config)
-    structure = build_an(params)
-    budget = _step_budget()
     ast = Bracket(parse_expr(args.left), parse_expr(args.right))
-    return {"result": format_poly(eval_poisson(ast, structure, params, budget))}
+    return {"result": format_poly(eval_poisson(ast, config.an, params, config.step_limit))}
 
 
 def cmd_nf(config: Config, args) -> dict:
     params = _require_quantum(config)
-    value = eval_quantum(parse_expr(args.expr), params, _step_budget())
+    value = eval_quantum(parse_expr(args.expr), params, config.step_limit)
     return {"result": format_nc(value)}
 
 
 def cmd_admissible(config: Config, args) -> dict | str:
-    n = config.poisson.n if config.poisson is not None else config.quantum.n
+    n = config.n
     count = adm.count_admissible(n)
     if not (args.list or args.poset):
         return {"n": n, "count": count}
-    StepBudget(_step_budget(), "admissible sets").charge(count)
+    StepBudget(config.step_limit, "admissible sets").charge(count)
     if args.poset:
         if args.dot:
             return adm.poset_dot(n)
@@ -528,7 +523,7 @@ def cmd_admissible(config: Config, args) -> dict | str:
     return {
         "n": n,
         "count": count,
-        "sets": [list(t.member_names()) for t in adm.enumerate_admissible(n)],
+        "sets": [list(t.member_names()) for t in config.strata],
     }
 
 

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional
+from typing import Mapping, Optional, Sequence
 
 from .admissible import AdmissibleSet, derived_sets, enumerate_admissible, gk_dimension, length
 from .algebra_an import (
@@ -186,24 +186,18 @@ def _stratum_report(params, gmap: GeneratorMap, failures, source_one: TermMap) -
 
 
 def verify_poisson_stratum_map(
-    params: PoissonParams,
-    t_set: AdmissibleSet,
-    source: Optional[PoissonStructure] = None,
+    params: PoissonParams, t_set: AdmissibleSet, source: PoissonStructure
 ) -> dict:
-    """Generator-level verification that the stratum map is Poisson.
+    """Generator-level verification that the stratum map of T from `source`,
+    which is `build_an(params)`, is Poisson.
 
     Checks, exactly: the image of every generator bracket equals the target
     bracket of the images; every tail element maps to (q_i - p_i) Y_i X_i;
     members of T map to zero; and the surviving y's map onto the inverted
     target generators.  Each failure names what failed and its first
     residual, formatted.
-
-    `source` is `build_an(params)`, for callers that verify many strata of
-    one algebra and build it once; it is built here when omitted.
     """
-    if source is None:
-        source = build_an(params)
-    elif not same_owner(source.varspec, an_varspec(params.n)):
+    if not same_owner(source.varspec, an_varspec(params.n)):
         raise ValueError("source structure is not over the generators of A_n")
     gmap = poisson_stratum_map(params, t_set)
     target = gmap.target
@@ -220,40 +214,44 @@ def verify_poisson_stratum_map(
     return _stratum_report(params, gmap, failures, LaurentPoly.one(source.varspec))
 
 
-def nested_congruence_check(
-    params: PoissonParams, t_small: AdmissibleSet, t_large: AdmissibleSet
-) -> dict:
-    """For nested T inside T', compare the raw substitution maps modulo eta(T').
+def nested_congruence_check(params: PoissonParams, sets: Sequence[AdmissibleSet]) -> dict:
+    """For every nested pair T inside T' of `sets`, compare the raw
+    substitution maps modulo eta(T'): the difference must have a positive
+    exponent on some eta(T') generator in every term.
 
     Images are taken before any target reduction (the two-branch form from
     the underlying ring map: the full tail formula when y_i survives T, the
     plain X_i when it does not), in the Laurent ring with every Y inverted.
-    The difference must have a positive exponent on some eta(T') generator
-    in every term.
+    Neither branch depends on anything else of T, so each is built once.
+    A failure names both sets and the generators whose images differ.
     """
-    if not t_small.is_subset_of(t_large):
-        raise ValueError("first set must be contained in the second")
     n = params.n
     vs = VarSpec(torus_names(n), frozenset(f"Y{i}" for i in range(1, n + 1)))
-
-    def raw_image(t_set: AdmissibleSet, name: str) -> LaurentPoly:
-        kind, i = name[0], int(name[1:])
-        if kind == "y":
-            return LaurentPoly.monomial(vs, {f"Y{i}": 1})
-        x = LaurentPoly.monomial(vs, {f"X{i}": 1})
-        if i == 1 or t_set.y_in[i - 1]:
-            return x
-        return x + tail_image(params, i, LaurentPoly, vs)
-
-    eta_idx = [vs.index(nm) for nm in derived_sets(t_large).eta]
-    failures = []
-    for name in kn_names(n):
-        diff = raw_image(t_small, name) - raw_image(t_large, name)
-        for mono in diff.terms:
-            if not any(mono[k] > 0 for k in eta_idx):
-                failures.append(name)
-                break
-    return {"ok": not failures, "failures": failures}
+    plain = [LaurentPoly.generator(vs, name) for name in vs.names]
+    tailed = {i: plain[2 * i - 1] + tail_image(params, i, LaurentPoly, vs) for i in range(2, n + 1)}
+    images = [list(plain) for _ in sets]
+    for row, t_set in zip(images, sets):
+        for i in tailed:
+            if not t_set.y_in[i - 1]:
+                row[2 * i - 1] = tailed[i]
+    members = [t.members() for t in sets]
+    pairs, failures = 0, []
+    for small, small_members, small_images in zip(sets, members, images):
+        for large, large_members, large_images in zip(sets, members, images):
+            if not small_members <= large_members:
+                continue
+            pairs += 1
+            eta_idx = [vs.index(name) for name in derived_sets(large).eta]
+            # a shared image differs by zero; a term with no eta(T') factor is outside the ideal
+            differ = [
+                name
+                for name, a, b in zip(kn_names(n), small_images, large_images)
+                if a is not b and any(all(mono[k] <= 0 for k in eta_idx) for mono in (a - b).terms)
+            ]
+            if differ:
+                names = list(small.member_names()), list(large.member_names())
+                failures.append(f"{names[0]} in {names[1]}: {differ}")
+    return {"ok": not failures, "nested_pairs": pairs, "failures": failures}
 
 
 # -- quantized side -----------------------------------------------------------

@@ -144,7 +144,7 @@ def test_growth_check_all_sets():
 
 def test_eta_injectivity():
     for n in (1, 2, 3, 4):
-        assert eta_injectivity(n) is True
+        assert eta_injectivity(enumerate_admissible(n)) is True
     images = {frozenset(derived_sets(t).eta) for t in enumerate_admissible(1)}
     assert images == {
         frozenset(),

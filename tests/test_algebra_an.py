@@ -76,7 +76,7 @@ def test_omega_values():
 
 def test_omega_identity_report():
     for params in (poisson_sample(), quantum_sample_image(3)):
-        report = verify_omega_identities(params)
+        report = verify_omega_identities(params, build_an(params))
         assert report["ok"], report["failures"]
 
 
@@ -106,10 +106,11 @@ def test_iterated_presentation_images():
 
 def test_consistency_check_families():
     rng = random.Random(10)
-    assert consistency_check(poisson_sample())["ok"]
+    cases = [poisson_sample()]
     for n in (1, 2, 3):
-        assert consistency_check(quantum_sample_image(n))["ok"]
-        assert consistency_check(random_params(n, rng))["ok"]
+        cases += [quantum_sample_image(n), random_params(n, rng)]
+    for params in cases:
+        assert consistency_check(params, build_an(params))["ok"]
 
 
 def per_level_consistency(params):
@@ -142,11 +143,12 @@ def test_consistency_check_names_the_lowest_level_mismatch(monkeypatch):
         return PoissonStructure(vs, table)
 
     params = quantum_sample_image(3)
-    assert consistency_check(params) == per_level_consistency(params) == {"ok": True, "levels": 3}
+    assert consistency_check(params, real(params)) == per_level_consistency(params)
+    assert per_level_consistency(params) == {"ok": True, "levels": 3}
     monkeypatch.setattr(algebra_an, "build_an", corrupted)
     expected = {"ok": False, "level": 2, "entry": ("x1", "y2")}
     for params in (quantum_sample_image(3), random_params(3, random.Random(12))):
-        assert consistency_check(params) == per_level_consistency(params) == expected
+        assert consistency_check(params, corrupted(params)) == per_level_consistency(params) == expected
 
 
 def test_k_membership_and_action():

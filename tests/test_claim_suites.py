@@ -41,6 +41,24 @@ def test_normality_fails_against_swapped_scalars(monkeypatch, capsys):
     assert len(report["details"]["failures"]) == 8  # every generator, both tails
 
 
+@pytest.mark.parametrize(
+    "suite,failure", [("normality", "Omega1 y1: scalar 4, expected 2"), ("lemma2.3", "{y1, O1}")]
+)
+def test_swapped_tail_rates_fail_both_suites_that_read_them(suite, failure, monkeypatch, capsys):
+    # the quantized normality scalars and the Poisson tail brackets read the
+    # one rate rule: q_j then p_j swapped fails each tail of index >= 1 on
+    # every generator, in both suites
+    def swapped(params, j, i):
+        return params.p[j - 1] if j <= i else params.q[j - 1]
+
+    monkeypatch.setattr(algebra_an, "tail_rate", swapped)
+    monkeypatch.setattr(cli, "tail_rate", swapped)
+    status, report = run_suite(suite, capsys)
+    assert (status, report["ok"]) == (1, False)
+    assert failure in report["details"]["failures"]
+    assert len(report["details"]["failures"]) == 8
+
+
 def test_normality_fails_for_a_tail_that_is_not_normal(monkeypatch, capsys):
     # doubling the lower term of Omega2 leaves a combination that y2 and x2
     # do not pass by a scalar
@@ -101,6 +119,21 @@ def test_eta_fails_for_a_raw_tail_without_its_lower_x(monkeypatch, capsys):
         "['x1', 'Omega1'] in ['x1', 'Omega1', 'y2', 'x2', 'Omega2']: ['x2']",
         "['x1', 'Omega1', 'x2', 'Omega2'] in ['x1', 'Omega1', 'y2', 'x2', 'Omega2']: ['x2']",
     ]
+
+
+def test_eta_builds_each_raw_tail_once(monkeypatch, capsys):
+    # the raw images of every set are built once per run from the n - 1 tails,
+    # not again for each nested pair
+    calls = []
+    real = correspondence.tail_image
+
+    def counting(params, i, cls, owner):
+        calls.append(i)
+        return real(params, i, cls, owner)
+
+    monkeypatch.setattr(correspondence, "tail_image", counting)
+    status, report = run_suite("eta", capsys)
+    assert (status, report["details"]["nested_pairs"], calls) == (0, 69, [2])
 
 
 def test_eta_fails_for_an_assignment_that_is_not_injective(monkeypatch, capsys):

@@ -32,6 +32,7 @@ _CONFIG_DIR = __import__("pathlib").Path(__file__).resolve().parent.parent / "co
 CONFIG_POISSON = str(_CONFIG_DIR / "poisson_n2.json")
 CONFIG_QUANTUM = str(_CONFIG_DIR / "quantum_n2.json")
 CONFIG_PAIRED = str(_CONFIG_DIR / "paired_n2.json")
+PAIRED_N3 = str(Path(__file__).resolve().parent.parent / "perfbench" / "configs" / "paired_n3.json")
 
 
 def test_bracket_expression_evaluates():
@@ -295,6 +296,33 @@ def test_cli_verify_all_green(capsys):
     }
 
 
+@pytest.mark.parametrize(
+    "config,suite", [(CONFIG_PAIRED, "jacobi"), (CONFIG_POISSON, "jacobi"), (PAIRED_N3, "all")]
+)
+def test_cli_run_builds_and_validates_a_n_once(capsys, monkeypatch, config, suite):
+    # every suite of the run reads the one validated A_n of `Config.an`
+    from poisson_strata import algebra_an, correspondence
+    from poisson_strata.poisson_core import PoissonStructure
+
+    calls = {"build_an": 0, "jacobi_check": 0}
+    real_build, real_check = algebra_an.build_an, PoissonStructure.jacobi_check
+
+    def counting_build(params):
+        calls["build_an"] += 1
+        return real_build(params)
+
+    def counting_check(self):
+        calls["jacobi_check"] += 1
+        return real_check(self)
+
+    for module in (algebra_an, cli, correspondence):
+        monkeypatch.setattr(module, "build_an", counting_build)
+    monkeypatch.setattr(PoissonStructure, "jacobi_check", counting_check)
+    assert main(["--config", config, "verify", suite]) == 0
+    assert json.loads(capsys.readouterr().out)["ok"] is True
+    assert calls == {"build_an": 1, "jacobi_check": 1}
+
+
 def test_cli_map_report_stable_bytes(capsys):
     assert main(["--config", CONFIG_PAIRED, "map-report"]) == 0
     first = capsys.readouterr().out
@@ -328,6 +356,21 @@ def test_cli_step_budget_env(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("POISSON_STRATA_STEP_BUDGET", "nope")
     assert main(["--config", CONFIG_QUANTUM, "nf", "x1"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("budget", ["abc", "0"])
+@pytest.mark.parametrize(
+    "command",
+    [("verify", "all"), ("verify", "psi"), ("matrices",), ("map-report",), ("admissible", "--count")],
+)
+def test_cli_malformed_step_budget_ends_every_command(capsys, monkeypatch, budget, command):
+    # the budget is read once, when the config is loaded, so no command can
+    # pass it by, nor can `verify all` take it for missing parameters
+    monkeypatch.setenv("POISSON_STRATA_STEP_BUDGET", budget)
+    assert main(["--config", CONFIG_PAIRED, *command]) == 2
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["error"] == "ConfigError"
+    assert payload["message"].startswith("POISSON_STRATA_STEP_BUDGET must be")
 
 
 @pytest.mark.parametrize("suite", ["confluence", "kstable"])
@@ -668,7 +711,6 @@ def test_suite_generators_draw_the_plain_inputs(seed, count, owner, reference, g
     assert rng.getstate() == ref_rng.getstate()
 
 
-PAIRED_N3 = str(Path(__file__).resolve().parent.parent / "perfbench" / "configs" / "paired_n3.json")
 
 
 def test_kstable_reports_the_per_stratum_failures(capsys, monkeypatch):
