@@ -6,9 +6,9 @@ when both the i-th and (i-1)-th tail elements do (the i = 1 case reads
 against Omega_1 alone).  These sets index the strata of the Poisson prime
 spectrum; this module enumerates them, computes their derived data (the
 divisibility-avoidance monomials of the quotient basis, the length, the
-surviving normal elements, the killed target generators eta(T)), checks that
-eta is injective, counts the sets without building them, and lays the sets
-out as a poset.
+surviving y's, the killed target generators eta(T)), checks that eta is
+injective, counts the sets without building them, labels each stratum, and
+lays the run's sets out as a poset.
 """
 
 from __future__ import annotations
@@ -57,9 +57,6 @@ class AdmissibleSet:
 
     def members(self) -> frozenset[str]:
         return frozenset(self.member_names())
-
-    def is_subset_of(self, other: AdmissibleSet) -> bool:
-        return self.n == other.n and self.members() <= other.members()
 
     def sort_key(self):
         return (self.omega_in, self.y_in, self.x_in)
@@ -135,15 +132,13 @@ class DerivedSets:
     avoid_monomials: monomials (as name tuples) no basis monomial of the
         quotient may be divisible by.
     length_members: the members counted by length(T).
-    normal_survivors: elements that stay Poisson normal and nonzero in the
-        quotient; they generate the multiplicative set used to localize.
-    y_survivors: the y-generators outside the set.
+    y_survivors: the y-generators outside the set; the stratum maps invert
+        the target Y's named after them.
     eta: the target-side generators killed by the stratum maps.
     """
 
     avoid_monomials: tuple[tuple[str, ...], ...]
     length_members: tuple[str, ...]
-    normal_survivors: tuple[str, ...]
     y_survivors: tuple[str, ...]
     eta: tuple[str, ...]
 
@@ -153,7 +148,6 @@ def derived_sets(t_set: AdmissibleSet) -> DerivedSets:
     y, x, o = t_set.y_in, t_set.x_in, t_set.omega_in
     avoid: list[tuple[str, ...]] = []
     length_members: list[str] = []
-    normal: list[str] = []
     y_surv: list[str] = []
     eta: list[str] = []
     for i in range(1, n + 1):
@@ -172,25 +166,9 @@ def derived_sets(t_set: AdmissibleSet) -> DerivedSets:
             eta.append(f"X{i}")
         if not y[i - 1]:
             y_surv.append(f"y{i}")
-        # Membership in the surviving normal set: the first pair reads off
-        # plain absence; higher pairs hinge on the previous tail element, and
-        # the first tail element itself is never a member.
-        if i == 1:
-            if not y[0]:
-                normal.append("y1")
-            if not x[0]:
-                normal.append("x1")
-        else:
-            if not o[i - 2] and not o[i - 1]:
-                normal.append(f"Omega{i}")
-            if o[i - 2] and not y[i - 1]:
-                normal.append(f"y{i}")
-            if o[i - 2] and not x[i - 1]:
-                normal.append(f"x{i}")
     return DerivedSets(
         avoid_monomials=tuple(avoid),
         length_members=tuple(length_members),
-        normal_survivors=tuple(normal),
         y_survivors=tuple(y_surv),
         eta=tuple(eta),
     )
@@ -211,17 +189,22 @@ def eta_injectivity(sets: Sequence[AdmissibleSet]) -> bool:
     return len(images) == len(sets)
 
 
-@dataclass(frozen=True)
-class StratumLabel:
-    t_set: AdmissibleSet
-    eta: tuple[str, ...]
-    length: int
-    gk_dim: int
+def stratum_label(t_set: AdmissibleSet) -> dict:
+    """What identifies the stratum of T, the first keys of every poset node
+    and `map-report` stratum entry: the member names, the killed target
+    generators eta(T), the length and the growth degree."""
+    return {
+        "members": list(t_set.member_names()),
+        "eta": list(derived_sets(t_set).eta),
+        "length": length(t_set),
+        "gk_dim": gk_dimension(t_set),
+    }
 
 
-def stratum_poset(n: int) -> tuple[list[StratumLabel], list[tuple[int, int]]]:
-    """Nodes in canonical order plus the covering edges of strict containment,
-    ordered by (smaller, larger) node index.
+def stratum_poset(sets: Sequence[AdmissibleSet]) -> tuple[list[dict], list[tuple[int, int]]]:
+    """The `stratum_label` of each of `sets`, in their order, plus the
+    covering edges of strict containment, ordered by (smaller, larger) node
+    index.
 
     Each stratum's strict up-set is a bitmask, the AND of the masks of the
     strata containing each of its members, over bit positions sorted by
@@ -230,10 +213,7 @@ def stratum_poset(n: int) -> tuple[list[StratumLabel], list[tuple[int, int]]]:
     themselves: the lowest bit left is a minimal member, hence a cover, and
     its up-set is removed before the next pick.
     """
-    sets = enumerate_admissible(n)
-    labels = [
-        StratumLabel(t, derived_sets(t).eta, length(t), gk_dimension(t)) for t in sets
-    ]
+    labels = [stratum_label(t) for t in sets]
     members = [t.members() for t in sets]
     order = sorted(range(len(sets)), key=lambda k: len(members[k]))  # bit -> node
     containing: dict[str, int] = {}
@@ -257,31 +237,18 @@ def stratum_poset(n: int) -> tuple[list[StratumLabel], list[tuple[int, int]]]:
     return labels, [(a, b) for a in range(len(sets)) for b in sorted(covers[a])]
 
 
-def poset_json(n: int) -> dict:
-    labels, edges = stratum_poset(n)
-    return {
-        "n": n,
-        "nodes": [
-            {
-                "members": list(label.t_set.member_names()),
-                "eta": list(label.eta),
-                "length": label.length,
-                "gk_dim": label.gk_dim,
-            }
-            for label in labels
-        ],
-        "edges": [list(e) for e in edges],
-    }
+def poset_json(sets: Sequence[AdmissibleSet]) -> dict:
+    """The poset of the admissible sets of one n, which `sets` lists."""
+    labels, edges = stratum_poset(sets)
+    return {"n": sets[0].n, "nodes": labels, "edges": [list(e) for e in edges]}
 
 
-def poset_dot(n: int) -> str:
-    labels, edges = stratum_poset(n)
+def poset_dot(sets: Sequence[AdmissibleSet]) -> str:
+    labels, edges = stratum_poset(sets)
     lines = ["digraph strata {", "    rankdir=BT;"]
     for k, label in enumerate(labels):
-        name = ",".join(label.t_set.member_names()) or "empty"
-        lines.append(
-            f'    n{k} [label="{{{name}}}\\ngk={label.gk_dim}"];'
-        )
+        name = ",".join(label["members"]) or "empty"
+        lines.append(f'    n{k} [label="{{{name}}}\\ngk={label["gk_dim"]}"];')
     for a, b in edges:
         lines.append(f"    n{a} -> n{b};")
     lines.append("}")

@@ -305,9 +305,10 @@ def iterated_presentation(params: PoissonParams) -> IteratedPresentation:
     return IteratedPresentation(params, tuple(specs), tuple(structures))
 
 
-def consistency_check(params: PoissonParams, direct: PoissonStructure) -> dict:
-    """Compare the level-by-level rebuild against the direct table of
-    `direct`, which is `build_an(params)`, entry-exact.
+def consistency_check(presentation: IteratedPresentation, direct: PoissonStructure) -> dict:
+    """Compare the top level of `presentation` against the direct table of
+    `direct`, which is `build_an` of the presentation's parameters,
+    entry-exact.
 
     Each level's rebuilt table is carried unchanged into the top level, and
     the level-j algebra's table is the direct one on the first 2j
@@ -315,14 +316,15 @@ def consistency_check(params: PoissonParams, direct: PoissonStructure) -> dict:
     scanned by the level that adjoins their later generator, so a mismatch
     is named at the lowest level it appears in.
     """
-    rebuilt = iterated_presentation(params).structures[-1]
+    n = presentation.params.n
+    rebuilt = presentation.structures[-1]
     names = direct.varspec.names
-    for level in range(params.n):
+    for level in range(n):
         for a in range(2 * level + 2):
             for b in range(max(a + 1, 2 * level), 2 * level + 2):
                 if direct.entry(a, b) != rebuilt.entry(a, b):
                     return {"ok": False, "level": level + 1, "entry": (names[a], names[b])}
-    return {"ok": True, "levels": params.n}
+    return {"ok": True, "levels": n}
 
 
 # -- the weighted scaling action --------------------------------------------
@@ -386,9 +388,11 @@ def level_eigen_elements(params: PoissonParams) -> tuple[KElement, KElement]:
     return tuple(f_vec), tuple(g_vec)
 
 
-def verify_level_eigen_elements(params: PoissonParams) -> dict:
+def verify_level_eigen_elements(presentation: IteratedPresentation) -> dict:
     """The two vectors of `level_eigen_elements` lie in the weight group and
-    act as the top-level extension derivations; at n = 0 there is no level."""
+    act as the top-level extension derivations of `presentation`; at n = 0
+    there is no level."""
+    params = presentation.params
     n = params.n
     if n == 0:
         return {"ok": True, "failures": []}
@@ -400,7 +404,6 @@ def verify_level_eigen_elements(params: PoissonParams) -> dict:
     ]
     if failures:  # no scaling derivation to compare
         return {"ok": False, "failures": failures}
-    presentation = iterated_presentation(params)
     spec = presentation.specs[n - 1]
     vs = an_varspec(n)
     f_der = k_derivation(params, f_vec)

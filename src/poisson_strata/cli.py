@@ -6,7 +6,8 @@ rejected to keep the arithmetic exact and its cost bounded).
 All commands print JSON to stdout.  A failed verification, a failed
 stratum of `map-report` included, exits 1 with its report; any error, a bad
 command line included, exits 2 with a machine-readable {"error", "message"}
-object.  POISSON_STRATA_STEP_BUDGET, read once when the config is loaded
+object; a stdout closed by its reader exits 2 too, with nothing on stderr.
+POISSON_STRATA_STEP_BUDGET, read once when the config is loaded
 (`Config.step_limit`), caps the steps of each
 `exact_poly.StepBudget`: one step is one generator
 crossing the block of letters to its right in a quantized product, one rule
@@ -37,10 +38,12 @@ from typing import Optional
 
 from . import admissible as adm
 from .algebra_an import (
+    IteratedPresentation,
     PoissonParams,
     an_varspec,
     build_an,
     consistency_check,
+    iterated_presentation,
     k_basis,
     k_derivation,
     log_canonical_matrix,
@@ -156,6 +159,11 @@ class Config:
     def an(self) -> PoissonStructure:
         """A_n of the Poisson parameters, its Jacobi identity validated."""
         return build_an(_require_poisson(self))
+
+    @functools.cached_property
+    def presentation(self) -> IteratedPresentation:
+        """The level-by-level rebuild of A_n from the Poisson parameters."""
+        return iterated_presentation(_require_poisson(self))
 
     @functools.cached_property
     def strata(self) -> list[adm.AdmissibleSet]:
@@ -289,7 +297,6 @@ def _random_monomial(n: int, rng: random.Random) -> NCElement:
 
 
 def suite_jacobi(config: Config) -> dict:
-    params = _require_poisson(config)
     structure = config.an
     vs = structure.varspec
     rng = random.Random(7)
@@ -304,7 +311,7 @@ def suite_jacobi(config: Config) -> dict:
         if not structure.jacobiator(f, g, h).is_zero():
             random_ok = False
     details["random_antisymmetry_leibniz_jacobi"] = random_ok
-    report = consistency_check(params, structure)
+    report = consistency_check(config.presentation, structure)
     details["iterated_rebuild"] = report["ok"]
     return {"suite": "jacobi", "ok": random_ok and report["ok"], "details": details}
 
@@ -446,7 +453,7 @@ def suite_weights(config: Config) -> dict:
         for h in basis
         if not derivation_check(structure, k_derivation(params, h))
     ]
-    failures += verify_level_eigen_elements(params)["failures"]
+    failures += verify_level_eigen_elements(config.presentation)["failures"]
     details = {"basis": len(basis), "failures": failures}
     return {"suite": "weights", "ok": not failures, "details": details}
 
@@ -518,8 +525,8 @@ def cmd_admissible(config: Config, args) -> dict | str:
     StepBudget(config.step_limit, "admissible sets").charge(count)
     if args.poset:
         if args.dot:
-            return adm.poset_dot(n)
-        return adm.poset_json(n)
+            return adm.poset_dot(config.strata)
+        return adm.poset_json(config.strata)
     return {
         "n": n,
         "count": count,
@@ -549,7 +556,7 @@ def cmd_verify(config: Config, args) -> dict:
 
 
 def cmd_map_report(config: Config, args) -> dict:
-    return stratification_report(config.character)
+    return stratification_report(config.character, config.strata)
 
 
 COMMANDS = {
@@ -639,10 +646,22 @@ def _parse_args(argv: Optional[list[str]]) -> argparse.Namespace:
 
 
 def _emit(payload, pretty: bool):
-    if isinstance(payload, str):
-        print(payload)
-    else:
-        print(json.dumps(payload, indent=2 if pretty else None))
+    """Print the payload and flush it, so that a closed stdout fails here."""
+    text = payload if isinstance(payload, str) else json.dumps(payload, indent=2 if pretty else None)
+    print(text, flush=True)
+
+
+def _discard_stdout():
+    """Point the descriptor of stdout, when it has one, at the null device,
+    so that the interpreter's final flush of what is left unwritten stays
+    quiet."""
+    try:
+        fd = sys.stdout.fileno()
+    except (OSError, ValueError):  # io.UnsupportedOperation is both
+        return
+    null = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(null, fd)
+    os.close(null)
 
 
 def _failed(payload) -> bool:
@@ -656,16 +675,21 @@ def _failed(payload) -> bool:
 
 
 def main(argv=None) -> int:
-    """Run one command; exit 0, 1 for a report that `_failed`, 2 on error."""
+    """Run one command; exit 0, 1 for a report that `_failed`, 2 on error,
+    a stdout closed by its reader included."""
     args = None
     try:
-        args = _parse_args(argv)
-        config = load_config(args.config)
-        payload = COMMANDS[args.command](config, args)
-    except (OSError, ValueError, StepBudgetExceeded) as exc:  # usage, config, parse, eval errors too
-        _emit({"error": type(exc).__name__, "message": str(exc)}, args is not None and args.pretty)
+        try:
+            args = _parse_args(argv)
+            config = load_config(args.config)
+            payload = COMMANDS[args.command](config, args)
+        except (OSError, ValueError, StepBudgetExceeded) as exc:  # usage, config, parse, eval errors too
+            _emit({"error": type(exc).__name__, "message": str(exc)}, args is not None and args.pretty)
+            return 2
+        _emit(payload, args.pretty)
+    except BrokenPipeError:
+        _discard_stdout()
         return 2
-    _emit(payload, args.pretty)
     return 1 if _failed(payload) else 0
 
 

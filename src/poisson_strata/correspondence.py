@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
-from .admissible import AdmissibleSet, derived_sets, enumerate_admissible, gk_dimension, length
+from .admissible import AdmissibleSet, derived_sets, stratum_label
 from .algebra_an import (
     PairParams,
     PoissonParams,
@@ -235,13 +235,13 @@ def nested_congruence_check(params: PoissonParams, sets: Sequence[AdmissibleSet]
             if not t_set.y_in[i - 1]:
                 row[2 * i - 1] = tailed[i]
     members = [t.members() for t in sets]
+    etas = [[vs.index(name) for name in derived_sets(t).eta] for t in sets]
     pairs, failures = 0, []
     for small, small_members, small_images in zip(sets, members, images):
-        for large, large_members, large_images in zip(sets, members, images):
+        for large, large_members, large_images, eta_idx in zip(sets, members, images, etas):
             if not small_members <= large_members:
                 continue
             pairs += 1
-            eta_idx = [vs.index(name) for name in derived_sets(large).eta]
             # a shared image differs by zero; a term with no eta(T') factor is outside the ideal
             differ = [
                 name
@@ -395,30 +395,23 @@ def group_character(
     )
 
 
-def stratification_report(character: AdditiveCharacter) -> dict:
-    """Pair every stratum's two verifications: the quantum side under the
-    character's parameters, the Poisson side under the ones it induces.
+def stratification_report(character: AdditiveCharacter, sets: Sequence[AdmissibleSet]) -> dict:
+    """Pair the two verifications of the stratum of each of `sets`: the
+    quantum side under the character's parameters, the Poisson side under
+    the ones it induces.
 
-    The report is a data artifact: per admissible set it records the member
-    names, the killed target generators, length and growth degree, and the
-    two verification verdicts, with the failures of a side that failed; the
-    grade is homeomorphism-level exactly when the character is injective on
-    the parameter group.
+    The report is a data artifact: per admissible set it records the
+    `stratum_label` and the two verification verdicts, with the failures of
+    a side that failed; the grade is homeomorphism-level exactly when the
+    character is injective on the parameter group.
     """
     params, pparams = character.params, character.induced
     source = build_an(pparams)
     strata = []
-    for t_set in enumerate_admissible(params.n):
+    for t_set in sets:
         psi = verify_poisson_stratum_map(pparams, t_set, source)
         ups = verify_quantum_stratum_map(params, t_set)
-        entry = {
-            "members": list(t_set.member_names()),
-            "eta": list(derived_sets(t_set).eta),
-            "length": length(t_set),
-            "gk_dim": gk_dimension(t_set),
-            "psi_ok": psi["ok"],
-            "upsilon_ok": ups["ok"],
-        }
+        entry = {**stratum_label(t_set), "psi_ok": psi["ok"], "upsilon_ok": ups["ok"]}
         for side, report in (("psi", psi), ("upsilon", ups)):
             if not report["ok"]:
                 entry[f"{side}_failures"] = report["failures"]

@@ -29,6 +29,7 @@ from poisson_strata.algebra_an import (
     an_varspec,
     build_an,
     consistency_check,
+    iterated_presentation,
     k_basis,
     k_derivation,
     omega,
@@ -286,13 +287,11 @@ def test_criterion_12_iterated_rebuild():
             cases.append(quantum_sample_image(n))
             cases.append(random_params(n, rng))
         for params in cases:
-            report = consistency_check(params, build_an(params))
+            report = consistency_check(iterated_presentation(params), build_an(params))
             assert report["ok"], report
 
 
 def test_criterion_13_normal_elements():
-    from poisson_strata.algebra_an import iterated_presentation
-
     with criterion(13, "scaled pair-plus-tail element detected Poisson normal with its eigen-equations"):
         vs = VarSpec(("b", "c"))
         base = PoissonStructure(vs, {})

@@ -59,7 +59,6 @@ def test_derived_sets_examples():
     d1 = derived_sets(t1)
     assert d1.avoid_monomials == (("y1",),)
     assert d1.length_members == ("y1",)
-    assert d1.normal_survivors == ("x1", "y2", "x2")
     assert d1.eta == ("Y1",)
 
     t2 = AdmissibleSet.from_names(2, ["Omega2"])
@@ -80,14 +79,6 @@ def test_derived_set_cardinalities_agree():
         for t_set in enumerate_admissible(n):
             d = derived_sets(t_set)
             assert len(d.eta) == len(d.length_members) == len(d.avoid_monomials)
-
-
-def test_normal_survivors_disjoint_from_set():
-    for n in (1, 2, 3):
-        for t_set in enumerate_admissible(n):
-            d = derived_sets(t_set)
-            assert not (set(d.normal_survivors) & t_set.members())
-            assert "Omega1" not in d.normal_survivors
 
 
 def _brute_count(t_set, degree):
@@ -155,8 +146,8 @@ def test_eta_injectivity():
 
 
 def test_poset_level_one():
-    labels, edges = stratum_poset(1)
-    members = [t.t_set.members() for t in labels]
+    labels, edges = stratum_poset(enumerate_admissible(1))
+    members = [frozenset(label["members"]) for label in labels]
     empty = members.index(frozenset())
     top = members.index(frozenset({"y1", "x1", "Omega1"}))
     mid_y = members.index(frozenset({"y1", "Omega1"}))
@@ -165,14 +156,14 @@ def test_poset_level_one():
         [(empty, mid_y), (empty, mid_x), (mid_y, top), (mid_x, top)]
     )
     for label in labels:
-        if not any(label.t_set.members() < m for m in members):
-            assert label.gk_dim == 0  # maximal nodes kill everything at n=1
+        if not any(frozenset(label["members"]) < m for m in members):
+            assert label["gk_dim"] == 0  # maximal nodes kill everything at n=1
 
 
 def test_poset_unique_minimum():
     for n in (1, 2, 3):
-        labels, edges = stratum_poset(n)
-        members = [t.t_set.members() for t in labels]
+        labels, edges = stratum_poset(enumerate_admissible(n))
+        members = [frozenset(label["members"]) for label in labels]
         minima = [m for m in members if not any(other < m for other in members)]
         assert minima == [frozenset()]
 
@@ -181,8 +172,8 @@ def test_poset_covers_match_triple_loop():
     # The bitmask covers are exactly the pairs a < b with nothing strictly
     # between, in (a, b) order.
     for n in (1, 2, 3, 4):
-        labels, edges = stratum_poset(n)
-        members = [label.t_set.members() for label in labels]
+        labels, edges = stratum_poset(enumerate_admissible(n))
+        members = [frozenset(label["members"]) for label in labels]
         expected = [
             (a, b)
             for a in range(len(members))
@@ -194,7 +185,7 @@ def test_poset_covers_match_triple_loop():
 
 
 def test_poset_outputs():
-    payload = poset_json(2)
+    payload = poset_json(enumerate_admissible(2))
     assert payload["n"] == 2 and len(payload["nodes"]) == 14
-    dot = poset_dot(1)
+    dot = poset_dot(enumerate_admissible(1))
     assert dot.startswith("digraph") and dot.count("->") == 4

@@ -110,7 +110,7 @@ def test_consistency_check_families():
     for n in (1, 2, 3):
         cases += [quantum_sample_image(n), random_params(n, rng)]
     for params in cases:
-        assert consistency_check(params, build_an(params))["ok"]
+        assert consistency_check(iterated_presentation(params), build_an(params))["ok"]
 
 
 def per_level_consistency(params):
@@ -143,12 +143,14 @@ def test_consistency_check_names_the_lowest_level_mismatch(monkeypatch):
         return PoissonStructure(vs, table)
 
     params = quantum_sample_image(3)
-    assert consistency_check(params, real(params)) == per_level_consistency(params)
+    presentation = iterated_presentation(params)
+    assert consistency_check(presentation, real(params)) == per_level_consistency(params)
     assert per_level_consistency(params) == {"ok": True, "levels": 3}
     monkeypatch.setattr(algebra_an, "build_an", corrupted)
     expected = {"ok": False, "level": 2, "entry": ("x1", "y2")}
     for params in (quantum_sample_image(3), random_params(3, random.Random(12))):
-        assert consistency_check(params, corrupted(params)) == per_level_consistency(params) == expected
+        presentation = iterated_presentation(params)
+        assert consistency_check(presentation, corrupted(params)) == per_level_consistency(params) == expected
 
 
 def test_k_membership_and_action():
@@ -184,7 +186,7 @@ def test_level_eigen_elements_values():
 def test_level_eigen_elements_verification():
     rng = random.Random(11)
     for params in (poisson_sample(), quantum_sample_image(3), random_params(2, rng)):
-        report = verify_level_eigen_elements(params)
+        report = verify_level_eigen_elements(iterated_presentation(params))
         assert report["ok"], report["failures"]
 
 

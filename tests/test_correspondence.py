@@ -9,7 +9,7 @@ import pytest
 
 from oracles import quantum_sample, quantum_sample_image, sample_weights
 from poisson_strata import cli, correspondence
-from poisson_strata.admissible import AdmissibleSet, derived_sets, enumerate_admissible
+from poisson_strata.admissible import AdmissibleSet, derived_sets, enumerate_admissible, stratum_poset
 from poisson_strata.algebra_an import build_an, tail_coefficient
 from poisson_strata.algebra_kn import QTorusElement, QuantumParams
 from poisson_strata.correspondence import (
@@ -221,7 +221,8 @@ def test_reports_build_the_source_algebra_once(monkeypatch):
 
     monkeypatch.setattr(correspondence, "build_an", counting_build_an)
     monkeypatch.setattr(cli, "build_an", counting_build_an)
-    report = stratification_report(group_character(quantum_sample(2), sample_weights()))
+    character = group_character(quantum_sample(2), sample_weights())
+    report = stratification_report(character, enumerate_admissible(2))
     assert len(report["strata"]) == 14 and len(builds) == 1
     builds.clear()
     suite = cli.suite_psi(cli.load_config(CONFIG_PAIRED))
@@ -370,7 +371,7 @@ def test_map_report_exits_1_on_a_failed_stratum_with_its_report_unchanged(double
     character = cli.load_config(CONFIG_PAIRED).character
     assert cli.main(["--config", CONFIG_PAIRED, "map-report"]) == 1
     out = capsys.readouterr().out
-    assert out == json.dumps(stratification_report(character)) + "\n"
+    assert out == json.dumps(stratification_report(character, enumerate_admissible(2))) + "\n"
     assert "ok" not in json.loads(out)
 
 
@@ -459,7 +460,8 @@ def test_default_weights():
 
 
 def test_stratification_report():
-    report = stratification_report(group_character(quantum_sample(), sample_weights()))
+    character = group_character(quantum_sample(), sample_weights())
+    report = stratification_report(character, enumerate_admissible(2))
     assert report["n"] == 2
     assert report["grade"] == "homeomorphism"
     assert len(report["strata"]) == 14
@@ -467,16 +469,27 @@ def test_stratification_report():
     for stratum in report["strata"]:
         assert stratum["gk_dim"] == 4 - stratum["length"]
 
-    small = stratification_report(group_character(quantum_sample(1)))
+    character = group_character(quantum_sample(1))
+    small = stratification_report(character, enumerate_admissible(1))
     assert len(small["strata"]) == 4
 
 
 def test_report_eta_matches_derived_sets():
-    report = stratification_report(group_character(quantum_sample(), sample_weights()))
+    character = group_character(quantum_sample(), sample_weights())
+    report = stratification_report(character, enumerate_admissible(2))
     by_members = {tuple(s["members"]): s for s in report["strata"]}
     for t_set in enumerate_admissible(2):
         record = by_members[t_set.member_names()]
         assert tuple(record["eta"]) == derived_sets(t_set).eta
+
+
+def test_poset_nodes_are_the_report_labels():
+    # the poset and the report print each stratum under one label
+    for n in (1, 2, 3):
+        sets = enumerate_admissible(n)
+        nodes, _ = stratum_poset(sets)
+        report = stratification_report(group_character(quantum_sample(n), sample_weights()), sets)
+        assert [dict(list(entry.items())[:4]) for entry in report["strata"]] == nodes
 
 
 def test_report_derives_the_commutation_matrix_once(monkeypatch):
@@ -492,7 +505,8 @@ def test_report_derives_the_commutation_matrix_once(monkeypatch):
         return plain(params)
 
     monkeypatch.setattr(algebra_kn, "commutation_matrix", counting)
-    report = stratification_report(group_character(quantum_sample(3), sample_weights()))
+    character = group_character(quantum_sample(3), sample_weights())
+    report = stratification_report(character, enumerate_admissible(3))
     assert len(report["strata"]) == 48
     assert all(s["upsilon_ok"] for s in report["strata"])
     assert len(calls) == 1
@@ -517,7 +531,8 @@ def factor_calls(monkeypatch):
 
 def test_report_factors_each_generator_once(factor_calls):
     # p, q and the upper triangle of gamma: 3 + 3 + 3 generators at n = 3
-    report = stratification_report(group_character(quantum_sample(3), sample_weights()))
+    character = group_character(quantum_sample(3), sample_weights())
+    report = stratification_report(character, enumerate_admissible(3))
     assert len(report["strata"]) == 48
     assert len(factor_calls) == 9
 
@@ -566,7 +581,7 @@ def test_character_images_match_apply_on_rank_two():
 def test_several_primes_precede_minus_one_under_default_weights():
     params = QuantumParams.make(2, [[1, -2], [Fraction(-1, 2), 1]], [2, 4], [8, 3])
     with pytest.raises(ValueError) as err:
-        stratification_report(group_character(params))
+        stratification_report(group_character(params), enumerate_admissible(2))
     assert type(err.value) is ValueError
     assert str(err.value) == "parameters involve several primes; supply explicit character weights"
 

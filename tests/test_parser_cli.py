@@ -1,7 +1,11 @@
 """Tests for the expression parser and the command-line interface."""
 
+import io
 import json
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 from fractions import Fraction
 
@@ -239,6 +243,35 @@ def test_cli_admissible(capsys):
     assert len(listing["sets"]) == 14 and [] in listing["sets"]
     assert main(["--config", CONFIG_POISSON, "admissible", "--poset", "--dot"]) == 0
     assert capsys.readouterr().out.startswith("digraph")
+
+
+class _ClosedStdout(io.StringIO):
+    """A stdout whose reader has gone: every write fails."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("argv", [("admissible", "--count"), ("verify", "no-such-suite")])
+def test_cli_closed_stdout_exits_2(monkeypatch, argv):
+    # on the report path and on the error path alike
+    monkeypatch.setattr(sys, "stdout", _ClosedStdout())
+    assert main(["--config", CONFIG_POISSON, *argv]) == 2
+
+
+def test_cli_closed_pipe_exits_2_quietly():
+    # a real pipe with its read end closed and a block-buffered stdout: the
+    # final flush at exit must not report the pipe either
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
+    argv = [sys.executable, "-m", "poisson_strata.cli", "--config", CONFIG_POISSON, "admissible", "--poset"]
+    try:
+        done = subprocess.run(argv, stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (2, b"")
 
 
 def test_cli_admissible_count_builds_no_sets(tmp_path, capsys, monkeypatch):
