@@ -7,8 +7,7 @@ from .admissible import (
     derived_sets,
     enumerate_admissible,
     eta_injectivity,
-    gk_dimension,
-    length,
+    stratum_label,
     stratum_poset,
 )
 from .algebra_an import (
@@ -28,7 +27,6 @@ from .algebra_kn import (
     QuantumParams,
     QuantumTorus,
     commutation_matrix,
-    defining_relations,
     nc_multiply,
     normality_check,
     omega_q,
@@ -40,6 +38,7 @@ from .correspondence import (
     poisson_stratum_map,
     quantum_stratum_map,
     stratification_report,
+    swapped_products,
     verify_poisson_stratum_map,
     verify_quantum_stratum_map,
 )

@@ -131,7 +131,7 @@ class DerivedSets:
 
     avoid_monomials: monomials (as name tuples) no basis monomial of the
         quotient may be divisible by.
-    length_members: the members counted by length(T).
+    length_members: the members counted by the length of T.
     y_survivors: the y-generators outside the set; the stratum maps invert
         the target Y's named after them.
     eta: the target-side generators killed by the stratum maps.
@@ -174,15 +174,6 @@ def derived_sets(t_set: AdmissibleSet) -> DerivedSets:
     )
 
 
-def length(t_set: AdmissibleSet) -> int:
-    return len(derived_sets(t_set).length_members)
-
-
-def gk_dimension(t_set: AdmissibleSet) -> int:
-    """Growth degree of the quotient: 2n minus the length."""
-    return 2 * t_set.n - length(t_set)
-
-
 def eta_injectivity(sets: Sequence[AdmissibleSet]) -> bool:
     """The sets of `enumerate_admissible(n)` have distinct killed-target sets."""
     images = {frozenset(derived_sets(t).eta) for t in sets}
@@ -192,12 +183,16 @@ def eta_injectivity(sets: Sequence[AdmissibleSet]) -> bool:
 def stratum_label(t_set: AdmissibleSet) -> dict:
     """What identifies the stratum of T, the first keys of every poset node
     and `map-report` stratum entry: the member names, the killed target
-    generators eta(T), the length and the growth degree."""
+    generators eta(T), the length (the number of `length_members`) and the
+    growth degree of the quotient, 2n minus the length; all read from one
+    `derived_sets(T)`."""
+    sets = derived_sets(t_set)
+    size = len(sets.length_members)
     return {
         "members": list(t_set.member_names()),
-        "eta": list(derived_sets(t_set).eta),
-        "length": length(t_set),
-        "gk_dim": gk_dimension(t_set),
+        "eta": list(sets.eta),
+        "length": size,
+        "gk_dim": 2 * t_set.n - size,
     }
 
 

@@ -26,9 +26,6 @@ from typing import Iterable, Optional
 from .algebra_an import PairParams, generator_names, pair_word, tail_coefficient, tail_element
 from .exact_poly import StepBudget, TermMap, VarSpec, accumulate, format_terms
 
-Relation = tuple[str, tuple[tuple[Fraction, tuple[str, ...]], ...]]
-
-
 @dataclass(frozen=True)
 class QuantumParams(PairParams):
     """n, the multiplicative coupling matrix, and the two scalar vectors."""
@@ -204,32 +201,6 @@ def commutation_matrix(params: QuantumParams) -> tuple[tuple[Fraction, ...], ...
     )
 
 
-def defining_relations(params: QuantumParams) -> list[Relation]:
-    """Every defining relation as a zero combination sum c * word.
-
-    Words are tuples of generator names multiplied left to right; each
-    relation's combination rewrites to zero in the algebra, and substituting
-    generator images into them is how homomorphisms are verified.
-    """
-    names = kn_names(params.n)
-    one = Fraction(1)
-
-    def relation(a: int, b: int, tail=()) -> Relation:
-        # g_a g_b - S(a, b) g_b g_a - tail
-        swapped = (-params.smatrix[a][b], (names[b], names[a]))
-        return (names[a] + names[b], ((one, (names[a], names[b])), swapped, *tail))
-
-    rels: list[Relation] = []
-    for i in range(1, params.n + 1):
-        yi, xi = 2 * i - 2, 2 * i - 1
-        tail = [(-tail_coefficient(params, k), (f"y{k}", f"x{k}")) for k in range(1, i)]
-        rels.append(relation(xi, yi, tail))
-        for j in range(i + 1, params.n + 1):
-            yj, xj = 2 * j - 2, 2 * j - 1
-            rels += [relation(a, b) for a, b in ((yi, yj), (xi, yj), (yi, xj), (xi, xj))]
-    return rels
-
-
 # -- the attached quantum torus ---------------------------------------------
 
 
@@ -299,6 +270,3 @@ class QTorusElement(TermMap):
         # X^-m = twist(m, -m)^-1 / coeff * X^(-m) so that X^m X^-m = 1
         return QTorusElement(self.torus, {inv_mono: 1 / (coeff * self.torus.twist(mono, inv_mono))})
 
-
-def format_torus(f: QTorusElement) -> str:
-    return format_terms(f.terms, f.torus.varspec.names)

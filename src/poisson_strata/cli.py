@@ -66,6 +66,7 @@ from .correspondence import (
     group_character,
     nested_congruence_check,
     stratification_report,
+    swapped_products,
     verify_poisson_stratum_map,
     verify_quantum_stratum_map,
 )
@@ -416,7 +417,8 @@ def suite_psi(config: Config) -> dict:
 
 def suite_upsilon(config: Config) -> dict:
     params = _require_quantum(config)
-    return _strata_suite("upsilon", config, lambda t: verify_quantum_stratum_map(params, t))
+    products = swapped_products(params)
+    return _strata_suite("upsilon", config, lambda t: verify_quantum_stratum_map(params, t, products))
 
 
 def _omega_scalar(params: QuantumParams, i: int, name: str) -> Fraction:
@@ -632,10 +634,11 @@ def _stray_option(parser: _ArgumentParser, argv: list[str]) -> Optional[str]:
 def _parse_args(argv: Optional[list[str]]) -> argparse.Namespace:
     """Parse the command line.  argparse takes an expression that starts with
     "-" for an option and then reports its positional as missing; the error
-    names the expression instead and points to "--"."""
+    names the expression instead and points to "--".  `admissible --dot`
+    draws the poset, so it is an error without `--poset`."""
     parser = build_arg_parser()
     try:
-        return parser.parse_args(argv)
+        args = parser.parse_args(argv)
     except UsageError as exc:
         stray = _stray_option(parser, sys.argv[1:] if argv is None else argv)
         if stray is None or "the following arguments are required" not in str(exc):
@@ -643,6 +646,9 @@ def _parse_args(argv: Optional[list[str]]) -> argparse.Namespace:
         raise UsageError(
             f"{exc} ({stray!r} was read as an option; put -- before expressions that start with '-')"
         ) from None
+    if args.command == "admissible" and args.dot and not args.poset:
+        raise UsageError(f"{parser.prog} admissible: argument --dot: only allowed with argument --poset")
+    return args
 
 
 def _emit(payload, pretty: bool):

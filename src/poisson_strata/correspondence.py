@@ -19,9 +19,12 @@ with w_i = (q_i - p_i)^-1 (q_{i-1} - p_{i-1}): Omega_{i-1} in T kills Y_{i-1}
 or X_{i-1}, and Omega_i alone kills X_i.  Y_i is inverted unless y_i is in
 T, which by admissibility puts Omega_{i-1} in T; so `tail_image` forms
 Y_{i-1} X_{i-1} first and never inverts a killed Y_i.  Verification is at
-generator level: the Poisson map must intertwine all generator brackets, the
-quantum map must annihilate every defining relation, and both must send the
-tail elements to (q_i - p_i) Y_i X_i and the members of T to zero.
+generator level, one pair a < b at a time on both sides: the image of
+{g_a, g_b} must be the target bracket of the images, and the image of the
+PBW normal form of g_b g_a the torus product of the images in that order;
+over all pairs those normal forms are the defining relations.  Both maps
+must also send the tail elements to (q_i - p_i) Y_i X_i and the members of
+T to zero.
 
 The additive character of the multiplicative parameter group (prime
 exponents paired against user weights) transports quantum parameters to
@@ -33,6 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import Mapping, Optional, Sequence
 
 from .admissible import AdmissibleSet, derived_sets, stratum_label
@@ -50,9 +54,8 @@ from .algebra_kn import (
     QTorusElement,
     QuantumParams,
     QuantumTorus,
-    defining_relations,
-    format_torus,
     kn_names,
+    nc_multiply,
     torus_names,
 )
 from .exact_poly import (
@@ -61,7 +64,6 @@ from .exact_poly import (
     TermMap,
     VarSpec,
     factor_rational,
-    format_poly,
     format_terms,
     group_analysis,
     same_owner,
@@ -133,34 +135,32 @@ def poisson_stratum_map(params: PoissonParams, t_set: AdmissibleSet) -> Generato
     return _stratum_map(params, t_set, build)
 
 
-def _substitute(images: Mapping[str, TermMap], combination, one: TermMap) -> TermMap:
-    """The sum of c * images[w_1] * ... * images[w_k] over the (c, word)
-    pairs of `combination`, each product taken left to right from c * one."""
-    acc = one.scale(0)
-    for coeff, word in combination:
-        part = one.scale(coeff)
-        for name in word:
-            part = part * images[name]
+def apply_map(gmap: GeneratorMap, f: TermMap) -> TermMap:
+    """Push a source element, a polynomial or a normal form, through the
+    generator images: each standard monomial is spelled letter by letter
+    and its images multiplied left to right from the coefficient."""
+    names = type(f)._names(f.owner)
+    acc = gmap.one.scale(0)
+    for mono, coeff in f.terms.items():
+        part = gmap.one.scale(coeff)
+        for name, e in zip(names, mono):
+            for _ in range(e):
+                part = part * gmap.images[name]
         acc = acc + part
     return acc
 
 
-def apply_map(gmap: GeneratorMap, f: TermMap) -> TermMap:
-    """Push a source element, a polynomial or a normal form, through the
-    generator images: each standard monomial is spelled letter by letter."""
-    names = type(f)._names(f.owner)
-    words = [(c, [nm for nm, e in zip(names, m) for _ in range(e)]) for m, c in f.terms.items()]
-    return _substitute(gmap.images, words, gmap.one)
+def _stratum_report(params, gmap: GeneratorMap, source_one: TermMap, value, operate, label) -> dict:
+    """Verify a stratum map by the one set of checks of both sides.
 
-
-def _stratum_report(params, gmap: GeneratorMap, failures, source_one: TermMap) -> dict:
-    """A stratum map's report: `failures` plus the checks both sides share.
-
-    Each tail element must map to (q_i - p_i) Y_i X_i, each member of T to
-    zero, and the surviving y's onto the inverted target generators.
-    Source elements are built over the owner of `source_one`, the source
-    unit, and target elements over that of `gmap.one`; the inverted
-    generators are read off the target's `varspec`.
+    For each generator pair a < b, the residual is the image of `value(a, b)`
+    minus `operate` on the images of g_a and g_b; a nonzero one fails under
+    `label`, formatted with the names of g_a and g_b.  Each tail element
+    must map to (q_i - p_i) Y_i X_i, each member of T to zero, and the
+    surviving y's onto the inverted target generators.  Source elements are
+    built over the owner of `source_one`, the source unit, and target
+    elements over that of `gmap.one`; the inverted generators are read off
+    the target's `varspec`.  Each failure names its residual, formatted.
     """
     t_set = gmap.t_set
     source = type(source_one), source_one.owner
@@ -169,6 +169,13 @@ def _stratum_report(params, gmap: GeneratorMap, failures, source_one: TermMap) -
     def text(f: TermMap) -> str:
         return format_terms(f.terms, cls._names(owner))
 
+    names = kn_names(params.n)
+    failures = []
+    for a, b in combinations(range(len(names)), 2):
+        lhs = apply_map(gmap, value(a, b))
+        rhs = operate(gmap.images[names[a]], gmap.images[names[b]])
+        if lhs != rhs:
+            failures.append(f"{label.format(names[a], names[b])}: residual {text(lhs - rhs)}")
     for i in range(1, params.n + 1):
         img = apply_map(gmap, named_element(params, f"Omega{i}", *source))
         expected = cls.monomial(owner, {f"Y{i}": 1, f"X{i}": 1}, tail_coefficient(params, i))
@@ -189,29 +196,14 @@ def verify_poisson_stratum_map(
     params: PoissonParams, t_set: AdmissibleSet, source: PoissonStructure
 ) -> dict:
     """Generator-level verification that the stratum map of T from `source`,
-    which is `build_an(params)`, is Poisson.
-
-    Checks, exactly: the image of every generator bracket equals the target
-    bracket of the images; every tail element maps to (q_i - p_i) Y_i X_i;
-    members of T map to zero; and the surviving y's map onto the inverted
-    target generators.  Each failure names what failed and its first
-    residual, formatted.
+    which is `build_an(params)`, is Poisson: `_stratum_report` with the
+    pair residual {g_a, g_b} minus the target bracket of the images.
     """
     if not same_owner(source.varspec, an_varspec(params.n)):
         raise ValueError("source structure is not over the generators of A_n")
     gmap = poisson_stratum_map(params, t_set)
-    target = gmap.target
-    names = kn_names(params.n)
-    failures = []
-    for a in range(len(names)):
-        for b in range(a + 1, len(names)):
-            lhs = apply_map(gmap, source.entry(a, b))
-            rhs = target.bracket(gmap.images[names[a]], gmap.images[names[b]])
-            if lhs != rhs:
-                failures.append(
-                    f"bracket pair ({names[a]}, {names[b]}): residual {format_poly(lhs - rhs)}"
-                )
-    return _stratum_report(params, gmap, failures, LaurentPoly.one(source.varspec))
+    one = LaurentPoly.one(source.varspec)
+    return _stratum_report(params, gmap, one, source.entry, gmap.target.bracket, "bracket pair ({}, {})")
 
 
 def nested_congruence_check(params: PoissonParams, sets: Sequence[AdmissibleSet]) -> dict:
@@ -267,19 +259,27 @@ def quantum_stratum_map(params: QuantumParams, t_set: AdmissibleSet) -> Generato
     return _stratum_map(params, t_set, build)
 
 
-def verify_quantum_stratum_map(params: QuantumParams, t_set: AdmissibleSet) -> dict:
-    """Substitute the images into every defining relation; all must vanish.
+def swapped_products(params: QuantumParams) -> dict[tuple[int, int], NCElement]:
+    """The PBW normal form of g_b g_a for each generator pair a < b: the
+    defining relations, one per pair, each solved for its swapped word.
+    They do not depend on the stratum, so a walk over the strata builds
+    them once."""
+    gens = [NCElement.generator(params.n, name) for name in kn_names(params.n)]
+    pairs = combinations(range(len(gens)), 2)
+    return {(a, b): nc_multiply(params, gens[b], gens[a]) for a, b in pairs}
 
-    Also checks the tail-element images and that members of T map to zero.
-    Each failure names what failed and its residual, formatted.
+
+def verify_quantum_stratum_map(
+    params: QuantumParams, t_set: AdmissibleSet, products: Mapping[tuple[int, int], NCElement]
+) -> dict:
+    """Generator-level verification that the stratum map of T is an algebra
+    map, given `products`, which is `swapped_products(params)`:
+    `_stratum_report` with the pair residual g_b g_a, in normal form, minus
+    the torus product of the images in that order.
     """
     gmap = quantum_stratum_map(params, t_set)
-    failures = []
-    for label, combo in defining_relations(params):
-        acc = _substitute(gmap.images, combo, gmap.one)
-        if not acc.is_zero():
-            failures.append(f"relation {label}: residual {format_torus(acc)}")
-    return _stratum_report(params, gmap, failures, NCElement.one(params.n))
+    value, one = (lambda a, b: products[a, b]), NCElement.one(params.n)
+    return _stratum_report(params, gmap, one, value, lambda u, v: v * u, "product pair ({1}, {0})")
 
 
 # -- the additive character of the parameter group ---------------------------
@@ -406,11 +406,11 @@ def stratification_report(character: AdditiveCharacter, sets: Sequence[Admissibl
     character is injective on the parameter group.
     """
     params, pparams = character.params, character.induced
-    source = build_an(pparams)
+    source, products = build_an(pparams), swapped_products(params)
     strata = []
     for t_set in sets:
         psi = verify_poisson_stratum_map(pparams, t_set, source)
-        ups = verify_quantum_stratum_map(params, t_set)
+        ups = verify_quantum_stratum_map(params, t_set, products)
         entry = {**stratum_label(t_set), "psi_ok": psi["ok"], "upsilon_ok": ups["ok"]}
         for side, report in (("psi", psi), ("upsilon", ups)):
             if not report["ok"]:

@@ -2,7 +2,8 @@
 
 The sample parameter sets, random parameters, and slow or roundabout
 re-derivations of what the package computes: the brute-force admissible
-filter, monomial counting of quotient growth, Poisson-normality detection by
+filter, monomial counting of quotient growth, the defining relations of the
+quantized algebra written out one by one, Poisson-normality detection by
 exact division, and the canonical text of a parsed expression.
 """
 
@@ -13,9 +14,9 @@ from fractions import Fraction
 from itertools import product
 from typing import Optional
 
-from poisson_strata.admissible import AdmissibleSet, derived_sets, gk_dimension
-from poisson_strata.algebra_an import PoissonParams
-from poisson_strata.algebra_kn import QuantumParams
+from poisson_strata.admissible import AdmissibleSet, derived_sets, stratum_label
+from poisson_strata.algebra_an import PoissonParams, tail_coefficient
+from poisson_strata.algebra_kn import QuantumParams, kn_names
 from poisson_strata.correspondence import group_character
 from poisson_strata.exact_poly import LaurentPoly, VarSpec
 from poisson_strata.parser import Add, Bracket, Expr, Mul, Num, Pow, Sub, Var, _left_chain
@@ -33,9 +34,10 @@ def poisson_sample() -> PoissonParams:
     return PoissonParams.make(2, [[0, 1], [-1, 0]], [2, 3], [5, 7])
 
 
-_QUANTUM_P = {1: (2,), 2: (2, 8), 3: (2, 8, 2)}
-_QUANTUM_Q = {1: (4,), 2: (4, 32), 3: (4, 32, 16)}
+_QUANTUM_P = {0: (), 1: (2,), 2: (2, 8), 3: (2, 8, 2)}
+_QUANTUM_Q = {0: (), 1: (4,), 2: (4, 32), 3: (4, 32, 16)}
 _QUANTUM_GAMMA = {
+    0: [],
     1: [[1]],
     2: [[1, 2], [Fraction(1, 2), 1]],
     3: [[1, 2, 4], [Fraction(1, 2), 1, 2], [Fraction(1, 4), Fraction(1, 2), 1]],
@@ -44,7 +46,7 @@ _QUANTUM_GAMMA = {
 
 def quantum_sample(n: int = 2) -> QuantumParams:
     if n not in _QUANTUM_P:
-        raise ValueError("sample family is defined for n in {1, 2, 3}")
+        raise ValueError("sample family is defined for n in {0, 1, 2, 3}")
     return QuantumParams.make(n, _QUANTUM_GAMMA[n], _QUANTUM_P[n], _QUANTUM_Q[n])
 
 
@@ -146,7 +148,7 @@ def growth_check(t_set: AdmissibleSet, max_degree: int = 12) -> dict:
     sets = derived_sets(t_set)
     pairs = sum(1 for m in sets.avoid_monomials if len(m) == 2)
     tail = counts[pairs:]
-    expected = gk_dimension(t_set)
+    expected = stratum_label(t_set)["gk_dim"]
     seq = list(tail)
     degree = None
     for k in range(len(seq)):
@@ -163,6 +165,38 @@ def growth_check(t_set: AdmissibleSet, max_degree: int = 12) -> dict:
         "measured_degree": degree,
         "counts": counts,
     }
+
+
+# -- the defining relations of the quantized algebra ---------------------------
+
+Relation = tuple[str, tuple[tuple[Fraction, tuple[str, ...]], ...]]
+
+
+def defining_relations(params: QuantumParams) -> list[Relation]:
+    """Every defining relation as a zero combination sum c * word.
+
+    Words are tuples of generator names multiplied left to right; each
+    relation's combination rewrites to zero in the algebra.  This is the
+    presentation written out by hand, against which the PBW product is
+    checked.
+    """
+    names = kn_names(params.n)
+    one = Fraction(1)
+
+    def relation(a: int, b: int, tail=()) -> Relation:
+        # g_a g_b - S(a, b) g_b g_a - tail
+        swapped = (-params.smatrix[a][b], (names[b], names[a]))
+        return (names[a] + names[b], ((one, (names[a], names[b])), swapped, *tail))
+
+    rels: list[Relation] = []
+    for i in range(1, params.n + 1):
+        yi, xi = 2 * i - 2, 2 * i - 1
+        tail = [(-tail_coefficient(params, k), (f"y{k}", f"x{k}")) for k in range(1, i)]
+        rels.append(relation(xi, yi, tail))
+        for j in range(i + 1, params.n + 1):
+            yj, xj = 2 * j - 2, 2 * j - 1
+            rels += [relation(a, b) for a, b in ((yi, yj), (xi, yj), (yi, xj), (xi, xj))]
+    return rels
 
 
 # -- Poisson normality by exact division ---------------------------------------

@@ -23,7 +23,7 @@ from poisson_strata.admissible import (
     AdmissibleSet,
     enumerate_admissible,
     eta_injectivity,
-    gk_dimension,
+    stratum_label,
 )
 from poisson_strata.algebra_an import (
     an_varspec,
@@ -46,6 +46,7 @@ from poisson_strata.correspondence import (
     GroupContainsMinusOne,
     group_character,
     nested_congruence_check,
+    swapped_products,
     verify_poisson_stratum_map,
     verify_quantum_stratum_map,
 )
@@ -192,7 +193,7 @@ def test_criterion_06_growth_degrees():
             for t_set in enumerate_admissible(n):
                 report = growth_check(t_set, max_degree=12)
                 assert report["ok"]
-                assert report["measured_degree"] == gk_dimension(t_set)
+                assert report["measured_degree"] == stratum_label(t_set)["gk_dim"]
 
 
 def test_criterion_07_eta_injectivity():
@@ -218,16 +219,18 @@ def test_criterion_09_quantum_stratum_maps():
     with criterion(9, "quantum stratum maps verify on every stratum for n <= 2 plus n = 3 spot checks"):
         for n in (1, 2):
             params = quantum_sample(n)
+            products = swapped_products(params)
             for t_set in enumerate_admissible(n):
-                report = verify_quantum_stratum_map(params, t_set)
+                report = verify_quantum_stratum_map(params, t_set, products)
                 assert report["ok"], (n, t_set.member_names(), report["failures"])
         params3 = quantum_sample(3)
+        products3 = swapped_products(params3)
         empty = AdmissibleSet.from_names(3, [])
         maximal = AdmissibleSet.from_names(
             3, [name for i in (1, 2, 3) for name in (f"y{i}", f"x{i}", f"Omega{i}")]
         )
         for t_set in (empty, maximal):
-            assert verify_quantum_stratum_map(params3, t_set)["ok"]
+            assert verify_quantum_stratum_map(params3, t_set, products3)["ok"]
 
 
 def test_criterion_10_pbw_normal_form():

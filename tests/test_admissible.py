@@ -11,10 +11,9 @@ from poisson_strata.admissible import (
     derived_sets,
     enumerate_admissible,
     eta_injectivity,
-    gk_dimension,
-    length,
     poset_dot,
     poset_json,
+    stratum_label,
     stratum_poset,
 )
 
@@ -65,7 +64,7 @@ def test_derived_sets_examples():
     d2 = derived_sets(t2)
     assert d2.eta == ("X2",)
     assert d2.length_members == ("Omega2",)
-    assert length(t2) == 1
+    assert stratum_label(t2)["length"] == 1
 
     empty = AdmissibleSet.from_names(2, [])
     d3 = derived_sets(empty)
@@ -112,17 +111,17 @@ def test_growth_counts_match_enumeration_oracle():
 
 def test_growth_degree_examples():
     empty = AdmissibleSet.from_names(2, [])
-    assert gk_dimension(empty) == 4
+    assert stratum_label(empty)["gk_dim"] == 4
     report = growth_check(empty)
     # free ring count is a binomial in the degree
     assert report["counts"][4] == 70  # C(8, 4)
     assert report["ok"]
 
     t_tail = AdmissibleSet.from_names(2, ["Omega2"])
-    assert gk_dimension(t_tail) == 3
+    assert stratum_label(t_tail)["gk_dim"] == 3
 
     full = AdmissibleSet.from_names(2, ["y1", "x1", "Omega1", "y2", "x2", "Omega2"])
-    assert gk_dimension(full) == 0
+    assert stratum_label(full)["gk_dim"] == 0
     assert set(growth_check(full)["counts"]) == {1}
 
 

@@ -5,14 +5,13 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import quantum_sample
+from oracles import defining_relations, quantum_sample
 from poisson_strata.algebra_kn import (
     NCElement,
     QTorusElement,
     QuantumParams,
     QuantumTorus,
     commutation_matrix,
-    defining_relations,
     format_nc,
     kn_names,
     nc_multiply,

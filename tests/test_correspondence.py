@@ -7,11 +7,11 @@ from pathlib import Path
 
 import pytest
 
-from oracles import quantum_sample, quantum_sample_image, sample_weights
+from oracles import defining_relations, quantum_sample, quantum_sample_image, sample_weights
 from poisson_strata import cli, correspondence
 from poisson_strata.admissible import AdmissibleSet, derived_sets, enumerate_admissible, stratum_poset
 from poisson_strata.algebra_an import build_an, tail_coefficient
-from poisson_strata.algebra_kn import QTorusElement, QuantumParams
+from poisson_strata.algebra_kn import NCElement, QTorusElement, QuantumParams, kn_names
 from poisson_strata.correspondence import (
     GroupContainsMinusOne,
     group_character,
@@ -20,6 +20,7 @@ from poisson_strata.correspondence import (
     poisson_stratum_map,
     quantum_stratum_map,
     stratification_report,
+    swapped_products,
     verify_poisson_stratum_map,
     verify_quantum_stratum_map,
 )
@@ -27,6 +28,7 @@ from poisson_strata.exact_poly import LaurentPoly, group_analysis
 from poisson_strata.poisson_core import PoissonStructure
 
 CONFIG_PAIRED = str(Path(__file__).resolve().parent.parent / "configs" / "paired_n2.json")
+PAIRED_N3 = str(Path(__file__).resolve().parent.parent / "perfbench" / "configs" / "paired_n3.json")
 
 
 def empty_set(n):
@@ -177,22 +179,15 @@ def test_poisson_failure_on_a_stratum_that_kills_generators():
     assert verify_poisson_stratum_map(params, KILLS_Y1, source)["ok"]
 
 
-def test_quantum_failure_on_a_stratum_that_kills_generators(monkeypatch):
+def test_quantum_failure_on_a_stratum_that_kills_generators():
     params = quantum_sample()
-    plain = correspondence.defining_relations
-
-    def corrupted(params):
-        out = []
-        for label, combo in plain(params):
-            if label == "x2y2":  # y1*x2 dies with Y1
-                combo = combo + ((Fraction(1), ("y1", "x2")), (Fraction(2), ("x1", "x2")))
-            out.append((label, combo))
-        return out
-
-    assert verify_quantum_stratum_map(params, KILLS_Y1)["ok"]
-    monkeypatch.setattr(correspondence, "defining_relations", corrupted)
-    report = verify_quantum_stratum_map(params, KILLS_Y1)
-    assert report["failures"] == ["relation x2y2: residual 2*X1*X2"]
+    products = swapped_products(params)
+    assert verify_quantum_stratum_map(params, KILLS_Y1, products)["ok"]
+    # x2 y2 += y1*x2 + 2*x1*x2; the first term dies with Y1
+    extra = NCElement(2, {(1, 0, 0, 1): 1, (0, 1, 0, 1): 2})
+    corrupted = {**products, (2, 3): products[2, 3] + extra}
+    report = verify_quantum_stratum_map(params, KILLS_Y1, corrupted)
+    assert report["failures"] == ["product pair (x2, y2): residual 2*X1*X2"]
 
 
 def test_target_bracket_skips_killed_generators(monkeypatch):
@@ -270,38 +265,36 @@ def test_quantum_full_set_collapses():
     params = quantum_sample()
     gmap = quantum_stratum_map(params, full_set(2))
     assert all(image.is_zero() for image in gmap.images.values())
-    assert verify_quantum_stratum_map(params, full_set(2))["ok"]
+    assert verify_quantum_stratum_map(params, full_set(2), swapped_products(params))["ok"]
 
 
 def test_verify_quantum_all_strata_small_n():
     for n in (1, 2):
         params = quantum_sample(n)
+        products = swapped_products(params)
         for t_set in enumerate_admissible(n):
-            report = verify_quantum_stratum_map(params, t_set)
+            report = verify_quantum_stratum_map(params, t_set, products)
             assert report["ok"], (t_set.member_names(), report["failures"])
 
 
-def test_quantum_failure_names_relation_and_residual(monkeypatch):
+def test_quantum_failure_names_relation_and_residual():
     params = quantum_sample()
-    relations = correspondence.defining_relations(params)
-    label, ((one, word), (coeff, swapped)) = relations[1]
-    assert label == "y1y2" and coeff == -2  # y1 y2 = 2 y2 y1
-    corrupted = list(relations)
-    corrupted[1] = (label, ((one, word), (coeff - 1, swapped)))
-    monkeypatch.setattr(correspondence, "defining_relations", lambda _: corrupted)
-    report = verify_quantum_stratum_map(params, empty_set(2))
+    products = swapped_products(params)
+    y1y2 = NCElement.monomial(2, {"y1": 1, "y2": 1})
+    assert products[0, 2] == y1y2.scale(Fraction(1, 2))  # y2 y1 = (1/2) y1 y2
+    corrupted = {**products, (0, 2): y1y2.scale(Fraction(3, 2))}
+    report = verify_quantum_stratum_map(params, empty_set(2), corrupted)
     assert not report["ok"]
-    # Y2 Y1 = (1/2) Y1 Y2 in the torus, so the residual is (1 - 3/2) Y1 Y2
-    assert report["failures"] == ["relation y1y2: residual -1/2*Y1*Y2"]
-    monkeypatch.setattr(correspondence, "defining_relations", lambda _: relations)
-    assert verify_quantum_stratum_map(params, empty_set(2))["ok"]
+    # Y2 Y1 = (1/2) Y1 Y2 in the torus, so the residual is (3/2 - 1/2) Y1 Y2
+    assert report["failures"] == ["product pair (y2, y1): residual Y1*Y2"]
+    assert verify_quantum_stratum_map(params, empty_set(2), products)["ok"]
 
 
 # (psi failures, upsilon failures) per failing stratum when w_2 is doubled
 DOUBLED_HAT_FAILURES = {
     (): (
         ["bracket pair (y2, x2): residual Y1*X1", "tail element 2 image: residual -Y1*X1"],
-        ["relation x2y2: residual 2*Y1*X1", "tail element 2 image: residual -2*Y1*X1"],
+        ["product pair (x2, y2): residual -2*Y1*X1", "tail element 2 image: residual -2*Y1*X1"],
     ),
     ("Omega2",): (
         [
@@ -310,7 +303,7 @@ DOUBLED_HAT_FAILURES = {
             "member Omega2 does not map to zero: residual -Y1*X1",
         ],
         [
-            "relation x2y2: residual 2*Y1*X1",
+            "product pair (x2, y2): residual -2*Y1*X1",
             "tail element 2 image: residual -2*Y1*X1",
             "member Omega2 does not map to zero: residual -2*Y1*X1",
         ],
@@ -329,10 +322,10 @@ def test_doubled_hat_coefficient_fails_the_strata_that_read_it(doubled_hat):
     # doubling w_2 breaks the tail element, and Omega2 as a member, on both sides
     character = cli.load_config(CONFIG_PAIRED).character
     failed = {}
-    source = build_an(character.induced)
+    source, products = build_an(character.induced), swapped_products(character.params)
     for t_set in enumerate_admissible(2):
         psi = verify_poisson_stratum_map(character.induced, t_set, source)
-        ups = verify_quantum_stratum_map(character.params, t_set)
+        ups = verify_quantum_stratum_map(character.params, t_set, products)
         assert psi["ok"] == ups["ok"]
         if not psi["ok"]:
             failed[t_set.member_names()] = (psi["failures"], ups["failures"])
@@ -375,14 +368,92 @@ def test_map_report_exits_1_on_a_failed_stratum_with_its_report_unchanged(double
     assert "ok" not in json.loads(out)
 
 
+NON_POWER_OF_TWO = QuantumParams.make(
+    3,
+    [[1, 3, Fraction(2, 5)], [Fraction(1, 3), 1, -7], [Fraction(5, 2), Fraction(-1, 7), 1]],
+    [2, -3, Fraction(5, 7)],
+    [3, 11, 2],
+)
+
+
+def solved_relations(params):
+    """Each oracle relation solved for its one descending word g_b g_a,
+    keyed by the pair (a, b)."""
+    names = kn_names(params.n)
+    solved = {}
+    for _, combo in defining_relations(params):
+        [(lead_c, lead)] = [(c, w) for c, w in combo if names.index(w[0]) > names.index(w[1])]
+        rest = [NCElement.monomial(params.n, dict.fromkeys(w, 1), -c / lead_c) for c, w in combo if w != lead]
+        solved[names.index(lead[1]), names.index(lead[0])] = sum(rest, NCElement.zero(params.n))
+    return solved
+
+
+@pytest.mark.parametrize("params", [quantum_sample(n) for n in range(4)] + [NON_POWER_OF_TWO])
+def test_swapped_products_are_the_solved_relations(params):
+    # one relation per generator pair a < b, n(2n - 1) of them
+    products = swapped_products(params)
+    assert list(products) == [(a, b) for a in range(2 * params.n) for b in range(a + 1, 2 * params.n)]
+    assert products == solved_relations(params)
+
+
+@pytest.fixture
+def nc_multiply_calls(monkeypatch):
+    calls = []
+    plain = correspondence.nc_multiply
+
+    def counting(*args):
+        calls.append(args)
+        return plain(*args)
+
+    monkeypatch.setattr(correspondence, "nc_multiply", counting)
+    return calls
+
+
+@pytest.mark.parametrize("command", [["map-report"], ["verify", "upsilon"]])
+def test_swapped_products_are_built_once_per_command(nc_multiply_calls, capsys, command):
+    # 15 generator pairs at n = 3: one product each, not one per stratum and pair
+    assert cli.main(["--config", PAIRED_N3, *command]) == 0
+    capsys.readouterr()
+    assert len(nc_multiply_calls) == 15
+
+
+@pytest.mark.parametrize("command", [["map-report"], ["verify", "upsilon"]])
+def test_swapped_products_have_budgets_of_their_own(monkeypatch, capsys, command):
+    monkeypatch.setenv("POISSON_STRATA_STEP_BUDGET", "1")
+    assert cli.main(["--config", PAIRED_N3, *command]) == 0
+    capsys.readouterr()
+
+
+def test_each_stratum_derives_its_sets_once_per_reading(monkeypatch, capsys):
+    # the label reads one derived_sets; each of the two stratum maps reads one more
+    from poisson_strata import admissible
+
+    calls = []
+    plain = admissible.derived_sets
+
+    def counting(t_set):
+        calls.append(t_set)
+        return plain(t_set)
+
+    monkeypatch.setattr(admissible, "derived_sets", counting)
+    monkeypatch.setattr(correspondence, "derived_sets", counting)
+    assert cli.main(["--config", PAIRED_N3, "admissible", "--poset"]) == 0
+    assert len(calls) == 48
+    calls.clear()
+    assert cli.main(["--config", PAIRED_N3, "map-report"]) == 0
+    assert len(calls) == 3 * 48
+    capsys.readouterr()
+
+
 def test_swapped_unit_images_fail_the_unit_check():
     params = quantum_sample_image()
     gmap = poisson_stratum_map(params, empty_set(2))
     swapped = dataclasses.replace(gmap, images={**gmap.images, "y1": gmap.images["y2"]})
-    source_one = LaurentPoly.one(build_an(params).varspec)
-    report = correspondence._stratum_report(params, swapped, [], source_one)
+    source = build_an(params)
+    pairs = LaurentPoly.one(source.varspec), source.entry, gmap.target.bracket, "bracket pair ({}, {})"
+    report = correspondence._stratum_report(params, swapped, *pairs)
     assert "surviving y images do not generate the inverted set" in report["failures"]
-    assert correspondence._stratum_report(params, gmap, [], source_one)["ok"]
+    assert correspondence._stratum_report(params, gmap, *pairs)["ok"]
 
 
 def test_character_transports_the_sample():

@@ -245,6 +245,16 @@ def test_cli_admissible(capsys):
     assert capsys.readouterr().out.startswith("digraph")
 
 
+@pytest.mark.parametrize("flags", [["--dot"], ["--list", "--dot"], ["--count", "--dot"]])
+def test_cli_dot_without_poset_is_a_usage_error(capsys, flags):
+    # --dot only draws the poset, so it needs --poset
+    assert main(["--config", CONFIG_POISSON, "admissible", *flags]) == 2
+    out, err = capsys.readouterr()
+    payload = json.loads(out)
+    assert payload["error"] == "UsageError" and "--poset" in payload["message"]
+    assert err == ""
+
+
 class _ClosedStdout(io.StringIO):
     """A stdout whose reader has gone: every write fails."""
 
