@@ -24,7 +24,8 @@ generator level, one pair a < b at a time on both sides: the image of
 PBW normal form of g_b g_a the torus product of the images in that order;
 over all pairs those normal forms are the defining relations.  Both maps
 must also send the tail elements to (q_i - p_i) Y_i X_i and the members of
-T to zero.
+T to zero; both read those images off the generator images, and build no
+source element per stratum.
 
 The additive character of the multiplicative parameter group (prime
 exponents paired against user weights) transports quantum parameters to
@@ -36,7 +37,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations
+from operator import mul
 from typing import Mapping, Optional, Sequence
 
 from .admissible import AdmissibleSet, derived_sets, stratum_label
@@ -46,7 +49,6 @@ from .algebra_an import (
     an_varspec,
     build_an,
     log_canonical_table,
-    named_element,
     tail_coefficient,
 )
 from .algebra_kn import (
@@ -137,33 +139,32 @@ def poisson_stratum_map(params: PoissonParams, t_set: AdmissibleSet) -> Generato
 
 def apply_map(gmap: GeneratorMap, f: TermMap) -> TermMap:
     """Push a source element, a polynomial or a normal form, through the
-    generator images: each standard monomial is spelled letter by letter
-    and its images multiplied left to right from the coefficient."""
+    generator images: the images of each standard monomial's letters are
+    multiplied left to right, the unit standing for the empty word, and the
+    product is scaled once by the coefficient."""
     names = type(f)._names(f.owner)
     acc = gmap.one.scale(0)
     for mono, coeff in f.terms.items():
-        part = gmap.one.scale(coeff)
-        for name, e in zip(names, mono):
-            for _ in range(e):
-                part = part * gmap.images[name]
-        acc = acc + part
+        letters = [gmap.images[name] for name, e in zip(names, mono) for _ in range(e)]
+        acc = acc + (reduce(mul, letters) if letters else gmap.one).scale(coeff)
     return acc
 
 
-def _stratum_report(params, gmap: GeneratorMap, source_one: TermMap, value, operate, label) -> dict:
+def _stratum_report(params, gmap: GeneratorMap, value, operate, label) -> dict:
     """Verify a stratum map by the one set of checks of both sides.
 
     For each generator pair a < b, the residual is the image of `value(a, b)`
     minus `operate` on the images of g_a and g_b; a nonzero one fails under
     `label`, formatted with the names of g_a and g_b.  Each tail element
     must map to (q_i - p_i) Y_i X_i, each member of T to zero, and the
-    surviving y's onto the inverted target generators.  Source elements are
-    built over the owner of `source_one`, the source unit, and target
-    elements over that of `gmap.one`; the inverted generators are read off
-    the target's `varspec`.  Each failure names its residual, formatted.
+    surviving y's onto the inverted generators of the target's `varspec`.
+    Omega_i's image is Omega_{i-1}'s plus (q_i - p_i) times the product of
+    the images of y_i and x_i: `apply_map` of the tail element, whose terms
+    are the monomials y_k x_k on both sides, term by term.  Target elements
+    are built over the owner of `gmap.one`.  Each failure names its
+    residual, formatted.
     """
     t_set = gmap.t_set
-    source = type(source_one), source_one.owner
     cls, owner = type(gmap.one), gmap.one.owner
 
     def text(f: TermMap) -> str:
@@ -176,15 +177,16 @@ def _stratum_report(params, gmap: GeneratorMap, source_one: TermMap, value, oper
         rhs = operate(gmap.images[names[a]], gmap.images[names[b]])
         if lhs != rhs:
             failures.append(f"{label.format(names[a], names[b])}: residual {text(lhs - rhs)}")
+    images, tail = dict(gmap.images), gmap.one.scale(0)
     for i in range(1, params.n + 1):
-        img = apply_map(gmap, named_element(params, f"Omega{i}", *source))
-        expected = cls.monomial(owner, {f"Y{i}": 1, f"X{i}": 1}, tail_coefficient(params, i))
-        if img != expected:
-            failures.append(f"tail element {i} image: residual {text(img - expected)}")
+        coeff = tail_coefficient(params, i)
+        tail = images[f"Omega{i}"] = tail + (images[f"y{i}"] * images[f"x{i}"]).scale(coeff)
+        expected = cls.monomial(owner, {f"Y{i}": 1, f"X{i}": 1}, coeff)
+        if tail != expected:
+            failures.append(f"tail element {i} image: residual {text(tail - expected)}")
     for name in t_set.member_names():
-        img = apply_map(gmap, named_element(params, name, *source))
-        if not img.is_zero():
-            failures.append(f"member {name} does not map to zero: residual {text(img)}")
+        if not images[name].is_zero():
+            failures.append(f"member {name} does not map to zero: residual {text(images[name])}")
     inverted = gmap.target.varspec.invertible
     units = {gmap.images["y" + name[1:]] for name in inverted}
     if units != {cls.generator(owner, name) for name in inverted}:
@@ -202,8 +204,7 @@ def verify_poisson_stratum_map(
     if not same_owner(source.varspec, an_varspec(params.n)):
         raise ValueError("source structure is not over the generators of A_n")
     gmap = poisson_stratum_map(params, t_set)
-    one = LaurentPoly.one(source.varspec)
-    return _stratum_report(params, gmap, one, source.entry, gmap.target.bracket, "bracket pair ({}, {})")
+    return _stratum_report(params, gmap, source.entry, gmap.target.bracket, "bracket pair ({}, {})")
 
 
 def nested_congruence_check(params: PoissonParams, sets: Sequence[AdmissibleSet]) -> dict:
@@ -278,8 +279,8 @@ def verify_quantum_stratum_map(
     the torus product of the images in that order.
     """
     gmap = quantum_stratum_map(params, t_set)
-    value, one = (lambda a, b: products[a, b]), NCElement.one(params.n)
-    return _stratum_report(params, gmap, one, value, lambda u, v: v * u, "product pair ({1}, {0})")
+    value = lambda a, b: products[a, b]
+    return _stratum_report(params, gmap, value, lambda u, v: v * u, "product pair ({1}, {0})")
 
 
 # -- the additive character of the parameter group ---------------------------
@@ -416,18 +417,17 @@ def stratification_report(character: AdditiveCharacter, sets: Sequence[Admissibl
             if not report["ok"]:
                 entry[f"{side}_failures"] = report["failures"]
         strata.append(entry)
+
+    def text(side: PairParams) -> dict:
+        gamma = [[str(v) for v in row] for row in side.gamma]
+        return {"gamma": gamma, "p": [str(v) for v in side.p], "q": [str(v) for v in side.q]}
+
     return {
         "n": params.n,
-        "params": {
-            "gamma": [[str(v) for v in row] for row in params.gamma],
-            "p": [str(v) for v in params.p],
-            "q": [str(v) for v in params.q],
-        },
+        "params": text(params),
         "phi": {
             "weights": {str(p): str(w) for p, w in character.weights},
-            "gamma": [[str(v) for v in row] for row in pparams.gamma],
-            "p": [str(v) for v in pparams.p],
-            "q": [str(v) for v in pparams.q],
+            **text(pparams),
             "injective_on_group": character.injective_on_group,
             "minus_one_in_group": character.minus_one_in_group,
         },

@@ -217,9 +217,6 @@ class PoissonDerivation:
                 acc = acc + d * img
         return acc
 
-    def __neg__(self) -> PoissonDerivation:
-        return PoissonDerivation(self.varspec, {k: -v for k, v in self.images.items()})
-
 
 def _derivation_residual(
     structure: PoissonStructure, deriv: PoissonDerivation, a: str, b: str

@@ -114,9 +114,10 @@ def test_criterion_02_double_extension_examples():
         vs = VarSpec(("b", "c"))
         base = PoissonStructure(vs, {})
         alpha = PoissonDerivation.scaling(vs, {"b": -2, "c": -2})
+        beta = PoissonDerivation.scaling(vs, {"b": 2, "c": 2})  # -alpha
         u = LaurentPoly.monomial(vs, {"b": 1, "c": 1}, 4)
         spec = DoubleExtensionSpec(
-            base, alpha, -alpha, Fraction(0), u, d=Fraction(-4), y_name="a", x_name="d"
+            base, alpha, beta, Fraction(0), u, d=Fraction(-4), y_name="a", x_name="d"
         )
         ext = double_extend(spec)
         mono = lambda coeff, exps: LaurentPoly.monomial(ext.varspec, exps, coeff)
@@ -299,9 +300,10 @@ def test_criterion_13_normal_elements():
         vs = VarSpec(("b", "c"))
         base = PoissonStructure(vs, {})
         alpha = PoissonDerivation.scaling(vs, {"b": -2, "c": -2})
+        beta = PoissonDerivation.scaling(vs, {"b": 2, "c": 2})  # -alpha
         u = LaurentPoly.monomial(vs, {"b": 1, "c": 1}, 4)
         spec = DoubleExtensionSpec(
-            base, alpha, -alpha, Fraction(0), u, d=Fraction(-4), y_name="a", x_name="d"
+            base, alpha, beta, Fraction(0), u, d=Fraction(-4), y_name="a", x_name="d"
         )
         ext = double_extend(spec)
         z = double_extension_normal_element(spec, ext)

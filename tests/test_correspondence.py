@@ -1,6 +1,7 @@
 """Tests for the stratum maps, the parameter-group character, and the report."""
 
 import dataclasses
+import itertools
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -8,12 +9,13 @@ from pathlib import Path
 import pytest
 
 from oracles import defining_relations, quantum_sample, quantum_sample_image, sample_weights
-from poisson_strata import cli, correspondence
+from poisson_strata import algebra_an, algebra_kn, cli, correspondence
 from poisson_strata.admissible import AdmissibleSet, derived_sets, enumerate_admissible, stratum_poset
-from poisson_strata.algebra_an import build_an, tail_coefficient
+from poisson_strata.algebra_an import build_an, tail_coefficient, tail_element
 from poisson_strata.algebra_kn import NCElement, QTorusElement, QuantumParams, kn_names
 from poisson_strata.correspondence import (
     GroupContainsMinusOne,
+    apply_map,
     group_character,
     nested_congruence_check,
     parameter_group_generators,
@@ -24,11 +26,12 @@ from poisson_strata.correspondence import (
     verify_poisson_stratum_map,
     verify_quantum_stratum_map,
 )
-from poisson_strata.exact_poly import LaurentPoly, group_analysis
+from poisson_strata.exact_poly import LaurentPoly, format_terms, group_analysis
 from poisson_strata.poisson_core import PoissonStructure
 
 CONFIG_PAIRED = str(Path(__file__).resolve().parent.parent / "configs" / "paired_n2.json")
 PAIRED_N3 = str(Path(__file__).resolve().parent.parent / "perfbench" / "configs" / "paired_n3.json")
+PAIRED_N4 = str(Path(__file__).resolve().parent.parent / "perfbench" / "configs" / "paired_n4.json")
 
 
 def empty_set(n):
@@ -226,7 +229,6 @@ def test_reports_build_the_source_algebra_once(monkeypatch):
 
 def test_poisson_tail_images():
     from poisson_strata.algebra_an import omega
-    from poisson_strata.correspondence import apply_map
 
     params = quantum_sample_image()
     gmap = poisson_stratum_map(params, empty_set(2))
@@ -450,10 +452,75 @@ def test_swapped_unit_images_fail_the_unit_check():
     gmap = poisson_stratum_map(params, empty_set(2))
     swapped = dataclasses.replace(gmap, images={**gmap.images, "y1": gmap.images["y2"]})
     source = build_an(params)
-    pairs = LaurentPoly.one(source.varspec), source.entry, gmap.target.bracket, "bracket pair ({}, {})"
+    pairs = source.entry, gmap.target.bracket, "bracket pair ({}, {})"
     report = correspondence._stratum_report(params, swapped, *pairs)
     assert "surviving y images do not generate the inverted set" in report["failures"]
     assert correspondence._stratum_report(params, gmap, *pairs)["ok"]
+
+
+def stratum_sides(n):
+    """Per side: the parameters, the stratum map, the source's element class
+    and owner, and the rest of `_stratum_report`'s arguments given the map."""
+    pparams, qparams = quantum_sample_image(n), quantum_sample(n)
+    source, products = build_an(pparams), swapped_products(qparams)
+    poisson = lambda gmap: (source.entry, gmap.target.bracket, "bracket pair ({}, {})")
+    quantum = lambda gmap: (lambda a, b: products[a, b], lambda u, v: v * u, "product pair ({1}, {0})")
+    return [
+        (pparams, poisson_stratum_map, LaurentPoly, source.varspec, poisson),
+        (qparams, quantum_stratum_map, NCElement, n, quantum),
+    ]
+
+
+def test_tail_and_member_failures_match_the_pushed_tail_elements():
+    # the report reads the tail images off the generator images; pushing each
+    # tail element through `apply_map` must give the same failure strings,
+    # here with one x_i image off by the unit
+    text = lambda f: format_terms(f.terms, f._names(f.owner))
+    failing = 0
+    for n in (1, 2, 3):
+        for params, stratum_map, cls, source_owner, rest in stratum_sides(n):
+            for t_set, i in itertools.product(enumerate_admissible(n), range(1, n + 1)):
+                gmap = stratum_map(params, t_set)
+                images = {**gmap.images, f"x{i}": gmap.images[f"x{i}"] + gmap.one}
+                corrupt = dataclasses.replace(gmap, images=images)
+                expected, members = [], []
+                for k in range(1, n + 1):
+                    image = apply_map(corrupt, tail_element(params, k, cls, source_owner))
+                    residual = image - type(image).monomial(
+                        image.owner, {f"Y{k}": 1, f"X{k}": 1}, tail_coefficient(params, k)
+                    )
+                    if not residual.is_zero():
+                        expected.append(f"tail element {k} image: residual {text(residual)}")
+                    if f"Omega{k}" in t_set.member_names() and not image.is_zero():
+                        members.append(f"member Omega{k} does not map to zero: residual {text(image)}")
+                report = correspondence._stratum_report(params, corrupt, *rest(gmap))
+                read = [f for f in report["failures"] if f.startswith(("tail element", "member Omega"))]
+                assert read == expected + members
+                failing += bool(read)
+    assert failing > 100  # the corruption shows on about half of the 350 cases
+
+
+def test_map_report_builds_no_source_element_per_stratum(monkeypatch, capsys):
+    # at the parent, one report made 2,387 tail_element calls, 22,836 torus
+    # products and 17,260 Laurent products on the 164 strata of n = 4
+    counts = {"tail_element": 0, QTorusElement: 0, LaurentPoly: 0}
+
+    def counting(key, real):
+        def wrapper(*args):
+            counts[key] += 1
+            return real(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(algebra_an, "tail_element", counting("tail_element", algebra_an.tail_element))
+    monkeypatch.setattr(algebra_kn, "tail_element", counting("tail_element", algebra_kn.tail_element))
+    for cls in (QTorusElement, LaurentPoly):
+        monkeypatch.setattr(cls, "__mul__", counting(cls, cls.__mul__))
+    assert cli.main(["--config", PAIRED_N4, "map-report"]) == 0
+    capsys.readouterr()
+    assert counts["tail_element"] <= 4  # build_an's, one per tail index at most
+    assert counts[QTorusElement] <= 22_836 // 2
+    assert counts[LaurentPoly] <= 17_260 // 2
 
 
 def test_character_transports_the_sample():

@@ -326,8 +326,9 @@ def test_double_extension_paper_brackets():
     vs = VarSpec(("b", "c"))
     base = PoissonStructure(vs, {})
     alpha = PoissonDerivation.scaling(vs, {"b": -2, "c": -2})
+    beta = PoissonDerivation.scaling(vs, {"b": 2, "c": 2})  # -alpha
     u = LaurentPoly.monomial(vs, {"b": 1, "c": 1}, 4)
-    spec = DoubleExtensionSpec(base, alpha, -alpha, Fraction(0), u, d=Fraction(-4), y_name="a", x_name="d")
+    spec = DoubleExtensionSpec(base, alpha, beta, Fraction(0), u, d=Fraction(-4), y_name="a", x_name="d")
     ext = double_extend(spec)
     expected = {
         ("b", "c"): "0",
@@ -367,13 +368,14 @@ def test_double_extension_invariant_violations():
     vs = VarSpec(("b",))
     base = PoissonStructure(vs, {})
     alpha = PoissonDerivation.scaling(vs, {"b": 1})
+    beta = PoissonDerivation.scaling(vs, {"b": -1})  # -alpha
     u = LaurentPoly.variable(vs, "b")
     with pytest.raises(CompatibilityError):
         # {b, u} = 0 but (alpha+beta)(b) u = u * b != 0
         DoubleExtensionSpec(base, alpha, alpha, Fraction(0), u).check()
     with pytest.raises(CompatibilityError):
         # c + d = 0
-        DoubleExtensionSpec(base, alpha, -alpha, Fraction(-1), u, d=Fraction(1)).check()
+        DoubleExtensionSpec(base, alpha, beta, Fraction(-1), u, d=Fraction(1)).check()
 
 
 def test_normal_elements_per_level():
