@@ -462,11 +462,12 @@ def suite_weights(config: Config) -> dict:
 
 def suite_eta(config: Config) -> dict:
     """eta is injective, and for every nested pair T inside T' the raw maps
-    of T and T' agree modulo eta(T')."""
-    report = nested_congruence_check(_require_poisson(config), config.strata)
-    injective = adm.eta_injectivity(config.strata)
-    failures = report["failures"]
-    details = {"injective": injective, "nested_pairs": report["nested_pairs"], "failures": failures}
+    of T and T' agree modulo eta(T'); both checks read each set's eta once."""
+    params = _require_poisson(config)
+    etas = {t: adm.derived_sets(t).eta for t in config.strata}
+    failures = nested_congruence_check(params, etas)["failures"]
+    injective = adm.eta_injectivity(etas)
+    details = {"injective": injective, "nested_pairs": adm.count_nested_pairs(params.n), "failures": failures}
     return {"suite": "eta", "ok": injective and not failures, "details": details}
 
 

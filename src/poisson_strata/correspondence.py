@@ -207,44 +207,33 @@ def verify_poisson_stratum_map(
     return _stratum_report(params, gmap, source.entry, gmap.target.bracket, "bracket pair ({}, {})")
 
 
-def nested_congruence_check(params: PoissonParams, sets: Sequence[AdmissibleSet]) -> dict:
-    """For every nested pair T inside T' of `sets`, compare the raw
-    substitution maps modulo eta(T'): the difference must have a positive
-    exponent on some eta(T') generator in every term.
-
-    Images are taken before any target reduction (the two-branch form from
-    the underlying ring map: the full tail formula when y_i survives T, the
-    plain X_i when it does not), in the Laurent ring with every Y inverted.
-    Neither branch depends on anything else of T, so each is built once.
-    A failure names both sets and the generators whose images differ.
+def nested_congruence_check(params: PoissonParams, etas: Mapping[AdmissibleSet, Sequence[str]]) -> dict:
+    """The raw substitution maps of every nested pair T inside T' of the
+    admissible sets of n, which `etas` maps to their eta, agree modulo
+    eta(T'), by the containment lemma of deleting derivations (Cauchon;
+    Goodearl-Launois for Poisson algebras).  In the Laurent ring with every
+    Y inverted, the raw image of x_i, i >= 2, is X_i plus `tail_image` when
+    y_i survives the set, and every other image is the capital generator.
+    So the images of T inside T' differ by the tail exactly at the x_i with
+    y_i in T' but not in T.  The empty set lies inside every T' and holds
+    no y, so all pairs pass exactly when, for each T' and y_i in it, every
+    tail term has a positive exponent on some eta(T') generator.  Each tail
+    is built once; a failure names T', x_i and the tail terms outside.
     """
     n = params.n
     vs = VarSpec(torus_names(n), frozenset(f"Y{i}" for i in range(1, n + 1)))
-    plain = [LaurentPoly.generator(vs, name) for name in vs.names]
-    tailed = {i: plain[2 * i - 1] + tail_image(params, i, LaurentPoly, vs) for i in range(2, n + 1)}
-    images = [list(plain) for _ in sets]
-    for row, t_set in zip(images, sets):
-        for i in tailed:
+    tails = {i: tail_image(params, i, LaurentPoly, vs) for i in range(2, n + 1)}
+    failures = []
+    for t_set, eta in etas.items():
+        eta_idx = [vs.index(name) for name in eta]
+        for i, tail in tails.items():
             if not t_set.y_in[i - 1]:
-                row[2 * i - 1] = tailed[i]
-    members = [t.members() for t in sets]
-    etas = [[vs.index(name) for name in derived_sets(t).eta] for t in sets]
-    pairs, failures = 0, []
-    for small, small_members, small_images in zip(sets, members, images):
-        for large, large_members, large_images, eta_idx in zip(sets, members, images, etas):
-            if not small_members <= large_members:
                 continue
-            pairs += 1
-            # a shared image differs by zero; a term with no eta(T') factor is outside the ideal
-            differ = [
-                name
-                for name, a, b in zip(kn_names(n), small_images, large_images)
-                if a is not b and any(all(mono[k] <= 0 for k in eta_idx) for mono in (a - b).terms)
-            ]
-            if differ:
-                names = list(small.member_names()), list(large.member_names())
-                failures.append(f"{names[0]} in {names[1]}: {differ}")
-    return {"ok": not failures, "nested_pairs": pairs, "failures": failures}
+            outside = {m: c for m, c in tail.terms.items() if all(m[k] <= 0 for k in eta_idx)}
+            if outside:
+                text = format_terms(outside, vs.names)
+                failures.append(f"{list(t_set.member_names())}: x{i} residual {text}")
+    return {"ok": not failures, "failures": failures}
 
 
 # -- quantized side -----------------------------------------------------------

@@ -2,9 +2,10 @@
 
 The sample parameter sets, random parameters, and slow or roundabout
 re-derivations of what the package computes: the brute-force admissible
-filter, monomial counting of quotient growth, the defining relations of the
-quantized algebra written out one by one, Poisson-normality detection by
-exact division, and the canonical text of a parsed expression.
+filter, monomial counting of quotient growth, the nested-pair walk of the
+eta congruence, the defining relations of the quantized algebra written out
+one by one, Poisson-normality detection by exact division, and the
+canonical text of a parsed expression.
 """
 
 from __future__ import annotations
@@ -12,11 +13,12 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import product
-from typing import Optional
+from typing import Optional, Sequence
 
 from poisson_strata.admissible import AdmissibleSet, derived_sets, stratum_label
 from poisson_strata.algebra_an import PoissonParams, tail_coefficient
-from poisson_strata.algebra_kn import QuantumParams, kn_names
+from poisson_strata import correspondence
+from poisson_strata.algebra_kn import QuantumParams, kn_names, torus_names
 from poisson_strata.correspondence import group_character
 from poisson_strata.exact_poly import LaurentPoly, VarSpec
 from poisson_strata.parser import Add, Bracket, Expr, Mul, Num, Pow, Sub, Var, _left_chain
@@ -165,6 +167,45 @@ def growth_check(t_set: AdmissibleSet, max_degree: int = 12) -> dict:
         "measured_degree": degree,
         "counts": counts,
     }
+
+
+def nested_pairs_walk(params: PoissonParams, sets: Sequence[AdmissibleSet]) -> dict:
+    """The eta congruence pair by pair: for every nested pair T inside T' of
+    `sets`, the raw substitution maps of T and T' must differ by terms each
+    with a positive exponent on some eta(T') generator.
+
+    Images are taken in the Laurent ring with every Y inverted: X_i plus
+    `correspondence.tail_image` (looked up at call time, so a patched tail
+    reaches the walk) when y_i survives the set, the plain X_i when it does
+    not.  Returns the pair count and the failing pairs (T, T').
+    """
+    n = params.n
+    vs = VarSpec(torus_names(n), frozenset(f"Y{i}" for i in range(1, n + 1)))
+    plain = [LaurentPoly.generator(vs, name) for name in vs.names]
+    tailed = {
+        i: plain[2 * i - 1] + correspondence.tail_image(params, i, LaurentPoly, vs)
+        for i in range(2, n + 1)
+    }
+    images = [list(plain) for _ in sets]
+    for row, t_set in zip(images, sets):
+        for i in tailed:
+            if not t_set.y_in[i - 1]:
+                row[2 * i - 1] = tailed[i]
+    members = [t.members() for t in sets]
+    etas = [[vs.index(name) for name in derived_sets(t).eta] for t in sets]
+    pairs, failing = 0, []
+    for small, small_members, small_images in zip(sets, members, images):
+        for large, large_members, large_images, eta_idx in zip(sets, members, images, etas):
+            if not small_members <= large_members:
+                continue
+            pairs += 1
+            # a shared image differs by zero; a term with no eta(T') factor is outside the ideal
+            if any(
+                a is not b and any(all(mono[k] <= 0 for k in eta_idx) for mono in (a - b).terms)
+                for a, b in zip(small_images, large_images)
+            ):
+                failing.append((small, large))
+    return {"pairs": pairs, "failing": failing}
 
 
 # -- the defining relations of the quantized algebra ---------------------------

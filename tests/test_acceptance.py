@@ -21,6 +21,7 @@ from oracles import (
 )
 from poisson_strata.admissible import (
     AdmissibleSet,
+    derived_sets,
     enumerate_admissible,
     eta_injectivity,
     stratum_label,
@@ -200,20 +201,22 @@ def test_criterion_06_growth_degrees():
 def test_criterion_07_eta_injectivity():
     with criterion(7, "killed-target assignment is injective for n <= 4"):
         for n in (1, 2, 3, 4):
-            assert eta_injectivity(enumerate_admissible(n)) is True
+            etas = {t: derived_sets(t).eta for t in enumerate_admissible(n)}
+            assert eta_injectivity(etas) is True
 
 
 def test_criterion_08_poisson_stratum_maps():
-    with criterion(8, "Poisson stratum maps verify on every stratum for n <= 3, nesting congruent at n <= 2"):
+    with criterion(8, "Poisson stratum maps verify on every stratum for n <= 3, nesting congruent at n <= 4"):
         for n in (1, 2, 3):
             params = quantum_sample_image(n)
             source = build_an(params)
             for t_set in enumerate_admissible(n):
                 report = verify_poisson_stratum_map(params, t_set, source)
                 assert report["ok"], (n, t_set.member_names(), report["failures"])
-        for n in (1, 2):
-            params = quantum_sample_image(n)
-            assert nested_congruence_check(params, enumerate_admissible(n))["ok"]
+        rng = random.Random(108)
+        for params in [quantum_sample_image(n) for n in (1, 2, 3)] + [random_params(4, rng)]:
+            etas = {t: derived_sets(t).eta for t in enumerate_admissible(params.n)}
+            assert nested_congruence_check(params, etas)["ok"]
 
 
 def test_criterion_09_quantum_stratum_maps():

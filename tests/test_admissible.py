@@ -8,6 +8,7 @@ from oracles import brute_force_admissible, growth_check
 from poisson_strata.admissible import (
     AdmissibleSet,
     count_admissible,
+    count_nested_pairs,
     derived_sets,
     enumerate_admissible,
     eta_injectivity,
@@ -24,6 +25,15 @@ def test_count_follows_the_level_recurrence():
     for n in range(8):
         assert count_admissible(n) == len(enumerate_admissible(n))
     assert [count_admissible(n) for n in (9, 12)] == [76096, 3028544]
+
+
+def test_nested_pair_count_follows_the_level_recurrence():
+    # a = neither set holds the last tail element, b = only T', c = both
+    for n in range(6):
+        sets = enumerate_admissible(n)
+        pairs = sum(small.members() <= large.members() for small in sets for large in sets)
+        assert count_nested_pairs(n) == pairs
+    assert [count_nested_pairs(n) for n in (0, 6, 7)] == [1, 215125, 1605717]
 
 
 def test_counts_match_brute_force():
@@ -134,7 +144,7 @@ def test_growth_check_all_sets():
 
 def test_eta_injectivity():
     for n in (1, 2, 3, 4):
-        assert eta_injectivity(enumerate_admissible(n)) is True
+        assert eta_injectivity({t: derived_sets(t).eta for t in enumerate_admissible(n)}) is True
     images = {frozenset(derived_sets(t).eta) for t in enumerate_admissible(1)}
     assert images == {
         frozenset(),

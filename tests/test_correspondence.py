@@ -3,14 +3,28 @@
 import dataclasses
 import itertools
 import json
+import random
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from oracles import defining_relations, quantum_sample, quantum_sample_image, sample_weights
+from oracles import (
+    defining_relations,
+    nested_pairs_walk,
+    quantum_sample,
+    quantum_sample_image,
+    random_params,
+    sample_weights,
+)
 from poisson_strata import algebra_an, algebra_kn, cli, correspondence
-from poisson_strata.admissible import AdmissibleSet, derived_sets, enumerate_admissible, stratum_poset
+from poisson_strata.admissible import (
+    AdmissibleSet,
+    count_nested_pairs,
+    derived_sets,
+    enumerate_admissible,
+    stratum_poset,
+)
 from poisson_strata.algebra_an import build_an, tail_coefficient, tail_element
 from poisson_strata.algebra_kn import NCElement, QTorusElement, QuantumParams, kn_names
 from poisson_strata.correspondence import (
@@ -242,9 +256,50 @@ def test_nested_congruence_all_pairs():
         params = quantum_sample_image(n)
         sets = enumerate_admissible(n)
         pairs = sum(small.members() <= large.members() for small in sets for large in sets)
-        report = nested_congruence_check(params, sets)
-        assert report == {"ok": True, "nested_pairs": pairs, "failures": []}
+        report = nested_congruence_check(params, {t: derived_sets(t).eta for t in sets})
+        assert report == {"ok": True, "failures": []}
+        assert count_nested_pairs(n) == pairs
         assert pairs > len(sets)  # strict nesting actually occurred
+
+
+_REAL_TAIL = correspondence.tail_image
+
+
+def _no_lower_x(params, i, cls, owner):
+    lower = cls.generator(owner, f"Y{i}") ** (-1) * cls.generator(owner, f"Y{i - 1}")
+    return lower.scale(-correspondence.hat_coefficient(params, i))
+
+
+def _no_lower_y(params, i, cls, owner):
+    lower = cls.generator(owner, f"Y{i}") ** (-1) * cls.generator(owner, f"X{i - 1}")
+    return lower.scale(-correspondence.hat_coefficient(params, i))
+
+
+def _extra_inverse_y(params, i, cls, owner):
+    return _REAL_TAIL(params, i, cls, owner) + cls.generator(owner, f"Y{i}") ** (-1)
+
+
+@pytest.mark.parametrize("tail", [None, _no_lower_x, _no_lower_y, _extra_inverse_y])
+def test_nested_congruence_matches_the_pair_walk(tail, monkeypatch):
+    # The lemma names exactly the larger sets of the walk's failing pairs.
+    # A flipped tail sign keeps the support, so neither check sees it; the
+    # psi tail check does.
+    if tail is not None:
+        monkeypatch.setattr(correspondence, "tail_image", tail)
+    rng = random.Random(5)
+    cases = [quantum_sample_image(n) for n in (1, 2, 3)]
+    cases += [random_params(n, rng) for n in (1, 2, 3, 4)]
+    verdicts = set()
+    for params in cases:
+        sets = enumerate_admissible(params.n)
+        report = nested_congruence_check(params, {t: derived_sets(t).eta for t in sets})
+        walk = nested_pairs_walk(params, sets)
+        named = {failure.split(": x")[0] for failure in report["failures"]}
+        assert named == {str(list(large.member_names())) for _, large in walk["failing"]}
+        assert report["ok"] == (not walk["failing"])
+        assert walk["pairs"] == count_nested_pairs(params.n)
+        verdicts.add(report["ok"])
+    assert verdicts == ({True} if tail is None else {True, False})
 
 
 def test_quantum_images_empty_set():
