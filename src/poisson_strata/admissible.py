@@ -3,18 +3,31 @@
 An admissible set is a subset of {y_i, x_i, Omega_i : i = 1..n} closed under
 the biconditional: a generator of the i-th pair belongs to the set exactly
 when both the i-th and (i-1)-th tail elements do (the i = 1 case reads
-against Omega_1 alone).  These sets index the strata of the Poisson prime
-spectrum; this module enumerates them, computes their derived data (the
-divisibility-avoidance monomials of the quotient basis, the length, the
-surviving y's, the killed target generators eta(T)), checks that eta is
-injective, counts the sets and their nested pairs without building them,
-labels each stratum, and lays the run's sets out as a poset.
+against Omega_1 alone).  That rule is a two-state automaton over the pairs,
+written once as the level-step table `LEVEL_STEPS`: validation checks each
+pair's flags against it, enumeration walks it, and the counts of the sets
+and of their nested pairs count its walks without building them.  These
+sets index the strata of the Poisson prime spectrum; this module also
+computes their derived data (the divisibility-avoidance monomials of the
+quotient basis, the length, the surviving y's, the killed target generators
+eta(T)), checks that eta is injective, labels each stratum, and lays the
+run's sets out as a poset.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from operator import le
+from typing import Hashable, Mapping, Sequence
+
+
+# The flags (y_i, x_i, Omega_i) that pair i may take, keyed by the tail flag
+# Omega_{i-1} of the pair before it, which reads as present before pair 1: a
+# pair generator is in exactly when Omega_i and Omega_{i-1} both are.
+LEVEL_STEPS: dict[bool, tuple[tuple[bool, bool, bool], ...]] = {
+    False: ((False, False, False), (False, False, True)),
+    True: ((False, False, False), (True, False, True), (False, True, True), (True, True, True)),
+}
 
 
 @dataclass(frozen=True)
@@ -31,18 +44,6 @@ class AdmissibleSet:
             raise ValueError("membership vectors must have length n")
         if not _satisfies_conditions(self.y_in, self.x_in, self.omega_in):
             raise ValueError(f"{self.member_names()} is not admissible")
-
-    @classmethod
-    def from_names(cls, n: int, names: Iterable[str]) -> AdmissibleSet:
-        y = [False] * n
-        x = [False] * n
-        o = [False] * n
-        for name in names:
-            kind, idx = parse_member_name(name)
-            if not 1 <= idx <= n:
-                raise ValueError(f"member {name!r} out of range for n={n}")
-            {"y": y, "x": x, "Omega": o}[kind][idx - 1] = True
-        return cls(n, tuple(y), tuple(x), tuple(o))
 
     def member_names(self) -> tuple[str, ...]:
         out = []
@@ -62,76 +63,59 @@ class AdmissibleSet:
         return (self.omega_in, self.y_in, self.x_in)
 
 
-def parse_member_name(name: str) -> tuple[str, int]:
-    for prefix in ("Omega", "y", "x"):
-        if name.startswith(prefix) and name[len(prefix):].isdigit():
-            return prefix, int(name[len(prefix):])
-    raise ValueError(f"not a generator-set member name: {name!r}")
+# the table as (Omega_{i-1}, y_i, x_i, Omega_i) rows, one membership test per pair
+_STEP_ROWS = frozenset((prev, *step) for prev, steps in LEVEL_STEPS.items() for step in steps)
 
 
 def _satisfies_conditions(y, x, o) -> bool:
-    # pair i is in exactly when Omega_i and Omega_{i-1} are; a tail stands before pair 1
-    prev = (True, *o[:-1])
-    return all((yi or xi) == (oi and pi) for yi, xi, oi, pi in zip(y, x, o, prev))
+    return _STEP_ROWS.issuperset(zip((True, *o), y, x, o))
 
 
 def enumerate_admissible(n: int) -> list[AdmissibleSet]:
-    """All admissible sets, in the canonical (omega, y, x bit-vector) order.
-
-    Built by level recursion: a level-i set extends a level-(i-1) set either
-    by nothing, by the tail element alone (only when the previous tail is
-    absent), or by the tail element with one or both pair generators (only
-    when the previous tail is present; at i = 1 that reads as always).
-    """
-    states: list[tuple[tuple[bool, ...], tuple[bool, ...], tuple[bool, ...]]] = [((), (), ())]
-    for i in range(1, n + 1):
-        new_states = []
-        for y, x, o in states:
-            prev_omega = True if i == 1 else o[-1]
-            new_states.append((y + (False,), x + (False,), o + (False,)))
-            if not prev_omega:
-                new_states.append((y + (False,), x + (False,), o + (True,)))
-            else:
-                new_states.append((y + (True,), x + (False,), o + (True,)))
-                new_states.append((y + (False,), x + (True,), o + (True,)))
-                new_states.append((y + (True,), x + (True,), o + (True,)))
-        states = new_states
-    sets = [AdmissibleSet(n, y, x, o) for y, x, o in states]
+    """All admissible sets, in the canonical (omega, y, x bit-vector) order:
+    the walks of n level steps through `LEVEL_STEPS`."""
+    walks: list[tuple[tuple[bool, ...], tuple[bool, ...], tuple[bool, ...]]] = [((), (), ())]
+    for _ in range(n):
+        walks = [
+            (y + (sy,), x + (sx,), o + (so,))
+            for y, x, o in walks
+            for sy, sx, so in LEVEL_STEPS[o[-1] if o else True]
+        ]
+    sets = [AdmissibleSet(n, y, x, o) for y, x, o in walks]
     sets.sort(key=AdmissibleSet.sort_key)
     return sets
 
 
-def count_admissible(n: int) -> int:
-    """The number of admissible sets, without building them.
-
-    Count the level-i states of `enumerate_admissible` by their last tail
-    flag: a_i without Omega_i, b_i with it.  Every state extends by one set
-    without the tail element, and by one (a state without Omega_{i-1}) or
-    three (a state with it) sets with it, so a_i = a_{i-1} + b_{i-1} and
-    b_i = a_{i-1} + 3 b_{i-1}.  Level 0 reads as (a, b) = (0, 1), since
-    the first pair behaves as if a tail element came before it; this gives
-    a_1 = 1, b_1 = 3 and 1, 4, 14, 48, 164, ... sets for n = 0, 1, 2, ...
-    """
-    a, b = 0, 1
+def _count_walks(moves: Mapping[Hashable, Sequence[Hashable]], start: Hashable, n: int) -> int:
+    """The number of n-step walks from `start`, a step leading from a state
+    to each of its `moves`: the walk counts kept per state, level by level."""
+    counts = {start: 1}
     for _ in range(n):
-        a, b = a + b, a + 3 * b
-    return a + b
+        counts_next = dict.fromkeys(moves, 0)
+        for state, count in counts.items():
+            for target in moves[state]:
+                counts_next[target] += count
+        counts = counts_next
+    return sum(counts.values())
+
+
+def count_admissible(n: int) -> int:
+    """The number of admissible sets, without building them: the walks of
+    `enumerate_admissible`, counted by their last tail flag."""
+    moves = {prev: [omega for _, _, omega in steps] for prev, steps in LEVEL_STEPS.items()}
+    return _count_walks(moves, True, n)
 
 
 def count_nested_pairs(n: int) -> int:
     """The number of pairs T inside T' of admissible sets, without building
-    them: `count_admissible`'s recurrence on pairs of level states, counted
-    by which sets hold the last tail element, a_i neither, b_i only T' and
-    c_i both.  Both sets extending by nothing gives a_i = a + b + c.  T'
-    alone taking the tail element, one way after a and three after b or c,
-    gives b_i = a + 3b + 3c.  Both taking it, T inside T', one way after a,
-    three after b and five after c, gives c_i = a + 3b + 5c.  From (0, 0, 1)
-    this gives 1, 9, 69, 517, ... pairs for n = 0, 1, 2, 3, ...
-    """
-    a, b, c = 0, 0, 1
-    for _ in range(n):
-        a, b, c = a + b + c, a + 3 * b + 3 * c, a + 3 * b + 5 * c
-    return a + b + c
+    them: the walks of step pairs s inside s', counted by the last tail
+    flags of T and T'."""
+    moves = {
+        (a, b): [(s[2], t[2]) for s in LEVEL_STEPS[a] for t in LEVEL_STEPS[b] if all(map(le, s, t))]
+        for a in LEVEL_STEPS
+        for b in LEVEL_STEPS
+    }
+    return _count_walks(moves, (True, True), n)
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import add
-from typing import Iterable, Optional
+from typing import Optional
 
 from .algebra_an import PairParams, generator_names, pair_word, tail_coefficient, tail_element
 from .exact_poly import StepBudget, TermMap, VarSpec, accumulate, format_terms
@@ -204,6 +204,7 @@ def commutation_matrix(params: QuantumParams) -> tuple[tuple[Fraction, ...], ...
 # -- the attached quantum torus ---------------------------------------------
 
 
+@dataclass(frozen=True)
 class QuantumTorus:
     """Arithmetic in the attached quantized coordinate ring, modulo killed
     generators and localized at inverted ones.
@@ -214,17 +215,8 @@ class QuantumTorus:
     up the bicharacter twist of the commutation matrix.
     """
 
-    def __init__(self, params: QuantumParams, kill: Iterable[str] = (), invert: Iterable[str] = ()):
-        self.params = params
-        self.varspec = VarSpec(torus_names(params.n), frozenset(invert), frozenset(kill))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, QuantumTorus):
-            return NotImplemented
-        return self.params == other.params and self.varspec == other.varspec
-
-    def __hash__(self):
-        return hash((self.params, self.varspec))
+    params: QuantumParams
+    varspec: VarSpec
 
     def twist(self, u: tuple[int, ...], v: tuple[int, ...]) -> Fraction:
         """Scalar in X^u X^v = twist * X^(u+v); a bicharacter in each slot."""

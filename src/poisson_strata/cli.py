@@ -172,6 +172,9 @@ class Config:
         return adm.enumerate_admissible(self.n)
 
 
+CONFIG_KEYS = ("mode", "n", "gamma", "p", "q", "phi_weights")
+
+
 def load_config(path: str) -> Config:
     with open(path) as fh:
         try:
@@ -182,6 +185,9 @@ def load_config(path: str) -> Config:
             raise ConfigError("config nests too deeply to be read") from None
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
+    unknown = sorted(raw.keys() - CONFIG_KEYS)
+    if unknown:
+        raise ConfigError(f"unknown config key {unknown[0]!r}; the keys are {', '.join(CONFIG_KEYS)}")
     mode = raw.get("mode")
     if mode not in ("poisson", "quantum", "paired"):
         raise ConfigError("mode must be one of poisson, quantum, paired")
@@ -218,14 +224,6 @@ def load_config(path: str) -> Config:
             if not prime:
                 raise ConfigError(f"weight keys must be primes, got {key!r}")
             weights[int(key)] = _rational(value)
-    if raw.get("admissible") is not None:  # validated only; no command reads it
-        names = _list(raw["admissible"], "admissible")
-        if not all(isinstance(name, str) for name in names):
-            raise ConfigError(f"admissible members must be strings, got {names!r}")
-        try:
-            adm.AdmissibleSet.from_names(n, names)
-        except ValueError as exc:
-            raise ConfigError(f"bad admissible literal: {exc}") from None
     limit = os.environ.get(ENV_STEP_BUDGET)
     try:
         step_limit = DEFAULT_STEP_BUDGET if limit is None else int(limit)

@@ -243,7 +243,7 @@ def quantum_stratum_map(params: QuantumParams, t_set: AdmissibleSet) -> Generato
     """The map into the quantum torus on the stratum ring."""
 
     def build(vs: VarSpec):
-        torus = QuantumTorus(params, kill=vs.killed, invert=vs.invertible)
+        torus = QuantumTorus(params, vs)
         return torus, QTorusElement.one(torus)
 
     return _stratum_map(params, t_set, build)
@@ -292,7 +292,6 @@ class AdditiveCharacter:
     weights: tuple[tuple[int, Fraction], ...]
     params: QuantumParams
     injective_on_group: bool
-    minus_one_in_group: bool
     induced: PoissonParams
 
     def apply(self, value: Fraction) -> Fraction:
@@ -380,7 +379,6 @@ def group_character(
         weights=tuple(sorted(weights.items())),
         params=params,
         injective_on_group=injective,
-        minus_one_in_group=False,
         induced=PoissonParams(n, tuple(map(tuple, gamma)), image_p, image_q),
     )
 
@@ -418,7 +416,9 @@ def stratification_report(character: AdditiveCharacter, sets: Sequence[Admissibl
             "weights": {str(p): str(w) for p, w in character.weights},
             **text(pparams),
             "injective_on_group": character.injective_on_group,
-            "minus_one_in_group": character.minus_one_in_group,
+            # group_character raises GroupContainsMinusOne before it builds
+            # a character, so a reported group never contains -1
+            "minus_one_in_group": False,
         },
         "strata": strata,
         "grade": "homeomorphism" if character.injective_on_group else "quotient",

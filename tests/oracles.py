@@ -1,10 +1,11 @@
 """Fixtures and independent oracles that only the tests read.
 
-The sample parameter sets, random parameters, and slow or roundabout
-re-derivations of what the package computes: the brute-force admissible
-filter, monomial counting of quotient growth, the nested-pair walk of the
-eta congruence, the defining relations of the quantized algebra written out
-one by one, Poisson-normality detection by exact division, and the
+The sample parameter sets, random parameters, admissible sets by member
+name, and slow or roundabout re-derivations of what the package computes:
+the paper's admissibility biconditional and the brute-force filter by it,
+monomial counting of quotient growth, the nested-pair walk of the eta
+congruence, the defining relations of the quantized algebra written out one
+by one, Poisson-normality detection by exact division, and the
 canonical text of a parsed expression.
 """
 
@@ -90,19 +91,35 @@ def truncated(params: PoissonParams, m: int) -> PoissonParams:
 # -- admissible sets and growth -------------------------------------------------
 
 
+def admissible_by_biconditional(y, x, o) -> bool:
+    """The paper's definition, pair by pair: y_i or x_i is in the set exactly
+    when Omega_i and Omega_{i-1} both are, Omega_0 read as present."""
+    prev = (True, *o[:-1])
+    return all((yi or xi) == (oi and pi) for yi, xi, oi, pi in zip(y, x, o, prev))
+
+
 def brute_force_admissible(n: int) -> list[AdmissibleSet]:
-    """Filter of all 2^(3n) membership triples; the enumeration cross-check."""
-    out = []
+    """Filter of all 2^(3n) membership triples by the biconditional; the
+    enumeration cross-check."""
     bools = [False, True]
-    for y in product(bools, repeat=n):
-        for x in product(bools, repeat=n):
-            for o in product(bools, repeat=n):
-                try:
-                    out.append(AdmissibleSet(n, y, x, o))
-                except ValueError:
-                    pass
+    out = [
+        AdmissibleSet(n, y, x, o)
+        for y in product(bools, repeat=n)
+        for x in product(bools, repeat=n)
+        for o in product(bools, repeat=n)
+        if admissible_by_biconditional(y, x, o)
+    ]
     out.sort(key=AdmissibleSet.sort_key)
     return out
+
+
+def admissible_from_names(n: int, names: Sequence[str]) -> AdmissibleSet:
+    """The set of the member names y_i, x_i and Omega_i, i in 1..n."""
+    flags = {kind: [False] * n for kind in ("y", "x", "Omega")}
+    for name in names:
+        kind = name.rstrip("0123456789")
+        flags[kind][int(name[len(kind):]) - 1] = True
+    return AdmissibleSet(n, *(tuple(flags[kind]) for kind in ("y", "x", "Omega")))
 
 
 def count_series(t_set: AdmissibleSet, max_degree: int) -> list[int]:

@@ -9,6 +9,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 from oracles import (
+    admissible_from_names,
     brute_force_admissible,
     double_extension_normal_element,
     growth_check,
@@ -20,7 +21,6 @@ from oracles import (
     sample_weights,
 )
 from poisson_strata.admissible import (
-    AdmissibleSet,
     derived_sets,
     enumerate_admissible,
     eta_injectivity,
@@ -47,6 +47,7 @@ from poisson_strata.correspondence import (
     GroupContainsMinusOne,
     group_character,
     nested_congruence_check,
+    stratification_report,
     swapped_products,
     verify_poisson_stratum_map,
     verify_quantum_stratum_map,
@@ -229,8 +230,8 @@ def test_criterion_09_quantum_stratum_maps():
                 assert report["ok"], (n, t_set.member_names(), report["failures"])
         params3 = quantum_sample(3)
         products3 = swapped_products(params3)
-        empty = AdmissibleSet.from_names(3, [])
-        maximal = AdmissibleSet.from_names(
+        empty = admissible_from_names(3, [])
+        maximal = admissible_from_names(
             3, [name for i in (1, 2, 3) for name in (f"y{i}", f"x{i}", f"Omega{i}")]
         )
         for t_set in (empty, maximal):
@@ -270,7 +271,7 @@ def test_criterion_11_character_hypotheses():
         character = group_character(quantum_sample(), sample_weights())
         assert character.induced == quantum_sample_image()
         assert character.injective_on_group is True
-        assert character.minus_one_in_group is False
+        assert stratification_report(character, [])["phi"]["minus_one_in_group"] is False
 
         mixed = QuantumParams.make(2, [[1, 1], [1, 1]], [2, 5], [3, 7])
         weights = {2: Fraction(1), 3: Fraction(2), 5: Fraction(3), 7: Fraction(5)}

@@ -4,9 +4,14 @@ from itertools import product
 
 import pytest
 
-from oracles import brute_force_admissible, growth_check
+from oracles import (
+    admissible_by_biconditional,
+    admissible_from_names,
+    brute_force_admissible,
+    growth_check,
+)
 from poisson_strata.admissible import (
-    AdmissibleSet,
+    _satisfies_conditions,
     count_admissible,
     count_nested_pairs,
     derived_sets,
@@ -20,15 +25,15 @@ from poisson_strata.admissible import (
 
 
 def test_count_follows_the_level_recurrence():
-    # a_i = a_{i-1} + b_{i-1}, b_i = a_{i-1} + 3 b_{i-1} counts the sets
-    # without building them; n = 12 would build 3,028,544 of them.
+    # the walks through the level steps, counted by their last tail flag,
+    # without building the sets; n = 12 would build 3,028,544 of them.
     for n in range(8):
         assert count_admissible(n) == len(enumerate_admissible(n))
     assert [count_admissible(n) for n in (9, 12)] == [76096, 3028544]
 
 
 def test_nested_pair_count_follows_the_level_recurrence():
-    # a = neither set holds the last tail element, b = only T', c = both
+    # the walks of nested step pairs, counted by the last tail flags of T and T'
     for n in range(6):
         sets = enumerate_admissible(n)
         pairs = sum(small.members() <= large.members() for small in sets for large in sets)
@@ -45,12 +50,20 @@ def test_counts_match_brute_force():
         assert fast == slow
 
 
+def test_validation_agrees_with_the_biconditional():
+    # the level-step table against the paper's definition, written out apart
+    bools = (False, True)
+    for n in range(4):
+        for y, x, o in product(product(bools, repeat=n), repeat=3):
+            assert _satisfies_conditions(y, x, o) == admissible_by_biconditional(y, x, o)
+
+
 def test_membership_validation():
     with pytest.raises(ValueError):
-        AdmissibleSet.from_names(1, ["Omega1"])  # tail alone fails at the first pair
+        admissible_from_names(1, ["Omega1"])  # tail alone fails at the first pair
     with pytest.raises(ValueError):
-        AdmissibleSet.from_names(2, ["y2", "Omega2"])  # needs Omega1 too
-    AdmissibleSet.from_names(2, ["Omega2"])  # tail alone is fine above the first pair
+        admissible_from_names(2, ["y2", "Omega2"])  # needs Omega1 too
+    admissible_from_names(2, ["Omega2"])  # tail alone is fine above the first pair
 
 
 def test_first_level_sets():
@@ -64,19 +77,19 @@ def test_first_level_sets():
 
 
 def test_derived_sets_examples():
-    t1 = AdmissibleSet.from_names(2, ["y1", "Omega1"])
+    t1 = admissible_from_names(2, ["y1", "Omega1"])
     d1 = derived_sets(t1)
     assert d1.avoid_monomials == (("y1",),)
     assert d1.length_members == ("y1",)
     assert d1.eta == ("Y1",)
 
-    t2 = AdmissibleSet.from_names(2, ["Omega2"])
+    t2 = admissible_from_names(2, ["Omega2"])
     d2 = derived_sets(t2)
     assert d2.eta == ("X2",)
     assert d2.length_members == ("Omega2",)
     assert stratum_label(t2)["length"] == 1
 
-    empty = AdmissibleSet.from_names(2, [])
+    empty = admissible_from_names(2, [])
     d3 = derived_sets(empty)
     assert d3.avoid_monomials == ()
     assert d3.eta == ()
@@ -120,17 +133,17 @@ def test_growth_counts_match_enumeration_oracle():
 
 
 def test_growth_degree_examples():
-    empty = AdmissibleSet.from_names(2, [])
+    empty = admissible_from_names(2, [])
     assert stratum_label(empty)["gk_dim"] == 4
     report = growth_check(empty)
     # free ring count is a binomial in the degree
     assert report["counts"][4] == 70  # C(8, 4)
     assert report["ok"]
 
-    t_tail = AdmissibleSet.from_names(2, ["Omega2"])
+    t_tail = admissible_from_names(2, ["Omega2"])
     assert stratum_label(t_tail)["gk_dim"] == 3
 
-    full = AdmissibleSet.from_names(2, ["y1", "x1", "Omega1", "y2", "x2", "Omega2"])
+    full = admissible_from_names(2, ["y1", "x1", "Omega1", "y2", "x2", "Omega2"])
     assert stratum_label(full)["gk_dim"] == 0
     assert set(growth_check(full)["counts"]) == {1}
 

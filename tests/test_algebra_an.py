@@ -5,9 +5,15 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import poisson_sample, quantum_sample_image, random_params, truncated
+from oracles import (
+    admissible_from_names,
+    poisson_sample,
+    quantum_sample_image,
+    random_params,
+    truncated,
+)
 from poisson_strata import algebra_an
-from poisson_strata.admissible import AdmissibleSet, enumerate_admissible
+from poisson_strata.admissible import enumerate_admissible
 from poisson_strata.algebra_an import (
     PoissonParams,
     an_varspec,
@@ -222,19 +228,19 @@ def test_matrix_is_table_without_tails():
 def test_quotient_system_rules():
     params = poisson_sample()
     vs = an_varspec(2)
-    t1 = AdmissibleSet.from_names(2, ["y1", "Omega1"])
+    t1 = admissible_from_names(2, ["y1", "Omega1"])
     system = quotient_system(params, t1)
     assert len(system.rules) == 1
     assert reduce_poly(omega(params, 1, vs), system).is_zero()
 
-    t2 = AdmissibleSet.from_names(2, ["Omega2"])
+    t2 = admissible_from_names(2, ["Omega2"])
     system2 = quotient_system(params, t2)
     assert len(system2.rules) == 1
     rule = system2.rules[0]
     assert rule.lead == (0, 0, 1, 1)
     assert rule.replacement == LaurentPoly.monomial(vs, {"y1": 1, "x1": 1}, Fraction(-3, 4))
 
-    empty = quotient_system(params, AdmissibleSet.from_names(2, []))
+    empty = quotient_system(params, admissible_from_names(2, []))
     assert empty.rules == ()
     f = LaurentPoly.monomial(vs, {"y2": 2, "x1": 1})
     assert reduce_poly(f, empty) == f
@@ -244,7 +250,7 @@ def test_quotient_system_pair_rule_rhs_reduced():
     # With y1 killed, the third pair rule's right side loses its y1 x1 term
     # and must come out already in normal form.
     params = quantum_sample_image(3)  # q - p = (1, 2, 3)
-    t_set = AdmissibleSet.from_names(3, ["y1", "Omega1", "Omega3"])
+    t_set = admissible_from_names(3, ["y1", "Omega1", "Omega3"])
     system = quotient_system(params, t_set)
     vs = an_varspec(3)
     pair3 = tuple(1 if name in ("y3", "x3") else 0 for name in vs.names)

@@ -17,12 +17,18 @@ from poisson_strata.algebra_kn import (
     nc_multiply,
     normality_check,
     omega_q,
+    torus_names,
 )
-from poisson_strata.exact_poly import StepBudget, StepBudgetExceeded
+from poisson_strata.exact_poly import StepBudget, StepBudgetExceeded, VarSpec
 
 
 def gen(n, name):
     return NCElement.generator(n, name)
+
+
+def torus_on(params, kill=(), invert=()):
+    """The torus of `params` with the named generators killed and inverted."""
+    return QuantumTorus(params, VarSpec(torus_names(params.n), frozenset(invert), frozenset(kill)))
 
 
 def test_params_validation():
@@ -101,7 +107,7 @@ def test_associativity_random_monomials():
 
 def test_degree_filtration_and_top_twist():
     params = quantum_sample(2)
-    torus = QuantumTorus(params)
+    torus = torus_on(params)
     rng = random.Random(13)
 
     def random_element():
@@ -166,21 +172,21 @@ def test_commutation_matrix_entries():
 
 def test_torus_products():
     params = quantum_sample()
-    torus = QuantumTorus(params)
+    torus = torus_on(params)
     x1, y1 = QTorusElement.generator(torus, "X1"), QTorusElement.generator(torus, "Y1")
     assert x1 * y1 == QTorusElement.monomial(torus, {"Y1": 1, "X1": 1}, 4)
 
-    killed = QuantumTorus(params, kill=["Y1"])
+    killed = torus_on(params, kill=["Y1"])
     assert QTorusElement.monomial(killed, {"Y1": 1, "X2": 1}).is_zero()
 
-    inverted = QuantumTorus(params, invert=["Y2"])
+    inverted = torus_on(params, invert=["Y2"])
     lhs = QTorusElement.generator(inverted, "Y2") ** (-1) * QTorusElement.generator(inverted, "Y1")
     assert lhs == QTorusElement.monomial(inverted, {"Y1": 1, "Y2": -1}, 2)
 
 
 def test_torus_inverse_is_two_sided():
     params = quantum_sample()
-    torus = QuantumTorus(params, invert=["Y1", "Y2"])
+    torus = torus_on(params, invert=["Y1", "Y2"])
     m = QTorusElement.monomial(torus, {"Y1": 2, "Y2": 1}, Fraction(3, 7))
     inv = m ** (-1)
     assert m * inv == QTorusElement.one(torus)
@@ -189,7 +195,7 @@ def test_torus_inverse_is_two_sided():
 
 def test_torus_twist_is_bicharacter():
     params = quantum_sample(3)
-    torus = QuantumTorus(params, invert=[f"Y{i}" for i in (1, 2, 3)])
+    torus = torus_on(params, invert=[f"Y{i}" for i in (1, 2, 3)])
     rng = random.Random(14)
     for _ in range(200):
         u = tuple(rng.randint(-2, 3) for _ in range(6))
@@ -203,22 +209,22 @@ def test_torus_twist_is_bicharacter():
 def test_torus_kill_invert_overlap_rejected():
     params = quantum_sample()
     with pytest.raises(ValueError):
-        QuantumTorus(params, kill=["Y1"], invert=["Y1"])
+        torus_on(params, kill=["Y1"], invert=["Y1"])
     with pytest.raises(KeyError):
-        QuantumTorus(params, kill=["Z9"])
+        torus_on(params, kill=["Z9"])
 
 
 def test_owner_mismatch_raises_for_tori_and_arities():
     from poisson_strata.exact_poly import VarSpecMismatch
 
     params = quantum_sample()
-    plain, inverted = QuantumTorus(params), QuantumTorus(params, invert=["Y1"])
+    plain, inverted = torus_on(params), torus_on(params, invert=["Y1"])
     a, b = QTorusElement.generator(plain, "Y1"), QTorusElement.generator(inverted, "X2")
     for op in (lambda: a + b, lambda: a - b, lambda: a * b):
         with pytest.raises(VarSpecMismatch):
             op()
     # an equal torus built apart is the same owner
-    apart = QTorusElement.generator(QuantumTorus(params), "X2")
+    apart = QTorusElement.generator(torus_on(params), "X2")
     assert a + apart == QTorusElement.monomial(plain, {"Y1": 1}) + QTorusElement.generator(plain, "X2")
     with pytest.raises(VarSpecMismatch):
         gen(2, "y1") + gen(3, "y1")
@@ -228,7 +234,7 @@ def test_owner_mismatch_raises_for_tori_and_arities():
 
 def test_constructors_reject_bad_arity_and_negative_exponents():
     params = quantum_sample()
-    torus = QuantumTorus(params, invert=["Y2"])
+    torus = torus_on(params, invert=["Y2"])
     with pytest.raises(ValueError):
         NCElement(2, {(1, 0, 0): 1})
     with pytest.raises(ValueError):
@@ -239,12 +245,12 @@ def test_constructors_reject_bad_arity_and_negative_exponents():
         QTorusElement(torus, {(1, 0, 0): 1})
     with pytest.raises(ValueError):
         QTorusElement.generator(torus, "X1") ** -1
-    assert QTorusElement(QuantumTorus(params, kill=["X1"]), {(0, 1, 0, 0): 5}).is_zero()
+    assert QTorusElement(torus_on(params, kill=["X1"]), {(0, 1, 0, 0): 5}).is_zero()
 
 
 def test_torus_power_multiplies_only_for_remaining_bits(monkeypatch):
     params = quantum_sample()
-    torus = QuantumTorus(params, invert=["Y1", "Y2"])
+    torus = torus_on(params, invert=["Y1", "Y2"])
     g = QTorusElement.monomial(torus, {"Y1": 1, "X2": 1}, 3) + QTorusElement.generator(torus, "Y2")
     m = QTorusElement.monomial(torus, {"Y1": 2, "Y2": 1}, Fraction(3, 7))
     expected = {0: QTorusElement.one(torus), 1: g, 2: g * g, 5: g * g * g * g * g}

@@ -30,6 +30,7 @@ _FIELDS = {
     "q": st.lists(_RATIONALS, max_size=3) | _JSON,
     "phi_weights": st.dictionaries(st.sampled_from(["2", "3", "4", "02", "x"]), _RATIONALS, max_size=2)
     | _JSON,
+    # not a config key: a config that carries it ends in the ConfigError naming it
     "admissible": st.lists(st.sampled_from(["y1", "x1", "Omega1", "z1"]) | _JSON, max_size=3)
     | _JSON,
 }

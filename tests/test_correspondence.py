@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from oracles import (
+    admissible_from_names,
     defining_relations,
     nested_pairs_walk,
     quantum_sample,
@@ -19,7 +20,6 @@ from oracles import (
 )
 from poisson_strata import algebra_an, algebra_kn, cli, correspondence
 from poisson_strata.admissible import (
-    AdmissibleSet,
     count_nested_pairs,
     derived_sets,
     enumerate_admissible,
@@ -49,14 +49,14 @@ PAIRED_N4 = str(Path(__file__).resolve().parent.parent / "perfbench" / "configs"
 
 
 def empty_set(n):
-    return AdmissibleSet.from_names(n, [])
+    return admissible_from_names(n, [])
 
 
 def full_set(n):
     names = []
     for i in range(1, n + 1):
         names += [f"y{i}", f"x{i}", f"Omega{i}"]
-    return AdmissibleSet.from_names(n, names)
+    return admissible_from_names(n, names)
 
 
 def test_poisson_images_empty_set():
@@ -75,7 +75,7 @@ def test_poisson_images_empty_set():
 
 def test_poisson_image_previous_tail_in_set():
     params = quantum_sample_image()
-    gmap = poisson_stratum_map(params, AdmissibleSet.from_names(2, ["y1", "Omega1"]))
+    gmap = poisson_stratum_map(params, admissible_from_names(2, ["y1", "Omega1"]))
     vs = gmap.target.varspec
     assert gmap.images["x2"] == LaurentPoly.variable(vs, "X2")
     assert gmap.images["y1"].is_zero()  # Y1 is killed in the target
@@ -83,7 +83,7 @@ def test_poisson_image_previous_tail_in_set():
 
 def test_poisson_image_own_tail_in_set():
     params = quantum_sample_image()
-    gmap = poisson_stratum_map(params, AdmissibleSet.from_names(2, ["Omega2"]))
+    gmap = poisson_stratum_map(params, admissible_from_names(2, ["Omega2"]))
     vs = gmap.target.varspec
     assert "X2" in vs.killed
     assert gmap.images["x2"] == LaurentPoly.monomial(
@@ -181,7 +181,7 @@ def test_poisson_failure_names_pair_and_residual():
         verify_poisson_stratum_map(params, empty_set(2), build_an(quantum_sample_image(1)))
 
 
-KILLS_Y1 = AdmissibleSet.from_names(2, ["y1", "Omega1"])  # eta = (Y1,)
+KILLS_Y1 = admissible_from_names(2, ["y1", "Omega1"])  # eta = (Y1,)
 
 
 def test_poisson_failure_on_a_stratum_that_kills_generators():
@@ -584,7 +584,7 @@ def test_character_transports_the_sample():
     assert character.induced.q == (2, 5)
     assert character.induced.gamma[0][1] == 1
     assert character.injective_on_group is True
-    assert character.minus_one_in_group is False
+    assert stratification_report(character, [])["phi"]["minus_one_in_group"] is False
     assert character.induced == quantum_sample_image()
 
 
