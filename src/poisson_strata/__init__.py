@@ -17,7 +17,6 @@ from .algebra_an import (
     iterated_presentation,
     k_basis,
     level_eigen_elements,
-    log_canonical_matrix,
     omega,
     quotient_system,
     verify_omega_identities,
@@ -26,7 +25,6 @@ from .algebra_kn import (
     NCElement,
     QuantumParams,
     QuantumTorus,
-    commutation_matrix,
     nc_multiply,
     normality_check,
     omega_q,

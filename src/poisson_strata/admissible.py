@@ -9,14 +9,16 @@ pair's flags against it, enumeration walks it, and the counts of the sets
 and of their nested pairs count its walks without building them.  These
 sets index the strata of the Poisson prime spectrum; this module also
 computes their derived data (the divisibility-avoidance monomials of the
-quotient basis, the length, the surviving y's, the killed target generators
-eta(T)), checks that eta is injective, labels each stratum, and lays the
-run's sets out as a poset.
+quotient basis and the killed target generators eta(T), one of each per
+unit of length), checks that eta is injective, labels each stratum, and
+lays the run's sets out as a poset.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+from itertools import chain, compress
 from operator import le
 from typing import Hashable, Mapping, Sequence
 
@@ -46,21 +48,21 @@ class AdmissibleSet:
             raise ValueError(f"{self.member_names()} is not admissible")
 
     def member_names(self) -> tuple[str, ...]:
-        out = []
-        for i in range(1, self.n + 1):
-            if self.y_in[i - 1]:
-                out.append(f"y{i}")
-            if self.x_in[i - 1]:
-                out.append(f"x{i}")
-            if self.omega_in[i - 1]:
-                out.append(f"Omega{i}")
-        return tuple(out)
+        flags = chain.from_iterable(zip(self.y_in, self.x_in, self.omega_in))
+        return tuple(compress(_candidate_names(self.n), flags))
 
     def members(self) -> frozenset[str]:
         return frozenset(self.member_names())
 
     def sort_key(self):
         return (self.omega_in, self.y_in, self.x_in)
+
+
+@functools.cache
+def _candidate_names(n: int) -> tuple[str, ...]:
+    """y1, x1, Omega1, ..., yn, xn, Omegan: every possible member, in the
+    order of `AdmissibleSet.member_names`."""
+    return tuple(f"{v}{i}" for i in range(1, n + 1) for v in ("y", "x", "Omega"))
 
 
 # the table as (Omega_{i-1}, y_i, x_i, Omega_i) rows, one membership test per pair
@@ -124,15 +126,11 @@ class DerivedSets:
 
     avoid_monomials: monomials (as name tuples) no basis monomial of the
         quotient may be divisible by.
-    length_members: the members counted by the length of T.
-    y_survivors: the y-generators outside the set; the stratum maps invert
-        the target Y's named after them.
-    eta: the target-side generators killed by the stratum maps.
+    eta: the target-side generators killed by the stratum maps, one per
+        member counted by the length of T.
     """
 
     avoid_monomials: tuple[tuple[str, ...], ...]
-    length_members: tuple[str, ...]
-    y_survivors: tuple[str, ...]
     eta: tuple[str, ...]
 
 
@@ -140,31 +138,19 @@ def derived_sets(t_set: AdmissibleSet) -> DerivedSets:
     n = t_set.n
     y, x, o = t_set.y_in, t_set.x_in, t_set.omega_in
     avoid: list[tuple[str, ...]] = []
-    length_members: list[str] = []
-    y_surv: list[str] = []
     eta: list[str] = []
     for i in range(1, n + 1):
         pair_only = o[i - 1] and not y[i - 1] and not x[i - 1]
         if y[i - 1]:
             avoid.append((f"y{i}",))
-            length_members.append(f"y{i}")
             eta.append(f"Y{i}")
         if x[i - 1]:
             avoid.append((f"x{i}",))
-            length_members.append(f"x{i}")
             eta.append(f"X{i}")
         if pair_only:
             avoid.append((f"y{i}", f"x{i}"))
-            length_members.append(f"Omega{i}")
             eta.append(f"X{i}")
-        if not y[i - 1]:
-            y_surv.append(f"y{i}")
-    return DerivedSets(
-        avoid_monomials=tuple(avoid),
-        length_members=tuple(length_members),
-        y_survivors=tuple(y_surv),
-        eta=tuple(eta),
-    )
+    return DerivedSets(avoid_monomials=tuple(avoid), eta=tuple(eta))
 
 
 def eta_injectivity(etas: Mapping[AdmissibleSet, Sequence[str]]) -> bool:
@@ -175,11 +161,12 @@ def eta_injectivity(etas: Mapping[AdmissibleSet, Sequence[str]]) -> bool:
 def stratum_label(t_set: AdmissibleSet) -> dict:
     """What identifies the stratum of T, the first keys of every poset node
     and `map-report` stratum entry: the member names, the killed target
-    generators eta(T), the length (the number of `length_members`) and the
-    growth degree of the quotient, 2n minus the length; all read from one
+    generators eta(T), the length (the size of eta(T): one per y_i and x_i
+    in T and per Omega_i in T with neither y_i nor x_i) and the growth
+    degree of the quotient, 2n minus the length; all read from one
     `derived_sets(T)`."""
     sets = derived_sets(t_set)
-    size = len(sets.length_members)
+    size = len(sets.eta)
     return {
         "members": list(t_set.member_names()),
         "eta": list(sets.eta),

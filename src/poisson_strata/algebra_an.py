@@ -16,7 +16,7 @@ systems presenting the quotients by admissible-set ideals.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
@@ -52,13 +52,18 @@ class PairParams:
 
     Both algebras are built from this data, gamma skew-symmetric additively
     on the Poisson side and multiplicatively on the quantized side; each
-    subclass checks its side's conditions in `_check_values`.
+    subclass checks its side's conditions in `_check_values` and evaluates
+    the pair words (`pair_word`) in `_evaluate`.  `matrix` is the 2n x 2n
+    table of those values, derived once per parameter set: the log-canonical
+    matrix R on the Poisson side, the commutation matrix S on the quantized
+    one.
     """
 
     n: int
     gamma: tuple[tuple[Fraction, ...], ...]
     p: tuple[Fraction, ...]
     q: tuple[Fraction, ...]
+    matrix: tuple[tuple[Fraction, ...], ...] = field(init=False, repr=False, compare=False)
 
     @classmethod
     def make(cls, n: int, gamma, p, q):
@@ -73,11 +78,21 @@ class PairParams:
         if len(self.p) != n or len(self.q) != n:
             raise ValueError("p and q must have length n")
         self._check_values()
+        size = 2 * n
+        matrix = tuple(
+            tuple(self._evaluate(pair_word(self, a, b)) for b in range(size)) for a in range(size)
+        )
+        object.__setattr__(self, "matrix", matrix)
 
 
 @dataclass(frozen=True)
 class PoissonParams(PairParams):
     """n, the skew-symmetric coupling matrix, and the two weight vectors."""
+
+    @staticmethod
+    def _evaluate(word) -> Fraction:
+        """A pair word read additively: the log-canonical coefficient R(a, b)."""
+        return sum((e * atom for atom, e in word), Fraction(0))
 
     def _check_values(self):
         n = self.n
@@ -119,11 +134,12 @@ def pair_word(params: PairParams, a: int, b: int) -> tuple[Atom, ...]:
         (x_i, x_j)  gamma_ij q_i p_j^-1
 
     (b, a) gives the inverse word and (a, a) the empty one.  Evaluated
-    additively (`log_coefficient`) the word is the log-canonical
+    additively (`PoissonParams._evaluate`) the word is the log-canonical
     coefficient of the Poisson algebra; evaluated multiplicatively
-    (`algebra_kn.commutation_matrix`) it is the commutation scalar of the
+    (`QuantumParams._evaluate`) it is the commutation scalar of the
     quantized algebra.  The additive character of the parameter group turns
-    the second into the first.  `params` is either side's parameters.
+    the second into the first.  `params` is either side's parameters; each
+    side reads the values from `params.matrix`.
     """
     if a > b:
         return tuple((atom, -e) for atom, e in pair_word(params, b, a))
@@ -136,11 +152,6 @@ def pair_word(params: PairParams, a: int, b: int) -> tuple[Atom, ...]:
     if a % 2 == 0:
         return ((gamma, 1),) if b % 2 == 0 else ((gamma, -1), (q_i, -1))
     return ((gamma, -1), (p_j, 1)) if b % 2 == 0 else ((gamma, 1), (q_i, 1), (p_j, -1))
-
-
-def log_coefficient(params: PoissonParams, a: int, b: int) -> Fraction:
-    """The log-canonical coefficient R(a, b): the pair word evaluated additively."""
-    return sum((e * atom for atom, e in pair_word(params, a, b)), Fraction(0))
 
 
 def tail_coefficient(params: PairParams, k: int) -> Fraction:
@@ -183,7 +194,7 @@ def omega(params: PoissonParams, i: int, varspec: VarSpec | None = None) -> Laur
     return tail_element(params, i, LaurentPoly, varspec if varspec is not None else an_varspec(params.n))
 
 
-def log_canonical_table(params: PairParams, vs: VarSpec) -> dict[tuple[int, int], LaurentPoly]:
+def log_canonical_table(params: PoissonParams, vs: VarSpec) -> dict[tuple[int, int], LaurentPoly]:
     """The bracket table {g_a, g_b} = R(a, b) g_a g_b, a < b, over `vs`.
 
     `vs` names the generators of either ring in the order y1, x1, ..., yn,
@@ -194,7 +205,7 @@ def log_canonical_table(params: PairParams, vs: VarSpec) -> dict[tuple[int, int]
     live = [a for a in range(len(names)) if a not in vs.killed_indices]
     table: dict[tuple[int, int], LaurentPoly] = {}
     for a, b in combinations(live, 2):
-        coeff = log_coefficient(params, a, b)
+        coeff = params.matrix[a][b]
         if coeff:
             table[(a, b)] = LaurentPoly.monomial(vs, {names[a]: 1, names[b]: 1}, coeff)
     return table
@@ -279,6 +290,7 @@ class IteratedPresentation:
 def iterated_presentation(params: PoissonParams) -> IteratedPresentation:
     """Level j adjoins y_j, x_j with alpha = R(-, y_j), beta = R(-, x_j) on the
     lower generators, c = R(y_j, x_j), u = -O_{j-1} and d = p_j."""
+    r = params.matrix
     structure = PoissonStructure(VarSpec(()), {})
     specs = []
     structures = [structure]
@@ -287,13 +299,9 @@ def iterated_presentation(params: PoissonParams) -> IteratedPresentation:
         yj, xj = 2 * j - 2, 2 * j - 1
         spec = DoubleExtensionSpec(
             base=structure,
-            alpha=PoissonDerivation.scaling(
-                vs, {name: log_coefficient(params, a, yj) for a, name in enumerate(vs.names)}
-            ),
-            beta=PoissonDerivation.scaling(
-                vs, {name: log_coefficient(params, a, xj) for a, name in enumerate(vs.names)}
-            ),
-            c=log_coefficient(params, yj, xj),
+            alpha=PoissonDerivation.scaling(vs, {g: r[a][yj] for a, g in enumerate(vs.names)}),
+            beta=PoissonDerivation.scaling(vs, {g: r[a][xj] for a, g in enumerate(vs.names)}),
+            c=r[yj][xj],
             u=-omega(params, j - 1, vs),
             d=params.p[j - 1],
             y_name=f"y{j}",
@@ -381,10 +389,9 @@ def level_eigen_elements(params: PoissonParams) -> tuple[KElement, KElement]:
     if n < 1:
         raise ValueError("needs at least one pair")
     yn, xn = 2 * n - 2, 2 * n - 1
-    lower = range(2 * n - 2)
-    f_vec = [log_coefficient(params, a, yn) for a in lower] + [Fraction(1), params.p[n - 1] - 1]
-    g_vec = [log_coefficient(params, a, xn) for a in lower]
-    g_vec += [log_coefficient(params, yn, xn), tail_coefficient(params, n)]
+    r = params.matrix
+    f_vec = [r[a][yn] for a in range(yn)] + [Fraction(1), params.p[n - 1] - 1]
+    g_vec = [r[a][xn] for a in range(yn)] + [r[yn][xn], tail_coefficient(params, n)]
     return tuple(f_vec), tuple(g_vec)
 
 
@@ -423,16 +430,6 @@ def verify_level_eigen_elements(presentation: IteratedPresentation) -> dict:
     if g_der.apply(xn) != xn.scale(params.q[n - 1] - params.p[n - 1]):
         failures.append("second vector does not scale x_n by q_n - p_n")
     return {"ok": not failures, "failures": failures}
-
-
-def log_canonical_matrix(params: PoissonParams) -> tuple[tuple[Fraction, ...], ...]:
-    """The attached 2n x 2n skew-symmetric coefficient matrix.
-
-    Entrywise it is the bracket table with the lower-pair tails dropped, so
-    it defines the log-canonical Poisson algebra the stratum maps land in.
-    """
-    size = 2 * params.n
-    return tuple(tuple(log_coefficient(params, a, b) for b in range(size)) for a in range(size))
 
 
 def quotient_system(params: PoissonParams, t_set: AdmissibleSet) -> ReductionSystem:

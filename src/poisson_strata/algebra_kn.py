@@ -18,24 +18,23 @@ bicharacter twist taken from the same matrix.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
 from typing import Optional
 
-from .algebra_an import PairParams, generator_names, pair_word, tail_coefficient, tail_element
+from .algebra_an import PairParams, generator_names, tail_coefficient, tail_element
 from .exact_poly import StepBudget, TermMap, VarSpec, accumulate, format_terms
 
 @dataclass(frozen=True)
 class QuantumParams(PairParams):
     """n, the multiplicative coupling matrix, and the two scalar vectors."""
 
-    # the commutation matrix, derived once; the PBW product and every torus read it
-    smatrix: tuple[tuple[Fraction, ...], ...] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        super().__post_init__()
-        object.__setattr__(self, "smatrix", commutation_matrix(self))
+    @staticmethod
+    def _evaluate(word) -> Fraction:
+        """A pair word read multiplicatively: the scalar S(a, b) in
+        G_a G_b = S(a, b) G_b G_a."""
+        return math.prod((atom**e for atom, e in word), start=Fraction(1))
 
     def _check_values(self):
         n = self.n
@@ -109,9 +108,9 @@ class _Multiplier:
         if not any(mono[p + 1 :]):
             return {tuple(lead): Fraction(1)}
         self.budget.charge()
-        smatrix = self.params.smatrix
+        s = self.params.matrix
         scalar = math.prod(
-            (smatrix[r][p] ** mono[r] for r in range(p + 1, len(mono)) if mono[r]), start=Fraction(1)
+            (s[r][p] ** mono[r] for r in range(p + 1, len(mono)) if mono[r]), start=Fraction(1)
         )
         out = {tuple(lead): scalar}
         b = 0 if p % 2 else mono[p + 1]
@@ -186,21 +185,6 @@ def normality_check(params: QuantumParams, i: int) -> dict:
     return {"ok": not failures, "scalars": scalars, "failures": failures}
 
 
-def commutation_matrix(params: QuantumParams) -> tuple[tuple[Fraction, ...], ...]:
-    """The attached multiplicative skew-symmetric 2n x 2n matrix.
-
-    Entry (u, v) is the scalar S(u, v) in G_u G_v = S(u, v) G_v G_u: the
-    pair word evaluated multiplicatively (see `algebra_an.pair_word`).  It
-    is the multiplicative form of the log-canonical matrix on the Poisson
-    side.  `QuantumParams.smatrix` holds it for each parameter set.
-    """
-    size, one = 2 * params.n, Fraction(1)
-    return tuple(
-        tuple(math.prod((s**e for s, e in pair_word(params, a, b)), start=one) for b in range(size))
-        for a in range(size)
-    )
-
-
 # -- the attached quantum torus ---------------------------------------------
 
 
@@ -220,7 +204,7 @@ class QuantumTorus:
 
     def twist(self, u: tuple[int, ...], v: tuple[int, ...]) -> Fraction:
         """Scalar in X^u X^v = twist * X^(u+v); a bicharacter in each slot."""
-        smatrix = self.params.smatrix
+        s = self.params.matrix
         out = Fraction(1)
         for a in range(len(u)):
             ua = u[a]
@@ -229,7 +213,7 @@ class QuantumTorus:
             for b in range(a):
                 vb = v[b]
                 if vb:
-                    out *= smatrix[a][b] ** (ua * vb)
+                    out *= s[a][b] ** (ua * vb)
         return out
 
 

@@ -46,7 +46,6 @@ from .algebra_an import (
     iterated_presentation,
     k_basis,
     k_derivation,
-    log_canonical_matrix,
     named_element,
     quotient_system,
     tail_rate,
@@ -56,7 +55,6 @@ from .algebra_an import (
 from .algebra_kn import (
     NCElement,
     QuantumParams,
-    commutation_matrix,
     format_nc,
     nc_multiply,
     normality_check,
@@ -540,15 +538,13 @@ def cmd_matrices(config: Config, args) -> dict:
     want_r = args.r or not (args.r or args.s)
     want_s = args.s or not (args.r or args.s)
     if want_r and config.poisson is not None:
-        out["r"] = _matrix_strings(log_canonical_matrix(config.poisson))
+        out["r"] = _matrix_strings(config.poisson.matrix)
     if want_s and config.quantum is not None:
-        out["s"] = _matrix_strings(commutation_matrix(config.quantum))
+        out["s"] = _matrix_strings(config.quantum.matrix)
     if args.r and "r" not in out:
         raise ConfigError("the log-canonical matrix needs poisson parameters")
     if args.s and "s" not in out:
         raise ConfigError("the commutation matrix needs quantum parameters")
-    if not out:
-        raise ConfigError("no matrix available for this mode")
     return out
 
 

@@ -93,9 +93,8 @@ def stratum_varspec(t_set: AdmissibleSet) -> VarSpec:
     """The target ring of both stratum maps of T: the torus generators Y1,
     X1, ..., Yn, Xn with eta(T) killed and the Y's of the surviving y's
     inverted.  The Poisson target and the quantum torus are built on it."""
-    sets = derived_sets(t_set)
-    invert = frozenset("Y" + name[1:] for name in sets.y_survivors)
-    return VarSpec(torus_names(t_set.n), invert, frozenset(sets.eta))
+    invert = frozenset(f"Y{i}" for i, inside in enumerate(t_set.y_in, 1) if not inside)
+    return VarSpec(torus_names(t_set.n), invert, frozenset(derived_sets(t_set).eta))
 
 
 def tail_image(params: PairParams, i: int, cls, owner) -> TermMap:

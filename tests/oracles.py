@@ -243,7 +243,7 @@ def defining_relations(params: QuantumParams) -> list[Relation]:
 
     def relation(a: int, b: int, tail=()) -> Relation:
         # g_a g_b - S(a, b) g_b g_a - tail
-        swapped = (-params.smatrix[a][b], (names[b], names[a]))
+        swapped = (-params.matrix[a][b], (names[b], names[a]))
         return (names[a] + names[b], ((one, (names[a], names[b])), swapped, *tail))
 
     rels: list[Relation] = []

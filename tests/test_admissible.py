@@ -22,6 +22,7 @@ from poisson_strata.admissible import (
     stratum_label,
     stratum_poset,
 )
+from poisson_strata.correspondence import stratum_varspec
 
 
 def test_count_follows_the_level_recurrence():
@@ -80,27 +81,28 @@ def test_derived_sets_examples():
     t1 = admissible_from_names(2, ["y1", "Omega1"])
     d1 = derived_sets(t1)
     assert d1.avoid_monomials == (("y1",),)
-    assert d1.length_members == ("y1",)
+    assert stratum_label(t1)["length"] == 1
     assert d1.eta == ("Y1",)
 
     t2 = admissible_from_names(2, ["Omega2"])
     d2 = derived_sets(t2)
     assert d2.eta == ("X2",)
-    assert d2.length_members == ("Omega2",)
+    assert stratum_label(t2)["members"] == ["Omega2"]
     assert stratum_label(t2)["length"] == 1
 
     empty = admissible_from_names(2, [])
     d3 = derived_sets(empty)
     assert d3.avoid_monomials == ()
     assert d3.eta == ()
-    assert d3.y_survivors == ("y1", "y2")
+    assert stratum_varspec(empty).invertible == {"Y1", "Y2"}
 
 
 def test_derived_set_cardinalities_agree():
     for n in (1, 2, 3, 4):
         for t_set in enumerate_admissible(n):
             d = derived_sets(t_set)
-            assert len(d.eta) == len(d.length_members) == len(d.avoid_monomials)
+            assert len(d.eta) == len(d.avoid_monomials)
+            assert stratum_label(t_set)["length"] == len(d.eta)
 
 
 def _brute_count(t_set, degree):
@@ -204,6 +206,8 @@ def test_poset_covers_match_triple_loop():
             and not any(members[a] < c < members[b] for c in members)
         ]
         assert edges == expected
+        for a, b in edges:  # graded: a cover adds one unit of length
+            assert labels[b]["length"] == labels[a]["length"] + 1
 
 
 def test_poset_outputs():

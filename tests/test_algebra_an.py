@@ -24,7 +24,6 @@ from poisson_strata.algebra_an import (
     k_contains,
     k_derivation,
     level_eigen_elements,
-    log_canonical_matrix,
     omega,
     quotient_system,
     verify_level_eigen_elements,
@@ -197,7 +196,7 @@ def test_level_eigen_elements_verification():
 
 
 def test_log_canonical_matrix_entries():
-    matrix = log_canonical_matrix(poisson_sample())
+    matrix = poisson_sample().matrix
     assert matrix[0][1] == -5  # (Y1, X1) = -q1
     assert matrix[1][2] == 2  # (X1, Y2) = p2 - gamma12
     size = len(matrix)
@@ -211,7 +210,7 @@ def test_matrix_is_table_without_tails():
     # the coefficient recorded in the attached matrix.
     for params in (poisson_sample(), quantum_sample_image(3)):
         structure = build_an(params)
-        matrix = log_canonical_matrix(params)
+        matrix = params.matrix
         names = structure.varspec.names
         for a in range(len(names)):
             for b in range(a + 1, len(names)):

@@ -11,7 +11,6 @@ from poisson_strata.algebra_kn import (
     QTorusElement,
     QuantumParams,
     QuantumTorus,
-    commutation_matrix,
     format_nc,
     kn_names,
     nc_multiply,
@@ -75,7 +74,7 @@ def test_generator_swaps_match_commutation_matrix():
     # Off the diagonal pairs, G_u G_v normalizes to s_uv G_v G_u exactly.
     params = quantum_sample(3)
     names = kn_names(3)
-    smatrix = commutation_matrix(params)
+    smatrix = params.matrix
     for u in range(6):
         for v in range(6):
             if u <= v or (u == v + 1 and u % 2 == 1):
@@ -162,7 +161,7 @@ def test_step_budget_trips():
 
 def test_commutation_matrix_entries():
     params = quantum_sample()
-    smatrix = commutation_matrix(params)
+    smatrix = params.matrix
     assert smatrix[0][1] == Fraction(1, 4)  # (Y1, X1) = 1/q1
     assert smatrix[1][2] == 4  # (X1, Y2) = p2/gamma12
     for a in range(4):

@@ -591,13 +591,10 @@ def test_character_transports_the_sample():
 def test_character_turns_commutation_into_log_canonical_matrix():
     # Entrywise, the additive matrix attached to the induced parameters is
     # the character image of the multiplicative matrix.
-    from poisson_strata.algebra_an import log_canonical_matrix
-    from poisson_strata.algebra_kn import commutation_matrix
-
     for n in (1, 2, 3):
         character = group_character(quantum_sample(n), sample_weights())
-        additive = log_canonical_matrix(character.induced)
-        multiplicative = commutation_matrix(quantum_sample(n))
+        additive = character.induced.matrix
+        multiplicative = quantum_sample(n).matrix
         for a in range(2 * n):
             for b in range(2 * n):
                 assert additive[a][b] == character.apply(multiplicative[a][b])
@@ -686,23 +683,24 @@ def test_poset_nodes_are_the_report_labels():
 
 
 def test_report_derives_the_commutation_matrix_once(monkeypatch):
-    # the matrix belongs to the parameters: building them derives it, and
-    # neither the 48 stratum tori nor the PBW products build it again
-    from poisson_strata import algebra_kn
+    # each matrix belongs to its parameters: building them derives it, and
+    # neither side's 48 stratum targets, A_n nor the PBW products read a
+    # pair word again
+    from poisson_strata import algebra_an
 
-    calls = []
-    plain = algebra_kn.commutation_matrix
-
-    def counting(params):
-        calls.append(params)
-        return plain(params)
-
-    monkeypatch.setattr(algebra_kn, "commutation_matrix", counting)
     character = group_character(quantum_sample(3), sample_weights())
+    calls = []
+    plain = algebra_an.pair_word
+
+    def counting(params, a, b):
+        calls.append((a, b))
+        return plain(params, a, b)
+
+    monkeypatch.setattr(algebra_an, "pair_word", counting)
     report = stratification_report(character, enumerate_admissible(3))
     assert len(report["strata"]) == 48
-    assert all(s["upsilon_ok"] for s in report["strata"])
-    assert len(calls) == 1
+    assert all(s["psi_ok"] and s["upsilon_ok"] for s in report["strata"])
+    assert calls == []
 
 
 @pytest.fixture

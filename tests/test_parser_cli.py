@@ -306,8 +306,14 @@ def test_cli_matrices(capsys):
     assert main(["--config", CONFIG_QUANTUM, "matrices", "--s"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["s"][0][1] == "1/4"
-    assert main(["--config", CONFIG_POISSON, "matrices", "--s"]) == 2
-    capsys.readouterr()
+    # a flag naming the side the config lacks
+    missing = [
+        (CONFIG_POISSON, "--s", "the commutation matrix needs quantum parameters"),
+        (CONFIG_QUANTUM, "--r", "the log-canonical matrix needs poisson parameters"),
+    ]
+    for config, flag, message in missing:
+        assert main(["--config", config, "matrices", flag]) == 2
+        assert json.loads(capsys.readouterr().out) == {"error": "ConfigError", "message": message}
 
 
 def test_cli_verify_suite(capsys):

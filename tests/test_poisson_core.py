@@ -18,7 +18,6 @@ from poisson_strata.algebra_an import (
     PoissonParams,
     build_an,
     iterated_presentation,
-    log_canonical_matrix,
     omega,
 )
 from poisson_strata.correspondence import poisson_stratum_map
@@ -199,7 +198,7 @@ def test_an_splits_into_log_matrix_and_tails():
     params = FRACTIONAL
     structure = build_an(params)
     assert structure.log_matrix == tuple(
-        tuple(structure.denominator * c for c in row) for row in log_canonical_matrix(params)
+        tuple(structure.denominator * c for c in row) for row in params.matrix
     )
     assert [(i, j) for i, j, _ in structure.rest] == [(2, 3), (4, 5)]
     for i, j, shifted in structure.rest:
