@@ -17,7 +17,6 @@ from .algebra_an import (
     iterated_presentation,
     k_basis,
     level_eigen_elements,
-    omega,
     quotient_system,
     verify_omega_identities,
 )
@@ -26,8 +25,6 @@ from .algebra_kn import (
     QuantumParams,
     QuantumTorus,
     nc_multiply,
-    normality_check,
-    omega_q,
 )
 from .correspondence import (
     AdditiveCharacter,

@@ -54,9 +54,6 @@ class AdmissibleSet:
     def members(self) -> frozenset[str]:
         return frozenset(self.member_names())
 
-    def sort_key(self):
-        return (self.omega_in, self.y_in, self.x_in)
-
 
 @functools.cache
 def _candidate_names(n: int) -> tuple[str, ...]:
@@ -75,17 +72,17 @@ def _satisfies_conditions(y, x, o) -> bool:
 
 def enumerate_admissible(n: int) -> list[AdmissibleSet]:
     """All admissible sets, in the canonical (omega, y, x bit-vector) order:
-    the walks of n level steps through `LEVEL_STEPS`."""
+    the walks of n level steps through `LEVEL_STEPS`, sorted as
+    (omega, y, x) tuples."""
     walks: list[tuple[tuple[bool, ...], tuple[bool, ...], tuple[bool, ...]]] = [((), (), ())]
     for _ in range(n):
         walks = [
-            (y + (sy,), x + (sx,), o + (so,))
-            for y, x, o in walks
+            (o + (so,), y + (sy,), x + (sx,))
+            for o, y, x in walks
             for sy, sx, so in LEVEL_STEPS[o[-1] if o else True]
         ]
-    sets = [AdmissibleSet(n, y, x, o) for y, x, o in walks]
-    sets.sort(key=AdmissibleSet.sort_key)
-    return sets
+    walks.sort()
+    return [AdmissibleSet(n, y, x, o) for o, y, x in walks]
 
 
 def _count_walks(moves: Mapping[Hashable, Sequence[Hashable]], start: Hashable, n: int) -> int:

@@ -19,6 +19,7 @@ import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
+from operator import mul
 from typing import Sequence
 
 from .admissible import AdmissibleSet, derived_sets
@@ -28,6 +29,8 @@ from .exact_poly import (
     ReductionSystem,
     Scalar,
     VarSpec,
+    format_poly,
+    format_terms,
     reduce_poly,
 )
 from .poisson_core import (
@@ -160,11 +163,19 @@ def tail_coefficient(params: PairParams, k: int) -> Fraction:
     return params.q[k - 1] - params.p[k - 1]
 
 
-def tail_rate(params: PairParams, j: int, i: int) -> Fraction:
-    """The rate of generator pair j against the tail element O_i: q_j when
-    j <= i, else p_j.  On the Poisson side {y_j, O_i} = -rate y_j O_i and
-    {x_j, O_i} = rate x_j O_i; on the quantized side O_i y_j = rate y_j O_i."""
-    return params.q[j - 1] if j <= i else params.p[j - 1]
+def tail_word(params: PairParams, i: int, a: int) -> tuple[Atom, ...]:
+    """The coefficient of the tail element O_i against generator a as a word,
+    read like `pair_word`.
+
+    Generator a (indexed y1, x1, ..., yn, xn from 0) is of pair j; the word
+    is q_j, or p_j when j > i, to the power +1 on y_j and -1 on x_j.
+    Evaluated additively (`PoissonParams._evaluate`) it is R in
+    {O_i, g_a} = R O_i g_a; evaluated multiplicatively
+    (`QuantumParams._evaluate`), S in O_i G_a = S G_a O_i.
+    """
+    j = a // 2
+    rate = params.q[j] if j < i else params.p[j]
+    return ((rate, -1 if a % 2 else 1),)
 
 
 def tail_element(params: PairParams, i: int, cls, owner):
@@ -189,9 +200,23 @@ def named_element(params: PairParams, name: str, cls, owner):
     return cls.generator(owner, name)
 
 
-def omega(params: PoissonParams, i: int, varspec: VarSpec | None = None) -> LaurentPoly:
-    """The central-tail element O_i of the Poisson algebra (`tail_element`)."""
-    return tail_element(params, i, LaurentPoly, varspec if varspec is not None else an_varspec(params.n))
+def normality_failures(params: PairParams, i: int, tail, gens, value, operate) -> list[str]:
+    """The residuals of the tail element O_i, which is `tail`, against its
+    tail words, on either side.
+
+    `gens` holds the generators y1, x1, ..., yn, xn in order.  For each
+    generator g_a the residual is value(O_i, g_a) minus operate(O_i, g_a)
+    times the side's `_evaluate` of `tail_word(params, i, a)`; a nonzero
+    one is reported as "Omega<i> <g_a>: residual <text>".
+    """
+    failures = []
+    for a, (name, g) in enumerate(zip(generator_names(params.n), gens)):
+        scalar = params._evaluate(tail_word(params, i, a))
+        residual = value(tail, g) - operate(tail, g).scale(scalar)
+        if not residual.is_zero():
+            text = format_terms(residual.terms, residual._names(residual.owner))
+            failures.append(f"Omega{i} {name}: residual {text}")
+    return failures
 
 
 def log_canonical_table(params: PoissonParams, vs: VarSpec) -> dict[tuple[int, int], LaurentPoly]:
@@ -221,7 +246,8 @@ def build_an(params: PoissonParams) -> PoissonStructure:
     table = log_canonical_table(params, vs)
     for i in range(2, params.n + 1):  # O_{i-1} is nonzero, as p_k != q_k
         pair = (2 * i - 2, 2 * i - 1)
-        table[pair] = table.get(pair, LaurentPoly.zero(vs)) - omega(params, i - 1, vs)
+        tail = tail_element(params, i - 1, LaurentPoly, vs)
+        table[pair] = table.get(pair, LaurentPoly.zero(vs)) - tail
     return PoissonStructure(vs, table).validate()
 
 
@@ -229,44 +255,34 @@ def verify_omega_identities(params: PoissonParams, structure: PoissonStructure) 
     """Check the scaling brackets of the tail elements and their recursions
     in `structure`, which is `build_an(params)`.
 
-    Verifies, symbolically: {y_i, O_j} = -r y_i O_j and {x_i, O_j} =
-    r x_i O_j with r = `tail_rate(params, i, j)`, {O_i, O_j} = 0, and
-    the two solvings of the defining relation
-    O_{i-1} = {x_i, y_i} - q_i y_i x_i and O_i = {x_i, y_i} - p_i y_i x_i.
+    Verifies, symbolically: {O_j, g} = R O_j g for every generator g, with
+    R read off `tail_word` (`normality_failures`), {O_i, O_j} = 0, and the
+    two solvings of the defining relation O_{i-1} = {x_i, y_i} - q_i y_i x_i
+    and O_i = {x_i, y_i} - p_i y_i x_i.  Each failure names its residual.
     """
     vs = structure.varspec
     n = params.n
-    omegas = [omega(params, i, vs) for i in range(n + 1)]
+    omegas = [tail_element(params, i, LaurentPoly, vs) for i in range(n + 1)]
+    gens = [structure.generator(name) for name in vs.names]
     failures = []
-    checked = 0
+    for j in range(n + 1):
+        failures += normality_failures(params, j, omegas[j], gens, structure.bracket, mul)
+    checked = len(gens) * (n + 1)
 
-    def expect(cond: bool, label: str):
+    def expect_zero(residual: LaurentPoly, label: str):
         nonlocal checked
         checked += 1
-        if not cond:
-            failures.append(label)
+        if not residual.is_zero():
+            failures.append(f"{label}: residual {format_poly(residual)}")
 
-    for i in range(1, n + 1):
-        yi = structure.generator(f"y{i}")
-        xi = structure.generator(f"x{i}")
-        for j in range(0, n + 1):
-            rate = tail_rate(params, i, j)
-            expect(
-                structure.bracket(yi, omegas[j]) == (yi * omegas[j]).scale(-rate),
-                f"{{y{i}, O{j}}}",
-            )
-            expect(
-                structure.bracket(xi, omegas[j]) == (xi * omegas[j]).scale(rate),
-                f"{{x{i}, O{j}}}",
-            )
     for i in range(n + 1):
         for j in range(n + 1):
-            expect(structure.bracket(omegas[i], omegas[j]).is_zero(), f"{{O{i}, O{j}}}")
+            expect_zero(structure.bracket(omegas[i], omegas[j]), f"{{O{i}, O{j}}}")
     for i in range(1, n + 1):
         yx = LaurentPoly.monomial(vs, {f"y{i}": 1, f"x{i}": 1})
-        xy_bracket = structure.bracket(structure.generator(f"x{i}"), structure.generator(f"y{i}"))
-        expect(omegas[i - 1] == xy_bracket - yx.scale(params.q[i - 1]), f"O{i - 1} recursion")
-        expect(omegas[i] == xy_bracket - yx.scale(params.p[i - 1]), f"O{i} recursion")
+        xy_bracket = structure.bracket(gens[2 * i - 1], gens[2 * i - 2])
+        expect_zero(xy_bracket - yx.scale(params.q[i - 1]) - omegas[i - 1], f"O{i - 1} recursion")
+        expect_zero(xy_bracket - yx.scale(params.p[i - 1]) - omegas[i], f"O{i} recursion")
     return {"ok": not failures, "identities_checked": checked, "failures": failures}
 
 
@@ -302,7 +318,7 @@ def iterated_presentation(params: PoissonParams) -> IteratedPresentation:
             alpha=PoissonDerivation.scaling(vs, {g: r[a][yj] for a, g in enumerate(vs.names)}),
             beta=PoissonDerivation.scaling(vs, {g: r[a][xj] for a, g in enumerate(vs.names)}),
             c=r[yj][xj],
-            u=-omega(params, j - 1, vs),
+            u=-tail_element(params, j - 1, LaurentPoly, vs),
             d=params.p[j - 1],
             y_name=f"y{j}",
             x_name=f"x{j}",
@@ -453,7 +469,7 @@ def quotient_system(params: PoissonParams, t_set: AdmissibleSet) -> ReductionSys
             rules.append(ReductionRule(lead, zero))
             continue
         i = int(lead_names[0][1:])
-        rhs = omega(params, i - 1, vs).scale(-1 / tail_coefficient(params, i))
+        rhs = tail_element(params, i - 1, LaurentPoly, vs).scale(-1 / tail_coefficient(params, i))
         rhs = reduce_poly(rhs, ReductionSystem(vs, tuple(rules)))
         rules.append(ReductionRule(lead, rhs))
     return ReductionSystem(vs, tuple(rules))

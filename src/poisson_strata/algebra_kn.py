@@ -23,7 +23,7 @@ from fractions import Fraction
 from operator import add
 from typing import Optional
 
-from .algebra_an import PairParams, generator_names, tail_coefficient, tail_element
+from .algebra_an import PairParams, generator_names, tail_coefficient
 from .exact_poly import StepBudget, TermMap, VarSpec, accumulate, format_terms
 
 @dataclass(frozen=True)
@@ -152,37 +152,6 @@ def nc_multiply(
                 part = mult.dict_times_gen(part, pos)
         accumulate(acc, part)
     return NCElement._trusted(params.n, acc)
-
-
-def omega_q(params: QuantumParams, i: int) -> NCElement:
-    """The tail element (`tail_element`); its pair monomials are already normal."""
-    return tail_element(params, i, NCElement, params.n)
-
-
-def normality_check(params: QuantumParams, i: int) -> dict:
-    """For each generator g, find the scalar with Omega_i g = scalar * g Omega_i.
-
-    Both products are computed by rewriting; the report records the scalar
-    per generator and fails when no scalar matches.
-    """
-    if not 1 <= i <= params.n:
-        raise IndexError(f"index {i} out of range 1..{params.n}")
-    om = omega_q(params, i)
-    scalars = {}
-    failures = []
-    for name in kn_names(params.n):
-        g = NCElement.generator(params.n, name)
-        left = nc_multiply(params, om, g)
-        right = nc_multiply(params, g, om)
-        if left.terms.keys() != right.terms.keys():
-            failures.append(name)
-            continue
-        ratios = {left.terms[m] / right.terms[m] for m in left.terms}
-        if len(ratios) != 1:
-            failures.append(name)
-            continue
-        scalars[name] = ratios.pop()
-    return {"ok": not failures, "scalars": scalars, "failures": failures}
 
 
 # -- the attached quantum torus ---------------------------------------------

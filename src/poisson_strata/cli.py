@@ -47,8 +47,9 @@ from .algebra_an import (
     k_basis,
     k_derivation,
     named_element,
+    normality_failures,
     quotient_system,
-    tail_rate,
+    tail_element,
     verify_level_eigen_elements,
     verify_omega_identities,
 )
@@ -56,8 +57,8 @@ from .algebra_kn import (
     NCElement,
     QuantumParams,
     format_nc,
+    kn_names,
     nc_multiply,
-    normality_check,
 )
 from .correspondence import (
     AdditiveCharacter,
@@ -417,26 +418,21 @@ def suite_upsilon(config: Config) -> dict:
     return _strata_suite("upsilon", config, lambda t: verify_quantum_stratum_map(params, t, products))
 
 
-def _omega_scalar(params: QuantumParams, i: int, name: str) -> Fraction:
-    """The scalar S in Omega_i g = S g Omega_i for the generator g named:
-    the tail rate on y_j and its inverse on x_j."""
-    scalar = tail_rate(params, int(name[1:]), i)
-    return scalar if name[0] == "y" else 1 / scalar
-
-
 def suite_normality(config: Config) -> dict:
     """Each tail element Omega_i of the quantized algebra is normal, with
-    the scalars of `_omega_scalar`."""
+    the scalars of its tail words (`normality_failures`)."""
     params = _require_quantum(config)
+    n = params.n
+    gens = [NCElement.generator(n, name) for name in kn_names(n)]
+
+    def product(f: NCElement, g: NCElement) -> NCElement:
+        return nc_multiply(params, f, g)
+
     failures = []
-    for i in range(1, params.n + 1):
-        report = normality_check(params, i)
-        failures += [f"Omega{i} {name}: no scalar" for name in report["failures"]]
-        for name, scalar in report["scalars"].items():
-            expected = _omega_scalar(params, i, name)
-            if scalar != expected:
-                failures.append(f"Omega{i} {name}: scalar {scalar}, expected {expected}")
-    details = {"tails": params.n, "failures": failures}
+    for i in range(1, n + 1):
+        tail = tail_element(params, i, NCElement, n)
+        failures += normality_failures(params, i, tail, gens, product, lambda t, g: product(g, t))
+    details = {"tails": n, "failures": failures}
     return {"suite": "normality", "ok": not failures, "details": details}
 
 

@@ -178,8 +178,10 @@ class _Parser:
         kind, text, pos = self.advance()
         if kind == "number":
             if "/" in text:
-                num, den = text.split("/")
-                return Num(Fraction(int(num), int(den)))
+                num, den = map(int, text.split("/"))
+                if not den:
+                    raise ParseError(f"zero denominator in {text!r}", pos)
+                return Num(Fraction(num, den))
             return Num(Fraction(int(text)))
         if kind == "ident":
             if not _VAR_RE.match(text):

@@ -308,10 +308,12 @@ def ore_extend(
 class DoubleExtensionSpec:
     """Data (A; alpha, beta, c, u) for the two-variable extension.
 
-    Requires alpha beta = beta alpha and {a, u} = (alpha + beta)(a) u.  When
-    the eigenvalue d of u is supplied, additionally alpha(u) = d u,
-    beta(u) = -d u and c + d != 0; then (c+d) y x + u is Poisson normal in
-    the result.
+    Requires alpha beta = beta alpha and {a, u} = (alpha + beta)(a) u.
+    These two are checked by the second `ore_extend` of `double_extend`, as
+    its derivation and compatibility residuals on each pair (a, y).  When
+    the eigenvalue d of u is supplied, `check` tests the rest: alpha(u) =
+    d u, beta(u) = -d u and c + d != 0; then (c+d) y x + u is Poisson
+    normal in the result.
     """
 
     base: PoissonStructure
@@ -324,25 +326,10 @@ class DoubleExtensionSpec:
     x_name: str = "x"
 
     def check(self) -> None:
-        base, alpha, beta = self.base, self.alpha, self.beta
-        for name in base.varspec.names:
-            g = base.generator(name)
-            if alpha.apply(beta.images[name]) != beta.apply(alpha.images[name]):
-                raise CompatibilityError(
-                    f"alpha and beta do not commute on {name!r}", pair=(name,)
-                )
-            lhs = base.bracket(g, self.u)
-            rhs = (alpha.apply(g) + beta.apply(g)) * self.u
-            if lhs != rhs:
-                raise CompatibilityError(
-                    f"{{a, u}} != (alpha+beta)(a) u on {name!r}",
-                    pair=(name,),
-                    residual=lhs - rhs,
-                )
         if self.d is not None:
-            if alpha.apply(self.u) != self.u.scale(self.d):
+            if self.alpha.apply(self.u) != self.u.scale(self.d):
                 raise CompatibilityError("alpha(u) != d u")
-            if beta.apply(self.u) != self.u.scale(-self.d):
+            if self.beta.apply(self.u) != self.u.scale(-self.d):
                 raise CompatibilityError("beta(u) != -d u")
             if self.c + self.d == 0:
                 raise CompatibilityError("c + d must be nonzero")

@@ -109,7 +109,7 @@ def brute_force_admissible(n: int) -> list[AdmissibleSet]:
         for o in product(bools, repeat=n)
         if admissible_by_biconditional(y, x, o)
     ]
-    out.sort(key=AdmissibleSet.sort_key)
+    out.sort(key=lambda t: (t.omega_in, t.y_in, t.x_in))
     return out
 
 

@@ -33,15 +33,14 @@ from poisson_strata.algebra_an import (
     iterated_presentation,
     k_basis,
     k_derivation,
-    omega,
     quotient_system,
+    tail_element,
     verify_omega_identities,
 )
 from poisson_strata.algebra_kn import (
     NCElement,
     QuantumParams,
     nc_multiply,
-    omega_q,
 )
 from poisson_strata.correspondence import (
     GroupContainsMinusOne,
@@ -178,7 +177,7 @@ def test_criterion_05_confluence_and_stability():
                     assert reduce_poly(f, system, rng=rng) == base
                 for name in t_set.member_names():
                     if name.startswith("Omega"):
-                        member = omega(params, int(name[5:]), vs)
+                        member = tail_element(params, int(name[5:]), LaurentPoly, vs)
                     else:
                         member = LaurentPoly.variable(vs, name)
                     assert reduce_poly(member, system).is_zero()
@@ -262,7 +261,7 @@ def test_criterion_10_pbw_normal_form():
                 )
                 expected = NCElement.monomial(
                     n, {f"y{i}": 1, f"x{i}": 1}, params.q[i - 1]
-                ) + omega_q(params, i - 1)
+                ) + tail_element(params, i - 1, NCElement, params.n)
                 assert lhs == expected
 
 

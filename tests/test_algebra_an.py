@@ -24,8 +24,8 @@ from poisson_strata.algebra_an import (
     k_contains,
     k_derivation,
     level_eigen_elements,
-    omega,
     quotient_system,
+    tail_element,
     verify_level_eigen_elements,
     verify_omega_identities,
 )
@@ -73,10 +73,10 @@ def test_jacobi_for_samples_and_random():
 def test_omega_values():
     params = poisson_sample()
     vs = an_varspec(2)
-    assert omega(params, 0, vs).is_zero()
-    assert format_poly(omega(params, 2, vs)) == "4*y2*x2 + 3*y1*x1"
+    assert tail_element(params, 0, LaurentPoly, vs).is_zero()
+    assert format_poly(tail_element(params, 2, LaurentPoly, vs)) == "4*y2*x2 + 3*y1*x1"
     with pytest.raises(IndexError):
-        omega(params, 3)
+        tail_element(params, 3, LaurentPoly, vs)
 
 
 def test_omega_identity_report():
@@ -85,13 +85,28 @@ def test_omega_identity_report():
         assert report["ok"], report["failures"]
 
 
+def test_omega_identity_report_names_residuals():
+    # the structure of q2 = 8 checked against q2 = 7: Omega2 and both
+    # solvings of the second pair's relation fail, each by its residual
+    params = poisson_sample()
+    other = PoissonParams.make(2, params.gamma, params.p, (params.q[0], params.q[1] + 1))
+    report = verify_omega_identities(params, build_an(other))
+    assert (report["ok"], report["identities_checked"]) == (False, 25)
+    assert report["failures"] == [
+        "Omega2 y2: residual 4*y2^2*x2",
+        "Omega2 x2: residual -4*y2*x2^2",
+        "O1 recursion: residual y2*x2",
+        "O2 recursion: residual y2*x2",
+    ]
+
+
 def test_omega_scaling_bracket_examples():
     params = poisson_sample()
     structure = build_an(params)
     vs = structure.varspec
     y2 = structure.generator("y2")
-    om1 = omega(params, 1, vs)
-    om2 = omega(params, 2, vs)
+    om1 = tail_element(params, 1, LaurentPoly, vs)
+    om2 = tail_element(params, 2, LaurentPoly, vs)
     assert structure.bracket(y2, om1) == (y2 * om1).scale(-3)  # rate p2 for the later pair
     assert structure.bracket(om1, om2).is_zero()
 
@@ -230,7 +245,7 @@ def test_quotient_system_rules():
     t1 = admissible_from_names(2, ["y1", "Omega1"])
     system = quotient_system(params, t1)
     assert len(system.rules) == 1
-    assert reduce_poly(omega(params, 1, vs), system).is_zero()
+    assert reduce_poly(tail_element(params, 1, LaurentPoly, vs), system).is_zero()
 
     t2 = admissible_from_names(2, ["Omega2"])
     system2 = quotient_system(params, t2)
@@ -256,7 +271,7 @@ def test_quotient_system_pair_rule_rhs_reduced():
     rules = {rule.lead: rule.replacement for rule in system.rules}
     assert set(rules) == {(1, 0, 0, 0, 0, 0), pair3}
     assert rules[pair3] == LaurentPoly.monomial(vs, {"y2": 1, "x2": 1}, Fraction(-2, 3))
-    assert reduce_poly(omega(params, 3, vs), system).is_zero()
+    assert reduce_poly(tail_element(params, 3, LaurentPoly, vs), system).is_zero()
 
 
 def test_quotient_reduction_is_ideal_stable():
@@ -267,7 +282,7 @@ def test_quotient_reduction_is_ideal_stable():
         system = quotient_system(params, t_set)
         for name in t_set.member_names():
             if name.startswith("Omega"):
-                member = omega(params, int(name[5:]), vs)
+                member = tail_element(params, int(name[5:]), LaurentPoly, vs)
             else:
                 member = LaurentPoly.variable(vs, name)
             assert reduce_poly(member, system).is_zero()

@@ -14,10 +14,9 @@ from poisson_strata.algebra_kn import (
     format_nc,
     kn_names,
     nc_multiply,
-    normality_check,
-    omega_q,
     torus_names,
 )
+from poisson_strata.algebra_an import normality_failures, tail_element, tail_word
 from poisson_strata.exact_poly import StepBudget, StepBudgetExceeded, VarSpec
 
 
@@ -56,7 +55,7 @@ def test_pair_relation_verbatim_all_levels():
             lhs = nc_multiply(params, gen(n, f"x{i}"), gen(n, f"y{i}"))
             expected = NCElement.monomial(
                 params.n, {f"y{i}": 1, f"x{i}": 1}, params.q[i - 1]
-            ) + omega_q(params, i - 1)
+            ) + tail_element(params, i - 1, NCElement, params.n)
             assert lhs == expected
 
 
@@ -134,21 +133,26 @@ def test_degree_filtration_and_top_twist():
 
 def test_omega_q_values():
     params = quantum_sample()
-    om2 = omega_q(params, 2)
+    om2 = tail_element(params, 2, NCElement, params.n)
     assert format_nc(om2) == "24*y2*x2 + 2*y1*x1"
-    om1 = omega_q(params, 1)
+    om1 = tail_element(params, 1, NCElement, params.n)
     assert len(om1.terms) == 1
 
 
 def test_normality_scalars():
     params = quantum_sample(2)
+    gens = [gen(2, name) for name in kn_names(2)]
+
+    def product(f, g):
+        return nc_multiply(params, f, g)
+
     for i in (1, 2):
-        report = normality_check(params, i)
-        assert report["ok"], report["failures"]
+        tail = tail_element(params, i, NCElement, 2)
+        assert normality_failures(params, i, tail, gens, product, lambda t, g: product(g, t)) == []
         for j in range(1, 3):
             rate = params.q[j - 1] if j <= i else params.p[j - 1]
-            assert report["scalars"][f"y{j}"] == rate
-            assert report["scalars"][f"x{j}"] == 1 / rate
+            assert params._evaluate(tail_word(params, i, 2 * j - 2)) == rate
+            assert params._evaluate(tail_word(params, i, 2 * j - 1)) == 1 / rate
 
 
 def test_step_budget_trips():

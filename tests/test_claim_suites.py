@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from poisson_strata import admissible, algebra_an, algebra_kn, cli, correspondence
+from poisson_strata import admissible, algebra_an, cli, correspondence
 
 CONFIG_PAIRED = str(Path(__file__).resolve().parent.parent / "configs" / "paired_n2.json")
 PAIRED_N4 = str(Path(__file__).resolve().parent.parent / "perfbench" / "configs" / "paired_n4.json")
@@ -28,32 +28,25 @@ def test_claim_suites_pass(suite, capsys):
     assert (status, report["suite"], report["ok"], report["details"]["failures"]) == (0, suite, True, [])
 
 
-def test_normality_fails_against_swapped_scalars(monkeypatch, capsys):
-    def swapped(params, i, name):
-        j = int(name[1:])
-        scalar = params.p[j - 1] if j <= i else params.q[j - 1]
-        return scalar if name[0] == "y" else 1 / scalar
-
-    monkeypatch.setattr(cli, "_omega_scalar", swapped)
-    status, report = run_suite("normality", capsys)
-    assert (status, report["ok"]) == (1, False)
-    # p = (2, 8) and q = (4, 32): y1 passes Omega1 with q1, not p1
-    assert "Omega1 y1: scalar 4, expected 2" in report["details"]["failures"]
-    assert len(report["details"]["failures"]) == 8  # every generator, both tails
-
-
 @pytest.mark.parametrize(
-    "suite,failure", [("normality", "Omega1 y1: scalar 4, expected 2"), ("lemma2.3", "{y1, O1}")]
+    "suite,failure",
+    [
+        # p = (2, 8) and q = (4, 32): Omega1 = 2 y1 x1 passes y1 with q1, not p1
+        ("normality", "Omega1 y1: residual 4*y1^2*x1"),
+        # the induced p = (1, 3) and q = (2, 5): Omega1 = y1 x1, rate q1, not p1
+        ("lemma2.3", "Omega1 y1: residual y1^2*x1"),
+    ],
 )
 def test_swapped_tail_rates_fail_both_suites_that_read_them(suite, failure, monkeypatch, capsys):
     # the quantized normality scalars and the Poisson tail brackets read the
-    # one rate rule: q_j then p_j swapped fails each tail of index >= 1 on
-    # every generator, in both suites
-    def swapped(params, j, i):
-        return params.p[j - 1] if j <= i else params.q[j - 1]
+    # one tail-word table: q_j then p_j swapped fails each tail of index >= 1
+    # on every generator, in both suites
+    def swapped(params, i, a):
+        j = a // 2
+        rate = params.p[j] if j < i else params.q[j]
+        return ((rate, -1 if a % 2 else 1),)
 
-    monkeypatch.setattr(algebra_an, "tail_rate", swapped)
-    monkeypatch.setattr(cli, "tail_rate", swapped)
+    monkeypatch.setattr(algebra_an, "tail_word", swapped)
     status, report = run_suite(suite, capsys)
     assert (status, report["ok"]) == (1, False)
     assert failure in report["details"]["failures"]
@@ -63,15 +56,15 @@ def test_swapped_tail_rates_fail_both_suites_that_read_them(suite, failure, monk
 def test_normality_fails_for_a_tail_that_is_not_normal(monkeypatch, capsys):
     # doubling the lower term of Omega2 leaves a combination that y2 and x2
     # do not pass by a scalar
-    real = algebra_kn.tail_element
+    real = cli.tail_element
 
     def doubled_lower_term(params, i, cls, owner):
         return real(params, i, cls, owner) + real(params, min(i, 1), cls, owner)
 
-    monkeypatch.setattr(algebra_kn, "tail_element", doubled_lower_term)
+    monkeypatch.setattr(cli, "tail_element", doubled_lower_term)
     status, report = run_suite("normality", capsys)
     assert (status, report["ok"]) == (1, False)
-    assert "Omega2 y2: no scalar" in report["details"]["failures"]
+    assert "Omega2 y2: residual -6*y1*x1*y2" in report["details"]["failures"]
 
 
 @pytest.mark.parametrize(

@@ -18,14 +18,14 @@ from oracles import (
     random_params,
     sample_weights,
 )
-from poisson_strata import algebra_an, algebra_kn, cli, correspondence
+from poisson_strata import algebra_an, cli, correspondence
 from poisson_strata.admissible import (
     count_nested_pairs,
     derived_sets,
     enumerate_admissible,
     stratum_poset,
 )
-from poisson_strata.algebra_an import build_an, tail_coefficient, tail_element
+from poisson_strata.algebra_an import an_varspec, build_an, tail_coefficient, tail_element, tail_word
 from poisson_strata.algebra_kn import NCElement, QTorusElement, QuantumParams, kn_names
 from poisson_strata.correspondence import (
     GroupContainsMinusOne,
@@ -242,12 +242,10 @@ def test_reports_build_the_source_algebra_once(monkeypatch):
 
 
 def test_poisson_tail_images():
-    from poisson_strata.algebra_an import omega
-
     params = quantum_sample_image()
     gmap = poisson_stratum_map(params, empty_set(2))
     vs = gmap.target.varspec
-    image = apply_map(gmap, omega(params, 2))
+    image = apply_map(gmap, tail_element(params, 2, LaurentPoly, an_varspec(2)))
     assert image == LaurentPoly.monomial(vs, {"Y2": 1, "X2": 1}, 2)  # (q2 - p2) Y2 X2
 
 
@@ -568,7 +566,6 @@ def test_map_report_builds_no_source_element_per_stratum(monkeypatch, capsys):
         return wrapper
 
     monkeypatch.setattr(algebra_an, "tail_element", counting("tail_element", algebra_an.tail_element))
-    monkeypatch.setattr(algebra_kn, "tail_element", counting("tail_element", algebra_kn.tail_element))
     for cls in (QTorusElement, LaurentPoly):
         monkeypatch.setattr(cls, "__mul__", counting(cls, cls.__mul__))
     assert cli.main(["--config", PAIRED_N4, "map-report"]) == 0
@@ -592,12 +589,19 @@ def test_character_turns_commutation_into_log_canonical_matrix():
     # Entrywise, the additive matrix attached to the induced parameters is
     # the character image of the multiplicative matrix.
     for n in (1, 2, 3):
-        character = group_character(quantum_sample(n), sample_weights())
-        additive = character.induced.matrix
-        multiplicative = quantum_sample(n).matrix
+        params = quantum_sample(n)
+        character = group_character(params, sample_weights())
+        induced = character.induced
+        additive = induced.matrix
+        multiplicative = params.matrix
         for a in range(2 * n):
             for b in range(2 * n):
                 assert additive[a][b] == character.apply(multiplicative[a][b])
+        # and the tail words: each tail element's normality scalars
+        for i in range(n + 1):
+            for a in range(2 * n):
+                scalar = params._evaluate(tail_word(params, i, a))
+                assert induced._evaluate(tail_word(induced, i, a)) == character.apply(scalar)
 
 
 def test_character_is_additive_on_products():

@@ -69,6 +69,24 @@ def test_parse_rejects_unknown_names():
         eval_poisson(parse_expr("y3"), build_an(params), params)
 
 
+@pytest.mark.parametrize("text,position", [("1/0", 0), ("y1 + 0/0", 5), ("x1 (2/00)", 4)])
+def test_parse_error_for_a_zero_denominator(text, position):
+    with pytest.raises(ParseError, match="zero denominator") as err:
+        parse_expr(text)
+    assert err.value.position == position
+
+
+@pytest.mark.parametrize(
+    "config,command",
+    [(CONFIG_POISSON, ["bracket", "1/0", "x1"]), (CONFIG_QUANTUM, ["nf", "1/0"])],
+    ids=["bracket", "nf"],
+)
+def test_cli_zero_denominator_is_a_parse_error(config, command, capsys):
+    assert main(["--config", config, *command]) == 2
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["error"] == "ParseError" and "zero denominator" in payload["message"]
+
+
 def test_parse_error_names_an_unexpected_character():
     with pytest.raises(ParseError) as err:
         parse_expr("x1 $")

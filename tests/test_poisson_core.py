@@ -18,7 +18,7 @@ from poisson_strata.algebra_an import (
     PoissonParams,
     build_an,
     iterated_presentation,
-    omega,
+    tail_element,
 )
 from poisson_strata.correspondence import poisson_stratum_map
 from poisson_strata.exact_poly import LaurentPoly, VarSpec, format_poly
@@ -207,7 +207,8 @@ def test_an_splits_into_log_matrix_and_tails():
             tuple(e + p for e, p in zip(shift, pair)): Fraction(t, structure.denominator)
             for shift, t in shifted
         }
-        assert LaurentPoly(structure.varspec, tail) == -omega(params, j // 2, structure.varspec)
+        expected = -tail_element(params, j // 2, LaurentPoly, structure.varspec)
+        assert LaurentPoly(structure.varspec, tail) == expected
 
 
 def mutated(structure, **derived):
@@ -369,9 +370,19 @@ def test_double_extension_invariant_violations():
     alpha = PoissonDerivation.scaling(vs, {"b": 1})
     beta = PoissonDerivation.scaling(vs, {"b": -1})  # -alpha
     u = LaurentPoly.variable(vs, "b")
-    with pytest.raises(CompatibilityError):
-        # {b, u} = 0 but (alpha+beta)(b) u = u * b != 0
-        DoubleExtensionSpec(base, alpha, alpha, Fraction(0), u).check()
+    with pytest.raises(CompatibilityError) as err:
+        # {b, u} = 0 but (alpha+beta)(b) u = 2 b^2 != 0: the compatibility
+        # residual of the second single extension on (b, y)
+        double_extend(DoubleExtensionSpec(base, alpha, alpha, Fraction(0), u))
+    assert err.value.pair == ("b", "y")
+    assert format_poly(err.value.residual) == "2*b^2"
+    with pytest.raises(CompatibilityError) as err:
+        # alpha(b) = b and beta(b) = 1 do not commute: (beta alpha - alpha
+        # beta)(b) y is the derivation residual of the extended beta on (b, y)
+        constant = PoissonDerivation(vs, {"b": LaurentPoly.one(vs)})
+        double_extend(DoubleExtensionSpec(base, alpha, constant, Fraction(0), u))
+    assert err.value.pair == ("b", "y")
+    assert format_poly(err.value.residual) == "y"
     with pytest.raises(CompatibilityError):
         # c + d = 0
         DoubleExtensionSpec(base, alpha, beta, Fraction(-1), u, d=Fraction(1)).check()
@@ -384,7 +395,7 @@ def test_normal_elements_per_level():
         spec = presentation.specs[j - 1]
         structure = presentation.structures[j]
         z = double_extension_normal_element(spec, structure)
-        assert z == -omega(params, j, structure.varspec)
+        assert z == -tail_element(params, j, LaurentPoly, structure.varspec)
         eigen = is_poisson_normal(structure, z)
         assert eigen is not None
         vs = structure.varspec
