@@ -49,7 +49,7 @@ from .poisson_core import (
     DoubleExtensionSpec,
     PoissonDerivation,
     PoissonStructure,
-    derivation_check,
+    derivation_residuals,
     double_extend,
     ore_extend,
 )

@@ -16,7 +16,7 @@ systems presenting the quotients by admissible-set ideals.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from operator import mul
@@ -57,16 +57,15 @@ class PairParams:
     on the Poisson side and multiplicatively on the quantized side; each
     subclass checks its side's conditions in `_check_values` and evaluates
     the pair words (`pair_word`) in `_evaluate`.  `matrix` is the 2n x 2n
-    table of those values, derived once per parameter set: the log-canonical
-    matrix R on the Poisson side, the commutation matrix S on the quantized
-    one.
+    table of those values, derived on its first read, once per parameter
+    set: the log-canonical matrix R on the Poisson side, the commutation
+    matrix S on the quantized one.
     """
 
     n: int
     gamma: tuple[tuple[Fraction, ...], ...]
     p: tuple[Fraction, ...]
     q: tuple[Fraction, ...]
-    matrix: tuple[tuple[Fraction, ...], ...] = field(init=False, repr=False, compare=False)
 
     @classmethod
     def make(cls, n: int, gamma, p, q):
@@ -81,11 +80,11 @@ class PairParams:
         if len(self.p) != n or len(self.q) != n:
             raise ValueError("p and q must have length n")
         self._check_values()
-        size = 2 * n
-        matrix = tuple(
-            tuple(self._evaluate(pair_word(self, a, b)) for b in range(size)) for a in range(size)
-        )
-        object.__setattr__(self, "matrix", matrix)
+
+    @functools.cached_property
+    def matrix(self) -> tuple[tuple[Fraction, ...], ...]:
+        size = range(2 * self.n)
+        return tuple(tuple(self._evaluate(pair_word(self, a, b)) for b in size) for a in size)
 
 
 @dataclass(frozen=True)

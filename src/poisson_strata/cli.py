@@ -17,8 +17,8 @@ bracket in the evaluation of `bracket`, or one admissible set that
 before the first is built (`admissible --count` builds none and charges
 nothing).  The whole expression of an `nf` command, powers included, has
 one budget, as has the whole expression {left, right} of a `bracket`
-command; each associativity-suite product and each normal form of `verify
-confluence` and `verify kstable` has its own.
+command; each product of `verify associativity` and `verify normality` and
+each normal form of `verify confluence` and `verify kstable` has its own.
 Past its budget a command ends in a StepBudgetExceeded error; a budget that
 is not a positive integer ends every command in a ConfigError.
 """
@@ -80,7 +80,7 @@ from .exact_poly import (
     reduce_poly,
 )
 from .parser import Bracket, eval_poisson, eval_quantum, parse_expr
-from .poisson_core import PoissonStructure, derivation_check
+from .poisson_core import PoissonStructure, derivation_residuals
 
 ENV_STEP_BUDGET = "POISSON_STRATA_STEP_BUDGET"
 RANDOM_TRIALS = 1000  # random inputs per stratum (confluence) and triples (associativity)
@@ -426,7 +426,7 @@ def suite_normality(config: Config) -> dict:
     gens = [NCElement.generator(n, name) for name in kn_names(n)]
 
     def product(f: NCElement, g: NCElement) -> NCElement:
-        return nc_multiply(params, f, g)
+        return nc_multiply(params, f, g, StepBudget(config.step_limit))
 
     failures = []
     for i in range(1, n + 1):
@@ -443,9 +443,9 @@ def suite_weights(config: Config) -> dict:
     structure = config.an
     basis = k_basis(params.n)
     failures = [
-        f"weight vector ({', '.join(map(str, h))}) is not a Poisson derivation"
+        f"weight vector ({', '.join(map(str, h))}) on ({a}, {b}): residual {format_poly(residual)}"
         for h in basis
-        if not derivation_check(structure, k_derivation(params, h))
+        for a, b, residual in derivation_residuals(structure, k_derivation(params, h))
     ]
     failures += verify_level_eigen_elements(config.presentation)["failures"]
     details = {"basis": len(basis), "failures": failures}

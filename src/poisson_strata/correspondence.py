@@ -160,8 +160,8 @@ def _stratum_report(params, gmap: GeneratorMap, value, operate, label) -> dict:
     Omega_i's image is Omega_{i-1}'s plus (q_i - p_i) times the product of
     the images of y_i and x_i: `apply_map` of the tail element, whose terms
     are the monomials y_k x_k on both sides, term by term.  Target elements
-    are built over the owner of `gmap.one`.  Each failure names its
-    residual, formatted.
+    are built over the owner of `gmap.one`.  Returns {"ok", "failures"},
+    each failure naming its residual, formatted.
     """
     t_set = gmap.t_set
     cls, owner = type(gmap.one), gmap.one.owner
@@ -190,15 +190,15 @@ def _stratum_report(params, gmap: GeneratorMap, value, operate, label) -> dict:
     units = {gmap.images["y" + name[1:]] for name in inverted}
     if units != {cls.generator(owner, name) for name in inverted}:
         failures.append("surviving y images do not generate the inverted set")
-    return {"ok": not failures, "failures": failures, "members": list(t_set.member_names())}
+    return {"ok": not failures, "failures": failures}
 
 
 def verify_poisson_stratum_map(
     params: PoissonParams, t_set: AdmissibleSet, source: PoissonStructure
 ) -> dict:
     """Generator-level verification that the stratum map of T from `source`,
-    which is `build_an(params)`, is Poisson: `_stratum_report` with the
-    pair residual {g_a, g_b} minus the target bracket of the images.
+    which is `build_an(params)`, is Poisson: the report of `_stratum_report`
+    with the pair residual {g_a, g_b} minus the target bracket of the images.
     """
     if not same_owner(source.varspec, an_varspec(params.n)):
         raise ValueError("source structure is not over the generators of A_n")
@@ -262,9 +262,9 @@ def verify_quantum_stratum_map(
     params: QuantumParams, t_set: AdmissibleSet, products: Mapping[tuple[int, int], NCElement]
 ) -> dict:
     """Generator-level verification that the stratum map of T is an algebra
-    map, given `products`, which is `swapped_products(params)`:
-    `_stratum_report` with the pair residual g_b g_a, in normal form, minus
-    the torus product of the images in that order.
+    map, given `products`, which is `swapped_products(params)`: the report
+    of `_stratum_report` with the pair residual g_b g_a, in normal form,
+    minus the torus product of the images in that order.
     """
     gmap = quantum_stratum_map(params, t_set)
     value = lambda a, b: products[a, b]

@@ -23,16 +23,17 @@ on generator triples is what `jacobi_check` verifies, and it propagates to
 all elements because the jacobiator of a biderivation bracket is a
 triderivation.
 
-The module also provides the test that a derivation is a Poisson derivation
-and the two extension constructors for polynomial rings (a single
-Poisson-Ore step, and the two-variable double extension built from two such
-steps).
+The module also provides the one Poisson-derivation test, the generator-pair
+residual walk `derivation_residuals`, and the two extension constructors for
+polynomial rings (a single Poisson-Ore step, and the two-variable double
+extension built from two such steps), whose checks read that walk.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
 from math import lcm
 from operator import add, mul, sub
 from typing import Mapping, Optional
@@ -218,43 +219,26 @@ class PoissonDerivation:
         return acc
 
 
-def _derivation_residual(
-    structure: PoissonStructure, deriv: PoissonDerivation, a: str, b: str
-) -> LaurentPoly:
-    """D{a, b} - {D a, b} - {a, D b} on the generator pair (a, b)."""
-    ga = structure.generator(a)
-    gb = structure.generator(b)
-    return (
-        deriv.apply(structure.bracket(ga, gb))
-        - structure.bracket(deriv.images[a], gb)
-        - structure.bracket(ga, deriv.images[b])
-    )
-
-
-def derivation_check(structure: PoissonStructure, deriv: PoissonDerivation) -> bool:
-    """True iff D{g_i,g_j} = {D g_i, g_j} + {g_i, D g_j} on all generator pairs."""
-    names = structure.varspec.names
-    return all(
-        _derivation_residual(structure, deriv, a, b).is_zero()
-        for i, a in enumerate(names)
-        for b in names[i + 1:]
-    )
-
-
-def _compat_residual(
-    structure: PoissonStructure,
-    alpha: PoissonDerivation,
-    delta: PoissonDerivation,
-    a: str,
-    b: str,
-) -> LaurentPoly:
-    """Residual of the Ore compatibility condition on the generator pair (a, b).
-
-    The condition ties delta to alpha:
-    delta{a,b} - {delta a, b} - {a, delta b} = delta(a) alpha(b) - alpha(a) delta(b).
-    """
-    rhs = delta.images[a] * alpha.images[b] - alpha.images[a] * delta.images[b]
-    return _derivation_residual(structure, delta, a, b) - rhs
+def derivation_residuals(
+    structure: PoissonStructure, deriv: PoissonDerivation, rhs=None
+) -> list[tuple[str, str, LaurentPoly]]:
+    """(a, b, residual) for each generator pair a < b, in generator order,
+    whose residual D{a, b} - {D a, b} - {a, D b} - rhs(a, b) is nonzero; the
+    right side is zero when `rhs` is None.  Generator pairs suffice, as the
+    residual is a biderivation in (a, b) when `rhs` is one."""
+    gens = {name: structure.generator(name) for name in structure.varspec.names}
+    found = []
+    for a, b in combinations(gens, 2):
+        residual = (
+            deriv.apply(structure.bracket(gens[a], gens[b]))
+            - structure.bracket(deriv.images[a], gens[b])
+            - structure.bracket(gens[a], deriv.images[b])
+        )
+        if rhs is not None:
+            residual = residual - rhs(a, b)
+        if not residual.is_zero():
+            found.append((a, b, residual))
+    return found
 
 
 def ore_extend(
@@ -265,32 +249,25 @@ def ore_extend(
 ) -> PoissonStructure:
     """Adjoin a variable x with {a, x} = alpha(a) x + delta(a).
 
-    Requires alpha to be a Poisson derivation and (alpha, delta) to satisfy
-    the compatibility condition, both checked on generator pairs (which is
-    sufficient).  Failures report the offending pair and its residual.
+    Requires alpha to be a Poisson derivation, then (alpha, delta) to
+    satisfy the compatibility condition, the residual walk of delta with the
+    right side `compat`; the first failure reports its pair and residual.
     """
     vs = structure.varspec
     if delta is None:
         delta = PoissonDerivation.zero(vs)
     if not (same_owner(alpha.varspec, vs) and same_owner(delta.varspec, vs)):
         raise VarSpecMismatch("derivations over the wrong variables")
+    compat = lambda a, b: delta.images[a] * alpha.images[b] - alpha.images[a] * delta.images[b]
+    for deriv, rhs, message in (
+        (alpha, None, "alpha is not a Poisson derivation: residual on ({}, {})"),
+        (delta, compat, "(alpha, delta) fail the compatibility condition on ({}, {})"),
+    ):
+        failed = derivation_residuals(structure, deriv, rhs)
+        if failed:
+            a, b, residual = failed[0]
+            raise CompatibilityError(message.format(a, b), pair=(a, b), residual=residual)
     names = vs.names
-    for i, a in enumerate(names):
-        for b in names[i + 1:]:
-            res_a = _derivation_residual(structure, alpha, a, b)
-            if not res_a.is_zero():
-                raise CompatibilityError(
-                    f"alpha is not a Poisson derivation: residual on ({a}, {b})",
-                    pair=(a, b),
-                    residual=res_a,
-                )
-            res_d = _compat_residual(structure, alpha, delta, a, b)
-            if not res_d.is_zero():
-                raise CompatibilityError(
-                    f"(alpha, delta) fail the compatibility condition on ({a}, {b})",
-                    pair=(a, b),
-                    residual=res_d,
-                )
     new_vs = vs.extended(name)
     table: dict[tuple[int, int], LaurentPoly] = {
         key: entry.map_to(new_vs) for key, entry in structure.table.items()

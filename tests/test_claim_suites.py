@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from poisson_strata import admissible, algebra_an, cli, correspondence
+from poisson_strata.poisson_core import PoissonDerivation
 
 CONFIG_PAIRED = str(Path(__file__).resolve().parent.parent / "configs" / "paired_n2.json")
 PAIRED_N4 = str(Path(__file__).resolve().parent.parent / "perfbench" / "configs" / "paired_n4.json")
@@ -91,6 +92,21 @@ def test_weights_fails_for_a_wrong_level_vector(shift, failures, monkeypatch, ca
     monkeypatch.setattr(algebra_an, "level_eigen_elements", wrong)
     status, report = run_suite("weights", capsys)
     assert (status, report["ok"], report["details"]["failures"]) == (1, False, failures)
+
+
+def test_weights_names_the_residual_of_each_failing_pair(monkeypatch, capsys):
+    # scaling y1 alone keeps every bracket but {y2, x2}, whose tail term
+    # -(q1 - p1) y1 x1 = -y1 x1 it scales by the y1 weight
+    def y1_only(params, h):
+        return PoissonDerivation.scaling(algebra_an.an_varspec(params.n), {"y1": h[0]})
+
+    monkeypatch.setattr(cli, "k_derivation", y1_only)
+    status, report = run_suite("weights", capsys)
+    assert (status, report["ok"]) == (1, False)
+    assert report["details"]["failures"] == [
+        "weight vector (1, 0, 1, 0) on (y2, x2): residual -y1*x1",
+        "weight vector (1, -1, 0, 0) on (y2, x2): residual -y1*x1",
+    ]
 
 
 def test_eta_fails_for_a_raw_tail_without_its_lower_x(monkeypatch, capsys):

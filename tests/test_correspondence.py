@@ -687,12 +687,12 @@ def test_poset_nodes_are_the_report_labels():
 
 
 def test_report_derives_the_commutation_matrix_once(monkeypatch):
-    # each matrix belongs to its parameters: building them derives it, and
-    # neither side's 48 stratum targets, A_n nor the PBW products read a
-    # pair word again
+    # each matrix belongs to its parameters and is derived on its first
+    # read: a report over the 48 strata at n = 3 reads as many pair words
+    # as a report over one stratum, so neither side's stratum targets, A_n
+    # nor the PBW products derive a matrix again
     from poisson_strata import algebra_an
 
-    character = group_character(quantum_sample(3), sample_weights())
     calls = []
     plain = algebra_an.pair_word
 
@@ -701,10 +701,14 @@ def test_report_derives_the_commutation_matrix_once(monkeypatch):
         return plain(params, a, b)
 
     monkeypatch.setattr(algebra_an, "pair_word", counting)
-    report = stratification_report(character, enumerate_admissible(3))
-    assert len(report["strata"]) == 48
-    assert all(s["psi_ok"] and s["upsilon_ok"] for s in report["strata"])
-    assert calls == []
+    counts = []
+    for sets in (enumerate_admissible(3)[:1], enumerate_admissible(3)):
+        calls.clear()
+        report = stratification_report(group_character(quantum_sample(3), sample_weights()), sets)
+        assert all(s["psi_ok"] and s["upsilon_ok"] for s in report["strata"])
+        counts.append((len(report["strata"]), len(calls)))
+    # two 6 x 6 matrices: 36 words each, 15 of which read their mirror word
+    assert counts == [(1, 102), (48, 102)]
 
 
 @pytest.fixture

@@ -317,6 +317,25 @@ def test_cli_admissible_count_builds_no_sets(tmp_path, capsys, monkeypatch):
             assert _run_config(tmp_path, capsys, POISSON_RAW, ("admissible", flag))[0] == status
 
 
+@pytest.mark.parametrize("config", [CONFIG_POISSON, CONFIG_QUANTUM, CONFIG_PAIRED])
+def test_cli_admissible_count_derives_no_pair_matrix(capsys, monkeypatch, config):
+    # a parameter set derives its pair matrix on the first read, and the
+    # count reads none, so loading the config evaluates no pair word
+    from poisson_strata import algebra_an
+
+    calls = []
+    plain = algebra_an.pair_word
+
+    def counting(params, a, b):
+        calls.append((a, b))
+        return plain(params, a, b)
+
+    monkeypatch.setattr(algebra_an, "pair_word", counting)
+    assert main(["--config", config, "admissible", "--count"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"n": 2, "count": 14}
+    assert calls == []
+
+
 def test_cli_matrices(capsys):
     assert main(["--config", CONFIG_POISSON, "matrices", "--r"]) == 0
     payload = json.loads(capsys.readouterr().out)
@@ -448,6 +467,21 @@ def test_cli_quotient_normal_forms_share_the_step_budget_error(capsys, monkeypat
         "error": "StepBudgetExceeded",
         "message": "exceeded 1 rewrite steps",
     }
+
+
+@pytest.mark.parametrize(
+    "budget, status, payload",
+    [
+        ("4", 2, {"error": "StepBudgetExceeded", "message": "exceeded 4 rewrite steps"}),
+        ("5", 0, {"suite": "normality", "ok": True, "details": {"tails": 3, "failures": []}}),
+    ],
+)
+def test_cli_normality_products_have_budgets_of_their_own(capsys, monkeypatch, budget, status, payload):
+    # the 36 products of the suite at n = 3 take 60 block crossings in all
+    # and at most 5 each: each product is charged against a budget of its own
+    monkeypatch.setenv("POISSON_STRATA_STEP_BUDGET", budget)
+    assert main(["--config", PAIRED_N3, "verify", "normality"]) == status
+    assert json.loads(capsys.readouterr().out) == payload
 
 
 def test_cli_bracket_power_stops_at_the_step_budget(capsys, monkeypatch):

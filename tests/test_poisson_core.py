@@ -27,7 +27,7 @@ from poisson_strata.poisson_core import (
     DoubleExtensionSpec,
     PoissonDerivation,
     PoissonStructure,
-    derivation_check,
+    derivation_residuals,
     double_extend,
     ore_extend,
 )
@@ -281,6 +281,31 @@ def test_ore_extend_rejects_incompatible_pair():
     assert err.value.residual == LaurentPoly.monomial(vs, {}, -1)
 
 
+def test_ore_extend_rejects_alpha_that_is_not_a_poisson_derivation():
+    # {y,x} = 1 with alpha = y d/dy: alpha({y,x}) - {alpha y, x} - {y, alpha x}
+    # = -1 on (y, x); the zero delta would pass the compatibility condition
+    vs = VarSpec(("y", "x"))
+    base = PoissonStructure(vs, {(0, 1): LaurentPoly.one(vs)})
+    with pytest.raises(CompatibilityError) as err:
+        ore_extend(base, "z", PoissonDerivation.scaling(vs, {"y": 1}))
+    assert str(err.value) == "alpha is not a Poisson derivation: residual on (y, x)"
+    assert err.value.pair == ("y", "x")
+    assert err.value.residual == LaurentPoly.monomial(vs, {}, -1)
+
+
+def test_ore_extend_checks_alpha_before_compatibility():
+    # alpha and delta both fail, delta on an earlier pair: the alpha walk
+    # runs first, over all pairs, so its failure is the one raised
+    vs = VarSpec(("y", "x", "t"))
+    base = PoissonStructure(vs, {(1, 2): LaurentPoly.one(vs)})
+    alpha = PoissonDerivation.scaling(vs, {"x": 1})
+    delta = PoissonDerivation.scaling(vs, {"y": 1})
+    with pytest.raises(CompatibilityError) as err:
+        ore_extend(base, "z", alpha, delta)
+    assert str(err.value) == "alpha is not a Poisson derivation: residual on (x, t)"
+    assert err.value.pair == ("x", "t")
+
+
 def test_monomial_bracket_formula_in_extension():
     # In any single extension, {a x^i, b x^j} expands through alpha and delta
     # with the x-degree dropping by at most one.
@@ -484,10 +509,10 @@ def test_derivation_checks():
     structure = build_an(params)
     vs = structure.varspec
     scaling = PoissonDerivation.scaling(vs, {"y1": 1, "x1": 1, "y2": 1, "x2": 1})
-    assert derivation_check(structure, scaling) is True
+    assert derivation_residuals(structure, scaling) == []
     y1 = structure.generator("y1")
     hamiltonian = PoissonDerivation(vs, {g: structure.bracket(y1, structure.generator(g)) for g in vs.names})
-    assert derivation_check(structure, hamiltonian) is True
+    assert derivation_residuals(structure, hamiltonian) == []
     bad = PoissonDerivation(
         vs,
         {
@@ -497,4 +522,12 @@ def test_derivation_checks():
             "x2": LaurentPoly.zero(vs),
         },
     )
-    assert derivation_check(structure, bad) is False
+    # x1 d/dy1 is no Poisson derivation: each pair it fails is listed with
+    # its residual, in generator order
+    residuals = [(a, b, format_poly(r)) for a, b, r in derivation_residuals(structure, bad)]
+    assert residuals == [
+        ("y1", "x1", "-5*x1^2"),
+        ("y1", "y2", "-x1*y2"),
+        ("y1", "x2", "-9*x1*x2"),
+        ("y2", "x2", "-3*x1^2"),
+    ]
