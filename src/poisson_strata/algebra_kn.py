@@ -17,11 +17,12 @@ bicharacter twist taken from the same matrix.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
-from typing import Optional
+from typing import Iterable, Optional
 
 from .algebra_an import PairParams, generator_names, tail_coefficient
 from .exact_poly import StepBudget, TermMap, VarSpec, accumulate, format_terms
@@ -35,6 +36,16 @@ class QuantumParams(PairParams):
         """A pair word read multiplicatively: the scalar S(a, b) in
         G_a G_b = S(a, b) G_b G_a."""
         return math.prod((atom**e for atom, e in word), start=Fraction(1))
+
+    @functools.cached_property
+    def integer_columns(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """`matrix` by columns as integer pairs: entry [b][a] is S(a, b) as
+        (numerator, denominator), derived on the first read, once per
+        parameter set.  The block crossings and the torus twist hand its
+        entries to `power_product`."""
+        size = range(2 * self.n)
+        s = self.matrix
+        return tuple(tuple((s[a][b].numerator, s[a][b].denominator) for a in size) for b in size)
 
     def _check_values(self):
         n = self.n
@@ -54,6 +65,21 @@ class QuantumParams(PairParams):
                 raise ValueError(
                     f"p_{i + 1}/q_{i + 1} = {ratio} is a root of unity; rejected"
                 )
+
+
+def power_product(factors: Iterable[tuple[tuple[int, int], int]]) -> Fraction:
+    """The product of (num/den)^e over the ((num, den), e) of `factors`, as
+    one reduced Fraction.  Only integers are raised and multiplied; a
+    negative exponent swaps numerator and denominator."""
+    num = den = 1
+    for (a, b), e in factors:
+        if e > 0:
+            num *= a**e
+            den *= b**e
+        elif e:
+            num *= b**-e
+            den *= a**-e
+    return Fraction(num, den)
 
 
 def kn_names(n: int) -> tuple[str, ...]:
@@ -84,46 +110,75 @@ def format_nc(f: NCElement) -> str:
     return format_terms(f.terms, kn_names(f.n))
 
 
+_ONE = Fraction(1)
+
+
 class _Multiplier:
     """Carries the parameters of a product and the budget its block
     crossings charge."""
 
     def __init__(self, params: QuantumParams, budget: StepBudget):
         self.params = params
+        self.columns = params.integer_columns
         self.budget = budget
 
-    def mono_times_gen(self, mono: tuple[int, ...], p: int) -> dict[tuple[int, ...], Fraction]:
-        """Normal form of mono * (generator p): one step crosses the whole
-        block of letters right of p.
+    def mono_times_gen(
+        self, acc: dict[tuple[int, ...], Fraction], mono: tuple[int, ...], p: int, coeff: Fraction
+    ) -> None:
+        """acc += coeff * mono * (generator p) in normal form: one step
+        crosses the whole block of letters right of p.
 
-        Each g_r^e with r > p crosses as the scalar S(r, p)^e.  As x_i
-        Omega_{i-1} = p_i Omega_{i-1} x_i, the block x_i^b crossing y_i is
-        x_i^b y_i = q_i^b y_i x_i^b + [b] Omega_{i-1} x_i^(b-1) with
+        Each g_r^e with r > p crosses as the scalar S(r, p)^e; the block's
+        scalar is one `power_product` over column p of
+        `QuantumParams.integer_columns`, made from integers alone.
+        As x_i Omega_{i-1} = p_i Omega_{i-1} x_i, the block x_i^b crossing
+        y_i is x_i^b y_i = q_i^b y_i x_i^b + [b] Omega_{i-1} x_i^(b-1) with
         [b] = (q_i^b - p_i^b) / (q_i - p_i).  The tail's products A y_k x_k
         (A: mono at positions up to p) involve only pairs below i, so the
-        recursion is at most n deep.
+        recursion is at most n deep.  A crossing without a tail adds its one
+        term to acc directly.
         """
         lead = list(mono)
         lead[p] += 1
-        if not any(mono[p + 1 :]):
-            return {tuple(lead): Fraction(1)}
-        self.budget.charge()
-        s = self.params.matrix
-        scalar = math.prod(
-            (s[r][p] ** mono[r] for r in range(p + 1, len(mono)) if mono[r]), start=Fraction(1)
-        )
-        out = {tuple(lead): scalar}
-        b = 0 if p % 2 else mono[p + 1]
-        if b:
-            i = p // 2 + 1
-            qi, pi = self.params.q[i - 1], self.params.p[i - 1]
-            scalar *= (qi**b - pi**b) / ((qi - pi) * qi**b)  # the lead's without q_i^b, times [b]
-            head = mono[: p + 1] + (0,) * (len(mono) - p - 1)
-            rest = (0,) * (p + 1) + (b - 1,) + mono[p + 2 :]
-            for k in range(1, i):
-                part = self.dict_times_gen(self.mono_times_gen(head, 2 * k - 2), 2 * k - 1)
-                shifted = {tuple(map(add, m, rest)): c for m, c in part.items()}
-                accumulate(out, shifted, scalar * tail_coefficient(self.params, k))
+        lead = tuple(lead)
+        if any(mono[p + 1 :]):
+            self.budget.charge()
+            scalar = power_product(zip(self.columns[p][p + 1 :], mono[p + 1 :]))
+            b = 0 if p % 2 else mono[p + 1]
+            if b:
+                accumulate(acc, self._tail_crossing(lead, mono, p, b, scalar), coeff)
+                return
+            coeff *= scalar
+        s = acc.get(lead)
+        if s is None:
+            acc[lead] = coeff
+        else:
+            s += coeff
+            if s:
+                acc[lead] = s
+            else:
+                del acc[lead]
+
+    def _tail_crossing(
+        self, lead: tuple[int, ...], mono: tuple[int, ...], p: int, b: int, scalar: Fraction
+    ) -> dict[tuple[int, ...], Fraction]:
+        """The terms of x_i^b crossing y_i (p = 2i - 2) in mono, with
+        coefficient 1 on mono: the lead with its block scalar, then the
+        tail's products A y_k x_k for k < i.  The caller applies mono's
+        coefficient once to the result; carried into the tail's products,
+        it would multiply and reduce large numerators more often."""
+        out = {lead: scalar}
+        i = p // 2 + 1
+        qi, pi = self.params.q[i - 1], self.params.p[i - 1]
+        scalar *= (qi**b - pi**b) / ((qi - pi) * qi**b)  # the lead's without q_i^b, times [b]
+        head = mono[: p + 1] + (0,) * (len(mono) - p - 1)
+        rest = (0,) * (p + 1) + (b - 1,) + mono[p + 2 :]
+        for k in range(1, i):
+            inner: dict[tuple[int, ...], Fraction] = {}
+            self.mono_times_gen(inner, head, 2 * k - 2, _ONE)
+            part = self.dict_times_gen(inner, 2 * k - 1)
+            shifted = {tuple(map(add, m, rest)): c for m, c in part.items()}
+            accumulate(out, shifted, scalar * tail_coefficient(self.params, k))
         return out
 
     def dict_times_gen(
@@ -131,7 +186,7 @@ class _Multiplier:
     ) -> dict[tuple[int, ...], Fraction]:
         acc: dict[tuple[int, ...], Fraction] = {}
         for mono, coeff in terms.items():
-            accumulate(acc, self.mono_times_gen(mono, p), coeff)
+            self.mono_times_gen(acc, mono, p, coeff)
         return acc
 
 
@@ -172,18 +227,15 @@ class QuantumTorus:
     varspec: VarSpec
 
     def twist(self, u: tuple[int, ...], v: tuple[int, ...]) -> Fraction:
-        """Scalar in X^u X^v = twist * X^(u+v); a bicharacter in each slot."""
-        s = self.params.matrix
-        out = Fraction(1)
-        for a in range(len(u)):
-            ua = u[a]
-            if ua == 0:
-                continue
-            for b in range(a):
-                vb = v[b]
-                if vb:
-                    out *= s[a][b] ** (ua * vb)
-        return out
+        """Scalar in X^u X^v = twist * X^(u+v), the product of S(a, b)^(u_a v_b)
+        over a > b; a bicharacter in each slot."""
+        columns = self.params.integer_columns
+        return power_product(
+            (entry, ua * vb)
+            for b, vb in enumerate(v)
+            if vb
+            for entry, ua in zip(columns[b][b + 1 :], u[b + 1 :])
+        )
 
 
 class QTorusElement(TermMap):

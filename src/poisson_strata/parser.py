@@ -320,10 +320,11 @@ def eval_quantum(ast: Expr, params: QuantumParams, max_steps: int = DEFAULT_STEP
             return NCElement.one(n)
         # Linear, unlike `TermMap.power`: a PBW product costs a block crossing
         # per letter of its right factor, so multiplying by the short base
-        # beats squaring long normal forms.  Measured on a 2-core Xeon with
-        # configs/quantum_n2.json, `nf "(y1+x1+y2+x2)^20"` takes 1.7 s this
-        # way and 27 s by binary powering; at ^30 this loop finishes in 8 s
-        # and binary powering exceeds the default step budget.
+        # beats squaring long normal forms.  Measured on a shared 2-core host
+        # with configs/quantum_n2.json, `nf "(y1+x1+y2+x2)^20"` takes 0.7-0.9 s
+        # this way and 13 s (798,000 steps) by binary powering; at ^30 this
+        # loop finishes in 3.5-4 s and binary powering exceeds the default
+        # step budget.
         out = base
         for _ in range(e - 1):
             out = mul(out, base)

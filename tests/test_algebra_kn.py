@@ -163,6 +163,55 @@ def test_step_budget_trips():
         nc_multiply(params, big, other, StepBudget(2))
 
 
+# Steps spent by each product of the first 50 `verify associativity` triples
+# (seed 13, n = 3): (f g, (f g) h, g h, f (g h)).
+_ASSOCIATIVITY_STEPS = [
+    (0, 0, 0, 0), (0, 5, 5, 0), (2, 1, 0, 3), (0, 1, 1, 0), (0, 4, 4, 1),
+    (1, 2, 0, 3), (0, 1, 1, 0), (1, 5, 4, 11), (1, 0, 0, 1), (0, 2, 2, 1),
+    (0, 2, 2, 1), (1, 2, 2, 2), (0, 2, 2, 2), (0, 3, 0, 3), (8, 9, 1, 17),
+    (0, 0, 0, 0), (0, 0, 0, 0), (0, 3, 3, 0), (0, 1, 1, 0), (0, 3, 3, 3),
+    (12, 0, 0, 12), (0, 3, 3, 0), (0, 0, 0, 0), (1, 4, 4, 1), (3, 0, 0, 3),
+    (0, 0, 0, 0), (0, 0, 0, 0), (0, 1, 0, 1), (3, 10, 8, 19), (0, 0, 0, 0),
+    (3, 3, 3, 16), (0, 13, 13, 0), (0, 0, 0, 0), (1, 8, 6, 16), (0, 0, 0, 0),
+    (0, 0, 0, 0), (0, 1, 0, 1), (1, 0, 0, 1), (0, 2, 0, 2), (1, 0, 0, 1),
+    (0, 0, 0, 0), (2, 1, 1, 3), (0, 0, 0, 0), (4, 3, 1, 7), (0, 3, 3, 3),
+    (0, 0, 0, 0), (0, 1, 0, 1), (0, 3, 3, 3), (0, 0, 0, 0), (2, 1, 1, 3),
+]
+
+
+def test_products_charge_their_block_crossings():
+    from poisson_strata.cli import _random_monomial
+
+    params = quantum_sample(3)
+    rng = random.Random(13)
+
+    def product(f, g):
+        budget = StepBudget()
+        return nc_multiply(params, f, g, budget), budget.spent
+
+    steps = []
+    for _ in range(50):
+        f, g, h = (_random_monomial(3, rng) for _ in range(3))
+        fg, fg_steps = product(f, g)
+        gh, gh_steps = product(g, h)
+        steps.append((fg_steps, product(fg, h)[1], gh_steps, product(f, gh)[1]))
+    assert steps == _ASSOCIATIVITY_STEPS
+
+    # the products of nf "(y1+x1+y2+x2)^8" on configs/quantum_n2.json
+    params = quantum_sample(2)
+    base = sum((gen(2, name) for name in kn_names(2)), NCElement.zero(2))
+    out, steps = base, []
+    for _ in range(7):
+        out, spent = product(out, base)
+        steps.append(spent)
+    assert steps == [6, 23, 56, 110, 190, 301, 448]
+
+    # a crossing with nothing to its right is free
+    ordered = NCElement(2, {(1, 1, 1, 0): Fraction(2, 3), (0, 2, 0, 0): Fraction(-5)})
+    assert product(ordered, gen(2, "x2"))[1] == 0
+    assert product(gen(2, "y1"), gen(2, "x1"))[1] == 0
+
+
 def test_commutation_matrix_entries():
     params = quantum_sample()
     smatrix = params.matrix
@@ -207,6 +256,26 @@ def test_torus_twist_is_bicharacter():
         combined = tuple(a + b for a, b in zip(u, u2))
         assert torus.twist(combined, v) == torus.twist(u, v) * torus.twist(u2, v)
         assert torus.twist(v, combined) == torus.twist(v, u) * torus.twist(v, u2)
+
+
+def test_torus_twist_matches_the_fraction_product():
+    rng = random.Random(24)
+    for n in (1, 2, 3):
+        for _ in range(3):
+            params = _random_params(rng, n)
+            names = torus_names(n)
+            torus = torus_on(params, invert=names)
+            s = params.matrix
+            for _ in range(40):
+                u, v = (tuple(rng.randint(-4, 4) for _ in range(2 * n)) for _ in range(2))
+                plain = Fraction(1)
+                for a in range(2 * n):
+                    for b in range(a):
+                        plain *= s[a][b] ** (u[a] * v[b])
+                assert torus.twist(u, v) == plain
+                m = QTorusElement(torus, {u: Fraction(rng.randint(1, 9), rng.randint(1, 9))})
+                assert m * m ** -1 == QTorusElement.one(torus)
+                assert m ** -1 * m == QTorusElement.one(torus)
 
 
 def test_torus_kill_invert_overlap_rejected():
@@ -337,6 +406,31 @@ def _random_params(rng, n):
     return QuantumParams.make(n, gamma, p, q)
 
 
+def _rewrite_product(params, f, g):
+    """The oracle's normal form of f g, summed term pair by term pair."""
+    out = {}
+    for mf, cf in f.items():
+        for mg, cg in g.items():
+            for mono, c in _rewrite_words(params, _word(mf) + _word(mg)).items():
+                out[mono] = out.get(mono, 0) + cf * cg * c
+    return {m: c for m, c in out.items() if c}
+
+
+def _tail_shaped(f, n):
+    """m - y_i - x_i + y_k x_k for the terms m of f and k < i: times an
+    element with a y_i, its lead is a tail monomial of m's product."""
+    for m in f:
+        for i in range(1, n):
+            if m[2 * i] and m[2 * i + 1]:
+                for k in range(i):
+                    shifted = list(m)
+                    shifted[2 * i] -= 1
+                    shifted[2 * i + 1] -= 1
+                    shifted[2 * k] += 1
+                    shifted[2 * k + 1] += 1
+                    yield tuple(shifted)
+
+
 def test_block_crossing_matches_word_rewriting_oracle():
     rng = random.Random(21)
     for n in (1, 2, 3):
@@ -349,6 +443,42 @@ def test_block_crossing_matches_word_rewriting_oracle():
                 )
                 product = nc_multiply(params, NCElement(n, {left: 1}), NCElement(n, {right: 1}))
                 assert product.terms == _rewrite_words(params, _word(left) + _word(right)), (left, right)
+
+    # Sums with non-unit rational coefficients.  In every other case at
+    # n > 1 one more term is added to the left operand, scaled so that its
+    # product with the right operand cancels a monomial of the rest's: the
+    # product's accumulator then sums that monomial to zero.  (At n = 1
+    # there are no tails, and distinct term pairs never meet.)
+    def element(n):
+        terms = {}
+        for _ in range(rng.randint(2, 3)):
+            mono = tuple(rng.randint(0, 3) if rng.random() < 0.4 else 0 for _ in range(2 * n))
+            terms[mono] = Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(2, 7))
+        return terms
+
+    cancelled = 0
+    for n in (1, 2, 3):
+        for _ in range(3):
+            params = _random_params(rng, n)
+            for trial in range(8):
+                f, g = element(n), element(n)
+                target = None
+                if trial % 2 and n > 1:
+                    rest = _rewrite_product(params, f, g)
+                    for extra in _tail_shaped(f, n):
+                        own = _rewrite_product(params, {extra: 1}, g)
+                        shared = [m for m in own if m in rest]
+                        if shared and extra not in f:
+                            target = shared[0]
+                            f[extra] = -rest[target] / own[target]
+                            break
+                expected = _rewrite_product(params, f, g)
+                if target is not None:
+                    assert target not in expected
+                    cancelled += 1
+                product = nc_multiply(params, NCElement(n, f), NCElement(n, g))
+                assert product.terms == expected, (f, g)
+    assert cancelled >= 6
 
 
 def test_block_crossing_is_one_step():
