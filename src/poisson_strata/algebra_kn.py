@@ -47,6 +47,16 @@ class QuantumParams(PairParams):
         s = self.matrix
         return tuple(tuple((s[a][b].numerator, s[a][b].denominator) for a in size) for b in size)
 
+    @functools.cached_property
+    def tail_crossings(self) -> dict:
+        """What the x_i^b-over-y_i crossings of PBW products have derived,
+        filled by `_Multiplier._tail_crossing` on first use, once per
+        parameter set.  (head, i) holds the terms of
+        sum_{k<i} (q_k - p_k) head y_k x_k with unit coefficient on head,
+        together with the block crossings their expansion charged; (i, b)
+        holds [b]/q_i^b."""
+        return {}
+
     def _check_values(self):
         n = self.n
         for i in range(n):
@@ -120,6 +130,7 @@ class _Multiplier:
     def __init__(self, params: QuantumParams, budget: StepBudget):
         self.params = params
         self.columns = params.integer_columns
+        self.table = params.tail_crossings
         self.budget = budget
 
     def mono_times_gen(
@@ -135,8 +146,10 @@ class _Multiplier:
         y_i is x_i^b y_i = q_i^b y_i x_i^b + [b] Omega_{i-1} x_i^(b-1) with
         [b] = (q_i^b - p_i^b) / (q_i - p_i).  The tail's products A y_k x_k
         (A: mono at positions up to p) involve only pairs below i, so the
-        recursion is at most n deep.  A crossing without a tail adds its one
-        term to acc directly.
+        recursion is at most n deep; `_tail_crossing` expands each (A, i)
+        once per parameter set and charges a repeat the crossings its
+        expansion charged.  A crossing without a tail adds its one term to
+        acc directly.
         """
         lead = list(mono)
         lead[p] += 1
@@ -164,21 +177,41 @@ class _Multiplier:
     ) -> dict[tuple[int, ...], Fraction]:
         """The terms of x_i^b crossing y_i (p = 2i - 2) in mono, with
         coefficient 1 on mono: the lead with its block scalar, then the
-        tail's products A y_k x_k for k < i.  The caller applies mono's
+        tail sum_{k<i} (q_k - p_k) A y_k x_k (A: mono up to p) shifted by
+        mono's letters from x_i^(b-1) on and scaled by the lead's scalar
+        times [b]/q_i^b.
+
+        The tail of A and [b]/q_i^b depend on the parameters alone, so they
+        are read from `QuantumParams.tail_crossings`.  A miss expands the
+        tail as products of unit-coefficient monomials, charging their
+        crossings as it goes, and stores it with their count once the
+        expansion has finished (a `StepBudgetExceeded` stores nothing); a
+        hit charges that count at once.  The caller applies mono's
         coefficient once to the result; carried into the tail's products,
         it would multiply and reduce large numerators more often."""
-        out = {lead: scalar}
+        table = self.table
         i = p // 2 + 1
-        qi, pi = self.params.q[i - 1], self.params.p[i - 1]
-        scalar *= (qi**b - pi**b) / ((qi - pi) * qi**b)  # the lead's without q_i^b, times [b]
+        ratio = table.get((i, b))
+        if ratio is None:
+            qi, pi = self.params.q[i - 1], self.params.p[i - 1]
+            ratio = table[i, b] = (qi**b - pi**b) / ((qi - pi) * qi**b)
         head = mono[: p + 1] + (0,) * (len(mono) - p - 1)
+        entry = table.get((head, i))
+        if entry is None:
+            before = self.budget.spent
+            tail: dict[tuple[int, ...], Fraction] = {}
+            for k in range(1, i):
+                inner: dict[tuple[int, ...], Fraction] = {}
+                self.mono_times_gen(inner, head, 2 * k - 2, _ONE)
+                accumulate(tail, self.dict_times_gen(inner, 2 * k - 1), tail_coefficient(self.params, k))
+            entry = table[head, i] = (tail, self.budget.spent - before)
+        else:
+            self.budget.charge(entry[1])
         rest = (0,) * (p + 1) + (b - 1,) + mono[p + 2 :]
-        for k in range(1, i):
-            inner: dict[tuple[int, ...], Fraction] = {}
-            self.mono_times_gen(inner, head, 2 * k - 2, _ONE)
-            part = self.dict_times_gen(inner, 2 * k - 1)
-            shifted = {tuple(map(add, m, rest)): c for m, c in part.items()}
-            accumulate(out, shifted, scalar * tail_coefficient(self.params, k))
+        factor = scalar * ratio  # the lead's without q_i^b, times [b]
+        out = {lead: scalar}
+        for m, c in entry[0].items():
+            out[tuple(map(add, m, rest))] = c * factor
         return out
 
     def dict_times_gen(

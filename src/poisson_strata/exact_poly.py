@@ -15,6 +15,7 @@ multiplicative subgroups of Q* used by the parameter-group checks.
 from __future__ import annotations
 
 import random
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
@@ -224,19 +225,31 @@ def over_denominator(
     return {mono: Fraction(c, d) for mono, c in numerators.items()}
 
 
+def _coefficient_text(coeff: Fraction) -> str:
+    try:
+        return str(coeff)
+    except ValueError:  # the interpreter's integer-to-string digit limit
+        raise ValueError(
+            f"a result coefficient has more than {sys.get_int_max_str_digits()} digits"
+            " and cannot be printed"
+        ) from None
+
+
 def format_terms(terms: Mapping[tuple[int, ...], Fraction], names: Sequence[str]) -> str:
-    """Canonical text of a term map in descending term order; stable across runs."""
+    """Canonical text of a term map in descending term order; stable across
+    runs.  A coefficient with more decimal digits than the interpreter
+    converts (`sys.get_int_max_str_digits()`) raises `ValueError`."""
     out = ""
     for mono, coeff in sorted(terms.items(), key=lambda kv: monomial_key(kv[0]), reverse=True):
         factors = "*".join(name if e == 1 else f"{name}^{e}" for name, e in zip(names, mono) if e)
         if not factors:
-            text = str(coeff)
+            text = _coefficient_text(coeff)
         elif coeff == 1:
             text = factors
         elif coeff == -1:
             text = "-" + factors
         else:
-            text = str(coeff) + "*" + factors
+            text = _coefficient_text(coeff) + "*" + factors
         if not out:
             out = text
         elif text.startswith("-"):

@@ -180,36 +180,66 @@ _ASSOCIATIVITY_STEPS = [
 
 
 def test_products_charge_their_block_crossings():
+    # Each pass runs on one params object: the first fills its table of
+    # tail crossings, the second reads it and must charge the same steps.
     from poisson_strata.cli import _random_monomial
 
     params = quantum_sample(3)
-    rng = random.Random(13)
 
     def product(f, g):
         budget = StepBudget()
         return nc_multiply(params, f, g, budget), budget.spent
 
-    steps = []
-    for _ in range(50):
-        f, g, h = (_random_monomial(3, rng) for _ in range(3))
-        fg, fg_steps = product(f, g)
-        gh, gh_steps = product(g, h)
-        steps.append((fg_steps, product(fg, h)[1], gh_steps, product(f, gh)[1]))
-    assert steps == _ASSOCIATIVITY_STEPS
+    for _ in range(2):
+        rng = random.Random(13)
+        steps = []
+        for _ in range(50):
+            f, g, h = (_random_monomial(3, rng) for _ in range(3))
+            fg, fg_steps = product(f, g)
+            gh, gh_steps = product(g, h)
+            steps.append((fg_steps, product(fg, h)[1], gh_steps, product(f, gh)[1]))
+        assert steps == _ASSOCIATIVITY_STEPS
 
     # the products of nf "(y1+x1+y2+x2)^8" on configs/quantum_n2.json
     params = quantum_sample(2)
     base = sum((gen(2, name) for name in kn_names(2)), NCElement.zero(2))
-    out, steps = base, []
-    for _ in range(7):
-        out, spent = product(out, base)
-        steps.append(spent)
-    assert steps == [6, 23, 56, 110, 190, 301, 448]
+    for _ in range(2):
+        out, steps = base, []
+        for _ in range(7):
+            out, spent = product(out, base)
+            steps.append(spent)
+        assert steps == [6, 23, 56, 110, 190, 301, 448]
 
     # a crossing with nothing to its right is free
     ordered = NCElement(2, {(1, 1, 1, 0): Fraction(2, 3), (0, 2, 0, 0): Fraction(-5)})
     assert product(ordered, gen(2, "x2"))[1] == 0
     assert product(gen(2, "y1"), gen(2, "x1"))[1] == 0
+
+
+def test_tail_cut_short_by_the_budget_is_not_stored():
+    # y3 crossing x3^2 charges one step and then expands the tail of
+    # A = y1 x1^2 y2^2 x2 over the lower pairs, which charges seven more.
+    f = NCElement(3, {(1, 2, 2, 1, 1, 2): Fraction(2, 3)})
+    y3 = gen(3, "y3")
+    cold, cold_budget = quantum_sample(3), StepBudget()
+    expected = nc_multiply(cold, f, y3, cold_budget)
+    assert cold_budget.spent == 8
+    head = (1, 2, 2, 1, 1, 0)
+    assert (head, 3) in cold.tail_crossings
+
+    params = quantum_sample(3)
+    for limit in range(1, 8):
+        with pytest.raises(StepBudgetExceeded):
+            nc_multiply(params, f, y3, StepBudget(limit))
+        assert (head, 3) not in params.tail_crossings
+    budget = StepBudget()
+    assert nc_multiply(params, f, y3, budget) == expected
+    assert budget.spent == 8
+    assert params.tail_crossings == cold.tail_crossings
+    # a warm repeat is served from the table and charges the same
+    budget = StepBudget()
+    assert nc_multiply(params, f, y3, budget) == expected
+    assert budget.spent == 8
 
 
 def test_commutation_matrix_entries():
@@ -460,6 +490,7 @@ def test_block_crossing_matches_word_rewriting_oracle():
     for n in (1, 2, 3):
         for _ in range(3):
             params = _random_params(rng, n)
+            checked = []
             for trial in range(8):
                 f, g = element(n), element(n)
                 target = None
@@ -478,6 +509,15 @@ def test_block_crossing_matches_word_rewriting_oracle():
                     cancelled += 1
                 product = nc_multiply(params, NCElement(n, f), NCElement(n, g))
                 assert product.terms == expected, (f, g)
+                checked.append((f, g, expected))
+            # Again on the table the trials filled: every tail crossing is
+            # now read from it, and no entry is added.
+            filled = dict(params.tail_crossings)
+            assert n == 1 or any(isinstance(key[0], tuple) and value[0] for key, value in filled.items())
+            for f, g, expected in checked:
+                product = nc_multiply(params, NCElement(n, f), NCElement(n, g))
+                assert product.terms == expected, (f, g)
+            assert params.tail_crossings == filled
     assert cancelled >= 6
 
 

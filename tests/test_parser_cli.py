@@ -230,6 +230,19 @@ def test_cli_step_budget_counts_block_crossings(capsys, monkeypatch):
     assert json.loads(capsys.readouterr().out) == {"result": f"{8 ** 1500}*y1*x2^1500"}
 
 
+@pytest.mark.parametrize("expression", ["x1 y1^8000", "2^15000"])
+def test_cli_oversized_coefficient_names_the_digit_limit(capsys, expression):
+    # the coefficients pass the interpreter's integer-to-string limit, with
+    # and without a monomial beside them
+    status = main(["--config", CONFIG_QUANTUM, "nf", expression])
+    assert status == 2
+    assert json.loads(capsys.readouterr().out) == {
+        "error": "ValueError",
+        "message": f"a result coefficient has more than {sys.get_int_max_str_digits()} digits"
+        " and cannot be printed",
+    }
+
+
 def test_quantum_power_multiplies_from_the_base(monkeypatch):
     import poisson_strata.parser as parser_module
     from poisson_strata.algebra_kn import format_nc
