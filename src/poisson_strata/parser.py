@@ -10,16 +10,18 @@ Grammar (whitespace-insensitive, juxtaposition means product):
     VAR     := (y | x | Y | X | Omega) digits
 
 Bracket pairs {f, g} are only meaningful when evaluating against a Poisson
-structure.  Syntax errors carry the offending offset.  Parentheses and
-brackets nest at most MAX_NESTING deep, which keeps parsing and evaluation
-well inside the interpreter's default recursion limit; sums, products and
-power towers of any length parse into left-nested chains, which the
-evaluators walk in a loop.
+structure.  Syntax errors, and numbers past the digit limit of `int()`,
+carry the offending offset.  Parentheses and brackets nest at most
+MAX_NESTING deep, which keeps parsing and evaluation well inside the
+interpreter's default recursion limit; sums, products and power towers of
+any length parse into left-nested chains, which the evaluators walk in a
+loop.
 """
 
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Union
@@ -205,6 +207,10 @@ class _Parser:
 
 
 def parse_expr(text: str) -> Expr:
+    limit = sys.get_int_max_str_digits()  # int() reads every number and index up to it
+    digits = limit and re.search(rf"[0-9]{{{limit + 1}}}", text)
+    if digits:
+        raise ParseError(f"number has more than {limit} digits", digits.start())
     return _Parser(text).parse()
 
 
@@ -247,12 +253,12 @@ def _evaluate(ast: Expr, leaf: Callable, mul: Callable, power: Callable):
 
 def _check_variable(node: Expr, n: int, names) -> None:
     """Raise EvalError unless the variable node is a tail element Omega_k
-    with k <= n or one of the generator names."""
+    with k <= n, its index spelled canonically, or one of the generator
+    names."""
     if not isinstance(node, Var):
         raise TypeError(f"not an expression node: {node!r}")
-    match = _VAR_RE.match(node.name)
-    if match.group(1) == "Omega":
-        k = int(match.group(2))
+    prefix, index = _VAR_RE.match(node.name).groups()
+    if prefix == "Omega" and str(k := int(index)) == index:
         if k > n:
             raise EvalError(f"no tail element of index {k} for n={n}")
     elif node.name not in names:

@@ -18,10 +18,11 @@ which is the formula above applied to one term of each argument.  A
 log-canonical table has no rest; the algebra A_n's rest is its tails.
 Killed generators need no special case, as no monomial of the ring carries
 them, and negative exponents need none either.
-Antisymmetry and the Leibniz rule hold by construction; the Jacobi identity
-on generator triples is what `jacobi_check` verifies, and it propagates to
-all elements because the jacobiator of a biderivation bracket is a
-triderivation.
+Antisymmetry and the Leibniz rule hold by construction.  The Jacobi
+identity is checked once, by `jacobi_check` on generator triples, and it
+propagates to all elements because the jacobiator of a biderivation bracket
+is a triderivation.  So the package brackets no sampled elements, which
+would test the kernel code rather than the algebra.
 
 The module also provides the one Poisson-derivation test, the generator-pair
 residual walk `derivation_residuals`, and the two extension constructors for
@@ -44,6 +45,7 @@ from .exact_poly import (
     VarSpec,
     VarSpecMismatch,
     accumulate,
+    format_poly,
     integer_terms,
     numerators_over,
     over_denominator,
@@ -142,35 +144,30 @@ class PoissonStructure:
                         accumulate(acc, {tuple(map(add, u_shift, v)): kb for v, kb in pairs}, a * t)
         return LaurentPoly._trusted(vs, over_denominator(acc, f_den * g_den * self.denominator))
 
-    def jacobiator(self, f: LaurentPoly, g: LaurentPoly, h: LaurentPoly) -> LaurentPoly:
-        return (
-            self.bracket(self.bracket(f, g), h)
-            + self.bracket(self.bracket(g, h), f)
-            + self.bracket(self.bracket(h, f), g)
-        )
-
-    def jacobi_check(self) -> bool:
-        """Jacobi identity on all generator triples; sufficient for the ring.
-
-        The inner bracket of a generator pair is its table entry."""
-        n = len(self.varspec)
-        gens = [self.generator(name) for name in self.varspec.names]
+    def jacobi_check(self) -> list[tuple[str, str, str, LaurentPoly]]:
+        """(a, b, c, residual) for each generator triple a < b < c, in
+        generator order, whose jacobiator {{a, b}, c} + {{b, c}, a} +
+        {{c, a}, b} is nonzero; [] when the Jacobi identity holds, and then
+        it holds on the whole ring.  The inner bracket of a generator pair
+        is its table entry."""
+        names = self.varspec.names
+        gens = [self.generator(name) for name in names]
         entry, bracket = self.entry, self.bracket
-        for i in range(n):
-            for j in range(i + 1, n):
-                for k in range(j + 1, n):
-                    jacobiator = (
-                        bracket(entry(i, j), gens[k])
-                        + bracket(entry(j, k), gens[i])
-                        + bracket(entry(k, i), gens[j])
-                    )
-                    if not jacobiator.is_zero():
-                        return False
-        return True
+        found = []
+        for i, j, k in combinations(range(len(names)), 3):
+            residual = (
+                bracket(entry(i, j), gens[k]) + bracket(entry(j, k), gens[i]) + bracket(entry(k, i), gens[j])
+            )
+            if not residual.is_zero():
+                found.append((names[i], names[j], names[k], residual))
+        return found
 
     def validate(self) -> PoissonStructure:
-        if not self.jacobi_check():
-            raise ValueError("bracket table violates the Jacobi identity")
+        failed = self.jacobi_check()
+        if failed:
+            a, b, c, residual = failed[0]
+            message = f"bracket table violates the Jacobi identity on ({a}, {b}, {c})"
+            raise ValueError(f"{message}: residual {format_poly(residual)}")
         return self
 
 

@@ -5,8 +5,8 @@ name, and slow or roundabout re-derivations of what the package computes:
 the paper's admissibility biconditional and the brute-force filter by it,
 monomial counting of quotient growth, the nested-pair walk of the eta
 congruence, the defining relations of the quantized algebra written out one
-by one, Poisson-normality detection by exact division, and the
-canonical text of a parsed expression.
+by one, the jacobiator of three elements, Poisson-normality detection by
+exact division, and the canonical text of a parsed expression.
 """
 
 from __future__ import annotations
@@ -255,6 +255,16 @@ def defining_relations(params: QuantumParams) -> list[Relation]:
             yj, xj = 2 * j - 2, 2 * j - 1
             rels += [relation(a, b) for a, b in ((yi, yj), (xi, yj), (yi, xj), (xi, xj))]
     return rels
+
+
+# -- the jacobiator of three elements ------------------------------------------
+
+
+def jacobiator(structure: PoissonStructure, f: LaurentPoly, g: LaurentPoly, h: LaurentPoly) -> LaurentPoly:
+    """{{f, g}, h} + {{g, h}, f} + {{h, f}, g}, every bracket by the kernel;
+    zero for all f, g, h exactly when the bracket is a Poisson bracket."""
+    bracket = structure.bracket
+    return bracket(bracket(f, g), h) + bracket(bracket(g, h), f) + bracket(bracket(h, f), g)
 
 
 # -- Poisson normality by exact division ---------------------------------------

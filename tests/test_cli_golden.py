@@ -118,8 +118,8 @@ DIGEST = [
     (
         "paired_n2.json",
         ["verify", "all"],
-        2747,
-        "feb59ba0cf41b34f7756bfa4897e04fd6678213f24788b407ee0cc5b95c1bcf9",
+        2703,
+        "1d5f9ad2129f1a7c3c852331f5087a5ee5f26ddaa37b60b799c9529ba51ef52e",
     ),
     (
         PAIRED_N3,

@@ -1,12 +1,15 @@
 """Property test of the config contract: any JSON config file ends in a
-report (exit 0) or in the JSON error object (exit 2), never in a traceback."""
+report (exit 0) or in the JSON error object (exit 2), never in a traceback;
+a number past the interpreter's digit limit ends in a ConfigError."""
 
 import contextlib
 import io
 import json
+import sys
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -66,3 +69,27 @@ def test_any_json_config_ends_in_a_report_or_an_error_object(raw):
         assert "error" not in payload
     else:
         assert status == 2 and set(payload) == {"error", "message"}
+
+
+_LONG = "7" * (sys.get_int_max_str_digits() + 1)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        f'{{"mode": "poisson", "n": {_LONG}, "gamma": [], "p": [], "q": []}}',
+        f'{{"mode": "paired", "n": 1, "gamma": [["1"]], "p": ["2"], "q": ["{_LONG}"], "phi_weights": {{"2": "1"}}}}',
+        f'{{"mode": "paired", "n": 1, "gamma": [["1"]], "p": ["2"], "q": ["4"], "phi_weights": {{"{_LONG}": "1"}}}}',
+    ],
+    ids=["n", "q entry", "weight key"],
+)
+def test_number_past_the_digit_limit_is_a_config_error(tmp_path, text):
+    # json and Fraction read digits by int(), which stops at the
+    # interpreter's limit; the error names the limit, not the literal
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        status = main(["--config", str(path), "matrices"])
+    message = f"config has a number of more than {sys.get_int_max_str_digits()} digits"
+    assert (status, json.loads(out.getvalue())) == (2, {"error": "ConfigError", "message": message})

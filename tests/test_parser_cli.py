@@ -32,7 +32,8 @@ from poisson_strata.parser import (
     parse_expr,
 )
 
-_CONFIG_DIR = __import__("pathlib").Path(__file__).resolve().parent.parent / "configs"
+_ROOT = Path(__file__).resolve().parent.parent
+_CONFIG_DIR = _ROOT / "configs"
 CONFIG_POISSON = str(_CONFIG_DIR / "poisson_n2.json")
 CONFIG_QUANTUM = str(_CONFIG_DIR / "quantum_n2.json")
 CONFIG_PAIRED = str(_CONFIG_DIR / "paired_n2.json")
@@ -97,6 +98,40 @@ def test_tail_index_past_n_is_an_eval_error():
     params = poisson_sample()
     with pytest.raises(EvalError, match="no tail element of index 3 for n=2"):
         eval_poisson(parse_expr("Omega3"), build_an(params), params)
+
+
+def test_an_index_is_read_only_in_its_canonical_spelling():
+    # Omega0 is the zero tail element; with a leading zero an index names no
+    # element on either side, as it names no generator
+    params = poisson_sample()
+    structure = build_an(params)
+    assert eval_poisson(parse_expr("Omega0"), structure, params).is_zero()
+    assert eval_quantum(parse_expr("Omega0 + 1"), quantum_sample()) == NCElement.one(2)
+    for name in ("Omega01", "Omega00", "Omega002", "x01"):
+        message = f"unknown variable {name!r}"
+        with pytest.raises(EvalError, match=message):
+            eval_poisson(parse_expr(name), structure, params)
+        with pytest.raises(EvalError, match=message):
+            eval_quantum(parse_expr(name), quantum_sample())
+
+
+_LONG = "7" * (sys.get_int_max_str_digits() + 1)
+
+
+@pytest.mark.parametrize(
+    "text,position",
+    [(f"x1^{_LONG}", 3), (f"{_LONG} x1", 0), (f"Omega{_LONG}", 5), (f"y1 + 3/{_LONG}", 7)],
+    ids=["exponent", "coefficient", "tail index", "denominator"],
+)
+def test_number_past_the_digit_limit_is_a_parse_error(text, position, capsys):
+    message = f"number has more than {sys.get_int_max_str_digits()} digits at offset {position}"
+    with pytest.raises(ParseError) as err:
+        parse_expr(text)
+    assert str(err.value) == message and err.value.position == position
+    assert main(["--config", CONFIG_QUANTUM, "nf", text]) == 2
+    assert json.loads(capsys.readouterr().out) == {"error": "ParseError", "message": message}
+    assert main(["--config", CONFIG_POISSON, "bracket", "x1", text]) == 2
+    assert json.loads(capsys.readouterr().out)["error"] == "ParseError"
 
 
 def test_juxtaposition_and_explicit_star_agree():
@@ -374,6 +409,26 @@ def test_cli_verify_suite(capsys):
     capsys.readouterr()
     assert main(["--config", CONFIG_QUANTUM, "verify", "jacobi"]) == 2
     capsys.readouterr()
+
+
+JACOBI_LINE = (
+    '{"suite": "jacobi", "ok": true, "details": {"generator_triples": true, "iterated_rebuild": true}}\n'
+)
+
+
+@pytest.mark.parametrize(
+    "path",
+    [path for folder in ("configs", "perfbench/configs") for path in sorted((_ROOT / folder).glob("*.json"))],
+    ids=lambda path: str(path.relative_to(_ROOT)),
+)
+def test_cli_verify_jacobi_prints_one_line_per_config(capsys, path):
+    # the generator-triple proof and the rebuild, and no sampled verdict
+    status = main(["--config", str(path), "verify", "jacobi"])
+    out = capsys.readouterr().out
+    if load_config(str(path)).poisson is None:
+        assert status == 2 and json.loads(out)["error"] == "ConfigError"
+    else:
+        assert (status, out) == (0, JACOBI_LINE)
 
 
 def test_cli_verify_all_green(capsys):
@@ -809,7 +864,7 @@ def randint_monomial(n, rng):
     "seed,count,owner,reference,generator",
     [
         (11, 48 * cli.RANDOM_TRIALS, an_varspec(3), randint_poly, cli._random_poly),  # confluence
-        (7, 50 * 3, an_varspec(3), randint_poly, cli._random_poly),  # jacobi
+        (7, 50 * 3, an_varspec(3), randint_poly, cli._random_poly),  # the jacobi sample test
         (13, 3 * cli.RANDOM_TRIALS, 3, randint_monomial, cli._random_monomial),  # associativity
     ],
 )
