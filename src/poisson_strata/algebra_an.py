@@ -83,8 +83,15 @@ class PairParams:
 
     @functools.cached_property
     def matrix(self) -> tuple[tuple[Fraction, ...], ...]:
-        size = range(2 * self.n)
-        return tuple(tuple(self._evaluate(pair_word(self, a, b)) for b in size) for a in size)
+        """`pair_word` evaluated once per pair a < b; (b, a) holds the
+        evaluation of that value to the power -1, and the diagonal the
+        evaluation of the empty word."""
+        size, empty = 2 * self.n, self._evaluate(())
+        rows = [[empty] * size for _ in range(size)]
+        for a, b in combinations(range(size), 2):
+            value = rows[a][b] = self._evaluate(pair_word(self, a, b))
+            rows[b][a] = self._evaluate(((value, -1),))
+        return tuple(map(tuple, rows))
 
 
 @dataclass(frozen=True)
@@ -123,11 +130,11 @@ Atom = tuple[Fraction, int]
 
 
 def pair_word(params: PairParams, a: int, b: int) -> tuple[Atom, ...]:
-    """The coefficient of the ordered generator pair (a, b) as a word.
+    """The coefficient of the generator pair (a, b), a < b, as a word.
 
     Generators are indexed y1, x1, ..., yn, xn from 0.  The word is a tuple
     of (atom, exponent) pairs over the parameters gamma_ij, p_j and q_i,
-    where i <= j are the pair indices of the two generators.  For a < b:
+    where i <= j are the pair indices of the two generators:
 
         (y_i, x_i)  q_i^-1
         (y_i, y_j)  gamma_ij
@@ -135,18 +142,16 @@ def pair_word(params: PairParams, a: int, b: int) -> tuple[Atom, ...]:
         (x_i, y_j)  gamma_ij^-1 p_j
         (x_i, x_j)  gamma_ij q_i p_j^-1
 
-    (b, a) gives the inverse word and (a, a) the empty one.  Evaluated
-    additively (`PoissonParams._evaluate`) the word is the log-canonical
-    coefficient of the Poisson algebra; evaluated multiplicatively
-    (`QuantumParams._evaluate`) it is the commutation scalar of the
-    quantized algebra.  The additive character of the parameter group turns
-    the second into the first.  `params` is either side's parameters; each
-    side reads the values from `params.matrix`.
+    The pair (b, a) has the inverse word and (a, a) the empty one;
+    `PairParams.matrix` evaluates those as the one-atom word (value of
+    (a, b))^-1 and as ().  Evaluated additively (`PoissonParams._evaluate`)
+    the word is the log-canonical coefficient of the Poisson algebra;
+    evaluated multiplicatively (`QuantumParams._evaluate`) it is the
+    commutation scalar of the quantized algebra.  The additive character of
+    the parameter group turns the second into the first.  `params` is
+    either side's parameters; each side reads the values from
+    `params.matrix`.
     """
-    if a > b:
-        return tuple((atom, -e) for atom, e in pair_word(params, b, a))
-    if a == b:
-        return ()
     i, j = a // 2, b // 2
     gamma, p_j, q_i = params.gamma[i][j], params.p[j], params.q[i]
     if i == j:

@@ -8,17 +8,20 @@ stratum of `map-report` included, exits 1 with its report; any error, a bad
 command line included, exits 2 with a machine-readable {"error", "message"}
 object; a stdout closed by its reader exits 2 too, with nothing on stderr.
 POISSON_STRATA_STEP_BUDGET, read once when the config is loaded
-(`Config.step_limit`), caps the steps of each
-`exact_poly.StepBudget`: one step is one generator
-crossing the block of letters to its right in a quantized product, one rule
-application in a quotient normal form, one term pair of a product or
-bracket in the evaluation of `bracket`, or one admissible set that
-`admissible --list` or `--poset` is to build, all charged from the count
+(`Config.step_limit`), caps the steps of each `exact_poly.StepBudget`: one
+step is one generator crossing the block of letters to its right in a
+quantized product, one product of a power in the evaluation of `nf`
+(charged before the first), one rule application in a quotient normal
+form, one term pair of a product or bracket in the evaluation of
+`bracket`, or one admissible set that a command walking the strata
+(`admissible --list` or `--poset`, `map-report`, `verify psi`, `upsilon`,
+`confluence`, `kstable` or `eta`) is to build, all charged from the count
 before the first is built (`admissible --count` builds none and charges
 nothing).  The whole expression of an `nf` command, powers included, has
 one budget, as has the whole expression {left, right} of a `bracket`
-command; each product of `verify associativity` and `verify normality` and
-each normal form of `verify confluence` and `verify kstable` has its own.
+command and the strata of a run; each product of `verify associativity`
+and `verify normality` and each normal form of `verify confluence` and
+`verify kstable` has its own.
 Past its budget a command ends in a StepBudgetExceeded error; a budget that
 is not a positive integer ends every command in a ConfigError.
 """
@@ -167,7 +170,10 @@ class Config:
 
     @functools.cached_property
     def strata(self) -> list[adm.AdmissibleSet]:
-        """The admissible sets of n, in canonical order."""
+        """The admissible sets of n, in canonical order, charged one
+        "admissible sets" step each against a budget of the run's limit
+        before the first is built."""
+        StepBudget(self.step_limit, "admissible sets").charge(adm.count_admissible(self.n))
         return adm.enumerate_admissible(self.n)
 
 
@@ -511,7 +517,6 @@ def cmd_admissible(config: Config, args) -> dict | str:
     count = adm.count_admissible(n)
     if not (args.list or args.poset):
         return {"n": n, "count": count}
-    StepBudget(config.step_limit, "admissible sets").charge(count)
     if args.poset:
         if args.dot:
             return adm.poset_dot(config.strata)

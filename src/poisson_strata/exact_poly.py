@@ -36,9 +36,9 @@ class StepBudgetExceeded(RuntimeError):
     """A computation went past its step budget.
 
     This is the documented outcome of any `nf` or `bracket` expression,
-    quotient normal form, associativity-suite product or admissible-set
-    listing that takes more than `POISSON_STRATA_STEP_BUDGET` steps; the command line reports it as
-    a JSON error object and exits 2."""
+    quotient normal form, associativity-suite product or walk of the
+    admissible sets that takes more than `POISSON_STRATA_STEP_BUDGET` steps;
+    the command line reports it as a JSON error object and exits 2."""
 
     def __init__(self, limit: int, unit: str):
         super().__init__(f"exceeded {limit} {unit}")
@@ -46,9 +46,10 @@ class StepBudgetExceeded(RuntimeError):
 
 class StepBudget:
     """An allowance of `limit` steps, counted in `unit`, that every
-    computation handed it charges: the block crossings of PBW products,
-    the term pairs of Poisson products and brackets, of one expression or
-    one product, or the admissible sets of one listing.  `reduce_poly` keeps its own counter to the same rule."""
+    computation handed it charges: the block crossings of PBW products and
+    the products of quantized powers, or the term pairs of Poisson products
+    and brackets, of one expression or one product, or the admissible sets
+    of one run.  `reduce_poly` keeps its own counter to the same rule."""
 
     __slots__ = ("limit", "unit", "spent")
 

@@ -307,7 +307,9 @@ def eval_poisson(
 def eval_quantum(ast: Expr, params: QuantumParams, max_steps: int = DEFAULT_STEP_BUDGET) -> NCElement:
     """Evaluate in the quantized algebra.  The block crossings of every
     product, powers included, are charged against one budget of max_steps
-    for the whole expression."""
+    for the whole expression.  A power f^e also charges its e - 1 products,
+    one step each, before it computes the first, so a power that would pass
+    the budget stops at once even when its products cross no block."""
     n = params.n
     budget = StepBudget(max_steps)
 
@@ -331,6 +333,7 @@ def eval_quantum(ast: Expr, params: QuantumParams, max_steps: int = DEFAULT_STEP
         # this way and 13 s (798,000 steps) by binary powering; at ^30 this
         # loop finishes in 3.5-4 s and binary powering exceeds the default
         # step budget.
+        budget.charge(e - 1)
         out = base
         for _ in range(e - 1):
             out = mul(out, base)

@@ -17,12 +17,15 @@ rest of its terms.  Then for monomials X^u, X^v
 which is the formula above applied to one term of each argument.  A
 log-canonical table has no rest; the algebra A_n's rest is its tails.
 Killed generators need no special case, as no monomial of the ring carries
-them, and negative exponents need none either.
+them, and negative exponents need none either.  The kernel's integer core,
+`_add_bracket`, sums the numerators of {f, g} into an accumulator;
+`bracket` wraps it in rationals, and `jacobi_check` reads it directly.
 Antisymmetry and the Leibniz rule hold by construction.  The Jacobi
-identity is checked once, by `jacobi_check` on generator triples, and it
-propagates to all elements because the jacobiator of a biderivation bracket
-is a triderivation.  So the package brackets no sampled elements, which
-would test the kernel code rather than the algebra.
+identity is checked once, by `jacobi_check` on the generator triples that
+touch a rest entry (the others cannot fail), and it propagates to all
+elements because the jacobiator of a biderivation bracket is a
+triderivation.  So the package brackets no sampled elements, which would
+test the kernel code rather than the algebra.
 
 The module also provides the one Poisson-derivation test, the generator-pair
 residual walk `derivation_residuals`, and the two extension constructors for
@@ -118,17 +121,12 @@ class PoissonStructure:
     def generator(self, name: str) -> LaurentPoly:
         return LaurentPoly.variable(self.varspec, name)
 
-    def bracket(self, f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
-        """{f, g} by the closed form of the module docstring, one term pair
-        at a time, summed as integer numerators into one term map."""
-        vs = self.varspec
-        if not (same_owner(f.varspec, vs) and same_owner(g.varspec, vs)):
-            raise VarSpecMismatch("bracket arguments over the wrong variables")
-        f_ints, f_den = integer_terms(f.terms)
-        g_ints, g_den = integer_terms(g.terms)
+    def _add_bracket(self, acc: dict, f_ints: Mapping, g_ints: Mapping) -> None:
+        """acc += the integer numerators of {f, g} over d_f d_g `denominator`,
+        for f and g given as integer numerators over d_f and d_g: the closed
+        form of the module docstring, one term pair at a time."""
         matrix, rest = self.log_matrix, self.rest
         g_items = g_ints.items()
-        acc: dict[tuple[int, ...], int] = {}
         for u, a in f_ints.items():
             u_r = [-sum(map(mul, row, u)) for row in matrix]  # u.R, as R is skew
             accumulate(
@@ -142,23 +140,51 @@ class PoissonStructure:
                     for shift, t in shifted:
                         u_shift = tuple(map(add, u, shift))
                         accumulate(acc, {tuple(map(add, u_shift, v)): kb for v, kb in pairs}, a * t)
+
+    def bracket(self, f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
+        """{f, g}: the integer numerators of `_add_bracket`, divided once per
+        result term."""
+        vs = self.varspec
+        if not (same_owner(f.varspec, vs) and same_owner(g.varspec, vs)):
+            raise VarSpecMismatch("bracket arguments over the wrong variables")
+        f_ints, f_den = integer_terms(f.terms)
+        g_ints, g_den = integer_terms(g.terms)
+        acc: dict[tuple[int, ...], int] = {}
+        self._add_bracket(acc, f_ints, g_ints)
         return LaurentPoly._trusted(vs, over_denominator(acc, f_den * g_den * self.denominator))
 
     def jacobi_check(self) -> list[tuple[str, str, str, LaurentPoly]]:
         """(a, b, c, residual) for each generator triple a < b < c, in
         generator order, whose jacobiator {{a, b}, c} + {{b, c}, a} +
         {{c, a}, b} is nonzero; [] when the Jacobi identity holds, and then
-        it holds on the whole ring.  The inner bracket of a generator pair
-        is its table entry."""
-        names = self.varspec.names
-        gens = [self.generator(name) for name in names]
-        entry, bracket = self.entry, self.bracket
+        it holds on the whole ring.
+
+        The inner bracket of a generator pair is its table entry, read as
+        integer numerators over `denominator`, the form that `log_matrix`
+        and `rest` split; the three outer brackets with the unit generators
+        add into one integer map over `denominator`**2 by `_add_bracket`,
+        divided only for a failing triple.  A triple none of whose pairs
+        has a rest entry is skipped: then {{g_i, g_j}, g_k} =
+        R_ij (R_ik + R_jk) g_i g_j g_k, and the cyclic sum of these
+        vanishes because R is skew.
+        """
+        vs, d = self.varspec, self.denominator
+        names = vs.names
+        size = len(names)
+        units = [tuple(int(a == k) for a in range(size)) for k in range(size)]
+        gens = [{} if k in vs.killed_indices else {units[k]: 1} for k in range(size)]
+        entries = {key: numerators_over(entry.terms, d) for key, entry in self.table.items()}
+        rests = {(i, j) for i, j, _ in self.rest}
         found = []
-        for i, j, k in combinations(range(len(names)), 3):
-            residual = (
-                bracket(entry(i, j), gens[k]) + bracket(entry(j, k), gens[i]) + bracket(entry(k, i), gens[j])
-            )
-            if not residual.is_zero():
+        for i, j, k in combinations(range(size), 3):
+            if not ((i, j) in rests or (j, k) in rests or (i, k) in rests):
+                continue
+            acc: dict[tuple[int, ...], int] = {}
+            self._add_bracket(acc, entries.get((i, j), {}), gens[k])
+            self._add_bracket(acc, entries.get((j, k), {}), gens[i])
+            self._add_bracket(acc, {m: -t for m, t in entries.get((i, k), {}).items()}, gens[j])
+            if acc:
+                residual = LaurentPoly._trusted(vs, over_denominator(acc, d * d))
                 found.append((names[i], names[j], names[k], residual))
         return found
 

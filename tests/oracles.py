@@ -5,19 +5,21 @@ name, and slow or roundabout re-derivations of what the package computes:
 the paper's admissibility biconditional and the brute-force filter by it,
 monomial counting of quotient growth, the nested-pair walk of the eta
 congruence, the defining relations of the quantized algebra written out one
-by one, the jacobiator of three elements, Poisson-normality detection by
-exact division, and the canonical text of a parsed expression.
+by one, the jacobiator of three elements and the rational walk of the
+Jacobi check over every generator triple, the pair matrix by mirror words,
+Poisson-normality detection by exact division, and the canonical text of a
+parsed expression.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from typing import Optional, Sequence
 
 from poisson_strata.admissible import AdmissibleSet, derived_sets, stratum_label
-from poisson_strata.algebra_an import PoissonParams, tail_coefficient
+from poisson_strata.algebra_an import PairParams, PoissonParams, pair_word, tail_coefficient
 from poisson_strata import correspondence
 from poisson_strata.algebra_kn import QuantumParams, kn_names, torus_names
 from poisson_strata.correspondence import group_character
@@ -265,6 +267,39 @@ def jacobiator(structure: PoissonStructure, f: LaurentPoly, g: LaurentPoly, h: L
     zero for all f, g, h exactly when the bracket is a Poisson bracket."""
     bracket = structure.bracket
     return bracket(bracket(f, g), h) + bracket(bracket(g, h), f) + bracket(bracket(h, f), g)
+
+
+def jacobi_walk(structure: PoissonStructure) -> list[tuple[str, str, str, LaurentPoly]]:
+    """What `jacobi_check` returns, by the rational walk over every generator
+    triple: the three brackets of its table entries with the generators,
+    each a `LaurentPoly`, summed."""
+    names = structure.varspec.names
+    gens = [structure.generator(name) for name in names]
+    entry, bracket = structure.entry, structure.bracket
+    found = []
+    for i, j, k in combinations(range(len(names)), 3):
+        residual = (
+            bracket(entry(i, j), gens[k]) + bracket(entry(j, k), gens[i]) + bracket(entry(k, i), gens[j])
+        )
+        if not residual.is_zero():
+            found.append((names[i], names[j], names[k], residual))
+    return found
+
+
+# -- the pair matrix by mirror words ---------------------------------------------
+
+
+def mirror_word_matrix(params: PairParams) -> tuple[tuple[Fraction, ...], ...]:
+    """`params.matrix` with a word evaluated for every ordered pair: the pair
+    word for a < b, its inverse for a > b, the empty word for a = b."""
+    size = range(2 * params.n)
+
+    def word(a: int, b: int):
+        if a > b:
+            return tuple((atom, -e) for atom, e in pair_word(params, b, a))
+        return pair_word(params, a, b) if a < b else ()
+
+    return tuple(tuple(params._evaluate(word(a, b)) for b in size) for a in size)
 
 
 # -- Poisson normality by exact division ---------------------------------------

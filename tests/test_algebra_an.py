@@ -7,7 +7,9 @@ import pytest
 
 from oracles import (
     admissible_from_names,
+    mirror_word_matrix,
     poisson_sample,
+    quantum_sample,
     quantum_sample_image,
     random_params,
     truncated,
@@ -68,6 +70,16 @@ def test_jacobi_for_samples_and_random():
     for n in (1, 2, 3):
         for _ in range(5):
             assert build_an(random_params(n, rng)).jacobi_check() == []
+
+
+def test_matrix_evaluates_one_word_per_pair():
+    # the matrix evaluates pair_word only for a < b, then the inverse of
+    # each value and the empty word: both sides equal the full evaluation
+    rng = random.Random(31)
+    sides = [poisson_sample(), *(random_params(n, rng) for n in range(6))]
+    sides += [quantum_sample(n) for n in range(4)] + [quantum_sample_image(n) for n in range(4)]
+    for params in sides:
+        assert params.matrix == mirror_word_matrix(params)
 
 
 def test_omega_values():

@@ -474,7 +474,9 @@ def test_swapped_products_are_built_once_per_command(nc_multiply_calls, capsys, 
 
 @pytest.mark.parametrize("command", [["map-report"], ["verify", "upsilon"]])
 def test_swapped_products_have_budgets_of_their_own(monkeypatch, capsys, command):
-    monkeypatch.setenv("POISSON_STRATA_STEP_BUDGET", "1")
+    # the 48 strata at n = 3 take 48 steps of the run's limit, and the
+    # swapped products none of it
+    monkeypatch.setenv("POISSON_STRATA_STEP_BUDGET", "48")
     assert cli.main(["--config", PAIRED_N3, *command]) == 0
     capsys.readouterr()
 
@@ -707,8 +709,8 @@ def test_report_derives_the_commutation_matrix_once(monkeypatch):
         report = stratification_report(group_character(quantum_sample(3), sample_weights()), sets)
         assert all(s["psi_ok"] and s["upsilon_ok"] for s in report["strata"])
         counts.append((len(report["strata"]), len(calls)))
-    # two 6 x 6 matrices: 36 words each, 15 of which read their mirror word
-    assert counts == [(1, 102), (48, 102)]
+    # two 6 x 6 matrices: one word for each of the 15 pairs a < b
+    assert counts == [(1, 30), (48, 30)]
 
 
 @pytest.fixture

@@ -258,11 +258,35 @@ def test_cli_nf_deep_word(capsys):
 
 
 def test_cli_step_budget_counts_block_crossings(capsys, monkeypatch):
-    # y1 crosses the block x2^1500 in one step; building x2^1500 takes none
-    monkeypatch.setenv("POISSON_STRATA_STEP_BUDGET", "1")
+    # y1 crosses the block x2^1500 in one step; building x2^1500 crosses no
+    # block and is charged its 1499 products up front
+    monkeypatch.setenv("POISSON_STRATA_STEP_BUDGET", "1500")
     status = main(["--config", CONFIG_QUANTUM, "nf", "x2^1500 y1"])
     assert status == 0
     assert json.loads(capsys.readouterr().out) == {"result": f"{8 ** 1500}*y1*x2^1500"}
+    monkeypatch.setenv("POISSON_STRATA_STEP_BUDGET", "1499")
+    assert main(["--config", CONFIG_QUANTUM, "nf", "x2^1500 y1"]) == 2
+    assert json.loads(capsys.readouterr().out) == {
+        "error": "StepBudgetExceeded",
+        "message": "exceeded 1499 rewrite steps",
+    }
+
+
+@pytest.mark.parametrize(
+    "budget, expression",
+    [(None, "x1^99999999999999999999"), ("1", "(x1+1)^4000")],
+)
+def test_cli_power_charges_its_products_before_the_first(capsys, monkeypatch, budget, expression):
+    # products of x1 words cross no block, so only the up-front charge of
+    # the e - 1 products of a power stops these at once
+    if budget is not None:
+        monkeypatch.setenv("POISSON_STRATA_STEP_BUDGET", budget)
+    assert main(["--config", CONFIG_QUANTUM, "nf", expression]) == 2
+    limit = budget or "1000000"
+    assert json.loads(capsys.readouterr().out) == {
+        "error": "StepBudgetExceeded",
+        "message": f"exceeded {limit} rewrite steps",
+    }
 
 
 @pytest.mark.parametrize("expression", ["x1 y1^8000", "2^15000"])
@@ -529,12 +553,37 @@ def test_cli_malformed_step_budget_ends_every_command(capsys, monkeypatch, budge
 
 @pytest.mark.parametrize("suite", ["confluence", "kstable"])
 def test_cli_quotient_normal_forms_share_the_step_budget_error(capsys, monkeypatch, suite):
+    # the suites charge their 14 strata before the first normal form
     monkeypatch.setenv("POISSON_STRATA_STEP_BUDGET", "1")
     assert main(["--config", CONFIG_PAIRED, "verify", suite]) == 2
     assert json.loads(capsys.readouterr().out) == {
         "error": "StepBudgetExceeded",
-        "message": "exceeded 1 rewrite steps",
+        "message": "exceeded 1 admissible sets",
     }
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ("map-report",),
+        ("verify", "psi"),
+        ("verify", "upsilon"),
+        ("verify", "confluence"),
+        ("verify", "kstable"),
+        ("verify", "eta"),
+    ],
+)
+def test_cli_strata_walks_charge_their_sets(capsys, monkeypatch, command):
+    # the 14 admissible sets at n = 2 are charged before the first is built
+    monkeypatch.setenv("POISSON_STRATA_STEP_BUDGET", "13")
+    assert main(["--config", CONFIG_PAIRED, *command]) == 2
+    assert json.loads(capsys.readouterr().out) == {
+        "error": "StepBudgetExceeded",
+        "message": "exceeded 13 admissible sets",
+    }
+    monkeypatch.setenv("POISSON_STRATA_STEP_BUDGET", "14")
+    assert main(["--config", CONFIG_PAIRED, *command]) == 0
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize(
@@ -797,14 +846,18 @@ def test_config_nested_past_the_recursion_limit(tmp_path, capsys):
 
 def test_cli_nf_power_charges_one_budget(capsys, monkeypatch):
     # Each product of (y1+x1+y2+x2)^8 makes at most 448 crossings and all
-    # seven make 1134, so only one budget for the whole expression stops it.
+    # seven make 1134, so only one budget for the whole expression stops it;
+    # the power charges its seven products too, for 1141 steps in all.
     monkeypatch.setenv("POISSON_STRATA_STEP_BUDGET", "500")
     assert main(["--config", CONFIG_QUANTUM, "nf", "(y1+x1+y2+x2)^8"]) == 2
     assert json.loads(capsys.readouterr().out) == {
         "error": "StepBudgetExceeded",
         "message": "exceeded 500 rewrite steps",
     }
-    monkeypatch.setenv("POISSON_STRATA_STEP_BUDGET", "1134")
+    monkeypatch.setenv("POISSON_STRATA_STEP_BUDGET", "1140")
+    assert main(["--config", CONFIG_QUANTUM, "nf", "(y1+x1+y2+x2)^8"]) == 2
+    capsys.readouterr()
+    monkeypatch.setenv("POISSON_STRATA_STEP_BUDGET", "1141")
     assert main(["--config", CONFIG_QUANTUM, "nf", "(y1+x1+y2+x2)^8"]) == 0
     capsys.readouterr()
 

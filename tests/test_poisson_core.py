@@ -9,10 +9,12 @@ import pytest
 from oracles import (
     double_extension_normal_element,
     is_poisson_normal,
+    jacobi_walk,
     jacobiator,
     localized,
     poisson_sample,
     quantum_sample_image,
+    random_params,
     truncated,
 )
 from poisson_strata import cli
@@ -185,14 +187,20 @@ def test_bracket_kernel_matches_gradient_oracle_on_iterated_levels():
         assert oracle_agrees(inverting_all(level), rng)
 
 
-def test_bracket_kernel_matches_gradient_oracle_on_mixed_denominators():
+def mixed_denominators():
+    """A table of no Poisson algebra: mixed denominators, negative
+    exponents, and a rest entry on every pair, the outer pair (0, 2) too."""
     vs = VarSpec(("a", "b", "c"), frozenset({"a", "c"}))
     table = {
         (0, 1): LaurentPoly(vs, {(1, 1, 0): Fraction(1, 2), (0, 0, 2): Fraction(-2, 3)}),
         (0, 2): LaurentPoly(vs, {(1, 0, 1): Fraction(3, 5), (0, 0, 0): Fraction(1, 7)}),
         (1, 2): LaurentPoly(vs, {(-1, 2, 0): Fraction(5, 4)}),
     }
-    structure = PoissonStructure(vs, table)
+    return PoissonStructure(vs, table)
+
+
+def test_bracket_kernel_matches_gradient_oracle_on_mixed_denominators():
+    structure = mixed_denominators()
     assert structure.denominator == 420 and len(structure.rest) == 3
     assert oracle_agrees(structure, random.Random(24), trials=60)
 
@@ -286,6 +294,61 @@ def test_corrupted_table_fails_jacobi():
     with pytest.raises(ValueError) as err:
         PoissonStructure(good.varspec, table).validate()
     assert str(err.value) == message
+
+
+def jacobi_mutations(structure):
+    """The structure, then its table with every entry scaled by 3, with the
+    entry (0, 1) replaced by the third generator, and with one more unit of
+    the log coefficient of the non-tail pair (0, 2)."""
+    vs, table = structure.varspec, structure.table
+    yield structure
+    yield PoissonStructure(vs, {key: entry.scale(3) for key, entry in table.items()})
+    if len(vs) >= 4:
+        third = LaurentPoly.variable(vs, vs.names[2])
+        yield PoissonStructure(vs, {**table, (0, 1): third})
+        log = LaurentPoly.monomial(vs, {vs.names[0]: 1, vs.names[2]: 1})
+        yield PoissonStructure(vs, {**table, (0, 2): structure.entry(0, 2) + log})
+
+
+def jacobi_cases():
+    rng = random.Random(30)
+    for path in POISSON_CONFIGS:
+        yield str(path.relative_to(ROOT)), cli.load_config(str(path)).an
+    for n in range(1, 6):
+        for trial in range(3):
+            yield f"random n={n} #{trial}", build_an(random_params(n, rng))
+    for t_set in enumerate_admissible(2):
+        target = poisson_stratum_map(quantum_sample_image(), t_set).target
+        yield f"target {t_set.member_names()}", target
+
+
+def test_jacobi_check_equals_the_rational_walk():
+    # on A_n of every config, on random parameters and on the stratum
+    # targets (killed and inverted generators), each as built and mutated:
+    # the skipped triples never fail, and the integer sums agree with the
+    # rational ones, residuals included; only the two corrupted tables fail
+    failing = set()
+    for label, structure in jacobi_cases():
+        for kind, mutant in enumerate(jacobi_mutations(structure)):
+            found = mutant.jacobi_check()
+            assert found == jacobi_walk(mutant), (label, kind)
+            if found:
+                failing.add(kind)
+    assert failing == {2, 3}
+
+
+def test_jacobi_check_equals_the_rational_walk_off_the_algebras():
+    # a rest entry on the outer pair (0, 2) only, and an entry on a killed
+    # generator, whose unit the walk reads as zero
+    vs = VarSpec(("a", "b", "c"))
+    outer = PoissonStructure(
+        vs, {(0, 1): LaurentPoly.monomial(vs, {"a": 1, "b": 1}), (0, 2): LaurentPoly.monomial(vs, {"b": 2})}
+    )
+    vs = VarSpec(("a", "b", "c"), killed=frozenset({"c"}))
+    a = LaurentPoly.variable(vs, "a")
+    on_killed = PoissonStructure(vs, {(0, 1): a, (0, 2): a})
+    for structure in (mixed_denominators(), outer, on_killed):
+        assert structure.jacobi_check() == jacobi_walk(structure) != []
 
 
 def test_ore_extend_single_variable():
