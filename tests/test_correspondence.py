@@ -473,12 +473,15 @@ def test_swapped_products_are_built_once_per_command(nc_multiply_calls, capsys, 
 
 
 @pytest.mark.parametrize("command", [["map-report"], ["verify", "upsilon"]])
-def test_swapped_products_have_budgets_of_their_own(monkeypatch, capsys, command):
+def test_swapped_products_have_budgets_of_their_own(nc_multiply_calls, monkeypatch, capsys, command):
     # the 48 strata at n = 3 take 48 steps of the run's limit, and the
-    # swapped products none of it
+    # swapped products none of it: each is handed no budget, so it gets a
+    # default one of its own
     monkeypatch.setenv("POISSON_STRATA_STEP_BUDGET", "48")
     assert cli.main(["--config", PAIRED_N3, *command]) == 0
     capsys.readouterr()
+    assert len(nc_multiply_calls) == 15
+    assert all(len(args) == 3 for args in nc_multiply_calls)
 
 
 def test_each_stratum_derives_its_sets_once_per_reading(monkeypatch, capsys):

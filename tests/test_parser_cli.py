@@ -16,7 +16,7 @@ from poisson_strata import cli
 from poisson_strata.algebra_an import an_varspec, build_an
 from poisson_strata.algebra_kn import NCElement
 from poisson_strata.cli import load_config, main
-from poisson_strata.exact_poly import LaurentPoly, format_poly
+from poisson_strata.exact_poly import LaurentPoly, StepBudgetExceeded, format_poly
 from poisson_strata.parser import (
     Add,
     Bracket,
@@ -560,6 +560,17 @@ def test_cli_quotient_normal_forms_share_the_step_budget_error(capsys, monkeypat
         "error": "StepBudgetExceeded",
         "message": "exceeded 1 admissible sets",
     }
+
+
+@pytest.mark.parametrize("suite", [cli.suite_confluence, cli.suite_k_stability])
+def test_quotient_normal_forms_charge_the_run_limit(suite):
+    # with the strata already read, the first normal form at limit 1 is
+    # charged against the run's limit, not a default budget
+    config = load_config(CONFIG_PAIRED)
+    config.strata  # charged at the default limit
+    config.step_limit = 1
+    with pytest.raises(StepBudgetExceeded, match="^exceeded 1 rewrite steps$"):
+        suite(config)
 
 
 @pytest.mark.parametrize(
