@@ -14,7 +14,6 @@ multiplicative subgroups of Q* used by the parameter-group checks.
 
 from __future__ import annotations
 
-import random
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -49,7 +48,7 @@ class StepBudget:
     computation handed it charges: the block crossings of PBW products and
     the products of quantized powers, or the term pairs of Poisson products
     and brackets, of one expression or one product, or the admissible sets
-    of one run.  `reduce_poly` keeps its own counter to the same rule."""
+    of one run.  `reduce_terms` keeps its own counter to the same rule."""
 
     __slots__ = ("limit", "unit", "spent")
 
@@ -526,7 +525,7 @@ class ReductionSystem:
     than its lead in the term order.  Confluence itself is the supplier's
     responsibility.
 
-    Construction also derives what `reduce_poly` reads at every step:
+    Construction also derives what `reduce_terms` reads at every step:
     `matches`, the system's own `RuleIndex`, filled as reductions meet
     monomials, and `replacement_shifts`, per rule the replacement's terms as
     (m - lead, c) in the replacement's term order.  Neither takes part in
@@ -569,46 +568,47 @@ class ReductionSystem:
         object.__setattr__(self, "matches", RuleIndex(divisors))
 
 
-def reduce_poly(
-    f: LaurentPoly,
+def reduce_terms(
+    terms: dict[tuple[int, ...], Fraction],
     system: ReductionSystem,
-    max_steps: int = DEFAULT_STEP_BUDGET,
-    rng: Optional[random.Random] = None,
-) -> LaurentPoly:
-    """Rewrite f to its normal form under the system.
+    max_steps: int,
+    bits=None,
+) -> dict[tuple[int, ...], Fraction]:
+    """The normal form of a canonical term map over the system's variables,
+    as a term map; the rewrite core of `reduce_poly`, which builds no
+    polynomial and checks no owner.
 
     The result has no term divisible by any rule lead.  The rules that
     apply to a term are one lookup in the system's `matches` index.  Without
-    `rng` each step rewrites the largest reducible term by its first
-    matching rule.  With `rng` each step lists the candidates (term, rule),
+    `bits` each step rewrites the largest reducible term in the term order,
+    found in one pass, by its first matching rule.  With `bits`, a
+    generator's `getrandbits`, each step lists the candidates (term, rule),
     terms in their current order and rules in system order, and draws one
     uniformly as `rng.choice` would (`draw_below`), which is how the
-    confluence suite exercises uniqueness of normal forms.  Each normal form has its own
-    budget of max_steps rule applications, kept in a local counter rather
-    than a `StepBudget` (one object per call would cost time on this path);
-    past it, StepBudgetExceeded is raised.
+    confluence suite exercises uniqueness of normal forms.  Each normal form
+    has its own budget of max_steps rule applications, kept in a local
+    counter rather than a `StepBudget` (one object per call would cost time
+    on this path); past it, StepBudgetExceeded is raised.
 
-    A step rewrites one mutable term map in place: it pops the chosen term
-    c*m and, for each term d*u of the replacement, adds c*d at m - lead + u,
-    deleting entries that sum to zero.  That is the insertion and deletion
-    order of f - c*m + c*(m/lead)*replacement in `LaurentPoly` arithmetic, so
-    the normal form, its term order and the rng state match that rebuild
-    exactly.  One `LaurentPoly` is built at the end; when no rule applies,
-    f itself is returned.
+    A step rewrites one mutable copy of the map in place: it pops the chosen
+    term c*m and, for each term d*u of the replacement, adds c*d at
+    m - lead + u, deleting entries that sum to zero.  That is the insertion
+    and deletion order of f - c*m + c*(m/lead)*replacement in `LaurentPoly`
+    arithmetic, f being the map's polynomial, so the normal form, its term
+    order and the draws match that rebuild exactly.  The input is never
+    changed; when no rule applies it is returned itself.
     """
-    if not same_owner(f.varspec, system.varspec):
-        raise VarSpecMismatch("polynomial and reduction system disagree on variables")
     matches = system.matches
     shifts = system.replacement_shifts
-    terms = f.terms
-    bits = None if rng is None else rng.getrandbits
     steps = 0
     while True:
         if bits is None:
-            reducible = [mono for mono in terms if matches[mono]]
-            if not reducible:
+            mono = None
+            for m in terms:
+                if matches[m] and (mono is None or monomial_key(m) > monomial_key(mono)):
+                    mono = m
+            if mono is None:
                 break
-            mono = reducible[0] if len(reducible) == 1 else max(reducible, key=monomial_key)
             k = matches[mono][0]
         else:
             candidates = [(mono, k) for mono in terms for k in matches[mono]]
@@ -619,7 +619,7 @@ def reduce_poly(
         if steps > max_steps:
             raise StepBudgetExceeded(max_steps, "rewrite steps")
         if steps == 1:
-            terms = dict(terms)  # f itself stays as it is
+            terms = dict(terms)  # the input stays as it is
         coeff = terms.pop(mono)
         for shift, c in shifts[k]:
             target = tuple(map(add, mono, shift))
@@ -628,7 +628,20 @@ def reduce_poly(
                 terms[target] = s
             else:
                 terms.pop(target, None)
-    return LaurentPoly._trusted(system.varspec, terms) if steps else f
+    return terms
+
+
+def reduce_poly(
+    f: LaurentPoly, system: ReductionSystem, max_steps: int = DEFAULT_STEP_BUDGET
+) -> LaurentPoly:
+    """Rewrite f to its normal form under the system, each step on the
+    largest reducible term: the owner check, the rewrite core `reduce_terms`
+    and one `LaurentPoly` for the result; when no rule applies, f itself is
+    returned."""
+    if not same_owner(f.varspec, system.varspec):
+        raise VarSpecMismatch("polynomial and reduction system disagree on variables")
+    terms = reduce_terms(f.terms, system, max_steps)
+    return f if terms is f.terms else LaurentPoly._trusted(system.varspec, terms)
 
 
 # -- prime-factored view of rationals and the parameter-group lattice ----

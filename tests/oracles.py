@@ -7,8 +7,10 @@ monomial counting of quotient growth, the nested-pair walk of the eta
 congruence, the defining relations of the quantized algebra written out one
 by one, the jacobiator of three elements and the rational walk of the
 Jacobi check over every generator triple, the pair matrix by mirror words,
-Poisson-normality detection by exact division, and the canonical text of a
-parsed expression.
+Poisson-normality detection by exact division, the random suites' inputs as
+first written with randint and randrange, normal forms by rebuilding the
+polynomial at every rewrite step, and the canonical text of a parsed
+expression.
 """
 
 from __future__ import annotations
@@ -21,9 +23,9 @@ from typing import Optional, Sequence
 from poisson_strata.admissible import AdmissibleSet, derived_sets, stratum_label
 from poisson_strata.algebra_an import PairParams, PoissonParams, pair_word, tail_coefficient
 from poisson_strata import correspondence
-from poisson_strata.algebra_kn import QuantumParams, kn_names, torus_names
+from poisson_strata.algebra_kn import NCElement, QuantumParams, kn_names, torus_names
 from poisson_strata.correspondence import group_character
-from poisson_strata.exact_poly import LaurentPoly, VarSpec
+from poisson_strata.exact_poly import LaurentPoly, StepBudgetExceeded, VarSpec, monomial_key
 from poisson_strata.parser import Add, Bracket, Expr, Mul, Num, Pow, Sub, Var, _left_chain
 from poisson_strata.poisson_core import DoubleExtensionSpec, PoissonStructure
 
@@ -372,6 +374,86 @@ def double_extension_normal_element(spec: DoubleExtensionSpec, result: PoissonSt
     vs = result.varspec
     yx = LaurentPoly.monomial(vs, {spec.y_name: 1, spec.x_name: 1}, spec.c + spec.d)
     return yx + spec.u.map_to(vs)
+
+
+# -- random suite inputs and reductions by rebuild ---------------------------
+#
+# The suites' inputs as first written with randint and randrange, and the
+# reductions that rebuild the polynomial with LaurentPoly arithmetic at every
+# step, with `choice` or `randrange` for the random ones.
+
+
+def randint_poly(vs, rng):
+    """The confluence and jacobi inputs as first written with randint and
+    randrange, kept as the reference for `cli._random_terms`."""
+    terms = {}
+    for _ in range(rng.randint(1, 3)):
+        mono = [0] * len(vs)
+        for _ in range(rng.randint(0, 3)):
+            mono[rng.randrange(len(vs))] += 1
+        terms[tuple(mono)] = Fraction(rng.randint(-4, 4))
+    return LaurentPoly(vs, terms)
+
+
+def randint_monomial(n, rng):
+    """The associativity inputs as first written, the reference for
+    `cli._random_monomial`."""
+    width = 2 * n
+    mono = [0] * width
+    for _ in range(rng.randint(0, 4)):
+        mono[rng.randrange(width)] += 1
+    return NCElement(n, {tuple(mono): Fraction(rng.randint(1, 4))})
+
+
+def rebuild_reduce_poly(f, system, max_steps=10**6, rng=None):
+    """Reference reduction: rebuild the polynomial with LaurentPoly arithmetic
+    at every step, testing divisibility with `monomial_divides`."""
+    current = f
+    steps = 0
+    while True:
+        candidates = []
+        for mono in current.terms:
+            for k, rule in enumerate(system.rules):
+                if monomial_divides(rule.lead, mono, system.varspec):
+                    candidates.append((mono, k))
+        if not candidates:
+            return current
+        if rng is None:
+            mono, k = max(candidates, key=lambda c: (monomial_key(c[0]), -c[1]))
+        else:
+            mono, k = candidates[rng.randrange(len(candidates))]
+        steps += 1
+        if steps > max_steps:
+            raise StepBudgetExceeded(max_steps, "rewrite steps")
+        rule = system.rules[k]
+        coeff = current.terms[mono]
+        cofactor = LaurentPoly(
+            system.varspec, {tuple(a - b for a, b in zip(mono, rule.lead)): coeff}
+        )
+        current = current - cofactor * LaurentPoly(
+            system.varspec, {rule.lead: 1}
+        ) + cofactor * rule.replacement
+
+
+def choice_reduce(f, system, rng):
+    """A random reduction written with `rng.choice` and LaurentPoly
+    arithmetic: candidates are (term, rule), terms in their current order
+    and rules in system order."""
+    while True:
+        candidates = [
+            (mono, k)
+            for mono in f.terms
+            for k, rule in enumerate(system.rules)
+            if monomial_divides(rule.lead, mono, system.varspec)
+        ]
+        if not candidates:
+            return f
+        mono, k = rng.choice(candidates)
+        rule = system.rules[k]
+        cofactor = LaurentPoly(
+            system.varspec, {tuple(a - b for a, b in zip(mono, rule.lead)): f.terms[mono]}
+        )
+        f = f - cofactor * LaurentPoly(system.varspec, {rule.lead: 1}) + cofactor * rule.replacement
 
 
 # -- expressions ---------------------------------------------------------------

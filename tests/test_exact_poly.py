@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import divide_exact, monomial_divides, random_params
+from oracles import divide_exact, monomial_divides, random_params, rebuild_reduce_poly
 from poisson_strata.admissible import enumerate_admissible
 from poisson_strata import exact_poly
 from poisson_strata.algebra_an import quotient_system
@@ -24,6 +24,7 @@ from poisson_strata.exact_poly import (
     group_analysis,
     monomial_key,
     reduce_poly,
+    reduce_terms,
 )
 
 VS2 = VarSpec(("y1", "x1", "y2", "x2"))
@@ -221,7 +222,9 @@ def test_reduce_no_rule_applies():
     rule = ReductionRule((1, 0, 0, 0), LaurentPoly.zero(VS2))
     system = ReductionSystem(VS2, (rule,))
     f = LaurentPoly.monomial(VS2, {"y2": 3})
-    assert reduce_poly(f, system) == f
+    assert reduce_poly(f, system) is f
+    assert reduce_terms(f.terms, system, 0) is f.terms
+    assert reduce_terms(f.terms, system, 0, random.Random(1).getrandbits) is f.terms
 
 
 def test_reduce_kills_variable():
@@ -274,36 +277,6 @@ def test_draw_below_makes_the_draws_of_choice():
         draw_below(rng.getrandbits, 0)
 
 
-def rebuild_reduce_poly(f, system, max_steps=10**6, rng=None):
-    """Reference reduction: rebuild the polynomial with LaurentPoly arithmetic
-    at every step, testing divisibility with `monomial_divides`."""
-    current = f
-    steps = 0
-    while True:
-        candidates = []
-        for mono in current.terms:
-            for k, rule in enumerate(system.rules):
-                if monomial_divides(rule.lead, mono, system.varspec):
-                    candidates.append((mono, k))
-        if not candidates:
-            return current
-        if rng is None:
-            mono, k = max(candidates, key=lambda c: (monomial_key(c[0]), -c[1]))
-        else:
-            mono, k = candidates[rng.randrange(len(candidates))]
-        steps += 1
-        if steps > max_steps:
-            raise StepBudgetExceeded(max_steps, "rewrite steps")
-        rule = system.rules[k]
-        coeff = current.terms[mono]
-        cofactor = LaurentPoly(
-            system.varspec, {tuple(a - b for a, b in zip(mono, rule.lead)): coeff}
-        )
-        current = current - cofactor * LaurentPoly(
-            system.varspec, {rule.lead: 1}
-        ) + cofactor * rule.replacement
-
-
 def laurent_poly(vs, rng, max_terms=4, max_degree=5):
     """Random polynomial whose invertible variables also take negative exponents."""
     terms = {}
@@ -330,16 +303,30 @@ LAURENT_SYSTEM = ReductionSystem(
 )
 
 
+def core_reduce(f, system, max_steps=10**6, rng=None):
+    """The rewrite core on f's term map, drawing from rng's `getrandbits`."""
+    return reduce_terms(f.terms, system, max_steps, None if rng is None else rng.getrandbits)
+
+
 def assert_same_reduction(f, system, seed):
+    # reduce_poly and its core give the rebuild's normal form, term for term
+    # in its order, and the core's random steps draw as the rebuild's do; the
+    # core hands back its input when no rule applies (the rebuild returns f
+    # itself then) and never changes it.
+    before = list(f.terms.items())
     expected = rebuild_reduce_poly(f, system)
     got = reduce_poly(f, system)
+    core = core_reduce(f, system)
     assert got == expected and list(got.terms) == list(expected.terms)
-    ref_rng, rng = random.Random(seed), random.Random(seed)
+    assert list(core.items()) == list(expected.terms.items())
+    assert (core is f.terms) == (got is f) == (expected is f)
+    ref_rng, core_rng = random.Random(seed), random.Random(seed)
     for _ in range(2):
         expected = rebuild_reduce_poly(f, system, rng=ref_rng)
-        got = reduce_poly(f, system, rng=rng)
-        assert got == expected and list(got.terms) == list(expected.terms)
-        assert rng.getstate() == ref_rng.getstate()
+        core = core_reduce(f, system, rng=core_rng)
+        assert list(core.items()) == list(expected.terms.items())
+        assert core_rng.getstate() == ref_rng.getstate()
+    assert list(f.terms.items()) == before
 
 
 def test_reduce_matches_rebuild_reference():
@@ -356,9 +343,12 @@ def test_reduce_matches_rebuild_reference():
         for _ in range(8):
             f = random_poly(system.varspec, rng, max_degree=rng.choice((3, 6)))
             assert_same_reduction(f, system, rng.randrange(10**6))
+    unchanged = 0
     for _ in range(200):
         f = laurent_poly(VS_INV, rng)
         assert_same_reduction(f, LAURENT_SYSTEM, rng.randrange(10**6))
+        unchanged += reduce_poly(f, LAURENT_SYSTEM) is f
+    assert 0 < unchanged < 200  # both outcomes are covered
 
 
 def monomials_up_to(width, degree):
@@ -417,15 +407,19 @@ def test_reduce_budget_matches_rebuild_reference():
         seed = rng.randrange(10**6)
         for reducer_rng in (None, seed):
             outcomes = []
-            for reducer in (rebuild_reduce_poly, reduce_poly):
+            reducers = [rebuild_reduce_poly, core_reduce]
+            if reducer_rng is None:  # reduce_poly takes only the deterministic step
+                reducers.append(lambda f, system, max_steps, rng: reduce_poly(f, system, max_steps))
+            for reducer in reducers:
                 draw = None if reducer_rng is None else random.Random(reducer_rng)
                 try:
                     result = reducer(f, LAURENT_SYSTEM, max_steps=1, rng=draw)
-                    outcome = ("ok", result, list(result.terms))
+                    terms = getattr(result, "terms", result)
+                    outcome = ("ok", list(terms.items()))
                 except StepBudgetExceeded as exc:
                     outcome = ("budget", str(exc))
                 outcomes.append((outcome, draw and draw.getstate()))
-            assert outcomes[0] == outcomes[1]
+            assert all(outcome == outcomes[0] for outcome in outcomes)
             exhausted += outcomes[1][0][0] == "budget"
     assert exhausted > 20
 

@@ -6,12 +6,20 @@ import os
 import random
 import subprocess
 import sys
+import types
 from pathlib import Path
 from fractions import Fraction
 
 import pytest
 
-from oracles import ast_to_text, monomial_divides, poisson_sample, quantum_sample
+from oracles import (
+    ast_to_text,
+    choice_reduce,
+    poisson_sample,
+    quantum_sample,
+    randint_monomial,
+    randint_poly,
+)
 from poisson_strata import cli
 from poisson_strata.algebra_an import an_varspec, build_an
 from poisson_strata.algebra_kn import NCElement
@@ -886,7 +894,13 @@ def test_confluence_suite_shares_one_varspec(capsys, monkeypatch):
     # The random inputs and every quotient system live over one VarSpec
     # object, and every owner test (`same_owner`) tries identity first, so
     # no VarSpec is compared field by field; that once took 144,156 calls.
-    from poisson_strata.exact_poly import VarSpec
+    # The suite draws its inputs and random rewrites from one Random(11).
+    # After the whole run at n = 3 its state is that of the loop written
+    # with `randint_poly`: one deterministic and two random reductions of
+    # every input over all 48 strata.
+    from poisson_strata.admissible import enumerate_admissible
+    from poisson_strata.algebra_an import quotient_system
+    from poisson_strata.exact_poly import VarSpec, reduce_poly, reduce_terms
 
     calls = []
     plain = VarSpec.__eq__
@@ -895,47 +909,74 @@ def test_confluence_suite_shares_one_varspec(capsys, monkeypatch):
         calls.append(1)
         return plain(self, other)
 
+    made = []
+
+    def recording(seed):
+        rng = random.Random(seed)
+        made.append(rng)
+        return rng
+
     monkeypatch.setattr(VarSpec, "__eq__", counting)
-    config = str(Path(__file__).resolve().parent.parent / "perfbench" / "configs" / "paired_n3.json")
-    assert main(["--config", config, "verify", "confluence"]) == 0
+    monkeypatch.setattr(cli, "random", types.SimpleNamespace(Random=recording))
+    assert main(["--config", PAIRED_N3, "verify", "confluence"]) == 0
     assert json.loads(capsys.readouterr().out)["details"] == {"reductions": 48000}
     assert len(calls) == 0
 
+    params = load_config(PAIRED_N3).poisson
+    vs = an_varspec(3)
+    rng = random.Random(11)
+    strata = enumerate_admissible(3)
+    assert len(strata) == 48
+    for t_set in strata:
+        system = quotient_system(params, t_set)
+        for _ in range(cli.RANDOM_TRIALS):
+            f = randint_poly(vs, rng)
+            base = reduce_poly(f, system).terms
+            for _ in range(2):
+                assert reduce_terms(f.terms, system, 10**6, rng.getrandbits) == base
+    assert len(made) == 1 and made[0].getstate() == rng.getstate()
 
-def randint_poly(vs, rng):
-    """The confluence and jacobi inputs as first written with randint and
-    randrange, kept as the reference for `cli._random_poly`."""
-    terms = {}
-    for _ in range(rng.randint(1, 3)):
-        mono = [0] * len(vs)
-        for _ in range(rng.randint(0, 3)):
-            mono[rng.randrange(len(vs))] += 1
-        terms[tuple(mono)] = Fraction(rng.randint(-4, 4))
-    return LaurentPoly(vs, terms)
+
+def test_confluence_checks_each_system_owner(capsys, monkeypatch):
+    # The suite reduces term maps, which carry no owner, so it tests each
+    # stratum's system against A_n's variables once.  A system over other
+    # variables, here with y1 invertible and no rules, must end the run in
+    # the owner error, not pass because no rule applies.
+    from poisson_strata.admissible import enumerate_admissible
+    from poisson_strata.exact_poly import ReductionSystem, VarSpec
+
+    strata = enumerate_admissible(3)
+    plain = cli.quotient_system
+    other = ReductionSystem(VarSpec(an_varspec(3).names, frozenset({"y1"})), ())
+
+    def quotient(params, t_set):
+        return other if t_set == strata[20] else plain(params, t_set)
+
+    monkeypatch.setattr(cli, "quotient_system", quotient)
+    assert main(["--config", PAIRED_N3, "verify", "confluence"]) == 2
+    assert json.loads(capsys.readouterr().out) == {
+        "error": "VarSpecMismatch",
+        "message": "polynomial and reduction system disagree on variables",
+    }
 
 
-def randint_monomial(n, rng):
-    """The associativity inputs as first written, the reference for
-    `cli._random_monomial`."""
-    width = 2 * n
-    mono = [0] * width
-    for _ in range(rng.randint(0, 4)):
-        mono[rng.randrange(width)] += 1
-    return NCElement(n, {tuple(mono): Fraction(rng.randint(1, 4))})
+def _random_terms_poly(vs, rng):
+    """The term map of `cli._random_terms` as a polynomial over vs."""
+    return LaurentPoly._trusted(vs, cli._random_terms(vs, rng))
 
 
 @pytest.mark.parametrize(
     "seed,count,owner,reference,generator",
     [
-        (11, 48 * cli.RANDOM_TRIALS, an_varspec(3), randint_poly, cli._random_poly),  # confluence
-        (7, 50 * 3, an_varspec(3), randint_poly, cli._random_poly),  # the jacobi sample test
+        (11, 48 * cli.RANDOM_TRIALS, an_varspec(3), randint_poly, _random_terms_poly),  # confluence
+        (7, 50 * 3, an_varspec(3), randint_poly, _random_terms_poly),  # the jacobi sample test
         (13, 3 * cli.RANDOM_TRIALS, 3, randint_monomial, cli._random_monomial),  # associativity
     ],
 )
 def test_suite_generators_draw_the_plain_inputs(seed, count, owner, reference, generator):
-    # Over a suite's full draw count at n = 3, the `choice` generators give
-    # the same values, term for term in the same order, and leave the rng
-    # in the same state as the randint/randrange spelling.
+    # Over a suite's full draw count at n = 3, the `draw_below` generators
+    # give the same values, term for term in the same order, and leave the
+    # rng in the same state as the randint/randrange spelling.
     ref_rng, rng = random.Random(seed), random.Random(seed)
     for _ in range(count):
         expected = reference(owner, ref_rng)
@@ -983,27 +1024,6 @@ def test_kstable_reports_the_per_stratum_failures(capsys, monkeypatch):
                 if not reduce_poly(k_derivation(params, h).apply(poly), system).is_zero():
                     expected.append(f"{t_set.member_names()}: weight action on {name}")
     assert expected and failures == expected
-
-
-def choice_reduce(f, system, rng):
-    """A random reduction written with `rng.choice` and LaurentPoly
-    arithmetic: candidates are (term, rule), terms in their current order
-    and rules in system order."""
-    while True:
-        candidates = [
-            (mono, k)
-            for mono in f.terms
-            for k, rule in enumerate(system.rules)
-            if monomial_divides(rule.lead, mono, system.varspec)
-        ]
-        if not candidates:
-            return f
-        mono, k = rng.choice(candidates)
-        rule = system.rules[k]
-        cofactor = LaurentPoly(
-            system.varspec, {tuple(a - b for a, b in zip(mono, rule.lead)): f.terms[mono]}
-        )
-        f = f - cofactor * LaurentPoly(system.varspec, {rule.lead: 1}) + cofactor * rule.replacement
 
 
 def test_confluence_names_the_input_of_the_choice_reference(capsys, monkeypatch):
