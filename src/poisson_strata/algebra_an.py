@@ -29,6 +29,7 @@ from .exact_poly import (
     ReductionSystem,
     Scalar,
     VarSpec,
+    _as_fraction,
     format_poly,
     format_terms,
     reduce_poly,
@@ -42,11 +43,7 @@ from .poisson_core import (
 
 
 def _fraction_vector(values: Sequence[Scalar]) -> tuple[Fraction, ...]:
-    return tuple(Fraction(v) for v in values)
-
-
-def _fraction_matrix(rows: Sequence[Sequence[Scalar]]) -> tuple[tuple[Fraction, ...], ...]:
-    return tuple(tuple(Fraction(v) for v in row) for row in rows)
+    return tuple(map(_as_fraction, values))
 
 
 @dataclass(frozen=True)
@@ -59,7 +56,8 @@ class PairParams:
     the pair words (`pair_word`) in `_evaluate`.  `matrix` is the 2n x 2n
     table of those values, derived on its first read, once per parameter
     set: the log-canonical matrix R on the Poisson side, the commutation
-    matrix S on the quantized one.
+    matrix S on the quantized one.  The constructor takes any rationals,
+    in lists or tuples, and stores them as tuples of `Fraction`s.
     """
 
     n: int
@@ -67,11 +65,10 @@ class PairParams:
     p: tuple[Fraction, ...]
     q: tuple[Fraction, ...]
 
-    @classmethod
-    def make(cls, n: int, gamma, p, q):
-        return cls(n, _fraction_matrix(gamma), _fraction_vector(p), _fraction_vector(q))
-
     def __post_init__(self):
+        object.__setattr__(self, "gamma", tuple(map(_fraction_vector, self.gamma)))
+        object.__setattr__(self, "p", _fraction_vector(self.p))
+        object.__setattr__(self, "q", _fraction_vector(self.q))
         n = self.n
         if n < 0:
             raise ValueError("n must be nonnegative")
@@ -361,10 +358,6 @@ def consistency_check(presentation: IteratedPresentation, direct: PoissonStructu
 KElement = tuple[Fraction, ...]
 
 
-def k_element(values: Sequence[Scalar]) -> KElement:
-    return _fraction_vector(values)
-
-
 def k_contains(n: int, h: Sequence[Scalar]) -> bool:
     """Membership: all pair sums h_{2i-1} + h_{2i} agree."""
     h = _fraction_vector(h)
@@ -389,12 +382,12 @@ def k_derivation(params: PoissonParams, h: Sequence[Scalar]) -> PoissonDerivatio
 def k_basis(n: int) -> list[KElement]:
     """A basis of the weight-vector group: the all-pairs (1,0) vector plus
     the n difference vectors supported on one pair."""
-    basis = [k_element([1, 0] * n)]
+    basis = [_fraction_vector([1, 0] * n)]
     for i in range(n):
         vec = [0] * (2 * n)
         vec[2 * i] = 1
         vec[2 * i + 1] = -1
-        basis.append(k_element(vec))
+        basis.append(_fraction_vector(vec))
     return basis
 
 
@@ -447,7 +440,7 @@ def verify_level_eigen_elements(presentation: IteratedPresentation) -> dict:
         failures.append("first vector does not fix y_n")
     if g_der.apply(yn) != yn.scale(spec.c):
         failures.append("second vector disagrees with the extension on y_n")
-    if g_der.apply(xn) != xn.scale(params.q[n - 1] - params.p[n - 1]):
+    if g_der.apply(xn) != xn.scale(tail_coefficient(params, n)):
         failures.append("second vector does not scale x_n by q_n - p_n")
     return {"ok": not failures, "failures": failures}
 

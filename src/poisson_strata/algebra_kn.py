@@ -24,7 +24,7 @@ from fractions import Fraction
 from operator import add
 from typing import Iterable, Optional
 
-from .algebra_an import PairParams, generator_names, tail_coefficient
+from .algebra_an import PairParams, generator_names, tail_element
 from .exact_poly import StepBudget, TermMap, VarSpec, accumulate, format_terms
 
 @dataclass(frozen=True)
@@ -51,11 +51,17 @@ class QuantumParams(PairParams):
     def tail_crossings(self) -> dict:
         """What the x_i^b-over-y_i crossings of PBW products have derived,
         filled by `_Multiplier._tail_crossing` on first use, once per
-        parameter set.  (head, i) holds the terms of
-        sum_{k<i} (q_k - p_k) head y_k x_k with unit coefficient on head,
-        together with the block crossings their expansion charged; (i, b)
-        holds [b]/q_i^b."""
+        parameter set.  (head, i) holds the terms of the PBW product of the
+        monomial head by the tail element O_{i-1}, together with the block
+        crossings that product charged; (i, b) holds [b]/q_i^b."""
         return {}
+
+    @functools.cached_property
+    def tail_terms(self) -> tuple[dict[tuple[int, ...], Fraction], ...]:
+        """The terms of the tail elements O_0, ..., O_{n-1}, each built by
+        `tail_element` on the first read, once per parameter set: the
+        factors by which `_Multiplier._tail_crossing` multiplies."""
+        return tuple(tail_element(self, i, NCElement, self.n).terms for i in range(self.n))
 
     def _check_values(self):
         n = self.n
@@ -92,10 +98,6 @@ def power_product(factors: Iterable[tuple[tuple[int, int], int]]) -> Fraction:
     return Fraction(num, den)
 
 
-def kn_names(n: int) -> tuple[str, ...]:
-    return generator_names(n)
-
-
 def torus_names(n: int) -> tuple[str, ...]:
     return generator_names(n, "Y", "X")
 
@@ -107,7 +109,7 @@ class NCElement(TermMap):
     n = TermMap.owner  # the owner slot under its name here
     __pow__ = None  # products need the parameters; see nc_multiply
 
-    _names = staticmethod(kn_names)
+    _names = staticmethod(generator_names)
 
     @staticmethod
     def _admit(n: int, mono: tuple[int, ...]) -> bool:
@@ -117,10 +119,7 @@ class NCElement(TermMap):
 
 
 def format_nc(f: NCElement) -> str:
-    return format_terms(f.terms, kn_names(f.n))
-
-
-_ONE = Fraction(1)
+    return format_terms(f.terms, generator_names(f.n))
 
 
 class _Multiplier:
@@ -177,18 +176,17 @@ class _Multiplier:
     ) -> dict[tuple[int, ...], Fraction]:
         """The terms of x_i^b crossing y_i (p = 2i - 2) in mono, with
         coefficient 1 on mono: the lead with its block scalar, then the
-        tail sum_{k<i} (q_k - p_k) A y_k x_k (A: mono up to p) shifted by
-        mono's letters from x_i^(b-1) on and scaled by the lead's scalar
-        times [b]/q_i^b.
+        tail A O_{i-1} (A: mono up to p) shifted by mono's letters from
+        x_i^(b-1) on and scaled by the lead's scalar times [b]/q_i^b.
 
         The tail of A and [b]/q_i^b depend on the parameters alone, so they
-        are read from `QuantumParams.tail_crossings`.  A miss expands the
-        tail as products of unit-coefficient monomials, charging their
-        crossings as it goes, and stores it with their count once the
-        expansion has finished (a `StepBudgetExceeded` stores nothing); a
-        hit charges that count at once.  The caller applies mono's
-        coefficient once to the result; carried into the tail's products,
-        it would multiply and reduce large numerators more often."""
+        are read from `QuantumParams.tail_crossings`.  A miss multiplies
+        the monomial A by O_{i-1} (`QuantumParams.tail_terms`), charging its
+        crossings as it goes, and stores the product with their count once
+        it has finished (a `StepBudgetExceeded` stores nothing); a hit
+        charges that count at once.  The caller applies mono's coefficient
+        once to the result; carried into the tail's products, it would
+        multiply and reduce large numerators more often."""
         table = self.table
         i = p // 2 + 1
         ratio = table.get((i, b))
@@ -199,11 +197,7 @@ class _Multiplier:
         entry = table.get((head, i))
         if entry is None:
             before = self.budget.spent
-            tail: dict[tuple[int, ...], Fraction] = {}
-            for k in range(1, i):
-                inner: dict[tuple[int, ...], Fraction] = {}
-                self.mono_times_gen(inner, head, 2 * k - 2, _ONE)
-                accumulate(tail, self.dict_times_gen(inner, 2 * k - 1), tail_coefficient(self.params, k))
+            tail = self.times({head: 1}, self.params.tail_terms[i - 1])
             entry = table[head, i] = (tail, self.budget.spent - before)
         else:
             self.budget.charge(entry[1])
@@ -222,6 +216,20 @@ class _Multiplier:
             self.mono_times_gen(acc, mono, p, coeff)
         return acc
 
+    def times(
+        self, f_terms: dict[tuple[int, ...], Fraction], g_terms: dict[tuple[int, ...], Fraction]
+    ) -> dict[tuple[int, ...], Fraction]:
+        """The terms of f g in normal form: f, scaled by each term of g,
+        takes that term's letters on one at a time."""
+        acc: dict[tuple[int, ...], Fraction] = {}
+        for mono_g, coeff_g in g_terms.items():
+            part = {m: c * coeff_g for m, c in f_terms.items()}
+            for pos, e in enumerate(mono_g):
+                for _ in range(e):
+                    part = self.dict_times_gen(part, pos)
+            accumulate(acc, part)
+        return acc
+
 
 def nc_multiply(
     params: QuantumParams, f: NCElement, g: NCElement, budget: Optional[StepBudget] = None
@@ -232,14 +240,7 @@ def nc_multiply(
     if f.n != params.n or g.n != params.n:
         raise ValueError("operands do not match the parameter arity")
     mult = _Multiplier(params, StepBudget() if budget is None else budget)
-    acc: dict[tuple[int, ...], Fraction] = {}
-    for mono_g, coeff_g in g.terms.items():
-        part = {m: c * coeff_g for m, c in f.terms.items()}
-        for pos, e in enumerate(mono_g):
-            for _ in range(e):
-                part = mult.dict_times_gen(part, pos)
-        accumulate(acc, part)
-    return NCElement._trusted(params.n, acc)
+    return NCElement._trusted(params.n, mult.times(f.terms, g.terms))
 
 
 # -- the attached quantum torus ---------------------------------------------

@@ -46,6 +46,7 @@ from .algebra_an import (
     an_varspec,
     build_an,
     consistency_check,
+    generator_names,
     iterated_presentation,
     k_basis,
     k_derivation,
@@ -60,7 +61,6 @@ from .algebra_kn import (
     NCElement,
     QuantumParams,
     format_nc,
-    kn_names,
     nc_multiply,
 )
 from .correspondence import (
@@ -146,7 +146,6 @@ class Config:
     """The run object: the parameters and step limit `load_config` validated,
     and what every command derives from them, built on first use and shared."""
 
-    mode: str
     poisson: Optional[PoissonParams]
     quantum: Optional[QuantumParams]
     weights: Optional[dict[int, Fraction]]
@@ -219,9 +218,9 @@ def load_config(path: str) -> Config:
     poisson = quantum = None
     try:
         if mode == "poisson":
-            poisson = PoissonParams(n, tuple(map(tuple, gamma)), tuple(p), tuple(q))
+            poisson = PoissonParams(n, gamma, p, q)
         else:
-            quantum = QuantumParams(n, tuple(map(tuple, gamma)), tuple(p), tuple(q))
+            quantum = QuantumParams(n, gamma, p, q)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     weights = None
@@ -244,7 +243,7 @@ def load_config(path: str) -> Config:
         raise ConfigError(f"{ENV_STEP_BUDGET} must be an integer, got {limit!r}") from None
     if step_limit <= 0:
         raise ConfigError(f"{ENV_STEP_BUDGET} must be positive")
-    config = Config(mode, poisson, quantum, weights, step_limit)
+    config = Config(poisson, quantum, weights, step_limit)
     if mode == "paired":
         config.poisson = config.character.induced
     return config
@@ -279,33 +278,34 @@ _WORD_LENGTHS = range(0, 5)
 _WORD_COEFFS = tuple(map(Fraction, range(1, 5)))
 
 
-def _random_terms(vs, rng: random.Random) -> dict[tuple[int, ...], Fraction]:
+def _random_exponents(bits, width: int, degrees: range) -> tuple[int, ...]:
+    """A degree drawn from `degrees`, then that many unit positions below
+    `width`.  The degree is drawn at width 0 too, where the monomial is 1
+    and no position is drawn."""
+    mono = [0] * width
+    degree = degrees[draw_below(bits, len(degrees))]
+    for _ in range(degree if width else 0):
+        mono[draw_below(bits, width)] += 1
+    return tuple(mono)
+
+
+def _random_terms(width: int, rng: random.Random) -> dict[tuple[int, ...], Fraction]:
     """The canonical term map of at most three terms, each of degree at
-    most three, over a ring with no killed variables; a monomial drawn twice
-    keeps its last coefficient.  A ring without variables has the one
-    monomial 1, and no variable is drawn for it."""
+    most three, over a ring of `width` variables none of them killed; a
+    monomial drawn twice keeps its last coefficient."""
     bits = rng.getrandbits
-    width = len(vs)
     terms = {}
     for _ in range(_TERM_COUNTS[draw_below(bits, len(_TERM_COUNTS))]):
-        mono = [0] * width
-        degree = _TERM_DEGREES[draw_below(bits, len(_TERM_DEGREES))]
-        for _ in range(degree if width else 0):
-            mono[draw_below(bits, width)] += 1
-        terms[tuple(mono)] = _TERM_COEFFS[draw_below(bits, len(_TERM_COEFFS))]
+        mono = _random_exponents(bits, width, _TERM_DEGREES)
+        terms[mono] = _TERM_COEFFS[draw_below(bits, len(_TERM_COEFFS))]
     return {mono: c for mono, c in terms.items() if c}
 
 
 def _random_monomial(n: int, rng: random.Random) -> NCElement:
-    """One standard monomial of degree at most four, coefficient 1 to 4; at
-    n = 0 it is 1, and no generator is drawn."""
+    """One standard monomial of degree at most four, coefficient 1 to 4."""
     bits = rng.getrandbits
-    width = 2 * n
-    mono = [0] * width
-    degree = _WORD_LENGTHS[draw_below(bits, len(_WORD_LENGTHS))]
-    for _ in range(degree if width else 0):
-        mono[draw_below(bits, width)] += 1
-    return NCElement._trusted(n, {tuple(mono): _WORD_COEFFS[draw_below(bits, len(_WORD_COEFFS))]})
+    mono = _random_exponents(bits, 2 * n, _WORD_LENGTHS)
+    return NCElement._trusted(n, {mono: _WORD_COEFFS[draw_below(bits, len(_WORD_COEFFS))]})
 
 
 def suite_jacobi(config: Config) -> dict:
@@ -330,6 +330,7 @@ def suite_confluence(config: Config) -> dict:
     stratum and a polynomial is built only to print a failing input."""
     params = _require_poisson(config)
     vs = an_varspec(params.n)
+    width = len(vs)
     budget = config.step_limit
     rng = random.Random(11)
     bits = rng.getrandbits
@@ -339,7 +340,7 @@ def suite_confluence(config: Config) -> dict:
         if not same_owner(system.varspec, vs):
             raise VarSpecMismatch("polynomial and reduction system disagree on variables")
         for _ in range(RANDOM_TRIALS):
-            terms = _random_terms(vs, rng)
+            terms = _random_terms(width, rng)
             base = reduce_terms(terms, system, budget)
             # The input itself means no rule applies: the random reductions
             # would find no candidate, draw nothing and return it too.
@@ -433,7 +434,7 @@ def suite_normality(config: Config) -> dict:
     the scalars of its tail words (`normality_failures`)."""
     params = _require_quantum(config)
     n = params.n
-    gens = [NCElement.generator(n, name) for name in kn_names(n)]
+    gens = [NCElement.generator(n, name) for name in generator_names(n)]
 
     def product(f: NCElement, g: NCElement) -> NCElement:
         return nc_multiply(params, f, g, StepBudget(config.step_limit))

@@ -48,6 +48,7 @@ from .algebra_an import (
     PoissonParams,
     an_varspec,
     build_an,
+    generator_names,
     log_canonical_table,
     tail_coefficient,
 )
@@ -56,7 +57,6 @@ from .algebra_kn import (
     QTorusElement,
     QuantumParams,
     QuantumTorus,
-    kn_names,
     nc_multiply,
     torus_names,
 )
@@ -65,7 +65,6 @@ from .exact_poly import (
     LaurentPoly,
     TermMap,
     VarSpec,
-    factor_rational,
     format_terms,
     group_analysis,
     same_owner,
@@ -117,7 +116,7 @@ def _stratum_map(params: PairParams, t_set: AdmissibleSet, build) -> GeneratorMa
         raise ValueError("admissible set and parameters disagree on n")
     target, one = build(stratum_varspec(t_set))
     cls, owner = type(one), one.owner
-    images = {name: cls.generator(owner, name.upper()) for name in kn_names(params.n)}
+    images = {name: cls.generator(owner, name.upper()) for name in generator_names(params.n)}
     for i in range(2, params.n + 1):
         images[f"x{i}"] = images[f"x{i}"] + tail_image(params, i, cls, owner)
     return GeneratorMap(t_set, images, target, one)
@@ -169,7 +168,7 @@ def _stratum_report(params, gmap: GeneratorMap, value, operate, label) -> dict:
     def text(f: TermMap) -> str:
         return format_terms(f.terms, cls._names(owner))
 
-    names = kn_names(params.n)
+    names = generator_names(params.n)
     failures = []
     for a, b in combinations(range(len(names)), 2):
         lhs = apply_map(gmap, value(a, b))
@@ -253,7 +252,7 @@ def swapped_products(params: QuantumParams) -> dict[tuple[int, int], NCElement]:
     defining relations, one per pair, each solved for its swapped word.
     They do not depend on the stratum, so a walk over the strata builds
     them once."""
-    gens = [NCElement.generator(params.n, name) for name in kn_names(params.n)]
+    gens = [NCElement.generator(params.n, name) for name in generator_names(params.n)]
     pairs = combinations(range(len(gens)), 2)
     return {(a, b): nc_multiply(params, gens[b], gens[a]) for a, b in pairs}
 
@@ -292,10 +291,6 @@ class AdditiveCharacter:
     params: QuantumParams
     injective_on_group: bool
     induced: PoissonParams
-
-    def apply(self, value: Fraction) -> Fraction:
-        """Weighted prime-exponent sum; turns products into sums."""
-        return _character_value(dict(self.weights), factor_rational(value)[1])
 
 
 def _character_value(weights: Mapping[int, Fraction], exps: Mapping[int, int]) -> Fraction:
@@ -378,7 +373,7 @@ def group_character(
         weights=tuple(sorted(weights.items())),
         params=params,
         injective_on_group=injective,
-        induced=PoissonParams(n, tuple(map(tuple, gamma)), image_p, image_q),
+        induced=PoissonParams(n, gamma, image_p, image_q),
     )
 
 

@@ -417,7 +417,10 @@ class LaurentPoly(TermMap):
         numerators over the product of their denominators, as the bracket
         kernel sums; that sum is zero exactly when the rational one is, so
         the result's terms keep the same order.  A product with an operand
-        of at most one term is a shift and a scale, cheaper in rationals."""
+        of at most one term is a shift and a scale, cheaper in rationals:
+        without that path one in-process `expressions` benchmark round took
+        about 6 % longer (median 1.75 s against 1.66 s over 10 alternating
+        runs each, 2-core host)."""
         self._check_owner(other)
         f, g = self.terms, other.terms
         if len(f) <= 1 or len(g) <= 1:

@@ -8,9 +8,10 @@ congruence, the defining relations of the quantized algebra written out one
 by one, the jacobiator of three elements and the rational walk of the
 Jacobi check over every generator triple, the pair matrix by mirror words,
 Poisson-normality detection by exact division, the random suites' inputs as
-first written with randint and randrange, normal forms by rebuilding the
-polynomial at every rewrite step, and the canonical text of a parsed
-expression.
+first written with randint and randrange and as the two loops that one
+monomial draw replaced, the additive character read off each value's own
+factorization, normal forms by rebuilding the polynomial at every rewrite
+step, and the canonical text of a parsed expression.
 """
 
 from __future__ import annotations
@@ -21,11 +22,18 @@ from itertools import combinations, product
 from typing import Optional, Sequence
 
 from poisson_strata.admissible import AdmissibleSet, derived_sets, stratum_label
-from poisson_strata.algebra_an import PairParams, PoissonParams, pair_word, tail_coefficient
+from poisson_strata.algebra_an import PairParams, PoissonParams, generator_names, pair_word, tail_coefficient
 from poisson_strata import correspondence
-from poisson_strata.algebra_kn import NCElement, QuantumParams, kn_names, torus_names
-from poisson_strata.correspondence import group_character
-from poisson_strata.exact_poly import LaurentPoly, StepBudgetExceeded, VarSpec, monomial_key
+from poisson_strata.algebra_kn import NCElement, QuantumParams, torus_names
+from poisson_strata.correspondence import AdditiveCharacter, group_character
+from poisson_strata.exact_poly import (
+    LaurentPoly,
+    StepBudgetExceeded,
+    VarSpec,
+    draw_below,
+    factor_rational,
+    monomial_key,
+)
 from poisson_strata.parser import Add, Bracket, Expr, Mul, Num, Pow, Sub, Var, _left_chain
 from poisson_strata.poisson_core import DoubleExtensionSpec, PoissonStructure
 
@@ -38,7 +46,7 @@ from poisson_strata.poisson_core import DoubleExtensionSpec, PoissonStructure
 
 def poisson_sample() -> PoissonParams:
     """A small generic Poisson instance (not a character image)."""
-    return PoissonParams.make(2, [[0, 1], [-1, 0]], [2, 3], [5, 7])
+    return PoissonParams(2, [[0, 1], [-1, 0]], [2, 3], [5, 7])
 
 
 _QUANTUM_P = {0: (), 1: (2,), 2: (2, 8), 3: (2, 8, 2)}
@@ -54,7 +62,7 @@ _QUANTUM_GAMMA = {
 def quantum_sample(n: int = 2) -> QuantumParams:
     if n not in _QUANTUM_P:
         raise ValueError("sample family is defined for n in {0, 1, 2, 3}")
-    return QuantumParams.make(n, _QUANTUM_GAMMA[n], _QUANTUM_P[n], _QUANTUM_Q[n])
+    return QuantumParams(n, _QUANTUM_GAMMA[n], _QUANTUM_P[n], _QUANTUM_Q[n])
 
 
 def sample_weights() -> dict[int, Fraction]:
@@ -65,6 +73,15 @@ def quantum_sample_image(n: int = 2) -> PoissonParams:
     """The Poisson parameters induced from the quantum sample by the
     weight-1 character on the prime 2 (exponents of 2, read off directly)."""
     return group_character(quantum_sample(n), sample_weights()).induced
+
+
+def apply_character(character: AdditiveCharacter, value: Fraction) -> Fraction:
+    """The character at a nonzero rational, from that value's own prime
+    factorization: the weighted sum of its prime exponents, which turns
+    products into sums and does not see the sign.  The package reads the
+    character only off the exponent rows of `group_analysis`."""
+    weights = dict(character.weights)
+    return sum((weights[p] * e for p, e in factor_rational(value)[1].items()), Fraction(0))
 
 
 def random_params(n: int, rng: random.Random) -> PoissonParams:
@@ -242,7 +259,7 @@ def defining_relations(params: QuantumParams) -> list[Relation]:
     presentation written out by hand, against which the PBW product is
     checked.
     """
-    names = kn_names(params.n)
+    names = generator_names(params.n)
     one = Fraction(1)
 
     def relation(a: int, b: int, tail=()) -> Relation:
@@ -403,6 +420,35 @@ def randint_monomial(n, rng):
     for _ in range(rng.randint(0, 4)):
         mono[rng.randrange(width)] += 1
     return NCElement(n, {tuple(mono): Fraction(rng.randint(1, 4))})
+
+
+# The two samplers as they were written before they shared one monomial
+# draw, each with its own loop; unlike the randint spellings they also run
+# at width 0, where the degree is drawn and no position.
+
+
+def two_loop_terms(width, rng):
+    """The reference for `cli._random_terms` at any width."""
+    bits = rng.getrandbits
+    terms = {}
+    for _ in range(range(1, 4)[draw_below(bits, 3)]):
+        mono = [0] * width
+        degree = range(0, 4)[draw_below(bits, 4)]
+        for _ in range(degree if width else 0):
+            mono[draw_below(bits, width)] += 1
+        terms[tuple(mono)] = Fraction(range(-4, 5)[draw_below(bits, 9)])
+    return {mono: c for mono, c in terms.items() if c}
+
+
+def two_loop_monomial(n, rng):
+    """The reference for `cli._random_monomial` at any n."""
+    bits = rng.getrandbits
+    width = 2 * n
+    mono = [0] * width
+    degree = range(0, 5)[draw_below(bits, 5)]
+    for _ in range(degree if width else 0):
+        mono[draw_below(bits, width)] += 1
+    return NCElement(n, {tuple(mono): Fraction(range(1, 5)[draw_below(bits, 4)])})
 
 
 def rebuild_reduce_poly(f, system, max_steps=10**6, rng=None):

@@ -275,12 +275,12 @@ def test_criterion_11_character_hypotheses():
         assert character.injective_on_group is True
         assert stratification_report(character, [])["phi"]["minus_one_in_group"] is False
 
-        mixed = QuantumParams.make(2, [[1, 1], [1, 1]], [2, 5], [3, 7])
+        mixed = QuantumParams(2, [[1, 1], [1, 1]], [2, 5], [3, 7])
         weights = {2: Fraction(1), 3: Fraction(2), 5: Fraction(3), 7: Fraction(5)}
         assert group_character(mixed, weights).injective_on_group is False
 
         assert group_analysis([Fraction(-2), Fraction(2)]).contains_minus_one is True
-        signed = QuantumParams.make(2, [[1, -2], [Fraction(-1, 2), 1]], [2, 4], [8, 16])
+        signed = QuantumParams(2, [[1, -2], [Fraction(-1, 2), 1]], [2, 4], [8, 16])
         try:
             group_character(signed, {2: Fraction(1)})
         except GroupContainsMinusOne as err:

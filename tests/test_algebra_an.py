@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -14,7 +15,7 @@ from oracles import (
     random_params,
     truncated,
 )
-from poisson_strata import algebra_an
+from poisson_strata import algebra_an, cli
 from poisson_strata.admissible import enumerate_admissible
 from poisson_strata.algebra_an import (
     PoissonParams,
@@ -37,9 +38,35 @@ from poisson_strata.poisson_core import PoissonStructure
 
 def test_params_validation():
     with pytest.raises(ValueError):
-        PoissonParams.make(2, [[0, 1], [1, 0]], [2, 3], [5, 7])  # not skew
+        PoissonParams(2, [[0, 1], [1, 0]], [2, 3], [5, 7])  # not skew
     with pytest.raises(ValueError):
-        PoissonParams.make(1, [[0]], [2], [2])  # p = q
+        PoissonParams(1, [[0]], [2], [2])  # p = q
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize(
+    "path",
+    [path for folder in ("configs", "perfbench/configs") for path in sorted((ROOT / folder).glob("*.json"))],
+    ids=lambda path: str(path.relative_to(ROOT)),
+)
+def test_params_from_ints_and_lists_equal_those_from_fractions_and_tuples(path):
+    # The constructor stores any rationals as tuples of Fractions, so both
+    # sides of every shipped config compare, hash and derive their matrix
+    # alike whichever way their entries were written.
+    config = cli.load_config(str(path))
+
+    def loose(row):
+        return [int(v) if v.denominator == 1 else v for v in row]
+
+    for params in filter(None, (config.poisson, config.quantum)):
+        other = type(params)(params.n, [loose(row) for row in params.gamma], loose(params.p), loose(params.q))
+        assert other == params and hash(other) == hash(params)
+        assert other.matrix == params.matrix
+        for value in (other.gamma, *other.gamma, other.p, other.q):
+            assert type(value) is tuple
+        assert {type(v) for v in (*other.p, *other.q, *sum(other.gamma, ()))} <= {Fraction}
 
 
 def test_defining_table_sample_entries():
@@ -57,7 +84,7 @@ def test_defining_table_sample_entries():
 
 
 def test_single_pair_table():
-    params = PoissonParams.make(1, [[0]], [3], [4])
+    params = PoissonParams(1, [[0]], [3], [4])
     structure = build_an(params)
     assert len(structure.table) == 1
     assert structure.entry(0, 1) == LaurentPoly.monomial(structure.varspec, {"y1": 1, "x1": 1}, -4)
@@ -101,7 +128,7 @@ def test_omega_identity_report_names_residuals():
     # the structure of q2 = 8 checked against q2 = 7: Omega2 and both
     # solvings of the second pair's relation fail, each by its residual
     params = poisson_sample()
-    other = PoissonParams.make(2, params.gamma, params.p, (params.q[0], params.q[1] + 1))
+    other = PoissonParams(2, params.gamma, params.p, (params.q[0], params.q[1] + 1))
     report = verify_omega_identities(params, build_an(other))
     assert (report["ok"], report["identities_checked"]) == (False, 25)
     assert report["failures"] == [

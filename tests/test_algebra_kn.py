@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -12,12 +13,13 @@ from poisson_strata.algebra_kn import (
     QuantumParams,
     QuantumTorus,
     format_nc,
-    kn_names,
     nc_multiply,
     torus_names,
 )
-from poisson_strata.algebra_an import normality_failures, tail_element, tail_word
+from poisson_strata.algebra_an import generator_names, normality_failures, tail_element, tail_word
+from poisson_strata.cli import load_config
 from poisson_strata.exact_poly import StepBudget, StepBudgetExceeded, VarSpec
+from poisson_strata.parser import eval_quantum, parse_expr
 
 
 def gen(n, name):
@@ -31,11 +33,11 @@ def torus_on(params, kill=(), invert=()):
 
 def test_params_validation():
     with pytest.raises(ValueError):
-        QuantumParams.make(1, [[1]], [2], [2])  # ratio 1
+        QuantumParams(1, [[1]], [2], [2])  # ratio 1
     with pytest.raises(ValueError):
-        QuantumParams.make(1, [[1]], [-2], [2])  # ratio -1
+        QuantumParams(1, [[1]], [-2], [2])  # ratio -1
     with pytest.raises(ValueError):
-        QuantumParams.make(2, [[1, 2], [2, 1]], [2, 8], [4, 32])  # not mult. skew
+        QuantumParams(2, [[1, 2], [2, 1]], [2, 8], [4, 32])  # not mult. skew
 
 
 def test_basic_rewrites():
@@ -72,7 +74,7 @@ def test_defining_relations_hold():
 def test_generator_swaps_match_commutation_matrix():
     # Off the diagonal pairs, G_u G_v normalizes to s_uv G_v G_u exactly.
     params = quantum_sample(3)
-    names = kn_names(3)
+    names = generator_names(3)
     smatrix = params.matrix
     for u in range(6):
         for v in range(6):
@@ -141,7 +143,7 @@ def test_omega_q_values():
 
 def test_normality_scalars():
     params = quantum_sample(2)
-    gens = [gen(2, name) for name in kn_names(2)]
+    gens = [gen(2, name) for name in generator_names(2)]
 
     def product(f, g):
         return nc_multiply(params, f, g)
@@ -202,7 +204,7 @@ def test_products_charge_their_block_crossings():
 
     # the products of nf "(y1+x1+y2+x2)^8" on configs/quantum_n2.json
     params = quantum_sample(2)
-    base = sum((gen(2, name) for name in kn_names(2)), NCElement.zero(2))
+    base = sum((gen(2, name) for name in generator_names(2)), NCElement.zero(2))
     for _ in range(2):
         out, steps = base, []
         for _ in range(7):
@@ -240,6 +242,33 @@ def test_tail_cut_short_by_the_budget_is_not_stored():
     budget = StepBudget()
     assert nc_multiply(params, f, y3, budget) == expected
     assert budget.spent == 8
+
+
+PAIRED_N3 = str(Path(__file__).resolve().parent.parent / "perfbench" / "configs" / "paired_n3.json")
+# rational parameters whose crossings grow large coefficients
+RATIONAL_N3 = QuantumParams(
+    3,
+    [[1, Fraction(3, 5), Fraction(7, 2)], [Fraction(5, 3), 1, Fraction(11, 13)], [Fraction(2, 7), Fraction(13, 11), 1]],
+    [Fraction(2, 3), Fraction(5, 7), Fraction(9, 4)],
+    [Fraction(5, 11), Fraction(3, 2), Fraction(7, 5)],
+)
+
+
+@pytest.mark.parametrize("params", [load_config(PAIRED_N3).quantum, RATIONAL_N3], ids=["paired_n3", "rational_n3"])
+def test_stored_tails_are_products_by_the_tail_element(params):
+    # Each stored (head, i) entry is the PBW product of the monomial head
+    # by O_{i-1}, term for term in the same order, with the crossings that
+    # product charges, here on a fresh table.
+    for expr in ("x3^7 y3^5 x2^4 y2^3 x1^2 y1", "(y1+x1+y2+x2+y3+x3)^5 (x3^3 y3^2 + x2^2 y1)"):
+        eval_quantum(parse_expr(expr), params, 10**6)
+    entries = {key: value for key, value in params.tail_crossings.items() if isinstance(key[0], tuple)}
+    assert {i for _, i in entries} == {1, 2, 3}
+    for (head, i), (terms, count) in entries.items():
+        fresh, budget = QuantumParams(3, params.gamma, params.p, params.q), StepBudget()
+        tail = tail_element(fresh, i - 1, NCElement, 3)
+        product = nc_multiply(fresh, NCElement(3, {head: 1}), tail, budget)
+        assert list(product.terms.items()) == list(terms.items())
+        assert budget.spent == count
 
 
 def test_commutation_matrix_entries():
@@ -389,7 +418,7 @@ def _rewrite_words(params, word):
     """Normal form of a word (a tuple of generator positions) as a map from
     exponent vectors to coefficients, found by rewriting the first descent
     of each word with the matching defining relation, one pair at a time."""
-    names = kn_names(params.n)
+    names = generator_names(params.n)
     index = {name: k for k, name in enumerate(names)}
     rules = {}  # descent pair -> its replacement, solved from the relation
     for _, combo in defining_relations(params):
@@ -433,7 +462,7 @@ def _random_params(rng, n):
             qi = scalar()
         p.append(pi)
         q.append(qi)
-    return QuantumParams.make(n, gamma, p, q)
+    return QuantumParams(n, gamma, p, q)
 
 
 def _rewrite_product(params, f, g):

@@ -19,6 +19,8 @@ from oracles import (
     quantum_sample,
     randint_monomial,
     randint_poly,
+    two_loop_monomial,
+    two_loop_terms,
 )
 from poisson_strata import cli
 from poisson_strata.algebra_an import an_varspec, build_an
@@ -185,7 +187,7 @@ def test_roundtrip_random_asts():
 
 def test_load_config_modes():
     config = load_config(CONFIG_POISSON)
-    assert config.mode == "poisson" and config.poisson is not None
+    assert config.poisson is not None and config.quantum is None
     config = load_config(CONFIG_QUANTUM)
     assert config.quantum is not None and config.poisson is None
     paired = load_config(CONFIG_PAIRED)
@@ -962,7 +964,7 @@ def test_confluence_checks_each_system_owner(capsys, monkeypatch):
 
 def _random_terms_poly(vs, rng):
     """The term map of `cli._random_terms` as a polynomial over vs."""
-    return LaurentPoly._trusted(vs, cli._random_terms(vs, rng))
+    return LaurentPoly._trusted(vs, cli._random_terms(len(vs), rng))
 
 
 @pytest.mark.parametrize(
@@ -985,6 +987,16 @@ def test_suite_generators_draw_the_plain_inputs(seed, count, owner, reference, g
     assert rng.getstate() == ref_rng.getstate()
 
 
+def test_samplers_at_width_zero_draw_as_the_two_loops():
+    # With no variable there is no position to draw, but the degree is still
+    # drawn: the shared monomial draw gives the values of the two loops it
+    # replaced (each a single term at width 0) and leaves the rng in the
+    # same state.
+    for sampler, reference in ((cli._random_terms, two_loop_terms), (cli._random_monomial, two_loop_monomial)):
+        ref_rng, rng = random.Random(17), random.Random(17)
+        for _ in range(1000):
+            assert sampler(0, rng) == reference(0, ref_rng)
+        assert rng.getstate() == ref_rng.getstate()
 
 
 def test_kstable_reports_the_per_stratum_failures(capsys, monkeypatch):
