@@ -33,7 +33,6 @@ from .correspondence import (
     poisson_stratum_map,
     quantum_stratum_map,
     stratification_report,
-    swapped_products,
     verify_poisson_stratum_map,
     verify_quantum_stratum_map,
 )

@@ -93,7 +93,20 @@ class PairParams:
 
 @dataclass(frozen=True)
 class PoissonParams(PairParams):
-    """n, the skew-symmetric coupling matrix, and the two weight vectors."""
+    """n, the skew-symmetric coupling matrix, and the two weight vectors;
+    A_n and its level-by-level rebuild are derived on their first read,
+    once per parameter set, like `matrix`."""
+
+    @functools.cached_property
+    def an(self) -> PoissonStructure:
+        """A_n of these parameters (`build_an`), its Jacobi identity validated."""
+        return build_an(self)
+
+    @functools.cached_property
+    def presentation(self) -> IteratedPresentation:
+        """The iterated two-variable extension rebuilding A_n
+        (`iterated_presentation`)."""
+        return iterated_presentation(self)
 
     @staticmethod
     def _evaluate(word) -> Fraction:
@@ -252,15 +265,16 @@ def build_an(params: PoissonParams) -> PoissonStructure:
     return PoissonStructure(vs, table).validate()
 
 
-def verify_omega_identities(params: PoissonParams, structure: PoissonStructure) -> dict:
+def verify_omega_identities(params: PoissonParams) -> dict:
     """Check the scaling brackets of the tail elements and their recursions
-    in `structure`, which is `build_an(params)`.
+    in A_n.
 
     Verifies, symbolically: {O_j, g} = R O_j g for every generator g, with
     R read off `tail_word` (`normality_failures`), {O_i, O_j} = 0, and the
     two solvings of the defining relation O_{i-1} = {x_i, y_i} - q_i y_i x_i
     and O_i = {x_i, y_i} - p_i y_i x_i.  Each failure names its residual.
     """
+    structure = params.an
     vs = structure.varspec
     n = params.n
     omegas = [tail_element(params, i, LaurentPoly, vs) for i in range(n + 1)]
@@ -299,7 +313,6 @@ class IteratedPresentation:
     algebra (index 0 is the scalar base).
     """
 
-    params: PoissonParams
     specs: tuple[DoubleExtensionSpec, ...]
     structures: tuple[PoissonStructure, ...]
 
@@ -327,13 +340,12 @@ def iterated_presentation(params: PoissonParams) -> IteratedPresentation:
         specs.append(spec)
         structure = double_extend(spec)
         structures.append(structure)
-    return IteratedPresentation(params, tuple(specs), tuple(structures))
+    return IteratedPresentation(tuple(specs), tuple(structures))
 
 
-def consistency_check(presentation: IteratedPresentation, direct: PoissonStructure) -> dict:
-    """Compare the top level of `presentation` against the direct table of
-    `direct`, which is `build_an` of the presentation's parameters,
-    entry-exact.
+def consistency_check(params: PoissonParams) -> dict:
+    """Compare the top level of the iterated presentation of `params`
+    against the direct table of A_n, entry-exact.
 
     Each level's rebuilt table is carried unchanged into the top level, and
     the level-j algebra's table is the direct one on the first 2j
@@ -341,8 +353,8 @@ def consistency_check(presentation: IteratedPresentation, direct: PoissonStructu
     scanned by the level that adjoins their later generator, so a mismatch
     is named at the lowest level it appears in.
     """
-    n = presentation.params.n
-    rebuilt = presentation.structures[-1]
+    n, direct = params.n, params.an
+    rebuilt = params.presentation.structures[-1]
     names = direct.varspec.names
     for level in range(n):
         for a in range(2 * level + 2):
@@ -408,11 +420,10 @@ def level_eigen_elements(params: PoissonParams) -> tuple[KElement, KElement]:
     return tuple(f_vec), tuple(g_vec)
 
 
-def verify_level_eigen_elements(presentation: IteratedPresentation) -> dict:
+def verify_level_eigen_elements(params: PoissonParams) -> dict:
     """The two vectors of `level_eigen_elements` lie in the weight group and
-    act as the top-level extension derivations of `presentation`; at n = 0
-    there is no level."""
-    params = presentation.params
+    act as the top-level extension derivations of the iterated presentation
+    of `params`; at n = 0 there is no level."""
     n = params.n
     if n == 0:
         return {"ok": True, "failures": []}
@@ -424,7 +435,7 @@ def verify_level_eigen_elements(presentation: IteratedPresentation) -> dict:
     ]
     if failures:  # no scaling derivation to compare
         return {"ok": False, "failures": failures}
-    spec = presentation.specs[n - 1]
+    spec = params.presentation.specs[n - 1]
     vs = an_varspec(n)
     f_der = k_derivation(params, f_vec)
     g_der = k_derivation(params, g_vec)

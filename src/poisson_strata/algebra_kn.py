@@ -21,10 +21,11 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from operator import add
 from typing import Iterable, Optional
 
-from .algebra_an import PairParams, generator_names, tail_element
+from .algebra_an import PairParams, an_varspec, generator_names, tail_element
 from .exact_poly import StepBudget, TermMap, VarSpec, accumulate, format_terms
 
 @dataclass(frozen=True)
@@ -62,6 +63,16 @@ class QuantumParams(PairParams):
         `tail_element` on the first read, once per parameter set: the
         factors by which `_Multiplier._tail_crossing` multiplies."""
         return tuple(tail_element(self, i, NCElement, self.n).terms for i in range(self.n))
+
+    @functools.cached_property
+    def swapped_products(self) -> dict[tuple[int, int], NCElement]:
+        """The PBW normal form of g_b g_a for each generator pair a < b: the
+        defining relations, one per pair, each solved for its swapped word.
+        Built on the first read, once per parameter set, each product with
+        a default budget of its own; a walk over the strata reads them all."""
+        gens = [NCElement.generator(self.n, name) for name in an_varspec(self.n).names]
+        pairs = combinations(range(len(gens)), 2)
+        return {(a, b): nc_multiply(self, gens[b], gens[a]) for a, b in pairs}
 
     def _check_values(self):
         n = self.n
@@ -109,7 +120,9 @@ class NCElement(TermMap):
     n = TermMap.owner  # the owner slot under its name here
     __pow__ = None  # products need the parameters; see nc_multiply
 
-    _names = staticmethod(generator_names)
+    @staticmethod
+    def _names(n: int) -> tuple[str, ...]:
+        return an_varspec(n).names
 
     @staticmethod
     def _admit(n: int, mono: tuple[int, ...]) -> bool:
@@ -119,7 +132,7 @@ class NCElement(TermMap):
 
 
 def format_nc(f: NCElement) -> str:
-    return format_terms(f.terms, generator_names(f.n))
+    return format_terms(f.terms, an_varspec(f.n).names)
 
 
 class _Multiplier:

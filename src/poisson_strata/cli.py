@@ -41,13 +41,10 @@ from typing import Optional
 
 from . import admissible as adm
 from .algebra_an import (
-    IteratedPresentation,
     PoissonParams,
     an_varspec,
-    build_an,
     consistency_check,
     generator_names,
-    iterated_presentation,
     k_basis,
     k_derivation,
     named_element,
@@ -68,7 +65,6 @@ from .correspondence import (
     group_character,
     nested_congruence_check,
     stratification_report,
-    swapped_products,
     verify_poisson_stratum_map,
     verify_quantum_stratum_map,
 )
@@ -86,7 +82,7 @@ from .exact_poly import (
     same_owner,
 )
 from .parser import Bracket, eval_poisson, eval_quantum, parse_expr
-from .poisson_core import PoissonStructure, derivation_residuals
+from .poisson_core import derivation_residuals
 
 ENV_STEP_BUDGET = "POISSON_STRATA_STEP_BUDGET"
 RANDOM_TRIALS = 1000  # random inputs per stratum (confluence) and triples (associativity)
@@ -144,7 +140,9 @@ def _list(value, what: str) -> list:
 @dataclass
 class Config:
     """The run object: the parameters and step limit `load_config` validated,
-    and what every command derives from them, built on first use and shared."""
+    and what a run derives from them beside what the parameters derive
+    themselves: the character of its weights and its strata, built on
+    first use and shared."""
 
     poisson: Optional[PoissonParams]
     quantum: Optional[QuantumParams]
@@ -159,16 +157,6 @@ class Config:
     def character(self) -> AdditiveCharacter:
         """The additive character of the quantum parameters under `weights`."""
         return group_character(_require_quantum(self), self.weights)
-
-    @functools.cached_property
-    def an(self) -> PoissonStructure:
-        """A_n of the Poisson parameters, its Jacobi identity validated."""
-        return build_an(_require_poisson(self))
-
-    @functools.cached_property
-    def presentation(self) -> IteratedPresentation:
-        """The level-by-level rebuild of A_n from the Poisson parameters."""
-        return iterated_presentation(_require_poisson(self))
 
     @functools.cached_property
     def strata(self) -> list[adm.AdmissibleSet]:
@@ -235,6 +223,8 @@ def load_config(path: str) -> Config:
                 raise ConfigError(f"weight key {key!r}: {exc}") from None
             if not prime:
                 raise ConfigError(f"weight keys must be primes, got {key!r}")
+            if str(int(key)) != key:  # "02" would overwrite the weight of 2
+                raise ConfigError(f"weight key {key!r} must be written {str(int(key))!r}")
             weights[int(key)] = _rational(value)
     limit = os.environ.get(ENV_STEP_BUDGET)
     try:
@@ -309,17 +299,15 @@ def _random_monomial(n: int, rng: random.Random) -> NCElement:
 
 
 def suite_jacobi(config: Config) -> dict:
-    """The Jacobi identity holds on generator triples, which `config.an`
-    checks before it returns, and the iterated rebuild equals the table."""
-    structure = config.an
-    report = consistency_check(config.presentation, structure)
+    """The Jacobi identity holds on generator triples, which `build_an`
+    checks before it returns A_n, and the iterated rebuild equals the table."""
+    report = consistency_check(_require_poisson(config))
     details = {"generator_triples": True, "iterated_rebuild": report["ok"]}
     return {"suite": "jacobi", "ok": report["ok"], "details": details}
 
 
 def suite_omega_identities(config: Config) -> dict:
-    params = _require_poisson(config)
-    report = verify_omega_identities(params, config.an)
+    report = verify_omega_identities(_require_poisson(config))
     return {"suite": "lemma2.3", "ok": report["ok"], "details": report}
 
 
@@ -362,7 +350,7 @@ def suite_k_stability(config: Config) -> dict:
     images do not depend on the stratum, so each is built once per run and
     reduced against every stratum's system."""
     params = _require_poisson(config)
-    structure = config.an
+    structure = params.an
     vs = structure.varspec
     budget = config.step_limit
     generators = [structure.generator(g_name) for g_name in vs.names]
@@ -419,14 +407,12 @@ def _strata_suite(name: str, config: Config, verify) -> dict:
 
 def suite_psi(config: Config) -> dict:
     params = _require_poisson(config)
-    source = config.an
-    return _strata_suite("psi", config, lambda t: verify_poisson_stratum_map(params, t, source))
+    return _strata_suite("psi", config, lambda t: verify_poisson_stratum_map(params, t))
 
 
 def suite_upsilon(config: Config) -> dict:
     params = _require_quantum(config)
-    products = swapped_products(params)
-    return _strata_suite("upsilon", config, lambda t: verify_quantum_stratum_map(params, t, products))
+    return _strata_suite("upsilon", config, lambda t: verify_quantum_stratum_map(params, t))
 
 
 def suite_normality(config: Config) -> dict:
@@ -451,14 +437,14 @@ def suite_weights(config: Config) -> dict:
     """Each basis weight vector acts by a Poisson derivation, and the two
     level eigen-vectors act as the top extension's derivations."""
     params = _require_poisson(config)
-    structure = config.an
+    structure = params.an
     basis = k_basis(params.n)
     failures = [
         f"weight vector ({', '.join(map(str, h))}) on ({a}, {b}): residual {format_poly(residual)}"
         for h in basis
         for a, b, residual in derivation_residuals(structure, k_derivation(params, h))
     ]
-    failures += verify_level_eigen_elements(config.presentation)["failures"]
+    failures += verify_level_eigen_elements(params)["failures"]
     details = {"basis": len(basis), "failures": failures}
     return {"suite": "weights", "ok": not failures, "details": details}
 
@@ -514,7 +500,7 @@ def run_suite(config: Config, name: str) -> dict:
 def cmd_bracket(config: Config, args) -> dict:
     params = _require_poisson(config)
     ast = Bracket(parse_expr(args.left), parse_expr(args.right))
-    return {"result": format_poly(eval_poisson(ast, config.an, params, config.step_limit))}
+    return {"result": format_poly(eval_poisson(ast, params, config.step_limit))}
 
 
 def cmd_nf(config: Config, args) -> dict:

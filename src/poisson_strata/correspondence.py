@@ -46,20 +46,11 @@ from .admissible import AdmissibleSet, derived_sets, stratum_label
 from .algebra_an import (
     PairParams,
     PoissonParams,
-    an_varspec,
-    build_an,
     generator_names,
     log_canonical_table,
     tail_coefficient,
 )
-from .algebra_kn import (
-    NCElement,
-    QTorusElement,
-    QuantumParams,
-    QuantumTorus,
-    nc_multiply,
-    torus_names,
-)
+from .algebra_kn import QTorusElement, QuantumParams, QuantumTorus, torus_names
 from .exact_poly import (
     GroupAnalysis,
     LaurentPoly,
@@ -67,7 +58,6 @@ from .exact_poly import (
     VarSpec,
     format_terms,
     group_analysis,
-    same_owner,
 )
 from .poisson_core import PoissonStructure
 
@@ -192,17 +182,13 @@ def _stratum_report(params, gmap: GeneratorMap, value, operate, label) -> dict:
     return {"ok": not failures, "failures": failures}
 
 
-def verify_poisson_stratum_map(
-    params: PoissonParams, t_set: AdmissibleSet, source: PoissonStructure
-) -> dict:
-    """Generator-level verification that the stratum map of T from `source`,
-    which is `build_an(params)`, is Poisson: the report of `_stratum_report`
-    with the pair residual {g_a, g_b} minus the target bracket of the images.
+def verify_poisson_stratum_map(params: PoissonParams, t_set: AdmissibleSet) -> dict:
+    """Generator-level verification that the stratum map of T from A_n is
+    Poisson: the report of `_stratum_report` with the pair residual
+    {g_a, g_b} minus the target bracket of the images.
     """
-    if not same_owner(source.varspec, an_varspec(params.n)):
-        raise ValueError("source structure is not over the generators of A_n")
     gmap = poisson_stratum_map(params, t_set)
-    return _stratum_report(params, gmap, source.entry, gmap.target.bracket, "bracket pair ({}, {})")
+    return _stratum_report(params, gmap, params.an.entry, gmap.target.bracket, "bracket pair ({}, {})")
 
 
 def nested_congruence_check(params: PoissonParams, etas: Mapping[AdmissibleSet, Sequence[str]]) -> dict:
@@ -247,26 +233,14 @@ def quantum_stratum_map(params: QuantumParams, t_set: AdmissibleSet) -> Generato
     return _stratum_map(params, t_set, build)
 
 
-def swapped_products(params: QuantumParams) -> dict[tuple[int, int], NCElement]:
-    """The PBW normal form of g_b g_a for each generator pair a < b: the
-    defining relations, one per pair, each solved for its swapped word.
-    They do not depend on the stratum, so a walk over the strata builds
-    them once."""
-    gens = [NCElement.generator(params.n, name) for name in generator_names(params.n)]
-    pairs = combinations(range(len(gens)), 2)
-    return {(a, b): nc_multiply(params, gens[b], gens[a]) for a, b in pairs}
-
-
-def verify_quantum_stratum_map(
-    params: QuantumParams, t_set: AdmissibleSet, products: Mapping[tuple[int, int], NCElement]
-) -> dict:
+def verify_quantum_stratum_map(params: QuantumParams, t_set: AdmissibleSet) -> dict:
     """Generator-level verification that the stratum map of T is an algebra
-    map, given `products`, which is `swapped_products(params)`: the report
-    of `_stratum_report` with the pair residual g_b g_a, in normal form,
-    minus the torus product of the images in that order.
+    map: the report of `_stratum_report` with the pair residual g_b g_a,
+    in normal form (`QuantumParams.swapped_products`), minus the torus
+    product of the images in that order.
     """
     gmap = quantum_stratum_map(params, t_set)
-    value = lambda a, b: products[a, b]
+    value = lambda a, b: params.swapped_products[a, b]
     return _stratum_report(params, gmap, value, lambda u, v: v * u, "product pair ({1}, {0})")
 
 
@@ -388,11 +362,10 @@ def stratification_report(character: AdditiveCharacter, sets: Sequence[Admissibl
     character is injective on the parameter group.
     """
     params, pparams = character.params, character.induced
-    source, products = build_an(pparams), swapped_products(params)
     strata = []
     for t_set in sets:
-        psi = verify_poisson_stratum_map(pparams, t_set, source)
-        ups = verify_quantum_stratum_map(params, t_set, products)
+        psi = verify_poisson_stratum_map(pparams, t_set)
+        ups = verify_quantum_stratum_map(params, t_set)
         entry = {**stratum_label(t_set), "psi_ok": psi["ok"], "upsilon_ok": ups["ok"]}
         for side, report in (("psi", psi), ("upsilon", ups)):
             if not report["ok"]:

@@ -29,7 +29,6 @@ from typing import Callable, Union
 from .algebra_an import PairParams, PoissonParams, named_element
 from .algebra_kn import NCElement, QuantumParams, nc_multiply
 from .exact_poly import DEFAULT_STEP_BUDGET, LaurentPoly, StepBudget
-from .poisson_core import PoissonStructure
 
 
 class ParseError(ValueError):
@@ -274,16 +273,12 @@ def _leaf(node: Expr, params: PairParams, cls, owner):
     return named_element(params, node.name, cls, owner)
 
 
-def eval_poisson(
-    ast: Expr,
-    structure: PoissonStructure,
-    params: PoissonParams,
-    max_steps: int = DEFAULT_STEP_BUDGET,
-) -> LaurentPoly:
-    """Evaluate in the Poisson algebra.  Every product, every product of a
-    power and every bracket of f and g is charged its |f|·|g| term pairs,
+def eval_poisson(ast: Expr, params: PoissonParams, max_steps: int = DEFAULT_STEP_BUDGET) -> LaurentPoly:
+    """Evaluate in the Poisson algebra A_n.  Every product, every product of
+    a power and every bracket of f and g is charged its |f|·|g| term pairs,
     one step each, against one budget of max_steps for the whole expression;
     StepBudgetExceeded is raised before the work that would pass it."""
+    structure = params.an
     vs = structure.varspec
     charge = StepBudget(max_steps, "term pairs").charge
 

@@ -47,7 +47,6 @@ from poisson_strata.correspondence import (
     group_character,
     nested_congruence_check,
     stratification_report,
-    swapped_products,
     verify_poisson_stratum_map,
     verify_quantum_stratum_map,
 )
@@ -158,7 +157,7 @@ def test_criterion_04_tail_identities():
             cases.append(quantum_sample_image(n))
             cases.append(random_params(n, rng))
         for params in cases:
-            report = verify_omega_identities(params, build_an(params))
+            report = verify_omega_identities(params)
             assert report["ok"], report["failures"]
 
 
@@ -212,9 +211,8 @@ def test_criterion_08_poisson_stratum_maps():
     with criterion(8, "Poisson stratum maps verify on every stratum for n <= 3, nesting congruent at n <= 4"):
         for n in (1, 2, 3):
             params = quantum_sample_image(n)
-            source = build_an(params)
             for t_set in enumerate_admissible(n):
-                report = verify_poisson_stratum_map(params, t_set, source)
+                report = verify_poisson_stratum_map(params, t_set)
                 assert report["ok"], (n, t_set.member_names(), report["failures"])
         rng = random.Random(108)
         for params in [quantum_sample_image(n) for n in (1, 2, 3)] + [random_params(4, rng)]:
@@ -226,18 +224,16 @@ def test_criterion_09_quantum_stratum_maps():
     with criterion(9, "quantum stratum maps verify on every stratum for n <= 2 plus n = 3 spot checks"):
         for n in (1, 2):
             params = quantum_sample(n)
-            products = swapped_products(params)
             for t_set in enumerate_admissible(n):
-                report = verify_quantum_stratum_map(params, t_set, products)
+                report = verify_quantum_stratum_map(params, t_set)
                 assert report["ok"], (n, t_set.member_names(), report["failures"])
         params3 = quantum_sample(3)
-        products3 = swapped_products(params3)
         empty = admissible_from_names(3, [])
         maximal = admissible_from_names(
             3, [name for i in (1, 2, 3) for name in (f"y{i}", f"x{i}", f"Omega{i}")]
         )
         for t_set in (empty, maximal):
-            assert verify_quantum_stratum_map(params3, t_set, products3)["ok"]
+            assert verify_quantum_stratum_map(params3, t_set)["ok"]
 
 
 def test_criterion_10_pbw_normal_form():
@@ -297,7 +293,7 @@ def test_criterion_12_iterated_rebuild():
             cases.append(quantum_sample_image(n))
             cases.append(random_params(n, rng))
         for params in cases:
-            report = consistency_check(iterated_presentation(params), build_an(params))
+            report = consistency_check(params)
             assert report["ok"], report
 
 

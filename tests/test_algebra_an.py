@@ -120,16 +120,17 @@ def test_omega_values():
 
 def test_omega_identity_report():
     for params in (poisson_sample(), quantum_sample_image(3)):
-        report = verify_omega_identities(params, build_an(params))
+        report = verify_omega_identities(params)
         assert report["ok"], report["failures"]
 
 
-def test_omega_identity_report_names_residuals():
+def test_omega_identity_report_names_residuals(monkeypatch):
     # the structure of q2 = 8 checked against q2 = 7: Omega2 and both
     # solvings of the second pair's relation fail, each by its residual
     params = poisson_sample()
     other = PoissonParams(2, params.gamma, params.p, (params.q[0], params.q[1] + 1))
-    report = verify_omega_identities(params, build_an(other))
+    monkeypatch.setattr(algebra_an, "build_an", lambda _: build_an(other))
+    report = verify_omega_identities(params)
     assert (report["ok"], report["identities_checked"]) == (False, 25)
     assert report["failures"] == [
         "Omega2 y2: residual 4*y2^2*x2",
@@ -169,7 +170,7 @@ def test_consistency_check_families():
     for n in (1, 2, 3):
         cases += [quantum_sample_image(n), random_params(n, rng)]
     for params in cases:
-        assert consistency_check(iterated_presentation(params), build_an(params))["ok"]
+        assert consistency_check(params)["ok"]
 
 
 def per_level_consistency(params):
@@ -202,14 +203,12 @@ def test_consistency_check_names_the_lowest_level_mismatch(monkeypatch):
         return PoissonStructure(vs, table)
 
     params = quantum_sample_image(3)
-    presentation = iterated_presentation(params)
-    assert consistency_check(presentation, real(params)) == per_level_consistency(params)
+    assert consistency_check(params) == per_level_consistency(params)
     assert per_level_consistency(params) == {"ok": True, "levels": 3}
     monkeypatch.setattr(algebra_an, "build_an", corrupted)
     expected = {"ok": False, "level": 2, "entry": ("x1", "y2")}
     for params in (quantum_sample_image(3), random_params(3, random.Random(12))):
-        presentation = iterated_presentation(params)
-        assert consistency_check(presentation, corrupted(params)) == per_level_consistency(params) == expected
+        assert consistency_check(params) == per_level_consistency(params) == expected
 
 
 def test_k_membership_and_action():
@@ -245,7 +244,7 @@ def test_level_eigen_elements_values():
 def test_level_eigen_elements_verification():
     rng = random.Random(11)
     for params in (poisson_sample(), quantum_sample_image(3), random_params(2, rng)):
-        report = verify_level_eigen_elements(iterated_presentation(params))
+        report = verify_level_eigen_elements(params)
         assert report["ok"], report["failures"]
 
 

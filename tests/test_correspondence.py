@@ -19,7 +19,7 @@ from oracles import (
     random_params,
     sample_weights,
 )
-from poisson_strata import algebra_an, cli, correspondence
+from poisson_strata import algebra_an, algebra_kn, cli, correspondence
 from poisson_strata.admissible import (
     count_nested_pairs,
     derived_sets,
@@ -44,7 +44,6 @@ from poisson_strata.correspondence import (
     poisson_stratum_map,
     quantum_stratum_map,
     stratification_report,
-    swapped_products,
     verify_poisson_stratum_map,
     verify_quantum_stratum_map,
 )
@@ -162,31 +161,47 @@ def test_both_maps_use_the_same_cases():
 def test_verify_poisson_all_strata_small_n():
     for n in (1, 2):
         params = quantum_sample_image(n)
-        source = build_an(params)
         for t_set in enumerate_admissible(n):
-            report = verify_poisson_stratum_map(params, t_set, source)
+            report = verify_poisson_stratum_map(params, t_set)
             assert report["ok"], (t_set.member_names(), report["failures"])
 
 
 def test_verify_poisson_spot_checks_n3():
     params = quantum_sample_image(3)
     for t_set in (empty_set(3), full_set(3)):
-        assert verify_poisson_stratum_map(params, t_set, build_an(params))["ok"]
+        assert verify_poisson_stratum_map(params, t_set)["ok"]
+
+
+def poisson_rest(entry):
+    """`_stratum_report`'s arguments after the Poisson map, given the map,
+    with `entry(a, b)` for the source bracket {g_a, g_b}."""
+    return lambda gmap: (entry, gmap.target.bracket, "bracket pair ({}, {})")
+
+
+def quantum_rest(products):
+    """`_stratum_report`'s arguments after the quantum map, given the map,
+    with `products` for the swapped products."""
+    return lambda gmap: (lambda a, b: products[a, b], lambda u, v: v * u, "product pair ({1}, {0})")
+
+
+def report_with(params, t_set, stratum_map, rest):
+    """A verify function's report with the source values of `rest`, the
+    seam through which a wrong table or product is checked."""
+    gmap = stratum_map(params, t_set)
+    return correspondence._stratum_report(params, gmap, *rest(gmap))
 
 
 def test_poisson_failure_names_pair_and_residual():
     params = quantum_sample_image()
-    source = build_an(params)
+    source = params.an
     vs = source.varspec
     table = dict(source.table)
     table[(0, 1)] = table[(0, 1)] + LaurentPoly.monomial(vs, {"y1": 1, "x1": 1})  # {y1, x1}
     corrupted = PoissonStructure(vs, table)
-    report = verify_poisson_stratum_map(params, empty_set(2), corrupted)
+    report = report_with(params, empty_set(2), poisson_stratum_map, poisson_rest(corrupted.entry))
     assert not report["ok"]
     assert report["failures"] == ["bracket pair (y1, x1): residual Y1*X1"]
-    assert verify_poisson_stratum_map(params, empty_set(2), source)["ok"]
-    with pytest.raises(ValueError):
-        verify_poisson_stratum_map(params, empty_set(2), build_an(quantum_sample_image(1)))
+    assert verify_poisson_stratum_map(params, empty_set(2))["ok"]
 
 
 KILLS_Y1 = admissible_from_names(2, ["y1", "Omega1"])  # eta = (Y1,)
@@ -194,24 +209,25 @@ KILLS_Y1 = admissible_from_names(2, ["y1", "Omega1"])  # eta = (Y1,)
 
 def test_poisson_failure_on_a_stratum_that_kills_generators():
     params = quantum_sample_image()
-    source = build_an(params)
+    source = params.an
     vs = source.varspec
     table = dict(source.table)
     # {y2, x2} += y1*x2 + 3*x1*x2; the first term dies with Y1
     table[(2, 3)] = table[(2, 3)] + LaurentPoly(vs, {(1, 0, 0, 1): 1, (0, 1, 0, 1): 3})
-    report = verify_poisson_stratum_map(params, KILLS_Y1, PoissonStructure(vs, table))
+    corrupted = PoissonStructure(vs, table)
+    report = report_with(params, KILLS_Y1, poisson_stratum_map, poisson_rest(corrupted.entry))
     assert report["failures"] == ["bracket pair (y2, x2): residual 3*X1*X2"]
-    assert verify_poisson_stratum_map(params, KILLS_Y1, source)["ok"]
+    assert verify_poisson_stratum_map(params, KILLS_Y1)["ok"]
 
 
 def test_quantum_failure_on_a_stratum_that_kills_generators():
     params = quantum_sample()
-    products = swapped_products(params)
-    assert verify_quantum_stratum_map(params, KILLS_Y1, products)["ok"]
+    products = params.swapped_products
+    assert verify_quantum_stratum_map(params, KILLS_Y1)["ok"]
     # x2 y2 += y1*x2 + 2*x1*x2; the first term dies with Y1
     extra = NCElement(2, {(1, 0, 0, 1): 1, (0, 1, 0, 1): 2})
     corrupted = {**products, (2, 3): products[2, 3] + extra}
-    report = verify_quantum_stratum_map(params, KILLS_Y1, corrupted)
+    report = report_with(params, KILLS_Y1, quantum_stratum_map, quantum_rest(corrupted))
     assert report["failures"] == ["product pair (x2, y2): residual 2*X1*X2"]
 
 
@@ -239,8 +255,7 @@ def test_reports_build_the_source_algebra_once(monkeypatch):
         builds.append(params)
         return build_an(params)
 
-    monkeypatch.setattr(correspondence, "build_an", counting_build_an)
-    monkeypatch.setattr(cli, "build_an", counting_build_an)
+    monkeypatch.setattr(algebra_an, "build_an", counting_build_an)
     character = group_character(quantum_sample(2), sample_weights())
     report = stratification_report(character, enumerate_admissible(2))
     assert len(report["strata"]) == 14 and len(builds) == 1
@@ -328,29 +343,28 @@ def test_quantum_full_set_collapses():
     params = quantum_sample()
     gmap = quantum_stratum_map(params, full_set(2))
     assert all(image.is_zero() for image in gmap.images.values())
-    assert verify_quantum_stratum_map(params, full_set(2), swapped_products(params))["ok"]
+    assert verify_quantum_stratum_map(params, full_set(2))["ok"]
 
 
 def test_verify_quantum_all_strata_small_n():
     for n in (1, 2):
         params = quantum_sample(n)
-        products = swapped_products(params)
         for t_set in enumerate_admissible(n):
-            report = verify_quantum_stratum_map(params, t_set, products)
+            report = verify_quantum_stratum_map(params, t_set)
             assert report["ok"], (t_set.member_names(), report["failures"])
 
 
 def test_quantum_failure_names_relation_and_residual():
     params = quantum_sample()
-    products = swapped_products(params)
+    products = params.swapped_products
     y1y2 = NCElement.monomial(2, {"y1": 1, "y2": 1})
     assert products[0, 2] == y1y2.scale(Fraction(1, 2))  # y2 y1 = (1/2) y1 y2
     corrupted = {**products, (0, 2): y1y2.scale(Fraction(3, 2))}
-    report = verify_quantum_stratum_map(params, empty_set(2), corrupted)
+    report = report_with(params, empty_set(2), quantum_stratum_map, quantum_rest(corrupted))
     assert not report["ok"]
     # Y2 Y1 = (1/2) Y1 Y2 in the torus, so the residual is (3/2 - 1/2) Y1 Y2
     assert report["failures"] == ["product pair (y2, y1): residual Y1*Y2"]
-    assert verify_quantum_stratum_map(params, empty_set(2), products)["ok"]
+    assert verify_quantum_stratum_map(params, empty_set(2))["ok"]
 
 
 # (psi failures, upsilon failures) per failing stratum when w_2 is doubled
@@ -385,10 +399,9 @@ def test_doubled_hat_coefficient_fails_the_strata_that_read_it(doubled_hat):
     # doubling w_2 breaks the tail element, and Omega2 as a member, on both sides
     character = cli.load_config(CONFIG_PAIRED).character
     failed = {}
-    source, products = build_an(character.induced), swapped_products(character.params)
     for t_set in enumerate_admissible(2):
-        psi = verify_poisson_stratum_map(character.induced, t_set, source)
-        ups = verify_quantum_stratum_map(character.params, t_set, products)
+        psi = verify_poisson_stratum_map(character.induced, t_set)
+        ups = verify_quantum_stratum_map(character.params, t_set)
         assert psi["ok"] == ups["ok"]
         if not psi["ok"]:
             failed[t_set.member_names()] = (psi["failures"], ups["failures"])
@@ -454,7 +467,7 @@ def solved_relations(params):
 @pytest.mark.parametrize("params", [quantum_sample(n) for n in range(4)] + [NON_POWER_OF_TWO])
 def test_swapped_products_are_the_solved_relations(params):
     # one relation per generator pair a < b, n(2n - 1) of them
-    products = swapped_products(params)
+    products = params.swapped_products
     assert list(products) == [(a, b) for a in range(2 * params.n) for b in range(a + 1, 2 * params.n)]
     assert products == solved_relations(params)
 
@@ -462,13 +475,13 @@ def test_swapped_products_are_the_solved_relations(params):
 @pytest.fixture
 def nc_multiply_calls(monkeypatch):
     calls = []
-    plain = correspondence.nc_multiply
+    plain = algebra_kn.nc_multiply
 
     def counting(*args):
         calls.append(args)
         return plain(*args)
 
-    monkeypatch.setattr(correspondence, "nc_multiply", counting)
+    monkeypatch.setattr(algebra_kn, "nc_multiply", counting)
     return calls
 
 
@@ -517,8 +530,7 @@ def test_swapped_unit_images_fail_the_unit_check():
     params = quantum_sample_image()
     gmap = poisson_stratum_map(params, empty_set(2))
     swapped = dataclasses.replace(gmap, images={**gmap.images, "y1": gmap.images["y2"]})
-    source = build_an(params)
-    pairs = source.entry, gmap.target.bracket, "bracket pair ({}, {})"
+    pairs = poisson_rest(params.an.entry)(gmap)
     report = correspondence._stratum_report(params, swapped, *pairs)
     assert "surviving y images do not generate the inverted set" in report["failures"]
     assert correspondence._stratum_report(params, gmap, *pairs)["ok"]
@@ -528,12 +540,9 @@ def stratum_sides(n):
     """Per side: the parameters, the stratum map, the source's element class
     and owner, and the rest of `_stratum_report`'s arguments given the map."""
     pparams, qparams = quantum_sample_image(n), quantum_sample(n)
-    source, products = build_an(pparams), swapped_products(qparams)
-    poisson = lambda gmap: (source.entry, gmap.target.bracket, "bracket pair ({}, {})")
-    quantum = lambda gmap: (lambda a, b: products[a, b], lambda u, v: v * u, "product pair ({1}, {0})")
     return [
-        (pparams, poisson_stratum_map, LaurentPoly, source.varspec, poisson),
-        (qparams, quantum_stratum_map, NCElement, n, quantum),
+        (pparams, poisson_stratum_map, LaurentPoly, an_varspec(n), poisson_rest(pparams.an.entry)),
+        (qparams, quantum_stratum_map, NCElement, n, quantum_rest(qparams.swapped_products)),
     ]
 
 

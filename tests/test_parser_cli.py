@@ -51,18 +51,14 @@ PAIRED_N3 = str(Path(__file__).resolve().parent.parent / "perfbench" / "configs"
 
 
 def test_bracket_expression_evaluates():
-    params = poisson_sample()
-    structure = build_an(params)
-    value = eval_poisson(parse_expr("{x2, y2}"), structure, params)
+    value = eval_poisson(parse_expr("{x2, y2}"), poisson_sample())
     assert format_poly(value) == "7*y2*x2 + 3*y1*x1"
 
 
 def test_omega_expansion_and_powers():
-    params = poisson_sample()
-    structure = build_an(params)
     ast = parse_expr("y1^2 x1 - (1/3) Omega1")
     assert isinstance(ast, Sub)
-    value = eval_poisson(ast, structure, params)
+    value = eval_poisson(ast, poisson_sample())
     assert format_poly(value) == "y1^2*x1 - y1*x1"
 
 
@@ -76,8 +72,7 @@ def test_parse_rejects_unknown_names():
     with pytest.raises(ParseError):
         parse_expr("foo + 1")
     with pytest.raises(EvalError):
-        params = poisson_sample()
-        eval_poisson(parse_expr("y3"), build_an(params), params)
+        eval_poisson(parse_expr("y3"), poisson_sample())
 
 
 @pytest.mark.parametrize("text,position", [("1/0", 0), ("y1 + 0/0", 5), ("x1 (2/00)", 4)])
@@ -105,22 +100,20 @@ def test_parse_error_names_an_unexpected_character():
 
 
 def test_tail_index_past_n_is_an_eval_error():
-    params = poisson_sample()
     with pytest.raises(EvalError, match="no tail element of index 3 for n=2"):
-        eval_poisson(parse_expr("Omega3"), build_an(params), params)
+        eval_poisson(parse_expr("Omega3"), poisson_sample())
 
 
 def test_an_index_is_read_only_in_its_canonical_spelling():
     # Omega0 is the zero tail element; with a leading zero an index names no
     # element on either side, as it names no generator
     params = poisson_sample()
-    structure = build_an(params)
-    assert eval_poisson(parse_expr("Omega0"), structure, params).is_zero()
+    assert eval_poisson(parse_expr("Omega0"), params).is_zero()
     assert eval_quantum(parse_expr("Omega0 + 1"), quantum_sample()) == NCElement.one(2)
     for name in ("Omega01", "Omega00", "Omega002", "x01"):
         message = f"unknown variable {name!r}"
         with pytest.raises(EvalError, match=message):
-            eval_poisson(parse_expr(name), structure, params)
+            eval_poisson(parse_expr(name), params)
         with pytest.raises(EvalError, match=message):
             eval_quantum(parse_expr(name), quantum_sample())
 
@@ -488,27 +481,56 @@ def test_cli_verify_all_green(capsys):
     "config,suite", [(CONFIG_PAIRED, "jacobi"), (CONFIG_POISSON, "jacobi"), (PAIRED_N3, "all")]
 )
 def test_cli_run_builds_and_validates_a_n_once(capsys, monkeypatch, config, suite):
-    # every suite of the run reads the one validated A_n of `Config.an`
-    from poisson_strata import algebra_an, correspondence
+    # every suite of the run reads the one validated A_n of `PoissonParams.an`
+    # and the one rebuild of `PoissonParams.presentation`
+    from poisson_strata import algebra_an
     from poisson_strata.poisson_core import PoissonStructure
 
-    calls = {"build_an": 0, "jacobi_check": 0}
-    real_build, real_check = algebra_an.build_an, PoissonStructure.jacobi_check
+    calls = {"build_an": 0, "iterated_presentation": 0, "jacobi_check": 0}
 
-    def counting_build(params):
-        calls["build_an"] += 1
-        return real_build(params)
+    def counting(owner, name):
+        real = getattr(owner, name)
 
-    def counting_check(self):
-        calls["jacobi_check"] += 1
-        return real_check(self)
+        def wrapper(arg):
+            calls[name] += 1
+            return real(arg)
 
-    for module in (algebra_an, cli, correspondence):
-        monkeypatch.setattr(module, "build_an", counting_build)
-    monkeypatch.setattr(PoissonStructure, "jacobi_check", counting_check)
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counting(algebra_an, "build_an")
+    counting(algebra_an, "iterated_presentation")
+    counting(PoissonStructure, "jacobi_check")
     assert main(["--config", config, "verify", suite]) == 0
     assert json.loads(capsys.readouterr().out)["ok"] is True
-    assert calls == {"build_an": 1, "jacobi_check": 1}
+    assert calls == {"build_an": 1, "iterated_presentation": 1, "jacobi_check": 1}
+
+
+def test_parameters_derive_each_object_once():
+    # A_n, its rebuild and the swapped products are cached properties of
+    # the parameters: every read returns the first one
+    config = load_config(PAIRED_N3)
+    for params, name in ((config.poisson, "an"), (config.poisson, "presentation"), (config.quantum, "swapped_products")):
+        assert getattr(params, name) is getattr(params, name)
+
+
+def test_psi_verifies_the_parameters_own_a_n(monkeypatch, capsys):
+    # `verify psi` reads A_n from the parameters, so a wrong A_n table fails
+    # the bracket pair it corrupts
+    from poisson_strata import algebra_an
+    from poisson_strata.poisson_core import PoissonStructure
+
+    real = algebra_an.build_an
+
+    def corrupted(params):
+        structure = real(params)
+        vs, table = structure.varspec, dict(structure.table)
+        table[(0, 1)] = structure.entry(0, 1) + LaurentPoly.monomial(vs, {"y1": 1, "x1": 1})
+        return PoissonStructure(vs, table)
+
+    monkeypatch.setattr(algebra_an, "build_an", corrupted)
+    assert main(["--config", CONFIG_POISSON, "verify", "psi"]) == 1
+    strata = json.loads(capsys.readouterr().out)["details"]["strata"]
+    assert "bracket pair (y1, x1): residual Y1*X1" in strata[0]["failures"]
 
 
 def test_cli_map_report_stable_bytes(capsys):
@@ -708,6 +730,16 @@ def test_config_rejects_non_prime_weight_keys(tmp_path, capsys):
         assert status == 2 and payload["error"] == "ConfigError"
     status, payload = _run_config(tmp_path, capsys, {**paired, "phi_weights": {"2": "1", "3": "1"}})
     assert status == 0 and payload == {"n": 2, "count": 14}
+
+
+def test_config_rejects_non_canonical_weight_keys(tmp_path, capsys):
+    """A weight key is the decimal spelling of its prime, so "02" cannot
+    overwrite the weight of 2."""
+    paired = json.loads(Path(CONFIG_PAIRED).read_text())
+    for weights in ({"02": "1"}, {"2": "1", "02": "3"}):
+        status, payload = _run_config(tmp_path, capsys, {**paired, "phi_weights": weights}, ("map-report",))
+        assert status == 2
+        assert payload == {"error": "ConfigError", "message": "weight key '02' must be written '2'"}
 
 
 def test_cli_long_sum_evaluates(capsys):

@@ -269,7 +269,7 @@ def test_bracket_laws_on_the_sampled_triples_of_every_config(path):
     # kernel is antisymmetric, obeys the Leibniz rule and has zero
     # jacobiator.  `jacobi_check` proves the identity for the algebra on
     # generator triples; these triples test the kernel code.
-    structure = cli.load_config(str(path)).an
+    structure = cli.load_config(str(path)).poisson.an
     bracket, vs = structure.bracket, structure.varspec
     rng = random.Random(7)
     for _ in range(50):
@@ -313,7 +313,7 @@ def jacobi_mutations(structure):
 def jacobi_cases():
     rng = random.Random(30)
     for path in POISSON_CONFIGS:
-        yield str(path.relative_to(ROOT)), cli.load_config(str(path)).an
+        yield str(path.relative_to(ROOT)), cli.load_config(str(path)).poisson.an
     for n in range(1, 6):
         for trial in range(3):
             yield f"random n={n} #{trial}", build_an(random_params(n, rng))
