@@ -359,8 +359,10 @@ def consistency_check(params: PoissonParams) -> dict:
     for level in range(n):
         for a in range(2 * level + 2):
             for b in range(max(a + 1, 2 * level), 2 * level + 2):
-                if direct.entry(a, b) != rebuilt.entry(a, b):
-                    return {"ok": False, "level": level + 1, "entry": (names[a], names[b])}
+                residual = direct.entry(a, b) - rebuilt.entry(a, b)
+                if not residual.is_zero():
+                    entry, text = (names[a], names[b]), format_poly(residual)
+                    return {"ok": False, "level": level + 1, "entry": entry, "residual": text}
     return {"ok": True, "levels": n}
 
 

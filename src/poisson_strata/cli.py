@@ -303,6 +303,9 @@ def suite_jacobi(config: Config) -> dict:
     checks before it returns A_n, and the iterated rebuild equals the table."""
     report = consistency_check(_require_poisson(config))
     details = {"generator_triples": True, "iterated_rebuild": report["ok"]}
+    if not report["ok"]:
+        entry = ", ".join(report["entry"])
+        details["mismatch"] = f"level {report['level']}, entry ({entry}): residual {report['residual']}"
     return {"suite": "jacobi", "ok": report["ok"], "details": details}
 
 
@@ -354,25 +357,27 @@ def suite_k_stability(config: Config) -> dict:
     vs = structure.varspec
     budget = config.step_limit
     generators = [structure.generator(g_name) for g_name in vs.names]
-    derivations = [k_derivation(params, h) for h in k_basis(params.n)]
-    images: dict[str, tuple[list[LaurentPoly], list[LaurentPoly]]] = {}
+    basis = k_basis(params.n)
+    derivations = [k_derivation(params, h) for h in basis]
+    images: dict[str, list[tuple[str, LaurentPoly]]] = {}
     failures = []
     for t_set in config.strata:
         system = quotient_system(params, t_set)
-        for name in t_set.member_names():
+        members = list(t_set.member_names())
+        for name in members:
             if name not in images:
                 poly = named_element(params, name, LaurentPoly, vs)
-                images[name] = (
-                    [structure.bracket(poly, g) for g in generators],
-                    [d.apply(poly) for d in derivations],
-                )
-            brackets, weighted = images[name]
-            for g_name, image in zip(vs.names, brackets):
-                if not reduce_poly(image, system, budget).is_zero():
-                    failures.append(f"{t_set.member_names()}: bracket({name}, {g_name})")
-            for image in weighted:
-                if not reduce_poly(image, system, budget).is_zero():
-                    failures.append(f"{t_set.member_names()}: weight action on {name}")
+                images[name] = [
+                    (f"bracket({name}, {g_name})", structure.bracket(poly, g))
+                    for g_name, g in zip(vs.names, generators)
+                ] + [
+                    (f"weight vector ({', '.join(map(str, h))}) on {name}", d.apply(poly))
+                    for h, d in zip(basis, derivations)
+                ]
+            for label, image in images[name]:
+                residual = reduce_poly(image, system, budget)
+                if not residual.is_zero():
+                    failures.append(f"{members}: {label}: residual {format_poly(residual)}")
     return {"suite": "kstable", "ok": not failures, "details": {"failures": failures}}
 
 
@@ -388,7 +393,8 @@ def suite_associativity(config: Config) -> dict:
         left = mul(mul(f, g), h)
         right = mul(f, mul(g, h))
         if left != right:
-            return {"suite": "associativity", "ok": False, "details": {"triple": repr((f, g, h))}}
+            details = {"triple": repr((f, g, h)), "residual": format_nc(left - right)}
+            return {"suite": "associativity", "ok": False, "details": details}
     return {"suite": "associativity", "ok": True, "details": {"triples": RANDOM_TRIALS}}
 
 

@@ -11,11 +11,14 @@ Grammar (whitespace-insensitive, juxtaposition means product):
 
 Bracket pairs {f, g} are only meaningful when evaluating against a Poisson
 structure.  Syntax errors, and numbers past the digit limit of `int()`,
-carry the offending offset.  Parentheses and brackets nest at most
-MAX_NESTING deep, which keeps parsing and evaluation well inside the
-interpreter's default recursion limit; sums, products and power towers of
-any length parse into left-nested chains, which the evaluators walk in a
-loop.
+carry the offending offset.
+
+The tree has the grammar's shape: a sum, a product and a power tower are
+one node each, holding their operands in order, and a chain of one
+operand is that operand itself.  A leading minus is the product of -1 and
+the first term, and parentheses make no node.  Parentheses and brackets
+nest at most MAX_NESTING deep, which keeps parsing and evaluation well
+inside the interpreter's default recursion limit at any chain length.
 """
 
 from __future__ import annotations
@@ -52,27 +55,20 @@ class Var:
 
 
 @dataclass(frozen=True)
-class Add:
-    left: "Expr"
-    right: "Expr"
+class Sum:
+    first: "Expr"
+    rest: tuple[tuple[str, "Expr"], ...]  # ("+" or "-", term) pairs
 
 
 @dataclass(frozen=True)
-class Sub:
-    left: "Expr"
-    right: "Expr"
+class Product:
+    factors: tuple["Expr", ...]
 
 
 @dataclass(frozen=True)
-class Mul:
-    left: "Expr"
-    right: "Expr"
-
-
-@dataclass(frozen=True)
-class Pow:
+class Power:
     base: "Expr"
-    exponent: int
+    exponents: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -81,7 +77,7 @@ class Bracket:
     right: "Expr"
 
 
-Expr = Union[Num, Var, Add, Sub, Mul, Pow, Bracket]
+Expr = Union[Num, Var, Sum, Product, Power, Bracket]
 
 MAX_NESTING = 100
 
@@ -139,29 +135,28 @@ class _Parser:
     def expr(self) -> Expr:
         if self.peek()[:2] == ("op", "-"):
             self.advance()
-            ast: Expr = Mul(Num(Fraction(-1)), self.term())
+            first: Expr = Product((Num(Fraction(-1)), self.term()))
         else:
-            ast = self.term()
+            first = self.term()
+        rest = []
         while self.peek()[0] == "op" and self.peek()[1] in "+-":
-            op = self.advance()[1]
-            rhs = self.term()
-            ast = Add(ast, rhs) if op == "+" else Sub(ast, rhs)
-        return ast
+            rest.append((self.advance()[1], self.term()))
+        return Sum(first, tuple(rest)) if rest else first
 
     def term(self) -> Expr:
-        ast = self.factor()
+        factors = [self.factor()]
         while True:
             kind, text, pos = self.peek()
             if kind == "op" and text == "*":
                 self.advance()
-                ast = Mul(ast, self.factor())
-            elif kind in ("number", "ident") or (kind == "op" and text in "({"):
-                ast = Mul(ast, self.factor())
-            else:
-                return ast
+            elif kind not in ("number", "ident") and not (kind == "op" and text in "({"):
+                break
+            factors.append(self.factor())
+        return Product(tuple(factors)) if len(factors) > 1 else factors[0]
 
     def factor(self) -> Expr:
-        ast = self.primary()
+        base = self.primary()
+        exponents = []
         while self.peek()[:2] == ("op", "^"):
             self.advance()
             sign = 1
@@ -172,8 +167,8 @@ class _Parser:
             if kind != "number" or "/" in text:
                 raise ParseError("expected an integer exponent", pos)
             self.advance()
-            ast = Pow(ast, sign * int(text))
-        return ast
+            exponents.append(sign * int(text))
+        return Power(base, tuple(exponents)) if exponents else base
 
     def primary(self) -> Expr:
         kind, text, pos = self.advance()
@@ -213,49 +208,39 @@ def parse_expr(text: str) -> Expr:
     return _Parser(text).parse()
 
 
-def _left_chain(node: Expr) -> tuple[Expr, list[Expr]]:
-    """The innermost left operand of a left-nested Add/Sub/Mul/Pow chain and
-    the chain's nodes from the inside out."""
-    chain = []
-    while isinstance(node, (Add, Sub, Mul, Pow)):
-        chain.append(node)
-        node = node.base if isinstance(node, Pow) else node.left
-    chain.reverse()
-    return node, chain
-
-
 def _evaluate(ast: Expr, leaf: Callable, mul: Callable, power: Callable):
-    """Evaluate bottom-up, left operands before right ones.
+    """Evaluate bottom-up, operands left to right.
 
-    Each left-nested chain is walked in a loop and recursion enters only
-    right operands and bracket arguments, so its depth is bounded by the
-    parser's nesting bound.  `leaf(node, ev)` evaluates a number, variable
-    or bracket.
+    Each sum, product and power tower is walked in a loop and recursion
+    enters only its operands and bracket arguments, so its depth is bounded
+    by the parser's nesting bound.  `leaf(node, ev)` evaluates a number,
+    variable or bracket.
     """
 
     def ev(node: Expr):
-        inner, chain = _left_chain(node)
-        value = leaf(inner, ev)
-        for op in chain:
-            if isinstance(op, Pow):
-                value = power(value, op.exponent)
-            elif isinstance(op, Add):
-                value = value + ev(op.right)
-            elif isinstance(op, Sub):
-                value = value - ev(op.right)
-            else:
-                value = mul(value, ev(op.right))
+        if isinstance(node, Sum):
+            value = ev(node.first)
+            for op, term in node.rest:
+                value = value + ev(term) if op == "+" else value - ev(term)
+        elif isinstance(node, Product):
+            value = ev(node.factors[0])
+            for factor in node.factors[1:]:
+                value = mul(value, ev(factor))
+        elif isinstance(node, Power):
+            value = ev(node.base)
+            for exponent in node.exponents:
+                value = power(value, exponent)
+        else:
+            value = leaf(node, ev)
         return value
 
     return ev(ast)
 
 
-def _check_variable(node: Expr, n: int, names) -> None:
+def _check_variable(node: Var, n: int, names) -> None:
     """Raise EvalError unless the variable node is a tail element Omega_k
     with k <= n, its index spelled canonically, or one of the generator
     names."""
-    if not isinstance(node, Var):
-        raise TypeError(f"not an expression node: {node!r}")
     prefix, index = _VAR_RE.match(node.name).groups()
     if prefix == "Omega" and str(k := int(index)) == index:
         if k > n:

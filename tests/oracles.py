@@ -34,7 +34,7 @@ from poisson_strata.exact_poly import (
     factor_rational,
     monomial_key,
 )
-from poisson_strata.parser import Add, Bracket, Expr, Mul, Num, Pow, Sub, Var, _left_chain
+from poisson_strata.parser import Bracket, Expr, Num, Power, Product, Sum, Var
 from poisson_strata.poisson_core import DoubleExtensionSpec, PoissonStructure
 
 # -- sample and random parameters ----------------------------------------------
@@ -504,24 +504,31 @@ def choice_reduce(f, system, rng):
 
 # -- expressions ---------------------------------------------------------------
 
-_SYMBOLS = {Add: "+", Sub: "-", Mul: "*"}
+_MINUS_ONE = Num(Fraction(-1))
 
 
-def ast_to_text(ast: Expr) -> str:
-    """Fully parenthesized canonical text; parsing it back gives the same tree
-    while the parentheses nest at most MAX_NESTING deep."""
-    leaf, chain = _left_chain(ast)
-    if isinstance(leaf, Num):
-        text = str(leaf.value)
-    elif isinstance(leaf, Var):
-        text = leaf.name
-    elif isinstance(leaf, Bracket):
-        text = f"{{{ast_to_text(leaf.left)}, {ast_to_text(leaf.right)}}}"
+def ast_to_text(ast: Expr, rank: int = 0) -> str:
+    """Canonical text of a tree, parenthesized only where the grammar needs
+    it, so parsing it back gives the same tree and nests no deeper than any
+    text the tree was parsed from.  `rank` is what the position admits
+    unparenthesized: 0 anything (a whole expression or bracket argument),
+    1 a leading minus (a sum's first term), 2 a product (a term), 3 a power
+    (a factor), 4 a number, variable or bracket (a power's base)."""
+    if isinstance(ast, Sum):
+        own = 0
+        text = ast_to_text(ast.first, 1) + "".join(f" {op} {ast_to_text(term, 2)}" for op, term in ast.rest)
+    elif isinstance(ast, Product) and len(ast.factors) == 2 and ast.factors[0] == _MINUS_ONE:
+        own, text = 1, f"-{ast_to_text(ast.factors[1], 2)}"
+    elif isinstance(ast, Product):
+        own, text = 2, " * ".join(ast_to_text(factor, 3) for factor in ast.factors)
+    elif isinstance(ast, Power):
+        own, text = 3, ast_to_text(ast.base, 4) + "".join(f"^{e}" for e in ast.exponents)
+    elif isinstance(ast, Bracket):
+        own, text = 4, f"{{{ast_to_text(ast.left)}, {ast_to_text(ast.right)}}}"
+    elif isinstance(ast, Num):
+        own, text = 4, str(ast.value)
+    elif isinstance(ast, Var):
+        own, text = 4, ast.name
     else:
-        raise TypeError(f"not an expression node: {leaf!r}")
-    for node in chain:
-        if isinstance(node, Pow):
-            text = f"({text}^{node.exponent})"
-        else:
-            text = f"({text} {_SYMBOLS[type(node)]} {ast_to_text(node.right)})"
-    return text
+        raise TypeError(f"not an expression node: {ast!r}")
+    return f"({text})" if own < rank else text

@@ -1,5 +1,6 @@
 """Tests for the multiparameter Poisson algebra and its companions."""
 
+import json
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -182,12 +183,13 @@ def per_level_consistency(params):
         names = direct.varspec.names
         for a in range(len(names)):
             for b in range(a + 1, len(names)):
-                if direct.entry(a, b) != presentation.structures[j].entry(a, b):
-                    return {"ok": False, "level": j, "entry": (names[a], names[b])}
+                residual = direct.entry(a, b) - presentation.structures[j].entry(a, b)
+                if not residual.is_zero():
+                    return {"ok": False, "level": j, "entry": (names[a], names[b]), "residual": format_poly(residual)}
     return {"ok": True, "levels": params.n}
 
 
-def test_consistency_check_names_the_lowest_level_mismatch(monkeypatch):
+def test_consistency_check_names_the_lowest_level_mismatch(monkeypatch, capsys):
     # (x1, y2) is a level-2 entry; (y1, x3) comes first in (a, b) order but
     # only appears at level 3, so the one top-level comparison must name the
     # level-2 entry, as the level-by-level comparison does
@@ -206,9 +208,16 @@ def test_consistency_check_names_the_lowest_level_mismatch(monkeypatch):
     assert consistency_check(params) == per_level_consistency(params)
     assert per_level_consistency(params) == {"ok": True, "levels": 3}
     monkeypatch.setattr(algebra_an, "build_an", corrupted)
-    expected = {"ok": False, "level": 2, "entry": ("x1", "y2")}
+    expected = {"ok": False, "level": 2, "entry": ("x1", "y2"), "residual": "x1*y2"}
     for params in (quantum_sample_image(3), random_params(3, random.Random(12))):
         assert consistency_check(params) == per_level_consistency(params) == expected
+    # `verify jacobi` names the same mismatch, and only when there is one
+    assert cli.main(["--config", str(ROOT / "perfbench" / "configs" / "paired_n3.json"), "verify", "jacobi"]) == 1
+    assert json.loads(capsys.readouterr().out)["details"] == {
+        "generator_triples": True,
+        "iterated_rebuild": False,
+        "mismatch": "level 2, entry (x1, y2): residual x1*y2",
+    }
 
 
 def test_k_membership_and_action():

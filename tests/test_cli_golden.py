@@ -18,6 +18,12 @@ from poisson_strata.cli import main
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
+# Sums, products and power towers with a leading minus, juxtaposition, a
+# bracket and nested chains: their values and step counts pin the order in
+# which chains are evaluated.
+CHAIN_BRACKET = ["bracket", "--", "-x1^2^2 y1 + 3 x2 y2 (y1 - x1)^3 - {x1, y2}^2", "y2 - 1/3"]
+CHAIN_NF = ["nf", "--", "-(y1 + x1)^2^2 x2 - 2 y2 x2^3 y1 + (x2 y2)^3"]
+
 LITERAL = [
     (
         "poisson_n2.json",
@@ -83,6 +89,7 @@ LITERAL = [
         ["nf", "Omega2 x1 - x1 Omega2"],
         '{"result": "-18*x1*y2*x2 - 6*y1*x1^2"}\n',
     ),
+    ("quantum_n2.json", ["nf", "-".join(["x2"] * 1500)], '{"result": "-1498*x2"}\n'),
 ]
 
 # The parameters of perfbench/configs/paired_n3.json and paired_n4.json.
@@ -109,6 +116,18 @@ PAIRED_N4 = {
 }
 
 DIGEST = [
+    (
+        "poisson_n2.json",
+        CHAIN_BRACKET,
+        174,
+        "b516ac939766dddf4a74a537ac0605c48cc02f7d1761540498a392fc0884ea59",
+    ),
+    (
+        "quantum_n2.json",
+        CHAIN_NF,
+        189,
+        "e73033de68044be0d530b96755811a349f8235b98de18d06ba414cf9beefc267",
+    ),
     (
         "paired_n2.json",
         ["map-report"],
@@ -157,6 +176,18 @@ def test_stdout_digest(tmp_path, config, command, size, digest):
     status, out = run_cli(config, command)
     assert status == 0
     assert (len(out), hashlib.sha256(out.encode()).hexdigest()) == (size, digest)
+
+
+@pytest.mark.parametrize(
+    "config,command,limit,unit",
+    [("poisson_n2.json", CHAIN_BRACKET, 33, "term pairs"), ("quantum_n2.json", CHAIN_NF, 31, "rewrite steps")],
+)
+def test_chain_step_boundaries(monkeypatch, config, command, limit, unit):
+    monkeypatch.setenv("POISSON_STRATA_STEP_BUDGET", str(limit))
+    error = {"error": "StepBudgetExceeded", "message": f"exceeded {limit} {unit}"}
+    assert run_cli(config, command) == (2, json.dumps(error) + "\n")
+    monkeypatch.setenv("POISSON_STRATA_STEP_BUDGET", str(limit + 1))
+    assert run_cli(config, command)[0] == 0
 
 
 def test_poset_json_digest(tmp_path):

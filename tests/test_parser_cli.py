@@ -11,6 +11,8 @@ from pathlib import Path
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import (
     ast_to_text,
@@ -24,18 +26,18 @@ from oracles import (
 )
 from poisson_strata import cli
 from poisson_strata.algebra_an import an_varspec, build_an
-from poisson_strata.algebra_kn import NCElement
+from poisson_strata.algebra_kn import NCElement, format_nc
 from poisson_strata.cli import load_config, main
 from poisson_strata.exact_poly import LaurentPoly, StepBudgetExceeded, format_poly
 from poisson_strata.parser import (
-    Add,
+    MAX_NESTING,
     Bracket,
     EvalError,
-    Mul,
     Num,
     ParseError,
-    Pow,
-    Sub,
+    Power,
+    Product,
+    Sum,
     Var,
     eval_poisson,
     eval_quantum,
@@ -57,7 +59,7 @@ def test_bracket_expression_evaluates():
 
 def test_omega_expansion_and_powers():
     ast = parse_expr("y1^2 x1 - (1/3) Omega1")
-    assert isinstance(ast, Sub)
+    assert isinstance(ast, Sum) and [op for op, _ in ast.rest] == ["-"]
     value = eval_poisson(ast, poisson_sample())
     assert format_poly(value) == "y1^2*x1 - y1*x1"
 
@@ -160,14 +162,14 @@ def random_ast(rng, depth=0):
             return Num(Fraction(rng.randint(0, 9), rng.randint(1, 9)))
         kind = rng.choice(["y", "x", "Y", "X", "Omega"])
         return Var(f"{kind}{rng.randint(1, 3)}")
-    if roll < 0.45:
-        return Add(random_ast(rng, depth + 1), random_ast(rng, depth + 1))
-    if roll < 0.6:
-        return Sub(random_ast(rng, depth + 1), random_ast(rng, depth + 1))
+    width = rng.randint(2, 4)
+    if roll < 0.55:
+        rest = tuple((rng.choice("+-"), random_ast(rng, depth + 1)) for _ in range(width - 1))
+        return Sum(random_ast(rng, depth + 1), rest)
     if roll < 0.8:
-        return Mul(random_ast(rng, depth + 1), random_ast(rng, depth + 1))
+        return Product(tuple(random_ast(rng, depth + 1) for _ in range(width)))
     if roll < 0.9:
-        return Pow(random_ast(rng, depth + 1), rng.randint(-3, 5))
+        return Power(random_ast(rng, depth + 1), tuple(rng.randint(-3, 5) for _ in range(width - 1)))
     return Bracket(random_ast(rng, depth + 1), random_ast(rng, depth + 1))
 
 
@@ -769,9 +771,47 @@ def test_cli_deep_nesting_is_a_parse_error(capsys):
 
 def test_long_chains_print_and_parse_back():
     ast = parse_expr("-".join(["x2"] * 1500))
+    assert ast == Sum(Var("x2"), (("-", Var("x2")),) * 1499)
     text = ast_to_text(ast)
-    assert text.startswith("(" * 1499 + "x2 - x2)")
+    assert text == " - ".join(["x2"] * 1500)
+    assert parse_expr(text) == ast
     assert parse_expr(ast_to_text(parse_expr("y1 y2^3 + (x1 - 2)^2"))) == parse_expr("y1 y2^3 + (x1 - 2)^2")
+
+
+_ATOMS = st.sampled_from(["x1", "y2", "X1", "Y2", "Omega1", "Omega01", "z1", "0", "3", "1/2", "7/0"])
+_JOINS = st.sampled_from([" + ", "-", " ", "*", " * ", "^2", "^-1 ", "^2^0", ", "])
+_TEXTS = st.recursive(
+    _ATOMS,
+    lambda inner: st.builds("{}{}{}".format, inner, _JOINS, inner)
+    | inner.map("-{}".format)
+    | inner.map("({})".format)
+    | st.builds("{{{}, {}}}".format, inner, inner),
+    max_leaves=12,
+)
+_SOUP = st.lists(_ATOMS | _JOINS | st.sampled_from(list("(){},^-+*")), max_size=12).map("".join)
+# every level of these needs its brace or parenthesis, up to the nesting bound
+_DEEP = st.integers(1, MAX_NESTING).flatmap(
+    lambda k: st.sampled_from(["{" * k + "x1" + " y1 + 1, x2}" * k, "(" * k + "-x1 y1" + ")^2 x2 - 1" * k])
+)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(text=_TEXTS | _SOUP | _DEEP)
+def test_parsed_texts_print_and_parse_back(text):
+    try:
+        ast = parse_expr(text)
+    except ParseError:
+        return
+    assert parse_expr(ast_to_text(ast)) == ast
+
+
+def test_benchmark_expressions_print_and_parse_back():
+    sessions = json.loads((_ROOT / "perfbench" / "data" / "expressions.json").read_text())["sessions"]
+    texts = [text for session in sessions for row in session for text in row["args"]]
+    assert len(texts) == 960
+    for text in texts:
+        ast = parse_expr(text)
+        assert parse_expr(ast_to_text(ast)) == ast
 
 
 def test_config_accepts_large_prime_key_quickly(tmp_path, capsys):
@@ -1058,16 +1098,38 @@ def test_kstable_reports_the_per_stratum_failures(capsys, monkeypatch):
     expected = []
     for t_set in enumerate_admissible(params.n):
         system = without_a_pair_rule(params, t_set)
-        for name in t_set.member_names():
+        members = list(t_set.member_names())
+        for name in members:
             poly = named_element(params, name, LaurentPoly, vs)
             for g_name in vs.names:
-                image = structure.bracket(poly, structure.generator(g_name))
-                if not reduce_poly(image, system).is_zero():
-                    expected.append(f"{t_set.member_names()}: bracket({name}, {g_name})")
+                residual = reduce_poly(structure.bracket(poly, structure.generator(g_name)), system)
+                if not residual.is_zero():
+                    expected.append(f"{members}: bracket({name}, {g_name}): residual {format_poly(residual)}")
             for h in k_basis(params.n):
-                if not reduce_poly(k_derivation(params, h).apply(poly), system).is_zero():
-                    expected.append(f"{t_set.member_names()}: weight action on {name}")
+                residual = reduce_poly(k_derivation(params, h).apply(poly), system)
+                if not residual.is_zero():
+                    vector = ", ".join(map(str, h))
+                    expected.append(f"{members}: weight vector ({vector}) on {name}: residual {format_poly(residual)}")
     assert expected and failures == expected
+    assert failures[0].startswith("['Omega3']: bracket(Omega3, y1): residual ")
+    assert any(": weight vector (1, 0, 1, 0, 1, 0) on Omega3: residual " in f for f in failures)
+
+
+def test_associativity_names_the_residual_of_the_failing_triple(capsys, monkeypatch):
+    # With f * g read as fg + f, (f * g) * h - f * (g * h) is fh: the first
+    # triple fails, and its residual is the true product fh.
+    real = cli.nc_multiply
+
+    def skewed(params, f, g, budget=None):
+        return real(params, f, g, budget) + f
+
+    monkeypatch.setattr(cli, "nc_multiply", skewed)
+    assert main(["--config", PAIRED_N3, "verify", "associativity"]) == 1
+    details = json.loads(capsys.readouterr().out)["details"]
+    params = load_config(PAIRED_N3).quantum
+    rng = random.Random(13)
+    f, g, h = (cli._random_monomial(params.n, rng) for _ in range(3))
+    assert details == {"triple": repr((f, g, h)), "residual": format_nc(real(params, f, h))}
 
 
 def test_confluence_names_the_input_of_the_choice_reference(capsys, monkeypatch):
