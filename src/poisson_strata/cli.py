@@ -76,6 +76,7 @@ from .exact_poly import (
     VarSpecMismatch,
     draw_below,
     format_poly,
+    format_terms,
     is_prime,
     reduce_poly,
     reduce_terms,
@@ -318,7 +319,8 @@ def suite_confluence(config: Config) -> dict:
     """Each stratum's system gives every random input one normal form: the
     deterministic one and two random ones.  The inputs and normal forms are
     term maps over A_n's variables, so the owner is checked once per
-    stratum and a polynomial is built only to print a failing input."""
+    stratum.  A failure prints the input, the deterministic normal form and
+    the random one that differs from it."""
     params = _require_poisson(config)
     vs = an_varspec(params.n)
     width = len(vs)
@@ -336,12 +338,14 @@ def suite_confluence(config: Config) -> dict:
             # The input itself means no rule applies: the random reductions
             # would find no candidate, draw nothing and return it too.
             for _ in range(0 if base is terms else 2):
-                if reduce_terms(terms, system, budget, bits) != base:
-                    failed = format_poly(LaurentPoly._trusted(vs, terms))
+                other = reduce_terms(terms, system, budget, bits)
+                if other != base:
+                    failed, fixed, drawn = (format_terms(t, vs.names) for t in (terms, base, other))
+                    details = {"input": failed, "deterministic": fixed, "random": drawn}
                     return {
                         "suite": "confluence",
                         "ok": False,
-                        "details": {"set": list(t_set.member_names()), "input": failed},
+                        "details": {"set": list(t_set.member_names()), **details},
                     }
             checked += 1
     return {"suite": "confluence", "ok": True, "details": {"reductions": checked}}

@@ -11,14 +11,17 @@ Poisson-normality detection by exact division, the random suites' inputs as
 first written with randint and randrange and as the two loops that one
 monomial draw replaced, the additive character read off each value's own
 factorization, normal forms by rebuilding the polynomial at every rewrite
-step, and the canonical text of a parsed expression.
+step, the stratum report on element objects, and the canonical text of a
+parsed expression.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations, product
+from operator import mul
 from typing import Optional, Sequence
 
 from poisson_strata.admissible import AdmissibleSet, derived_sets, stratum_label
@@ -32,6 +35,7 @@ from poisson_strata.exact_poly import (
     VarSpec,
     draw_below,
     factor_rational,
+    format_terms,
     monomial_key,
 )
 from poisson_strata.parser import Bracket, Expr, Num, Power, Product, Sum, Var
@@ -500,6 +504,57 @@ def choice_reduce(f, system, rng):
             system.varspec, {tuple(a - b for a, b in zip(mono, rule.lead)): f.terms[mono]}
         )
         f = f - cofactor * LaurentPoly(system.varspec, {rule.lead: 1}) + cofactor * rule.replacement
+
+
+# -- stratum reports by element objects -----------------------------------------
+#
+# The stratum report as first written: every pushed monomial, tail image and
+# expected tail an element object, and the unit check a comparison of sets of
+# elements.
+
+
+def object_apply_map(gmap, f):
+    """Push a source element through the generator images, one element per
+    letter product, scaled and added to an element accumulator."""
+    names = type(f)._names(f.owner)
+    acc = gmap.one.scale(0)
+    for mono, coeff in f.terms.items():
+        letters = [gmap.images[name] for name, e in zip(names, mono) for _ in range(e)]
+        acc = acc + (reduce(mul, letters) if letters else gmap.one).scale(coeff)
+    return acc
+
+
+def object_stratum_report(params, gmap, value, operate, label) -> dict:
+    """`correspondence._stratum_report` on element objects: the same
+    checks, failures and texts."""
+    t_set = gmap.t_set
+    cls, owner = type(gmap.one), gmap.one.owner
+
+    def text(f) -> str:
+        return format_terms(f.terms, cls._names(owner))
+
+    names = generator_names(params.n)
+    failures = []
+    for a, b in combinations(range(len(names)), 2):
+        lhs = object_apply_map(gmap, value(a, b))
+        rhs = operate(gmap.images[names[a]], gmap.images[names[b]])
+        if lhs != rhs:
+            failures.append(f"{label.format(names[a], names[b])}: residual {text(lhs - rhs)}")
+    images, tail = dict(gmap.images), gmap.one.scale(0)
+    for i in range(1, params.n + 1):
+        coeff = tail_coefficient(params, i)
+        tail = images[f"Omega{i}"] = tail + (images[f"y{i}"] * images[f"x{i}"]).scale(coeff)
+        expected = cls.monomial(owner, {f"Y{i}": 1, f"X{i}": 1}, coeff)
+        if tail != expected:
+            failures.append(f"tail element {i} image: residual {text(tail - expected)}")
+    for name in t_set.member_names():
+        if not images[name].is_zero():
+            failures.append(f"member {name} does not map to zero: residual {text(images[name])}")
+    inverted = gmap.target.varspec.invertible
+    units = {gmap.images["y" + name[1:]] for name in inverted}
+    if units != {cls.generator(owner, name) for name in inverted}:
+        failures.append("surviving y images do not generate the inverted set")
+    return {"ok": not failures, "failures": failures}
 
 
 # -- expressions ---------------------------------------------------------------

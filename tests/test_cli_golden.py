@@ -1,7 +1,8 @@
 """Exact stdout of representative CLI commands, pinned byte for byte.
 
-Small outputs are kept as literals; the stratum reports at n = 2, 3 and 4
-and the `verify all` report are pinned by their SHA-256 digest.  Any change
+Small outputs are kept as literals; the stratum reports at n = 2, 3 and 4,
+the rational one at n = 3, the `verify all` report and the `psi` and
+`upsilon` suites at n = 3 are pinned by their SHA-256 digest.  Any change
 to the coefficient tables, the arithmetic, the stratum maps or the
 formatters that alters a printed byte fails here.
 """
@@ -114,6 +115,16 @@ PAIRED_N4 = {
     "q": ["4", "32", "16", "64"],
     "phi_weights": {"2": "1"},
 }
+# Rationals over six primes: the one pinned report whose hat coefficients
+# have odd denominators, graded "quotient" by its non-injective character.
+RATIONAL_N3 = {
+    "mode": "paired",
+    "n": 3,
+    "gamma": [["1", "3/5", "7/2"], ["5/3", "1", "11/13"], ["2/7", "13/11", "1"]],
+    "p": ["2/3", "5/7", "9/4"],
+    "q": ["5/11", "3/2", "7/5"],
+    "phi_weights": {"2": "1", "3": "3", "5": "4", "7": "9", "11": "13", "13": "17"},
+}
 
 DIGEST = [
     (
@@ -151,6 +162,24 @@ DIGEST = [
         ["map-report"],
         28079,
         "149f377aa8520ec964b26c015f1cb1faf89762bde37512e6de1014c220e715e4",
+    ),
+    (
+        PAIRED_N3,
+        ["verify", "psi"],
+        3376,
+        "0f16239b0083b6f9f0373c7692334244968876ba912888586d4bc0af26219c17",
+    ),
+    (
+        PAIRED_N3,
+        ["verify", "upsilon"],
+        3380,
+        "61c5ace64021363d04cc0c3e9bace40567b075a518809901d253d2fdc62802d5",
+    ),
+    (
+        RATIONAL_N3,
+        ["map-report"],
+        7513,
+        "0631b3af61e05df9ad25d538094fc83a6d15570162eafbf316185ceb8c0cfc8b",
     ),
 ]
 

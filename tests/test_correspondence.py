@@ -14,6 +14,7 @@ from oracles import (
     apply_character,
     defining_relations,
     nested_pairs_walk,
+    object_stratum_report,
     quantum_sample,
     quantum_sample_image,
     random_params,
@@ -27,6 +28,7 @@ from poisson_strata.admissible import (
     stratum_poset,
 )
 from poisson_strata.algebra_an import (
+    PoissonParams,
     an_varspec,
     build_an,
     generator_names,
@@ -573,6 +575,96 @@ def test_tail_and_member_failures_match_the_pushed_tail_elements():
                 assert read == expected + members
                 failing += bool(read)
     assert failing > 100  # the corruption shows on about half of the 350 cases
+
+
+# The quantum parameters of the rational config of the golden tests, whose
+# hat coefficients have odd denominators, and their character's weights.
+RATIONAL = QuantumParams(
+    3,
+    [[1, Fraction(3, 5), Fraction(7, 2)], [Fraction(5, 3), 1, Fraction(11, 13)], [Fraction(2, 7), Fraction(13, 11), 1]],
+    [Fraction(2, 3), Fraction(5, 7), Fraction(9, 4)],
+    [Fraction(5, 11), Fraction(3, 2), Fraction(7, 5)],
+)
+RATIONAL_WEIGHTS = {2: 1, 3: 3, 5: 4, 7: 9, 11: 13, 13: 17}
+# Poisson parameters with odd denominators, beside NON_POWER_OF_TWO, whose
+# group holds -1 and so induces none.
+RATIONAL_POISSON = PoissonParams(
+    3,
+    [[0, Fraction(1, 3), -2], [Fraction(-1, 3), 0, Fraction(5, 7)], [2, Fraction(-5, 7), 0]],
+    [Fraction(2, 3), -1, Fraction(5, 7)],
+    [3, Fraction(1, 5), 2],
+)
+
+
+def _corrupt_source(side, params, n):
+    """`_stratum_report`'s source values with the pair (x1, y2) off by
+    y1 x2 + 3 x1 x2: a bracket entry on the Poisson side, a swapped product
+    on the quantized one."""
+    pad = (0,) * (2 * n - 4)
+    extra = {(1, 0, 0, 1) + pad: 1, (0, 1, 0, 1) + pad: 3}
+    if side == 0:
+        table = dict(params.an.table)
+        table[1, 2] = table[1, 2] + LaurentPoly(params.an.varspec, extra)
+        return poisson_rest(PoissonStructure(params.an.varspec, table).entry)
+    products = params.swapped_products
+    return quantum_rest({**products, (1, 2): products[1, 2] + NCElement(n, extra)})
+
+
+def _with_y_images(y1, y2):
+    """The map with the images of y1 and y2 replaced by those of `y1`, `y2`."""
+    return lambda gmap: dataclasses.replace(
+        gmap, images={**gmap.images, "y1": gmap.images[y1], "y2": gmap.images[y2]}
+    )
+
+
+EQUIVALENCE_MUTATIONS = {
+    "none": {},
+    "hat doubled at i = 2": {"hat": lambda hat: lambda params, i: hat(params, i) * (2 if i == 2 else 1)},
+    "hats negated": {"hat": lambda hat: lambda params, i: -hat(params, i)},
+    "source pair corrupted": {"source": _corrupt_source},
+    "y1 and y2 images exchanged": {"images": _with_y_images("y2", "y1")},
+    "y1 image is y2's": {"images": _with_y_images("y2", "y2")},
+    "y2 image is y1's": {"images": _with_y_images("y1", "y1")},
+}
+
+
+def equivalence_cases():
+    """(label, Poisson parameters, quantum parameters) at n <= 3: the
+    samples, the rational config with its induced parameters, and
+    NON_POWER_OF_TWO beside RATIONAL_POISSON."""
+    for n in range(4):
+        yield f"sample n = {n}", quantum_sample_image(n), quantum_sample(n)
+    yield "rational config", group_character(RATIONAL, RATIONAL_WEIGHTS).induced, RATIONAL
+    yield "odd denominators", RATIONAL_POISSON, NON_POWER_OF_TWO
+
+
+@pytest.mark.parametrize("mutation", list(EQUIVALENCE_MUTATIONS))
+def test_stratum_report_matches_the_object_reference(mutation, monkeypatch):
+    # the term-map report returns the reference's dict, failure texts
+    # included, on every admissible set at n <= 3 and on both sides
+    spec = EQUIVALENCE_MUTATIONS[mutation]
+    if "hat" in spec:
+        monkeypatch.setattr(correspondence, "hat_coefficient", spec["hat"](correspondence.hat_coefficient))
+    failing = 0
+    for label, pparams, qparams in equivalence_cases():
+        n = pparams.n
+        if n < 2 and ("source" in spec or "images" in spec):
+            continue
+        sides = [
+            (pparams, poisson_stratum_map, poisson_rest(pparams.an.entry)),
+            (qparams, quantum_stratum_map, quantum_rest(qparams.swapped_products)),
+        ]
+        for side, (params, stratum_map, rest) in enumerate(sides):
+            if "source" in spec:
+                rest = spec["source"](side, params, n)
+            for t_set in enumerate_admissible(n):
+                gmap = stratum_map(params, t_set)
+                if "images" in spec:
+                    gmap = spec["images"](gmap)
+                report = correspondence._stratum_report(params, gmap, *rest(gmap))
+                assert report == object_stratum_report(params, gmap, *rest(gmap)), (label, side, t_set)
+                failing += not report["ok"]
+    assert (failing > 0) == (mutation != "none")
 
 
 def test_map_report_builds_no_source_element_per_stratum(monkeypatch, capsys):

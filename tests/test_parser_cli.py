@@ -1169,9 +1169,35 @@ def test_confluence_names_the_input_of_the_choice_reference(capsys, monkeypatch)
                 f = randint_poly(vs, rng)
                 base = reduce_poly(f, system)
                 for _ in range(2):
-                    if choice_reduce(f, system, rng) != base:
-                        return list(t_set.member_names()), format_poly(f)
+                    other = choice_reduce(f, system, rng)
+                    if other != base:
+                        texts = [format_poly(g) for g in (f, base, other)]
+                        keys = ("input", "deterministic", "random")
+                        return {"set": list(t_set.member_names()), **dict(zip(keys, texts))}
 
-    members, text = first_failure()
-    assert members == list(strata[20].member_names())
-    assert report == {"suite": "confluence", "ok": False, "details": {"set": members, "input": text}}
+    details = first_failure()
+    assert details["set"] == list(strata[20].member_names())
+    assert report == {"suite": "confluence", "ok": False, "details": details}
+
+
+def test_confluence_failure_names_both_normal_forms(capsys, monkeypatch):
+    # With the rules y1 x1 -> x2 and y1 -> 0 the input y1 x1 y2 - 3 y1 has
+    # the normal forms y2 x2 (the first rule first) and 0 (the second rule
+    # first); a failure prints the deterministic one and the random one.
+    from poisson_strata.exact_poly import ReductionRule, ReductionSystem
+
+    vs = an_varspec(2)
+    broken = ReductionSystem(
+        vs,
+        (
+            ReductionRule((1, 1, 0, 0), LaurentPoly.variable(vs, "x2")),
+            ReductionRule((1, 0, 0, 0), LaurentPoly.zero(vs)),
+        ),
+    )
+    monkeypatch.setattr(cli, "quotient_system", lambda params, t_set: broken)
+    assert main(["--config", CONFIG_POISSON, "verify", "confluence"]) == 1
+    assert json.loads(capsys.readouterr().out) == {
+        "suite": "confluence",
+        "ok": False,
+        "details": {"set": [], "input": "y1*x1*y2 - 3*y1", "deterministic": "y2*x2", "random": "0"},
+    }
