@@ -90,6 +90,11 @@ class PairParams:
             rows[b][a] = self._evaluate(((value, -1),))
         return tuple(map(tuple, rows))
 
+    @functools.cached_property
+    def empty_set_maps(self) -> dict:
+        """The empty set's generator map per side, filled by `correspondence`."""
+        return {}
+
 
 @dataclass(frozen=True)
 class PoissonParams(PairParams):

@@ -65,6 +65,11 @@ class QuantumParams(PairParams):
         return tuple(tail_element(self, i, NCElement, self.n).terms for i in range(self.n))
 
     @functools.cached_property
+    def twists(self) -> dict[tuple[tuple[int, ...], tuple[int, ...]], Fraction]:
+        """The twist of each monomial pair (u, v) met, filled by `QuantumTorus.twist`."""
+        return {}
+
+    @functools.cached_property
     def swapped_products(self) -> dict[tuple[int, int], NCElement]:
         """The PBW normal form of g_b g_a for each generator pair a < b: the
         defining relations, one per pair, each solved for its swapped word.
@@ -275,14 +280,15 @@ class QuantumTorus:
 
     def twist(self, u: tuple[int, ...], v: tuple[int, ...]) -> Fraction:
         """Scalar in X^u X^v = twist * X^(u+v), the product of S(a, b)^(u_a v_b)
-        over a > b; a bicharacter in each slot."""
-        columns = self.params.integer_columns
-        return power_product(
-            (entry, ua * vb)
-            for b, vb in enumerate(v)
-            if vb
-            for entry, ua in zip(columns[b][b + 1 :], u[b + 1 :])
-        )
+        over a > b; a bicharacter in each slot, kept in `QuantumParams.twists`."""
+        table = self.params.twists
+        scalar = table.get((u, v))
+        if scalar is None:
+            cols = self.params.integer_columns
+            scalar = table[u, v] = power_product(
+                (s, ua * vb) for b, vb in enumerate(v) if vb for s, ua in zip(cols[b][b + 1 :], u[b + 1 :])
+            )
+        return scalar
 
 
 class QTorusElement(TermMap):

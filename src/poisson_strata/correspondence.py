@@ -5,27 +5,25 @@ source algebra into the attached log-canonical algebra (Poisson side) or
 quantum torus (quantized side), with the target's generators named by eta(T)
 killed and the surviving Y's inverted.  That ring is described once, by
 `stratum_varspec(T)`: both targets are built on it, and the report's unit
-check reads its inverted generators.  Both sides give every source
-generator the formula of the underlying ring map, read in that ring, where a
-killed generator is zero; so the images take five shapes:
+check reads its inverted generators.  Every stratum map is one change of
+variables, the map of the empty set (whose ring inverts every Y and kills
+nothing), followed by killing eta(T), as in Cauchon's deleting derivations:
 
-    y_i          -> Y_i                                    (all i)
-    x_1          -> X_1
-    x_i, i >= 2  -> X_i - w_i Y_i^-1 Y_{i-1} X_{i-1}       (no adjacent tails in T)
-                 -> X_i                                    (previous tail in T)
-                 -> -w_i Y_i^-1 Y_{i-1} X_{i-1}            (own tail alone in T)
+    y_i -> Y_i,   x_1 -> X_1,   x_i -> X_i - w_i Y_i^-1 Y_{i-1} X_{i-1} (i >= 2)
 
-with w_i = (q_i - p_i)^-1 (q_{i-1} - p_{i-1}): Omega_{i-1} in T kills Y_{i-1}
-or X_{i-1}, and Omega_i alone kills X_i.  Y_i is inverted unless y_i is in
-T, which by admissibility puts Omega_{i-1} in T; so `tail_image` forms
-Y_{i-1} X_{i-1} first and never inverts a killed Y_i.  Verification is at
-generator level, one pair a < b at a time on both sides: the image of
-{g_a, g_b} must be the target bracket of the images, and the image of the
-PBW normal form of g_b g_a the torus product of the images in that order;
-over all pairs those normal forms are the defining relations.  Both maps
-must also send the tail elements to (q_i - p_i) Y_i X_i and the members of
-T to zero; both read those images off the generator images, and build no
-source element per stratum.
+with w_i = (q_i - p_i)^-1 (q_{i-1} - p_{i-1}).  It is built once per
+parameter set and side, and the map of T keeps the terms of its images
+that the ring of T admits: a term on a killed generator is zero.  A Y_i^-1
+term survives only where y_i is not in T, since y_i in T puts Omega_{i-1}
+in T, which kills Y_{i-1} or X_{i-1}; and a torus twist reads the
+parameters alone, not the ring.  Verification is at generator level, one
+pair a < b at a time on both sides: the image of {g_a, g_b} must be the
+target bracket of the images, and the image of the PBW normal form of
+g_b g_a the torus product of the images in that order; over all pairs
+those normal forms are the defining relations.  Both maps must also send
+the tail elements to (q_i - p_i) Y_i X_i and the members of T to zero;
+both read those images off the generator images, and build no source
+element per stratum.
 
 The additive character of the multiplicative parameter group (prime
 exponents paired against user weights) transports quantum parameters to
@@ -91,39 +89,51 @@ def tail_image(params: PairParams, i: int, cls, owner) -> TermMap:
     """-w_i Y_i^-1 Y_{i-1} X_{i-1}, the tail part of the image of x_i, as a
     `cls` term map over `owner`: the product taken left to right, which is
     the plain Laurent monomial on the Poisson side and picks up the twist on
-    the torus.  Y_{i-1} X_{i-1} is formed first and returned when it is
-    zero, the one case in which `owner` may have killed Y_i."""
+    the torus.  `owner` inverts Y_i."""
     prev = cls.generator(owner, f"Y{i - 1}") * cls.generator(owner, f"X{i - 1}")
-    if prev.is_zero():
-        return prev
     return (cls.generator(owner, f"Y{i}") ** (-1) * prev).scale(-hat_coefficient(params, i))
+
+
+def _empty_set_map(params: PairParams, build) -> GeneratorMap:
+    """The map of the empty set, whose ring inverts every Y and kills
+    nothing, built on the first call and kept in `params.empty_set_maps`."""
+    if build not in params.empty_set_maps:
+        names = torus_names(params.n)
+        target, one = build(params, VarSpec(names, frozenset(names[::2])))
+        cls, owner = type(one), one.owner
+        images = {name: cls.generator(owner, name.upper()) for name in generator_names(params.n)}
+        for i in range(2, params.n + 1):
+            images[f"x{i}"] = images[f"x{i}"] + tail_image(params, i, cls, owner)
+        empty = AdmissibleSet(params.n, *[(False,) * params.n] * 3)
+        params.empty_set_maps[build] = GeneratorMap(empty, images, target, one)
+    return params.empty_set_maps[build]
 
 
 def _stratum_map(params: PairParams, t_set: AdmissibleSet, build) -> GeneratorMap:
     """The generator map of T: `build` makes the target on
-    `stratum_varspec(t_set)` and returns it with its unit element, and every
-    source generator gets the one formula of the module docstring there."""
+    `stratum_varspec(t_set)` and returns it with its unit element, and each
+    image of the empty set's map keeps the terms that ring admits."""
     if t_set.n != params.n:
         raise ValueError("admissible set and parameters disagree on n")
-    target, one = build(stratum_varspec(t_set))
+    vs = stratum_varspec(t_set)
+    target, one = build(params, vs)
     cls, owner = type(one), one.owner
-    images = {name: cls.generator(owner, name.upper()) for name in generator_names(params.n)}
-    for i in range(2, params.n + 1):
-        images[f"x{i}"] = images[f"x{i}"] + tail_image(params, i, cls, owner)
+    restrict = lambda image: cls._trusted(owner, {m: c for m, c in image.terms.items() if vs.admit(m)})
+    images = {name: restrict(image) for name, image in _empty_set_map(params, build).images.items()}
     return GeneratorMap(t_set, images, target, one)
 
 
 # -- Poisson side ------------------------------------------------------------
 
 
+def _poisson_target(params: PoissonParams, vs: VarSpec):
+    """The log-canonical algebra on `vs`, less the entries on killed generators, and its unit."""
+    return PoissonStructure(vs, log_canonical_table(params, vs)), LaurentPoly.one(vs)
+
+
 def poisson_stratum_map(params: PoissonParams, t_set: AdmissibleSet) -> GeneratorMap:
-    """The map into the log-canonical algebra on the stratum ring, whose table
-    `log_canonical_table` leaves out every entry on a killed generator."""
-
-    def build(vs: VarSpec):
-        return PoissonStructure(vs, log_canonical_table(params, vs)), LaurentPoly.one(vs)
-
-    return _stratum_map(params, t_set, build)
+    """The map into the log-canonical algebra on the stratum ring."""
+    return _stratum_map(params, t_set, _poisson_target)
 
 
 def apply_map(gmap: GeneratorMap, f: TermMap) -> TermMap:
@@ -200,18 +210,17 @@ def nested_congruence_check(params: PoissonParams, etas: Mapping[AdmissibleSet, 
     """The raw substitution maps of every nested pair T inside T' of the
     admissible sets of n, which `etas` maps to their eta, agree modulo
     eta(T'), by the containment lemma of deleting derivations (Cauchon;
-    Goodearl-Launois for Poisson algebras).  In the Laurent ring with every
-    Y inverted, the raw image of x_i, i >= 2, is X_i plus `tail_image` when
-    y_i survives the set, and every other image is the capital generator.
-    So the images of T inside T' differ by the tail exactly at the x_i with
-    y_i in T' but not in T.  The empty set lies inside every T' and holds
-    no y, so all pairs pass exactly when, for each T' and y_i in it, every
-    tail term has a positive exponent on some eta(T') generator.  Each tail
-    is built once; a failure names T', x_i and the tail terms outside.
+    Goodearl-Launois for Poisson algebras).  In the empty set's ring, the
+    raw image of x_i, i >= 2, is the empty set's image X_i plus a tail when
+    y_i survives the set, and X_i when not.  So the images of T inside T'
+    differ by the tail exactly at the x_i with y_i in T' but not in T; and
+    as the empty set lies inside every T', all pairs pass exactly when, for
+    each T' and y_i in it, every tail term has a positive exponent on some
+    eta(T') generator.  A failure names T', x_i and the tail terms outside.
     """
-    n = params.n
-    vs = VarSpec(torus_names(n), frozenset(f"Y{i}" for i in range(1, n + 1)))
-    tails = {i: tail_image(params, i, LaurentPoly, vs) for i in range(2, n + 1)}
+    empty = _empty_set_map(params, _poisson_target)
+    vs = empty.target.varspec
+    tails = {i: empty.images[f"x{i}"] - LaurentPoly.generator(vs, f"X{i}") for i in range(2, params.n + 1)}
     failures = []
     for t_set, eta in etas.items():
         eta_idx = [vs.index(name) for name in eta]
@@ -228,14 +237,14 @@ def nested_congruence_check(params: PoissonParams, etas: Mapping[AdmissibleSet, 
 # -- quantized side -----------------------------------------------------------
 
 
+def _quantum_target(params: QuantumParams, vs: VarSpec):
+    torus = QuantumTorus(params, vs)
+    return torus, QTorusElement.one(torus)
+
+
 def quantum_stratum_map(params: QuantumParams, t_set: AdmissibleSet) -> GeneratorMap:
     """The map into the quantum torus on the stratum ring."""
-
-    def build(vs: VarSpec):
-        torus = QuantumTorus(params, vs)
-        return torus, QTorusElement.one(torus)
-
-    return _stratum_map(params, t_set, build)
+    return _stratum_map(params, t_set, _quantum_target)
 
 
 def verify_quantum_stratum_map(params: QuantumParams, t_set: AdmissibleSet) -> dict:

@@ -11,8 +11,8 @@ Poisson-normality detection by exact division, the random suites' inputs as
 first written with randint and randrange and as the two loops that one
 monomial draw replaced, the additive character read off each value's own
 factorization, normal forms by rebuilding the polynomial at every rewrite
-step, the stratum report on element objects, and the canonical text of a
-parsed expression.
+step, the stratum report on element objects, the stratum maps formed in
+each stratum's own ring, and the canonical text of a parsed expression.
 """
 
 from __future__ import annotations
@@ -555,6 +555,36 @@ def object_stratum_report(params, gmap, value, operate, label) -> dict:
     if units != {cls.generator(owner, name) for name in inverted}:
         failures.append("surviving y images do not generate the inverted set")
     return {"ok": not failures, "failures": failures}
+
+
+# -- stratum maps built in each stratum's own ring -----------------------------
+#
+# The generator maps as first written: every image formed again for each
+# stratum, in the ring of T, where a killed generator is zero.
+
+
+def ring_tail_image(params: PairParams, i: int, cls, owner):
+    """-w_i Y_i^-1 Y_{i-1} X_{i-1} over `owner`, with Y_{i-1} X_{i-1} formed
+    first and returned when it is zero, the one case in which `owner` may
+    have killed Y_i; w_i is read from `correspondence` at call time, so a
+    patched coefficient reaches it."""
+    prev = cls.generator(owner, f"Y{i - 1}") * cls.generator(owner, f"X{i - 1}")
+    if prev.is_zero():
+        return prev
+    return (cls.generator(owner, f"Y{i}") ** (-1) * prev).scale(-correspondence.hat_coefficient(params, i))
+
+
+def ring_stratum_map(params: PairParams, t_set: AdmissibleSet, build, tail):
+    """The generator map of T with its images formed in the ring of T:
+    `build(params, vs)` makes the target and its unit on
+    `stratum_varspec(t_set)`, y_i and x_1 map to their capitals, and x_i,
+    i >= 2, to X_i plus `tail(params, i, cls, owner)`."""
+    target, one = build(params, correspondence.stratum_varspec(t_set))
+    cls, owner = type(one), one.owner
+    images = {name: cls.generator(owner, name.upper()) for name in generator_names(params.n)}
+    for i in range(2, params.n + 1):
+        images[f"x{i}"] = images[f"x{i}"] + tail(params, i, cls, owner)
+    return correspondence.GeneratorMap(t_set, images, target, one)
 
 
 # -- expressions ---------------------------------------------------------------

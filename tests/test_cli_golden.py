@@ -1,8 +1,9 @@
 """Exact stdout of representative CLI commands, pinned byte for byte.
 
-Small outputs are kept as literals; the stratum reports at n = 2, 3 and 4,
-the rational one at n = 3, the `verify all` report and the `psi` and
-`upsilon` suites at n = 3 are pinned by their SHA-256 digest.  Any change
+Small outputs are kept as literals; the stratum reports at n = 2 to 5, the
+rational one at n = 3, the `verify all` reports at n = 2 and 3 and the `psi`
+and `upsilon` suites at n = 3 are pinned by their SHA-256 digest, and two
+reports at n = 3 must not change with the string hash seed.  Any change
 to the coefficient tables, the arithmetic, the stratum maps or the
 formatters that alters a printed byte fails here.
 """
@@ -11,6 +12,10 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -115,6 +120,15 @@ PAIRED_N4 = {
     "q": ["4", "32", "16", "64"],
     "phi_weights": {"2": "1"},
 }
+# n = 5 with gamma_ij = 2^(j - i): 560 strata, graded "homeomorphism".
+PAIRED_N5 = {
+    "mode": "paired",
+    "n": 5,
+    "gamma": [[str(Fraction(2) ** (j - i)) for j in range(5)] for i in range(5)],
+    "p": ["2", "8", "2", "8", "2"],
+    "q": ["4", "32", "16", "64", "128"],
+    "phi_weights": {"2": "1"},
+}
 # Rationals over six primes: the one pinned report whose hat coefficients
 # have odd denominators, graded "quotient" by its non-injective character.
 RATIONAL_N3 = {
@@ -162,6 +176,18 @@ DIGEST = [
         ["map-report"],
         28079,
         "149f377aa8520ec964b26c015f1cb1faf89762bde37512e6de1014c220e715e4",
+    ),
+    (
+        PAIRED_N5,
+        ["map-report"],
+        106699,
+        "e8897e5141688cbdadc9f99f70edc766f8116ce1eb2ddb1f7f1c53052790b552",
+    ),
+    (
+        PAIRED_N3,
+        ["verify", "all"],
+        7812,
+        "e68426241d586a9b4b264ee4d9f22ea68df158a2e3a82265bb02dfdcc8dec064",
     ),
     (
         PAIRED_N3,
@@ -239,3 +265,18 @@ def test_poset_json_digest(tmp_path):
         28326,
         "93b27c0cfe465b41779dc00c88020c4fb68bbce87125d1ca4f3858bb5ddef29e",
     )
+
+
+@pytest.mark.parametrize("command", [["map-report"], ["verify", "all"]])
+def test_stdout_does_not_depend_on_the_hash_seed(command):
+    # the caches on the parameters are dicts keyed by tuples, and no printed
+    # order may follow string hashing
+    root = Path(__file__).resolve().parent.parent
+    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    config = root / "perfbench" / "configs" / "paired_n3.json"
+    outs = []
+    for seed in ("0", "1"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": path}
+        args = [sys.executable, "-m", "poisson_strata.cli", "--config", str(config), *command]
+        outs.append(subprocess.run(args, env=env, capture_output=True, text=True, check=True).stdout)
+    assert outs[0] == outs[1] and outs[0].startswith("{")

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import oracles
 from oracles import (
     admissible_from_names,
     apply_character,
@@ -36,7 +37,7 @@ from poisson_strata.algebra_an import (
     tail_element,
     tail_word,
 )
-from poisson_strata.algebra_kn import NCElement, QTorusElement, QuantumParams
+from poisson_strata.algebra_kn import NCElement, QTorusElement, QuantumParams, power_product
 from poisson_strata.correspondence import (
     GroupContainsMinusOne,
     apply_map,
@@ -628,14 +629,21 @@ EQUIVALENCE_MUTATIONS = {
 }
 
 
+def fresh(params):
+    """A copy of `params` with nothing derived from it yet: the stratum maps
+    keep the empty set's map on the parameters, so a patch must reach
+    parameters that no earlier map has read."""
+    return dataclasses.replace(params)
+
+
 def equivalence_cases():
     """(label, Poisson parameters, quantum parameters) at n <= 3: the
     samples, the rational config with its induced parameters, and
     NON_POWER_OF_TWO beside RATIONAL_POISSON."""
     for n in range(4):
         yield f"sample n = {n}", quantum_sample_image(n), quantum_sample(n)
-    yield "rational config", group_character(RATIONAL, RATIONAL_WEIGHTS).induced, RATIONAL
-    yield "odd denominators", RATIONAL_POISSON, NON_POWER_OF_TWO
+    yield "rational config", group_character(fresh(RATIONAL), RATIONAL_WEIGHTS).induced, fresh(RATIONAL)
+    yield "odd denominators", fresh(RATIONAL_POISSON), fresh(NON_POWER_OF_TWO)
 
 
 @pytest.mark.parametrize("mutation", list(EQUIVALENCE_MUTATIONS))
@@ -665,6 +673,74 @@ def test_stratum_report_matches_the_object_reference(mutation, monkeypatch):
                 assert report == object_stratum_report(params, gmap, *rest(gmap)), (label, side, t_set)
                 failing += not report["ok"]
     assert (failing > 0) == (mutation != "none")
+
+
+def ring_map_sides():
+    """(parameters, target builder, stratum map, report arguments given the
+    map) per side at n <= 4, on fresh parameters: the samples with their
+    induced parameters, RATIONAL_POISSON beside NON_POWER_OF_TWO, the
+    paired n = 4 config, and random Poisson parameters."""
+    rng = random.Random(37)
+    pairs = [group_character(quantum_sample(n), sample_weights()) for n in range(4)]
+    pairs = [(c.induced, c.params) for c in pairs + [cli.load_config(PAIRED_N4).character]]
+    pairs += [(fresh(RATIONAL_POISSON), fresh(NON_POWER_OF_TWO))]
+    pairs += [(random_params(n, rng), None) for n in range(1, 5)]
+    for pparams, qparams in pairs:
+        yield pparams, correspondence._poisson_target, poisson_stratum_map, poisson_rest(pparams.an.entry)
+        if qparams is not None:
+            yield qparams, correspondence._quantum_target, quantum_stratum_map, quantum_rest(qparams.swapped_products)
+
+
+def _doubled_hat(hat):
+    return lambda params, i: 2 * hat(params, i)
+
+
+@pytest.mark.parametrize("patch", [None, _doubled_hat, _no_lower_x, _no_lower_y, _extra_inverse_y])
+def test_stratum_maps_restrict_the_empty_set_map(patch, monkeypatch):
+    # each image is the one the map of T formed in the ring of T, with the
+    # same class, owner and terms; so the reports, failure texts included,
+    # are the same at n <= 3
+    tail = oracles.ring_tail_image
+    if patch is _doubled_hat:
+        monkeypatch.setattr(correspondence, "hat_coefficient", patch(correspondence.hat_coefficient))
+    elif patch is not None:
+        monkeypatch.setattr(correspondence, "tail_image", patch)
+        tail = patch
+    shape = lambda f: (type(f), f.owner, f.terms)
+    compared = failing = 0
+    for params, build, stratum_map, rest in ring_map_sides():
+        for t_set in enumerate_admissible(params.n):
+            try:
+                expected = oracles.ring_stratum_map(params, t_set, build, tail)
+            except ValueError:
+                # the patched tail inverts a Y_i that the ring of T kills
+                assert patch in (_no_lower_x, _no_lower_y, _extra_inverse_y) and any(t_set.y_in[1:])
+                continue
+            gmap = stratum_map(params, t_set)
+            assert shape(gmap.one) == shape(expected.one)
+            images = {name: shape(f) for name, f in gmap.images.items()}
+            assert images == {name: shape(f) for name, f in expected.images.items()}, (params, t_set)
+            compared += 1
+            if params.n <= 3:
+                report = correspondence._stratum_report(params, gmap, *rest(gmap))
+                assert report == correspondence._stratum_report(params, expected, *rest(expected))
+                failing += not report["ok"]
+    # 788 maps in all; a patched tail without the guard builds no map of T
+    # in the ring of a T with y_i in it, i >= 2, on 574 of them
+    assert compared == (214 if tail is patch else 788) and (failing > 0) == (patch is not None)
+
+
+def test_twist_table_holds_the_recomputed_twists():
+    # every twist of one n = 3 report, read from the table, is the power
+    # product of the commutation matrix entries
+    character = group_character(quantum_sample(3), sample_weights())
+    params = character.params
+    assert stratification_report(character, enumerate_admissible(3))["grade"] == "homeomorphism"
+    columns = params.integer_columns
+    assert params.twists
+    for (u, v), twist in params.twists.items():
+        pairs = ((columns[b][a], u[a] * v[b]) for b in range(len(v)) for a in range(b + 1, len(u)))
+        assert twist == power_product(pairs)
 
 
 def test_map_report_builds_no_source_element_per_stratum(monkeypatch, capsys):
