@@ -10,8 +10,8 @@ and of their nested pairs count its walks without building them.  These
 sets index the strata of the Poisson prime spectrum; this module also
 computes their derived data (the divisibility-avoidance monomials of the
 quotient basis and the killed target generators eta(T), one of each per
-unit of length), checks that eta is injective, labels each stratum, and
-lays the run's sets out as a poset.
+unit of length) and the ring of the stratum maps, checks that eta is
+injective, labels each stratum, and lays the run's sets out as a poset.
 """
 
 from __future__ import annotations
@@ -21,6 +21,8 @@ from dataclasses import dataclass
 from itertools import chain, compress
 from operator import le
 from typing import Hashable, Mapping, Sequence
+
+from .exact_poly import VarSpec
 
 
 # The flags (y_i, x_i, Omega_i) that pair i may take, keyed by the tail flag
@@ -53,6 +55,20 @@ class AdmissibleSet:
 
     def members(self) -> frozenset[str]:
         return frozenset(self.member_names())
+
+    @functools.cached_property
+    def ring(self) -> VarSpec:
+        """The ring of both stratum maps of T, derived on its first read:
+        the torus generators Y1, X1, ..., Yn, Xn with eta(T) killed and
+        the Y's of the y's outside T inverted."""
+        names = generator_names(self.n, "Y", "X")
+        invert = frozenset(compress(names[::2], [not inside for inside in self.y_in]))
+        return VarSpec(names, invert, frozenset(derived_sets(self).eta))
+
+
+def generator_names(n: int, y: str = "y", x: str = "x") -> tuple[str, ...]:
+    """y1, x1, ..., yn, xn: the generator order of every algebra here."""
+    return tuple(f"{v}{i}" for i in range(1, n + 1) for v in (y, x))
 
 
 @functools.cache

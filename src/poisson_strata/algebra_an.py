@@ -22,7 +22,7 @@ from itertools import combinations
 from operator import mul
 from typing import Sequence
 
-from .admissible import AdmissibleSet, derived_sets
+from .admissible import AdmissibleSet, derived_sets, generator_names
 from .exact_poly import (
     LaurentPoly,
     ReductionRule,
@@ -127,11 +127,6 @@ class PoissonParams(PairParams):
         for i in range(n):
             if self.p[i] == self.q[i]:
                 raise ValueError(f"p_{i + 1} and q_{i + 1} must differ")
-
-
-def generator_names(n: int, y: str = "y", x: str = "x") -> tuple[str, ...]:
-    """y1, x1, ..., yn, xn: the generator order of every algebra here."""
-    return tuple(f"{v}{i}" for i in range(1, n + 1) for v in (y, x))
 
 
 @functools.cache
@@ -243,12 +238,11 @@ def log_canonical_table(params: PoissonParams, vs: VarSpec) -> dict[tuple[int, i
 
     `vs` names the generators of either ring in the order y1, x1, ..., yn,
     xn (the algebra's or the torus's).  An entry is left out when R(a, b)
-    is zero or touches a killed generator, whose monomials are zero.
+    is zero.
     """
     names = vs.names
-    live = [a for a in range(len(names)) if a not in vs.killed_indices]
     table: dict[tuple[int, int], LaurentPoly] = {}
-    for a, b in combinations(live, 2):
+    for a, b in combinations(range(len(names)), 2):
         coeff = params.matrix[a][b]
         if coeff:
             table[(a, b)] = LaurentPoly.monomial(vs, {names[a]: 1, names[b]: 1}, coeff)

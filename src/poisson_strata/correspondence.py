@@ -4,26 +4,28 @@ For an admissible set T, both sides map the quotient-localization of the
 source algebra into the attached log-canonical algebra (Poisson side) or
 quantum torus (quantized side), with the target's generators named by eta(T)
 killed and the surviving Y's inverted.  That ring is described once, by
-`stratum_varspec(T)`: both targets are built on it, and the report's unit
-check reads its inverted generators.  Every stratum map is one change of
-variables, the map of the empty set (whose ring inverts every Y and kills
+`AdmissibleSet.ring`, shared by both sides.  Every stratum map is one change
+of variables, the map of the empty set (whose ring inverts every Y and kills
 nothing), followed by killing eta(T), as in Cauchon's deleting derivations:
 
     y_i -> Y_i,   x_1 -> X_1,   x_i -> X_i - w_i Y_i^-1 Y_{i-1} X_{i-1} (i >= 2)
 
 with w_i = (q_i - p_i)^-1 (q_{i-1} - p_{i-1}).  It is built once per
-parameter set and side, and the map of T keeps the terms of its images
-that the ring of T admits: a term on a killed generator is zero.  A Y_i^-1
-term survives only where y_i is not in T, since y_i in T puts Omega_{i-1}
-in T, which kills Y_{i-1} or X_{i-1}; and a torus twist reads the
-parameters alone, not the ring.  Verification is at generator level, one
-pair a < b at a time on both sides: the image of {g_a, g_b} must be the
-target bracket of the images, and the image of the PBW normal form of
-g_b g_a the torus product of the images in that order; over all pairs
-those normal forms are the defining relations.  Both maps must also send
-the tail elements to (q_i - p_i) Y_i X_i and the members of T to zero;
-both read those images off the generator images, and build no source
-element per stratum.
+parameter set and side, with its target algebra, and a stratum is its ring
+plus the empty set's images restricted to the terms that ring admits: a
+term on a killed generator is zero.  A Y_i^-1 term survives only where y_i
+is not in T, since y_i in T puts Omega_{i-1} in T, which kills Y_{i-1} or
+X_{i-1}.  Each stratum is checked in the empty set's algebra: the admitted
+monomials are closed under the torus product and the log-canonical bracket,
+as a twist and a bracket coefficient read the parameters alone, not the
+ring.  The report reads the ring of T for admission, units and names.
+Verification is at generator level, one pair a < b at a time on both sides:
+the image of {g_a, g_b} must be the target bracket of the images, and the
+image of the PBW normal form of g_b g_a the torus product of the images in
+that order; over all pairs those normal forms are the defining relations.
+Both maps must also send the tail elements to (q_i - p_i) Y_i X_i and the
+members of T to zero; both read those images off the generator images, and
+build no source element per stratum.
 
 The additive character of the multiplicative parameter group (prime
 exponents paired against user weights) transports quantum parameters to
@@ -40,7 +42,7 @@ from itertools import combinations
 from operator import mul
 from typing import Mapping, Optional, Sequence
 
-from .admissible import AdmissibleSet, derived_sets, stratum_label
+from .admissible import AdmissibleSet, stratum_label
 from .algebra_an import (
     PairParams,
     PoissonParams,
@@ -68,21 +70,17 @@ def hat_coefficient(params: PairParams, i: int) -> Fraction:
 
 @dataclass(frozen=True)
 class GeneratorMap:
-    """Images of the source generators inside a stratum target, and the unit
-    element of the target ring, whose class and owner every image shares."""
+    """The stratum of T as its ring and the images of the source generators,
+    each holding only terms that ring admits, with the algebra they are
+    checked in and its unit element, whose class and owner every image
+    shares.  Every stratum of one parameter set and side shares the empty
+    set's target and unit."""
 
     t_set: AdmissibleSet
+    ring: VarSpec
     images: Mapping[str, TermMap]
     target: object  # PoissonStructure or QuantumTorus
     one: TermMap  # LaurentPoly or QTorusElement
-
-
-def stratum_varspec(t_set: AdmissibleSet) -> VarSpec:
-    """The target ring of both stratum maps of T: the torus generators Y1,
-    X1, ..., Yn, Xn with eta(T) killed and the Y's of the surviving y's
-    inverted.  The Poisson target and the quantum torus are built on it."""
-    invert = frozenset(f"Y{i}" for i, inside in enumerate(t_set.y_in, 1) if not inside)
-    return VarSpec(torus_names(t_set.n), invert, frozenset(derived_sets(t_set).eta))
 
 
 def tail_image(params: PairParams, i: int, cls, owner) -> TermMap:
@@ -96,38 +94,40 @@ def tail_image(params: PairParams, i: int, cls, owner) -> TermMap:
 
 def _empty_set_map(params: PairParams, build) -> GeneratorMap:
     """The map of the empty set, whose ring inverts every Y and kills
-    nothing, built on the first call and kept in `params.empty_set_maps`."""
+    nothing, with the target that `build` makes on that ring: built on the
+    first call and kept in `params.empty_set_maps`."""
     if build not in params.empty_set_maps:
         names = torus_names(params.n)
-        target, one = build(params, VarSpec(names, frozenset(names[::2])))
+        ring = VarSpec(names, frozenset(names[::2]))
+        target, one = build(params, ring)
         cls, owner = type(one), one.owner
         images = {name: cls.generator(owner, name.upper()) for name in generator_names(params.n)}
         for i in range(2, params.n + 1):
             images[f"x{i}"] = images[f"x{i}"] + tail_image(params, i, cls, owner)
         empty = AdmissibleSet(params.n, *[(False,) * params.n] * 3)
-        params.empty_set_maps[build] = GeneratorMap(empty, images, target, one)
+        params.empty_set_maps[build] = GeneratorMap(empty, ring, images, target, one)
     return params.empty_set_maps[build]
 
 
 def _stratum_map(params: PairParams, t_set: AdmissibleSet, build) -> GeneratorMap:
-    """The generator map of T: `build` makes the target on
-    `stratum_varspec(t_set)` and returns it with its unit element, and each
-    image of the empty set's map keeps the terms that ring admits."""
+    """The generator map of T: the ring of T, and each image of the empty
+    set's map, whose target `build` makes, kept to the terms that ring
+    admits; the images keep the empty set's owner, and the map shares its
+    target and unit."""
     if t_set.n != params.n:
         raise ValueError("admissible set and parameters disagree on n")
-    vs = stratum_varspec(t_set)
-    target, one = build(params, vs)
-    cls, owner = type(one), one.owner
-    restrict = lambda image: cls._trusted(owner, {m: c for m, c in image.terms.items() if vs.admit(m)})
-    images = {name: restrict(image) for name, image in _empty_set_map(params, build).images.items()}
-    return GeneratorMap(t_set, images, target, one)
+    empty, ring = _empty_set_map(params, build), t_set.ring
+    cls, owner = type(empty.one), empty.one.owner
+    restrict = lambda image: cls._trusted(owner, {m: c for m, c in image.terms.items() if ring.admit(m)})
+    images = {name: restrict(image) for name, image in empty.images.items()}
+    return GeneratorMap(t_set, ring, images, empty.target, empty.one)
 
 
 # -- Poisson side ------------------------------------------------------------
 
 
 def _poisson_target(params: PoissonParams, vs: VarSpec):
-    """The log-canonical algebra on `vs`, less the entries on killed generators, and its unit."""
+    """The log-canonical algebra on `vs` and its unit."""
     return PoissonStructure(vs, log_canonical_table(params, vs)), LaurentPoly.one(vs)
 
 
@@ -155,16 +155,19 @@ def _stratum_report(params, gmap: GeneratorMap, value, operate, label) -> dict:
     For each generator pair a < b, the residual is the image of `value(a, b)`
     minus `operate` on the images of g_a and g_b; a nonzero one fails under
     `label`, formatted with the names of g_a and g_b.  Each tail element
-    must map to (q_i - p_i) Y_i X_i, each member of T to zero, and the
-    surviving y's onto the inverted generators of the target's `varspec`.
-    Omega_i's image is Omega_{i-1}'s plus (q_i - p_i) times the product of
-    the images of y_i and x_i: `apply_map` of the tail element, whose terms
-    are the monomials y_k x_k on both sides, term by term.  The checks read
-    term maps over the owner of `gmap.one`; an element is built only for the
-    text of a failing pair.  Returns {"ok", "failures"}, each failure naming
-    its residual, formatted.
+    must map to (q_i - p_i) Y_i X_i, zero where the ring kills Y_i or X_i,
+    each member of T to zero, and the surviving y's onto the inverted
+    generators of the ring.  Omega_i's image is Omega_{i-1}'s plus
+    (q_i - p_i) times the product of the images of y_i and x_i: `apply_map`
+    of the tail element, whose terms are the monomials y_k x_k on both
+    sides, term by term.  The checks read term maps over the owner of
+    `gmap.one`, the empty set's algebra, in which the ring's monomials are
+    closed under both products; the ring of T is `gmap.ring`, which the
+    admission, the unit check and the residual texts read.  An element is
+    built only for the text of a failing pair.  Returns {"ok", "failures"},
+    each failure naming its residual, formatted.
     """
-    t_set, vs = gmap.t_set, gmap.target.varspec
+    t_set, vs = gmap.t_set, gmap.ring
     cls, owner = type(gmap.one), gmap.one.owner
 
     def text(terms) -> str:
@@ -219,7 +222,7 @@ def nested_congruence_check(params: PoissonParams, etas: Mapping[AdmissibleSet, 
     eta(T') generator.  A failure names T', x_i and the tail terms outside.
     """
     empty = _empty_set_map(params, _poisson_target)
-    vs = empty.target.varspec
+    vs = empty.ring
     tails = {i: empty.images[f"x{i}"] - LaurentPoly.generator(vs, f"X{i}") for i in range(2, params.n + 1)}
     failures = []
     for t_set, eta in etas.items():

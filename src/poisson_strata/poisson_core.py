@@ -73,7 +73,9 @@ class PoissonStructure:
     coefficient written as an integer over `denominator`, the least common
     denominator of the whole table: `log_matrix` is the skew matrix of the
     g_i g_j coefficients, and `rest` holds each entry's other terms as
-    (i, j, ((m - e_i - e_j, coefficient), ...)).
+    (i, j, ((m - e_i - e_j, coefficient), ...)).  `rows` keeps the row
+    u.R of each exponent vector u that the kernel has met, filled on first
+    use, as the strata of one report bracket the same monomials again.
     Construction does not run the Jacobi test; call `validate()` (the named
     constructors in `algebra_an` do) before trusting the structure.
     """
@@ -85,6 +87,7 @@ class PoissonStructure:
     rest: tuple[tuple[int, int, tuple[tuple[tuple[int, ...], int], ...]], ...] = field(
         init=False, repr=False, compare=False
     )
+    rows: dict[tuple[int, ...], list[int]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         size = len(self.varspec)
@@ -109,6 +112,7 @@ class PoissonStructure:
         object.__setattr__(self, "denominator", denominator)
         object.__setattr__(self, "log_matrix", tuple(map(tuple, matrix)))
         object.__setattr__(self, "rest", tuple(rest))
+        object.__setattr__(self, "rows", {})
 
     def entry(self, i: int, j: int) -> LaurentPoly:
         """{g_i, g_j} for any pair, using antisymmetry below the diagonal."""
@@ -124,11 +128,14 @@ class PoissonStructure:
     def _add_bracket(self, acc: dict, f_ints: Mapping, g_ints: Mapping) -> None:
         """acc += the integer numerators of {f, g} over d_f d_g `denominator`,
         for f and g given as integer numerators over d_f and d_g: the closed
-        form of the module docstring, one term pair at a time."""
-        matrix, rest = self.log_matrix, self.rest
+        form of the module docstring, one term pair at a time, with each
+        row u.R read from `rows`."""
+        matrix, rest, rows = self.log_matrix, self.rest, self.rows
         g_items = g_ints.items()
         for u, a in f_ints.items():
-            u_r = [-sum(map(mul, row, u)) for row in matrix]  # u.R, as R is skew
+            u_r = rows.get(u)
+            if u_r is None:
+                u_r = rows[u] = [-sum(map(mul, row, u)) for row in matrix]  # u.R, as R is skew
             accumulate(
                 acc,
                 {tuple(map(add, u, v)): s * b for v, b in g_items if (s := sum(map(mul, u_r, v)))},

@@ -12,7 +12,8 @@ first written with randint and randrange and as the two loops that one
 monomial draw replaced, the additive character read off each value's own
 factorization, normal forms by rebuilding the polynomial at every rewrite
 step, the stratum report on element objects, the stratum maps formed in
-each stratum's own ring, and the canonical text of a parsed expression.
+each stratum's own ring and algebra, and the canonical text of a parsed
+expression.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from typing import Optional, Sequence
 from poisson_strata.admissible import AdmissibleSet, derived_sets, stratum_label
 from poisson_strata.algebra_an import PairParams, PoissonParams, generator_names, pair_word, tail_coefficient
 from poisson_strata import correspondence
-from poisson_strata.algebra_kn import NCElement, QuantumParams, torus_names
+from poisson_strata.algebra_kn import NCElement, QTorusElement, QuantumParams, QuantumTorus, torus_names
 from poisson_strata.correspondence import AdditiveCharacter, group_character
 from poisson_strata.exact_poly import (
     LaurentPoly,
@@ -526,8 +527,9 @@ def object_apply_map(gmap, f):
 
 def object_stratum_report(params, gmap, value, operate, label) -> dict:
     """`correspondence._stratum_report` on element objects: the same
-    checks, failures and texts."""
-    t_set = gmap.t_set
+    checks, failures and texts, the expected tail image zero where the
+    ring of the map kills Y_i or X_i."""
+    t_set, ring = gmap.t_set, gmap.ring
     cls, owner = type(gmap.one), gmap.one.owner
 
     def text(f) -> str:
@@ -545,12 +547,14 @@ def object_stratum_report(params, gmap, value, operate, label) -> dict:
         coeff = tail_coefficient(params, i)
         tail = images[f"Omega{i}"] = tail + (images[f"y{i}"] * images[f"x{i}"]).scale(coeff)
         expected = cls.monomial(owner, {f"Y{i}": 1, f"X{i}": 1}, coeff)
+        if {f"Y{i}", f"X{i}"} & ring.killed:
+            expected = expected.scale(0)
         if tail != expected:
             failures.append(f"tail element {i} image: residual {text(tail - expected)}")
     for name in t_set.member_names():
         if not images[name].is_zero():
             failures.append(f"member {name} does not map to zero: residual {text(images[name])}")
-    inverted = gmap.target.varspec.invertible
+    inverted = ring.invertible
     units = {gmap.images["y" + name[1:]] for name in inverted}
     if units != {cls.generator(owner, name) for name in inverted}:
         failures.append("surviving y images do not generate the inverted set")
@@ -560,7 +564,36 @@ def object_stratum_report(params, gmap, value, operate, label) -> dict:
 # -- stratum maps built in each stratum's own ring -----------------------------
 #
 # The generator maps as first written: every image formed again for each
-# stratum, in the ring of T, where a killed generator is zero.
+# stratum, in the ring of T, where a killed generator is zero; and the maps
+# that restricted the empty set's images into a target algebra built for
+# each stratum on its own ring.
+
+
+def stratum_varspec(t_set: AdmissibleSet) -> VarSpec:
+    """The ring of T as first written, the reference for
+    `AdmissibleSet.ring`: the torus generators with eta(T) killed and the
+    Y's of the surviving y's inverted."""
+    invert = frozenset(f"Y{i}" for i, inside in enumerate(t_set.y_in, 1) if not inside)
+    return VarSpec(torus_names(t_set.n), invert, frozenset(derived_sets(t_set).eta))
+
+
+def ring_poisson_target(params: PoissonParams, vs: VarSpec):
+    """The log-canonical algebra on `vs`, less the entries on killed
+    generators, and its unit."""
+    names = vs.names
+    live = [a for a in range(len(names)) if a not in vs.killed_indices]
+    table = {
+        (a, b): LaurentPoly.monomial(vs, {names[a]: 1, names[b]: 1}, params.matrix[a][b])
+        for a, b in combinations(live, 2)
+        if params.matrix[a][b]
+    }
+    return PoissonStructure(vs, table), LaurentPoly.one(vs)
+
+
+def ring_quantum_target(params: QuantumParams, vs: VarSpec):
+    """The quantum torus on `vs` and its unit."""
+    torus = QuantumTorus(params, vs)
+    return torus, QTorusElement.one(torus)
 
 
 def ring_tail_image(params: PairParams, i: int, cls, owner):
@@ -579,12 +612,30 @@ def ring_stratum_map(params: PairParams, t_set: AdmissibleSet, build, tail):
     `build(params, vs)` makes the target and its unit on
     `stratum_varspec(t_set)`, y_i and x_1 map to their capitals, and x_i,
     i >= 2, to X_i plus `tail(params, i, cls, owner)`."""
-    target, one = build(params, correspondence.stratum_varspec(t_set))
+    vs = stratum_varspec(t_set)
+    target, one = build(params, vs)
     cls, owner = type(one), one.owner
     images = {name: cls.generator(owner, name.upper()) for name in generator_names(params.n)}
     for i in range(2, params.n + 1):
         images[f"x{i}"] = images[f"x{i}"] + tail(params, i, cls, owner)
-    return correspondence.GeneratorMap(t_set, images, target, one)
+    return correspondence.GeneratorMap(t_set, vs, images, target, one)
+
+
+def own_algebra_map(params: PairParams, t_set: AdmissibleSet, stratum_map, build):
+    """The generator map of T in an algebra of its own, as the stratum maps
+    were first restricted: `build(params, vs)` makes the target and its
+    unit on `stratum_varspec(t_set)`, and each image of the empty set's map
+    (`stratum_map` of the empty set) keeps the terms that ring admits,
+    wrapped over that target's owner."""
+    vs = stratum_varspec(t_set)
+    target, one = build(params, vs)
+    cls, owner = type(one), one.owner
+    empty = stratum_map(params, admissible_from_names(t_set.n, []))
+    images = {
+        name: cls._trusted(owner, {m: c for m, c in image.terms.items() if vs.admit(m)})
+        for name, image in empty.images.items()
+    }
+    return correspondence.GeneratorMap(t_set, vs, images, target, one)
 
 
 # -- expressions ---------------------------------------------------------------

@@ -9,6 +9,7 @@ from oracles import (
     admissible_from_names,
     brute_force_admissible,
     growth_check,
+    stratum_varspec,
 )
 from poisson_strata.admissible import (
     _satisfies_conditions,
@@ -22,7 +23,6 @@ from poisson_strata.admissible import (
     stratum_label,
     stratum_poset,
 )
-from poisson_strata.correspondence import stratum_varspec
 
 
 def test_count_follows_the_level_recurrence():
@@ -94,7 +94,16 @@ def test_derived_sets_examples():
     d3 = derived_sets(empty)
     assert d3.avoid_monomials == ()
     assert d3.eta == ()
-    assert stratum_varspec(empty).invertible == {"Y1", "Y2"}
+    assert empty.ring.invertible == {"Y1", "Y2"}
+
+
+def test_ring_is_derived_once_per_set_as_first_written():
+    # the ring of both stratum maps: eta(T) killed, the Y's of the y's
+    # outside T inverted; one object per set, read again by both sides
+    for n in range(5):
+        for t_set in enumerate_admissible(n):
+            assert t_set.ring == stratum_varspec(t_set)
+            assert t_set.ring is t_set.ring
 
 
 def test_derived_set_cardinalities_agree():

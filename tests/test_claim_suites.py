@@ -151,7 +151,7 @@ def test_eta_derives_each_set_once(monkeypatch, capsys):
         return real(t_set)
 
     monkeypatch.setattr(admissible, "derived_sets", counting)
-    monkeypatch.setattr(correspondence, "derived_sets", counting)
+    monkeypatch.setattr(correspondence, "derived_sets", counting, raising=False)
     status = cli.main(["--config", PAIRED_N4, "verify", "eta"])
     report = json.loads(capsys.readouterr().out)
     assert (status, report["details"]["nested_pairs"], len(calls)) == (0, 3861, 164)

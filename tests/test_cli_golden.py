@@ -1,9 +1,11 @@
 """Exact stdout of representative CLI commands, pinned byte for byte.
 
 Small outputs are kept as literals; the stratum reports at n = 2 to 5, the
-rational one at n = 3, the `verify all` reports at n = 2 and 3 and the `psi`
-and `upsilon` suites at n = 3 are pinned by their SHA-256 digest, and two
-reports at n = 3 must not change with the string hash seed.  Any change
+rational one at n = 3, the `verify all` reports at n = 2 and 3, the `psi`
+and `upsilon` suites at n = 3, the matrices and four deep `nf` words at
+n = 2 and 3 and the admissible sets at n = 6, listed and as a poset, are
+pinned by their SHA-256 digest, and two reports at n = 3 must not change
+with the string hash seed.  Any change
 to the coefficient tables, the arithmetic, the stratum maps or the
 formatters that alters a printed byte fails here.
 """
@@ -140,6 +142,9 @@ RATIONAL_N3 = {
     "phi_weights": {"2": "1", "3": "3", "5": "4", "7": "9", "11": "13", "13": "17"},
 }
 
+# The Poisson parameters with zero coupling at n = 6: 1,912 admissible sets.
+POISSON_N6 = {"mode": "poisson", "n": 6, "gamma": [["0"] * 6] * 6, "p": ["1"] * 6, "q": ["2"] * 6}
+
 DIGEST = [
     (
         "poisson_n2.json",
@@ -206,6 +211,48 @@ DIGEST = [
         ["map-report"],
         7513,
         "0631b3af61e05df9ad25d538094fc83a6d15570162eafbf316185ceb8c0cfc8b",
+    ),
+    (
+        PAIRED_N3,
+        ["matrices"],
+        448,
+        "339da260fdbf0ce40f94549f7f29212b142a12b1dc0d60cc8c3bc0f1b6c99215",
+    ),
+    (
+        PAIRED_N3,
+        ["nf", "(y1+x1+y2+x2+y3+x3)^5 (x3^3 y3^2 + x2^2 y1)"],
+        48372,
+        "0a5a087c52bf7c0685c59c99fd1aa2d1983871122dd266124d022f63245a8c1d",
+    ),
+    (
+        PAIRED_N3,
+        ["nf", "x3^7 y3^5 x2^4 y2^3 x1^2 y1"],
+        3421,
+        "40c4c4bf7df8deea4a9a2544ed32fd1242220d9203b6ede5eea7c93cba91bc4a",
+    ),
+    (
+        "quantum_n2.json",
+        ["nf", "(y1+x1+y2+x2)^6 x2^40 y1"],
+        5313,
+        "ed5695e7596b9310f76c1aaddc3fc672cc8b5661ff23d13a8b81238539cd2b70",
+    ),
+    (
+        "quantum_n2.json",
+        ["nf", "(2 y1 - 1/3 x1 + y2 x2)^5 (x2^7 y2^3 + 5 y1)"],
+        7646,
+        "57533bf1d0f85f5e94b7effdd51d6788eeb0cd907787bce676c10dcb8226cc48",
+    ),
+    (
+        POISSON_N6,
+        ["admissible", "--list"],
+        167812,
+        "fcd4d6e81b27b382f861365a9af4bb82733ab46ba8f31dac8775c2f47051837f",
+    ),
+    (
+        POISSON_N6,
+        ["admissible", "--poset"],
+        472032,
+        "fbf3984a95b14d254c2692bf91549ea98282897dbca41fd7f4ed810aec46f6d0",
     ),
 ]
 

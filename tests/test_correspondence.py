@@ -94,11 +94,11 @@ def test_poisson_image_previous_tail_in_set():
 def test_poisson_image_own_tail_in_set():
     params = quantum_sample_image()
     gmap = poisson_stratum_map(params, admissible_from_names(2, ["Omega2"]))
-    vs = gmap.target.varspec
-    assert "X2" in vs.killed
+    assert "X2" in gmap.ring.killed
     assert gmap.images["x2"] == LaurentPoly.monomial(
-        vs, {"Y2": -1, "Y1": 1, "X1": 1}, Fraction(-1, 2)
+        gmap.one.owner, {"Y2": -1, "Y1": 1, "X1": 1}, Fraction(-1, 2)
     )
+    assert all(gmap.ring.admit(m) for image in gmap.images.values() for m in image.terms)
 
 
 def five_way_image(params, t_set, name, one):
@@ -125,17 +125,23 @@ def five_way_image(params, t_set, name, one):
 def test_images_match_the_five_way_reference():
     # The one formula, read in the stratum ring, gives each case's image on
     # both sides, for every admissible set up to n = 3; a set with y_i in T,
-    # i >= 2, kills a Y_i whose tail image the map must not invert.
+    # i >= 2, kills a Y_i whose tail image the map must not invert.  The
+    # reference is formed in an algebra on the ring of the map; the map's
+    # images hold the same terms over the empty set's owner.
+    shape = lambda f: (type(f), f.terms)
     for n in (1, 2, 3):
-        for params, stratum_map in (
-            (quantum_sample_image(n), poisson_stratum_map),
-            (quantum_sample(n), quantum_stratum_map),
+        for params, stratum_map, build in (
+            (quantum_sample_image(n), poisson_stratum_map, oracles.ring_poisson_target),
+            (quantum_sample(n), quantum_stratum_map, oracles.ring_quantum_target),
         ):
             for t_set in enumerate_admissible(n):
                 gmap = stratum_map(params, t_set)
+                assert gmap.ring == oracles.stratum_varspec(t_set)
+                assert all(image.owner is gmap.one.owner for image in gmap.images.values())
                 assert list(gmap.images) == [f"{g}{i}" for i in range(1, n + 1) for g in "yx"]
-                assert gmap.images == {
-                    name: five_way_image(params, t_set, name, gmap.one) for name in gmap.images
+                _, own = build(params, gmap.ring)
+                assert {name: shape(f) for name, f in gmap.images.items()} == {
+                    name: shape(five_way_image(params, t_set, name, own)) for name in gmap.images
                 }
 
 
@@ -235,9 +241,16 @@ def test_quantum_failure_on_a_stratum_that_kills_generators():
 
 
 def test_target_bracket_skips_killed_generators(monkeypatch):
-    target = poisson_stratum_map(quantum_sample_image(), KILLS_Y1).target
-    assert target.varspec.killed == {"Y1"} and target.varspec.invertible == {"Y2"}
-    assert all(0 not in key for key in target.table)
+    # the stratum is checked in the empty set's algebra, whose bracket keeps
+    # the images of a ring that kills Y1 inside that ring
+    params = quantum_sample_image()
+    gmap = poisson_stratum_map(params, KILLS_Y1)
+    target = gmap.target
+    assert gmap.ring.killed == {"Y1"} and gmap.ring.invertible == {"Y2"}
+    assert target is poisson_stratum_map(params, empty_set(2)).target
+    assert not target.varspec.killed
+    for f, g in itertools.combinations(gmap.images.values(), 2):
+        assert all(gmap.ring.admit(m) for m in target.bracket(f, g).terms)
     calls = []
     plain = LaurentPoly.derivative
 
@@ -509,7 +522,8 @@ def test_swapped_products_have_budgets_of_their_own(nc_multiply_calls, monkeypat
 
 
 def test_each_stratum_derives_its_sets_once_per_reading(monkeypatch, capsys):
-    # the label reads one derived_sets; each of the two stratum maps reads one more
+    # the label reads one derived_sets, and the ring one more, which both
+    # stratum maps share
     from poisson_strata import admissible
 
     calls = []
@@ -520,13 +534,34 @@ def test_each_stratum_derives_its_sets_once_per_reading(monkeypatch, capsys):
         return plain(t_set)
 
     monkeypatch.setattr(admissible, "derived_sets", counting)
-    monkeypatch.setattr(correspondence, "derived_sets", counting)
+    monkeypatch.setattr(correspondence, "derived_sets", counting, raising=False)
     assert cli.main(["--config", PAIRED_N3, "admissible", "--poset"]) == 0
     assert len(calls) == 48
     calls.clear()
     assert cli.main(["--config", PAIRED_N3, "map-report"]) == 0
-    assert len(calls) == 3 * 48
+    assert len(calls) == 2 * 48
     capsys.readouterr()
+
+
+def test_map_report_builds_one_target_per_side(monkeypatch, capsys):
+    # every stratum is checked in the empty set's algebra: 48 strata at
+    # n = 3, one log-canonical algebra and one torus, on the ring that
+    # inverts every Y and kills nothing
+    built = []
+
+    def counting(cls):
+        def build(*args):
+            built.append(cls(*args))
+            return built[-1]
+
+        return build
+
+    for cls in (PoissonStructure, algebra_kn.QuantumTorus):
+        monkeypatch.setattr(correspondence, cls.__name__, counting(cls))
+    assert cli.main(["--config", PAIRED_N3, "map-report"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["strata"]) == 48
+    assert [type(target) for target in built] == [PoissonStructure, algebra_kn.QuantumTorus]
+    assert all(target.varspec == empty_set(3).ring for target in built)
 
 
 def test_swapped_unit_images_fail_the_unit_check():
@@ -552,7 +587,8 @@ def stratum_sides(n):
 def test_tail_and_member_failures_match_the_pushed_tail_elements():
     # the report reads the tail images off the generator images; pushing each
     # tail element through `apply_map` must give the same failure strings,
-    # here with one x_i image off by the unit
+    # here with one x_i image off by the unit, against (q_k - p_k) Y_k X_k
+    # where the ring of the map admits it and zero where not
     text = lambda f: format_terms(f.terms, f._names(f.owner))
     failing = 0
     for n in (1, 2, 3):
@@ -564,9 +600,11 @@ def test_tail_and_member_failures_match_the_pushed_tail_elements():
                 expected, members = [], []
                 for k in range(1, n + 1):
                     image = apply_map(corrupt, tail_element(params, k, cls, source_owner))
-                    residual = image - type(image).monomial(
+                    monomial = type(image).monomial(
                         image.owner, {f"Y{k}": 1, f"X{k}": 1}, tail_coefficient(params, k)
                     )
+                    admitted = {m: c for m, c in monomial.terms.items() if corrupt.ring.admit(m)}
+                    residual = image - type(image)(image.owner, admitted)
                     if not residual.is_zero():
                         expected.append(f"tail element {k} image: residual {text(residual)}")
                     if f"Omega{k}" in t_set.member_names() and not image.is_zero():
@@ -675,40 +713,87 @@ def test_stratum_report_matches_the_object_reference(mutation, monkeypatch):
     assert (failing > 0) == (mutation != "none")
 
 
+def _doubled_hat(hat):
+    return lambda params, i: 2 * hat(params, i)
+
+
+# EQUIVALENCE_MUTATIONS, the hat doubled at every i, and the patched tails
+OWN_ALGEBRA_MUTATIONS = {
+    **EQUIVALENCE_MUTATIONS,
+    "hat doubled": {"hat": _doubled_hat},
+    "tail without X_{i-1}": {"tail": _no_lower_x},
+    "tail without Y_{i-1}": {"tail": _no_lower_y},
+    "tail plus Y_i^-1": {"tail": _extra_inverse_y},
+}
+
+
+@pytest.mark.parametrize("mutation", list(OWN_ALGEBRA_MUTATIONS))
+def test_stratum_report_matches_each_stratums_own_algebra(mutation, monkeypatch):
+    # checked in the empty set's algebra, each stratum reports what it
+    # reports in a target algebra of its own, built on its ring, with the
+    # empty set's images restricted into it; failure texts included, on
+    # every admissible set at n <= 3 and on both sides
+    spec = OWN_ALGEBRA_MUTATIONS[mutation]
+    if "hat" in spec:
+        monkeypatch.setattr(correspondence, "hat_coefficient", spec["hat"](correspondence.hat_coefficient))
+    if "tail" in spec:
+        monkeypatch.setattr(correspondence, "tail_image", spec["tail"])
+    failing = 0
+    for label, pparams, qparams in equivalence_cases():
+        n = pparams.n
+        if n < 2 and ("source" in spec or "images" in spec):
+            continue
+        sides = [
+            (pparams, poisson_stratum_map, oracles.ring_poisson_target, poisson_rest(pparams.an.entry)),
+            (qparams, quantum_stratum_map, oracles.ring_quantum_target, quantum_rest(qparams.swapped_products)),
+        ]
+        for side, (params, stratum_map, build, rest) in enumerate(sides):
+            if "source" in spec:
+                rest = spec["source"](side, params, n)
+            for t_set in enumerate_admissible(n):
+                gmap = stratum_map(params, t_set)
+                own = oracles.own_algebra_map(params, t_set, stratum_map, build)
+                if "images" in spec:
+                    gmap, own = spec["images"](gmap), spec["images"](own)
+                report = correspondence._stratum_report(params, gmap, *rest(gmap))
+                assert report == object_stratum_report(params, own, *rest(own)), (label, side, t_set)
+                failing += not report["ok"]
+    assert (failing > 0) == (mutation != "none")
+
+
 def ring_map_sides():
-    """(parameters, target builder, stratum map, report arguments given the
-    map) per side at n <= 4, on fresh parameters: the samples with their
-    induced parameters, RATIONAL_POISSON beside NON_POWER_OF_TWO, the
-    paired n = 4 config, and random Poisson parameters."""
+    """(parameters, the builder of a target on the ring of T, stratum map,
+    report arguments given the map) per side at n <= 4, on fresh
+    parameters: the samples with their induced parameters, RATIONAL_POISSON
+    beside NON_POWER_OF_TWO, the paired n = 4 config, and random Poisson
+    parameters."""
     rng = random.Random(37)
     pairs = [group_character(quantum_sample(n), sample_weights()) for n in range(4)]
     pairs = [(c.induced, c.params) for c in pairs + [cli.load_config(PAIRED_N4).character]]
     pairs += [(fresh(RATIONAL_POISSON), fresh(NON_POWER_OF_TWO))]
     pairs += [(random_params(n, rng), None) for n in range(1, 5)]
     for pparams, qparams in pairs:
-        yield pparams, correspondence._poisson_target, poisson_stratum_map, poisson_rest(pparams.an.entry)
+        yield pparams, oracles.ring_poisson_target, poisson_stratum_map, poisson_rest(pparams.an.entry)
         if qparams is not None:
-            yield qparams, correspondence._quantum_target, quantum_stratum_map, quantum_rest(qparams.swapped_products)
-
-
-def _doubled_hat(hat):
-    return lambda params, i: 2 * hat(params, i)
+            yield qparams, oracles.ring_quantum_target, quantum_stratum_map, quantum_rest(qparams.swapped_products)
 
 
 @pytest.mark.parametrize("patch", [None, _doubled_hat, _no_lower_x, _no_lower_y, _extra_inverse_y])
 def test_stratum_maps_restrict_the_empty_set_map(patch, monkeypatch):
     # each image is the one the map of T formed in the ring of T, with the
-    # same class, owner and terms; so the reports, failure texts included,
-    # are the same at n <= 3
+    # same class and terms, over the empty set's owner, and the map carries
+    # that ring; so the reports, failure texts included, are the same at
+    # n <= 3
     tail = oracles.ring_tail_image
     if patch is _doubled_hat:
         monkeypatch.setattr(correspondence, "hat_coefficient", patch(correspondence.hat_coefficient))
     elif patch is not None:
         monkeypatch.setattr(correspondence, "tail_image", patch)
         tail = patch
-    shape = lambda f: (type(f), f.owner, f.terms)
+    shape = lambda f: (type(f), f.terms)
     compared = failing = 0
     for params, build, stratum_map, rest in ring_map_sides():
+        empty = stratum_map(params, empty_set(params.n))
         for t_set in enumerate_admissible(params.n):
             try:
                 expected = oracles.ring_stratum_map(params, t_set, build, tail)
@@ -717,6 +802,9 @@ def test_stratum_maps_restrict_the_empty_set_map(patch, monkeypatch):
                 assert patch in (_no_lower_x, _no_lower_y, _extra_inverse_y) and any(t_set.y_in[1:])
                 continue
             gmap = stratum_map(params, t_set)
+            assert gmap.ring == expected.ring
+            assert gmap.target is empty.target and gmap.one is empty.one
+            assert all(f.owner is empty.one.owner for f in gmap.images.values())
             assert shape(gmap.one) == shape(expected.one)
             images = {name: shape(f) for name, f in gmap.images.items()}
             assert images == {name: shape(f) for name, f in expected.images.items()}, (params, t_set)
@@ -741,6 +829,27 @@ def test_twist_table_holds_the_recomputed_twists():
     for (u, v), twist in params.twists.items():
         pairs = ((columns[b][a], u[a] * v[b]) for b in range(len(v)) for a in range(b + 1, len(u)))
         assert twist == power_product(pairs)
+
+
+def test_bracket_rows_hold_the_recomputed_rows():
+    # every u.R row that the kernel kept over one n = 3 report, and over one
+    # bracket on A_n, is the row recomputed from the log matrix
+    character = group_character(quantum_sample(3), sample_weights())
+    params = character.induced
+    assert stratification_report(character, enumerate_admissible(3))["grade"] == "homeomorphism"
+    an = params.an
+    vs = an.varspec
+    f = LaurentPoly(vs, {(1, 0, 2, 0, 0, 1): 3, (0, 0, 1, 1, 1, 0): -1})
+    g = LaurentPoly(vs, {(0, 1, 0, 0, 2, 1): Fraction(1, 2), (1, 1, 0, 0, 0, 0): 5})
+    assert not an.bracket(f, g).is_zero()
+    target = poisson_stratum_map(params, empty_set(3)).target
+    for structure in (target, an):
+        matrix = structure.log_matrix
+        size = range(len(matrix))
+        assert structure.rows
+        for u, row in structure.rows.items():
+            assert row == [sum(u[j] * matrix[j][k] for j in size) for k in size]
+    assert set(f.terms) <= set(an.rows)
 
 
 def test_map_report_builds_no_source_element_per_stratum(monkeypatch, capsys):
