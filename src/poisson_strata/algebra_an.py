@@ -19,7 +19,7 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from operator import mul
+from operator import mul, sub
 from typing import Sequence
 
 from .admissible import AdmissibleSet, derived_sets, generator_names
@@ -89,6 +89,12 @@ class PairParams:
             value = rows[a][b] = self._evaluate(pair_word(self, a, b))
             rows[b][a] = self._evaluate(((value, -1),))
         return tuple(map(tuple, rows))
+
+    @functools.cached_property
+    def tail_coefficients(self) -> tuple[Fraction, ...]:
+        """q_k - p_k for k = 1, ..., n, derived on its first read, once per
+        parameter set (`tail_coefficient`)."""
+        return tuple(map(sub, self.q, self.p))
 
     @functools.cached_property
     def empty_set_maps(self) -> dict:
@@ -173,8 +179,8 @@ def pair_word(params: PairParams, a: int, b: int) -> tuple[Atom, ...]:
 
 def tail_coefficient(params: PairParams, k: int) -> Fraction:
     """q_k - p_k: the coefficient of y_k x_k in every tail element of index
-    at least k, on either side."""
-    return params.q[k - 1] - params.p[k - 1]
+    at least k, on either side; read from `tail_coefficients`."""
+    return params.tail_coefficients[k - 1]
 
 
 def tail_word(params: PairParams, i: int, a: int) -> tuple[Atom, ...]:

@@ -71,6 +71,7 @@ from .correspondence import (
 from .exact_poly import (
     DEFAULT_STEP_BUDGET,
     LaurentPoly,
+    MonomialCode,
     StepBudget,
     StepBudgetExceeded,
     VarSpecMismatch,
@@ -78,8 +79,8 @@ from .exact_poly import (
     format_poly,
     format_terms,
     is_prime,
-    reduce_poly,
-    reduce_terms,
+    monomial_code,
+    reduce_packed,
     same_owner,
 )
 from .parser import Bracket, eval_poisson, eval_quantum, parse_expr
@@ -265,38 +266,57 @@ def _require_quantum(config: Config) -> QuantumParams:
 _TERM_COUNTS = range(1, 4)
 _TERM_DEGREES = range(0, 4)
 _TERM_COEFFS = tuple(map(Fraction, range(-4, 5)))
+_TERM_ZERO = _TERM_COEFFS.index(0)
 _WORD_LENGTHS = range(0, 5)
 _WORD_COEFFS = tuple(map(Fraction, range(1, 5)))
 
 
-def _random_exponents(bits, width: int, degrees: range) -> tuple[int, ...]:
-    """A degree drawn from `degrees`, then that many unit positions below
-    `width`.  The degree is drawn at width 0 too, where the monomial is 1
-    and no position is drawn."""
-    mono = [0] * width
+def _random_exponents(bits, code: MonomialCode, degrees: range) -> int:
+    """A packed monomial of `code`: a degree drawn from `degrees`, then that
+    many unit positions below the code's width, each adding its unit (one
+    on the position's field and one on the degree) to the packed 1.  The
+    degree is drawn at width 0 too, where the monomial is 1 and no position
+    is drawn.  The code's fields must hold the largest degree."""
+    mono = code.origin
+    units = code.units
+    width = code.width
     degree = degrees[draw_below(bits, len(degrees))]
     for _ in range(degree if width else 0):
-        mono[draw_below(bits, width)] += 1
-    return tuple(mono)
+        mono += units[draw_below(bits, width)]
+    return mono
 
 
-def _random_terms(width: int, rng: random.Random) -> dict[tuple[int, ...], Fraction]:
-    """The canonical term map of at most three terms, each of degree at
-    most three, over a ring of `width` variables none of them killed; a
-    monomial drawn twice keeps its last coefficient."""
+def _random_terms(code: MonomialCode, rng: random.Random) -> dict[int, Fraction]:
+    """The canonical packed term map of at most three terms, each of degree
+    at most three, over a ring of `code.width` variables none of them
+    killed; a monomial drawn twice keeps its last coefficient.  The draws
+    first map each monomial to its coefficient's index, so the zeros are
+    dropped by an integer test."""
     bits = rng.getrandbits
-    terms = {}
+    drawn = {}
     for _ in range(_TERM_COUNTS[draw_below(bits, len(_TERM_COUNTS))]):
-        mono = _random_exponents(bits, width, _TERM_DEGREES)
-        terms[mono] = _TERM_COEFFS[draw_below(bits, len(_TERM_COEFFS))]
-    return {mono: c for mono, c in terms.items() if c}
+        mono = _random_exponents(bits, code, _TERM_DEGREES)
+        drawn[mono] = draw_below(bits, len(_TERM_COEFFS))
+    terms = {}
+    for mono, i in drawn.items():
+        if i != _TERM_ZERO:
+            terms[mono] = _TERM_COEFFS[i]
+    return terms
 
 
-def _random_monomial(n: int, rng: random.Random) -> NCElement:
-    """One standard monomial of degree at most four, coefficient 1 to 4."""
+def _random_monomial(
+    code: MonomialCode, decoded: dict[int, tuple[int, ...]], rng: random.Random
+) -> NCElement:
+    """One standard monomial of degree at most four, coefficient 1 to 4,
+    over the code.width / 2 pairs of `code`: drawn packed and decoded
+    through `decoded`, a run's map from the packed words of that code to
+    their exponent vectors, filled as words are first drawn."""
     bits = rng.getrandbits
-    mono = _random_exponents(bits, 2 * n, _WORD_LENGTHS)
-    return NCElement._trusted(n, {mono: _WORD_COEFFS[draw_below(bits, len(_WORD_COEFFS))]})
+    word = _random_exponents(bits, code, _WORD_LENGTHS)
+    mono = decoded.get(word)
+    if mono is None:
+        mono = decoded[word] = code.unpack(word)
+    return NCElement._trusted(code.width // 2, {mono: _WORD_COEFFS[draw_below(bits, len(_WORD_COEFFS))]})
 
 
 def suite_jacobi(config: Config) -> dict:
@@ -318,12 +338,12 @@ def suite_omega_identities(config: Config) -> dict:
 def suite_confluence(config: Config) -> dict:
     """Each stratum's system gives every random input one normal form: the
     deterministic one and two random ones.  The inputs and normal forms are
-    term maps over A_n's variables, so the owner is checked once per
-    stratum.  A failure prints the input, the deterministic normal form and
-    the random one that differs from it."""
+    packed term maps over A_n's variables, in the code of the system's
+    table for the inputs' largest degree, so the owner is checked once per
+    stratum and a failure alone is unpacked: it prints the input, the
+    deterministic normal form and the random one that differs from it."""
     params = _require_poisson(config)
     vs = an_varspec(params.n)
-    width = len(vs)
     budget = config.step_limit
     rng = random.Random(11)
     bits = rng.getrandbits
@@ -332,15 +352,19 @@ def suite_confluence(config: Config) -> dict:
         system = quotient_system(params, t_set)
         if not same_owner(system.varspec, vs):
             raise VarSpecMismatch("polynomial and reduction system disagree on variables")
+        table = system.rewrites(_TERM_DEGREES[-1], budget)
+        code = table.code
         for _ in range(RANDOM_TRIALS):
-            terms = _random_terms(width, rng)
-            base = reduce_terms(terms, system, budget)
+            terms = _random_terms(code, rng)
+            base = reduce_packed(terms, table, budget)
             # The input itself means no rule applies: the random reductions
             # would find no candidate, draw nothing and return it too.
             for _ in range(0 if base is terms else 2):
-                other = reduce_terms(terms, system, budget, bits)
+                other = reduce_packed(terms, table, budget, bits)
                 if other != base:
-                    failed, fixed, drawn = (format_terms(t, vs.names) for t in (terms, base, other))
+                    failed, fixed, drawn = (
+                        format_terms(code.unpack_terms(t), vs.names) for t in (terms, base, other)
+                    )
                     details = {"input": failed, "deterministic": fixed, "random": drawn}
                     return {
                         "suite": "confluence",
@@ -354,8 +378,11 @@ def suite_confluence(config: Config) -> dict:
 def suite_k_stability(config: Config) -> dict:
     """Each member of each stratum ideal must reduce to zero after a bracket
     with any generator or the action of any weight vector.  A member's
-    images do not depend on the stratum, so each is built once per run and
-    reduced against every stratum's system."""
+    images do not depend on the stratum, so each is built once per run,
+    packed once per code of the systems' tables (sized for the images'
+    largest degree) and reduced against every stratum's system by the
+    rewrite loop; the owner is checked once per stratum, and a residual is
+    unpacked only for its text."""
     params = _require_poisson(config)
     structure = params.an
     vs = structure.varspec
@@ -363,37 +390,52 @@ def suite_k_stability(config: Config) -> dict:
     generators = [structure.generator(g_name) for g_name in vs.names]
     basis = k_basis(params.n)
     derivations = [k_derivation(params, h) for h in basis]
-    images: dict[str, list[tuple[str, LaurentPoly]]] = {}
+    images: dict[str, list[tuple[str, dict[tuple[int, ...], Fraction]]]] = {}
+    for name in dict.fromkeys(name for t_set in config.strata for name in t_set.member_names()):
+        poly = named_element(params, name, LaurentPoly, vs)
+        images[name] = [
+            (f"bracket({name}, {g_name})", structure.bracket(poly, g).terms)
+            for g_name, g in zip(vs.names, generators)
+        ] + [
+            (f"weight vector ({', '.join(map(str, h))}) on {name}", d.apply(poly).terms)
+            for h, d in zip(basis, derivations)
+        ]
+    degree = max(
+        (sum(map(abs, m)) for pairs in images.values() for _, terms in pairs for m in terms), default=0
+    )
+    packed: dict[MonomialCode, dict[str, list[tuple[str, dict[int, Fraction]]]]] = {}
     failures = []
     for t_set in config.strata:
         system = quotient_system(params, t_set)
+        if not same_owner(system.varspec, vs):
+            raise VarSpecMismatch("polynomial and reduction system disagree on variables")
+        table = system.rewrites(degree, budget)
+        code = table.code
+        if code not in packed:
+            packed[code] = {
+                name: [(label, code.pack_terms(terms)) for label, terms in pairs]
+                for name, pairs in images.items()
+            }
         members = list(t_set.member_names())
         for name in members:
-            if name not in images:
-                poly = named_element(params, name, LaurentPoly, vs)
-                images[name] = [
-                    (f"bracket({name}, {g_name})", structure.bracket(poly, g))
-                    for g_name, g in zip(vs.names, generators)
-                ] + [
-                    (f"weight vector ({', '.join(map(str, h))}) on {name}", d.apply(poly))
-                    for h, d in zip(basis, derivations)
-                ]
-            for label, image in images[name]:
-                residual = reduce_poly(image, system, budget)
-                if not residual.is_zero():
-                    failures.append(f"{members}: {label}: residual {format_poly(residual)}")
+            for label, terms in packed[code][name]:
+                residual = reduce_packed(terms, table, budget)
+                if residual:
+                    text = format_terms(code.unpack_terms(residual), vs.names)
+                    failures.append(f"{members}: {label}: residual {text}")
     return {"suite": "kstable", "ok": not failures, "details": {"failures": failures}}
 
 
 def suite_associativity(config: Config) -> dict:
     params = _require_quantum(config)
     rng = random.Random(13)
+    code, decoded = monomial_code(2 * params.n, _WORD_LENGTHS[-1]), {}
 
     def mul(a: NCElement, b: NCElement) -> NCElement:
         return nc_multiply(params, a, b, StepBudget(config.step_limit))
 
     for _ in range(RANDOM_TRIALS):
-        f, g, h = (_random_monomial(params.n, rng) for _ in range(3))
+        f, g, h = (_random_monomial(code, decoded, rng) for _ in range(3))
         left = mul(mul(f, g), h)
         right = mul(f, mul(g, h))
         if left != right:

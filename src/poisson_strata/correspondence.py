@@ -168,7 +168,6 @@ def _stratum_report(params, gmap: GeneratorMap, value, operate, label) -> dict:
     each failure naming its residual, formatted.
     """
     t_set, vs = gmap.t_set, gmap.ring
-    cls, owner = type(gmap.one), gmap.one.owner
 
     def text(terms) -> str:
         return format_terms(terms, vs.names)
@@ -181,8 +180,7 @@ def _stratum_report(params, gmap: GeneratorMap, value, operate, label) -> dict:
         if lhs.terms != rhs.terms:
             failures.append(f"{label.format(names[a], names[b])}: residual {text((lhs - rhs).terms)}")
     images, tail = {name: image.terms for name, image in gmap.images.items()}, {}
-    for i in range(1, params.n + 1):
-        coeff = tail_coefficient(params, i)
+    for i, coeff in enumerate(params.tail_coefficients, 1):
         accumulate(tail, (gmap.images[f"y{i}"] * gmap.images[f"x{i}"]).terms, coeff)
         images[f"Omega{i}"] = dict(tail)
         mono = tuple(int(name in (f"Y{i}", f"X{i}")) for name in vs.names)
@@ -193,9 +191,10 @@ def _stratum_report(params, gmap: GeneratorMap, value, operate, label) -> dict:
         if images[name]:
             failures.append(f"member {name} does not map to zero: residual {text(images[name])}")
     # The images form the set of the generators exactly when each of these
-    # distinct generators is among as many images.
+    # distinct generators, each the term map {unit vector: 1}, is among as
+    # many images.
     units = [images["y" + name[1:]] for name in vs.invertible]
-    if any(cls.generator(owner, name).terms not in units for name in vs.invertible):
+    if any({tuple(int(g == name) for g in vs.names): 1} not in units for name in vs.invertible):
         failures.append("surviving y images do not generate the inverted set")
     return {"ok": not failures, "failures": failures}
 

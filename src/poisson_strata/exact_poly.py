@@ -14,6 +14,7 @@ multiplicative subgroups of Q* used by the parameter-group checks.
 
 from __future__ import annotations
 
+import functools
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -48,7 +49,8 @@ class StepBudget:
     computation handed it charges: the block crossings of PBW products and
     the products of quantized powers, or the term pairs of Poisson products
     and brackets, of one expression or one product, or the admissible sets
-    of one run.  `reduce_terms` keeps its own counter to the same rule."""
+    of one run.  The rewrite loop `reduce_packed` keeps its own counter to
+    the same rule."""
 
     __slots__ = ("limit", "unit", "spent")
 
@@ -132,9 +134,79 @@ def monomial_key(m: tuple[int, ...]):
     with multiplication on Laurent monomials.  On equal degree the monomial
     with the larger exponent on the latest variable wins, so for the standard
     generator order y1, x1, ..., yn, xn the product y_i*x_i dominates every
-    monomial in the lower variables of the same degree.
+    monomial in the lower variables of the same degree.  A `MonomialCode`
+    packs monomials into ints whose integer order is this order; the
+    rewrite loop compares those.
     """
     return (sum(m), tuple(reversed(m)))
+
+
+class MonomialCode:
+    """Exponent vectors of `width` variables packed into Python ints.
+
+    pack(m) = deg(m)*2^(F*w) + sum_p (m_p + bias)*2^(F*p), where F = `bits`
+    is the field width, bias = 2^(F-1), w the width and deg(m) the signed
+    exponent sum.  A field holds an exponent in [-bias, bias), so the fields
+    together lie in [0, 2^(F*w)) under the degree, and the last variable's
+    field is the most significant: integer order is the `monomial_key`
+    order.  pack is affine, so when m and m + s both lie in the fields'
+    range, pack(m + s) = pack(m) + shift(s), one integer addition.  `pack`
+    raises ValueError on an exponent outside the range rather than let it
+    spill into its neighbour; `monomial_code` picks a field wide enough for
+    what a computation can reach.
+    """
+
+    __slots__ = ("width", "bits", "bias", "offsets", "origin", "units")
+
+    def __init__(self, width: int, bits: int):
+        self.width = width
+        self.bits = bits
+        self.bias = 1 << (bits - 1)
+        self.offsets = tuple(range(0, bits * width, bits))  # each field's lowest bit
+        self.origin = sum(self.bias << k for k in self.offsets)  # pack of 1
+        # shift of each unit vector: one on its field and one on the degree
+        self.units = tuple((1 << k) + (1 << (bits * width)) for k in self.offsets)
+
+    def shift(self, s: Sequence[int]) -> int:
+        """pack(m + s) - pack(m) = sum_p s_p * units[p], for any m with m
+        and m + s in range."""
+        return sum(map(mul, s, self.units))
+
+    def pack(self, mono: tuple[int, ...]) -> int:
+        if len(mono) != self.width:
+            raise ValueError(f"exponent vector {mono} has wrong arity for width {self.width}")
+        if mono and not -self.bias <= min(mono) <= max(mono) < self.bias:
+            raise ValueError(f"exponent vector {mono} does not fit fields of {self.bits} bits")
+        return self.origin + self.shift(mono)
+
+    def unpack(self, x: int) -> tuple[int, ...]:
+        bias = self.bias
+        mask = (bias << 1) - 1
+        out = []
+        for k in self.offsets:
+            out.append(((x >> k) & mask) - bias)
+        return tuple(out)
+
+    def pack_terms(self, terms: Mapping[tuple[int, ...], Scalar]) -> dict[int, Scalar]:
+        """A term map with packed keys, in the same order."""
+        return dict(zip(map(self.pack, terms), terms.values()))
+
+    def unpack_terms(self, terms: Mapping[int, Scalar]) -> dict[tuple[int, ...], Scalar]:
+        """A packed term map with exponent-vector keys, in the same order."""
+        return dict(zip(map(self.unpack, terms), terms.values()))
+
+
+_shared_code = functools.cache(MonomialCode)  # (width, bits) -> its one code
+
+
+def monomial_code(width: int, reach: int) -> MonomialCode:
+    """The code of `width` variables whose fields hold every exponent of
+    absolute value at most `reach`: the narrowest of 8, 16, 32, ... bits.
+    Codes are shared values, one per width and field width."""
+    bits = 8
+    while reach >= 1 << (bits - 1):
+        bits *= 2
+    return _shared_code(width, bits)
 
 
 def same_owner(a, b) -> bool:
@@ -494,29 +566,36 @@ class ReductionRule:
     replacement: LaurentPoly
 
 
-class RuleIndex(dict):
-    """Monomial -> indices of the rules whose lead divides it, in system
-    order; a monomial's entry is computed on its first lookup and kept.
+class RewriteTable(dict):
+    """Packed monomial -> the rewrite targets of every rule whose lead
+    divides it, in system order; a monomial's entry is computed on its first
+    lookup and kept.  Per rule the entry holds the replacement's terms d*u
+    as (pack(m - lead + u), d), in the replacement's term order, each target
+    one integer addition of the packed shift u - lead.
 
-    `lead_divisors` holds, per rule, the (index, exponent) pairs of the lead
-    on non-invertible variables with a positive exponent: a ring monomial m
-    is divisible by the lead, m / lead being a monomial of the ring, iff
-    m[i] >= e for each pair.
+    `code` is the table's `MonomialCode`.  `divisors` holds, per rule, the
+    (index, exponent) pairs of the lead on non-invertible variables with a
+    positive exponent: a ring monomial m is divisible by the lead, m / lead
+    being a monomial of the ring, iff m[i] >= e for each pair.  `shifts`
+    holds, per rule, the packed (u - lead, d).
     """
 
-    __slots__ = ("lead_divisors",)
+    __slots__ = ("code", "divisors", "shifts")
 
-    def __init__(self, lead_divisors: tuple[tuple[tuple[int, int], ...], ...]):
+    def __init__(self, code: MonomialCode, divisors, shifts):
         super().__init__()
-        self.lead_divisors = lead_divisors
+        self.code = code
+        self.divisors = divisors
+        self.shifts = shifts
 
-    def __missing__(self, mono: tuple[int, ...]) -> tuple[int, ...]:
-        ks = self[mono] = tuple(
-            k
-            for k, need in enumerate(self.lead_divisors)
+    def __missing__(self, x: int) -> tuple[tuple[tuple[int, Fraction], ...], ...]:
+        mono = self.code.unpack(x)
+        entry = self[x] = tuple(
+            tuple((x + s, d) for s, d in shifts)
+            for need, shifts in zip(self.divisors, self.shifts)
             if all(mono[i] >= e for i, e in need)
         )
-        return ks
+        return entry
 
 
 @dataclass(frozen=True)
@@ -528,19 +607,26 @@ class ReductionSystem:
     than its lead in the term order.  Confluence itself is the supplier's
     responsibility.
 
-    Construction also derives what `reduce_terms` reads at every step:
-    `matches`, the system's own `RuleIndex`, filled as reductions meet
-    monomials, and `replacement_shifts`, per rule the replacement's terms as
-    (m - lead, c) in the replacement's term order.  Neither takes part in
-    equality, hashing or repr.
+    Construction also derives what the rewrite tables are built from: per
+    rule the divisibility test of its lead (`lead_divisors`) and the
+    replacement's terms as (u - lead, d) in the replacement's term order
+    (`replacement_shifts`), and `drift`, the largest amount by which one
+    step can move one exponent on a ring with invertible variables (0 on a
+    ring without them).  `rewrites` hands out the system's `RewriteTable`
+    of each code, built on first use and kept in `tables`.  None of these
+    take part in equality, hashing or repr.
     """
 
     varspec: VarSpec
     rules: tuple[ReductionRule, ...]
+    lead_divisors: tuple[tuple[tuple[int, int], ...], ...] = field(
+        init=False, repr=False, compare=False
+    )
     replacement_shifts: tuple[tuple[tuple[tuple[int, ...], Fraction], ...], ...] = field(
         init=False, repr=False, compare=False
     )
-    matches: RuleIndex = field(init=False, repr=False, compare=False)
+    drift: int = field(init=False, repr=False, compare=False)
+    tables: dict[MonomialCode, RewriteTable] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         leads = [r.lead for r in self.rules]
@@ -567,31 +653,58 @@ class ReductionSystem:
             tuple((tuple(map(sub, m, r.lead)), c) for m, c in r.replacement.terms.items())
             for r in self.rules
         )
+        drift = 0
+        if self.varspec.invertible:
+            drift = max((abs(e) for rule in shifts for s, _ in rule for e in s), default=0)
+        object.__setattr__(self, "lead_divisors", divisors)
         object.__setattr__(self, "replacement_shifts", shifts)
-        object.__setattr__(self, "matches", RuleIndex(divisors))
+        object.__setattr__(self, "drift", drift)
+        object.__setattr__(self, "tables", {})
+
+    def rewrites(self, degree: int, max_steps: int) -> RewriteTable:
+        """The table of the narrowest code that holds every monomial a
+        reduction of at most max_steps steps meets, from input monomials
+        whose absolute exponents sum to at most `degree`.
+
+        On a ring without invertible variables no exponent ever passes
+        `degree`: exponents stay nonnegative, and no step raises the total
+        degree, since every replacement lies below its lead in the
+        degree-first order.  With invertible variables each step moves an
+        exponent by at most `drift`, and the table also lists the targets of
+        the monomials met after the last step, so the bound is degree +
+        (max_steps + 1) * drift.  So no packed monomial the loop meets ever
+        wraps."""
+        code = monomial_code(len(self.varspec), degree + (max_steps + 1) * self.drift)
+        table = self.tables.get(code)
+        if table is None:
+            shifts = tuple(
+                tuple((code.shift(s), d) for s, d in rule) for rule in self.replacement_shifts
+            )
+            table = self.tables[code] = RewriteTable(code, self.lead_divisors, shifts)
+        return table
 
 
-def reduce_terms(
-    terms: dict[tuple[int, ...], Fraction],
-    system: ReductionSystem,
+def reduce_packed(
+    terms: dict[int, Fraction],
+    table: RewriteTable,
     max_steps: int,
     bits=None,
-) -> dict[tuple[int, ...], Fraction]:
-    """The normal form of a canonical term map over the system's variables,
-    as a term map; the rewrite core of `reduce_poly`, which builds no
-    polynomial and checks no owner.
+) -> dict[int, Fraction]:
+    """The normal form of a canonical packed term map, keyed by the packed
+    monomials of `table.code`, as a packed term map: the one rewrite loop.
 
     The result has no term divisible by any rule lead.  The rules that
-    apply to a term are one lookup in the system's `matches` index.  Without
-    `bits` each step rewrites the largest reducible term in the term order,
-    found in one pass, by its first matching rule.  With `bits`, a
-    generator's `getrandbits`, each step lists the candidates (term, rule),
-    terms in their current order and rules in system order, and draws one
-    uniformly as `rng.choice` would (`draw_below`), which is how the
-    confluence suite exercises uniqueness of normal forms.  Each normal form
-    has its own budget of max_steps rule applications, kept in a local
-    counter rather than a `StepBudget` (one object per call would cost time
-    on this path); past it, StepBudgetExceeded is raised.
+    apply to a term, and the packed targets of each, are one lookup in the
+    table.  Without `bits` each step rewrites the largest reducible term,
+    found in one pass by integer comparison, by its first matching rule.
+    With `bits`, a generator's `getrandbits`, each step lists the
+    candidates (term, rule), terms in their current order and rules in
+    system order, and draws one uniformly as `rng.choice` would
+    (`draw_below`), which is how the confluence suite exercises uniqueness
+    of normal forms.  Each normal form has its own budget of max_steps rule
+    applications, kept in a local counter rather than a `StepBudget` (one
+    object per call would cost time on this path); past it,
+    StepBudgetExceeded is raised.
 
     A step rewrites one mutable copy of the map in place: it pops the chosen
     term c*m and, for each term d*u of the replacement, adds c*d at
@@ -601,37 +714,62 @@ def reduce_terms(
     order and the draws match that rebuild exactly.  The input is never
     changed; when no rule applies it is returned itself.
     """
-    matches = system.matches
-    shifts = system.replacement_shifts
     steps = 0
     while True:
         if bits is None:
             mono = None
             for m in terms:
-                if matches[m] and (mono is None or monomial_key(m) > monomial_key(mono)):
+                if table[m] and (mono is None or m > mono):
                     mono = m
             if mono is None:
                 break
-            k = matches[mono][0]
+            targets = table[mono][0]
         else:
-            candidates = [(mono, k) for mono in terms for k in matches[mono]]
+            candidates = []
+            for m in terms:
+                for targets in table[m]:
+                    candidates.append((m, targets))
             if not candidates:
                 break
-            mono, k = candidates[draw_below(bits, len(candidates))]
+            mono, targets = candidates[draw_below(bits, len(candidates))]
         steps += 1
         if steps > max_steps:
             raise StepBudgetExceeded(max_steps, "rewrite steps")
         if steps == 1:
             terms = dict(terms)  # the input stays as it is
         coeff = terms.pop(mono)
-        for shift, c in shifts[k]:
-            target = tuple(map(add, mono, shift))
-            s = terms.get(target, 0) + coeff * c
-            if s:
-                terms[target] = s
+        for target, c in targets:
+            s = terms.get(target)
+            if s is None:
+                terms[target] = coeff * c
             else:
-                terms.pop(target, None)
+                s += coeff * c
+                if s:
+                    terms[target] = s
+                else:
+                    del terms[target]
     return terms
+
+
+def reduce_terms(
+    terms: dict[tuple[int, ...], Fraction],
+    system: ReductionSystem,
+    max_steps: int,
+    bits=None,
+) -> dict[tuple[int, ...], Fraction]:
+    """The normal form of a canonical term map over the system's variables,
+    as a term map keyed by exponent vectors; the boundary of the rewrite
+    loop `reduce_packed`, which builds no polynomial and checks no owner.
+
+    It packs the map with the system's table for the input's largest
+    absolute degree (`ReductionSystem.rewrites`), runs the loop, with
+    `bits` as there, and unpacks the result in its order.  When no rule
+    applies the input itself is returned.
+    """
+    table = system.rewrites(max((sum(map(abs, m)) for m in terms), default=0), max_steps)
+    packed = table.code.pack_terms(terms)
+    out = reduce_packed(packed, table, max_steps, bits)
+    return terms if out is packed else table.code.unpack_terms(out)
 
 
 def reduce_poly(

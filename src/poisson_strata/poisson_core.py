@@ -116,11 +116,10 @@ class PoissonStructure:
 
     def entry(self, i: int, j: int) -> LaurentPoly:
         """{g_i, g_j} for any pair, using antisymmetry below the diagonal."""
-        if i == j:
+        f = None if i == j else self.table.get((i, j) if i < j else (j, i))
+        if f is None:  # the zero is built only for a pair the table omits
             return LaurentPoly.zero(self.varspec)
-        if i < j:
-            return self.table.get((i, j), LaurentPoly.zero(self.varspec))
-        return -self.table.get((j, i), LaurentPoly.zero(self.varspec))
+        return f if i < j else -f
 
     def generator(self, name: str) -> LaurentPoly:
         return LaurentPoly.variable(self.varspec, name)

@@ -11,7 +11,7 @@ Poisson-normality detection by exact division, the random suites' inputs as
 first written with randint and randrange and as the two loops that one
 monomial draw replaced, the additive character read off each value's own
 factorization, normal forms by rebuilding the polynomial at every rewrite
-step, the stratum report on element objects, the stratum maps formed in
+step and by the rewrite loop on exponent-vector keys, the stratum report on element objects, the stratum maps formed in
 each stratum's own ring and algebra, and the canonical text of a parsed
 expression.
 """
@@ -505,6 +505,51 @@ def choice_reduce(f, system, rng):
             system.varspec, {tuple(a - b for a, b in zip(mono, rule.lead)): f.terms[mono]}
         )
         f = f - cofactor * LaurentPoly(system.varspec, {rule.lead: 1}) + cofactor * rule.replacement
+
+
+def tuple_reduce_terms(terms, system, max_steps=10**6, bits=None):
+    """The rewrite loop as it ran on exponent-vector keys before monomials
+    were packed into ints, the reference for `exact_poly.reduce_terms` and
+    its packed loop: the rules that apply to a term found by
+    `monomial_divides`, the largest reducible term by `monomial_key`, the
+    random candidates (term, rule) in term order x rule order drawn with
+    `draw_below`, and each target m - lead + u built as a tuple.  The input
+    itself is returned when no rule applies."""
+    rules, vs = system.rules, system.varspec
+
+    def matches(m):
+        return [k for k, rule in enumerate(rules) if monomial_divides(rule.lead, m, vs)]
+
+    steps = 0
+    while True:
+        if bits is None:
+            mono = None
+            for m in terms:
+                if matches(m) and (mono is None or monomial_key(m) > monomial_key(mono)):
+                    mono = m
+            if mono is None:
+                break
+            k = matches(mono)[0]
+        else:
+            candidates = [(m, k) for m in terms for k in matches(m)]
+            if not candidates:
+                break
+            mono, k = candidates[draw_below(bits, len(candidates))]
+        steps += 1
+        if steps > max_steps:
+            raise StepBudgetExceeded(max_steps, "rewrite steps")
+        if steps == 1:
+            terms = dict(terms)
+        coeff = terms.pop(mono)
+        lead = rules[k].lead
+        for u, c in rules[k].replacement.terms.items():
+            target = tuple(e - d + f for e, d, f in zip(mono, lead, u))
+            s = terms.get(target, 0) + coeff * c
+            if s:
+                terms[target] = s
+            else:
+                terms.pop(target, None)
+    return terms
 
 
 # -- stratum reports by element objects -----------------------------------------

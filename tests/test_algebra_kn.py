@@ -184,9 +184,11 @@ _ASSOCIATIVITY_STEPS = [
 def test_products_charge_their_block_crossings():
     # Each pass runs on one params object: the first fills its table of
     # tail crossings, the second reads it and must charge the same steps.
-    from poisson_strata.cli import _random_monomial
+    from poisson_strata.cli import _WORD_LENGTHS, _random_monomial
+    from poisson_strata.exact_poly import monomial_code
 
     params = quantum_sample(3)
+    code, decoded = monomial_code(6, _WORD_LENGTHS[-1]), {}
 
     def product(f, g):
         budget = StepBudget()
@@ -196,7 +198,7 @@ def test_products_charge_their_block_crossings():
         rng = random.Random(13)
         steps = []
         for _ in range(50):
-            f, g, h = (_random_monomial(3, rng) for _ in range(3))
+            f, g, h = (_random_monomial(code, decoded, rng) for _ in range(3))
             fg, fg_steps = product(f, g)
             gh, gh_steps = product(g, h)
             steps.append((fg_steps, product(fg, h)[1], gh_steps, product(f, gh)[1]))

@@ -1,13 +1,14 @@
 """Exact stdout of representative CLI commands, pinned byte for byte.
 
-Small outputs are kept as literals; the stratum reports at n = 2 to 5, the
-rational one at n = 3, the `verify all` reports at n = 2 and 3, the `psi`
-and `upsilon` suites at n = 3, the matrices and four deep `nf` words at
-n = 2 and 3 and the admissible sets at n = 6, listed and as a poset, are
-pinned by their SHA-256 digest, and two reports at n = 3 must not change
-with the string hash seed.  Any change
-to the coefficient tables, the arithmetic, the stratum maps or the
-formatters that alters a printed byte fails here.
+Small outputs are kept as literals, among them the suite texts and the
+associativity step boundary that the CI "Installed command" step checks;
+the stratum reports at n = 2 to 5, the rational one at n = 3, the `verify
+all` reports at n = 2 and 3, the `psi` and `upsilon` suites at n = 3, the
+matrices and four deep `nf` words at n = 2 and 3 and the admissible sets at
+n = 6, listed and as a poset, are pinned by their SHA-256 digest, and two
+reports at n = 3 must not change with the string hash seed.  Any change to
+the coefficient tables, the arithmetic, the stratum maps or the formatters
+that alters a printed byte fails here.
 """
 
 import contextlib
@@ -312,6 +313,39 @@ def test_poset_json_digest(tmp_path):
         28326,
         "93b27c0cfe465b41779dc00c88020c4fb68bbce87125d1ca4f3858bb5ddef29e",
     )
+
+
+ROOT = CONFIG_DIR.parent
+SUITES_N3 = "perfbench/configs/paired_n3.json"  # the random-suites benchmark config
+ASSOCIATIVITY = '{"suite": "associativity", "ok": true, "details": {"triples": 1000}}'
+KSTABLE = '{"suite": "kstable", "ok": true, "details": {"failures": []}}'
+
+
+@pytest.mark.parametrize(
+    "config,suite,limit,expected",
+    [
+        ("configs/poisson_n2.json", "confluence", None, '{"suite": "confluence", "ok": true, "details": {"reductions": 14000}}'),
+        ("configs/poisson_n2.json", "kstable", None, KSTABLE),
+        (SUITES_N3, "kstable", None, KSTABLE),
+        (SUITES_N3, "associativity", None, ASSOCIATIVITY),
+        (SUITES_N3, "associativity", 74, ASSOCIATIVITY),
+    ],
+)
+def test_suite_texts(monkeypatch, config, suite, limit, expected):
+    # The suite texts the "Installed command" CI step pins, checked as it
+    # checks them: exit 0 and stdout exactly the text.  At 74 steps every
+    # associativity product fits the budget.
+    if limit is not None:
+        monkeypatch.setenv("POISSON_STRATA_STEP_BUDGET", str(limit))
+    assert run_cli(ROOT / config, ["verify", suite]) == (0, expected + "\n")
+
+
+def test_associativity_step_boundary(monkeypatch):
+    # The costliest associativity product takes 74 steps: at 73 the suite
+    # ends in the budget error, as the CI step checks with grep.
+    monkeypatch.setenv("POISSON_STRATA_STEP_BUDGET", "73")
+    status, out = run_cli(ROOT / SUITES_N3, ["verify", "associativity"])
+    assert status == 2 and '"error": "StepBudgetExceeded"' in out
 
 
 @pytest.mark.parametrize("command", [["map-report"], ["verify", "all"]])

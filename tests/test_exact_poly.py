@@ -1,12 +1,13 @@
 """Tests for the exact Laurent-polynomial layer and the group lattice analysis."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from oracles import divide_exact, monomial_divides, random_params, rebuild_reduce_poly
+from oracles import divide_exact, monomial_divides, random_params, rebuild_reduce_poly, tuple_reduce_terms
 from poisson_strata.admissible import enumerate_admissible
 from poisson_strata import exact_poly
 from poisson_strata.algebra_an import quotient_system
@@ -22,7 +23,9 @@ from poisson_strata.exact_poly import (
     factor_rational,
     format_poly,
     group_analysis,
+    monomial_code,
     monomial_key,
+    reduce_packed,
     reduce_poly,
     reduce_terms,
 )
@@ -310,22 +313,25 @@ def core_reduce(f, system, max_steps=10**6, rng=None):
 
 def assert_same_reduction(f, system, seed):
     # reduce_poly and its core give the rebuild's normal form, term for term
-    # in its order, and the core's random steps draw as the rebuild's do; the
-    # core hands back its input when no rule applies (the rebuild returns f
-    # itself then) and never changes it.
+    # in its order, and so does the rewrite loop on exponent-vector keys;
+    # the core's random steps draw as the rebuild's and that loop's do, and
+    # leave the same rng state.  The core hands back its input when no rule
+    # applies (the rebuild returns f itself then) and never changes it.
     before = list(f.terms.items())
     expected = rebuild_reduce_poly(f, system)
     got = reduce_poly(f, system)
     core = core_reduce(f, system)
+    tuples = tuple_reduce_terms(f.terms, system)
     assert got == expected and list(got.terms) == list(expected.terms)
-    assert list(core.items()) == list(expected.terms.items())
-    assert (core is f.terms) == (got is f) == (expected is f)
-    ref_rng, core_rng = random.Random(seed), random.Random(seed)
+    assert list(core.items()) == list(expected.terms.items()) == list(tuples.items())
+    assert (core is f.terms) == (got is f) == (expected is f) == (tuples is f.terms)
+    ref_rng, core_rng, tuple_rng = random.Random(seed), random.Random(seed), random.Random(seed)
     for _ in range(2):
         expected = rebuild_reduce_poly(f, system, rng=ref_rng)
         core = core_reduce(f, system, rng=core_rng)
-        assert list(core.items()) == list(expected.terms.items())
-        assert core_rng.getstate() == ref_rng.getstate()
+        tuples = tuple_reduce_terms(f.terms, system, bits=tuple_rng.getrandbits)
+        assert list(core.items()) == list(expected.terms.items()) == list(tuples.items())
+        assert core_rng.getstate() == ref_rng.getstate() == tuple_rng.getstate()
     assert list(f.terms.items()) == before
 
 
@@ -362,11 +368,25 @@ def monomials_up_to(width, degree):
     ]
 
 
-def test_rule_index_matches_monomial_divides():
+def expected_entry(system, code, mono):
+    """Per rule whose lead divides mono, in system order, its packed targets
+    mono - lead + u with their coefficients, in the replacement's order."""
+    return tuple(
+        tuple(
+            (code.pack(tuple(e - d + f for e, d, f in zip(mono, rule.lead, u))), c)
+            for u, c in rule.replacement.terms.items()
+        )
+        for rule in system.rules
+        if monomial_divides(rule.lead, mono, system.varspec)
+    )
+
+
+def test_rewrite_table_lists_the_targets_of_the_dividing_rules():
     # For every quotient system up to n = 3 and every monomial of degree at
-    # most 4, the index lists exactly the rules whose lead divides the
-    # monomial, in system order; filling it changes neither equality, hash
-    # nor repr.
+    # most 4, the table lists the packed targets of exactly the rules whose
+    # lead divides the monomial, in system order; filling it changes neither
+    # equality, hash nor repr.  Codes are shared, one per width and field
+    # width.
     rng = random.Random(23)
     for n in (1, 2, 3):
         params = random_params(n, rng)
@@ -374,29 +394,114 @@ def test_rule_index_matches_monomial_divides():
         for t_set in enumerate_admissible(n):
             system = quotient_system(params, t_set)
             fresh = quotient_system(params, t_set)
+            table = system.rewrites(4, 10**6)
+            code = table.code
+            assert code is monomial_code(2 * n, 4) and code.bits == 8
             for mono in monos:
-                expected = tuple(
-                    k
-                    for k, rule in enumerate(system.rules)
-                    if monomial_divides(rule.lead, mono, system.varspec)
-                )
-                assert system.matches[mono] == expected
-            assert len(system.matches) == len(monos) and not fresh.matches
+                assert table[code.pack(mono)] == expected_entry(system, code, mono)
+            assert len(table) == len(monos) and not fresh.tables
+            assert system.tables == {code: table} and system.rewrites(3, 1) is table
             assert system == fresh and hash(system) == hash(fresh)
             assert repr(system) == repr(fresh)
 
 
-def test_rule_index_over_invertible_variables():
-    # A unit's exponent never blocks a match, whatever its sign.
+def test_rewrite_table_over_invertible_variables():
+    # A unit's exponent never blocks a match, whatever its sign.  The table
+    # of a ring with units is sized for max_steps more steps of the largest
+    # shift (2 here), and the one of the empty budget for one step.
+    assert LAURENT_SYSTEM.drift == 2
+    assert LAURENT_SYSTEM.rewrites(3, 0).code.bits == 8
+    assert LAURENT_SYSTEM.rewrites(3, 10**6).code.bits == 32
+    table = LAURENT_SYSTEM.rewrites(3, 10)
+    code = table.code
     for mono in monomials_up_to(4, 3):
         for signs in ((1, 1, 1, 1), (-1, 1, -1, 1)):
             m = tuple(e * s for e, s in zip(mono, signs))
-            expected = tuple(
-                k
-                for k, rule in enumerate(LAURENT_SYSTEM.rules)
-                if monomial_divides(rule.lead, m, VS_INV)
-            )
-            assert LAURENT_SYSTEM.matches[m] == expected
+            assert table[code.pack(m)] == expected_entry(LAURENT_SYSTEM, code, m)
+
+
+def signed_monomials(width, degree, invertible):
+    """Every exponent vector of `width` entries whose absolute values sum to
+    at most `degree`, negative only at the `invertible` indices."""
+    return [
+        m
+        for m in itertools.product(range(-degree, degree + 1), repeat=width)
+        if sum(map(abs, m)) <= degree and all(e >= 0 or i in invertible for i, e in enumerate(m))
+    ]
+
+
+def test_packed_order_is_the_term_order():
+    # On every monomial of degree at most 4 at width 6, with negative
+    # exponents on the invertible y's, and at each field's extremes, integer
+    # order of the packed ints is the `monomial_key` order, and unpacking
+    # gives the monomial back.
+    monos = signed_monomials(6, 4, {0, 2, 4})
+    assert len(monos) == 553
+    for code in (monomial_code(6, 4), monomial_code(6, 200)):
+        low, high = -code.bias, code.bias - 1
+        extremes = [
+            tuple(v if i == p else 0 for i in range(6)) for p in range(6) for v in (low, high, low + 1, high - 1)
+        ] + [(high,) * 6, (low,) * 6, (low, high) * 3, (high, low) * 3]
+        pool = monos + extremes
+        packed = {m: code.pack(m) for m in pool}
+        assert all(code.unpack(x) == m for m, x in packed.items())
+        assert sorted(pool, key=monomial_key) == sorted(pool, key=packed.__getitem__)
+        assert len(set(packed.values())) == len(pool)
+        m, s = (1, 0, 2, 0, 0, 1), (-1, 3, 0, 0, 2, -1)
+        assert code.pack(m) + code.shift(s) == code.pack(tuple(map(sum, zip(m, s))))
+
+
+def test_packing_raises_instead_of_wrapping():
+    # An exponent outside a field's range raises; nothing spills into the
+    # neighbouring field.  Reductions pick a field wide enough for what they
+    # can reach: the degree of the input on a ring without units, and
+    # max_steps more steps of the largest shift on a ring with them.
+    code = monomial_code(2, 3)
+    assert code.bits == 8 and monomial_code(2, 127) is code and monomial_code(2, 128).bits == 16
+    assert code.unpack(code.pack((127, -128))) == (127, -128)
+    for mono in ((128, 0), (0, -129), (-200, 300)):
+        with pytest.raises(ValueError, match="does not fit fields of 8 bits"):
+            code.pack(mono)
+    for mono in ((1,), (1, 0, 0)):
+        with pytest.raises(ValueError, match="wrong arity for width 2"):
+            code.pack(mono)
+    system = ReductionSystem(
+        VS2, (ReductionRule((1, 1, 0, 0), LaurentPoly.monomial(VS2, {"y2": 1}, Fraction(-1, 3))),)
+    )
+    f = LaurentPoly(VS2, {(300, 200, 0, 1): Fraction(2), (1, 1, 1, 1): Fraction(1)})
+    assert reduce_poly(f, system) == rebuild_reduce_poly(f, system)
+    assert reduce_poly(f, system).terms == {(100, 0, 200, 1): Fraction(2, 3**200), (0, 0, 2, 1): Fraction(-1, 3)}
+    # each step lowers the unit y1 by 2: 70 steps take it to -140
+    drop = ReductionSystem(VS_L, (ReductionRule((0, 1), LaurentPoly.monomial(VS_L, {"y1": -2})),))
+    f = LaurentPoly.monomial(VS_L, {"x1": 70})
+    assert reduce_poly(f, drop).terms == {(-140, 0): Fraction(1)}
+    with pytest.raises(StepBudgetExceeded):
+        reduce_poly(f, drop, max_steps=69)
+    assert drop.rewrites(70, 69).code.bits == 16 and drop.rewrites(70, 0).code.bits == 8
+
+
+def test_packed_loop_matches_the_tuple_loop_on_packed_inputs():
+    # The confluence suite hands packed maps straight to the loop: on the
+    # packed inputs of each quotient system at n = 3 the loop gives the
+    # tuple loop's normal forms in their order, draws as it does and leaves
+    # the same rng state.
+    rng = random.Random(24)
+    params = random_params(3, rng)
+    for t_set in enumerate_admissible(3):
+        system = quotient_system(params, t_set)
+        table = system.rewrites(6, 10**6)
+        code = table.code
+        for _ in range(10):
+            f = random_poly(system.varspec, rng, max_degree=6)
+            packed = {code.pack(m): c for m, c in f.terms.items()}
+            seed = rng.randrange(10**6)
+            packed_rng, tuple_rng = random.Random(seed), random.Random(seed)
+            for bits in (None, packed_rng.getrandbits, packed_rng.getrandbits):
+                out = reduce_packed(packed, table, 10**6, bits)
+                expected = tuple_reduce_terms(f.terms, system, 10**6, bits and tuple_rng.getrandbits)
+                assert list(code.unpack_terms(out).items()) == list(expected.items())
+                assert (out is packed) == (expected is f.terms)
+            assert packed_rng.getstate() == tuple_rng.getstate()
 
 
 def test_reduce_budget_matches_rebuild_reference():
@@ -407,7 +512,11 @@ def test_reduce_budget_matches_rebuild_reference():
         seed = rng.randrange(10**6)
         for reducer_rng in (None, seed):
             outcomes = []
-            reducers = [rebuild_reduce_poly, core_reduce]
+            reducers = [
+                rebuild_reduce_poly,
+                core_reduce,
+                lambda f, system, max_steps, rng: tuple_reduce_terms(f.terms, system, max_steps, rng and rng.getrandbits),
+            ]
             if reducer_rng is None:  # reduce_poly takes only the deterministic step
                 reducers.append(lambda f, system, max_steps, rng: reduce_poly(f, system, max_steps))
             for reducer in reducers:

@@ -1,5 +1,6 @@
 """Tests for the expression parser and the command-line interface."""
 
+import functools
 import io
 import json
 import os
@@ -28,7 +29,7 @@ from poisson_strata import cli
 from poisson_strata.algebra_an import an_varspec, build_an
 from poisson_strata.algebra_kn import NCElement, format_nc
 from poisson_strata.cli import load_config, main
-from poisson_strata.exact_poly import LaurentPoly, StepBudgetExceeded, format_poly
+from poisson_strata.exact_poly import LaurentPoly, StepBudgetExceeded, format_poly, monomial_code
 from poisson_strata.parser import (
     MAX_NESTING,
     Bracket,
@@ -1034,27 +1035,43 @@ def test_confluence_checks_each_system_owner(capsys, monkeypatch):
     }
 
 
-def _random_terms_poly(vs, rng):
-    """The term map of `cli._random_terms` as a polynomial over vs."""
-    return LaurentPoly._trusted(vs, cli._random_terms(len(vs), rng))
+def _unpacked_terms(width, rng):
+    """The packed term map of `cli._random_terms`, drawn in the code the
+    confluence suite reads from each system's table (fields that hold the
+    largest degree, 3), with exponent-vector keys in the same order."""
+    code = monomial_code(width, cli._TERM_DEGREES[-1])
+    return code.unpack_terms(cli._random_terms(code, rng))
+
+
+def suite_terms(vs):
+    """`cli._random_terms` over vs's variables, unpacked as polynomials."""
+    return lambda rng: LaurentPoly._trusted(vs, _unpacked_terms(len(vs), rng))
+
+
+def suite_monomials(n):
+    """`cli._random_monomial` over n pairs as the associativity suite draws:
+    one code and one decode map for the whole run."""
+    code, decoded = monomial_code(2 * n, cli._WORD_LENGTHS[-1]), {}
+    return lambda rng: cli._random_monomial(code, decoded, rng)
 
 
 @pytest.mark.parametrize(
-    "seed,count,owner,reference,generator",
+    "seed,count,owner,reference,sampler",
     [
-        (11, 48 * cli.RANDOM_TRIALS, an_varspec(3), randint_poly, _random_terms_poly),  # confluence
-        (7, 50 * 3, an_varspec(3), randint_poly, _random_terms_poly),  # the jacobi sample test
-        (13, 3 * cli.RANDOM_TRIALS, 3, randint_monomial, cli._random_monomial),  # associativity
+        (11, 48 * cli.RANDOM_TRIALS, an_varspec(3), randint_poly, suite_terms),  # confluence
+        (7, 50 * 3, an_varspec(3), randint_poly, suite_terms),  # the jacobi sample test
+        (13, 3 * cli.RANDOM_TRIALS, 3, randint_monomial, suite_monomials),  # associativity
     ],
 )
-def test_suite_generators_draw_the_plain_inputs(seed, count, owner, reference, generator):
+def test_suite_generators_draw_the_plain_inputs(seed, count, owner, reference, sampler):
     # Over a suite's full draw count at n = 3, the `draw_below` generators
-    # give the same values, term for term in the same order, and leave the
-    # rng in the same state as the randint/randrange spelling.
+    # give the same values, unpacked term for term in the same order, and
+    # leave the rng in the same state as the randint/randrange spelling.
+    draw = sampler(owner)
     ref_rng, rng = random.Random(seed), random.Random(seed)
     for _ in range(count):
         expected = reference(owner, ref_rng)
-        got = generator(owner, rng)
+        got = draw(rng)
         assert got == expected and list(got.terms.items()) == list(expected.terms.items())
     assert rng.getstate() == ref_rng.getstate()
 
@@ -1062,12 +1079,13 @@ def test_suite_generators_draw_the_plain_inputs(seed, count, owner, reference, g
 def test_samplers_at_width_zero_draw_as_the_two_loops():
     # With no variable there is no position to draw, but the degree is still
     # drawn: the shared monomial draw gives the values of the two loops it
-    # replaced (each a single term at width 0) and leaves the rng in the
-    # same state.
-    for sampler, reference in ((cli._random_terms, two_loop_terms), (cli._random_monomial, two_loop_monomial)):
+    # replaced (each a single term at width 0), unpacked, and leaves the rng
+    # in the same state.
+    samplers = ((functools.partial(_unpacked_terms, 0), two_loop_terms), (suite_monomials(0), two_loop_monomial))
+    for draw, reference in samplers:
         ref_rng, rng = random.Random(17), random.Random(17)
         for _ in range(1000):
-            assert sampler(0, rng) == reference(0, ref_rng)
+            assert draw(rng) == reference(0, ref_rng)
         assert rng.getstate() == ref_rng.getstate()
 
 
@@ -1127,8 +1145,8 @@ def test_associativity_names_the_residual_of_the_failing_triple(capsys, monkeypa
     assert main(["--config", PAIRED_N3, "verify", "associativity"]) == 1
     details = json.loads(capsys.readouterr().out)["details"]
     params = load_config(PAIRED_N3).quantum
-    rng = random.Random(13)
-    f, g, h = (cli._random_monomial(params.n, rng) for _ in range(3))
+    rng, draw = random.Random(13), suite_monomials(params.n)
+    f, g, h = (draw(rng) for _ in range(3))
     assert details == {"triple": repr((f, g, h)), "residual": format_nc(real(params, f, h))}
 
 

@@ -27,7 +27,7 @@ from poisson_strata.algebra_an import (
     tail_element,
 )
 from poisson_strata.correspondence import poisson_stratum_map
-from poisson_strata.exact_poly import LaurentPoly, VarSpec, format_poly
+from poisson_strata.exact_poly import LaurentPoly, VarSpec, format_poly, monomial_code
 from poisson_strata.poisson_core import (
     CompatibilityError,
     DoubleExtensionSpec,
@@ -272,16 +272,17 @@ POISSON_CONFIGS = [
 
 @pytest.mark.parametrize("path", POISSON_CONFIGS, ids=lambda path: str(path.relative_to(ROOT)))
 def test_bracket_laws_on_the_sampled_triples_of_every_config(path):
-    # 50 triples of `cli._random_terms` from seed 7, on A_n of each config
-    # with Poisson parameters (a paired one's through `Config.poisson`): the
-    # kernel is antisymmetric, obeys the Leibniz rule and has zero
-    # jacobiator.  `jacobi_check` proves the identity for the algebra on
-    # generator triples; these triples test the kernel code.
+    # 50 triples of `cli._random_terms` from seed 7, unpacked, on A_n of
+    # each config with Poisson parameters (a paired one's through
+    # `Config.poisson`): the kernel is antisymmetric, obeys the Leibniz rule
+    # and has zero jacobiator.  `jacobi_check` proves the identity for the
+    # algebra on generator triples; these triples test the kernel code.
     structure = cli.load_config(str(path)).poisson.an
     bracket, vs = structure.bracket, structure.varspec
+    code = monomial_code(len(vs), cli._TERM_DEGREES[-1])
     rng = random.Random(7)
     for _ in range(50):
-        f, g, h = (LaurentPoly._trusted(vs, cli._random_terms(len(vs), rng)) for _ in range(3))
+        f, g, h = (LaurentPoly._trusted(vs, code.unpack_terms(cli._random_terms(code, rng))) for _ in range(3))
         assert bracket(f, f).is_zero()
         assert bracket(f * g, h) == f * bracket(g, h) + g * bracket(f, h)
         assert jacobiator(structure, f, g, h).is_zero()
