@@ -75,12 +75,12 @@ from .exact_poly import (
     StepBudget,
     StepBudgetExceeded,
     VarSpecMismatch,
-    draw_below,
     format_poly,
     format_terms,
     is_prime,
     monomial_code,
     reduce_packed,
+    rewrite_candidates,
     same_owner,
 )
 from .parser import Bracket, eval_poisson, eval_quantum, parse_expr
@@ -260,29 +260,47 @@ def _require_quantum(config: Config) -> QuantumParams:
     return config.quantum
 
 
-# The suites draw uniformly from these ranges and tuples with `draw_below`,
-# the loop `rng.choice`, `randint(a, b)` and `randrange(len)` run for each
-# draw, so the inputs and the final rng state are those of the plain spelling.
+# The suites draw uniformly from these ranges and tuples, each draw inline:
+# k = len(seq).bit_length() bits from `getrandbits`, drawn again while they
+# reach len(seq), the loop `rng.choice`, `randint(a, b)` and `randrange(len)`
+# run for each draw, so the inputs and the final rng state are those of the
+# plain spelling (`tests/oracles.draw_below` is that loop as a function, the
+# tests' reference).  Each range's length and k are computed here once.
 _TERM_COUNTS = range(1, 4)
 _TERM_DEGREES = range(0, 4)
 _TERM_COEFFS = tuple(map(Fraction, range(-4, 5)))
 _TERM_ZERO = _TERM_COEFFS.index(0)
 _WORD_LENGTHS = range(0, 5)
 _WORD_COEFFS = tuple(map(Fraction, range(1, 5)))
+_COUNT_DRAW, _DEGREE_DRAW, _COEFF_DRAW, _LENGTH_DRAW, _WORD_COEFF_DRAW = (
+    (len(seq), len(seq).bit_length())
+    for seq in (_TERM_COUNTS, _TERM_DEGREES, _TERM_COEFFS, _WORD_LENGTHS, _WORD_COEFFS)
+)
 
 
-def _random_exponents(bits, code: MonomialCode, degrees: range) -> int:
-    """A packed monomial of `code`: a degree drawn from `degrees`, then that
-    many unit positions below the code's width, each adding its unit (one
-    on the position's field and one on the degree) to the packed 1.  The
-    degree is drawn at width 0 too, where the monomial is 1 and no position
-    is drawn.  The code's fields must hold the largest degree."""
+def _random_exponents(bits, code: MonomialCode, degrees: range, draw: tuple[int, int]) -> int:
+    """A packed monomial of `code`: a degree drawn from `degrees`, whose
+    length and k are `draw`, then that many unit positions below the code's
+    width, each adding its unit (one on the position's field and one on the
+    degree) to the packed 1.  The degree is drawn at width 0 too, where the
+    monomial is 1 and no position is drawn.  Every draw is the inline loop
+    of `tests/oracles.draw_below`, the positions' k computed once per call.
+    The code's fields must hold the largest degree."""
     mono = code.origin
     units = code.units
     width = code.width
-    degree = degrees[draw_below(bits, len(degrees))]
-    for _ in range(degree if width else 0):
-        mono += units[draw_below(bits, width)]
+    n, k = draw
+    r = bits(k)
+    while r >= n:
+        r = bits(k)
+    degree = degrees[r]
+    if width:
+        k = width.bit_length()
+        for _ in range(degree):
+            r = bits(k)
+            while r >= width:
+                r = bits(k)
+            mono += units[r]
     return mono
 
 
@@ -293,10 +311,18 @@ def _random_terms(code: MonomialCode, rng: random.Random) -> dict[int, Fraction]
     first map each monomial to its coefficient's index, so the zeros are
     dropped by an integer test."""
     bits = rng.getrandbits
+    n, k = _COUNT_DRAW
+    count = bits(k)
+    while count >= n:
+        count = bits(k)
+    n, k = _COEFF_DRAW
     drawn = {}
-    for _ in range(_TERM_COUNTS[draw_below(bits, len(_TERM_COUNTS))]):
-        mono = _random_exponents(bits, code, _TERM_DEGREES)
-        drawn[mono] = draw_below(bits, len(_TERM_COEFFS))
+    for _ in range(_TERM_COUNTS[count]):
+        mono = _random_exponents(bits, code, _TERM_DEGREES, _DEGREE_DRAW)
+        i = bits(k)
+        while i >= n:
+            i = bits(k)
+        drawn[mono] = i
     terms = {}
     for mono, i in drawn.items():
         if i != _TERM_ZERO:
@@ -312,11 +338,15 @@ def _random_monomial(
     through `decoded`, a run's map from the packed words of that code to
     their exponent vectors, filled as words are first drawn."""
     bits = rng.getrandbits
-    word = _random_exponents(bits, code, _WORD_LENGTHS)
+    word = _random_exponents(bits, code, _WORD_LENGTHS, _LENGTH_DRAW)
     mono = decoded.get(word)
     if mono is None:
         mono = decoded[word] = code.unpack(word)
-    return NCElement._trusted(code.width // 2, {mono: _WORD_COEFFS[draw_below(bits, len(_WORD_COEFFS))]})
+    n, k = _WORD_COEFF_DRAW
+    i = bits(k)
+    while i >= n:
+        i = bits(k)
+    return NCElement._trusted(code.width // 2, {mono: _WORD_COEFFS[i]})
 
 
 def suite_jacobi(config: Config) -> dict:
@@ -341,7 +371,9 @@ def suite_confluence(config: Config) -> dict:
     packed term maps over A_n's variables, in the code of the system's
     table for the inputs' largest degree, so the owner is checked once per
     stratum and a failure alone is unpacked: it prints the input, the
-    deterministic normal form and the random one that differs from it."""
+    deterministic normal form and the random one that differs from it.  An
+    input's first-step candidates are listed once; both random reductions
+    start from that list."""
     params = _require_poisson(config)
     vs = an_varspec(params.n)
     budget = config.step_limit
@@ -356,11 +388,15 @@ def suite_confluence(config: Config) -> dict:
         code = table.code
         for _ in range(RANDOM_TRIALS):
             terms = _random_terms(code, rng)
+            # No first-step candidate means no rule applies: every reduction
+            # would return the input itself, and the random ones draw nothing.
+            first = rewrite_candidates(terms, table)
+            if not first:
+                checked += 1
+                continue
             base = reduce_packed(terms, table, budget)
-            # The input itself means no rule applies: the random reductions
-            # would find no candidate, draw nothing and return it too.
-            for _ in range(0 if base is terms else 2):
-                other = reduce_packed(terms, table, budget, bits)
+            for _ in range(2):
+                other = reduce_packed(terms, table, budget, bits, first)
                 if other != base:
                     failed, fixed, drawn = (
                         format_terms(code.unpack_terms(t), vs.names) for t in (terms, base, other)

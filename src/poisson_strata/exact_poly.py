@@ -219,27 +219,6 @@ def _as_fraction(c: Scalar) -> Fraction:
     return c if isinstance(c, Fraction) else Fraction(c)
 
 
-def draw_below(bits, n: int) -> int:
-    """A uniform draw from range(n), where `bits` is a generator's
-    `getrandbits`.
-
-    This is the loop of `random.Random._randbelow` on CPython 3.10 to 3.13:
-    k = n.bit_length() fresh bits, drawn again while they reach n.  So
-    `seq[draw_below(rng.getrandbits, len(seq))]` makes exactly the draws of
-    `rng.choice(seq)`, and leaves the same state, in one call instead of
-    two.  n = 0 raises IndexError, as `choice` of an empty sequence does;
-    the test sits in the redraw loop, which every such call enters, so the
-    first draw costs no comparison for it.
-    """
-    k = n.bit_length()
-    r = bits(k)
-    while r >= n:
-        if n < 1:
-            raise IndexError("Cannot choose from an empty sequence")
-        r = bits(k)
-    return r
-
-
 def accumulate(
     acc: dict[tuple[int, ...], Scalar],
     terms: Mapping[tuple[int, ...], Scalar],
@@ -573,27 +552,32 @@ class RewriteTable(dict):
     as (pack(m - lead + u), d), in the replacement's term order, each target
     one integer addition of the packed shift u - lead.
 
-    `code` is the table's `MonomialCode`.  `divisors` holds, per rule, the
-    (index, exponent) pairs of the lead on non-invertible variables with a
-    positive exponent: a ring monomial m is divisible by the lead, m / lead
-    being a monomial of the ring, iff m[i] >= e for each pair.  `shifts`
-    holds, per rule, the packed (u - lead, d).
+    `code` is the table's `MonomialCode`.  `rules` holds, per rule that can
+    divide a monomial of the code, its lead test (subtrahend, mask) and its
+    packed shifts (u - lead, d).  The lead test runs on the packed int: the
+    subtrahend holds the lead's exponent e on each field the test needs
+    (the non-invertible variables where e > 0) and the mask the top bit of
+    those fields.  Such a field holds m_i + bias with 0 <= m_i < bias, and
+    e <= bias, so subtracting e borrows from no other field, and the
+    field's top bit stays set iff m_i >= e: the lead divides m, m / lead
+    being a monomial of the ring, iff (x - subtrahend) & mask == mask.
+    A lead past a field's range divides no monomial of the code and has no
+    rule here.  The tests keep the test on the unpacked monomial
+    (`tests/oracles.unpacked_entry`) as its reference.
     """
 
-    __slots__ = ("code", "divisors", "shifts")
+    __slots__ = ("code", "rules")
 
-    def __init__(self, code: MonomialCode, divisors, shifts):
+    def __init__(self, code: MonomialCode, rules):
         super().__init__()
         self.code = code
-        self.divisors = divisors
-        self.shifts = shifts
+        self.rules = rules
 
     def __missing__(self, x: int) -> tuple[tuple[tuple[int, Fraction], ...], ...]:
-        mono = self.code.unpack(x)
         entry = self[x] = tuple(
             tuple((x + s, d) for s, d in shifts)
-            for need, shifts in zip(self.divisors, self.shifts)
-            if all(mono[i] >= e for i, e in need)
+            for subtrahend, mask, shifts in self.rules
+            if (x - subtrahend) & mask == mask
         )
         return entry
 
@@ -608,12 +592,15 @@ class ReductionSystem:
     responsibility.
 
     Construction also derives what the rewrite tables are built from: per
-    rule the divisibility test of its lead (`lead_divisors`) and the
-    replacement's terms as (u - lead, d) in the replacement's term order
-    (`replacement_shifts`), and `drift`, the largest amount by which one
-    step can move one exponent on a ring with invertible variables (0 on a
-    ring without them).  `rewrites` hands out the system's `RewriteTable`
-    of each code, built on first use and kept in `tables`.  None of these
+    rule the (index, exponent) pairs of its lead on non-invertible
+    variables with a positive exponent (`lead_divisors`), from which each
+    table builds its packed lead test, since a ring monomial m is divisible
+    by the lead iff m[i] >= e for each pair; the replacement's terms as
+    (u - lead, d) in the replacement's term order (`replacement_shifts`);
+    and `drift`, the largest amount by which one step can move one exponent
+    on a ring with invertible variables (0 on a ring without them).
+    `rewrites` hands out the system's `RewriteTable` of each code, built on
+    first use from these and kept in `tables`.  None of these
     take part in equality, hashing or repr.
     """
 
@@ -677,11 +664,30 @@ class ReductionSystem:
         code = monomial_code(len(self.varspec), degree + (max_steps + 1) * self.drift)
         table = self.tables.get(code)
         if table is None:
-            shifts = tuple(
-                tuple((code.shift(s), d) for s, d in rule) for rule in self.replacement_shifts
+            offsets, bias = code.offsets, code.bias
+            rules = tuple(
+                (
+                    sum(e << offsets[i] for i, e in need),
+                    sum(bias << offsets[i] for i, _ in need),
+                    tuple((code.shift(s), d) for s, d in shifts),
+                )
+                for need, shifts in zip(self.lead_divisors, self.replacement_shifts)
+                # a lead past a field's range divides no monomial of the code
+                if all(e <= bias for _, e in need)
             )
-            table = self.tables[code] = RewriteTable(code, self.lead_divisors, shifts)
+            table = self.tables[code] = RewriteTable(code, rules)
         return table
+
+
+def rewrite_candidates(terms: dict[int, Fraction], table: RewriteTable) -> list:
+    """The (term, targets) pairs of one random rewrite step: every term of
+    the packed map, in its order, with the targets of each rule whose lead
+    divides it, in system order; [] when no rule applies."""
+    candidates = []
+    for m in terms:
+        for targets in table[m]:
+            candidates.append((m, targets))
+    return candidates
 
 
 def reduce_packed(
@@ -689,6 +695,7 @@ def reduce_packed(
     table: RewriteTable,
     max_steps: int,
     bits=None,
+    first: Optional[list] = None,
 ) -> dict[int, Fraction]:
     """The normal form of a canonical packed term map, keyed by the packed
     monomials of `table.code`, as a packed term map: the one rewrite loop.
@@ -698,13 +705,19 @@ def reduce_packed(
     table.  Without `bits` each step rewrites the largest reducible term,
     found in one pass by integer comparison, by its first matching rule.
     With `bits`, a generator's `getrandbits`, each step lists the
-    candidates (term, rule), terms in their current order and rules in
-    system order, and draws one uniformly as `rng.choice` would
-    (`draw_below`), which is how the confluence suite exercises uniqueness
-    of normal forms.  Each normal form has its own budget of max_steps rule
-    applications, kept in a local counter rather than a `StepBudget` (one
-    object per call would cost time on this path); past it,
-    StepBudgetExceeded is raised.
+    candidates (term, targets of one rule), terms in their current order
+    and rules in system order, and draws one uniformly as `rng.choice`
+    would, which is how the confluence suite exercises uniqueness of normal
+    forms.  The draw is inline: k = len(candidates).bit_length() bits from
+    `bits`, drawn again while they reach the count, the loop of
+    `random.Random._randbelow`, so the draws and the final rng state are
+    those of `rng.choice` (`tests/oracles.draw_below` is that loop as a
+    function, the tests' reference).  The candidates are listed by the loop
+    of `rewrite_candidates`, inline; `first`, when given, is the first
+    step's list, so a caller that has listed it does not list it again.
+    Each normal form has its own budget of max_steps rule applications,
+    kept in a local counter rather than a `StepBudget` (one object per call
+    would cost time on this path); past it, StepBudgetExceeded is raised.
 
     A step rewrites one mutable copy of the map in place: it pops the chosen
     term c*m and, for each term d*u of the replacement, adds c*d at
@@ -725,13 +738,21 @@ def reduce_packed(
                 break
             targets = table[mono][0]
         else:
-            candidates = []
-            for m in terms:
-                for targets in table[m]:
-                    candidates.append((m, targets))
-            if not candidates:
+            if steps or first is None:
+                candidates = []
+                for m in terms:
+                    for targets in table[m]:
+                        candidates.append((m, targets))
+            else:
+                candidates = first
+            n = len(candidates)
+            if not n:
                 break
-            mono, targets = candidates[draw_below(bits, len(candidates))]
+            k = n.bit_length()
+            r = bits(k)
+            while r >= n:
+                r = bits(k)
+            mono, targets = candidates[r]
         steps += 1
         if steps > max_steps:
             raise StepBudgetExceeded(max_steps, "rewrite steps")

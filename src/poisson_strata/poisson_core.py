@@ -249,22 +249,41 @@ class PoissonDerivation:
 
 
 def derivation_residuals(
-    structure: PoissonStructure, deriv: PoissonDerivation, rhs=None
+    structure: PoissonStructure, deriv: PoissonDerivation, alpha: Optional[PoissonDerivation] = None
 ) -> list[tuple[str, str, LaurentPoly]]:
     """(a, b, residual) for each generator pair a < b, in generator order,
-    whose residual D{a, b} - {D a, b} - {a, D b} - rhs(a, b) is nonzero; the
-    right side is zero when `rhs` is None.  Generator pairs suffice, as the
-    residual is a biderivation in (a, b) when `rhs` is one."""
+    whose residual D{a, b} - {D a, b} - {a, D b} - rhs(a, b) is nonzero, D
+    being `deriv`.  The right side is zero without `alpha`; with it, it is
+    the compatibility term D(a) alpha(b) - alpha(a) D(b) of `ore_extend`.
+    Generator pairs suffice, as the residual is a biderivation in (a, b).
+
+    Only the pairs that can fail are bracketed.  When D scales both
+    generators, D a = w_a a and D b = w_b b (w = 0 included), and the pair
+    has no `rest` entry, so {a, b} = R a b, the residual is
+    R (w_a + w_b - w_a - w_b) a b - rhs(a, b) = -rhs(a, b), which is zero
+    without `alpha` and, with it, whenever D vanishes on a and b.  So a
+    pair is bracketed when it has a rest entry, when D does not scale one
+    of its generators, or, with `alpha`, when D is nonzero on one of them.
+    `tests/oracles.all_pairs_residuals` brackets every pair, the reference.
+    """
     gens = {name: structure.generator(name) for name in structure.varspec.names}
+    rests = {(i, j) for i, j, _ in structure.rest}
+    needed = set()  # generators whose image alone makes their pairs able to fail
+    for i, (name, g) in enumerate(gens.items()):
+        image = deriv.images[name].terms
+        if (alpha is not None and image) or not image.keys() <= g.terms.keys():
+            needed.add(i)
     found = []
-    for a, b in combinations(gens, 2):
+    for (i, a), (j, b) in combinations(enumerate(gens), 2):
+        if not (i in needed or j in needed or (i, j) in rests):
+            continue
         residual = (
             deriv.apply(structure.bracket(gens[a], gens[b]))
             - structure.bracket(deriv.images[a], gens[b])
             - structure.bracket(gens[a], deriv.images[b])
         )
-        if rhs is not None:
-            residual = residual - rhs(a, b)
+        if alpha is not None:
+            residual = residual - (deriv.images[a] * alpha.images[b] - alpha.images[a] * deriv.images[b])
         if not residual.is_zero():
             found.append((a, b, residual))
     return found
@@ -279,20 +298,20 @@ def ore_extend(
     """Adjoin a variable x with {a, x} = alpha(a) x + delta(a).
 
     Requires alpha to be a Poisson derivation, then (alpha, delta) to
-    satisfy the compatibility condition, the residual walk of delta with the
-    right side `compat`; the first failure reports its pair and residual.
+    satisfy the compatibility condition, the residual walk of delta with
+    alpha's compatibility right side; the first failure reports its pair
+    and residual.
     """
     vs = structure.varspec
     if delta is None:
         delta = PoissonDerivation.zero(vs)
     if not (same_owner(alpha.varspec, vs) and same_owner(delta.varspec, vs)):
         raise VarSpecMismatch("derivations over the wrong variables")
-    compat = lambda a, b: delta.images[a] * alpha.images[b] - alpha.images[a] * delta.images[b]
-    for deriv, rhs, message in (
+    for deriv, compat, message in (
         (alpha, None, "alpha is not a Poisson derivation: residual on ({}, {})"),
-        (delta, compat, "(alpha, delta) fail the compatibility condition on ({}, {})"),
+        (delta, alpha, "(alpha, delta) fail the compatibility condition on ({}, {})"),
     ):
-        failed = derivation_residuals(structure, deriv, rhs)
+        failed = derivation_residuals(structure, deriv, compat)
         if failed:
             a, b, residual = failed[0]
             raise CompatibilityError(message.format(a, b), pair=(a, b), residual=residual)

@@ -6,14 +6,17 @@ the paper's admissibility biconditional and the brute-force filter by it,
 monomial counting of quotient growth, the nested-pair walk of the eta
 congruence, the defining relations of the quantized algebra written out one
 by one, the jacobiator of three elements and the rational walk of the
-Jacobi check over every generator triple, the pair matrix by mirror words,
-Poisson-normality detection by exact division, the random suites' inputs as
+Jacobi check over every generator triple, the derivation residuals of every
+generator pair, the pair matrix by mirror words, Poisson-normality
+detection by exact division, the bounded `getrandbits` draw that the
+samplers and the rewrite loop run inline, the random suites' inputs as
 first written with randint and randrange and as the two loops that one
 monomial draw replaced, the additive character read off each value's own
 factorization, normal forms by rebuilding the polynomial at every rewrite
-step and by the rewrite loop on exponent-vector keys, the stratum report on element objects, the stratum maps formed in
-each stratum's own ring and algebra, and the canonical text of a parsed
-expression.
+step and by the rewrite loop on exponent-vector keys, rewrite-table
+entries by unpacking each monomial, the stratum report on element objects,
+the stratum maps formed in each stratum's own ring and algebra, and the
+canonical text of a parsed expression.
 """
 
 from __future__ import annotations
@@ -34,13 +37,12 @@ from poisson_strata.exact_poly import (
     LaurentPoly,
     StepBudgetExceeded,
     VarSpec,
-    draw_below,
     factor_rational,
     format_terms,
     monomial_key,
 )
 from poisson_strata.parser import Bracket, Expr, Num, Power, Product, Sum, Var
-from poisson_strata.poisson_core import DoubleExtensionSpec, PoissonStructure
+from poisson_strata.poisson_core import DoubleExtensionSpec, PoissonDerivation, PoissonStructure
 
 # -- sample and random parameters ----------------------------------------------
 #
@@ -310,6 +312,29 @@ def jacobi_walk(structure: PoissonStructure) -> list[tuple[str, str, str, Lauren
     return found
 
 
+# -- derivation residuals on every generator pair ---------------------------------
+
+
+def all_pairs_residuals(
+    structure: PoissonStructure, deriv: PoissonDerivation, alpha: Optional[PoissonDerivation] = None
+) -> list[tuple[str, str, LaurentPoly]]:
+    """What `derivation_residuals` returns, by bracketing every generator
+    pair, including those it skips as unable to fail."""
+    gens = {name: structure.generator(name) for name in structure.varspec.names}
+    found = []
+    for a, b in combinations(gens, 2):
+        residual = (
+            deriv.apply(structure.bracket(gens[a], gens[b]))
+            - structure.bracket(deriv.images[a], gens[b])
+            - structure.bracket(gens[a], deriv.images[b])
+        )
+        if alpha is not None:
+            residual = residual - (deriv.images[a] * alpha.images[b] - alpha.images[a] * deriv.images[b])
+        if not residual.is_zero():
+            found.append((a, b, residual))
+    return found
+
+
 # -- the pair matrix by mirror words ---------------------------------------------
 
 
@@ -403,6 +428,24 @@ def double_extension_normal_element(spec: DoubleExtensionSpec, result: PoissonSt
 # The suites' inputs as first written with randint and randrange, and the
 # reductions that rebuild the polynomial with LaurentPoly arithmetic at every
 # step, with `choice` or `randrange` for the random ones.
+
+
+def draw_below(bits, n: int) -> int:
+    """A uniform draw from range(n), where `bits` is a generator's
+    `getrandbits`: the loop of `random.Random._randbelow` on CPython 3.10 to
+    3.13, k = n.bit_length() fresh bits, drawn again while they reach n.
+    So `seq[draw_below(rng.getrandbits, len(seq))]` makes exactly the draws
+    of `rng.choice(seq)` and leaves the same state.  The samplers of `cli`
+    and the random step of `exact_poly.reduce_packed` run this loop inline;
+    this is their reference.  n = 0 raises IndexError, as `choice` of an
+    empty sequence does."""
+    k = n.bit_length()
+    r = bits(k)
+    while r >= n:
+        if n < 1:
+            raise IndexError("Cannot choose from an empty sequence")
+        r = bits(k)
+    return r
 
 
 def randint_poly(vs, rng):
@@ -550,6 +593,20 @@ def tuple_reduce_terms(terms, system, max_steps=10**6, bits=None):
             else:
                 terms.pop(target, None)
     return terms
+
+
+def unpacked_entry(table, system, x):
+    """The entry of `table` (a `RewriteTable` of `system`) at the packed
+    monomial x, as the table computed it before its lead test ran on the
+    packed int: x unpacked, and a rule listed when m[i] >= e for each of its
+    `lead_divisors` pairs (i, e), its targets x plus each packed shift."""
+    code = table.code
+    mono = code.unpack(x)
+    return tuple(
+        tuple((x + code.shift(s), d) for s, d in shifts)
+        for need, shifts in zip(system.lead_divisors, system.replacement_shifts)
+        if all(mono[i] >= e for i, e in need)
+    )
 
 
 # -- stratum reports by element objects -----------------------------------------

@@ -340,6 +340,19 @@ def test_suite_texts(monkeypatch, config, suite, limit, expected):
     assert run_cli(ROOT / config, ["verify", suite]) == (0, expected + "\n")
 
 
+@pytest.mark.parametrize(
+    "suite,expected",
+    [
+        ("confluence", '{"suite": "confluence", "ok": true, "details": {"reductions": 164000}}'),
+        ("kstable", KSTABLE),
+    ],
+)
+def test_rewrite_suite_texts_at_width_eight(suite, expected):
+    # The 164 strata of paired_n4.json: the rewrite suites on a code of
+    # eight fields, a second width beside the six of paired_n3.json.
+    assert run_cli(ROOT / "perfbench/configs/paired_n4.json", ["verify", suite]) == (0, expected + "\n")
+
+
 def test_associativity_step_boundary(monkeypatch):
     # The costliest associativity product takes 74 steps: at 73 the suite
     # ends in the budget error, as the CI step checks with grep.

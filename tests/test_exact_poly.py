@@ -1,25 +1,36 @@
 """Tests for the exact Laurent-polynomial layer and the group lattice analysis."""
 
+import functools
 import itertools
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from oracles import divide_exact, monomial_divides, random_params, rebuild_reduce_poly, tuple_reduce_terms
+from oracles import (
+    divide_exact,
+    draw_below,
+    monomial_divides,
+    random_params,
+    rebuild_reduce_poly,
+    tuple_reduce_terms,
+    unpacked_entry,
+)
 from poisson_strata.admissible import enumerate_admissible
 from poisson_strata import exact_poly
 from poisson_strata.algebra_an import quotient_system
+from poisson_strata.cli import load_config
 from poisson_strata.exact_poly import (
     LaurentPoly,
     ReductionRule,
     ReductionSystem,
+    RewriteTable,
     StepBudget,
     StepBudgetExceeded,
     VarSpec,
     VarSpecMismatch,
-    draw_below,
     factor_rational,
     format_poly,
     group_analysis,
@@ -28,6 +39,7 @@ from poisson_strata.exact_poly import (
     reduce_packed,
     reduce_poly,
     reduce_terms,
+    rewrite_candidates,
 )
 
 VS2 = VarSpec(("y1", "x1", "y2", "x2"))
@@ -420,6 +432,97 @@ def test_rewrite_table_over_invertible_variables():
             assert table[code.pack(m)] == expected_entry(LAURENT_SYSTEM, code, m)
 
 
+PAIRED_N3 = Path(__file__).resolve().parent.parent / "perfbench" / "configs" / "paired_n3.json"
+
+
+@functools.cache
+def table_monomials(code, reach, invertible):
+    """The monomials within `reach`, what `code` was sized for: every one
+    whose absolute exponents sum to at most `reach`, negative only at the
+    `invertible` indices, and each variable alone at the extremes of its
+    field (a non-invertible one from 0 up)."""
+    low, high = -code.bias, code.bias - 1
+    extremes = [
+        tuple(v if i == p else 0 for i in range(code.width))
+        for p in range(code.width)
+        for v in ((low, low + 1, high - 1, high) if p in invertible else (high - 1, high))
+    ]
+    return signed_monomials(code.width, reach, invertible) + extremes
+
+
+def table_mismatches(table, system, reach=3):
+    """The packed monomials within `reach` whose entry in `table` differs
+    from the unpack-based entry of `oracles.unpacked_entry`."""
+    code, vs = table.code, system.varspec
+    invertible = frozenset(i for i in range(code.width) if vs.is_invertible(i))
+    packed = map(code.pack, table_monomials(code, reach, invertible))
+    return [x for x in packed if table[x] != unpacked_entry(table, system, x)]
+
+
+# Leads at, below and above the bias (128) of an 8-bit field.  None of 128 or
+# more divides a monomial of that code; the table leaves out the one above
+# the bias, whose subtraction would borrow from the next field.
+WIDE_LEADS = ReductionSystem(
+    VS2,
+    (
+        ReductionRule((0, 127, 0, 0), LaurentPoly.monomial(VS2, {"y1": 1}, 2)),
+        ReductionRule((0, 0, 128, 0), LaurentPoly.zero(VS2)),
+        ReductionRule((1, 0, 0, 129), LaurentPoly.zero(VS2)),
+        ReductionRule((1, 0, 0, 1), LaurentPoly.monomial(VS2, {"x1": 1})),
+    ),
+)
+
+
+def lead_test_systems():
+    """The 48 systems of paired_n3.json, the systems of `random_params` at
+    n = 1, 2, 3, LAURENT_SYSTEM, whose y's are invertible, and WIDE_LEADS,
+    each with its table for degree 3 and no step, and that table's reach:
+    3, the confluence suite's, and 3 plus one step's drift on
+    LAURENT_SYSTEM."""
+    params = load_config(str(PAIRED_N3)).poisson
+    systems = [quotient_system(params, t) for t in enumerate_admissible(3)]
+    rng = random.Random(25)
+    for n in (1, 2, 3):
+        params = random_params(n, rng)
+        systems.extend(quotient_system(params, t) for t in enumerate_admissible(n))
+    systems += [LAURENT_SYSTEM, WIDE_LEADS]
+    return [(system, system.rewrites(3, 0), 3 + system.drift) for system in systems]
+
+
+def test_packed_lead_test_matches_the_unpacked_one():
+    # On every monomial within each code's reach, and at each field's
+    # extremes, the lead test on the packed int lists the entry that
+    # unpacking the monomial and comparing exponents lists.
+    cases = lead_test_systems()
+    assert len(cases) == 48 + 4 + 14 + 48 + 2
+    assert [(table.code.bits, reach) for _, table, reach in cases[-2:]] == [(8, 5), (8, 3)]
+    for system, table, reach in cases:
+        assert table_mismatches(table, system, reach) == []
+    assert len(cases[-1][1].rules) == 3
+
+
+def test_a_lead_test_missing_one_field_is_caught():
+    # Drop the top bit of any one needed field from a rule's mask: the
+    # comparison with the unpacked test must then find a monomial it lists
+    # wrongly, for every rule and field of the first 14 systems of
+    # paired_n3.json.
+    params = load_config(str(PAIRED_N3)).poisson
+    mutants = 0
+    for t_set in enumerate_admissible(3)[:14]:
+        system = quotient_system(params, t_set)
+        table = system.rewrites(3, 0)
+        code = table.code
+        assert len(table.rules) == len(system.rules)  # no lead passes a field
+        for k, (subtrahend, mask, shifts) in enumerate(table.rules):
+            for i, _ in system.lead_divisors[k]:
+                rules = list(table.rules)
+                rules[k] = (subtrahend, mask & ~(code.bias << code.offsets[i]), shifts)
+                mutant = RewriteTable(code, tuple(rules))
+                assert table_mismatches(mutant, system) != []
+                mutants += 1
+    assert mutants > 14
+
+
 def signed_monomials(width, degree, invertible):
     """Every exponent vector of `width` entries whose absolute values sum to
     at most `degree`, negative only at the `invertible` indices."""
@@ -502,6 +605,34 @@ def test_packed_loop_matches_the_tuple_loop_on_packed_inputs():
                 assert list(code.unpack_terms(out).items()) == list(expected.items())
                 assert (out is packed) == (expected is f.terms)
             assert packed_rng.getstate() == tuple_rng.getstate()
+
+
+def test_a_listed_first_step_draws_as_the_loop_does():
+    # The confluence suite lists an input's first-step candidates once and
+    # hands the list to both random reductions: with it the loop gives the
+    # same normal forms, in the same order, and leaves the same rng state as
+    # the loop that lists them itself.  An empty list is exactly an input
+    # that every reduction returns itself.
+    rng = random.Random(26)
+    params = random_params(3, rng)
+    empty = 0
+    for t_set in enumerate_admissible(3):
+        system = quotient_system(params, t_set)
+        table = system.rewrites(3, 10**6)
+        for _ in range(20):
+            f = random_poly(system.varspec, rng, max_degree=3)
+            packed = table.code.pack_terms(f.terms)
+            first = rewrite_candidates(packed, table)
+            assert (reduce_packed(packed, table, 10**6) is packed) == (not first)
+            empty += not first
+            seed = rng.randrange(10**6)
+            listed_rng, plain_rng = random.Random(seed), random.Random(seed)
+            for _ in range(2):
+                listed = reduce_packed(packed, table, 10**6, listed_rng.getrandbits, first)
+                plain = reduce_packed(packed, table, 10**6, plain_rng.getrandbits)
+                assert list(listed.items()) == list(plain.items())
+            assert listed_rng.getstate() == plain_rng.getstate()
+    assert 0 < empty < 48 * 20
 
 
 def test_reduce_budget_matches_rebuild_reference():

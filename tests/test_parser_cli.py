@@ -1064,7 +1064,7 @@ def suite_monomials(n):
     ],
 )
 def test_suite_generators_draw_the_plain_inputs(seed, count, owner, reference, sampler):
-    # Over a suite's full draw count at n = 3, the `draw_below` generators
+    # Over a suite's full draw count at n = 3, the inline-draw generators
     # give the same values, unpacked term for term in the same order, and
     # leave the rng in the same state as the randint/randrange spelling.
     draw = sampler(owner)

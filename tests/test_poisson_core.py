@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from oracles import (
+    all_pairs_residuals,
     double_extension_normal_element,
     is_poisson_normal,
     jacobi_walk,
@@ -18,12 +19,14 @@ from oracles import (
     ring_poisson_target,
     truncated,
 )
-from poisson_strata import cli
+from poisson_strata import cli, poisson_core
 from poisson_strata.admissible import enumerate_admissible
 from poisson_strata.algebra_an import (
     PoissonParams,
     build_an,
     iterated_presentation,
+    k_basis,
+    k_derivation,
     tail_element,
 )
 from poisson_strata.correspondence import poisson_stratum_map
@@ -639,3 +642,90 @@ def test_derivation_checks():
         ("y1", "x2", "-9*x1*x2"),
         ("y2", "x2", "-3*x1^2"),
     ]
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def same_residuals(structure, deriv, alpha=None):
+    """`derivation_residuals`, asserted to name the pairs and residuals of
+    the all-pairs walk, each residual term for term in its order."""
+    got = derivation_residuals(structure, deriv, alpha)
+
+    def items(found):
+        return [(a, b, list(r.terms.items())) for a, b, r in found]
+
+    assert items(got) == items(all_pairs_residuals(structure, deriv, alpha))
+    return got
+
+
+def presentation_checks(params):
+    """The (structure, derivation, alpha) of every residual walk that
+    `iterated_presentation` runs through `ore_extend`, four per level."""
+    calls = []
+    real = poisson_core.derivation_residuals
+
+    def record(structure, deriv, alpha=None):
+        calls.append((structure, deriv, alpha))
+        return real(structure, deriv, alpha)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(poisson_core, "derivation_residuals", record)
+        iterated_presentation(params)
+    assert len(calls) == 4 * params.n
+    return calls
+
+
+def shipped_and_random_params():
+    shipped = [
+        cli.load_config(str(path)).poisson
+        for path in sorted([*(ROOT / "configs").glob("*.json"), *(ROOT / "perfbench" / "configs").glob("*.json")])
+    ]
+    rng = random.Random(31)
+    return [params for params in shipped if params is not None] + [random_params(n, rng) for n in (1, 2, 3, 4, 5)]
+
+
+def test_derivation_walk_skips_only_pairs_that_cannot_fail():
+    # On every Poisson config shipped and on random parameters, the weight
+    # derivations of `verify weights` and every extension check of the
+    # iterated presentation name no pair, as the walk over every pair finds.
+    cases = shipped_and_random_params()
+    assert len(cases) == 6 + 5
+    for params in cases:
+        structure = params.an
+        for h in k_basis(params.n):
+            assert same_residuals(structure, k_derivation(params, h)) == []
+        for structure, deriv, alpha in presentation_checks(params):
+            assert same_residuals(structure, deriv, alpha) == []
+
+
+def log_canonical_failures(structure, found):
+    """The failing pairs of `found` whose table entry has no rest."""
+    names = structure.varspec.names
+    return {(a, b) for a, b, _ in found} - {(names[i], names[j]) for i, j, _ in structure.rest}
+
+
+def test_derivation_walk_names_each_failure_of_a_mutant():
+    # Three mutants on every case of the test above from n = 2, each of
+    # which fails on a pair the walk must not skip: a non-scaling image of
+    # y1, which fails on a log-canonical pair; a wrong weight on x2, which
+    # fails on (y2, x2), the pair with a tail; and a wrong compatibility
+    # image, delta scaling y1, which fails on a log-canonical pair although
+    # a derivation test alone would pass it.  The walk names the all-pairs
+    # walk's pairs and residuals.
+    for params in shipped_and_random_params():
+        if params.n < 2:
+            continue
+        structure = params.an
+        vs = structure.varspec
+        h = k_basis(params.n)[0]
+        deriv = k_derivation(params, h)
+        images = dict(deriv.images, y1=LaurentPoly.variable(vs, "x2"))
+        assert log_canonical_failures(structure, same_residuals(structure, PoissonDerivation(vs, images)))
+        weights = dict(zip(vs.names, h))
+        weights["x2"] += 1
+        assert ("y2", "x2") in [pair[:2] for pair in same_residuals(structure, PoissonDerivation.scaling(vs, weights))]
+        top, delta, alpha = presentation_checks(params)[-1]
+        assert alpha is not None and same_residuals(top, delta, alpha) == []
+        images = dict(delta.images, y1=LaurentPoly.variable(top.varspec, "y1"))
+        assert log_canonical_failures(top, same_residuals(top, PoissonDerivation(top.varspec, images), alpha))
