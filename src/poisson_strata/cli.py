@@ -1,8 +1,8 @@
 """Command-line entry point: config ingestion, dispatch, report emission.
 
 Configs are JSON with every rational written as a string "a/b" (plain
-integers are accepted; floats and exponent notation such as "1e400" are
-rejected to keep the arithmetic exact and its cost bounded).
+integers are accepted; floats, non-ASCII text and exponent notation such
+as "1e400" are rejected to keep the arithmetic exact and its cost bounded).
 All commands print JSON to stdout.  A failed verification, a failed
 stratum of `map-report` included, exits 1 with its report; any error, a bad
 command line included, exits 2 with a machine-readable {"error", "message"}
@@ -23,7 +23,7 @@ command and the strata of a run; each product of `verify associativity`
 and `verify normality` and each normal form of `verify confluence` and
 `verify kstable` has its own.
 Past its budget a command ends in a StepBudgetExceeded error; a budget that
-is not a positive integer ends every command in a ConfigError.
+is not a positive integer in ASCII digits ends every command in a ConfigError.
 """
 
 from __future__ import annotations
@@ -122,6 +122,8 @@ def _rational(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        if not value.isascii():  # Fraction reads every Unicode digit and space
+            raise ConfigError(f"bad rational literal {value!r}: only ASCII characters are accepted")
         if "e" in value or "E" in value:
             # Fraction builds 10**exponent exactly: "1e10000000" alone runs for
             # seconds, and each further digit of the exponent takes ten times longer.
@@ -230,6 +232,9 @@ def load_config(path: str) -> Config:
             weights[int(key)] = _rational(value)
     limit = os.environ.get(ENV_STEP_BUDGET)
     try:
+        # int() alone would also read spaces, "+", underscores and other scripts' digits
+        if limit is not None and not re.fullmatch("-?[0-9]+", limit):
+            raise ValueError
         step_limit = DEFAULT_STEP_BUDGET if limit is None else int(limit)
     except ValueError:
         raise ConfigError(f"{ENV_STEP_BUDGET} must be an integer, got {limit!r}") from None
@@ -265,7 +270,8 @@ def _require_quantum(config: Config) -> QuantumParams:
 # reach len(seq), the loop `rng.choice`, `randint(a, b)` and `randrange(len)`
 # run for each draw, so the inputs and the final rng state are those of the
 # plain spelling (`tests/oracles.draw_below` is that loop as a function, the
-# tests' reference).  Each range's length and k are computed here once.
+# tests' reference).  Each range's length and k are computed here once, and
+# those of a position below a code's width once per run, beside the run's code.
 _TERM_COUNTS = range(1, 4)
 _TERM_DEGREES = range(0, 4)
 _TERM_COEFFS = tuple(map(Fraction, range(-4, 5)))
@@ -276,26 +282,26 @@ _COUNT_DRAW, _DEGREE_DRAW, _COEFF_DRAW, _LENGTH_DRAW, _WORD_COEFF_DRAW = (
     (len(seq), len(seq).bit_length())
     for seq in (_TERM_COUNTS, _TERM_DEGREES, _TERM_COEFFS, _WORD_LENGTHS, _WORD_COEFFS)
 )
+Draw = tuple[int, int]  # the length of a range and the k of a draw from it
 
 
-def _random_exponents(bits, code: MonomialCode, degrees: range, draw: tuple[int, int]) -> int:
+def _random_exponents(bits, code: MonomialCode, positions: Draw, degrees: range, draw: Draw) -> int:
     """A packed monomial of `code`: a degree drawn from `degrees`, whose
     length and k are `draw`, then that many unit positions below the code's
-    width, each adding its unit (one on the position's field and one on the
-    degree) to the packed 1.  The degree is drawn at width 0 too, where the
-    monomial is 1 and no position is drawn.  Every draw is the inline loop
-    of `tests/oracles.draw_below`, the positions' k computed once per call.
+    width, whose length and k are `positions`, each adding its unit (one on
+    the position's field and one on the degree) to the packed 1.  The
+    degree is drawn at width 0 too, where the monomial is 1 and no position
+    is drawn.  Every draw is the inline loop of `tests/oracles.draw_below`.
     The code's fields must hold the largest degree."""
     mono = code.origin
     units = code.units
-    width = code.width
     n, k = draw
     r = bits(k)
     while r >= n:
         r = bits(k)
     degree = degrees[r]
+    width, k = positions
     if width:
-        k = width.bit_length()
         for _ in range(degree):
             r = bits(k)
             while r >= width:
@@ -304,12 +310,12 @@ def _random_exponents(bits, code: MonomialCode, degrees: range, draw: tuple[int,
     return mono
 
 
-def _random_terms(code: MonomialCode, rng: random.Random) -> dict[int, Fraction]:
+def _random_terms(code: MonomialCode, positions: Draw, rng: random.Random) -> dict[int, Fraction]:
     """The canonical packed term map of at most three terms, each of degree
     at most three, over a ring of `code.width` variables none of them
-    killed; a monomial drawn twice keeps its last coefficient.  The draws
-    first map each monomial to its coefficient's index, so the zeros are
-    dropped by an integer test."""
+    killed, `positions` the draw of a position; a monomial drawn twice
+    keeps its last coefficient.  The draws first map each monomial to its
+    coefficient's index, so the zeros are dropped by an integer test."""
     bits = rng.getrandbits
     n, k = _COUNT_DRAW
     count = bits(k)
@@ -318,7 +324,7 @@ def _random_terms(code: MonomialCode, rng: random.Random) -> dict[int, Fraction]
     n, k = _COEFF_DRAW
     drawn = {}
     for _ in range(_TERM_COUNTS[count]):
-        mono = _random_exponents(bits, code, _TERM_DEGREES, _DEGREE_DRAW)
+        mono = _random_exponents(bits, code, positions, _TERM_DEGREES, _DEGREE_DRAW)
         i = bits(k)
         while i >= n:
             i = bits(k)
@@ -331,14 +337,15 @@ def _random_terms(code: MonomialCode, rng: random.Random) -> dict[int, Fraction]
 
 
 def _random_monomial(
-    code: MonomialCode, decoded: dict[int, tuple[int, ...]], rng: random.Random
+    code: MonomialCode, positions: Draw, decoded: dict[int, tuple[int, ...]], rng: random.Random
 ) -> NCElement:
     """One standard monomial of degree at most four, coefficient 1 to 4,
-    over the code.width / 2 pairs of `code`: drawn packed and decoded
-    through `decoded`, a run's map from the packed words of that code to
-    their exponent vectors, filled as words are first drawn."""
+    over the code.width / 2 pairs of `code`, `positions` the draw of a
+    position: drawn packed and decoded through `decoded`, a run's
+    map from the packed words of that code to their exponent vectors,
+    filled as words are first drawn."""
     bits = rng.getrandbits
-    word = _random_exponents(bits, code, _WORD_LENGTHS, _LENGTH_DRAW)
+    word = _random_exponents(bits, code, positions, _WORD_LENGTHS, _LENGTH_DRAW)
     mono = decoded.get(word)
     if mono is None:
         mono = decoded[word] = code.unpack(word)
@@ -368,8 +375,8 @@ def suite_omega_identities(config: Config) -> dict:
 def suite_confluence(config: Config) -> dict:
     """Each stratum's system gives every random input one normal form: the
     deterministic one and two random ones.  The inputs and normal forms are
-    packed term maps over A_n's variables, in the code of the system's
-    table for the inputs' largest degree, so the owner is checked once per
+    packed term maps over A_n's variables, in one code for the run whose
+    fields hold the inputs' largest degree, so the owner is checked once per
     stratum and a failure alone is unpacked: it prints the input, the
     deterministic normal form and the random one that differs from it.  An
     input's first-step candidates are listed once; both random reductions
@@ -379,15 +386,16 @@ def suite_confluence(config: Config) -> dict:
     budget = config.step_limit
     rng = random.Random(11)
     bits = rng.getrandbits
+    code = monomial_code(len(vs), _TERM_DEGREES[-1])
+    positions = code.width, code.width.bit_length()
     checked = 0
     for t_set in config.strata:
         system = quotient_system(params, t_set)
         if not same_owner(system.varspec, vs):
             raise VarSpecMismatch("polynomial and reduction system disagree on variables")
-        table = system.rewrites(_TERM_DEGREES[-1], budget)
-        code = table.code
+        table = system.rewrites(code)
         for _ in range(RANDOM_TRIALS):
-            terms = _random_terms(code, rng)
+            terms = _random_terms(code, positions, rng)
             # No first-step candidate means no rule applies: every reduction
             # would return the input itself, and the random ones draw nothing.
             first = rewrite_candidates(terms, table)
@@ -415,7 +423,7 @@ def suite_k_stability(config: Config) -> dict:
     """Each member of each stratum ideal must reduce to zero after a bracket
     with any generator or the action of any weight vector.  A member's
     images do not depend on the stratum, so each is built once per run,
-    packed once per code of the systems' tables (sized for the images'
+    packed once in the run's one code (whose fields hold the images'
     largest degree) and reduced against every stratum's system by the
     rewrite loop; the owner is checked once per stratum, and a residual is
     unpacked only for its text."""
@@ -436,25 +444,18 @@ def suite_k_stability(config: Config) -> dict:
             (f"weight vector ({', '.join(map(str, h))}) on {name}", d.apply(poly).terms)
             for h, d in zip(basis, derivations)
         ]
-    degree = max(
-        (sum(map(abs, m)) for pairs in images.values() for _, terms in pairs for m in terms), default=0
-    )
-    packed: dict[MonomialCode, dict[str, list[tuple[str, dict[int, Fraction]]]]] = {}
+    degree = max((sum(m) for pairs in images.values() for _, terms in pairs for m in terms), default=0)
+    code = monomial_code(len(vs), degree)
+    packed = {name: [(label, code.pack_terms(t)) for label, t in pairs] for name, pairs in images.items()}
     failures = []
     for t_set in config.strata:
         system = quotient_system(params, t_set)
         if not same_owner(system.varspec, vs):
             raise VarSpecMismatch("polynomial and reduction system disagree on variables")
-        table = system.rewrites(degree, budget)
-        code = table.code
-        if code not in packed:
-            packed[code] = {
-                name: [(label, code.pack_terms(terms)) for label, terms in pairs]
-                for name, pairs in images.items()
-            }
+        table = system.rewrites(code)
         members = list(t_set.member_names())
         for name in members:
-            for label, terms in packed[code][name]:
+            for label, terms in packed[name]:
                 residual = reduce_packed(terms, table, budget)
                 if residual:
                     text = format_terms(code.unpack_terms(residual), vs.names)
@@ -466,12 +467,13 @@ def suite_associativity(config: Config) -> dict:
     params = _require_quantum(config)
     rng = random.Random(13)
     code, decoded = monomial_code(2 * params.n, _WORD_LENGTHS[-1]), {}
+    positions = code.width, code.width.bit_length()
 
     def mul(a: NCElement, b: NCElement) -> NCElement:
         return nc_multiply(params, a, b, StepBudget(config.step_limit))
 
     for _ in range(RANDOM_TRIALS):
-        f, g, h = (_random_monomial(code, decoded, rng) for _ in range(3))
+        f, g, h = (_random_monomial(code, positions, decoded, rng) for _ in range(3))
         left = mul(mul(f, g), h)
         right = mul(f, mul(g, h))
         if left != right:

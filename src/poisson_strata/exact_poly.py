@@ -7,9 +7,9 @@ the owning `VarSpec` declares invertible.  The sparse term-map arithmetic,
 its canonical formatter and its validation rules (`TermMap`, `accumulate`,
 `format_terms`) are written here once and shared with the quantized
 algebra's elements.  The module also holds the one step budget of every
-bounded computation (`StepBudget`), rule-based commutative reduction (for
-quotients by confluent rule systems) and the integer-lattice analysis of
-multiplicative subgroups of Q* used by the parameter-group checks.
+bounded computation (`StepBudget`), rule-based reduction of polynomials
+(for quotients by confluent rule systems) and the integer-lattice analysis
+of multiplicative subgroups of Q* used by the parameter-group checks.
 """
 
 from __future__ import annotations
@@ -118,9 +118,6 @@ class VarSpec:
             if e < 0 and i not in self.invertible_indices:
                 raise ValueError(f"negative exponent on non-invertible variable {self.names[i]!r}")
         return True
-
-    def is_invertible(self, i: int) -> bool:
-        return i in self.invertible_indices
 
     def extended(self, name: str) -> VarSpec:
         """These variables and one more, not flagged, appended last."""
@@ -555,15 +552,14 @@ class RewriteTable(dict):
     `code` is the table's `MonomialCode`.  `rules` holds, per rule that can
     divide a monomial of the code, its lead test (subtrahend, mask) and its
     packed shifts (u - lead, d).  The lead test runs on the packed int: the
-    subtrahend holds the lead's exponent e on each field the test needs
-    (the non-invertible variables where e > 0) and the mask the top bit of
-    those fields.  Such a field holds m_i + bias with 0 <= m_i < bias, and
-    e <= bias, so subtracting e borrows from no other field, and the
-    field's top bit stays set iff m_i >= e: the lead divides m, m / lead
-    being a monomial of the ring, iff (x - subtrahend) & mask == mask.
-    A lead past a field's range divides no monomial of the code and has no
-    rule here.  The tests keep the test on the unpacked monomial
-    (`tests/oracles.unpacked_entry`) as its reference.
+    subtrahend holds the lead's exponent e on each field where e > 0 and the
+    mask the top bit of those fields.  Such a field holds m_i + bias with
+    0 <= m_i < bias, and e <= bias, so subtracting e borrows from no other
+    field, and the field's top bit stays set iff m_i >= e: the lead divides
+    m iff (x - subtrahend) & mask == mask.  A lead past a field's range
+    divides no monomial of the code and has no rule here.  The tests keep
+    the test on the unpacked monomial (`tests/oracles.unpacked_entry`) as
+    its reference.
     """
 
     __slots__ = ("code", "rules")
@@ -584,38 +580,24 @@ class RewriteTable(dict):
 
 @dataclass(frozen=True)
 class ReductionSystem:
-    """A confluent commutative rewriting system lead-monomial -> polynomial.
+    """A confluent commutative rewriting system lead-monomial -> polynomial
+    on a polynomial ring: no variable is invertible (ValueError otherwise).
 
     Well-formedness (checked): every lead is a monomial of the ring, lead
     monomials are pairwise distinct and every replacement is strictly smaller
     than its lead in the term order.  Confluence itself is the supplier's
-    responsibility.
-
-    Construction also derives what the rewrite tables are built from: per
-    rule the (index, exponent) pairs of its lead on non-invertible
-    variables with a positive exponent (`lead_divisors`), from which each
-    table builds its packed lead test, since a ring monomial m is divisible
-    by the lead iff m[i] >= e for each pair; the replacement's terms as
-    (u - lead, d) in the replacement's term order (`replacement_shifts`);
-    and `drift`, the largest amount by which one step can move one exponent
-    on a ring with invertible variables (0 on a ring without them).
-    `rewrites` hands out the system's `RewriteTable` of each code, built on
-    first use from these and kept in `tables`.  None of these
-    take part in equality, hashing or repr.
+    responsibility.  `rewrites` hands out the system's `RewriteTable` of
+    each code, built on first use and kept in `tables`, which takes no part
+    in equality, hashing or repr.
     """
 
     varspec: VarSpec
     rules: tuple[ReductionRule, ...]
-    lead_divisors: tuple[tuple[tuple[int, int], ...], ...] = field(
-        init=False, repr=False, compare=False
-    )
-    replacement_shifts: tuple[tuple[tuple[tuple[int, ...], Fraction], ...], ...] = field(
-        init=False, repr=False, compare=False
-    )
-    drift: int = field(init=False, repr=False, compare=False)
     tables: dict[MonomialCode, RewriteTable] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if self.varspec.invertible:
+            raise ValueError(f"cannot rewrite over inverted variables {sorted(self.varspec.invertible)}")
         leads = [r.lead for r in self.rules]
         if len(set(leads)) != len(leads):
             raise ValueError("duplicate rule lead monomials")
@@ -628,54 +610,26 @@ class ReductionSystem:
                     raise ValueError(
                         f"replacement of rule {r.lead} does not decrease the term order"
                     )
-        divisors = tuple(
-            tuple(
-                (i, e)
-                for i, e in enumerate(r.lead)
-                if e > 0 and not self.varspec.is_invertible(i)
-            )
-            for r in self.rules
-        )
-        shifts = tuple(
-            tuple((tuple(map(sub, m, r.lead)), c) for m, c in r.replacement.terms.items())
-            for r in self.rules
-        )
-        drift = 0
-        if self.varspec.invertible:
-            drift = max((abs(e) for rule in shifts for s, _ in rule for e in s), default=0)
-        object.__setattr__(self, "lead_divisors", divisors)
-        object.__setattr__(self, "replacement_shifts", shifts)
-        object.__setattr__(self, "drift", drift)
         object.__setattr__(self, "tables", {})
 
-    def rewrites(self, degree: int, max_steps: int) -> RewriteTable:
-        """The table of the narrowest code that holds every monomial a
-        reduction of at most max_steps steps meets, from input monomials
-        whose absolute exponents sum to at most `degree`.
-
-        On a ring without invertible variables no exponent ever passes
-        `degree`: exponents stay nonnegative, and no step raises the total
-        degree, since every replacement lies below its lead in the
-        degree-first order.  With invertible variables each step moves an
-        exponent by at most `drift`, and the table also lists the targets of
-        the monomials met after the last step, so the bound is degree +
-        (max_steps + 1) * drift.  So no packed monomial the loop meets ever
-        wraps."""
-        code = monomial_code(len(self.varspec), degree + (max_steps + 1) * self.drift)
+    def rewrites(self, code: MonomialCode) -> RewriteTable:
+        """The system's table for `code`, a code of the system's width.  A
+        code whose fields hold the inputs' total degree holds every monomial
+        a reduction of them meets: exponents stay nonnegative, and no step
+        raises the total degree, since every replacement lies below its lead
+        in the degree-first order.  So no packed monomial the loop meets
+        ever wraps."""
         table = self.tables.get(code)
         if table is None:
             offsets, bias = code.offsets, code.bias
-            rules = tuple(
-                (
-                    sum(e << offsets[i] for i, e in need),
-                    sum(bias << offsets[i] for i, _ in need),
-                    tuple((code.shift(s), d) for s, d in shifts),
-                )
-                for need, shifts in zip(self.lead_divisors, self.replacement_shifts)
-                # a lead past a field's range divides no monomial of the code
-                if all(e <= bias for _, e in need)
-            )
-            table = self.tables[code] = RewriteTable(code, rules)
+            rules = []
+            for r in self.rules:
+                need = [(offsets[i], e) for i, e in enumerate(r.lead) if e]
+                if all(e <= bias for _, e in need):  # else it divides no monomial of the code
+                    terms = r.replacement.terms.items()
+                    shifts = tuple((code.shift(map(sub, u, r.lead)), d) for u, d in terms)
+                    rules.append((sum(e << k for k, e in need), sum(bias << k for k, _ in need), shifts))
+            table = self.tables[code] = RewriteTable(code, tuple(rules))
         return table
 
 
@@ -698,7 +652,9 @@ def reduce_packed(
     first: Optional[list] = None,
 ) -> dict[int, Fraction]:
     """The normal form of a canonical packed term map, keyed by the packed
-    monomials of `table.code`, as a packed term map: the one rewrite loop.
+    monomials of `table.code`, whose fields must hold the map's total
+    degree (`ReductionSystem.rewrites`), as a packed term map: the one
+    rewrite loop.
 
     The result has no term divisible by any rule lead.  The rules that
     apply to a term, and the packed targets of each, are one lookup in the
@@ -772,38 +728,20 @@ def reduce_packed(
     return terms
 
 
-def reduce_terms(
-    terms: dict[tuple[int, ...], Fraction],
-    system: ReductionSystem,
-    max_steps: int,
-    bits=None,
-) -> dict[tuple[int, ...], Fraction]:
-    """The normal form of a canonical term map over the system's variables,
-    as a term map keyed by exponent vectors; the boundary of the rewrite
-    loop `reduce_packed`, which builds no polynomial and checks no owner.
-
-    It packs the map with the system's table for the input's largest
-    absolute degree (`ReductionSystem.rewrites`), runs the loop, with
-    `bits` as there, and unpacks the result in its order.  When no rule
-    applies the input itself is returned.
-    """
-    table = system.rewrites(max((sum(map(abs, m)) for m in terms), default=0), max_steps)
-    packed = table.code.pack_terms(terms)
-    out = reduce_packed(packed, table, max_steps, bits)
-    return terms if out is packed else table.code.unpack_terms(out)
-
-
 def reduce_poly(
     f: LaurentPoly, system: ReductionSystem, max_steps: int = DEFAULT_STEP_BUDGET
 ) -> LaurentPoly:
     """Rewrite f to its normal form under the system, each step on the
-    largest reducible term: the owner check, the rewrite core `reduce_terms`
-    and one `LaurentPoly` for the result; when no rule applies, f itself is
-    returned."""
+    largest reducible term: the owner check, then f's terms packed in the
+    code of their total degree, the rewrite loop `reduce_packed` and one
+    `LaurentPoly` of the unpacked result, in its order; when no rule
+    applies, f itself is returned."""
     if not same_owner(f.varspec, system.varspec):
         raise VarSpecMismatch("polynomial and reduction system disagree on variables")
-    terms = reduce_terms(f.terms, system, max_steps)
-    return f if terms is f.terms else LaurentPoly._trusted(system.varspec, terms)
+    table = system.rewrites(monomial_code(len(system.varspec), max(map(sum, f.terms), default=0)))
+    packed = table.code.pack_terms(f.terms)
+    out = reduce_packed(packed, table, max_steps)
+    return f if out is packed else LaurentPoly._trusted(system.varspec, table.code.unpack_terms(out))
 
 
 # -- prime-factored view of rationals and the parameter-group lattice ----

@@ -25,7 +25,7 @@ import random
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations, product
-from operator import mul
+from operator import mul, sub
 from typing import Optional, Sequence
 
 from poisson_strata.admissible import AdmissibleSet, derived_sets, stratum_label
@@ -39,7 +39,9 @@ from poisson_strata.exact_poly import (
     VarSpec,
     factor_rational,
     format_terms,
+    monomial_code,
     monomial_key,
+    reduce_packed,
 )
 from poisson_strata.parser import Bracket, Expr, Num, Power, Product, Sum, Var
 from poisson_strata.poisson_core import DoubleExtensionSpec, PoissonDerivation, PoissonStructure
@@ -366,7 +368,7 @@ def localized(structure: PoissonStructure, invert) -> PoissonStructure:
 def monomial_divides(divisor: tuple[int, ...], mono: tuple[int, ...], varspec: VarSpec) -> bool:
     """True when mono/divisor is a valid monomial of the ring."""
     for i, (d, m) in enumerate(zip(divisor, mono)):
-        if m - d < 0 and not varspec.is_invertible(i):
+        if m - d < 0 and i not in varspec.invertible_indices:
             return False
     return True
 
@@ -550,10 +552,21 @@ def choice_reduce(f, system, rng):
         f = f - cofactor * LaurentPoly(system.varspec, {rule.lead: 1}) + cofactor * rule.replacement
 
 
+def packed_reduce(terms, system, max_steps=10**6, bits=None):
+    """A term map's normal form by the packed loop: the map packed in the
+    code of its total degree, `exact_poly.reduce_packed` with `bits` as
+    there, the result unpacked in its order, and the input itself when no
+    rule applies."""
+    table = system.rewrites(monomial_code(len(system.varspec), max(map(sum, terms), default=0)))
+    packed = table.code.pack_terms(terms)
+    out = reduce_packed(packed, table, max_steps, bits)
+    return terms if out is packed else table.code.unpack_terms(out)
+
+
 def tuple_reduce_terms(terms, system, max_steps=10**6, bits=None):
     """The rewrite loop as it ran on exponent-vector keys before monomials
-    were packed into ints, the reference for `exact_poly.reduce_terms` and
-    its packed loop: the rules that apply to a term found by
+    were packed into ints, the reference for the packed loop
+    `exact_poly.reduce_packed`: the rules that apply to a term found by
     `monomial_divides`, the largest reducible term by `monomial_key`, the
     random candidates (term, rule) in term order x rule order drawn with
     `draw_below`, and each target m - lead + u built as a tuple.  The input
@@ -598,14 +611,14 @@ def tuple_reduce_terms(terms, system, max_steps=10**6, bits=None):
 def unpacked_entry(table, system, x):
     """The entry of `table` (a `RewriteTable` of `system`) at the packed
     monomial x, as the table computed it before its lead test ran on the
-    packed int: x unpacked, and a rule listed when m[i] >= e for each of its
-    `lead_divisors` pairs (i, e), its targets x plus each packed shift."""
+    packed int: x unpacked, and a rule listed when its lead divides it
+    (`monomial_divides`), its targets x plus each packed shift u - lead."""
     code = table.code
     mono = code.unpack(x)
     return tuple(
-        tuple((x + code.shift(s), d) for s, d in shifts)
-        for need, shifts in zip(system.lead_divisors, system.replacement_shifts)
-        if all(mono[i] >= e for i, e in need)
+        tuple((x + code.shift(map(sub, u, rule.lead)), d) for u, d in rule.replacement.terms.items())
+        for rule in system.rules
+        if monomial_divides(rule.lead, mono, system.varspec)
     )
 
 

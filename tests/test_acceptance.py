@@ -14,6 +14,7 @@ from oracles import (
     double_extension_normal_element,
     growth_check,
     is_poisson_normal,
+    packed_reduce,
     poisson_sample,
     quantum_sample,
     quantum_sample_image,
@@ -56,7 +57,6 @@ from poisson_strata.exact_poly import (
     VarSpec,
     group_analysis,
     reduce_poly,
-    reduce_terms,
 )
 from poisson_strata.poisson_core import (
     DoubleExtensionSpec,
@@ -175,7 +175,7 @@ def test_criterion_05_confluence_and_stability():
                     f = random_poly(vs, rng)
                     base = reduce_poly(f, system).terms
                     for _ in range(2):
-                        other = reduce_terms(f.terms, system, DEFAULT_STEP_BUDGET, rng.getrandbits)
+                        other = packed_reduce(f.terms, system, DEFAULT_STEP_BUDGET, rng.getrandbits)
                         assert other == base
                 for name in t_set.member_names():
                     if name.startswith("Omega"):

@@ -189,6 +189,7 @@ def test_products_charge_their_block_crossings():
 
     params = quantum_sample(3)
     code, decoded = monomial_code(6, _WORD_LENGTHS[-1]), {}
+    positions = 6, (6).bit_length()
 
     def product(f, g):
         budget = StepBudget()
@@ -198,7 +199,7 @@ def test_products_charge_their_block_crossings():
         rng = random.Random(13)
         steps = []
         for _ in range(50):
-            f, g, h = (_random_monomial(code, decoded, rng) for _ in range(3))
+            f, g, h = (_random_monomial(code, positions, decoded, rng) for _ in range(3))
             fg, fg_steps = product(f, g)
             gh, gh_steps = product(g, h)
             steps.append((fg_steps, product(fg, h)[1], gh_steps, product(f, gh)[1]))

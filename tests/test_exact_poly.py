@@ -13,6 +13,7 @@ from oracles import (
     divide_exact,
     draw_below,
     monomial_divides,
+    packed_reduce,
     random_params,
     rebuild_reduce_poly,
     tuple_reduce_terms,
@@ -38,7 +39,6 @@ from poisson_strata.exact_poly import (
     monomial_key,
     reduce_packed,
     reduce_poly,
-    reduce_terms,
     rewrite_candidates,
 )
 
@@ -114,7 +114,7 @@ def product_operands(rng):
         terms = {}
         for _ in range(size):
             mono = tuple(
-                rng.randint(-2, 2) if VS_MIXED.is_invertible(i) else rng.randint(0, 2)
+                rng.randint(-2, 2) if i in VS_MIXED.invertible_indices else rng.randint(0, 2)
                 for i in range(4)
             )
             terms[mono] = Fraction(rng.choice([-5, -3, -1, 1, 2, 4]), rng.choice([1, 2, 3, 4, 6, 9]))
@@ -238,8 +238,10 @@ def test_reduce_no_rule_applies():
     system = ReductionSystem(VS2, (rule,))
     f = LaurentPoly.monomial(VS2, {"y2": 3})
     assert reduce_poly(f, system) is f
-    assert reduce_terms(f.terms, system, 0) is f.terms
-    assert reduce_terms(f.terms, system, 0, random.Random(1).getrandbits) is f.terms
+    table = system.rewrites(monomial_code(4, 3))
+    packed = table.code.pack_terms(f.terms)
+    assert reduce_packed(packed, table, 0) is packed
+    assert reduce_packed(packed, table, 0, random.Random(1).getrandbits) is packed
 
 
 def test_reduce_kills_variable():
@@ -292,43 +294,18 @@ def test_draw_below_makes_the_draws_of_choice():
         draw_below(rng.getrandbits, 0)
 
 
-def laurent_poly(vs, rng, max_terms=4, max_degree=5):
-    """Random polynomial whose invertible variables also take negative exponents."""
-    terms = {}
-    for _ in range(rng.randint(1, max_terms)):
-        mono = [0] * len(vs)
-        for _ in range(rng.randint(0, max_degree)):
-            i = rng.randrange(len(vs))
-            mono[i] += rng.choice((-1, 1)) if vs.is_invertible(i) else 1
-        terms[tuple(mono)] = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
-    return LaurentPoly(vs, terms)
-
-
-VS_INV = VarSpec(("y1", "x1", "y2", "x2"), frozenset({"y1", "y2"}))
-LAURENT_SYSTEM = ReductionSystem(
-    VS_INV,
-    (
-        # the lead's y1 is a unit, so only x2^2 decides divisibility
-        ReductionRule(
-            (1, 0, 0, 2),
-            LaurentPoly(VS_INV, {(0, 1, 0, 0): Fraction(1), (0, 0, -1, 0): Fraction(-1)}),
-        ),
-        ReductionRule((0, 1, 0, 0), LaurentPoly(VS_INV, {(2, 0, -1, 0): Fraction(-2)})),
-    ),
-)
-
-
 def core_reduce(f, system, max_steps=10**6, rng=None):
-    """The rewrite core on f's term map, drawing from rng's `getrandbits`."""
-    return reduce_terms(f.terms, system, max_steps, None if rng is None else rng.getrandbits)
+    """The packed loop on f's term map, drawing from rng's `getrandbits`."""
+    return packed_reduce(f.terms, system, max_steps, None if rng is None else rng.getrandbits)
 
 
 def assert_same_reduction(f, system, seed):
-    # reduce_poly and its core give the rebuild's normal form, term for term
-    # in its order, and so does the rewrite loop on exponent-vector keys;
-    # the core's random steps draw as the rebuild's and that loop's do, and
-    # leave the same rng state.  The core hands back its input when no rule
-    # applies (the rebuild returns f itself then) and never changes it.
+    # reduce_poly and the packed loop give the rebuild's normal form, term
+    # for term in its order, and so does the rewrite loop on exponent-vector
+    # keys; the packed loop's random steps draw as the rebuild's and that
+    # loop's do, and leave the same rng state.  The packed loop hands back
+    # its input when no rule applies (the rebuild returns f itself then) and
+    # never changes it.
     before = list(f.terms.items())
     expected = rebuild_reduce_poly(f, system)
     got = reduce_poly(f, system)
@@ -350,23 +327,20 @@ def assert_same_reduction(f, system, seed):
 def test_reduce_matches_rebuild_reference():
     # The in-place rewrite must walk exactly the rebuild's paths: same normal
     # form, same term insertion order, same rng draws, for every quotient
-    # system up to n = 3 and for a system over invertible variables.
+    # system up to n = 3.
     rng = random.Random(21)
     systems = []
     for n in (1, 2, 3):
         for params in (random_params(n, rng), random_params(n, rng)):
             systems.extend(quotient_system(params, t) for t in enumerate_admissible(n))
     assert len(systems) == 2 * (4 + 14 + 48)
+    unchanged = 0
     for system in systems:
         for _ in range(8):
             f = random_poly(system.varspec, rng, max_degree=rng.choice((3, 6)))
             assert_same_reduction(f, system, rng.randrange(10**6))
-    unchanged = 0
-    for _ in range(200):
-        f = laurent_poly(VS_INV, rng)
-        assert_same_reduction(f, LAURENT_SYSTEM, rng.randrange(10**6))
-        unchanged += reduce_poly(f, LAURENT_SYSTEM) is f
-    assert 0 < unchanged < 200  # both outcomes are covered
+            unchanged += reduce_poly(f, system) is f
+    assert 0 < unchanged < 8 * len(systems)  # both outcomes are covered
 
 
 def monomials_up_to(width, degree):
@@ -406,56 +380,37 @@ def test_rewrite_table_lists_the_targets_of_the_dividing_rules():
         for t_set in enumerate_admissible(n):
             system = quotient_system(params, t_set)
             fresh = quotient_system(params, t_set)
-            table = system.rewrites(4, 10**6)
-            code = table.code
-            assert code is monomial_code(2 * n, 4) and code.bits == 8
+            code = monomial_code(2 * n, 4)
+            table = system.rewrites(code)
+            assert table.code is code and code.bits == 8
             for mono in monos:
                 assert table[code.pack(mono)] == expected_entry(system, code, mono)
             assert len(table) == len(monos) and not fresh.tables
-            assert system.tables == {code: table} and system.rewrites(3, 1) is table
+            assert system.tables == {code: table} and system.rewrites(monomial_code(2 * n, 3)) is table
             assert system == fresh and hash(system) == hash(fresh)
             assert repr(system) == repr(fresh)
-
-
-def test_rewrite_table_over_invertible_variables():
-    # A unit's exponent never blocks a match, whatever its sign.  The table
-    # of a ring with units is sized for max_steps more steps of the largest
-    # shift (2 here), and the one of the empty budget for one step.
-    assert LAURENT_SYSTEM.drift == 2
-    assert LAURENT_SYSTEM.rewrites(3, 0).code.bits == 8
-    assert LAURENT_SYSTEM.rewrites(3, 10**6).code.bits == 32
-    table = LAURENT_SYSTEM.rewrites(3, 10)
-    code = table.code
-    for mono in monomials_up_to(4, 3):
-        for signs in ((1, 1, 1, 1), (-1, 1, -1, 1)):
-            m = tuple(e * s for e, s in zip(mono, signs))
-            assert table[code.pack(m)] == expected_entry(LAURENT_SYSTEM, code, m)
 
 
 PAIRED_N3 = Path(__file__).resolve().parent.parent / "perfbench" / "configs" / "paired_n3.json"
 
 
 @functools.cache
-def table_monomials(code, reach, invertible):
+def table_monomials(code, reach):
     """The monomials within `reach`, what `code` was sized for: every one
-    whose absolute exponents sum to at most `reach`, negative only at the
-    `invertible` indices, and each variable alone at the extremes of its
-    field (a non-invertible one from 0 up)."""
-    low, high = -code.bias, code.bias - 1
+    of total degree at most `reach`, and each variable alone at the top of
+    its field."""
+    high = code.bias - 1
     extremes = [
-        tuple(v if i == p else 0 for i in range(code.width))
-        for p in range(code.width)
-        for v in ((low, low + 1, high - 1, high) if p in invertible else (high - 1, high))
+        tuple(v if i == p else 0 for i in range(code.width)) for p in range(code.width) for v in (high - 1, high)
     ]
-    return signed_monomials(code.width, reach, invertible) + extremes
+    return monomials_up_to(code.width, reach) + extremes
 
 
 def table_mismatches(table, system, reach=3):
     """The packed monomials within `reach` whose entry in `table` differs
     from the unpack-based entry of `oracles.unpacked_entry`."""
-    code, vs = table.code, system.varspec
-    invertible = frozenset(i for i in range(code.width) if vs.is_invertible(i))
-    packed = map(code.pack, table_monomials(code, reach, invertible))
+    code = table.code
+    packed = map(code.pack, table_monomials(code, reach))
     return [x for x in packed if table[x] != unpacked_entry(table, system, x)]
 
 
@@ -475,29 +430,27 @@ WIDE_LEADS = ReductionSystem(
 
 def lead_test_systems():
     """The 48 systems of paired_n3.json, the systems of `random_params` at
-    n = 1, 2, 3, LAURENT_SYSTEM, whose y's are invertible, and WIDE_LEADS,
-    each with its table for degree 3 and no step, and that table's reach:
-    3, the confluence suite's, and 3 plus one step's drift on
-    LAURENT_SYSTEM."""
+    n = 1, 2, 3, and WIDE_LEADS, each with its table for degree 3, the
+    confluence suite's."""
     params = load_config(str(PAIRED_N3)).poisson
     systems = [quotient_system(params, t) for t in enumerate_admissible(3)]
     rng = random.Random(25)
     for n in (1, 2, 3):
         params = random_params(n, rng)
         systems.extend(quotient_system(params, t) for t in enumerate_admissible(n))
-    systems += [LAURENT_SYSTEM, WIDE_LEADS]
-    return [(system, system.rewrites(3, 0), 3 + system.drift) for system in systems]
+    systems.append(WIDE_LEADS)
+    return [(system, system.rewrites(monomial_code(len(system.varspec), 3))) for system in systems]
 
 
 def test_packed_lead_test_matches_the_unpacked_one():
-    # On every monomial within each code's reach, and at each field's
-    # extremes, the lead test on the packed int lists the entry that
-    # unpacking the monomial and comparing exponents lists.
+    # On every monomial within each code's reach, and at the top of each
+    # field, the lead test on the packed int lists the entry that unpacking
+    # the monomial and comparing exponents lists.
     cases = lead_test_systems()
-    assert len(cases) == 48 + 4 + 14 + 48 + 2
-    assert [(table.code.bits, reach) for _, table, reach in cases[-2:]] == [(8, 5), (8, 3)]
-    for system, table, reach in cases:
-        assert table_mismatches(table, system, reach) == []
+    assert len(cases) == 48 + 4 + 14 + 48 + 1
+    assert {table.code.bits for _, table in cases} == {8}
+    for system, table in cases:
+        assert table_mismatches(table, system) == []
     assert len(cases[-1][1].rules) == 3
 
 
@@ -510,11 +463,11 @@ def test_a_lead_test_missing_one_field_is_caught():
     mutants = 0
     for t_set in enumerate_admissible(3)[:14]:
         system = quotient_system(params, t_set)
-        table = system.rewrites(3, 0)
+        table = system.rewrites(monomial_code(6, 3))
         code = table.code
         assert len(table.rules) == len(system.rules)  # no lead passes a field
         for k, (subtrahend, mask, shifts) in enumerate(table.rules):
-            for i, _ in system.lead_divisors[k]:
+            for i in (i for i, e in enumerate(system.rules[k].lead) if e):
                 rules = list(table.rules)
                 rules[k] = (subtrahend, mask & ~(code.bias << code.offsets[i]), shifts)
                 mutant = RewriteTable(code, tuple(rules))
@@ -557,8 +510,7 @@ def test_packed_order_is_the_term_order():
 def test_packing_raises_instead_of_wrapping():
     # An exponent outside a field's range raises; nothing spills into the
     # neighbouring field.  Reductions pick a field wide enough for what they
-    # can reach: the degree of the input on a ring without units, and
-    # max_steps more steps of the largest shift on a ring with them.
+    # can reach, the degree of the input.
     code = monomial_code(2, 3)
     assert code.bits == 8 and monomial_code(2, 127) is code and monomial_code(2, 128).bits == 16
     assert code.unpack(code.pack((127, -128))) == (127, -128)
@@ -574,13 +526,7 @@ def test_packing_raises_instead_of_wrapping():
     f = LaurentPoly(VS2, {(300, 200, 0, 1): Fraction(2), (1, 1, 1, 1): Fraction(1)})
     assert reduce_poly(f, system) == rebuild_reduce_poly(f, system)
     assert reduce_poly(f, system).terms == {(100, 0, 200, 1): Fraction(2, 3**200), (0, 0, 2, 1): Fraction(-1, 3)}
-    # each step lowers the unit y1 by 2: 70 steps take it to -140
-    drop = ReductionSystem(VS_L, (ReductionRule((0, 1), LaurentPoly.monomial(VS_L, {"y1": -2})),))
-    f = LaurentPoly.monomial(VS_L, {"x1": 70})
-    assert reduce_poly(f, drop).terms == {(-140, 0): Fraction(1)}
-    with pytest.raises(StepBudgetExceeded):
-        reduce_poly(f, drop, max_steps=69)
-    assert drop.rewrites(70, 69).code.bits == 16 and drop.rewrites(70, 0).code.bits == 8
+    assert [table.code.bits for table in system.tables.values()] == [16]
 
 
 def test_packed_loop_matches_the_tuple_loop_on_packed_inputs():
@@ -592,8 +538,8 @@ def test_packed_loop_matches_the_tuple_loop_on_packed_inputs():
     params = random_params(3, rng)
     for t_set in enumerate_admissible(3):
         system = quotient_system(params, t_set)
-        table = system.rewrites(6, 10**6)
-        code = table.code
+        code = monomial_code(6, 6)
+        table = system.rewrites(code)
         for _ in range(10):
             f = random_poly(system.varspec, rng, max_degree=6)
             packed = {code.pack(m): c for m, c in f.terms.items()}
@@ -618,7 +564,7 @@ def test_a_listed_first_step_draws_as_the_loop_does():
     empty = 0
     for t_set in enumerate_admissible(3):
         system = quotient_system(params, t_set)
-        table = system.rewrites(3, 10**6)
+        table = system.rewrites(monomial_code(6, 3))
         for _ in range(20):
             f = random_poly(system.varspec, rng, max_degree=3)
             packed = table.code.pack_terms(f.terms)
@@ -635,11 +581,22 @@ def test_a_listed_first_step_draws_as_the_loop_does():
     assert 0 < empty < 48 * 20
 
 
+# y1 x2^2 -> x1 - y2 and x1 -> -2 y1: an input with x1 in two terms, or with
+# y1 x2^2, needs more than one step, so a budget of one runs out on it
+BUDGET_SYSTEM = ReductionSystem(
+    VS2,
+    (
+        ReductionRule((1, 0, 0, 2), LaurentPoly(VS2, {(0, 1, 0, 0): Fraction(1), (0, 0, 1, 0): Fraction(-1)})),
+        ReductionRule((0, 1, 0, 0), LaurentPoly(VS2, {(1, 0, 0, 0): Fraction(-2)})),
+    ),
+)
+
+
 def test_reduce_budget_matches_rebuild_reference():
     rng = random.Random(22)
     exhausted = 0
     for _ in range(100):
-        f = laurent_poly(VS_INV, rng)
+        f = random_poly(VS2, rng)
         seed = rng.randrange(10**6)
         for reducer_rng in (None, seed):
             outcomes = []
@@ -653,7 +610,7 @@ def test_reduce_budget_matches_rebuild_reference():
             for reducer in reducers:
                 draw = None if reducer_rng is None else random.Random(reducer_rng)
                 try:
-                    result = reducer(f, LAURENT_SYSTEM, max_steps=1, rng=draw)
+                    result = reducer(f, BUDGET_SYSTEM, max_steps=1, rng=draw)
                     terms = getattr(result, "terms", result)
                     outcome = ("ok", list(terms.items()))
                 except StepBudgetExceeded as exc:
@@ -679,15 +636,15 @@ def test_rule_validation():
                 ReductionRule((1, 0, 0, 0), LaurentPoly.zero(VS2)),
             ),
         )
+    with pytest.raises(ValueError, match="cannot rewrite over inverted variables"):
+        # a ring that inverts a variable, even with no rule
+        ReductionSystem(VS_L, ())
 
 
 def test_rule_lead_must_be_ring_monomial():
     for lead in ((0, 1, 1), (0, -1, 0, 0)):
         with pytest.raises(ValueError):
             ReductionSystem(VS2, (ReductionRule(lead, LaurentPoly.zero(VS2)),))
-    # a negative exponent on a unit is a valid lead
-    system = ReductionSystem(VS_L, (ReductionRule((-1, 1), LaurentPoly.zero(VS_L)),))
-    assert reduce_poly(LaurentPoly.monomial(VS_L, {"y1": 3, "x1": 2}), system).is_zero()
 
 
 def test_divide_exact_roundtrip():

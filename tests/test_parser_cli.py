@@ -571,7 +571,7 @@ def test_cli_step_budget_env(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("budget", ["abc", "0"])
+@pytest.mark.parametrize("budget", ["abc", "0", " 100", "+100", "1_000", "\u0661\u0660\u0660"])
 @pytest.mark.parametrize(
     "command",
     [("verify", "all"), ("verify", "psi"), ("matrices",), ("map-report",), ("admissible", "--count")],
@@ -957,7 +957,8 @@ def test_cli_nf_power_charges_one_budget(capsys, monkeypatch):
 
 
 def test_config_rejects_exponent_notation(tmp_path, capsys):
-    for literal in ("1e400", "2E3", "1/1e5"):
+    # and digits outside ASCII, which Fraction reads: "\u0663" is 3
+    for literal in ("1e400", "2E3", "1/1e5", "\u0663"):
         status, payload = _run_config(tmp_path, capsys, {**POISSON_RAW, "p": [literal, "3"]})
         assert status == 2
         assert payload["error"] == "ConfigError" and repr(literal) in payload["message"]
@@ -975,7 +976,7 @@ def test_confluence_suite_shares_one_varspec(capsys, monkeypatch):
     # every input over all 48 strata.
     from poisson_strata.admissible import enumerate_admissible
     from poisson_strata.algebra_an import quotient_system
-    from poisson_strata.exact_poly import VarSpec, reduce_poly, reduce_terms
+    from poisson_strata.exact_poly import VarSpec, reduce_packed, reduce_poly
 
     calls = []
     plain = VarSpec.__eq__
@@ -1000,29 +1001,32 @@ def test_confluence_suite_shares_one_varspec(capsys, monkeypatch):
     params = load_config(PAIRED_N3).poisson
     vs = an_varspec(3)
     rng = random.Random(11)
+    code = monomial_code(len(vs), 3)
     strata = enumerate_admissible(3)
     assert len(strata) == 48
     for t_set in strata:
         system = quotient_system(params, t_set)
+        table = system.rewrites(code)
         for _ in range(cli.RANDOM_TRIALS):
             f = randint_poly(vs, rng)
             base = reduce_poly(f, system).terms
+            packed = code.pack_terms(f.terms)
             for _ in range(2):
-                assert reduce_terms(f.terms, system, 10**6, rng.getrandbits) == base
+                assert code.unpack_terms(reduce_packed(packed, table, 10**6, rng.getrandbits)) == base
     assert len(made) == 1 and made[0].getstate() == rng.getstate()
 
 
 def test_confluence_checks_each_system_owner(capsys, monkeypatch):
     # The suite reduces term maps, which carry no owner, so it tests each
     # stratum's system against A_n's variables once.  A system over other
-    # variables, here with y1 invertible and no rules, must end the run in
-    # the owner error, not pass because no rule applies.
+    # variables, here with y1 killed and no rules, must end the run in the
+    # owner error, not pass because no rule applies.
     from poisson_strata.admissible import enumerate_admissible
     from poisson_strata.exact_poly import ReductionSystem, VarSpec
 
     strata = enumerate_admissible(3)
     plain = cli.quotient_system
-    other = ReductionSystem(VarSpec(an_varspec(3).names, frozenset({"y1"})), ())
+    other = ReductionSystem(VarSpec(an_varspec(3).names, killed=frozenset({"y1"})), ())
 
     def quotient(params, t_set):
         return other if t_set == strata[20] else plain(params, t_set)
@@ -1035,12 +1039,33 @@ def test_confluence_checks_each_system_owner(capsys, monkeypatch):
     }
 
 
+@pytest.mark.parametrize("suite", ["confluence", "kstable"])
+def test_quotient_suites_read_every_table_in_one_code(capsys, monkeypatch, suite):
+    # Each suite picks one code for its run: the tables it reads, one per
+    # stratum (kstable reads none for the empty set, which has no member),
+    # all share that code object.
+    tables = {}
+
+    def recording(plain):
+        def read(terms, table, *args):
+            tables[id(table)] = table
+            return plain(terms, table, *args)
+        return read
+
+    for name in ("reduce_packed", "rewrite_candidates"):
+        monkeypatch.setattr(cli, name, recording(getattr(cli, name)))
+    assert main(["--config", PAIRED_N3, "verify", suite]) == 0
+    capsys.readouterr()
+    assert len(tables) == {"confluence": 48, "kstable": 47}[suite]
+    assert len({id(table.code) for table in tables.values()}) == 1
+
+
 def _unpacked_terms(width, rng):
-    """The packed term map of `cli._random_terms`, drawn in the code the
-    confluence suite reads from each system's table (fields that hold the
-    largest degree, 3), with exponent-vector keys in the same order."""
+    """The packed term map of `cli._random_terms`, drawn in the confluence
+    suite's code (fields that hold the largest degree, 3), with
+    exponent-vector keys in the same order."""
     code = monomial_code(width, cli._TERM_DEGREES[-1])
-    return code.unpack_terms(cli._random_terms(code, rng))
+    return code.unpack_terms(cli._random_terms(code, (width, width.bit_length()), rng))
 
 
 def suite_terms(vs):
@@ -1052,7 +1077,8 @@ def suite_monomials(n):
     """`cli._random_monomial` over n pairs as the associativity suite draws:
     one code and one decode map for the whole run."""
     code, decoded = monomial_code(2 * n, cli._WORD_LENGTHS[-1]), {}
-    return lambda rng: cli._random_monomial(code, decoded, rng)
+    positions = 2 * n, (2 * n).bit_length()
+    return lambda rng: cli._random_monomial(code, positions, decoded, rng)
 
 
 @pytest.mark.parametrize(
