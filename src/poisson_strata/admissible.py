@@ -17,12 +17,11 @@ injective, labels each stratum, and lays the run's sets out as a poset.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from itertools import chain, compress
 from operator import le
 from typing import Hashable, Mapping, Sequence
 
-from .exact_poly import VarSpec
+from .exact_poly import VarSpec, record
 
 
 # The flags (y_i, x_i, Omega_i) that pair i may take, keyed by the tail flag
@@ -34,7 +33,7 @@ LEVEL_STEPS: dict[bool, tuple[tuple[bool, bool, bool], ...]] = {
 }
 
 
-@dataclass(frozen=True)
+@record
 class AdmissibleSet:
     """Membership triple over indices 1..n."""
 
@@ -133,7 +132,7 @@ def count_nested_pairs(n: int) -> int:
     return _count_walks(moves, (True, True), n)
 
 
-@dataclass(frozen=True)
+@record
 class DerivedSets:
     """The combinatorial companions of one admissible set.
 

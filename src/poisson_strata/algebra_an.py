@@ -16,7 +16,6 @@ systems presenting the quotients by admissible-set ideals.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from operator import mul, sub
@@ -32,6 +31,7 @@ from .exact_poly import (
     _as_fraction,
     format_poly,
     format_terms,
+    record,
     reduce_poly,
 )
 from .poisson_core import (
@@ -46,7 +46,7 @@ def _fraction_vector(values: Sequence[Scalar]) -> tuple[Fraction, ...]:
     return tuple(map(_as_fraction, values))
 
 
-@dataclass(frozen=True)
+@record
 class PairParams:
     """n, the coupling matrix gamma and the two vectors p, q.
 
@@ -102,7 +102,7 @@ class PairParams:
         return {}
 
 
-@dataclass(frozen=True)
+@record
 class PoissonParams(PairParams):
     """n, the skew-symmetric coupling matrix, and the two weight vectors;
     A_n and its level-by-level rebuild are derived on their first read,
@@ -309,7 +309,7 @@ def verify_omega_identities(params: PoissonParams) -> dict:
 # -- iterated presentation -------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class IteratedPresentation:
     """The chain of two-variable extensions rebuilding the algebra level by level.
 

@@ -19,16 +19,16 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from operator import add
 from typing import Iterable, Optional
 
 from .algebra_an import PairParams, an_varspec, generator_names, tail_element
-from .exact_poly import StepBudget, TermMap, VarSpec, accumulate, format_terms
+from .exact_poly import StepBudget, TermMap, VarSpec, accumulate, format_terms, record
 
-@dataclass(frozen=True)
+
+@record
 class QuantumParams(PairParams):
     """n, the multiplicative coupling matrix, and the two scalar vectors."""
 
@@ -264,7 +264,7 @@ def nc_multiply(
 # -- the attached quantum torus ---------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class QuantumTorus:
     """Arithmetic in the attached quantized coordinate ring, modulo killed
     generators and localized at inverted ones.

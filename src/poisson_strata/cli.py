@@ -35,7 +35,6 @@ import os
 import random
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -79,6 +78,7 @@ from .exact_poly import (
     format_terms,
     is_prime,
     monomial_code,
+    record,
     reduce_packed,
     rewrite_candidates,
     same_owner,
@@ -141,7 +141,7 @@ def _list(value, what: str) -> list:
     return value
 
 
-@dataclass
+@record(frozen=False)
 class Config:
     """The run object: the parameters and step limit `load_config` validated,
     and what a run derives from them beside what the parameters derive
@@ -379,7 +379,7 @@ def suite_confluence(config: Config) -> dict:
     fields hold the inputs' largest degree, so the owner is checked once per
     stratum and a failure alone is unpacked: it prints the input, the
     deterministic normal form and the random one that differs from it.  An
-    input's first-step candidates are listed once; both random reductions
+    input's first-step candidates are listed once; all three reductions
     start from that list."""
     params = _require_poisson(config)
     vs = an_varspec(params.n)
@@ -402,7 +402,7 @@ def suite_confluence(config: Config) -> dict:
             if not first:
                 checked += 1
                 continue
-            base = reduce_packed(terms, table, budget)
+            base = reduce_packed(terms, table, budget, None, first)
             for _ in range(2):
                 other = reduce_packed(terms, table, budget, bits, first)
                 if other != base:

@@ -35,7 +35,6 @@ and grades the whole correspondence by the character's injectivity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations
@@ -59,6 +58,7 @@ from .exact_poly import (
     accumulate,
     format_terms,
     group_analysis,
+    record,
 )
 from .poisson_core import PoissonStructure
 
@@ -68,7 +68,7 @@ def hat_coefficient(params: PairParams, i: int) -> Fraction:
     return tail_coefficient(params, i - 1) / tail_coefficient(params, i)
 
 
-@dataclass(frozen=True)
+@record
 class GeneratorMap:
     """The stratum of T as its ring and the images of the source generators,
     each holding only terms that ring admits, with the algebra they are
@@ -272,7 +272,7 @@ class GroupContainsMinusOne(ValueError):
         self.analysis = analysis
 
 
-@dataclass(frozen=True)
+@record
 class AdditiveCharacter:
     """An additive character of the parameter group of `params` and the
     Poisson parameters it induces, the images of gamma, p and q."""

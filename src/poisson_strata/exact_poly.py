@@ -16,10 +16,9 @@ from __future__ import annotations
 
 import functools
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
-from operator import add, mul, sub
+from operator import add, attrgetter, itemgetter, mul, sub
 from typing import Mapping, Optional, Sequence, Union
 
 Scalar = Union[Fraction, int]
@@ -66,7 +65,107 @@ class StepBudget:
             raise StepBudgetExceeded(self.limit, self.unit)
 
 
-@dataclass(frozen=True)
+# -- value classes -------------------------------------------------------------
+
+_REQUIRED = object()  # the default of a field that has none
+_DERIVED = object()  # the `field` marker
+
+
+def field(*, init: bool, repr: bool, compare: bool):
+    """The marker of a derived field, one that `__post_init__` sets: left
+    out of the constructor, the repr, equality and the hash.  Its one
+    spelling is `field(init=False, repr=False, compare=False)`."""
+    if init or repr or compare:
+        raise TypeError("a derived field is field(init=False, repr=False, compare=False)")
+    return _DERIVED
+
+
+_object_setattr = object.__setattr__
+
+
+def _immutable(self, name, value=None):
+    raise AttributeError(f"{type(self).__qualname__} is immutable: cannot change {name!r}")
+
+
+def record(cls=None, *, frozen: bool = True):
+    """The class decorator of the package's value classes, frozen unless
+    `frozen=False`, with the methods `dataclasses.dataclass` would give
+    them, built from closures.
+
+    The fields are the annotated names of the class and of its record
+    bases, bases first.  A field is either passed in, by position or by
+    keyword, with its class-level value as default, or derived (`field`).
+    The constructor sets the fields passed in, then calls `__post_init__`
+    if the class has one.  Two objects are equal when they are of one class
+    and their passed-in fields are equal as tuples; against any other
+    class `__eq__` returns NotImplemented.  A frozen object hashes as that
+    tuple and refuses assignment and deletion with AttributeError; a
+    mutable one is unhashable.  The repr is `Name(field=value, ...)` over
+    the passed-in fields.  These are the rules of `dataclasses`, so hashes,
+    set and dict orders and reprs are the same; `dataclasses` itself
+    writes each method as source text and `exec`s it, which cost every
+    command tens of milliseconds of start-up (README, "Start-up").
+    """
+    if cls is None:
+        return functools.partial(record, frozen=frozen)
+    fields = {}  # name -> default, _REQUIRED or _DERIVED
+    for base in reversed(cls.__mro__[1:]):
+        fields.update(vars(base).get("_fields", {}))
+    for name in vars(cls).get("__annotations__", {}):
+        fields[name] = vars(cls).get(name, _REQUIRED)
+        if fields[name] is _DERIVED:
+            delattr(cls, name)
+    cls._fields = fields
+    names = tuple(name for name, default in fields.items() if default is not _DERIVED)
+    count = len(names)
+    post_init = getattr(cls, "__post_init__", None)
+    get = attrgetter(*names)
+    values = get if count > 1 else lambda obj: (get(obj),)
+
+    def bind(args: tuple, kwargs: dict) -> list:
+        """The field values of a call that does not pass every field by position."""
+        if len(args) > count:
+            raise TypeError(f"{cls.__qualname__}() takes {count} arguments, {len(args)} given")
+        bound = list(args)
+        for name in names[len(args):]:
+            value = kwargs.pop(name, fields[name])
+            if value is _REQUIRED:
+                raise TypeError(f"{cls.__qualname__}() missing argument {name!r}")
+            bound.append(value)
+        if kwargs:
+            raise TypeError(f"{cls.__qualname__}() got an unexpected argument {next(iter(kwargs))!r}")
+        return bound
+
+    def __init__(self, *args, **kwargs):
+        if kwargs or len(args) != count:
+            args = bind(args, kwargs)
+        # Not `self.__dict__.update`: reading `__dict__` turns the object's
+        # compact attribute storage into a dict, and every later attribute
+        # read got slower (five times on VarSpec, CPython 3.11).
+        for name, value in zip(names, args):
+            _object_setattr(self, name, value)
+        if post_init is not None:
+            post_init(self)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return values(self) == values(other)
+        return NotImplemented
+
+    def __repr__(self):
+        shown = ", ".join(f"{name}={value!r}" for name, value in zip(names, values(self)))
+        return f"{self.__class__.__qualname__}({shown})"
+
+    cls.__init__, cls.__eq__, cls.__repr__ = __init__, __eq__, __repr__
+    if frozen:
+        cls.__hash__ = lambda self: hash(values(self))
+        cls.__setattr__ = cls.__delattr__ = _immutable
+    else:
+        cls.__hash__ = None
+    return cls
+
+
+@record
 class VarSpec:
     """An ordered list of variable names with per-variable flags.
 
@@ -536,7 +635,7 @@ def format_poly(f: LaurentPoly) -> str:
     return format_terms(f.terms, f.varspec.names)
 
 
-@dataclass(frozen=True)
+@record
 class ReductionRule:
     lead: tuple[int, ...]
     replacement: LaurentPoly
@@ -578,7 +677,7 @@ class RewriteTable(dict):
         return entry
 
 
-@dataclass(frozen=True)
+@record
 class ReductionSystem:
     """A confluent commutative rewriting system lead-monomial -> polynomial
     on a polynomial ring: no variable is invertible (ValueError otherwise).
@@ -602,7 +701,8 @@ class ReductionSystem:
         if len(set(leads)) != len(leads):
             raise ValueError("duplicate rule lead monomials")
         for r in self.rules:
-            LaurentPoly(self.varspec, {r.lead: 1})  # raises unless a ring monomial
+            if not self.varspec.admit(r.lead):  # raises unless a ring monomial
+                raise ValueError(f"rule lead {r.lead} touches a killed variable")
             if not same_owner(r.replacement.varspec, self.varspec):
                 raise VarSpecMismatch("rule replacement over wrong variables")
             if not r.replacement.is_zero():
@@ -671,6 +771,8 @@ def reduce_packed(
     function, the tests' reference).  The candidates are listed by the loop
     of `rewrite_candidates`, inline; `first`, when given, is the first
     step's list, so a caller that has listed it does not list it again.
+    Without `bits` the first step then reads its largest term from that
+    list, with the term's first targets, and looks nothing up.
     Each normal form has its own budget of max_steps rule applications,
     kept in a local counter rather than a `StepBudget` (one object per call
     would cost time on this path); past it, StepBudgetExceeded is raised.
@@ -686,13 +788,18 @@ def reduce_packed(
     steps = 0
     while True:
         if bits is None:
-            mono = None
-            for m in terms:
-                if table[m] and (mono is None or m > mono):
-                    mono = m
-            if mono is None:
+            if steps or first is None:
+                mono = None
+                for m in terms:
+                    if table[m] and (mono is None or m > mono):
+                        mono = m
+                if mono is None:
+                    break
+                targets = table[mono][0]
+            elif first:
+                mono, targets = max(first, key=itemgetter(0))
+            else:
                 break
-            targets = table[mono][0]
         else:
             if steps or first is None:
                 candidates = []
@@ -846,7 +953,7 @@ def _integer_row_kernel(matrix: list[list[int]]) -> list[list[int]]:
     return [aug[r][cols:] for r in range(rows) if r not in pivot_rows]
 
 
-@dataclass(frozen=True)
+@record
 class GroupAnalysis:
     """Lattice description of the multiplicative group generated in Q*."""
 

@@ -25,13 +25,12 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Union
 
 from .algebra_an import PairParams, PoissonParams, named_element
 from .algebra_kn import NCElement, QuantumParams, nc_multiply
-from .exact_poly import DEFAULT_STEP_BUDGET, LaurentPoly, StepBudget
+from .exact_poly import DEFAULT_STEP_BUDGET, LaurentPoly, StepBudget, record
 
 
 class ParseError(ValueError):
@@ -44,34 +43,34 @@ class EvalError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@record
 class Num:
     value: Fraction
 
 
-@dataclass(frozen=True)
+@record
 class Var:
     name: str
 
 
-@dataclass(frozen=True)
+@record
 class Sum:
     first: "Expr"
     rest: tuple[tuple[str, "Expr"], ...]  # ("+" or "-", term) pairs
 
 
-@dataclass(frozen=True)
+@record
 class Product:
     factors: tuple["Expr", ...]
 
 
-@dataclass(frozen=True)
+@record
 class Power:
     base: "Expr"
     exponents: tuple[int, ...]
 
 
-@dataclass(frozen=True)
+@record
 class Bracket:
     left: "Expr"
     right: "Expr"

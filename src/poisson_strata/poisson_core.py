@@ -35,7 +35,6 @@ extension built from two such steps), whose checks read that walk.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
@@ -48,10 +47,12 @@ from .exact_poly import (
     VarSpec,
     VarSpecMismatch,
     accumulate,
+    field,
     format_poly,
     integer_terms,
     numerators_over,
     over_denominator,
+    record,
     same_owner,
 )
 
@@ -65,7 +66,7 @@ class CompatibilityError(ValueError):
         self.residual = residual
 
 
-@dataclass(frozen=True)
+@record
 class PoissonStructure:
     """Generators plus the upper-triangular bracket table {g_i, g_j}, i < j.
 
@@ -203,7 +204,7 @@ class PoissonStructure:
         return self
 
 
-@dataclass(frozen=True)
+@record
 class PoissonDerivation:
     """A derivation given by generator images, extended by the product rule.
 
@@ -329,7 +330,7 @@ def ore_extend(
     return PoissonStructure(new_vs, table)
 
 
-@dataclass(frozen=True)
+@record
 class DoubleExtensionSpec:
     """Data (A; alpha, beta, c, u) for the two-variable extension.
 

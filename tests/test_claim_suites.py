@@ -5,7 +5,6 @@ exits 1 under a mutation of what it checks.  Their runs at n = 0 are in
 `test_parser_cli.test_every_suite_runs_at_n0`.
 """
 
-import dataclasses
 import json
 from pathlib import Path
 
@@ -163,7 +162,7 @@ def test_eta_fails_for_an_assignment_that_is_not_injective(monkeypatch, capsys):
 
     def x_to_y(t_set):
         sets = real(t_set)
-        return dataclasses.replace(sets, eta=tuple(name.replace("X", "Y") for name in sets.eta))
+        return admissible.DerivedSets(sets.avoid_monomials, tuple(name.replace("X", "Y") for name in sets.eta))
 
     monkeypatch.setattr(admissible, "derived_sets", x_to_y)
     status, report = run_suite("eta", capsys)

@@ -1,6 +1,5 @@
 """Tests for the stratum maps, the parameter-group character, and the report."""
 
-import dataclasses
 import itertools
 import json
 import random
@@ -39,6 +38,7 @@ from poisson_strata.algebra_an import (
 )
 from poisson_strata.algebra_kn import NCElement, QTorusElement, QuantumParams, power_product
 from poisson_strata.correspondence import (
+    GeneratorMap,
     GroupContainsMinusOne,
     apply_map,
     group_character,
@@ -564,10 +564,15 @@ def test_map_report_builds_one_target_per_side(monkeypatch, capsys):
     assert all(target.varspec == empty_set(3).ring for target in built)
 
 
+def with_images(gmap, images):
+    """`gmap` with `images` in place of its generator images."""
+    return GeneratorMap(gmap.t_set, gmap.ring, images, gmap.target, gmap.one)
+
+
 def test_swapped_unit_images_fail_the_unit_check():
     params = quantum_sample_image()
     gmap = poisson_stratum_map(params, empty_set(2))
-    swapped = dataclasses.replace(gmap, images={**gmap.images, "y1": gmap.images["y2"]})
+    swapped = with_images(gmap, {**gmap.images, "y1": gmap.images["y2"]})
     pairs = poisson_rest(params.an.entry)(gmap)
     report = correspondence._stratum_report(params, swapped, *pairs)
     assert "surviving y images do not generate the inverted set" in report["failures"]
@@ -596,7 +601,7 @@ def test_tail_and_member_failures_match_the_pushed_tail_elements():
             for t_set, i in itertools.product(enumerate_admissible(n), range(1, n + 1)):
                 gmap = stratum_map(params, t_set)
                 images = {**gmap.images, f"x{i}": gmap.images[f"x{i}"] + gmap.one}
-                corrupt = dataclasses.replace(gmap, images=images)
+                corrupt = with_images(gmap, images)
                 expected, members = [], []
                 for k in range(1, n + 1):
                     image = apply_map(corrupt, tail_element(params, k, cls, source_owner))
@@ -651,9 +656,7 @@ def _corrupt_source(side, params, n):
 
 def _with_y_images(y1, y2):
     """The map with the images of y1 and y2 replaced by those of `y1`, `y2`."""
-    return lambda gmap: dataclasses.replace(
-        gmap, images={**gmap.images, "y1": gmap.images[y1], "y2": gmap.images[y2]}
-    )
+    return lambda gmap: with_images(gmap, {**gmap.images, "y1": gmap.images[y1], "y2": gmap.images[y2]})
 
 
 EQUIVALENCE_MUTATIONS = {
@@ -671,7 +674,7 @@ def fresh(params):
     """A copy of `params` with nothing derived from it yet: the stratum maps
     keep the empty set's map on the parameters, so a patch must reach
     parameters that no earlier map has read."""
-    return dataclasses.replace(params)
+    return type(params)(params.n, params.gamma, params.p, params.q)
 
 
 def equivalence_cases():

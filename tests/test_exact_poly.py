@@ -581,6 +581,35 @@ def test_a_listed_first_step_draws_as_the_loop_does():
     assert 0 < empty < 48 * 20
 
 
+# x2 -> y2 + 2 x1 and x1 -> y1 - 1: the term order of a normal form shows
+# which reducible term was rewritten first
+ORDER_SYSTEM = ReductionSystem(
+    VS2,
+    (
+        ReductionRule((0, 0, 0, 1), LaurentPoly(VS2, {(0, 0, 1, 0): 1, (0, 1, 0, 0): 2})),
+        ReductionRule((0, 1, 0, 0), LaurentPoly(VS2, {(1, 0, 0, 0): 1, (0, 0, 0, 0): -1})),
+    ),
+)
+
+
+def test_a_listed_first_step_reduces_as_the_deterministic_loop_does():
+    # The confluence suite hands the listed candidates to its deterministic
+    # reduction too, whose first step is then the largest listed term by its
+    # first rule: the same normal form, in the same order, as the loop that
+    # scans the terms itself, and the input itself when the list is empty.
+    rng = random.Random(27)
+    params = random_params(3, rng)
+    systems = [quotient_system(params, t_set) for t_set in enumerate_admissible(3)]
+    for system in systems + [ORDER_SYSTEM] * 20:
+        table = system.rewrites(monomial_code(len(system.varspec), 3))
+        for _ in range(20):
+            packed = table.code.pack_terms(random_poly(system.varspec, rng, max_degree=3).terms)
+            first = rewrite_candidates(packed, table)
+            listed = reduce_packed(packed, table, 10**6, None, first)
+            assert list(listed.items()) == list(reduce_packed(packed, table, 10**6).items())
+            assert (listed is packed) == (not first)
+
+
 # y1 x2^2 -> x1 - y2 and x1 -> -2 y1: an input with x1 in two terms, or with
 # y1 x2^2, needs more than one step, so a budget of one runs out on it
 BUDGET_SYSTEM = ReductionSystem(
@@ -639,6 +668,10 @@ def test_rule_validation():
     with pytest.raises(ValueError, match="cannot rewrite over inverted variables"):
         # a ring that inverts a variable, even with no rule
         ReductionSystem(VS_L, ())
+    killed = VarSpec(("y1", "x1"), killed=frozenset({"x1"}))
+    with pytest.raises(ValueError, match="touches a killed variable"):
+        # a lead that is zero in the ring, so its rule would never apply
+        ReductionSystem(killed, (ReductionRule((0, 1), LaurentPoly.generator(killed, "y1")),))
 
 
 def test_rule_lead_must_be_ring_monomial():

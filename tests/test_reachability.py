@@ -8,7 +8,7 @@ module or to the one its module imports under that name, and `module.name`
 resolves through a module alias.  A reached function is walked in turn, its
 whole body with decorators and annotations.  A reached class is walked by
 its decorators and bases, and its members one by one: the methods and
-properties it defines, its dataclass fields and the names it binds in its
+properties it defines, its annotated fields and the names it binds in its
 body (aliases such as `n = TermMap.owner`).  A member is reached when reached
 code reads its name as an attribute of anything, or the class body binds it
 to another reached member by bare name (`_inverse = monomial_inverse`); a
