@@ -712,7 +712,9 @@ def _parse_args(argv: Optional[list[str]]) -> argparse.Namespace:
     """Parse the command line.  argparse takes an expression that starts with
     "-" for an option and then reports its positional as missing; the error
     names the expression instead and points to "--".  `admissible --dot`
-    draws the poset, so it is an error without `--poset`."""
+    draws the poset, so it is an error without `--poset`.  A second bare
+    "--" leaves argparse an empty list for an expression, such as `right`
+    in `bracket -- x1 --`; that is an error too."""
     parser = build_arg_parser()
     try:
         args = parser.parse_args(argv)
@@ -725,6 +727,9 @@ def _parse_args(argv: Optional[list[str]]) -> argparse.Namespace:
         ) from None
     if args.command == "admissible" and args.dot and not args.poset:
         raise UsageError(f"{parser.prog} admissible: argument --dot: only allowed with argument --poset")
+    for name in ("left", "right", "expr"):
+        if not isinstance(getattr(args, name, ""), str):
+            raise UsageError(f"{parser.prog} {args.command}: argument {name}: expected one expression")
     return args
 
 

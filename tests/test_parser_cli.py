@@ -1,5 +1,6 @@
 """Tests for the expression parser and the command-line interface."""
 
+import contextlib
 import functools
 import io
 import json
@@ -248,6 +249,27 @@ def test_cli_usage_error_names_an_expression_read_as_an_option(capsys, config, c
     # a missing positional with no such token keeps argparse's message
     assert main(["--config", config, command[0]]) == 2
     assert "read as an option" not in json.loads(capsys.readouterr().out)["message"]
+
+
+_ARGV_TOKENS = st.sampled_from(
+    ["--", "-", "-x1", "x1", "y2", "{x1, y2}", "1/0", "Omega01", "--pretty", "--dot", "-1", "("]
+)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(
+    config=st.sampled_from([CONFIG_POISSON, CONFIG_QUANTUM, CONFIG_PAIRED]),
+    command=st.sampled_from(["bracket", "nf"]),
+    tokens=st.lists(_ARGV_TOKENS, max_size=4),
+)
+def test_cli_expression_arguments_of_any_shape_end_in_json(config, command, tokens):
+    # options, bare and repeated "--" and atoms in any order end in a result
+    # with exit 0 or in the JSON error object with exit 2, never a traceback
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        status = main(["--config", config, command, *tokens])
+    payload = json.loads(out.getvalue())
+    assert (status, set(payload)) in [(0, {"result"}), (2, {"error", "message"})]
 
 
 def test_cli_nf(capsys):
